@@ -69,7 +69,7 @@ pub struct CodeCount {
 
 /// A recorded baseline: everything `baseline check` needs to judge a
 /// candidate run without re-reading the blessed corpus.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Baseline {
     /// Filter the snapshot was computed under
     /// ([`difftrace::FilterConfig::stable_code`] form, parseable back).
@@ -97,6 +97,25 @@ pub struct Baseline {
     /// code. Runs without request markers are trivially clean, so this
     /// is recorded for every corpus too.
     pub req: Vec<CodeCount>,
+}
+
+impl Baseline {
+    /// The per-code counts recorded for the registered checker `name`
+    /// (one bundle field per checker; a new checker needs a bundle
+    /// format bump).
+    ///
+    /// # Panics
+    ///
+    /// Panics for a name no bundle field records.
+    pub fn counts_mut(&mut self, name: &str) -> &mut Vec<CodeCount> {
+        match name {
+            "lint" => &mut self.lint,
+            "hbcheck" => &mut self.hb,
+            "racecheck" => &mut self.race,
+            "reqcheck" => &mut self.req,
+            other => panic!("no bundle field records checker `{other}`"),
+        }
+    }
 }
 
 fn write_id(out: &mut Vec<u8>, id: TraceId) {

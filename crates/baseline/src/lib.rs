@@ -25,8 +25,8 @@ pub use policy::{DiffClass, Policy};
 pub use report::{AssertionReport, ClauseEntry, ClauseStatus};
 
 use difftrace::{
-    analyze_single_opts_rec, content_fingerprints, hbcheck_set, lint_set, racecheck_set,
-    reqcheck_set, HbOptions, LintOptions, Params, PipelineOptions, RaceOptions, ReqOptions,
+    analyze_single_opts_rec, content_fingerprints, CheckInput, LintOptions, Params,
+    PipelineOptions, CHECKERS,
 };
 use dt_obs::{stage, Recorder};
 use dt_trace::hb::HbLog;
@@ -62,10 +62,10 @@ pub fn snapshot(set: &TraceSet, hb: &HbLog, params: &Params) -> Baseline {
 
 /// Snapshot one run into a [`Baseline`]: content fingerprints, the
 /// single-run JSM ranking, cluster/outlier structure, and the
-/// tracelint/hbcheck findings, all under `params`. Like every `_rec`
-/// entry point, `opts` and `rec` change how fast the snapshot is
-/// computed, never what it says — the encoded bundle is byte-identical
-/// for every thread count and cache state.
+/// findings of every registered checker, all under `params`. Like
+/// every `_rec` entry point, `opts` and `rec` change how fast the
+/// snapshot is computed, never what it says — the encoded bundle is
+/// byte-identical for every thread count and cache state.
 pub fn snapshot_rec(
     set: &TraceSet,
     hb: &HbLog,
@@ -96,83 +96,38 @@ pub fn snapshot_rec(
             truncated: set.get(id).is_some_and(|t| t.truncated),
         })
         .collect();
-    let lint = {
-        let _s = stage(rec, "lint");
-        lint_set(
-            set,
-            &LintOptions {
-                threads: opts.threads,
-                filter: Some(params.filter.clone()),
-                ..LintOptions::default()
-            },
-        )
-    };
-    let has_hb = hb.world_size() > 0;
-    let hb_counts = if has_hb {
-        let _s = stage(rec, "hbcheck");
-        code_counts(&hbcheck_set(
-            set,
-            hb,
-            &HbOptions {
-                threads: opts.threads,
-                ..HbOptions::default()
-            },
-        ))
-    } else {
-        Vec::new()
-    };
-    let race_counts = {
-        let _s = stage(rec, "racecheck");
-        code_counts(&racecheck_set(
-            set,
-            &RaceOptions {
-                threads: opts.threads,
-                ..RaceOptions::default()
-            },
-        ))
-    };
-    let req_counts = {
-        let _s = stage(rec, "reqcheck");
-        code_counts(&reqcheck_set(
-            set,
-            &ReqOptions {
-                threads: opts.threads,
-                ..ReqOptions::default()
-            },
-        ))
-    };
     let mut outliers = single.outliers.clone();
     outliers.sort_unstable();
-    let baseline = Baseline {
+    let has_hb = hb.world_size() > 0;
+    let mut baseline = Baseline {
         filter: params.filter.stable_code(),
         attrs: params.attrs.to_string(),
         traces,
         clusters: single.clusters.len() as u64,
         outliers,
-        lint: code_counts(&lint),
         has_hb,
-        hb: hb_counts,
-        race: race_counts,
-        req: req_counts,
+        ..Baseline::default()
     };
     if rec.enabled() {
         rec.add("baseline_traces", baseline.traces.len() as u64);
-        rec.add(
-            "baseline_lint_errors",
-            baseline.lint.iter().map(|c| c.errors).sum(),
-        );
-        rec.add(
-            "baseline_hb_errors",
-            baseline.hb.iter().map(|c| c.errors).sum(),
-        );
-        rec.add(
-            "baseline_race_errors",
-            baseline.race.iter().map(|c| c.errors).sum(),
-        );
-        rec.add(
-            "baseline_req_errors",
-            baseline.req.iter().map(|c| c.errors).sum(),
-        );
+    }
+    // Every checker under the pipeline pre-pass options (the recorded
+    // filter for lint, expanded domain). Checkers that need a
+    // happens-before section record nothing for runs without one.
+    let check = LintOptions::for_pipeline(params, opts.threads);
+    let input = CheckInput { set, hb: Some(hb) };
+    for c in CHECKERS {
+        let counts = if has_hb || !c.needs_hb() {
+            let _s = stage(rec, c.name());
+            code_counts(&c.check(&input, &check, rec))
+        } else {
+            Vec::new()
+        };
+        if rec.enabled() {
+            let errors = counts.iter().map(|c| c.errors).sum();
+            rec.add(&format!("baseline_{}_errors", c.tag()), errors);
+        }
+        *baseline.counts_mut(c.name()) = counts;
     }
     baseline
 }

@@ -10,8 +10,8 @@
 //! ```
 
 use difftrace::{
-    sweep_parallel_cached_rec, try_diff_runs_hb_rec, AttrConfig, AttrKind, FilterConfig, FreqMode,
-    Params, PipelineOptions,
+    sweep_parallel_cached_rec, try_diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params,
+    PipelineOptions,
 };
 use dt_cache::Cache;
 use dt_obs::Recorder;
@@ -40,7 +40,7 @@ fn main() {
     );
 
     let rec = dt_obs::MetricsRecorder::new();
-    let d = try_diff_runs_hb_rec(
+    let d = try_diff_runs(
         &normal,
         &faulty,
         None,

@@ -16,7 +16,7 @@
 //! Exits 0 when within tolerance, 1 on breach, 2 on usage errors.
 
 use difftrace::{
-    try_diff_runs_hb_rec, AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions,
+    try_diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceSet};
 use std::sync::Arc;
@@ -34,8 +34,7 @@ fn min_wall(
     let mut best = f64::INFINITY;
     for _ in 0..runs {
         let t0 = Instant::now();
-        let d =
-            try_diff_runs_hb_rec(normal, faulty, None, params, &opts, rec).expect("gates are off");
+        let d = try_diff_runs(normal, faulty, None, params, &opts, rec).expect("gates are off");
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(d.suspicious_processes.first(), Some(&5));
         best = best.min(dt);

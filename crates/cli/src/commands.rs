@@ -1,10 +1,9 @@
 //! Command parsing and execution.
 
 use difftrace::{
-    hbcheck_set, lint_set, racecheck_set, render_ranking, reqcheck_set_rec,
-    sweep_parallel_cached_rec, try_diff_runs_hb_rec, AttrConfig, AttrKind, DiffDenied,
-    FilterConfig, FreqMode, HbOptions, LintDomain, LintGate, LintOptions, Params, PipelineOptions,
-    RaceOptions, ReqOptions,
+    checker, render_ranking, sweep_parallel_cached_rec, try_diff_runs, AnyChecker, AttrConfig,
+    AttrKind, CheckInput, FilterConfig, FreqMode, LintDomain, LintGate, LintOptions, Params,
+    PipelineOptions, CHECKERS,
 };
 use dt_baseline::{evaluate, snapshot_rec, Baseline, Policy};
 use dt_cache::Cache;
@@ -48,16 +47,15 @@ impl fmt::Display for CliError {
 
 /// One-line usage string per subcommand, appended to argument errors
 /// so the fix is visible without a round-trip through `help`.
-fn usage_of(cmd: &str) -> &'static str {
-    match cmd {
+fn usage_of(cmd: &str) -> String {
+    if let Some(c) = checker(cmd) {
+        return format!("usage: difftrace {} <file.dtts>... [options]", c.name());
+    }
+    let usage = match cmd {
         "demo" => "usage: difftrace demo <workload> <outdir> [--force]",
         "info" => "usage: difftrace info <file.dtts>",
         "filters" => "usage: difftrace filters <file.dtts>",
         "single" => "usage: difftrace single <run.dtts> [options]",
-        "lint" => "usage: difftrace lint <file.dtts>... [options]",
-        "hbcheck" => "usage: difftrace hbcheck <file.dtts>... [options]",
-        "racecheck" => "usage: difftrace racecheck <file.dtts>... [options]",
-        "reqcheck" => "usage: difftrace reqcheck <file.dtts>... [options]",
         "diff" => "usage: difftrace diff <normal.dtts> <faulty.dtts> [options]",
         "fleet" => "usage: difftrace fleet <run.dtts|dir>... [--suspect RUN] [options]",
         "serve" => {
@@ -76,7 +74,8 @@ fn usage_of(cmd: &str) -> &'static str {
              difftrace baseline check --dir RUNS --out OUTDIR <baseline.dtb> [options]"
         }
         _ => "try `difftrace help`",
-    }
+    };
+    usage.to_string()
 }
 
 fn unknown_option(flag: &str, cmd: &str) -> String {
@@ -417,6 +416,9 @@ EXIT CODES:
 ";
 
 pub fn dispatch(args: &[String]) -> Result<(), CliError> {
+    if let Some(c) = args.first().and_then(|cmd| checker(cmd)) {
+        return check_cmd(c, &args[1..]);
+    }
     match args.first().map(|s| s.as_str()) {
         None | Some("help") | Some("--help") | Some("-h") => {
             print!("{HELP}");
@@ -427,10 +429,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("filters") => filters(&args[1..]).map_err(CliError::Msg),
         Some("single") => single(&args[1..]).map_err(CliError::Msg),
         Some("export") => export(&args[1..]).map_err(CliError::Msg),
-        Some("lint") => lint_cmd(&args[1..]),
-        Some("hbcheck") => hbcheck_cmd(&args[1..]),
-        Some("racecheck") => racecheck_cmd(&args[1..]),
-        Some("reqcheck") => reqcheck_cmd(&args[1..]),
         Some("diff") => diff_cmd(&args[1..]),
         Some("fleet") => fleet_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]).map_err(CliError::Msg),
@@ -459,7 +457,7 @@ fn demo(args: &[String]) -> Result<(), String> {
         }
     }
     let [workload, outdir] = positional.as_slice() else {
-        return Err(usage_of("demo").to_string());
+        return Err(usage_of("demo"));
     };
     if matches!(workload.as_str(), "fleet-oddeven" | "fleet-stencil") {
         return demo_fleet(workload, outdir, force);
@@ -710,7 +708,7 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
         return Err(unknown_option(flag, "cache"));
     }
     let [action, dir] = args else {
-        return Err(usage_of("cache").to_string());
+        return Err(usage_of("cache"));
     };
     let path = Path::new(dir.as_str());
     match action.as_str() {
@@ -743,7 +741,7 @@ fn info(args: &[String]) -> Result<(), String> {
         return Err(unknown_option(flag, "info"));
     }
     let [path] = args else {
-        return Err(usage_of("info").to_string());
+        return Err(usage_of("info"));
     };
     let set = load(path)?;
     let stats = TraceSetStats::measure(&set);
@@ -782,7 +780,7 @@ fn filters(args: &[String]) -> Result<(), String> {
         return Err(unknown_option(flag, "filters"));
     }
     let [path] = args else {
-        return Err(usage_of("filters").to_string());
+        return Err(usage_of("filters"));
     };
     let set = load(path)?;
     println!(
@@ -863,7 +861,7 @@ fn single(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let path = path.ok_or_else(|| usage_of("single").to_string())?;
+    let path = path.ok_or_else(|| usage_of("single"))?;
     let cache = open_cache(cache_dir.as_ref())?;
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
@@ -888,8 +886,12 @@ fn single(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn lint_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("lint");
+/// `difftrace <checker>`: one subcommand shape for every registered
+/// checker. Flags beyond the common ones are the checker's trait data
+/// (lint alone takes `--deep`, `--filter` and `--trace`).
+fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
+    let name = c.name();
+    let mut seen = Seen::new(name);
     let mut paths = Vec::new();
     let mut format = "text".to_string();
     let mut gate = LintGate::Warn;
@@ -919,7 +921,7 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
                 seen.check("--domain")?;
                 opts.domain = LintDomain::parse(&value("--domain")?)?;
             }
-            "--deep" => {
+            "--deep" if c.lint_options() => {
                 seen.check("--deep")?;
                 opts.deep = true;
             }
@@ -929,11 +931,11 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
             }
             // Lenient on purpose: a bad custom pattern must surface as
             // a TL004 diagnostic with a byte span, not an arg error.
-            "--filter" => {
+            "--filter" if c.lint_options() => {
                 seen.check("--filter")?;
                 opts.filter = Some(FilterConfig::parse_lenient(&value("--filter")?)?);
             }
-            "--trace" => {
+            "--trace" if c.lint_options() => {
                 seen.check("--trace")?;
                 trace = Some(dt_serve::render::parse_trace_id(&value("--trace")?)?);
             }
@@ -945,33 +947,34 @@ fn lint_cmd(args: &[String]) -> Result<(), CliError> {
                 seen.check("--metrics")?;
                 obs.metrics = Some(PathBuf::from(value("--metrics")?));
             }
-            other if other.starts_with("--") => return Err(unknown_option(other, "lint").into()),
+            other if other.starts_with("--") => return Err(unknown_option(other, name).into()),
             other => paths.push(other.to_string()),
         }
     }
     if paths.is_empty() {
-        return Err(usage_of("lint").to_string().into());
+        return Err(usage_of(name).into());
     }
     let live = MetricsRecorder::new();
-    let (rendered, errors) = lint_render(&paths, &format, &opts, trace, obs.recorder(&live))?;
+    let (rendered, errors) = check_render(c, &paths, &format, &opts, trace, obs.recorder(&live))?;
     print!("{rendered}");
-    obs.emit(&live, "lint", opts.threads.max(1))?;
+    obs.emit(&live, name, opts.threads.max(1))?;
     if gate == LintGate::Deny && errors > 0 {
         return Err(CliError::LintDenied(format!(
-            "lint gate denied: {errors} error(s) across {} file(s)",
+            "{name} gate denied: {errors} error(s) across {} file(s)",
             paths.len()
         )));
     }
     Ok(())
 }
 
-/// Render lint reports for `paths` — split out from [`lint_cmd`] so
-/// tests can assert the output is byte-identical across thread counts.
-/// Returns the rendered output and the total error count. With `trace`
-/// set, each file is opened through the v3 offset index and ONLY that
-/// trace is decoded (the decode tally lands in the metrics as
-/// `store_trace_decodes`).
-fn lint_render(
+/// Render checker `c`'s reports for `paths` — split out from
+/// [`check_cmd`] so tests can assert the output is byte-identical
+/// across thread counts and domains. Returns the rendered output and
+/// the total error count. With `trace` set, each file is opened
+/// through the v3 offset index and ONLY that trace is decoded (the
+/// decode tally lands in the metrics as `store_trace_decodes`).
+fn check_render(
+    c: &dyn AnyChecker,
     paths: &[String],
     format: &str,
     opts: &LintOptions,
@@ -981,16 +984,30 @@ fn lint_render(
     let mut out = String::new();
     let mut errors = 0;
     for path in paths {
-        let set = {
+        let (set, hb) = {
             let _s = stage(rec, "load");
             match trace {
-                None => load(path)?,
-                Some(id) => load_one_trace(path, id, rec)?,
+                _ if c.needs_hb() => load_full(path)?,
+                None => (load(path)?, HbLog::default()),
+                Some(id) => (load_one_trace(path, id, rec)?, HbLog::default()),
             }
         };
+        if c.needs_hb() && hb.world_size() == 0 {
+            return Err(format!(
+                "{path}: no happens-before section — re-record the run (e.g. `difftrace demo`) \
+                 to get one"
+            ));
+        }
         let report = {
-            let _s = stage(rec, "lint");
-            lint_set(&set, opts)
+            let _s = stage(rec, c.name());
+            c.check(
+                &CheckInput {
+                    set: &set,
+                    hb: Some(&hb),
+                },
+                opts,
+                rec,
+            )
         };
         if rec.enabled() {
             rec.add("files", 1);
@@ -1019,343 +1036,6 @@ fn lint_render(
     Ok((out, errors))
 }
 
-fn hbcheck_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("hbcheck");
-    let mut paths = Vec::new();
-    let mut format = "text".to_string();
-    let mut gate = LintGate::Warn;
-    let mut opts = HbOptions::default();
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--format" => {
-                seen.check("--format")?;
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}` (text|json)").into());
-                }
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--domain" => {
-                seen.check("--domain")?;
-                opts.domain = LintDomain::parse(&value("--domain")?)?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                opts.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "hbcheck").into()),
-            other => paths.push(other.to_string()),
-        }
-    }
-    if paths.is_empty() {
-        return Err(usage_of("hbcheck").to_string().into());
-    }
-    let live = MetricsRecorder::new();
-    let (rendered, errors) = hbcheck_render(&paths, &format, &opts, obs.recorder(&live))?;
-    print!("{rendered}");
-    obs.emit(&live, "hbcheck", opts.threads.max(1))?;
-    if gate == LintGate::Deny && errors > 0 {
-        return Err(CliError::LintDenied(format!(
-            "hbcheck gate denied: {errors} error(s) across {} file(s)",
-            paths.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Render hbcheck reports for `paths` — split out from [`hbcheck_cmd`]
-/// so tests can assert the output is byte-identical across thread
-/// counts and domains. Returns the rendered output and the total error
-/// count.
-fn hbcheck_render(
-    paths: &[String],
-    format: &str,
-    opts: &HbOptions,
-    rec: &dyn Recorder,
-) -> Result<(String, usize), String> {
-    let mut out = String::new();
-    let mut errors = 0;
-    for path in paths {
-        let (set, hb) = {
-            let _s = stage(rec, "load");
-            load_full(path)?
-        };
-        if hb.world_size() == 0 {
-            return Err(format!(
-                "{path}: no happens-before section — re-record the run (e.g. `difftrace demo`) \
-                 to get one"
-            ));
-        }
-        let report = {
-            let _s = stage(rec, "hbcheck");
-            hbcheck_set(&set, &hb, opts)
-        };
-        if rec.enabled() {
-            rec.add("files", 1);
-            rec.add("diagnostics", report.diagnostics().len() as u64);
-            rec.add("errors", report.error_count() as u64);
-        }
-        errors += report.error_count();
-        if format == "json" {
-            if paths.len() == 1 {
-                out.push_str(&report.render_json());
-            } else {
-                out.push_str(&format!(
-                    "{{\"path\":\"{}\",\"report\":{}}}\n",
-                    path.replace('\\', "\\\\").replace('"', "\\\""),
-                    report.render_json().trim_end()
-                ));
-            }
-        } else {
-            if paths.len() > 1 {
-                out.push_str(&format!("== {path}\n"));
-            }
-            out.push_str(&report.render_text());
-        }
-    }
-    Ok((out, errors))
-}
-
-fn racecheck_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("racecheck");
-    let mut paths = Vec::new();
-    let mut format = "text".to_string();
-    let mut gate = LintGate::Warn;
-    let mut opts = RaceOptions::default();
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--format" => {
-                seen.check("--format")?;
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}` (text|json)").into());
-                }
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--domain" => {
-                seen.check("--domain")?;
-                opts.domain = LintDomain::parse(&value("--domain")?)?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                opts.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => {
-                return Err(unknown_option(other, "racecheck").into())
-            }
-            other => paths.push(other.to_string()),
-        }
-    }
-    if paths.is_empty() {
-        return Err(usage_of("racecheck").to_string().into());
-    }
-    let live = MetricsRecorder::new();
-    let (rendered, errors) = racecheck_render(&paths, &format, &opts, obs.recorder(&live))?;
-    print!("{rendered}");
-    obs.emit(&live, "racecheck", opts.threads.max(1))?;
-    if gate == LintGate::Deny && errors > 0 {
-        return Err(CliError::LintDenied(format!(
-            "racecheck gate denied: {errors} error(s) across {} file(s)",
-            paths.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Render racecheck reports for `paths` — split out from
-/// [`racecheck_cmd`] so tests can assert the output is byte-identical
-/// across thread counts and domains. Returns the rendered output and
-/// the total error count.
-fn racecheck_render(
-    paths: &[String],
-    format: &str,
-    opts: &RaceOptions,
-    rec: &dyn Recorder,
-) -> Result<(String, usize), String> {
-    let mut out = String::new();
-    let mut errors = 0;
-    for path in paths {
-        let set = {
-            let _s = stage(rec, "load");
-            load(path)?
-        };
-        let report = {
-            let _s = stage(rec, "racecheck");
-            racecheck_set(&set, opts)
-        };
-        if rec.enabled() {
-            rec.add("files", 1);
-            rec.add("diagnostics", report.diagnostics().len() as u64);
-            rec.add("errors", report.error_count() as u64);
-        }
-        errors += report.error_count();
-        if format == "json" {
-            if paths.len() == 1 {
-                out.push_str(&report.render_json());
-            } else {
-                out.push_str(&format!(
-                    "{{\"path\":\"{}\",\"report\":{}}}\n",
-                    path.replace('\\', "\\\\").replace('"', "\\\""),
-                    report.render_json().trim_end()
-                ));
-            }
-        } else {
-            if paths.len() > 1 {
-                out.push_str(&format!("== {path}\n"));
-            }
-            out.push_str(&report.render_text());
-        }
-    }
-    Ok((out, errors))
-}
-
-fn reqcheck_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("reqcheck");
-    let mut paths = Vec::new();
-    let mut format = "text".to_string();
-    let mut gate = LintGate::Warn;
-    let mut opts = ReqOptions::default();
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--format" => {
-                seen.check("--format")?;
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}` (text|json)").into());
-                }
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--domain" => {
-                seen.check("--domain")?;
-                opts.domain = LintDomain::parse(&value("--domain")?)?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                opts.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => {
-                return Err(unknown_option(other, "reqcheck").into())
-            }
-            other => paths.push(other.to_string()),
-        }
-    }
-    if paths.is_empty() {
-        return Err(usage_of("reqcheck").to_string().into());
-    }
-    let live = MetricsRecorder::new();
-    let (rendered, errors) = reqcheck_render(&paths, &format, &opts, obs.recorder(&live))?;
-    print!("{rendered}");
-    obs.emit(&live, "reqcheck", opts.threads.max(1))?;
-    if gate == LintGate::Deny && errors > 0 {
-        return Err(CliError::LintDenied(format!(
-            "reqcheck gate denied: {errors} error(s) across {} file(s)",
-            paths.len()
-        )));
-    }
-    Ok(())
-}
-
-/// Render reqcheck reports for `paths` — split out from
-/// [`reqcheck_cmd`] so tests can assert the output is byte-identical
-/// across thread counts and domains. Returns the rendered output and
-/// the total error count.
-fn reqcheck_render(
-    paths: &[String],
-    format: &str,
-    opts: &ReqOptions,
-    rec: &dyn Recorder,
-) -> Result<(String, usize), String> {
-    let mut out = String::new();
-    let mut errors = 0;
-    for path in paths {
-        let set = {
-            let _s = stage(rec, "load");
-            load(path)?
-        };
-        let report = {
-            let _s = stage(rec, "reqcheck");
-            reqcheck_set_rec(&set, opts, rec)
-        };
-        if rec.enabled() {
-            rec.add("files", 1);
-            rec.add("diagnostics", report.diagnostics().len() as u64);
-            rec.add("errors", report.error_count() as u64);
-        }
-        errors += report.error_count();
-        if format == "json" {
-            if paths.len() == 1 {
-                out.push_str(&report.render_json());
-            } else {
-                out.push_str(&format!(
-                    "{{\"path\":\"{}\",\"report\":{}}}\n",
-                    path.replace('\\', "\\\\").replace('"', "\\\""),
-                    report.render_json().trim_end()
-                ));
-            }
-        } else {
-            if paths.len() > 1 {
-                out.push_str(&format!("== {path}\n"));
-            }
-            out.push_str(&report.render_text());
-        }
-    }
-    Ok((out, errors))
-}
-
 struct DiffOpts {
     normal: String,
     faulty: String,
@@ -1366,10 +1046,9 @@ struct DiffOpts {
     jobs: usize,
     threads: usize,
     full: bool,
-    gate: LintGate,
-    hb: LintGate,
-    race: LintGate,
-    req: LintGate,
+    /// The checker gates (`--gate`, `--hb`, `--race`, `--req`); the
+    /// pipeline's other options are filled in by the caller.
+    gates: PipelineOptions,
     cache: Option<PathBuf>,
     obs: ObsOpts,
 }
@@ -1387,10 +1066,7 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
     let mut jobs = 0usize;
     let mut threads = 0usize;
     let mut full = false;
-    let mut gate = LintGate::Off;
-    let mut hb = LintGate::Off;
-    let mut race = LintGate::Off;
-    let mut req = LintGate::Off;
+    let mut gates = PipelineOptions::default();
     let mut cache = None;
     let mut obs = ObsOpts::default();
     let mut it = args.iter();
@@ -1400,6 +1076,11 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
+        if let Some(c) = CHECKERS.iter().find(|c| c.diff_flag() == a) {
+            seen.check(c.diff_flag())?;
+            *c.gate_mut(&mut gates) = LintGate::parse(&value(c.diff_flag())?)?;
+            continue;
+        }
         match a.as_str() {
             "--filter" => {
                 if !repeatable_axes {
@@ -1444,22 +1125,6 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
                 seen.check("--full")?;
                 full = true;
             }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--hb" => {
-                seen.check("--hb")?;
-                hb = LintGate::parse(&value("--hb")?)?;
-            }
-            "--race" => {
-                seen.check("--race")?;
-                race = LintGate::parse(&value("--race")?)?;
-            }
-            "--req" => {
-                seen.check("--req")?;
-                req = LintGate::parse(&value("--req")?)?;
-            }
             "--cache" => {
                 seen.check("--cache")?;
                 cache = Some(PathBuf::from(value("--cache")?));
@@ -1477,7 +1142,7 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
         }
     }
     let [normal, faulty] = positional.as_slice() else {
-        return Err(usage_of(cmd).to_string());
+        return Err(usage_of(cmd));
     };
     Ok(DiffOpts {
         normal: normal.clone(),
@@ -1489,10 +1154,7 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
         jobs,
         threads,
         full,
-        gate,
-        hb,
-        race,
-        req,
+        gates,
         cache,
         obs,
     })
@@ -1525,83 +1187,34 @@ fn diff_cmd(args: &[String]) -> Result<(), CliError> {
         attrs,
         linkage: opts.linkage,
     };
-    let hb_logs = if opts.hb != LintGate::Off {
-        if normal_hb.world_size() == 0 || faulty_hb.world_size() == 0 {
-            eprintln!("note: --hb ignored — the inputs carry no happens-before section");
-            None
-        } else {
-            Some((&normal_hb, &faulty_hb))
+    let have_logs = normal_hb.world_size() > 0 && faulty_hb.world_size() > 0;
+    for c in CHECKERS.iter().filter(|c| c.needs_hb() && !have_logs) {
+        if c.gate(&opts.gates) != LintGate::Off {
+            eprintln!(
+                "note: {} ignored — the inputs carry no happens-before section",
+                c.diff_flag()
+            );
         }
-    } else {
-        None
+    }
+    let popts = PipelineOptions {
+        threads: opts.threads,
+        cache: cache.clone(),
+        ..opts.gates
     };
-    let d = match try_diff_runs_hb_rec(
-        &normal,
-        &faulty,
-        hb_logs,
-        &params,
-        &PipelineOptions {
-            threads: opts.threads,
-            lint: opts.gate,
-            hb: opts.hb,
-            race: opts.race,
-            req: opts.req,
-            cache: cache.clone(),
-        },
-        rec,
-    ) {
+    let hb_logs = have_logs.then_some((&normal_hb, &faulty_hb));
+    let d = match try_diff_runs(&normal, &faulty, hb_logs, &params, &popts, rec) {
         Ok(d) => d,
-        Err(DiffDenied::Lint(fail)) => {
-            eprint!("lint (normal):\n{}", fail.normal.render_text());
-            eprint!("lint (faulty):\n{}", fail.faulty.render_text());
+        Err(denied) => {
+            eprint!("{}", denied.render_reports());
             // The metrics still describe the work that ran (load + the
             // pre-pass that denied).
             opts.obs.emit(&live, "diff", opts.threads)?;
-            return Err(CliError::LintDenied(fail.to_string()));
-        }
-        Err(DiffDenied::Hb(fail)) => {
-            eprint!("hbcheck (normal):\n{}", fail.normal.render_text());
-            eprint!("hbcheck (faulty):\n{}", fail.faulty.render_text());
-            opts.obs.emit(&live, "diff", opts.threads)?;
-            return Err(CliError::LintDenied(fail.to_string()));
-        }
-        Err(DiffDenied::Race(fail)) => {
-            eprint!("racecheck (normal):\n{}", fail.normal.render_text());
-            eprint!("racecheck (faulty):\n{}", fail.faulty.render_text());
-            opts.obs.emit(&live, "diff", opts.threads)?;
-            return Err(CliError::LintDenied(fail.to_string()));
-        }
-        Err(DiffDenied::Req(fail)) => {
-            eprint!("reqcheck (normal):\n{}", fail.normal.render_text());
-            eprint!("reqcheck (faulty):\n{}", fail.faulty.render_text());
-            opts.obs.emit(&live, "diff", opts.threads)?;
-            return Err(CliError::LintDenied(fail.to_string()));
+            return Err(CliError::LintDenied(denied.to_string()));
         }
     };
     report_cache(cache.as_ref(), rec);
-    if let Some((n, f)) = &d.lint {
-        if !n.is_clean() || !f.is_clean() {
-            eprint!("lint (normal):\n{}", n.render_text());
-            eprint!("lint (faulty):\n{}", f.render_text());
-        }
-    }
-    if let Some(pre) = &d.hb {
-        if !pre.normal.is_clean() || !pre.faulty.is_clean() {
-            eprint!("hbcheck (normal):\n{}", pre.normal.render_text());
-            eprint!("hbcheck (faulty):\n{}", pre.faulty.render_text());
-        }
-    }
-    if let Some(pre) = &d.race {
-        if !pre.normal.is_clean() || !pre.faulty.is_clean() {
-            eprint!("racecheck (normal):\n{}", pre.normal.render_text());
-            eprint!("racecheck (faulty):\n{}", pre.faulty.render_text());
-        }
-    }
-    if let Some(pre) = &d.req {
-        if !pre.normal.is_clean() || !pre.faulty.is_clean() {
-            eprint!("reqcheck (normal):\n{}", pre.normal.render_text());
-            eprint!("reqcheck (faulty):\n{}", pre.faulty.render_text());
-        }
+    for c in CHECKERS {
+        eprint!("{}", c.findings(&d));
     }
     if opts.full {
         print!(
@@ -1739,7 +1352,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
         }
     }
     if positional.is_empty() {
-        return Err(usage_of("fleet").to_string().into());
+        return Err(usage_of("fleet").into());
     }
     let files = expand_fleet_paths(&positional)?;
     if files.len() < 2 {
@@ -1824,7 +1437,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         }
     }
     if files.is_empty() {
-        return Err(usage_of("serve").to_string());
+        return Err(usage_of("serve"));
     }
     let corpora = named_by_stem(&files)?;
     let server = dt_serve::Server::bind(&dt_serve::ServeConfig {
@@ -1921,7 +1534,7 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
     }
     let (addr, cmd, rest) = match positional.as_slice() {
         [addr, cmd, rest @ ..] => (addr.clone(), cmd.clone(), rest.to_vec()),
-        _ => return Err(usage_of("query").to_string().into()),
+        _ => return Err(usage_of("query").into()),
     };
     req.cmd = cmd.clone();
     match (cmd.as_str(), rest.as_slice()) {
@@ -1933,7 +1546,7 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
         ("fleet", runs @ [_, _, ..]) => {
             req.corpora = runs.to_vec();
         }
-        ("lint" | "hbcheck" | "racecheck" | "reqcheck" | "single", [corpus]) => {
+        (name, [corpus]) if name == "single" || checker(name).is_some() => {
             req.corpus = Some(corpus.clone());
         }
         _ => {
@@ -1998,7 +1611,7 @@ fn export(args: &[String]) -> Result<(), String> {
         }
         rest.push(a.clone());
     }
-    let outdir = outdir.ok_or_else(|| usage_of("export").to_string())?;
+    let outdir = outdir.ok_or_else(|| usage_of("export"))?;
     let opts = parse_opts(&rest, "export")?;
     let cache = open_cache(opts.cache.as_ref())?;
     let live = MetricsRecorder::new();
@@ -2025,7 +1638,7 @@ fn export(args: &[String]) -> Result<(), String> {
     };
     // Gates stay off for export (as before); with them off the
     // pipeline cannot deny.
-    let Ok(d) = try_diff_runs_hb_rec(
+    let Ok(d) = try_diff_runs(
         &normal,
         &faulty,
         None,
@@ -2120,7 +1733,7 @@ fn baseline_cmd(args: &[String]) -> Result<(), CliError> {
             "unknown baseline action `{other}` ({})",
             usage_of("baseline")
         ))),
-        None => Err(CliError::Msg(usage_of("baseline").to_string())),
+        None => Err(CliError::Msg(usage_of("baseline"))),
     }
 }
 
@@ -2211,7 +1824,7 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
         }
     }
     let [run, out] = positional.as_slice() else {
-        return Err(usage_of("baseline record").to_string());
+        return Err(usage_of("baseline record"));
     };
     let out_path = PathBuf::from(out);
     if out_path.exists() && !force {
@@ -2327,7 +1940,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
                     .into());
             }
             let [run, bundle] = positional.as_slice() else {
-                return Err(usage_of("baseline check").to_string().into());
+                return Err(usage_of("baseline check").into());
             };
             let baseline = load_baseline(bundle)?;
             let params = baseline_params(&baseline)?;
@@ -2368,7 +1981,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
         Some(dir) => {
             let out = out_dir.ok_or("--dir needs --out OUTDIR for the report bundle")?;
             let [bundle] = positional.as_slice() else {
-                return Err(usage_of("baseline check").to_string().into());
+                return Err(usage_of("baseline check").into());
             };
             let baseline = load_baseline(bundle)?;
             let params = baseline_params(&baseline)?;
@@ -2598,7 +2211,8 @@ mod tests {
         for format in ["text", "json"] {
             for domain in [LintDomain::Expanded, LintDomain::Compressed] {
                 let render = |threads: usize| {
-                    lint_render(
+                    check_render(
+                        checker("lint").unwrap(),
                         &[n.clone(), f.clone()],
                         format,
                         &LintOptions {
@@ -2629,7 +2243,8 @@ mod tests {
             "deny",
         ]));
         assert!(matches!(denied, Err(CliError::LintDenied(_))), "{denied:?}");
-        let (out, errors) = lint_render(
+        let (out, errors) = check_render(
+            checker("lint").unwrap(),
             std::slice::from_ref(&n),
             "json",
             &LintOptions {
@@ -2677,10 +2292,12 @@ mod tests {
         assert!(matches!(denied, Err(CliError::LintDenied(_))), "{denied:?}");
 
         // The faulty report names the cycle, in both formats.
-        let (text, errors) = hbcheck_render(
+        let (text, errors) = check_render(
+            checker("hbcheck").unwrap(),
             std::slice::from_ref(&f),
             "text",
-            &HbOptions::default(),
+            &LintOptions::default(),
+            None,
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2691,14 +2308,16 @@ mod tests {
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
             let render = |threads: usize, domain: LintDomain| {
-                hbcheck_render(
+                check_render(
+                    checker("hbcheck").unwrap(),
                     &[n.clone(), f.clone()],
                     format,
-                    &HbOptions {
+                    &LintOptions {
                         threads,
                         domain,
-                        ..HbOptions::default()
+                        ..LintOptions::default()
                     },
+                    None,
                     &dt_obs::NOOP,
                 )
                 .unwrap()
@@ -2759,10 +2378,12 @@ mod tests {
         assert!(matches!(denied, Err(CliError::LintDenied(_))), "{denied:?}");
 
         // The faulty report names the race, in both formats.
-        let (text, errors) = racecheck_render(
+        let (text, errors) = check_render(
+            checker("racecheck").unwrap(),
             std::slice::from_ref(&f),
             "text",
-            &RaceOptions::default(),
+            &LintOptions::default(),
+            None,
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2773,14 +2394,16 @@ mod tests {
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
             let render = |threads: usize, domain: LintDomain| {
-                racecheck_render(
+                check_render(
+                    checker("racecheck").unwrap(),
                     &[n.clone(), f.clone()],
                     format,
-                    &RaceOptions {
+                    &LintOptions {
                         threads,
                         domain,
-                        ..RaceOptions::default()
+                        ..LintOptions::default()
                     },
+                    None,
                     &dt_obs::NOOP,
                 )
                 .unwrap()
@@ -2827,10 +2450,12 @@ mod tests {
         let ln = format!("{ldir}/normal.dtts");
         let lf = format!("{ldir}/faulty.dtts");
         dispatch(&s(&["racecheck", &ln, "--gate", "deny"])).unwrap();
-        let (text, errors) = racecheck_render(
+        let (text, errors) = check_render(
+            checker("racecheck").unwrap(),
             std::slice::from_ref(&lf),
             "text",
-            &RaceOptions::default(),
+            &LintOptions::default(),
+            None,
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2858,10 +2483,12 @@ mod tests {
         assert!(matches!(denied, Err(CliError::LintDenied(_))), "{denied:?}");
 
         // The faulty report names the leak with its teardown witness.
-        let (text, errors) = reqcheck_render(
+        let (text, errors) = check_render(
+            checker("reqcheck").unwrap(),
             std::slice::from_ref(&f),
             "text",
-            &ReqOptions::default(),
+            &LintOptions::default(),
+            None,
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2872,14 +2499,16 @@ mod tests {
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
             let render = |threads: usize, domain: LintDomain| {
-                reqcheck_render(
+                check_render(
+                    checker("reqcheck").unwrap(),
                     &[n.clone(), f.clone()],
                     format,
-                    &ReqOptions {
+                    &LintOptions {
                         threads,
                         domain,
-                        ..ReqOptions::default()
+                        ..LintOptions::default()
                     },
+                    None,
                     &dt_obs::NOOP,
                 )
                 .unwrap()
@@ -2899,13 +2528,15 @@ mod tests {
         // The compressed domain reports its fold counter through
         // --metrics plumbing.
         let live = MetricsRecorder::new();
-        reqcheck_render(
+        check_render(
+            checker("reqcheck").unwrap(),
             std::slice::from_ref(&f),
             "text",
-            &ReqOptions {
+            &LintOptions {
                 domain: LintDomain::Compressed,
-                ..ReqOptions::default()
+                ..LintOptions::default()
             },
+            None,
             &live,
         )
         .unwrap();
@@ -2949,10 +2580,12 @@ mod tests {
         let cn = format!("{cdir}/normal.dtts");
         let cf = format!("{cdir}/faulty.dtts");
         dispatch(&s(&["reqcheck", &cn, "--gate", "deny"])).unwrap();
-        let (text, errors) = reqcheck_render(
+        let (text, errors) = check_render(
+            checker("reqcheck").unwrap(),
             std::slice::from_ref(&cf),
             "text",
-            &ReqOptions::default(),
+            &LintOptions::default(),
+            None,
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -3401,7 +3034,8 @@ mod tests {
         assert!(doc.contains("\"store_trace_decodes\":1"), "{doc}");
 
         // The restricted report equals linting a hand-built subset.
-        let (out, _) = lint_render(
+        let (out, _) = check_render(
+            checker("lint").unwrap(),
             std::slice::from_ref(&f),
             "text",
             &LintOptions::default(),
@@ -3411,7 +3045,10 @@ mod tests {
         .unwrap();
         let mut sub = TraceSet::new(set.registry.clone());
         sub.insert(set.get(id).unwrap().clone());
-        assert_eq!(out, lint_set(&sub, &LintOptions::default()).render_text());
+        assert_eq!(
+            out,
+            difftrace::lint_set(&sub, &LintOptions::default()).render_text()
+        );
 
         // Unknown trace → diagnosed error; bad spec → argument error.
         let err = dispatch(&s(&["lint", &f, "--trace", "99.99"])).unwrap_err();

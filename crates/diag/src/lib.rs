@@ -29,6 +29,34 @@ pub trait Code: Copy + Ord + fmt::Display {
     fn title(self) -> &'static str;
 }
 
+/// Any analyzer's rule code with the analyzer's enum erased: the code
+/// string and title of a [`Code`]. [`Report::erase`] maps a typed
+/// report onto it, so callers that handle every analyzer alike (the
+/// CLI, the daemon, gate failures) share one report type while the
+/// renderers — which only consult [`Code::as_str`] — print the same
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AnyCode {
+    code: &'static str,
+    title: &'static str,
+}
+
+impl fmt::Display for AnyCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.code)
+    }
+}
+
+impl Code for AnyCode {
+    fn as_str(self) -> &'static str {
+        self.code
+    }
+
+    fn title(self) -> &'static str {
+        self.title
+    }
+}
+
 /// How bad a diagnostic is.
 ///
 /// `Error`s indicate inputs the analysis cannot trust (and fail a
@@ -181,6 +209,27 @@ impl<C: Code> Report<C> {
     /// Build a report, sorting `diagnostics` into canonical order.
     pub fn new(mut diagnostics: Vec<Diagnostic<C>>) -> Report<C> {
         diagnostics.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        Report { diagnostics }
+    }
+
+    /// The same report over [`AnyCode`]. The canonical order is kept
+    /// as is (never re-sorted), so both render byte-identically.
+    pub fn erase(self) -> Report<AnyCode> {
+        let diagnostics = self
+            .diagnostics
+            .into_iter()
+            .map(|d| Diagnostic {
+                code: AnyCode {
+                    code: d.code.as_str(),
+                    title: d.code.title(),
+                },
+                severity: d.severity,
+                trace: d.trace,
+                span: d.span,
+                message: d.message,
+                hint: d.hint,
+            })
+            .collect();
         Report { diagnostics }
     }
 
@@ -408,6 +457,18 @@ mod tests {
         assert!(js.contains("\"trace\":\"7.0\""));
         assert!(js.contains("\"span\":{\"start\":3,\"end\":4}"));
         assert!(js.contains("\"hint\":\"h\\nnewline\""));
+    }
+
+    #[test]
+    fn erased_report_renders_identically() {
+        let r = Report::new(vec![
+            Diagnostic::warning(TestCode::Beta, "w"),
+            Diagnostic::error(TestCode::Alpha, "e").with_trace(TraceId::master(1)),
+        ]);
+        let erased = r.clone().erase();
+        assert_eq!(r.render_text(), erased.render_text());
+        assert_eq!(r.render_json(), erased.render_json());
+        assert_eq!(erased.diagnostics()[0].code.title(), "alpha rule");
     }
 
     #[test]

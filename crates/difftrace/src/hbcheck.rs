@@ -1,261 +1,83 @@
-//! The hbcheck pre-pass: happens-before analysis before any diffing.
+//! The hbcheck checker: happens-before analysis before any diffing.
 //!
-//! [`hbcheck_set`] runs the HB001–HB005 rule families (see the
-//! `hbcheck` crate) over one execution's causally-stamped event log and
-//! recorded traces, with **byte-identical diagnostics for every thread
-//! count**: per-trace progress summaries fan out through
-//! [`crate::sync::par_map`] (whose output is input-ordered), the
-//! wait-for-graph analysis itself is sequential and deterministic, and
-//! the report sorts canonically.
-//!
-//! [`crate::PipelineOptions::hb`] threads the pass through the diff
-//! pipeline: `Warn` attaches the reports to the [`crate::DiffRun`]
-//! (and the faulty run's deadlock cycle becomes the annotated
-//! divergence cause of `diffNLR` views), `Deny` makes
-//! [`crate::pipeline::try_diff_runs_hb_opts`] refuse to diff when any
-//! error-severity diagnostic fires.
+//! [`HbCheck`] runs the HB001–HB005 rule families (see the `hbcheck`
+//! crate) over one execution's causally-stamped event log and recorded
+//! traces. Its per-trace facts are progress summaries; the wait-for
+//! graph analysis over them is sequential and deterministic. It needs
+//! the run's happens-before section, and the faulty run's deadlock
+//! cycles become the divergence causes of `diffNLR` views (see
+//! [`crate::check::Checker::causes`]).
 
-use crate::lint::{build_raw_nlrs, LintDomain, RawTrace};
-use crate::sync::{effective_threads, par_map};
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
+use crate::pipeline::{DiffRun, PipelineOptions};
 use ::hbcheck::compressed::Summarizer;
 use ::hbcheck::{expanded, HbCode, HbReport, TraceProgress, WaitForGraph};
 use dt_trace::hb::HbLog;
 use dt_trace::{Trace, TraceSet};
-use std::fmt;
+use nlr::{LoopTable, Nlr};
 
-/// Configuration for one hbcheck pass.
-#[derive(Debug, Clone)]
-pub struct HbOptions {
-    /// Worker threads (same convention as
-    /// [`crate::PipelineOptions::threads`]: `1` sequential, `0` all
-    /// cores).
-    pub threads: usize,
-    /// Implementation family for the per-trace progress summaries.
-    /// Both produce the same verdicts (property-tested in `hbcheck`);
-    /// the compressed domain walks NLR terms without expansion.
-    pub domain: LintDomain,
-    /// NLR window size used by the compressed domain.
-    pub nlr_k: usize,
-}
+/// The hbcheck [`Checker`].
+#[derive(Debug, Clone, Copy)]
+pub struct HbCheck;
 
-impl Default for HbOptions {
-    fn default() -> HbOptions {
-        HbOptions {
-            threads: 1,
-            domain: LintDomain::Expanded,
-            nlr_k: 10,
-        }
+impl Checker for HbCheck {
+    type Code = HbCode;
+    type Facts = TraceProgress;
+    type Vocab = ();
+
+    const NAME: &'static str = "hbcheck";
+    const TAG: &'static str = "hb";
+    const DIFF_FLAG: &'static str = "--hb";
+    const NEEDS_HB: bool = true;
+
+    fn vocab(&self, _input: &CheckInput) {}
+
+    fn expanded(&self, _vocab: &(), t: &Trace) -> TraceProgress {
+        expanded::summarize(t.id, &t.to_symbols(), t.truncated)
     }
-}
 
-/// Analyze one execution's happens-before log. See the module docs for
-/// the determinism guarantees.
-pub fn hbcheck_set(set: &TraceSet, hb: &HbLog, opts: &HbOptions) -> HbReport {
-    let traces: Vec<&Trace> = set.iter().collect();
-    let threads = effective_threads(opts.threads, traces.len().max(1));
-    let progress: Vec<TraceProgress> = match opts.domain {
-        LintDomain::Expanded => par_map(&traces, threads, |_, t| {
-            expanded::summarize(t.id, &t.to_symbols(), t.truncated)
-        }),
-        LintDomain::Compressed => {
-            let raw: Vec<RawTrace> = traces
-                .iter()
-                .map(|t| RawTrace {
-                    id: t.id,
-                    symbols: t.to_symbols(),
-                    truncated: t.truncated,
-                })
-                .collect();
-            let (nlrs, table) = build_raw_nlrs(&raw, opts.nlr_k, threads);
-            par_map(&traces, threads, |_, t| {
-                let term = nlrs.get(t.id).expect("term built for every trace");
-                let mut s = Summarizer::new(&table);
-                s.summarize(t.id, term, t.truncated)
-            })
-        }
-    };
-    ::hbcheck::analyze(hb, &progress, &set.registry)
-}
+    fn compressed(&self, _vocab: &(), table: &LoopTable, t: &Trace, term: &Nlr) -> TraceProgress {
+        Summarizer::new(table).summarize(t.id, term, t.truncated)
+    }
 
-/// The attached results of the happens-before pre-pass, kept on the
-/// [`crate::DiffRun`] when [`crate::PipelineOptions::hb`] is `Warn` (or
-/// a passing `Deny`).
-#[derive(Debug, Clone)]
-pub struct HbPrePass {
-    /// Report for the normal execution.
-    pub normal: HbReport,
-    /// Report for the faulty execution.
-    pub faulty: HbReport,
-    /// The faulty run's deadlock witness cycles, paired with their
-    /// rendered HB001 messages (empty when the faulty run has no
-    /// wait-for cycle). `diffNLR` views of participating ranks carry
-    /// the message as their divergence cause.
-    pub faulty_cycles: Vec<(Vec<u32>, String)>,
-}
+    fn analyze(&self, _vocab: &(), input: &CheckInput, facts: Vec<TraceProgress>) -> HbReport {
+        let hb = input.hb.expect("hbcheck runs with a happens-before log");
+        ::hbcheck::analyze(hb, &facts, &input.set.registry)
+    }
 
-impl HbPrePass {
-    /// Run the pass over both executions of a diff.
-    pub fn run(
-        normal: (&TraceSet, &HbLog),
-        faulty: (&TraceSet, &HbLog),
-        opts: &HbOptions,
-    ) -> HbPrePass {
-        let n = hbcheck_set(normal.0, normal.1, opts);
-        let f = hbcheck_set(faulty.0, faulty.1, opts);
-        // `analyze` emits its HB001 diagnostics in `cycles()` order, so
-        // zipping recovers each cycle's rendered chain.
-        let cycles = WaitForGraph::build(faulty.1).cycles();
-        let messages: Vec<String> = f
+    /// `analyze` emits its HB001 diagnostics in `cycles()` order, so
+    /// zipping recovers each deadlock cycle's rendered chain.
+    fn causes(&self, input: &CheckInput, report: &HbReport) -> Vec<(Vec<u32>, String)> {
+        let Some(hb) = input.hb else {
+            return Vec::new();
+        };
+        let messages = report
             .diagnostics()
             .iter()
             .filter(|d| d.code == HbCode::WaitCycle)
-            .map(|d| d.message.clone())
-            .collect();
-        let faulty_cycles = cycles.into_iter().zip(messages).collect();
-        HbPrePass {
-            normal: n,
-            faulty: f,
-            faulty_cycles,
-        }
+            .map(|d| d.message.clone());
+        WaitForGraph::build(hb)
+            .cycles()
+            .into_iter()
+            .zip(messages)
+            .collect()
     }
 
-    /// The divergence cause for trace `rank`, if it participates in a
-    /// deadlock cycle of the faulty run.
-    pub fn cause_for(&self, rank: u32) -> Option<&str> {
-        self.faulty_cycles
-            .iter()
-            .find(|(ranks, _)| ranks.contains(&rank))
-            .map(|(_, msg)| msg.as_str())
+    fn gate(opts: &PipelineOptions) -> LintGate {
+        opts.hb
     }
-}
 
-/// HB reports for both executions of a diff, returned when
-/// [`crate::PipelineOptions::hb`] is `Deny` and an error fired.
-#[derive(Debug, Clone)]
-pub struct HbFailure {
-    /// Report for the normal execution.
-    pub normal: HbReport,
-    /// Report for the faulty execution.
-    pub faulty: HbReport,
-}
+    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
+        &mut opts.hb
+    }
 
-impl fmt::Display for HbFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hbcheck gate denied: {} error(s) in the normal run, {} in the faulty run",
-            self.normal.error_count(),
-            self.faulty.error_count()
-        )
+    fn attached(run: &DiffRun) -> Option<&PrePass<HbCheck>> {
+        run.hb.as_ref()
     }
 }
 
-impl std::error::Error for HbFailure {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dt_trace::hb::{BlockedOp, HbOp, VectorClock};
-    use dt_trace::{FunctionRegistry, TraceId};
-    use std::sync::Arc;
-
-    /// A two-rank corpus whose HB log records a recv↔recv deadlock.
-    fn deadlocked() -> (TraceSet, HbLog) {
-        let registry = Arc::new(FunctionRegistry::new());
-        let set = crate::record_masters(&registry, 2, |_p, tr| {
-            tr.leaf("MPI_Init");
-            for _ in 0..20 {
-                tr.leaf("compute");
-            }
-            let _open = Box::new(tr.enter("MPI_Recv"));
-            // Never returns: both ranks die inside the receive.
-            std::mem::forget(_open);
-        });
-        let mut hb = HbLog::new(2);
-        for r in 0..2u32 {
-            let mut c = VectorClock::zero(2);
-            c.tick(r as usize);
-            hb.push(TraceId::master(r), "MPI_Init", HbOp::Local, &c);
-            hb.blocked.push(BlockedOp {
-                rank: r,
-                name: "MPI_Recv".into(),
-                op: HbOp::Recv {
-                    src: Some(1 - r),
-                    tag: 0,
-                },
-            });
-        }
-        (set, hb)
-    }
-
-    #[test]
-    fn both_domains_agree_byte_for_byte() {
-        let (set, hb) = deadlocked();
-        let e = hbcheck_set(&set, &hb, &HbOptions::default());
-        let c = hbcheck_set(
-            &set,
-            &hb,
-            &HbOptions {
-                domain: LintDomain::Compressed,
-                ..HbOptions::default()
-            },
-        );
-        assert!(!e.is_clean());
-        assert_eq!(e.render_text(), c.render_text());
-        assert_eq!(e.render_json(), c.render_json());
-    }
-
-    #[test]
-    fn reports_are_byte_identical_across_thread_counts() {
-        let (set, hb) = deadlocked();
-        for domain in [LintDomain::Expanded, LintDomain::Compressed] {
-            let base = hbcheck_set(
-                &set,
-                &hb,
-                &HbOptions {
-                    threads: 1,
-                    domain,
-                    ..HbOptions::default()
-                },
-            );
-            for threads in [2usize, 0] {
-                let got = hbcheck_set(
-                    &set,
-                    &hb,
-                    &HbOptions {
-                        threads,
-                        domain,
-                        ..HbOptions::default()
-                    },
-                );
-                assert_eq!(
-                    base.render_text(),
-                    got.render_text(),
-                    "{domain:?}/{threads}"
-                );
-                assert_eq!(
-                    base.render_json(),
-                    got.render_json(),
-                    "{domain:?}/{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepass_extracts_the_cycle_as_a_cause() {
-        let (set, hb) = deadlocked();
-        let clean_hb = HbLog::new(2);
-        let pre = HbPrePass::run((&set, &clean_hb), (&set, &hb), &HbOptions::default());
-        assert!(pre.normal.is_clean());
-        assert!(!pre.faulty.is_clean());
-        assert_eq!(pre.faulty_cycles.len(), 1);
-        assert_eq!(pre.faulty_cycles[0].0, vec![0, 1]);
-        let cause = pre.cause_for(0).expect("rank 0 is in the cycle");
-        assert!(
-            cause.contains("rank 0 blocked in MPI_Recv(src=1, tag=0)"),
-            "{cause}"
-        );
-        assert_eq!(pre.cause_for(0), pre.cause_for(1));
-    }
+/// Analyze one execution's happens-before log.
+pub fn hbcheck_set(set: &TraceSet, hb: &HbLog, opts: &CheckOptions) -> HbReport {
+    let input = CheckInput { set, hb: Some(hb) };
+    run_facts(&HbCheck, &input, opts, &dt_obs::NOOP)
 }

@@ -73,6 +73,7 @@
 //! ```
 
 pub mod attributes;
+pub mod check;
 pub mod classify;
 pub mod diffnlr;
 pub mod filter;
@@ -91,21 +92,32 @@ pub mod single_run;
 pub mod sync;
 
 pub use attributes::{AttrConfig, AttrKind, FreqMode};
+pub use check::{
+    checker, AnyChecker, CheckInput, CheckOptions, Checker, DiffDenied, LintDomain, LintGate,
+    PrePass, CHECKERS,
+};
 pub use classify::{extract_features, leave_one_out, FeatureVector, NearestCentroid, Sample};
 pub use diffnlr::DiffNlr;
 pub use filter::{ClassProbe, FilterConfig, FilteredSet, FilteredTrace, KeepClass};
 pub use fleet::{FleetError, FleetOptions, FleetReport, FleetRun, RunScore};
-pub use hbcheck::{hbcheck_set, HbFailure, HbOptions, HbPrePass};
+pub use hbcheck::{hbcheck_set, HbCheck};
 pub use jsm::{JsmMatrix, Misaligned};
-pub use lint::{lint_set, LintDomain, LintFailure, LintGate, LintOptions};
+pub use lint::{lint_set, Lint, LintOptions};
 pub use nlr_stage::NlrSet;
-pub use racecheck::{racecheck_set, RaceFailure, RaceOptions, RacePrePass};
-pub use reqcheck::{reqcheck_set, reqcheck_set_rec, ReqFailure, ReqOptions, ReqPrePass};
+pub use racecheck::{racecheck_set, RaceCheck};
+pub use reqcheck::{reqcheck_set, ReqCheck};
+
+/// The options of [`hbcheck_set`]: an alias of [`CheckOptions`], as
+/// are [`RaceOptions`] and [`ReqOptions`].
+pub type HbOptions = CheckOptions;
+/// See [`HbOptions`].
+pub type RaceOptions = CheckOptions;
+/// See [`HbOptions`].
+pub type ReqOptions = CheckOptions;
 
 pub use pipeline::{
-    analyze, analyze_aligned, analyze_aligned_opts, analyze_aligned_rec, analyze_opts,
-    content_fingerprints, diff_runs, diff_runs_opts, try_diff_runs_hb_opts, try_diff_runs_hb_rec,
-    try_diff_runs_opts, AnalysisRun, DiffDenied, DiffRun, Params, PipelineOptions,
+    analyze, analyze_aligned_rec, analyze_opts, content_fingerprints, diff_runs, diff_runs_opts,
+    try_diff_runs, AnalysisRun, DiffRun, Params, PipelineOptions,
 };
 pub use ranking::{
     render_ranking, sweep, sweep_cached, sweep_parallel, sweep_parallel_cached_rec,

@@ -1,25 +1,23 @@
-//! The tracelint pre-pass: static trace analysis before any diffing.
+//! The tracelint checker: static trace analysis before any diffing.
 //!
-//! [`lint_set`] runs the TL001–TL006 rule families (see the
-//! `tracelint` crate) over one execution's raw traces, in parallel per
-//! trace, with **byte-identical diagnostics for every thread count**:
-//! per-trace checks fan out through [`crate::sync::par_map`] (whose
-//! output is input-ordered), cross-trace checks run sequentially, and
-//! [`LintReport::new`] sorts canonically.
-//!
-//! [`LintGate`] threads the pass through [`crate::PipelineOptions`]:
-//! `Warn` attaches the reports to the [`crate::DiffRun`], `Deny` makes
-//! [`crate::try_diff_runs_opts`] refuse to diff when any error-severity
-//! diagnostic fires.
+//! [`Lint`] runs the TL001–TL006 rule families (see the `tracelint`
+//! crate) over one execution's raw traces. Its per-trace facts are the
+//! stack-discipline findings (TL001/TL003); its cross-trace (TL002),
+//! round-trip (TL005), filter (TL004) and lattice (TL006) rules do not
+//! fit per-trace facts, so lint implements the whole run step itself
+//! on top of the shared fold and per-trace dispatch.
 
 use crate::attributes::{AttrConfig, AttrKind, FreqMode};
+use crate::check::{
+    trace_facts, CheckInput, CheckOptions, Checker, LintDomain, LintGate, PrePass, RawFold,
+};
 use crate::filter::{table_i_catalog, ClassProbe, FilterConfig};
-use crate::nlr_stage::NlrSet;
-use crate::pipeline::{analyze_opts, Params, PipelineOptions};
+use crate::pipeline::{analyze_opts, DiffRun, Params, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
-use dt_trace::{Trace, TraceId, TraceSet};
-use nlr::{LoopTable, Nlr, SharedLoopTable};
-use std::fmt;
+use dt_obs::Recorder;
+use dt_trace::{FunctionRegistry, Trace, TraceId, TraceSet};
+use nlr::{LoopTable, Nlr};
+use std::sync::Arc;
 use tracelint::compressed::{
     check_collective_order_compressed, check_stack_discipline_compressed, rank_streams,
     CollProjector, EffectChecker,
@@ -27,66 +25,15 @@ use tracelint::compressed::{
 use tracelint::rules;
 use tracelint::{Diagnostic, LintReport, RuleCode, Span};
 
-/// When lint findings stop the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintGate {
-    /// Skip the lint pass entirely (the default).
-    #[default]
-    Off,
-    /// Run the pass and attach its reports, but never stop.
-    Warn,
-    /// Refuse to run the pipeline if any **error**-severity diagnostic
-    /// fires (warnings pass).
-    Deny,
-}
-
-impl LintGate {
-    /// Parse a CLI-style gate name.
-    pub fn parse(s: &str) -> Result<LintGate, String> {
-        match s {
-            "off" => Ok(LintGate::Off),
-            "warn" => Ok(LintGate::Warn),
-            "deny" => Ok(LintGate::Deny),
-            other => Err(format!("unknown lint gate `{other}` (off|warn|deny)")),
-        }
-    }
-}
-
-/// Which implementation family checks the per-trace rules TL001–TL003.
-///
-/// Both produce the same *verdicts* (that equivalence is
-/// property-tested in `tracelint`); the expanded domain adds precise
-/// event-offset spans, the compressed domain never expands the NLR
-/// terms and is the one to measure for throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintDomain {
-    /// Scan the expanded event streams.
-    #[default]
-    Expanded,
-    /// Check the NLR terms directly.
-    Compressed,
-}
-
-impl LintDomain {
-    /// Parse a CLI-style domain name.
-    pub fn parse(s: &str) -> Result<LintDomain, String> {
-        match s {
-            "expanded" => Ok(LintDomain::Expanded),
-            "compressed" => Ok(LintDomain::Compressed),
-            other => Err(format!(
-                "unknown lint domain `{other}` (expanded|compressed)"
-            )),
-        }
-    }
-}
-
-/// Configuration for one lint pass.
+/// Options of one checker run. `threads` and `domain` apply to every
+/// checker; `deep` and `filter` only to lint
+/// ([`Checker::LINT_OPTIONS`]).
 #[derive(Debug, Clone)]
 pub struct LintOptions {
     /// Worker threads (same convention as
     /// [`PipelineOptions::threads`]: `1` sequential, `0` all cores).
     pub threads: usize,
-    /// Implementation family for TL001–TL003.
+    /// Implementation family for the per-trace facts.
     pub domain: LintDomain,
     /// Also run the expensive TL006 lattice postconditions.
     pub deep: bool,
@@ -117,113 +64,122 @@ impl LintOptions {
             filter: Some(params.filter.clone()),
         }
     }
+
+    /// The options every checker understands; the NLR window is the
+    /// filter's `K` (10 without a filter).
+    pub fn check_options(&self) -> CheckOptions {
+        CheckOptions {
+            threads: self.threads,
+            domain: self.domain,
+            nlr_k: self.filter.as_ref().map_or(10, |f| f.nlr_k),
+        }
+    }
 }
 
-/// Lint one execution. See the module docs for the determinism
-/// guarantees.
-pub fn lint_set(set: &TraceSet, opts: &LintOptions) -> LintReport {
-    let traces: Vec<&Trace> = set.iter().collect();
-    let threads = effective_threads(opts.threads, traces.len().max(1));
-    let k = opts.filter.as_ref().map_or(10, |f| f.nlr_k);
+/// The tracelint [`Checker`].
+#[derive(Debug, Clone, Copy)]
+pub struct Lint;
 
-    // NLR terms over the *raw* symbol streams (no filtering — lint
-    // checks the traces as recorded). TL005 needs them always; the
-    // compressed domain checks TL001–TL003 on them too.
-    let raw: Vec<RawTrace> = traces
-        .iter()
-        .map(|t| RawTrace {
-            id: t.id,
-            symbols: t.events.iter().map(|e| e.to_symbol()).collect(),
-            truncated: t.truncated,
-        })
-        .collect();
-    let (nlrs, table) = build_raw_nlrs(&raw, k, threads);
+impl Checker for Lint {
+    type Code = RuleCode;
+    type Facts = Vec<Diagnostic>;
+    type Vocab = Arc<FunctionRegistry>;
 
-    // Per-trace rules, fanned out; output order is input order.
-    let registry = &set.registry;
-    let per_trace: Vec<Vec<Diagnostic>> = par_map(&raw, threads, |i, rt| {
-        let term = nlrs.get(rt.id).expect("term built for every trace");
-        let mut out = Vec::new();
+    const NAME: &'static str = "lint";
+    const TAG: &'static str = "lint";
+    const DIFF_FLAG: &'static str = "--gate";
+    const LINT_OPTIONS: bool = true;
+
+    fn vocab(&self, input: &CheckInput) -> Arc<FunctionRegistry> {
+        input.set.registry.clone()
+    }
+
+    fn expanded(&self, registry: &Arc<FunctionRegistry>, t: &Trace) -> Vec<Diagnostic> {
+        rules::check_stack_discipline(t, registry)
+    }
+
+    fn compressed(
+        &self,
+        registry: &Arc<FunctionRegistry>,
+        table: &LoopTable,
+        t: &Trace,
+        term: &Nlr,
+    ) -> Vec<Diagnostic> {
+        let mut checker = EffectChecker::new(table);
+        check_stack_discipline_compressed(&mut checker, t.id, term, t.truncated, registry)
+    }
+
+    /// The per-trace findings alone; [`Lint::run`] adds the rest.
+    fn analyze(
+        &self,
+        _registry: &Arc<FunctionRegistry>,
+        _input: &CheckInput,
+        facts: Vec<Vec<Diagnostic>>,
+    ) -> LintReport {
+        LintReport::new(facts.into_iter().flatten().collect())
+    }
+
+    fn run(&self, input: &CheckInput, opts: &LintOptions, rec: &dyn Recorder) -> LintReport {
+        let set = input.set;
+        let traces: Vec<&Trace> = set.iter().collect();
+        let threads = effective_threads(opts.threads, traces.len().max(1));
+        let k = opts.check_options().nlr_k;
+        // TL005 checks the raw NLR terms, so lint folds in both domains.
+        let fold = RawFold::build(Self::NAME, &traces, k, threads, rec);
+        let registry = self.vocab(input);
+        let per_trace = trace_facts(self, &registry, &traces, opts.domain, Some(&fold), threads);
+        let roundtrip = par_map(&fold.streams.traces, threads, |i, rt| {
+            rules::check_roundtrip(rt.id, &rt.symbols, fold.term(traces[i]), &fold.table)
+        });
+        let mut diags: Vec<Diagnostic> = per_trace.into_iter().chain(roundtrip).flatten().collect();
+
+        // Cross-trace and corpus-level rules, sequential.
         match opts.domain {
-            LintDomain::Expanded => {
-                out.extend(rules::check_stack_discipline(traces[i], registry));
-            }
+            LintDomain::Expanded => diags.extend(rules::check_collective_order(set)),
             LintDomain::Compressed => {
-                let mut checker = EffectChecker::new(&table);
-                out.extend(check_stack_discipline_compressed(
-                    &mut checker,
-                    rt.id,
-                    term,
-                    rt.truncated,
-                    registry,
+                let coll = rules::collective_fn_ids(&registry);
+                let mut projector = CollProjector::new(&fold.table, &coll);
+                let terms: Vec<(TraceId, &Nlr, bool)> = fold
+                    .nlrs
+                    .nlrs
+                    .iter()
+                    .map(|(&id, n)| (id, n, *fold.nlrs.truncated.get(&id).unwrap_or(&false)))
+                    .collect();
+                let ranks = rank_streams(&terms, &mut projector);
+                diags.extend(check_collective_order_compressed(
+                    &ranks, &projector, &registry,
                 ));
             }
         }
-        out.extend(rules::check_roundtrip(rt.id, &rt.symbols, term, &table));
-        out
-    });
-    let mut diags: Vec<Diagnostic> = per_trace.into_iter().flatten().collect();
-
-    // Cross-trace and corpus-level rules, sequential.
-    match opts.domain {
-        LintDomain::Expanded => diags.extend(rules::check_collective_order(set)),
-        LintDomain::Compressed => {
-            let coll = rules::collective_fn_ids(registry);
-            let mut projector = CollProjector::new(&table, &coll);
-            let terms: Vec<(TraceId, &Nlr, bool)> = nlrs
-                .nlrs
-                .iter()
-                .map(|(&id, n)| (id, n, *nlrs.truncated.get(&id).unwrap_or(&false)))
-                .collect();
-            let ranks = rank_streams(&terms, &mut projector);
-            diags.extend(check_collective_order_compressed(
-                &ranks, &projector, registry,
-            ));
+        diags.extend(dead_filter_diags(
+            opts.filter.as_ref(),
+            &registry.names(),
+            k,
+        ));
+        if opts.deep {
+            diags.extend(deep_lattice_diags(set, opts, k));
         }
+        LintReport::new(diags)
     }
-    diags.extend(dead_filter_diags(
-        opts.filter.as_ref(),
-        &registry.names(),
-        k,
-    ));
-    if opts.deep {
-        diags.extend(deep_lattice_diags(set, opts, k));
+
+    fn gate(opts: &PipelineOptions) -> LintGate {
+        opts.lint
     }
-    LintReport::new(diags)
+
+    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
+        &mut opts.lint
+    }
+
+    fn attached(run: &DiffRun) -> Option<&PrePass<Lint>> {
+        run.lint.as_ref()
+    }
 }
 
-/// A raw (unfiltered) symbol stream.
-pub(crate) struct RawTrace {
-    pub(crate) id: TraceId,
-    pub(crate) symbols: Vec<u32>,
-    pub(crate) truncated: bool,
-}
-
-/// Build NLR terms for the raw streams — sequentially under one table,
-/// or in parallel through a shared provisional table followed by the
-/// canonical renumbering replay (identical output either way; see
-/// `nlr::shared`).
-pub(crate) fn build_raw_nlrs(raw: &[RawTrace], k: usize, threads: usize) -> (NlrSet, LoopTable) {
-    let as_filtered = crate::filter::FilteredSet {
-        traces: raw
-            .iter()
-            .map(|rt| crate::filter::FilteredTrace {
-                id: rt.id,
-                symbols: rt.symbols.clone(),
-                truncated: rt.truncated,
-            })
-            .collect(),
-    };
-    let mut table = LoopTable::new();
-    let nlrs = if threads <= 1 {
-        NlrSet::build(&as_filtered, k, &mut table)
-    } else {
-        let shared = SharedLoopTable::new();
-        let (prov, orders) = NlrSet::build_shared(&as_filtered, k, &shared, threads);
-        let map = shared.canonicalize_into(orders.into_iter().flatten(), &mut table);
-        prov.remap(&map)
-    };
-    (nlrs, table)
+/// Lint one execution. Diagnostics are byte-identical for every thread
+/// count: per-trace checks fan out input-ordered, cross-trace checks
+/// run sequentially, and [`LintReport::new`] sorts canonically.
+pub fn lint_set(set: &TraceSet, opts: &LintOptions) -> LintReport {
+    Lint.run(&CheckInput { set, hb: None }, opts, &dt_obs::NOOP)
 }
 
 /// TL004: dead-filter analysis. With a filter, probe its keep classes;
@@ -326,29 +282,6 @@ fn deep_lattice_diags(set: &TraceSet, opts: &LintOptions, k: usize) -> Vec<Diagn
     rules::check_lattice(&run.lattice, &run.context)
 }
 
-/// Lint reports for both executions of a diff, returned by
-/// [`crate::try_diff_runs_opts`] when [`LintGate::Deny`] trips.
-#[derive(Debug, Clone)]
-pub struct LintFailure {
-    /// Report for the normal execution.
-    pub normal: LintReport,
-    /// Report for the faulty execution.
-    pub faulty: LintReport,
-}
-
-impl fmt::Display for LintFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lint gate denied: {} error(s) in the normal run, {} in the faulty run",
-            self.normal.error_count(),
-            self.faulty.error_count()
-        )
-    }
-}
-
-impl std::error::Error for LintFailure {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,41 +345,6 @@ mod tests {
                 report.render_text()
             );
             assert!(report.has_errors());
-        }
-    }
-
-    #[test]
-    fn reports_are_byte_identical_across_thread_counts() {
-        let set = run_with_divergent_rank();
-        for domain in [LintDomain::Expanded, LintDomain::Compressed] {
-            let base = lint_set(
-                &set,
-                &LintOptions {
-                    threads: 1,
-                    domain,
-                    ..LintOptions::default()
-                },
-            );
-            for threads in [2usize, 0] {
-                let got = lint_set(
-                    &set,
-                    &LintOptions {
-                        threads,
-                        domain,
-                        ..LintOptions::default()
-                    },
-                );
-                assert_eq!(
-                    base.render_text(),
-                    got.render_text(),
-                    "{domain:?}/{threads}"
-                );
-                assert_eq!(
-                    base.render_json(),
-                    got.render_json(),
-                    "{domain:?}/{threads}"
-                );
-            }
         }
     }
 

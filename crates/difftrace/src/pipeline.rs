@@ -3,9 +3,10 @@
 //! # Parallel execution
 //!
 //! Every stage of an iteration can run on multiple threads via the
-//! `_opts` entry points ([`analyze_aligned_opts`], [`analyze_opts`],
-//! [`diff_runs_opts`]) and a [`PipelineOptions::threads`] knob — with
-//! **byte-identical output** for every thread count. The only stage
+//! entry points that take [`PipelineOptions`] ([`analyze_aligned_rec`],
+//! [`analyze_opts`], [`diff_runs_opts`], [`try_diff_runs`]) and its
+//! `threads` knob — with **byte-identical output** for every thread
+//! count. The only stage
 //! whose naive parallelization would change output is NLR construction
 //! (loop IDs are assigned in fold order, and IDs leak into attribute
 //! names and rendered summaries); see [`nlr::SharedLoopTable`] for the
@@ -16,13 +17,14 @@
 //! code path.
 
 use crate::attributes::{mine, AttrConfig};
+use crate::check::{CheckInput, DiffDenied, LintGate, PrePass};
 use crate::filter::{symbol_name, FilterConfig, FilteredSet, FilteredTrace};
-use crate::hbcheck::{HbFailure, HbOptions, HbPrePass};
+use crate::hbcheck::HbCheck;
 use crate::jsm::JsmMatrix;
-use crate::lint::{lint_set, LintFailure, LintGate, LintOptions};
+use crate::lint::{Lint, LintOptions};
 use crate::nlr_stage::NlrSet;
-use crate::racecheck::{RaceFailure, RaceOptions, RacePrePass};
-use crate::reqcheck::{ReqFailure, ReqOptions, ReqPrePass};
+use crate::racecheck::RaceCheck;
+use crate::reqcheck::ReqCheck;
 use crate::sync::{effective_threads, join};
 use cluster::{bscore, linkage, CondensedMatrix, Dendrogram, Method};
 use dt_cache::Cache;
@@ -41,26 +43,18 @@ pub struct PipelineOptions {
     /// exact sequential path; `0` means all available parallelism; any
     /// other value is taken literally.
     pub threads: usize,
-    /// Whether the tracelint pre-pass runs before diffing, and whether
-    /// its findings stop the pipeline (see [`crate::lint::LintGate`]).
-    /// Applies to [`diff_runs_opts`] / [`try_diff_runs_opts`]; the
-    /// single-execution entry points never lint.
+    /// Gate of the tracelint pre-pass ([`crate::lint`]). Each gate
+    /// says whether its checker runs before diffing and whether its
+    /// findings stop the pipeline (see [`crate::check`]); the
+    /// single-execution entry points never run checkers.
     pub lint: LintGate,
-    /// Whether the hbcheck pre-pass (wait-for-graph deadlock detection,
-    /// race pairs, hang triage — see [`crate::hbcheck`]) runs before
-    /// diffing. It needs the executions' happens-before logs, so it
-    /// only applies to [`try_diff_runs_hb_opts`]; entry points without
-    /// logs ignore this gate.
+    /// Gate of the hbcheck pre-pass ([`crate::hbcheck`]). It needs the
+    /// executions' happens-before logs, so [`try_diff_runs`] without
+    /// logs ignores it.
     pub hb: LintGate,
-    /// Whether the racecheck pre-pass (shared-memory data races and
-    /// lock-order inversions over the `omp_*@` marker vocabulary — see
-    /// [`crate::racecheck`]) runs before diffing. Unlike `hb` it needs
-    /// no happens-before log, so it applies to every diff entry point.
+    /// Gate of the racecheck pre-pass ([`crate::racecheck`]).
     pub race: LintGate,
-    /// Whether the reqcheck pre-pass (MPI request-lifecycle balance and
-    /// collective-consistency checks — see [`crate::reqcheck`]) runs
-    /// before diffing. Like `race` it needs no happens-before log, so
-    /// it applies to every diff entry point.
+    /// Gate of the reqcheck pre-pass ([`crate::reqcheck`]).
     pub req: LintGate,
     /// Content-addressed analysis cache ([`dt_cache::Cache`]), shared
     /// across pipeline runs (e.g. every cell of a sweep). Like the
@@ -138,34 +132,12 @@ pub struct AnalysisRun {
 }
 
 /// Analyze one execution under `params`, interning loops into the
-/// shared `table`. `id_universe` fixes the object set (pass the union
-/// of normal+faulty IDs when analyzing a pair so the matrices align;
-/// traces missing from `set` become empty objects — e.g. threads a
-/// fault prevented from spawning).
-pub fn analyze_aligned(
-    set: &TraceSet,
-    params: &Params,
-    table: &mut LoopTable,
-    id_universe: &[TraceId],
-) -> AnalysisRun {
-    analyze_aligned_opts(set, params, table, id_universe, &PipelineOptions::default())
-}
-
-/// [`analyze_aligned`] with explicit execution options. Output is
-/// byte-identical for every `opts.threads` value (see the module docs).
-pub fn analyze_aligned_opts(
-    set: &TraceSet,
-    params: &Params,
-    table: &mut LoopTable,
-    id_universe: &[TraceId],
-    opts: &PipelineOptions,
-) -> AnalysisRun {
-    analyze_aligned_rec(set, params, table, id_universe, opts, &dt_obs::NOOP)
-}
-
-/// [`analyze_aligned_opts`] reporting stage spans and counters into
-/// `rec`. Instrumentation is observational only: the analysis result
-/// is byte-identical whatever recorder is passed (asserted by the
+/// shared `table`, reporting stage spans and counters into `rec`.
+/// `id_universe` fixes the object set (pass the union of normal+faulty
+/// IDs when analyzing a pair so the matrices align; traces missing
+/// from `set` become empty objects — e.g. threads a fault prevented
+/// from spawning). Output is byte-identical for every `opts.threads`
+/// value and whatever recorder is passed (asserted by the
 /// parallel-equivalence harness).
 pub fn analyze_aligned_rec(
     set: &TraceSet,
@@ -458,7 +430,7 @@ pub fn analyze_opts(
     opts: &PipelineOptions,
 ) -> AnalysisRun {
     let ids = set.ids();
-    analyze_aligned_opts(set, params, table, &ids, opts)
+    analyze_aligned_rec(set, params, table, &ids, opts, &dt_obs::NOOP)
 }
 
 /// The result of diffing a normal and a faulty execution.
@@ -480,20 +452,16 @@ pub struct DiffRun {
     pub suspicious_threads: Vec<TraceId>,
     /// The shared loop table (normal + faulty).
     pub table: LoopTable,
-    /// Lint reports of the pre-pass (normal, faulty) when it ran
-    /// ([`LintGate::Warn`], or a passing [`LintGate::Deny`]).
-    pub lint: Option<(tracelint::LintReport, tracelint::LintReport)>,
-    /// Happens-before reports when the hbcheck pre-pass ran
-    /// ([`PipelineOptions::hb`] with logs passed to
-    /// [`try_diff_runs_hb_opts`]). The faulty run's deadlock cycles
-    /// annotate `diffNLR` views as the divergence cause.
-    pub hb: Option<HbPrePass>,
-    /// Race reports of the racecheck pre-pass (normal, faulty) when it
-    /// ran ([`PipelineOptions::race`] at `Warn`, or a passing `Deny`).
-    pub race: Option<RacePrePass>,
-    /// Req reports of the reqcheck pre-pass (normal, faulty) when it
-    /// ran ([`PipelineOptions::req`] at `Warn`, or a passing `Deny`).
-    pub req: Option<ReqPrePass>,
+    /// The tracelint pre-pass, when it ran ([`LintGate::Warn`], or a
+    /// passing [`LintGate::Deny`]); likewise for the other checkers.
+    pub lint: Option<PrePass<Lint>>,
+    /// The hbcheck pre-pass. The faulty run's deadlock cycles annotate
+    /// `diffNLR` views as the divergence cause.
+    pub hb: Option<PrePass<HbCheck>>,
+    /// The racecheck pre-pass.
+    pub race: Option<PrePass<RaceCheck>>,
+    /// The reqcheck pre-pass.
+    pub req: Option<PrePass<ReqCheck>>,
 }
 
 /// Fraction of the maximum change score a process/thread must reach to
@@ -516,80 +484,33 @@ pub fn diff_runs(normal: &TraceSet, faulty: &TraceSet, params: &Params) -> DiffR
 ///
 /// # Panics
 ///
-/// Panics if `opts.lint` is [`LintGate::Deny`] and the pre-pass finds
-/// an error; use [`try_diff_runs_opts`] to handle that case.
+/// Panics if a checker gate is [`LintGate::Deny`] and its pre-pass
+/// finds an error; use [`try_diff_runs`] to handle that case.
 pub fn diff_runs_opts(
     normal: &TraceSet,
     faulty: &TraceSet,
     params: &Params,
     opts: &PipelineOptions,
 ) -> DiffRun {
-    match try_diff_runs_opts(normal, faulty, params, opts) {
+    match try_diff_runs(normal, faulty, None, params, opts, &dt_obs::NOOP) {
         Ok(d) => d,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`diff_runs_opts`], returning the denying pre-pass reports instead
-/// of panicking when a [`LintGate::Deny`] gate refuses the inputs.
-/// Without HB logs the hbcheck gate never runs, but the lint and
-/// racecheck gates do.
-pub fn try_diff_runs_opts(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    params: &Params,
-    opts: &PipelineOptions,
-) -> Result<DiffRun, DiffDenied> {
-    try_diff_runs_hb_opts(normal, faulty, None, params, opts)
-}
-
-/// A gated pre-pass refused to diff.
-#[derive(Debug)]
-pub enum DiffDenied {
-    /// The tracelint gate tripped.
-    Lint(LintFailure),
-    /// The hbcheck gate tripped.
-    Hb(HbFailure),
-    /// The racecheck gate tripped.
-    Race(RaceFailure),
-    /// The reqcheck gate tripped.
-    Req(ReqFailure),
-}
-
-impl std::fmt::Display for DiffDenied {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiffDenied::Lint(e) => e.fmt(f),
-            DiffDenied::Hb(e) => e.fmt(f),
-            DiffDenied::Race(e) => e.fmt(f),
-            DiffDenied::Req(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for DiffDenied {}
-
-/// [`try_diff_runs_opts`] with the executions' happens-before logs:
-/// when `hb_logs` is `Some` and [`PipelineOptions::hb`] is not `Off`,
-/// the hbcheck pre-pass (deadlock cycles, orphan operations, races,
-/// hang triage) runs over both runs before any diffing, its reports
-/// attach to [`DiffRun::hb`], and `Deny` refuses to diff on any
-/// error-severity finding.
-pub fn try_diff_runs_hb_opts(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    hb_logs: Option<(&dt_trace::hb::HbLog, &dt_trace::hb::HbLog)>,
-    params: &Params,
-    opts: &PipelineOptions,
-) -> Result<DiffRun, DiffDenied> {
-    try_diff_runs_hb_rec(normal, faulty, hb_logs, params, opts, &dt_obs::NOOP)
-}
-
-/// [`try_diff_runs_hb_opts`] reporting stage spans (pre-passes, filter,
-/// NLR, mining, lattice, JSM, linkage, B-score, ranking) and counters
-/// into `rec`. Instrumentation is observational only: the diff is
-/// byte-identical whatever recorder is passed, at any thread count.
-pub fn try_diff_runs_hb_rec(
+/// [`diff_runs_opts`] with the executions' happens-before logs,
+/// reporting stage spans (pre-passes, filter, NLR, mining, lattice,
+/// JSM, linkage, B-score, ranking) and counters into `rec`.
+///
+/// First every gated checker runs over both executions, in
+/// [`crate::check::CHECKERS`] order: broken traces produce confusing
+/// diffs, so structural and semantic defects surface *before* any time
+/// goes into NLR/FCA/JSM. Their reports attach to the [`DiffRun`]; a
+/// tripped `Deny` gate returns them as [`DiffDenied`] instead. Checkers
+/// that need happens-before logs run only when `hb_logs` is `Some`.
+/// Instrumentation is observational only: the diff is byte-identical
+/// whatever recorder is passed, at any thread count.
+pub fn try_diff_runs(
     normal: &TraceSet,
     faulty: &TraceSet,
     hb_logs: Option<(&dt_trace::hb::HbLog, &dt_trace::hb::HbLog)>,
@@ -597,90 +518,19 @@ pub fn try_diff_runs_hb_rec(
     opts: &PipelineOptions,
     rec: &dyn Recorder,
 ) -> Result<DiffRun, DiffDenied> {
-    // The tracelint pre-pass, if gated on: broken traces produce
-    // confusing diffs, so surface structural defects *before* spending
-    // time on NLR/FCA/JSM.
-    let lint = match opts.lint {
-        LintGate::Off => None,
-        LintGate::Warn | LintGate::Deny => {
-            let _s = stage(rec, "pre/lint");
-            let lopts = LintOptions::for_pipeline(params, opts.threads);
-            let n = lint_set(normal, &lopts);
-            let f = lint_set(faulty, &lopts);
-            if opts.lint == LintGate::Deny && (n.has_errors() || f.has_errors()) {
-                return Err(DiffDenied::Lint(LintFailure {
-                    normal: n,
-                    faulty: f,
-                }));
-            }
-            Some((n, f))
-        }
+    let n_in = CheckInput {
+        set: normal,
+        hb: hb_logs.map(|(n, _)| n),
     };
-
-    // The hbcheck pre-pass: a deadlocked or racy run diffs confusingly
-    // (truncated traces everywhere), so name the semantic cause first.
-    let hb = match (opts.hb, hb_logs) {
-        (LintGate::Off, _) | (_, None) => None,
-        (gate, Some((nhb, fhb))) => {
-            let _s = stage(rec, "pre/hb");
-            let hopts = HbOptions {
-                threads: opts.threads,
-                ..HbOptions::default()
-            };
-            let pre = HbPrePass::run((normal, nhb), (faulty, fhb), &hopts);
-            if gate == LintGate::Deny && (pre.normal.has_errors() || pre.faulty.has_errors()) {
-                return Err(DiffDenied::Hb(HbFailure {
-                    normal: pre.normal,
-                    faulty: pre.faulty,
-                }));
-            }
-            Some(pre)
-        }
+    let f_in = CheckInput {
+        set: faulty,
+        hb: hb_logs.map(|(_, f)| f),
     };
-
-    // The racecheck pre-pass: shared-memory races corrupt the very
-    // state whose divergence the diff is meant to localize, so name
-    // them before any structural comparison. Needs no HB log.
-    let race = match opts.race {
-        LintGate::Off => None,
-        gate @ (LintGate::Warn | LintGate::Deny) => {
-            let _s = stage(rec, "pre/race");
-            let ropts = RaceOptions {
-                threads: opts.threads,
-                ..RaceOptions::default()
-            };
-            let pre = RacePrePass::run(normal, faulty, &ropts);
-            if gate == LintGate::Deny && (pre.normal.has_errors() || pre.faulty.has_errors()) {
-                return Err(DiffDenied::Race(RaceFailure {
-                    normal: pre.normal,
-                    faulty: pre.faulty,
-                }));
-            }
-            Some(pre)
-        }
-    };
-
-    // The reqcheck pre-pass: a leaked request or divergent collective
-    // signature means the executions were not even well-formed MPI, so
-    // name that before attributing their divergence to the fault.
-    let req = match opts.req {
-        LintGate::Off => None,
-        gate @ (LintGate::Warn | LintGate::Deny) => {
-            let _s = stage(rec, "pre/req");
-            let ropts = ReqOptions {
-                threads: opts.threads,
-                ..ReqOptions::default()
-            };
-            let pre = ReqPrePass::run(normal, faulty, &ropts);
-            if gate == LintGate::Deny && (pre.normal.has_errors() || pre.faulty.has_errors()) {
-                return Err(DiffDenied::Req(ReqFailure {
-                    normal: pre.normal,
-                    faulty: pre.faulty,
-                }));
-            }
-            Some(pre)
-        }
-    };
+    let check = LintOptions::for_pipeline(params, opts.threads);
+    let lint = PrePass::run(&Lint, &n_in, &f_in, &check, opts, rec)?;
+    let hb = PrePass::run(&HbCheck, &n_in, &f_in, &check, opts, rec)?;
+    let race = PrePass::run(&RaceCheck, &n_in, &f_in, &check, opts, rec)?;
+    let req = PrePass::run(&ReqCheck, &n_in, &f_in, &check, opts, rec)?;
 
     // Union of trace IDs: a fault may have killed threads before they
     // traced anything, or spawned extra ones.
@@ -696,12 +546,8 @@ pub fn try_diff_runs_hb_rec(
     let mut table = LoopTable::new();
     let (normal_run, faulty_run) = if threads <= 1 {
         let seq_opts = PipelineOptions {
-            threads: 1,
-            lint: LintGate::Off,
-            hb: LintGate::Off,
-            race: LintGate::Off,
-            req: LintGate::Off,
             cache: opts.cache.clone(),
+            ..PipelineOptions::default()
         };
         let n = analyze_aligned_rec(normal, params, &mut table, &ids, &seq_opts, rec);
         let f = analyze_aligned_rec(faulty, params, &mut table, &ids, &seq_opts, rec);
@@ -968,7 +814,6 @@ impl DiffRun {
 mod tests {
     use super::*;
     use crate::attributes::{AttrKind, FreqMode};
-    use dt_trace::hb::HbLog;
     use dt_trace::FunctionRegistry;
     use std::sync::Arc;
 
@@ -1093,215 +938,5 @@ mod tests {
         assert_eq!(d.faulty.ids.len(), 4);
         // Rank 3 must be among the suspects (it vanished).
         assert!(d.suspicious_threads.contains(&TraceId::master(3)));
-    }
-
-    /// A clean normal run plus a faulty run whose HB log records a
-    /// recv↔recv deadlock between ranks 0 and 1.
-    fn deadlocked_pair() -> (TraceSet, HbLog, TraceSet, HbLog) {
-        use dt_trace::hb::{BlockedOp, HbOp, VectorClock};
-        let registry = Arc::new(FunctionRegistry::new());
-        let normal = crate::record_masters(&registry, 2, |_p, tr| {
-            tr.leaf("MPI_Init");
-            for _ in 0..8 {
-                tr.leaf("MPI_Send");
-                tr.leaf("MPI_Recv");
-            }
-            tr.leaf("MPI_Finalize");
-        });
-        let faulty = crate::record_masters(&registry, 2, |_p, tr| {
-            tr.leaf("MPI_Init");
-            for _ in 0..3 {
-                tr.leaf("MPI_Send");
-                tr.leaf("MPI_Recv");
-            }
-            let open = Box::new(tr.enter("MPI_Recv"));
-            std::mem::forget(open); // hung: the receive never returns
-        });
-        let normal_hb = HbLog::new(2);
-        let mut faulty_hb = HbLog::new(2);
-        for r in 0..2u32 {
-            let mut c = VectorClock::zero(2);
-            c.tick(r as usize);
-            faulty_hb.push(TraceId::master(r), "MPI_Init", HbOp::Local, &c);
-            faulty_hb.blocked.push(BlockedOp {
-                rank: r,
-                name: "MPI_Recv".into(),
-                op: HbOp::Recv {
-                    src: Some(1 - r),
-                    tag: 0,
-                },
-            });
-        }
-        (normal, normal_hb, faulty, faulty_hb)
-    }
-
-    #[test]
-    fn hb_warn_attaches_the_cycle_as_divergence_cause() {
-        let (normal, nhb, faulty, fhb) = deadlocked_pair();
-        let opts = PipelineOptions {
-            hb: LintGate::Warn,
-            ..PipelineOptions::default()
-        };
-        let d = try_diff_runs_hb_opts(&normal, &faulty, Some((&nhb, &fhb)), &params(), &opts)
-            .expect("warn never denies");
-        let pre = d.hb.as_ref().expect("reports attached");
-        assert!(pre.normal.is_clean());
-        assert!(!pre.faulty.is_clean());
-        for r in 0..2 {
-            let view = d.diff_nlr(TraceId::master(r)).unwrap();
-            let cause = view
-                .divergence_cause
-                .as_deref()
-                .expect("rank is in the cycle");
-            assert!(
-                cause.contains("rank 0 blocked in MPI_Recv(src=1, tag=0)"),
-                "{cause}"
-            );
-            assert!(
-                view.render().contains("! cause: deadlock"),
-                "{}",
-                view.render()
-            );
-        }
-    }
-
-    #[test]
-    fn hb_deny_refuses_to_diff_a_deadlocked_run() {
-        let (normal, nhb, faulty, fhb) = deadlocked_pair();
-        let opts = PipelineOptions {
-            hb: LintGate::Deny,
-            ..PipelineOptions::default()
-        };
-        let err = try_diff_runs_hb_opts(&normal, &faulty, Some((&nhb, &fhb)), &params(), &opts)
-            .expect_err("deadlock must deny");
-        match err {
-            DiffDenied::Hb(f) => {
-                assert!(f.normal.is_clean());
-                assert!(f.faulty.has_errors());
-                assert!(f.to_string().contains("hbcheck gate denied"));
-            }
-            DiffDenied::Lint(_) | DiffDenied::Race(_) | DiffDenied::Req(_) => {
-                panic!("wrong gate fired")
-            }
-        }
-        // Without logs the gate is inert even at Deny.
-        let d = try_diff_runs_hb_opts(&normal, &faulty, None, &params(), &opts).unwrap();
-        assert!(d.hb.is_none());
-        assert!(d
-            .diff_nlr(TraceId::master(0))
-            .unwrap()
-            .divergence_cause
-            .is_none());
-    }
-
-    /// Two two-thread executions: the normal one locks its counter
-    /// updates, the faulty one races on them.
-    fn racy_pair() -> (TraceSet, TraceSet) {
-        let registry = Arc::new(FunctionRegistry::new());
-        let mk = |locked: bool| {
-            let collector = dt_trace::TraceCollector::shared(registry.clone());
-            for thread in 0..2 {
-                let tr = collector.tracer(TraceId::new(0, thread));
-                tr.leaf("MPI_Init");
-                for _ in 0..8 {
-                    if locked {
-                        tr.leaf("omp_acquire@l");
-                    }
-                    tr.leaf("omp_write@counter");
-                    if locked {
-                        tr.leaf("omp_release@l");
-                    }
-                }
-                tr.leaf("MPI_Finalize");
-                tr.finish();
-            }
-            collector.into_trace_set()
-        };
-        (mk(true), mk(false))
-    }
-
-    #[test]
-    fn race_warn_attaches_reports() {
-        let (normal, faulty) = racy_pair();
-        let opts = PipelineOptions {
-            race: LintGate::Warn,
-            ..PipelineOptions::default()
-        };
-        let d = try_diff_runs_opts(&normal, &faulty, &params(), &opts).unwrap();
-        let pre = d.race.expect("warn attaches the reports");
-        assert!(pre.normal.is_clean(), "{}", pre.normal.render_text());
-        assert!(!pre.faulty.is_clean());
-    }
-
-    #[test]
-    fn race_deny_refuses_to_diff_a_racy_run() {
-        let (normal, faulty) = racy_pair();
-        let opts = PipelineOptions {
-            race: LintGate::Deny,
-            ..PipelineOptions::default()
-        };
-        match try_diff_runs_opts(&normal, &faulty, &params(), &opts) {
-            Err(DiffDenied::Race(f)) => {
-                assert!(f.normal.is_clean());
-                assert!(f.faulty.has_errors());
-                assert!(f.to_string().contains("racecheck gate denied"));
-            }
-            other => panic!("expected the race gate to fire, got {other:?}"),
-        }
-    }
-
-    /// Two two-process executions: the faulty one's rank 0 posts an
-    /// `MPI_Isend` it never waits on.
-    fn leaky_pair() -> (TraceSet, TraceSet) {
-        let registry = Arc::new(FunctionRegistry::new());
-        let mk = |leak: bool| {
-            let collector = dt_trace::TraceCollector::shared(registry.clone());
-            for p in 0..2u32 {
-                let tr = collector.tracer(TraceId::master(p));
-                tr.leaf("MPI_Init");
-                for _ in 0..8 {
-                    tr.leaf("MPI_Isend");
-                    tr.leaf("MPI_Wait");
-                }
-                if leak && p == 0 {
-                    tr.leaf("MPI_Isend");
-                    tr.leaf("mpi_req_pending@MPI_Isend:dst=1,tag=3");
-                }
-                tr.leaf("MPI_Finalize");
-                tr.finish();
-            }
-            collector.into_trace_set()
-        };
-        (mk(false), mk(true))
-    }
-
-    #[test]
-    fn req_warn_attaches_reports() {
-        let (normal, faulty) = leaky_pair();
-        let opts = PipelineOptions {
-            req: LintGate::Warn,
-            ..PipelineOptions::default()
-        };
-        let d = try_diff_runs_opts(&normal, &faulty, &params(), &opts).unwrap();
-        let pre = d.req.expect("warn attaches the reports");
-        assert!(pre.normal.is_clean(), "{}", pre.normal.render_text());
-        assert!(!pre.faulty.is_clean());
-    }
-
-    #[test]
-    fn req_deny_refuses_to_diff_a_leaky_run() {
-        let (normal, faulty) = leaky_pair();
-        let opts = PipelineOptions {
-            req: LintGate::Deny,
-            ..PipelineOptions::default()
-        };
-        match try_diff_runs_opts(&normal, &faulty, &params(), &opts) {
-            Err(DiffDenied::Req(f)) => {
-                assert!(f.normal.is_clean());
-                assert!(f.faulty.has_errors());
-                assert!(f.to_string().contains("reqcheck gate denied"));
-            }
-            other => panic!("expected the req gate to fire, got {other:?}"),
-        }
     }
 }

@@ -1,231 +1,78 @@
-//! The racecheck pre-pass: shared-memory data-race detection before
-//! any diffing.
+//! The racecheck checker: shared-memory data-race detection before any
+//! diffing.
 //!
-//! [`racecheck_set`] runs the RC001–RC004 rule families (see the
-//! `dt-racecheck` crate) over one execution's recorded traces, with
-//! **byte-identical diagnostics for every thread count**: per-trace
-//! access-group summaries fan out through [`crate::sync::par_map`]
-//! (whose output is input-ordered), the rule evaluation itself is a
-//! pure function of those summaries, and the report sorts canonically.
-//!
-//! [`crate::PipelineOptions::race`] threads the pass through the diff
-//! pipeline: `Warn` attaches the reports to the [`crate::DiffRun`],
-//! `Deny` makes [`crate::pipeline::try_diff_runs_hb_opts`] refuse to
-//! diff when any error-severity diagnostic fires.
+//! [`RaceCheck`] runs the RC001–RC004 rule families (see the
+//! `dt-racecheck` crate) over one execution's recorded traces. Its
+//! per-trace facts are access-group summaries over the `omp_*@` marker
+//! vocabulary; the rule evaluation is a pure function of them. It needs
+//! no happens-before log.
 
-use crate::lint::{build_raw_nlrs, LintDomain, RawTrace};
-use crate::sync::{effective_threads, par_map};
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
+use crate::pipeline::{DiffRun, PipelineOptions};
 use dt_racecheck::compressed::Summarizer;
-use dt_racecheck::{analyze, expanded, RaceReport, RaceVocab, TraceRaceFacts};
+use dt_racecheck::{analyze, expanded, RaceCode, RaceReport, RaceVocab, TraceRaceFacts};
 use dt_trace::{Trace, TraceSet};
-use std::fmt;
+use nlr::{LoopTable, Nlr};
 
-/// Configuration for one racecheck pass.
-#[derive(Debug, Clone)]
-pub struct RaceOptions {
-    /// Worker threads (same convention as
-    /// [`crate::PipelineOptions::threads`]: `1` sequential, `0` all
-    /// cores).
-    pub threads: usize,
-    /// Implementation family for the per-trace access-group facts.
-    /// Both produce the same facts (property-tested in `dt-racecheck`);
-    /// the compressed domain folds NLR terms without expansion, flat in
-    /// loop repetition count.
-    pub domain: LintDomain,
-    /// NLR window size used by the compressed domain.
-    pub nlr_k: usize,
-}
+/// The racecheck [`Checker`].
+#[derive(Debug, Clone, Copy)]
+pub struct RaceCheck;
 
-impl Default for RaceOptions {
-    fn default() -> RaceOptions {
-        RaceOptions {
-            threads: 1,
-            domain: LintDomain::Expanded,
-            nlr_k: 10,
-        }
+impl Checker for RaceCheck {
+    type Code = RaceCode;
+    type Facts = TraceRaceFacts;
+    type Vocab = RaceVocab;
+
+    const NAME: &'static str = "racecheck";
+    const TAG: &'static str = "race";
+    const DIFF_FLAG: &'static str = "--race";
+
+    fn vocab(&self, input: &CheckInput) -> RaceVocab {
+        RaceVocab::build(&input.set.registry)
+    }
+
+    fn expanded(&self, vocab: &RaceVocab, t: &Trace) -> TraceRaceFacts {
+        expanded::summarize(t.id, &t.to_symbols(), t.truncated, vocab)
+    }
+
+    fn compressed(
+        &self,
+        vocab: &RaceVocab,
+        table: &LoopTable,
+        t: &Trace,
+        term: &Nlr,
+    ) -> TraceRaceFacts {
+        Summarizer::new(table, vocab).summarize(t.id, term, t.truncated)
+    }
+
+    fn analyze(
+        &self,
+        _vocab: &RaceVocab,
+        _input: &CheckInput,
+        facts: Vec<TraceRaceFacts>,
+    ) -> RaceReport {
+        analyze(&facts)
+    }
+
+    fn gate(opts: &PipelineOptions) -> LintGate {
+        opts.race
+    }
+
+    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
+        &mut opts.race
+    }
+
+    fn attached(run: &DiffRun) -> Option<&PrePass<RaceCheck>> {
+        run.race.as_ref()
     }
 }
 
-/// Analyze one execution's traces for shared-memory races. See the
-/// module docs for the determinism guarantees.
-pub fn racecheck_set(set: &TraceSet, opts: &RaceOptions) -> RaceReport {
-    let vocab = RaceVocab::build(&set.registry);
-    let traces: Vec<&Trace> = set.iter().collect();
-    let threads = effective_threads(opts.threads, traces.len().max(1));
-    let facts: Vec<TraceRaceFacts> = match opts.domain {
-        LintDomain::Expanded => par_map(&traces, threads, |_, t| {
-            expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab)
-        }),
-        LintDomain::Compressed => {
-            let raw: Vec<RawTrace> = traces
-                .iter()
-                .map(|t| RawTrace {
-                    id: t.id,
-                    symbols: t.to_symbols(),
-                    truncated: t.truncated,
-                })
-                .collect();
-            let (nlrs, table) = build_raw_nlrs(&raw, opts.nlr_k, threads);
-            par_map(&traces, threads, |_, t| {
-                let term = nlrs.get(t.id).expect("term built for every trace");
-                let mut s = Summarizer::new(&table, &vocab);
-                s.summarize(t.id, term, t.truncated)
-            })
-        }
-    };
-    analyze(&facts)
-}
-
-/// The attached results of the racecheck pre-pass, kept on the
-/// [`crate::DiffRun`] when [`crate::PipelineOptions::race`] is `Warn`
-/// (or a passing `Deny`).
-#[derive(Debug, Clone)]
-pub struct RacePrePass {
-    /// Report for the normal execution.
-    pub normal: RaceReport,
-    /// Report for the faulty execution.
-    pub faulty: RaceReport,
-}
-
-impl RacePrePass {
-    /// Run the pass over both executions of a diff.
-    pub fn run(normal: &TraceSet, faulty: &TraceSet, opts: &RaceOptions) -> RacePrePass {
-        RacePrePass {
-            normal: racecheck_set(normal, opts),
-            faulty: racecheck_set(faulty, opts),
-        }
-    }
-}
-
-/// Race reports for both executions of a diff, returned when
-/// [`crate::PipelineOptions::race`] is `Deny` and an error fired.
-#[derive(Debug, Clone)]
-pub struct RaceFailure {
-    /// Report for the normal execution.
-    pub normal: RaceReport,
-    /// Report for the faulty execution.
-    pub faulty: RaceReport,
-}
-
-impl fmt::Display for RaceFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "racecheck gate denied: {} error(s) in the normal run, {} in the faulty run",
-            self.normal.error_count(),
-            self.faulty.error_count()
-        )
-    }
-}
-
-impl std::error::Error for RaceFailure {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dt_trace::{FunctionRegistry, TraceCollector, TraceId};
-    use std::sync::Arc;
-
-    /// A corpus with two worker threads of process 0 running `body`.
-    fn team(body: impl Fn(&dt_trace::Tracer)) -> TraceSet {
-        let registry = Arc::new(FunctionRegistry::new());
-        let collector = TraceCollector::shared(registry);
-        for thread in 1..=2 {
-            let tr = collector.tracer(TraceId::new(0, thread));
-            body(&tr);
-            tr.finish();
-        }
-        collector.into_trace_set()
-    }
-
-    /// Two threads doing an unprotected read-modify-write on `counter`.
-    fn racy() -> TraceSet {
-        team(|tr| {
-            for _ in 0..50 {
-                tr.leaf("compute");
-                tr.leaf("omp_read@counter");
-                tr.leaf("omp_write@counter");
-            }
-        })
-    }
-
-    /// The same corpus with the accesses consistently locked.
-    fn locked() -> TraceSet {
-        team(|tr| {
-            for _ in 0..50 {
-                tr.leaf("compute");
-                tr.leaf("omp_acquire@l");
-                tr.leaf("omp_read@counter");
-                tr.leaf("omp_write@counter");
-                tr.leaf("omp_release@l");
-            }
-        })
-    }
-
-    #[test]
-    fn both_domains_agree_byte_for_byte() {
-        let set = racy();
-        let e = racecheck_set(&set, &RaceOptions::default());
-        let c = racecheck_set(
-            &set,
-            &RaceOptions {
-                domain: LintDomain::Compressed,
-                ..RaceOptions::default()
-            },
-        );
-        assert!(!e.is_clean());
-        assert_eq!(e.render_text(), c.render_text());
-        assert_eq!(e.render_json(), c.render_json());
-    }
-
-    #[test]
-    fn reports_are_byte_identical_across_thread_counts() {
-        let set = racy();
-        for domain in [LintDomain::Expanded, LintDomain::Compressed] {
-            let base = racecheck_set(
-                &set,
-                &RaceOptions {
-                    threads: 1,
-                    domain,
-                    ..RaceOptions::default()
-                },
-            );
-            for threads in [2usize, 0] {
-                let got = racecheck_set(
-                    &set,
-                    &RaceOptions {
-                        threads,
-                        domain,
-                        ..RaceOptions::default()
-                    },
-                );
-                assert_eq!(
-                    base.render_text(),
-                    got.render_text(),
-                    "{domain:?}/{threads}"
-                );
-                assert_eq!(
-                    base.render_json(),
-                    got.render_json(),
-                    "{domain:?}/{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepass_pairs_both_executions() {
-        let pre = RacePrePass::run(&locked(), &racy(), &RaceOptions::default());
-        assert!(pre.normal.is_clean(), "{}", pre.normal.render_text());
-        assert!(!pre.faulty.is_clean());
-        let failure = RaceFailure {
-            normal: pre.normal,
-            faulty: pre.faulty,
-        };
-        let msg = failure.to_string();
-        assert!(
-            msg.starts_with("racecheck gate denied: 0 error(s) in the normal run,"),
-            "{msg}"
-        );
-    }
+/// Analyze one execution's traces for shared-memory races.
+pub fn racecheck_set(set: &TraceSet, opts: &CheckOptions) -> RaceReport {
+    run_facts(
+        &RaceCheck,
+        &CheckInput { set, hb: None },
+        opts,
+        &dt_obs::NOOP,
+    )
 }

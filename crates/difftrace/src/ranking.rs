@@ -8,8 +8,7 @@
 
 use crate::attributes::AttrConfig;
 use crate::filter::FilterConfig;
-use crate::lint::LintGate;
-use crate::pipeline::{try_diff_runs_hb_rec, Params, PipelineOptions};
+use crate::pipeline::{try_diff_runs, Params, PipelineOptions};
 use cluster::Method;
 use dt_cache::Cache;
 use dt_trace::{TraceId, TraceSet};
@@ -70,12 +69,8 @@ pub fn sweep_cached(
 /// grid itself is the parallelism axis), gates off, sharing `cache`.
 fn cell_opts(cache: Option<Arc<Cache>>) -> PipelineOptions {
     PipelineOptions {
-        threads: 1,
-        lint: LintGate::Off,
-        hb: LintGate::Off,
-        race: LintGate::Off,
-        req: LintGate::Off,
         cache,
+        ..PipelineOptions::default()
     }
 }
 
@@ -190,7 +185,7 @@ fn run_cell(
     opts: &PipelineOptions,
     rec: &dyn dt_obs::Recorder,
 ) -> RankingRow {
-    let d = try_diff_runs_hb_rec(normal, faulty, None, params, opts, rec)
+    let d = try_diff_runs(normal, faulty, None, params, opts, rec)
         .expect("sweep cells run with all gates off");
     RankingRow {
         filter: params.filter.to_string(),

@@ -1,252 +1,79 @@
-//! The reqcheck pre-pass: MPI request-lifecycle and
+//! The reqcheck checker: MPI request-lifecycle and
 //! collective-consistency analysis before any diffing.
 //!
-//! [`reqcheck_set`] runs the RQ001–RQ005 rule families (see the
-//! `dt-reqcheck` crate) over one execution's recorded traces, with
-//! **byte-identical diagnostics for every thread count and domain**:
-//! per-trace request facts fan out through [`crate::sync::par_map`]
-//! (whose output is input-ordered), the rule evaluation itself is a
-//! pure function of those facts, and the report sorts canonically.
-//!
-//! [`crate::PipelineOptions::req`] threads the pass through the diff
-//! pipeline: `Warn` attaches the reports to the [`crate::DiffRun`],
-//! `Deny` makes [`crate::pipeline::try_diff_runs_hb_opts`] refuse to
-//! diff when any error-severity diagnostic fires.
+//! [`ReqCheck`] runs the RQ001–RQ005 rule families (see the
+//! `dt-reqcheck` crate) over one execution's recorded traces. Its
+//! per-trace facts are request lifecycles and collective signatures;
+//! the rule evaluation is a pure function of them. It needs no
+//! happens-before log.
 
-use crate::lint::{build_raw_nlrs, LintDomain, RawTrace};
-use crate::sync::{effective_threads, par_map};
-use dt_obs::Recorder;
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
+use crate::pipeline::{DiffRun, PipelineOptions};
 use dt_reqcheck::compressed::Summarizer;
-use dt_reqcheck::{analyze, expanded, ReqReport, ReqVocab, TraceReqFacts};
+use dt_reqcheck::{analyze, expanded, ReqCode, ReqReport, ReqVocab, TraceReqFacts};
 use dt_trace::{Trace, TraceSet};
-use std::fmt;
+use nlr::{LoopTable, Nlr};
 
-/// Configuration for one reqcheck pass.
-#[derive(Debug, Clone)]
-pub struct ReqOptions {
-    /// Worker threads (same convention as
-    /// [`crate::PipelineOptions::threads`]: `1` sequential, `0` all
-    /// cores).
-    pub threads: usize,
-    /// Implementation family for the per-trace request facts. Both
-    /// produce the same facts (property-tested in `dt-reqcheck`); the
-    /// compressed domain folds NLR terms without expansion, flat in
-    /// loop repetition count.
-    pub domain: LintDomain,
-    /// NLR window size used by the compressed domain.
-    pub nlr_k: usize,
-}
+/// The reqcheck [`Checker`].
+#[derive(Debug, Clone, Copy)]
+pub struct ReqCheck;
 
-impl Default for ReqOptions {
-    fn default() -> ReqOptions {
-        ReqOptions {
-            threads: 1,
-            domain: LintDomain::Expanded,
-            nlr_k: 10,
-        }
+impl Checker for ReqCheck {
+    type Code = ReqCode;
+    type Facts = TraceReqFacts;
+    type Vocab = ReqVocab;
+
+    const NAME: &'static str = "reqcheck";
+    const TAG: &'static str = "req";
+    const DIFF_FLAG: &'static str = "--req";
+
+    fn vocab(&self, input: &CheckInput) -> ReqVocab {
+        ReqVocab::build(&input.set.registry)
+    }
+
+    fn expanded(&self, vocab: &ReqVocab, t: &Trace) -> TraceReqFacts {
+        expanded::summarize(t.id, &t.to_symbols(), t.truncated, vocab)
+    }
+
+    fn compressed(
+        &self,
+        vocab: &ReqVocab,
+        table: &LoopTable,
+        t: &Trace,
+        term: &Nlr,
+    ) -> TraceReqFacts {
+        Summarizer::new(table, vocab).summarize(t.id, term, t.truncated)
+    }
+
+    fn analyze(
+        &self,
+        _vocab: &ReqVocab,
+        _input: &CheckInput,
+        facts: Vec<TraceReqFacts>,
+    ) -> ReqReport {
+        analyze(&facts)
+    }
+
+    fn gate(opts: &PipelineOptions) -> LintGate {
+        opts.req
+    }
+
+    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
+        &mut opts.req
+    }
+
+    fn attached(run: &DiffRun) -> Option<&PrePass<ReqCheck>> {
+        run.req.as_ref()
     }
 }
 
 /// Analyze one execution's traces for request-lifecycle and
-/// collective-consistency defects. See the module docs for the
-/// determinism guarantees.
-pub fn reqcheck_set(set: &TraceSet, opts: &ReqOptions) -> ReqReport {
-    reqcheck_set_rec(set, opts, &dt_obs::NOOP)
-}
-
-/// [`reqcheck_set`] reporting counters into `rec`: `reqcheck_folds`
-/// counts compressed-domain term folds (the evidence that no expansion
-/// happened). Instrumentation is observational only — the report is
-/// byte-identical whatever recorder is passed.
-pub fn reqcheck_set_rec(set: &TraceSet, opts: &ReqOptions, rec: &dyn Recorder) -> ReqReport {
-    let vocab = ReqVocab::build(&set.registry);
-    let traces: Vec<&Trace> = set.iter().collect();
-    let threads = effective_threads(opts.threads, traces.len().max(1));
-    let facts: Vec<TraceReqFacts> = match opts.domain {
-        LintDomain::Expanded => par_map(&traces, threads, |_, t| {
-            expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab)
-        }),
-        LintDomain::Compressed => {
-            let raw: Vec<RawTrace> = traces
-                .iter()
-                .map(|t| RawTrace {
-                    id: t.id,
-                    symbols: t.to_symbols(),
-                    truncated: t.truncated,
-                })
-                .collect();
-            let (nlrs, table) = build_raw_nlrs(&raw, opts.nlr_k, threads);
-            if rec.enabled() {
-                rec.add("reqcheck_folds", traces.len() as u64);
-            }
-            par_map(&traces, threads, |_, t| {
-                let term = nlrs.get(t.id).expect("term built for every trace");
-                let mut s = Summarizer::new(&table, &vocab);
-                s.summarize(t.id, term, t.truncated)
-            })
-        }
-    };
-    analyze(&facts)
-}
-
-/// The attached results of the reqcheck pre-pass, kept on the
-/// [`crate::DiffRun`] when [`crate::PipelineOptions::req`] is `Warn`
-/// (or a passing `Deny`).
-#[derive(Debug, Clone)]
-pub struct ReqPrePass {
-    /// Report for the normal execution.
-    pub normal: ReqReport,
-    /// Report for the faulty execution.
-    pub faulty: ReqReport,
-}
-
-impl ReqPrePass {
-    /// Run the pass over both executions of a diff.
-    pub fn run(normal: &TraceSet, faulty: &TraceSet, opts: &ReqOptions) -> ReqPrePass {
-        ReqPrePass {
-            normal: reqcheck_set(normal, opts),
-            faulty: reqcheck_set(faulty, opts),
-        }
-    }
-}
-
-/// Req reports for both executions of a diff, returned when
-/// [`crate::PipelineOptions::req`] is `Deny` and an error fired.
-#[derive(Debug, Clone)]
-pub struct ReqFailure {
-    /// Report for the normal execution.
-    pub normal: ReqReport,
-    /// Report for the faulty execution.
-    pub faulty: ReqReport,
-}
-
-impl fmt::Display for ReqFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "reqcheck gate denied: {} error(s) in the normal run, {} in the faulty run",
-            self.normal.error_count(),
-            self.faulty.error_count()
-        )
-    }
-}
-
-impl std::error::Error for ReqFailure {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dt_trace::{FunctionRegistry, TraceCollector, TraceId};
-    use std::sync::Arc;
-
-    /// A two-process corpus whose rank `leaky` posts one request it
-    /// never waits on.
-    fn corpus(leaky: Option<u32>) -> TraceSet {
-        let registry = Arc::new(FunctionRegistry::new());
-        let collector = TraceCollector::shared(registry);
-        for p in 0..2u32 {
-            let tr = collector.tracer(TraceId::master(p));
-            for _ in 0..20 {
-                tr.leaf("MPI_Isend");
-                tr.leaf("compute");
-                tr.leaf("MPI_Wait");
-            }
-            if leaky == Some(p) {
-                tr.leaf("MPI_Isend");
-                tr.leaf("mpi_req_pending@MPI_Isend:dst=1,tag=7");
-            }
-            tr.leaf("MPI_Finalize");
-            tr.finish();
-        }
-        collector.into_trace_set()
-    }
-
-    #[test]
-    fn both_domains_agree_byte_for_byte() {
-        let set = corpus(Some(0));
-        let e = reqcheck_set(&set, &ReqOptions::default());
-        let c = reqcheck_set(
-            &set,
-            &ReqOptions {
-                domain: LintDomain::Compressed,
-                ..ReqOptions::default()
-            },
-        );
-        assert!(!e.is_clean());
-        assert_eq!(e.render_text(), c.render_text());
-        assert_eq!(e.render_json(), c.render_json());
-    }
-
-    #[test]
-    fn reports_are_byte_identical_across_thread_counts() {
-        let set = corpus(Some(1));
-        for domain in [LintDomain::Expanded, LintDomain::Compressed] {
-            let base = reqcheck_set(
-                &set,
-                &ReqOptions {
-                    threads: 1,
-                    domain,
-                    ..ReqOptions::default()
-                },
-            );
-            for threads in [2usize, 0] {
-                let got = reqcheck_set(
-                    &set,
-                    &ReqOptions {
-                        threads,
-                        domain,
-                        ..ReqOptions::default()
-                    },
-                );
-                assert_eq!(
-                    base.render_text(),
-                    got.render_text(),
-                    "{domain:?}/{threads}"
-                );
-                assert_eq!(
-                    base.render_json(),
-                    got.render_json(),
-                    "{domain:?}/{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepass_pairs_both_executions() {
-        let pre = ReqPrePass::run(&corpus(None), &corpus(Some(0)), &ReqOptions::default());
-        assert!(pre.normal.is_clean(), "{}", pre.normal.render_text());
-        assert!(!pre.faulty.is_clean());
-        let failure = ReqFailure {
-            normal: pre.normal,
-            faulty: pre.faulty,
-        };
-        let msg = failure.to_string();
-        assert!(
-            msg.starts_with("reqcheck gate denied: 0 error(s) in the normal run,"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn compressed_domain_records_fold_counter() {
-        let set = corpus(Some(0));
-        let rec = dt_obs::MetricsRecorder::new();
-        let _ = reqcheck_set_rec(
-            &set,
-            &ReqOptions {
-                domain: LintDomain::Compressed,
-                ..ReqOptions::default()
-            },
-            &rec,
-        );
-        let m = rec.finish("reqcheck", 1);
-        assert!(
-            m.counters
-                .iter()
-                .any(|(k, v)| k == "reqcheck_folds" && *v == 2),
-            "{:?}",
-            m.counters
-        );
-    }
+/// collective-consistency defects.
+pub fn reqcheck_set(set: &TraceSet, opts: &CheckOptions) -> ReqReport {
+    run_facts(
+        &ReqCheck,
+        &CheckInput { set, hb: None },
+        opts,
+        &dt_obs::NOOP,
+    )
 }

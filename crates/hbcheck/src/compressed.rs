@@ -8,7 +8,7 @@
 //! multiply by `n`, and the stack effect's repetition follows the same
 //! grow-prefix algebra as `tracelint::compressed::StackEffect`. A loop
 //! of a million iterations therefore costs O(|body|), which is the
-//! asymptotic win `hbcheck_bench` measures.
+//! asymptotic win `checker_bench` measures.
 
 use crate::TraceProgress;
 use dt_trace::TraceId;

@@ -8,7 +8,7 @@
 //! a lockset *relative to the unknown entry lockset* — and summaries
 //! compose associatively, so each loop body is summarized once and
 //! `body^n` is applied in closed form. A million-iteration loop costs
-//! O(|body|), which is the asymptotic win `racecheck_bench` measures.
+//! O(|body|), which is the asymptotic win `checker_bench` measures.
 //!
 //! # The relative-lockset algebra
 //!

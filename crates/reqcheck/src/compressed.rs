@@ -28,7 +28,7 @@
 //! by `n` in O(1) — a mixed body concatenates honestly, which is the
 //! same output size the expanded walk would produce. A uniform
 //! million-iteration loop therefore costs O(|body|), which is the
-//! asymptotic win `reqcheck_bench` measures.
+//! asymptotic win `checker_bench` measures.
 
 use crate::expanded::rle_push;
 use crate::{CollRun, ReqSym, ReqVocab, TraceReqFacts};

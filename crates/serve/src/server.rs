@@ -17,9 +17,8 @@ use crate::protocol::{self, Request};
 use crate::render;
 use difftrace::sync::Pool;
 use difftrace::{
-    hbcheck_set, lint_set, racecheck_set, reqcheck_set_rec, AttrConfig, AttrKind, FilterConfig,
-    FreqMode, HbOptions, LintDomain, LintGate, LintOptions, Params, PipelineOptions, RaceOptions,
-    ReqOptions,
+    checker, AnyChecker, AttrConfig, AttrKind, CheckInput, FilterConfig, FreqMode, LintDomain,
+    LintOptions, Params, PipelineOptions,
 };
 use dt_cache::Cache;
 use dt_obs::{MetricsRecorder, Recorder};
@@ -271,13 +270,6 @@ fn format_of(req: &Request) -> Result<&str, String> {
     }
 }
 
-fn domain_of(req: &Request, dflt: LintDomain) -> Result<LintDomain, String> {
-    match req.domain.as_deref() {
-        None => Ok(dflt),
-        Some(d) => LintDomain::parse(d),
-    }
-}
-
 fn no_trace_field(req: &Request) -> Result<(), String> {
     if req.trace.is_some() {
         return Err(format!(
@@ -319,88 +311,6 @@ fn params_of(req: &Request) -> Result<Params, String> {
 fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
     let rec: &dyn Recorder = &state.rec;
     match req.cmd.as_str() {
-        "lint" => {
-            let ix = corpus(state, &req.corpus, "corpus")?;
-            let format = format_of(req)?;
-            let mut opts = LintOptions::default();
-            opts.domain = domain_of(req, opts.domain)?;
-            opts.deep = req.deep;
-            if let Some(t) = req.threads {
-                opts.threads = t;
-            }
-            if let Some(f) = &req.filter {
-                opts.filter = Some(FilterConfig::parse_lenient(f)?);
-            }
-            let ws = working_set(ix, &req.trace)?;
-            let report = lint_set(ws.as_set(), &opts);
-            let out = if format == "json" {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            Ok((out, report.error_count()))
-        }
-        "hbcheck" => {
-            no_trace_field(req)?;
-            let ix = corpus(state, &req.corpus, "corpus")?;
-            let format = format_of(req)?;
-            if ix.hb().world_size() == 0 {
-                return Err(format!(
-                    "corpus `{}`: no happens-before section — re-record the run (e.g. \
-                     `difftrace demo`) to get one",
-                    req.corpus.as_deref().unwrap_or_default()
-                ));
-            }
-            let mut opts = HbOptions::default();
-            opts.domain = domain_of(req, opts.domain)?;
-            if let Some(t) = req.threads {
-                opts.threads = t;
-            }
-            let set = ix.full_set().map_err(|e| e.to_string())?;
-            let report = hbcheck_set(&set, ix.hb(), &opts);
-            let out = if format == "json" {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            Ok((out, report.error_count()))
-        }
-        "racecheck" => {
-            no_trace_field(req)?;
-            let ix = corpus(state, &req.corpus, "corpus")?;
-            let format = format_of(req)?;
-            let mut opts = RaceOptions::default();
-            opts.domain = domain_of(req, opts.domain)?;
-            if let Some(t) = req.threads {
-                opts.threads = t;
-            }
-            let set = ix.full_set().map_err(|e| e.to_string())?;
-            let report = racecheck_set(&set, &opts);
-            let out = if format == "json" {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            Ok((out, report.error_count()))
-        }
-        "reqcheck" => {
-            no_trace_field(req)?;
-            let ix = corpus(state, &req.corpus, "corpus")?;
-            let format = format_of(req)?;
-            let mut opts = ReqOptions::default();
-            opts.domain = domain_of(req, opts.domain)?;
-            if let Some(t) = req.threads {
-                opts.threads = t;
-            }
-            let set = ix.full_set().map_err(|e| e.to_string())?;
-            let report = reqcheck_set_rec(&set, &opts, rec);
-            let out = if format == "json" {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            Ok((out, report.error_count()))
-        }
         "fleet" => {
             no_trace_field(req)?;
             if req.corpora.len() < 2 {
@@ -459,14 +369,10 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
             let faulty = faulty_ix.full_set().map_err(|e| e.to_string())?;
             let popts = PipelineOptions {
                 threads: req.threads.unwrap_or(0),
-                lint: LintGate::Off,
-                hb: LintGate::Off,
-                race: LintGate::Off,
-                req: LintGate::Off,
                 cache: Some(Arc::clone(&state.cache)),
+                ..PipelineOptions::default()
             };
-            let Ok(d) =
-                difftrace::try_diff_runs_hb_rec(&normal, &faulty, None, &params, &popts, rec)
+            let Ok(d) = difftrace::try_diff_runs(&normal, &faulty, None, &params, &popts, rec)
             else {
                 unreachable!("gates are off");
             };
@@ -477,6 +383,53 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
             };
             Ok((out, 0))
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => match checker(other) {
+            Some(c) => check(state, c, req),
+            None => Err(format!("unknown command `{other}`")),
+        },
     }
+}
+
+/// Run one checker query — the daemon twin of `difftrace <checker>`.
+/// Lint-only fields (`deep`, `filter`, `trace`) apply to checkers that
+/// take them ([`AnyChecker::lint_options`]); others reject `trace` and
+/// ignore the rest, like their CLI subcommands.
+fn check(state: &State, c: &dyn AnyChecker, req: &Request) -> Result<(String, usize), String> {
+    if !c.lint_options() {
+        no_trace_field(req)?;
+    }
+    let ix = corpus(state, &req.corpus, "corpus")?;
+    let format = format_of(req)?;
+    if c.needs_hb() && ix.hb().world_size() == 0 {
+        return Err(format!(
+            "corpus `{}`: no happens-before section — re-record the run (e.g. \
+             `difftrace demo`) to get one",
+            req.corpus.as_deref().unwrap_or_default()
+        ));
+    }
+    let mut opts = LintOptions::default();
+    if let Some(d) = &req.domain {
+        opts.domain = LintDomain::parse(d)?;
+    }
+    if let Some(t) = req.threads {
+        opts.threads = t;
+    }
+    if c.lint_options() {
+        opts.deep = req.deep;
+        if let Some(f) = &req.filter {
+            opts.filter = Some(FilterConfig::parse_lenient(f)?);
+        }
+    }
+    let ws = working_set(ix, &req.trace)?;
+    let input = CheckInput {
+        set: ws.as_set(),
+        hb: Some(ix.hb()),
+    };
+    let report = c.check(&input, &opts, &state.rec);
+    let out = if format == "json" {
+        report.render_json()
+    } else {
+        report.render_text()
+    };
+    Ok((out, report.error_count()))
 }

@@ -181,7 +181,7 @@ fn single_and_diff_match_shared_renderers() {
         threads: 0,
         ..difftrace::PipelineOptions::default()
     };
-    let d = difftrace::try_diff_runs_hb_rec(&normal, &faulty, None, &params, &dopts, rec).unwrap();
+    let d = difftrace::try_diff_runs(&normal, &faulty, None, &params, &dopts, rec).unwrap();
     let mut dq = Request {
         id: 4,
         cmd: "diff".to_string(),

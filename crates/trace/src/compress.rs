@@ -281,7 +281,9 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
     }
     let mut at = 5usize;
     let n = read_varint(blob, &mut at)? as usize;
-    let mut out: Vec<u32> = Vec::with_capacity(n);
+    // `n` is untrusted: the capacity is only a hint, capped by the
+    // input size (a match token can expand, so this is not a bound).
+    let mut out: Vec<u32> = Vec::with_capacity(n.min(blob.len() - at));
     while out.len() < n {
         let tok = read_varint(blob, &mut at)?;
         if tok & 1 == 1 {
@@ -290,7 +292,7 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
             if dist == 0 || dist > out.len() {
                 return Err(CodecError::Corrupt("match distance out of range"));
             }
-            if out.len() + len > n {
+            if len > n - out.len() {
                 return Err(CodecError::Corrupt("match overruns declared length"));
             }
             let start = out.len() - dist;

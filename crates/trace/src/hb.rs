@@ -611,7 +611,7 @@ impl HbLog {
                 0 => {
                     *pos += 1;
                     let n = rv(buf, pos)?;
-                    let mut vc = Vec::with_capacity(usize::try_from(n).ok()?);
+                    let mut vc = Vec::with_capacity(capacity(n, buf, *pos));
                     for _ in 0..n {
                         vc.push(rv(buf, pos)?);
                     }
@@ -620,7 +620,7 @@ impl HbLog {
                 1 => {
                     *pos += 1;
                     let n = rv(buf, pos)?;
-                    let mut d = Vec::with_capacity(usize::try_from(n).ok()?);
+                    let mut d = Vec::with_capacity(capacity(n, buf, *pos));
                     for _ in 0..n {
                         let c = u32::try_from(rv(buf, pos)?).ok()?;
                         let v = rv(buf, pos)?;
@@ -770,16 +770,25 @@ fn rv(buf: &[u8], pos: &mut usize) -> Option<u64> {
     crate::compress::read_varint(buf, pos).ok()
 }
 
+/// Initial capacity for `n` encoded items: each takes at least one
+/// byte, so an untrusted `n` never sizes an allocation beyond the bytes
+/// left after `pos`.
+fn capacity(n: u64, buf: &[u8], pos: usize) -> usize {
+    usize::try_from(n)
+        .unwrap_or(usize::MAX)
+        .min(buf.len().saturating_sub(pos))
+}
+
 fn read_string(buf: &[u8], pos: &mut usize) -> Option<String> {
     let len = usize::try_from(rv(buf, pos)?).ok()?;
-    let bytes = buf.get(*pos..*pos + len)?;
+    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
     *pos += len;
     String::from_utf8(bytes.to_vec()).ok()
 }
 
 fn read_ranks(buf: &[u8], pos: &mut usize) -> Option<Vec<u32>> {
     let n = rv(buf, pos)?;
-    let mut out = Vec::with_capacity(usize::try_from(n).ok()?);
+    let mut out = Vec::with_capacity(capacity(n, buf, *pos));
     for _ in 0..n {
         out.push(u32::try_from(rv(buf, pos)?).ok()?);
     }

@@ -167,17 +167,7 @@ pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
         return Err(StoreError::Format("unsupported DTTS version"));
     }
     let mut at = 5usize;
-
-    let n_names = read_varint(buf, &mut at)? as usize;
-    let mut names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        let len = read_varint(buf, &mut at)? as usize;
-        let bytes = buf
-            .get(at..at + len)
-            .ok_or(StoreError::Format("name overruns file"))?;
-        at += len;
-        names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
-    }
+    let names = read_names(buf, &mut at, "name overruns file")?;
     let registry = Arc::new(FunctionRegistry::from_names(names));
 
     let n_traces = read_varint(buf, &mut at)? as usize;
@@ -193,10 +183,7 @@ pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
         };
         at += 1;
         let blob_len = read_varint(buf, &mut at)? as usize;
-        let blob = buf
-            .get(at..at + blob_len)
-            .ok_or(StoreError::Format("blob overruns file"))?;
-        at += blob_len;
+        let blob = take(buf, &mut at, blob_len).ok_or(StoreError::Format("blob overruns file"))?;
         let symbols = compress::decompress(blob)?;
         set.insert(Trace::from_symbols(
             TraceId::new(process, thread),
@@ -219,6 +206,33 @@ pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
         HbLog::default()
     };
     Ok((set, hb))
+}
+
+/// A name table: a varint count, then that many length-prefixed UTF-8
+/// strings. The count sizes the allocation only up to the bytes left
+/// (every name takes at least one), so a hostile count or length is a
+/// format error, never a panic or an allocation sized by the claim.
+fn read_names(
+    buf: &[u8],
+    at: &mut usize,
+    overrun: &'static str,
+) -> Result<Vec<String>, StoreError> {
+    let n = read_varint(buf, at)? as usize;
+    let mut names = Vec::with_capacity(n.min(buf.len().saturating_sub(*at)));
+    for _ in 0..n {
+        let len = read_varint(buf, at)? as usize;
+        let bytes = take(buf, at, len).ok_or(StoreError::Format(overrun))?;
+        names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
+    }
+    Ok(names)
+}
+
+/// The `len` bytes at `*at`, advancing past them; `None` when they
+/// overrun `buf` (checked, so a hostile `len` cannot wrap the offset).
+fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let bytes = buf.get(*at..at.checked_add(len)?)?;
+    *at += len;
+    Some(bytes)
 }
 
 /// Write `bytes` to `path` atomically: write a uniquely-named temp file
@@ -313,17 +327,7 @@ pub fn save_dir(set: &TraceSet, dir: &Path) -> Result<(), StoreError> {
 /// Read a trace set back from a [`save_dir`] directory.
 pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
     let reg_buf = std::fs::read(dir.join(REGISTRY_FILE))?;
-    let mut at = 0usize;
-    let n_names = read_varint(&reg_buf, &mut at)? as usize;
-    let mut names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        let len = read_varint(&reg_buf, &mut at)? as usize;
-        let bytes = reg_buf
-            .get(at..at + len)
-            .ok_or(StoreError::Format("name overruns registry file"))?;
-        at += len;
-        names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
-    }
+    let names = read_names(&reg_buf, &mut 0, "name overruns registry file")?;
     let registry = Arc::new(FunctionRegistry::from_names(names));
     let mut set = TraceSet::new(registry);
 
@@ -453,16 +457,7 @@ impl IndexedSet {
             return Err(StoreError::Format("unsupported DTTS version"));
         }
         let mut at = 5usize;
-        let n_names = read_varint(&buf, &mut at)? as usize;
-        let mut names = Vec::with_capacity(n_names);
-        for _ in 0..n_names {
-            let len = read_varint(&buf, &mut at)? as usize;
-            let bytes = buf
-                .get(at..at + len)
-                .ok_or(StoreError::Format("name overruns file"))?;
-            at += len;
-            names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
-        }
+        let names = read_names(&buf, &mut at, "name overruns file")?;
         let registry = Arc::new(FunctionRegistry::from_names(names));
 
         let (mut entries, hb_at) = if version >= 3 {

@@ -42,7 +42,7 @@
 pub mod compressed;
 pub mod rules;
 
-pub use dt_diag::{Severity, Span};
+pub use dt_diag::{AnyCode, Code, Report, Severity, Span};
 use std::fmt;
 
 /// A lint finding, anchored by a [`RuleCode`].

@@ -13,8 +13,8 @@
 
 use difftrace::filter::symbol_name;
 use difftrace::{
-    sweep, sweep_cached, sweep_parallel_cached_rec, try_diff_runs_hb_rec, AttrConfig, AttrKind,
-    DiffRun, FilterConfig, FreqMode, LintGate, Params, PipelineOptions, RankingRow,
+    sweep, sweep_cached, sweep_parallel_cached_rec, try_diff_runs, AttrConfig, AttrKind, DiffRun,
+    FilterConfig, FreqMode, LintGate, Params, PipelineOptions, RankingRow,
 };
 use dt_cache::Cache;
 use dt_trace::{FunctionRegistry, TraceCollector, TraceId, TraceSet};
@@ -60,7 +60,7 @@ fn run_diff(
     threads: usize,
     cache: Option<Arc<Cache>>,
 ) -> DiffRun {
-    try_diff_runs_hb_rec(
+    try_diff_runs(
         normal,
         faulty,
         None,

@@ -15,8 +15,8 @@ use cluster::render_dendrogram;
 use difftrace::filter::symbol_name;
 use difftrace::{
     analyze_opts, analyze_single_rec, diff_runs_opts, sweep, sweep_parallel, sweep_parallel_rec,
-    try_diff_runs_hb_rec, AnalysisRun, AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode,
-    Params, PipelineOptions,
+    try_diff_runs, AnalysisRun, AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode, Params,
+    PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceSet};
 use nlr::{LoopId, LoopTable};
@@ -226,11 +226,11 @@ fn instrumentation_is_observational() {
     let (tag, normal, faulty) = workload_pairs().swap_remove(0);
     for threads in [1usize, 4] {
         let opts = PipelineOptions::with_threads(threads);
-        let plain = try_diff_runs_hb_rec(&normal, &faulty, None, &params(), &opts, &dt_obs::NOOP)
+        let plain = try_diff_runs(&normal, &faulty, None, &params(), &opts, &dt_obs::NOOP)
             .expect("gates are off");
         let rec = dt_obs::MetricsRecorder::new();
-        let instrumented = try_diff_runs_hb_rec(&normal, &faulty, None, &params(), &opts, &rec)
-            .expect("gates are off");
+        let instrumented =
+            try_diff_runs(&normal, &faulty, None, &params(), &opts, &rec).expect("gates are off");
         assert_diffs_equal(
             &format!("{tag} t={threads} instrumented"),
             &plain,

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use difftrace::{
-    reqcheck_set, try_diff_runs_opts, AttrConfig, AttrKind, FilterConfig, FreqMode, LintDomain,
+    reqcheck_set, try_diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, LintDomain,
     LintGate, Params, PipelineOptions, ReqOptions,
 };
 use dt_cache::Cache;
@@ -179,7 +179,15 @@ fn reports_are_byte_identical_across_cache_states() {
             req: LintGate::Warn,
             ..PipelineOptions::default()
         };
-        let d = try_diff_runs_opts(&normal.traces, &faulty.traces, &params(), &o).unwrap();
+        let d = try_diff_runs(
+            &normal.traces,
+            &faulty.traces,
+            None,
+            &params(),
+            &o,
+            &dt_obs::NOOP,
+        )
+        .unwrap();
         let pre = d.req.expect("warn attaches the reports");
         assert!(pre.normal.is_clean(), "{}", pre.normal.render_text());
         assert!(!pre.faulty.is_clean());
@@ -199,7 +207,15 @@ fn reports_are_byte_identical_across_cache_states() {
                     cache: cache.clone(),
                     ..PipelineOptions::default()
                 };
-                let d = try_diff_runs_opts(&normal.traces, &faulty.traces, &params(), &o).unwrap();
+                let d = try_diff_runs(
+                    &normal.traces,
+                    &faulty.traces,
+                    None,
+                    &params(),
+                    &o,
+                    &dt_obs::NOOP,
+                )
+                .unwrap();
                 let pre = d.req.expect("warn attaches the reports");
                 assert_eq!(
                     (pre.normal.render_json(), pre.faulty.render_json()),
