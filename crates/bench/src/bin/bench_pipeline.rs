@@ -10,14 +10,22 @@
 //! ```
 
 use difftrace::{
-    sweep_parallel_cached_rec, try_diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params,
-    PipelineOptions,
+    sweep, try_diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions,
 };
 use dt_cache::Cache;
 use dt_obs::Recorder;
 use dt_trace::FunctionRegistry;
 use std::sync::Arc;
 use workloads::{run_oddeven, OddEvenConfig};
+
+/// Sweep options: every core, sharing `cache`.
+fn all_cores(cache: Arc<Cache>) -> PipelineOptions {
+    PipelineOptions {
+        threads: 0,
+        cache: Some(cache),
+        ..PipelineOptions::default()
+    }
+}
 
 fn main() {
     let out = std::env::args()
@@ -67,14 +75,13 @@ fn main() {
     let mut sweeps = Vec::new();
     for pass in ["sweep_cold", "sweep_cached"] {
         let _s = dt_obs::stage(&rec, pass);
-        sweeps.push(sweep_parallel_cached_rec(
+        sweeps.push(sweep(
             &normal,
             &faulty,
             &filters,
             &AttrConfig::ALL,
             cluster::Method::Ward,
-            0,
-            Some(cache.clone()),
+            &all_cores(cache.clone()),
             &rec,
         ));
     }
@@ -100,26 +107,24 @@ fn main() {
     for _ in 0..5 {
         let cache = Arc::new(Cache::new());
         let t = std::time::Instant::now();
-        let cold = sweep_parallel_cached_rec(
+        let cold = sweep(
             &normal,
             &faulty,
             &filters,
             &AttrConfig::ALL,
             cluster::Method::Ward,
-            0,
-            Some(cache.clone()),
+            &all_cores(cache.clone()),
             &dt_obs::NOOP,
         );
         best_cold = best_cold.min(t.elapsed().as_nanos() as u64);
         let t = std::time::Instant::now();
-        let warm = sweep_parallel_cached_rec(
+        let warm = sweep(
             &normal,
             &faulty,
             &filters,
             &AttrConfig::ALL,
             cluster::Method::Ward,
-            0,
-            Some(cache),
+            &all_cores(cache),
             &dt_obs::NOOP,
         );
         best_cached = best_cached.min(t.elapsed().as_nanos() as u64);

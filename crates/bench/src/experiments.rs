@@ -5,7 +5,7 @@
 use crate::harness;
 use difftrace::{
     analyze, diff_runs, render_ranking, sweep, AttrConfig, AttrKind, DiffRun, FilterConfig,
-    FreqMode, KeepClass, Params, RankingRow,
+    FreqMode, KeepClass, Params, PipelineOptions, RankingRow,
 };
 use dt_trace::{FunctionRegistry, TraceId, TraceSetStats};
 use nlr::LoopTable;
@@ -61,7 +61,13 @@ pub fn e1_traces_and_nlr() -> String {
         },
     );
     let mut table = LoopTable::new();
-    let run = analyze(&set, &params, &mut table);
+    let run = analyze(
+        &set,
+        &params,
+        &mut table,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
+    );
     for id in &run.ids {
         let nlr = run.nlrs.get(*id).unwrap();
         let rendered = nlr.render(&|s| difftrace::filter::symbol_name(&set.registry, s));
@@ -90,7 +96,13 @@ fn walkthrough_analysis() -> (dt_trace::TraceSet, difftrace::AnalysisRun) {
         },
     );
     let mut table = LoopTable::new();
-    let run = analyze(&set, &params, &mut table);
+    let run = analyze(
+        &set,
+        &params,
+        &mut table,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
+    );
     (set, run)
 }
 
@@ -196,6 +208,8 @@ pub fn e5_ilcs_ompcrit() -> String {
         &harness::table_vi_filters(),
         &harness::all_attr_configs(),
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     let mut out = report_rows("Table VI: ranking, OpenMP unprotected-memcpy bug", &rows);
     // Figure 7a: diffNLR(6.4) under the mem+ompcrit+cust filter.
@@ -230,6 +244,8 @@ pub fn e6_ilcs_collsize() -> String {
         &harness::mpi_filters(),
         &harness::all_attr_configs(),
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     let mut out = report_rows(
         "Table VII: ranking, wrong collective size in process 2",
@@ -272,6 +288,8 @@ pub fn e7_ilcs_wrongop() -> String {
         &filters,
         &harness::all_attr_configs(),
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     let mut out = report_rows(
         "Table VIII: ranking, wrong collective operation in process 0",
@@ -404,6 +422,8 @@ pub fn e9_lulesh_ranking() -> String {
         &harness::lulesh_filters(),
         &attrs,
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     let mut out = report_rows(
         "Table IX: LULESH ranking (rank 2 skips LagrangeLeapFrog)",
@@ -558,6 +578,8 @@ pub fn e11_attribute_ablation() -> String {
         &[filter],
         &AttrConfig::EXTENDED,
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     let mut out = report_rows(
         "E11: attribute ablation (Table V + caller/callee) on the ILCS OpenMP bug",

@@ -96,41 +96,6 @@ impl NlrFold {
     }
 }
 
-/// A [`LoopInterner`] wrapper that records every intern result in call
-/// order — the generic sibling of [`nlr::RecordingInterner`], usable
-/// over a plain `&mut LoopTable` so the sequential pipeline can capture
-/// fold orders for caching.
-pub struct Recording<'a, I: LoopInterner> {
-    inner: &'a mut I,
-    order: Vec<LoopId>,
-}
-
-impl<'a, I: LoopInterner> Recording<'a, I> {
-    pub fn new(inner: &'a mut I) -> Recording<'a, I> {
-        Recording {
-            inner,
-            order: Vec::new(),
-        }
-    }
-
-    /// The recorded order (every intern call's result, duplicates
-    /// included).
-    pub fn into_order(self) -> Vec<LoopId> {
-        self.order
-    }
-}
-
-impl<I: LoopInterner> LoopInterner for Recording<'_, I> {
-    fn intern(&mut self, body: Vec<Element>) -> LoopId {
-        let id = self.inner.intern(body);
-        self.order.push(id);
-        id
-    }
-    fn body(&self, id: LoopId) -> &[Element] {
-        self.inner.body(id)
-    }
-}
-
 /// Convert one build result into its portable fold: `order` is the
 /// trace's recorded intern sequence (global IDs, duplicates allowed),
 /// `elements`/`input_len` the built summary, `body_of` resolves a
@@ -424,13 +389,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlr::{LoopTable, Nlr, NlrBuilder};
+    use nlr::{LoopTable, Nlr, NlrBuilder, RecordingInterner};
 
     /// Build `symbols` sequentially into `table`, recording the fold
     /// order, and return (summary, portable fold).
     fn build_and_fold(symbols: &[u32], table: &mut LoopTable) -> (Nlr, NlrFold) {
         let builder = NlrBuilder::new(10);
-        let mut rec = Recording::new(table);
+        let mut rec = RecordingInterner::new(&mut *table);
         let nlr = builder.build(symbols, &mut rec);
         let order = rec.into_order();
         let fold = fold_from_build(&order, nlr.elements(), nlr.input_len(), |id| {

@@ -1,9 +1,8 @@
 //! Command parsing and execution.
 
 use difftrace::{
-    checker, render_ranking, sweep_parallel_cached_rec, try_diff_runs, AnyChecker, AttrConfig,
-    AttrKind, CheckInput, FilterConfig, FreqMode, LintDomain, LintGate, LintOptions, Params,
-    PipelineOptions, CHECKERS,
+    checker, render_ranking, sweep, try_diff_runs, AnyChecker, AttrConfig, CheckInput,
+    FilterConfig, LintDomain, LintGate, LintOptions, Params, PipelineOptions, CHECKERS,
 };
 use dt_baseline::{evaluate, snapshot_rec, Baseline, Policy};
 use dt_cache::Cache;
@@ -80,6 +79,15 @@ fn usage_of(cmd: &str) -> String {
 
 fn unknown_option(flag: &str, cmd: &str) -> String {
     format!("unknown option `{flag}` for `{cmd}` ({})", usage_of(cmd))
+}
+
+/// A `--format` value: `text` or `json`.
+fn parse_format(format: String) -> Result<String, String> {
+    if format == "text" || format == "json" {
+        Ok(format)
+    } else {
+        Err(format!("unknown format `{format}` (text|json)"))
+    }
 }
 
 /// Duplicate-flag guard for the hand-rolled option loops. Every flag
@@ -804,11 +812,7 @@ fn filters(args: &[String]) -> Result<(), String> {
 fn single(args: &[String]) -> Result<(), String> {
     let mut seen = Seen::new("single");
     let mut path: Option<String> = None;
-    let mut filter = FilterConfig::everything(10);
-    let mut attrs = AttrConfig {
-        kind: AttrKind::Single,
-        freq: FreqMode::Actual,
-    };
+    let mut params = Params::default();
     let mut k = 0usize;
     let mut trace: Option<TraceId> = None;
     let mut cache_dir: Option<PathBuf> = None;
@@ -823,11 +827,11 @@ fn single(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--filter" => {
                 seen.check("--filter")?;
-                filter = value("--filter")?.parse()?;
+                params.filter = value("--filter")?.parse()?;
             }
             "--attrs" => {
                 seen.check("--attrs")?;
-                attrs = value("--attrs")?.parse()?;
+                params.attrs = value("--attrs")?.parse()?;
             }
             "--k" => {
                 seen.check("--k")?;
@@ -872,7 +876,6 @@ fn single(args: &[String]) -> Result<(), String> {
             Some(id) => load_one_trace(&path, id, rec)?,
         }
     };
-    let params = difftrace::Params::new(filter, attrs);
     let popts = PipelineOptions {
         cache: cache.clone(),
         ..PipelineOptions::default()
@@ -908,10 +911,7 @@ fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
         match a.as_str() {
             "--format" => {
                 seen.check("--format")?;
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}` (text|json)").into());
-                }
+                format = parse_format(value("--format")?)?;
             }
             "--gate" => {
                 seen.check("--gate")?;
@@ -1036,9 +1036,14 @@ fn check_render(
     Ok((out, errors))
 }
 
+/// The options of `diff`, `export` and `sweep`, which share one
+/// parser; each command accepts only the flags it reads
+/// ([`accepts_flag`]).
 struct DiffOpts {
     normal: String,
     faulty: String,
+    /// `export`'s third positional; empty for `diff` and `sweep`.
+    outdir: String,
     filters: Vec<FilterConfig>,
     attrs: Vec<AttrConfig>,
     linkage: cluster::Method,
@@ -1046,11 +1051,46 @@ struct DiffOpts {
     jobs: usize,
     threads: usize,
     full: bool,
-    /// The checker gates (`--gate`, `--hb`, `--race`, `--req`); the
-    /// pipeline's other options are filled in by the caller.
-    gates: PipelineOptions,
+    /// The checker gates (`--gate`, `--hb`, `--race`, `--req`), keyed
+    /// by checker name.
+    gates: std::collections::BTreeMap<&'static str, LintGate>,
     cache: Option<PathBuf>,
     obs: ObsOpts,
+}
+
+impl DiffOpts {
+    /// The one parameter combination of `diff` and `export`: the
+    /// `--filter`/`--attrs` given, the defaults otherwise.
+    fn params(&self) -> Params {
+        let default = Params::default();
+        Params {
+            filter: self.filters.first().cloned().unwrap_or(default.filter),
+            attrs: self.attrs.first().copied().unwrap_or(default.attrs),
+            linkage: self.linkage,
+        }
+    }
+}
+
+/// The flags `diff`, `export` and `sweep` all read.
+const SHARED_FLAGS: [&str; 6] = [
+    "--filter",
+    "--attrs",
+    "--linkage",
+    "--cache",
+    "--profile",
+    "--metrics",
+];
+
+/// Whether `cmd` (`diff`, `export` or `sweep`) reads `flag`.
+fn accepts_flag(cmd: &str, flag: &str) -> bool {
+    let own: &[&str] = match cmd {
+        "diff" => &["--diffnlr", "--threads", "--full"],
+        "export" => &["--threads"],
+        _ => &["--jobs"],
+    };
+    SHARED_FLAGS.contains(&flag)
+        || own.contains(&flag)
+        || (cmd == "diff" && CHECKERS.iter().any(|c| c.diff_flag() == flag))
 }
 
 fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
@@ -1066,7 +1106,7 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
     let mut jobs = 0usize;
     let mut threads = 0usize;
     let mut full = false;
-    let mut gates = PipelineOptions::default();
+    let mut gates = std::collections::BTreeMap::new();
     let mut cache = None;
     let mut obs = ObsOpts::default();
     let mut it = args.iter();
@@ -1076,9 +1116,12 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
+        if a.starts_with("--") && !accepts_flag(cmd, a) {
+            return Err(unknown_option(a, cmd));
+        }
         if let Some(c) = CHECKERS.iter().find(|c| c.diff_flag() == a) {
             seen.check(c.diff_flag())?;
-            *c.gate_mut(&mut gates) = LintGate::parse(&value(c.diff_flag())?)?;
+            gates.insert(c.name(), LintGate::parse(&value(c.diff_flag())?)?);
             continue;
         }
         match a.as_str() {
@@ -1096,11 +1139,7 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
             }
             "--linkage" => {
                 seen.check("--linkage")?;
-                let name = value("--linkage")?;
-                linkage = cluster::Method::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .ok_or_else(|| format!("unknown linkage `{name}`"))?;
+                linkage = value("--linkage")?.parse()?;
             }
             "--diffnlr" => {
                 seen.check("--diffnlr")?;
@@ -1137,16 +1176,18 @@ fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
                 seen.check("--metrics")?;
                 obs.metrics = Some(PathBuf::from(value("--metrics")?));
             }
-            other if other.starts_with("--") => return Err(unknown_option(other, cmd)),
             other => positional.push(other.to_string()),
         }
     }
-    let [normal, faulty] = positional.as_slice() else {
-        return Err(usage_of(cmd));
+    let (normal, faulty, outdir) = match (cmd, positional.as_slice()) {
+        ("export", [n, f, out]) => (n, f, out.clone()),
+        (_, [n, f]) if cmd != "export" => (n, f, String::new()),
+        _ => return Err(usage_of(cmd)),
     };
     Ok(DiffOpts {
         normal: normal.clone(),
         faulty: faulty.clone(),
+        outdir,
         filters,
         attrs,
         linkage,
@@ -1173,34 +1214,21 @@ fn diff_cmd(args: &[String]) -> Result<(), CliError> {
         let _s = stage(rec, "load");
         load_full(&opts.faulty)?
     };
-    let filter = opts
-        .filters
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| FilterConfig::everything(10));
-    let attrs = opts.attrs.into_iter().next().unwrap_or(AttrConfig {
-        kind: AttrKind::Single,
-        freq: FreqMode::Actual,
-    });
-    let params = Params {
-        filter,
-        attrs,
-        linkage: opts.linkage,
+    let params = opts.params();
+    let popts = PipelineOptions {
+        threads: opts.threads,
+        gates: opts.gates,
+        cache: cache.clone(),
     };
     let have_logs = normal_hb.world_size() > 0 && faulty_hb.world_size() > 0;
     for c in CHECKERS.iter().filter(|c| c.needs_hb() && !have_logs) {
-        if c.gate(&opts.gates) != LintGate::Off {
+        if popts.gate(c.name()) != LintGate::Off {
             eprintln!(
                 "note: {} ignored — the inputs carry no happens-before section",
                 c.diff_flag()
             );
         }
     }
-    let popts = PipelineOptions {
-        threads: opts.threads,
-        cache: cache.clone(),
-        ..opts.gates
-    };
     let hb_logs = have_logs.then_some((&normal_hb, &faulty_hb));
     let d = match try_diff_runs(&normal, &faulty, hb_logs, &params, &popts, rec) {
         Ok(d) => d,
@@ -1287,9 +1315,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
     let mut seen = Seen::new("fleet");
     let mut positional = Vec::new();
     let mut suspect: Option<String> = None;
-    let mut filter: Option<FilterConfig> = None;
-    let mut attrs: Option<AttrConfig> = None;
-    let mut linkage = cluster::Method::Ward;
+    let mut params = Params::default();
     let mut threads = 0usize;
     let mut format = "text".to_string();
     let mut gate = LintGate::Off;
@@ -1309,19 +1335,15 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
             }
             "--filter" => {
                 seen.check("--filter")?;
-                filter = Some(value("--filter")?.parse::<FilterConfig>()?);
+                params.filter = value("--filter")?.parse()?;
             }
             "--attrs" => {
                 seen.check("--attrs")?;
-                attrs = Some(value("--attrs")?.parse::<AttrConfig>()?);
+                params.attrs = value("--attrs")?.parse()?;
             }
             "--linkage" => {
                 seen.check("--linkage")?;
-                let name = value("--linkage")?;
-                linkage = cluster::Method::ALL
-                    .into_iter()
-                    .find(|m| m.name() == name)
-                    .ok_or_else(|| format!("unknown linkage `{name}`"))?;
+                params.linkage = value("--linkage")?.parse()?;
             }
             "--threads" => {
                 seen.check("--threads")?;
@@ -1329,7 +1351,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
             }
             "--format" => {
                 seen.check("--format")?;
-                format = value("--format")?;
+                format = parse_format(value("--format")?)?;
             }
             "--gate" => {
                 seen.check("--gate")?;
@@ -1367,14 +1389,6 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
     let cache = open_cache(cache_dir.as_ref())?;
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let params = Params {
-        filter: filter.unwrap_or_else(|| FilterConfig::everything(10)),
-        attrs: attrs.unwrap_or(AttrConfig {
-            kind: AttrKind::Single,
-            freq: FreqMode::Actual,
-        }),
-        linkage,
-    };
     let opts = difftrace::FleetOptions {
         threads,
         cache: cache.clone(),
@@ -1591,28 +1605,7 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
 }
 
 fn export(args: &[String]) -> Result<(), String> {
-    let mut rest = Vec::new();
-    let mut outdir = None;
-    // Reuse the diff option parser by peeling off the third positional.
-    let mut positional_seen = 0;
-    for a in args {
-        if !a.starts_with("--") && positional_seen == 2 && outdir.is_none() {
-            outdir = Some(a.clone());
-            continue;
-        }
-        if !a.starts_with("--")
-            && rest
-                .iter()
-                .filter(|x: &&String| !x.starts_with("--"))
-                .count()
-                < 2
-        {
-            positional_seen += 1;
-        }
-        rest.push(a.clone());
-    }
-    let outdir = outdir.ok_or_else(|| usage_of("export"))?;
-    let opts = parse_opts(&rest, "export")?;
+    let opts = parse_opts(args, "export")?;
     let cache = open_cache(opts.cache.as_ref())?;
     let live = MetricsRecorder::new();
     let rec = opts.obs.recorder(&live);
@@ -1624,20 +1617,9 @@ fn export(args: &[String]) -> Result<(), String> {
         let _s = stage(rec, "load");
         load(&opts.faulty)?
     };
-    let params = difftrace::Params {
-        filter: opts
-            .filters
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| FilterConfig::everything(10)),
-        attrs: opts.attrs.into_iter().next().unwrap_or(AttrConfig {
-            kind: AttrKind::Single,
-            freq: FreqMode::Actual,
-        }),
-        linkage: opts.linkage,
-    };
-    // Gates stay off for export (as before); with them off the
-    // pipeline cannot deny.
+    let params = opts.params();
+    // Export takes no gate flags; with every gate off the pipeline
+    // cannot deny.
     let Ok(d) = try_diff_runs(
         &normal,
         &faulty,
@@ -1652,7 +1634,8 @@ fn export(args: &[String]) -> Result<(), String> {
         unreachable!("gates are off");
     };
     report_cache(cache.as_ref(), rec);
-    let dir = PathBuf::from(&outdir);
+    let outdir = &opts.outdir;
+    let dir = PathBuf::from(outdir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {outdir}: {e}"))?;
     let write = |name: &str, content: String| -> Result<(), String> {
         write_file_atomic(&dir.join(name), content.as_bytes()).map_err(|e| format!("{name}: {e}"))
@@ -1709,14 +1692,18 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
     } else {
         opts.attrs
     };
-    let rows = sweep_parallel_cached_rec(
+    let popts = PipelineOptions {
+        threads: opts.jobs,
+        cache: cache.clone(),
+        ..PipelineOptions::default()
+    };
+    let rows = sweep(
         &normal,
         &faulty,
         &filters,
         &attrs,
         opts.linkage,
-        opts.jobs,
-        cache.clone(),
+        &popts,
         rec,
     );
     print!("{}", render_ranking(&rows));
@@ -1772,11 +1759,7 @@ fn load_policy(path: Option<&PathBuf>) -> Result<Policy, String> {
 fn baseline_record(args: &[String]) -> Result<(), String> {
     let mut seen = Seen::new("baseline record");
     let mut positional = Vec::new();
-    let mut filter = FilterConfig::everything(10);
-    let mut attrs = AttrConfig {
-        kind: AttrKind::Single,
-        freq: FreqMode::Actual,
-    };
+    let mut params = Params::default();
     let mut threads = 0usize;
     let mut cache_dir: Option<PathBuf> = None;
     let mut force = false;
@@ -1791,11 +1774,11 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
         match a.as_str() {
             "--filter" => {
                 seen.check("--filter")?;
-                filter = value("--filter")?.parse()?;
+                params.filter = value("--filter")?.parse()?;
             }
             "--attrs" => {
                 seen.check("--attrs")?;
-                attrs = value("--attrs")?.parse()?;
+                params.attrs = value("--attrs")?.parse()?;
             }
             "--threads" => {
                 seen.check("--threads")?;
@@ -1839,7 +1822,6 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
         let _s = stage(rec, "load");
         load_full(run)?
     };
-    let params = Params::new(filter, attrs);
     let popts = PipelineOptions {
         threads,
         cache: cache.clone(),
@@ -1896,10 +1878,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             }
             "--format" => {
                 seen.check("--format")?;
-                format = value("--format")?;
-                if format != "text" && format != "json" {
-                    return Err(format!("unknown format `{format}` (text|json)").into());
-                }
+                format = parse_format(value("--format")?)?;
             }
             "--threads" => {
                 seen.check("--threads")?;
@@ -2102,8 +2081,6 @@ mod tests {
                 "average",
                 "--diffnlr",
                 "6.4",
-                "--jobs",
-                "3",
                 "--threads",
                 "4",
             ]),
@@ -2116,8 +2093,9 @@ mod tests {
         assert_eq!(o.attrs.len(), 1);
         assert_eq!(o.linkage.name(), "average");
         assert_eq!(o.diffnlr, Some(TraceId::new(6, 4)));
-        assert_eq!(o.jobs, 3);
         assert_eq!(o.threads, 4);
+        let o = parse_opts(&s(&["n.dtts", "f.dtts", "--jobs", "3"]), "sweep").unwrap();
+        assert_eq!(o.jobs, 3);
     }
 
     #[test]
@@ -2127,6 +2105,7 @@ mod tests {
         assert!(parse_opts(&s(&["a", "b", "--linkage", "quantum"]), "diff").is_err());
         assert!(parse_opts(&s(&["a", "b", "--bogus"]), "diff").is_err());
         assert!(parse_opts(&s(&["a", "b", "--diffnlr", "64"]), "diff").is_err());
+        assert!(parse_opts(&s(&["a", "b", "--jobs", "3"]), "diff").is_err());
     }
 
     #[test]

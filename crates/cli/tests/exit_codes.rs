@@ -89,6 +89,13 @@ fn exit_codes_for_every_subcommand() {
             "11.mpiall.K10",
         ],
     );
+    // Flags may sit anywhere among export's three positionals.
+    let exp = dir.join("artifacts-mid");
+    let exp = exp.to_str().unwrap();
+    assert_exit(0, &["export", &n, &f, "--filter", "11.mpiall.K10", exp]);
+    let exp = dir.join("artifacts-first");
+    let exp = exp.to_str().unwrap();
+    assert_exit(0, &["export", "--filter", "11.mpiall.K10", &n, &f, exp]);
     assert_exit(
         0,
         &[
@@ -128,6 +135,10 @@ fn exit_codes_for_every_subcommand() {
     assert_exit(2, &["diff", &n, &f, "--filter", "a", "--filter", "b"]);
     assert_exit(2, &["export", &n, &f]); // missing outdir
     assert_exit(2, &["sweep", &n, &f, "--jobs", "1", "--jobs", "2"]);
+    // A flag the command would ignore is refused, never a silent pass.
+    assert_exit(2, &["diff", &n, &f, "--jobs", "7"]);
+    assert_exit(2, &["export", &n, &f, out, "--gate", "deny", "--full"]);
+    assert_exit(2, &["sweep", &n, &f, "--hb", "deny", "--threads", "8"]);
     assert_exit(2, &["baseline"]); // missing action
     assert_exit(2, &["baseline", "frobnicate"]);
     assert_exit(2, &["baseline", "record", &sn]); // missing out
@@ -286,6 +297,16 @@ fn fleet_exit_codes_and_diagnoses() {
     assert_exit(2, &["fleet", &run0]); // needs at least 2 runs
     assert_exit(2, &["fleet", &run0, &run1, "--suspect", "nope"]);
     assert_exit(2, &["fleet", &run0, &run1, "--format", "xml"]);
+    // The format is checked before any run is loaded.
+    let (code, _, stderr) = run(&[
+        "fleet",
+        "/nonexistent/a.dtts",
+        "/nonexistent/b.dtts",
+        "--format",
+        "xml",
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown format `xml`"), "{stderr}");
     assert_exit(2, &["fleet", &run0, &run1, "--bogus"]);
     // A ragged fleet (different world size → different trace set) is
     // a diagnosed refusal naming the run — never a panic.

@@ -67,7 +67,7 @@ impl std::str::FromStr for Method {
         Method::ALL
             .into_iter()
             .find(|m| m.name() == name)
-            .ok_or_else(|| format!("unknown linkage method `{name}`"))
+            .ok_or_else(|| format!("unknown linkage `{name}`"))
     }
 }
 

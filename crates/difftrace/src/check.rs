@@ -15,7 +15,7 @@
 use crate::filter::{FilteredSet, FilteredTrace};
 use crate::lint::LintOptions;
 use crate::nlr_stage::NlrSet;
-use crate::pipeline::{build_nlrs, DiffRun, PipelineOptions};
+use crate::pipeline::{DiffRun, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
 use dt_obs::{stage_owned, Recorder};
 use dt_trace::hb::HbLog;
@@ -142,7 +142,9 @@ impl RawFold {
                 .collect(),
         };
         let mut table = LoopTable::new();
-        let (nlrs, folds) = build_nlrs(&streams, k, &mut table, threads, None, None);
+        let (nlrs, folds) = NlrSet::fold(&[(&streams, None)], k, &mut table, threads)
+            .pop()
+            .expect("one set folded");
         if rec.enabled() {
             rec.add(&format!("{name}_folds"), folds);
         }
@@ -222,10 +224,6 @@ pub trait Checker: Sync + Sized {
         Vec::new()
     }
 
-    /// This checker's pre-pass gate.
-    fn gate(opts: &PipelineOptions) -> LintGate;
-    /// This checker's pre-pass gate, for setting it.
-    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate;
     /// This checker's pre-pass results on a finished diff.
     fn attached(run: &DiffRun) -> Option<&PrePass<Self>>;
 }
@@ -306,7 +304,7 @@ impl<C: Checker> PrePass<C> {
         opts: &PipelineOptions,
         rec: &dyn Recorder,
     ) -> Result<Option<PrePass<C>>, DiffDenied> {
-        let gate = C::gate(opts);
+        let gate = opts.gate(C::NAME);
         if gate == LintGate::Off || (C::NEEDS_HB && normal.hb.is_none()) {
             return Ok(None);
         }
@@ -386,10 +384,6 @@ pub trait AnyChecker: Sync {
     fn lint_options(&self) -> bool;
     /// [`Checker::run`], with the report's code type erased.
     fn check(&self, input: &CheckInput, opts: &LintOptions, rec: &dyn Recorder) -> Report<AnyCode>;
-    /// [`Checker::gate`].
-    fn gate(&self, opts: &PipelineOptions) -> LintGate;
-    /// [`Checker::gate_mut`].
-    fn gate_mut<'o>(&self, opts: &'o mut PipelineOptions) -> &'o mut LintGate;
     /// The attached pre-pass reports of `run` as the CLI prints them on
     /// stderr; empty when the pass did not run or found nothing.
     fn findings(&self, run: &DiffRun) -> String;
@@ -413,12 +407,6 @@ impl<C: Checker> AnyChecker for C {
     }
     fn check(&self, input: &CheckInput, opts: &LintOptions, rec: &dyn Recorder) -> Report<AnyCode> {
         self.run(input, opts, rec).erase()
-    }
-    fn gate(&self, opts: &PipelineOptions) -> LintGate {
-        C::gate(opts)
-    }
-    fn gate_mut<'o>(&self, opts: &'o mut PipelineOptions) -> &'o mut LintGate {
-        C::gate_mut(opts)
     }
     fn findings(&self, run: &DiffRun) -> String {
         match C::attached(run) {
@@ -638,7 +626,7 @@ mod tests {
 
     fn gated(c: &dyn AnyChecker, gate: LintGate) -> PipelineOptions {
         let mut opts = PipelineOptions::default();
-        *c.gate_mut(&mut opts) = gate;
+        opts.gates.insert(c.name(), gate);
         opts
     }
 

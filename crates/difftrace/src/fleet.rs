@@ -44,7 +44,7 @@
 
 use crate::attributes::mine;
 use crate::filter::symbol_name;
-use crate::pipeline::{align_filtered, build_nlrs, nlr_cache_keys, Params};
+use crate::pipeline::{fold_runs, Folded, Params};
 use crate::sync::{effective_threads, par_map_obs};
 use cluster::{fcluster_maxclust, linkage, CondensedMatrix};
 use dt_cache::Cache;
@@ -548,26 +548,25 @@ fn mine_run(
     rec: &dyn Recorder,
 ) -> Vec<Vec<(String, f64)>> {
     let threads = effective_threads(opts.threads, universe.len());
-    let aligned = {
-        let _s = stage(rec, "fleet_filter");
-        align_filtered(set, params, universe)
-    };
-    let keys: Option<Vec<u128>> = opts
-        .cache
-        .as_ref()
-        .map(|_| nlr_cache_keys(set, &aligned, params.filter.nlr_k));
     let mut table = LoopTable::new();
-    let (nlrs, folds) = {
-        let _s = stage(rec, "fleet_nlr");
-        build_nlrs(
-            &aligned,
-            params.filter.nlr_k,
-            &mut table,
-            threads,
-            opts.cache.as_deref(),
-            keys.as_deref(),
-        )
-    };
+    let stages = ["fleet_filter", "fleet_nlr"];
+    let cache = opts.cache.as_deref();
+    let mut folded = fold_runs(
+        &[set],
+        params,
+        universe,
+        &mut table,
+        threads,
+        cache,
+        rec,
+        stages,
+    );
+    let Folded {
+        aligned,
+        nlrs,
+        folds,
+        ..
+    } = folded.pop().expect("one run folded");
     if rec.enabled() {
         rec.add("nlr_folds", folds);
     }
@@ -592,14 +591,9 @@ fn mine_run(
 
     let shift = |id: LoopId| LoopId(id.0 + LOOP_TOKEN_BASE);
     let _s = stage(rec, "fleet_mine");
-    par_map_obs(universe, threads, rec, "fleet_mine", |_i, id| {
+    par_map_obs(universe, threads, rec, "fleet_mine", |i, id| {
         let nlr = nlrs.get(*id).expect("aligned");
-        let symbols: &[u32] = aligned
-            .traces
-            .iter()
-            .find(|t| t.id == *id)
-            .map(|t| t.symbols.as_slice())
-            .unwrap_or(&[]);
+        let symbols = &aligned.traces[i].symbols;
         let raw = mine(symbols, &nlr.remap_loops(&shift), params.attrs, &name);
         let mut agg: BTreeMap<String, f64> = BTreeMap::new();
         for (key, w) in raw {

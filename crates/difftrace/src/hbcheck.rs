@@ -8,8 +8,8 @@
 //! cycles become the divergence causes of `diffNLR` views (see
 //! [`crate::check::Checker::causes`]).
 
-use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
-use crate::pipeline::{DiffRun, PipelineOptions};
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
+use crate::pipeline::DiffRun;
 use ::hbcheck::compressed::Summarizer;
 use ::hbcheck::{expanded, HbCode, HbReport, TraceProgress, WaitForGraph};
 use dt_trace::hb::HbLog;
@@ -61,14 +61,6 @@ impl Checker for HbCheck {
             .into_iter()
             .zip(messages)
             .collect()
-    }
-
-    fn gate(opts: &PipelineOptions) -> LintGate {
-        opts.hb
-    }
-
-    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
-        &mut opts.hb
     }
 
     fn attached(run: &DiffRun) -> Option<&PrePass<HbCheck>> {

@@ -21,17 +21,21 @@
 //!        [ranking]  suspicious-trace tables   [diffnlr]  diffNLR views
 //! ```
 //!
-//! Entry points:
+//! Entry points — one function per analysis, each taking its execution
+//! options ([`PipelineOptions`]: threads, checker gates, cache) and a
+//! [`dt_obs::Recorder`] where it has any:
 //!
 //! * [`Params`] bundles one parameter combination (filter, attributes,
 //!   linkage, NLR K) — the "dashed box" of the paper's Figure 1.
 //! * [`analyze`] runs filter → NLR → FCA → JSM for one execution.
-//! * [`diff_runs`] analyzes a (normal, faulty) pair, computes `JSM_D`,
-//!   the B-score, and the suspicious-trace ranking.
+//! * [`try_diff_runs`] analyzes a (normal, faulty) pair behind the
+//!   checker pre-passes, computes `JSM_D`, the B-score, and the
+//!   suspicious-trace ranking; [`diff_runs`] and [`diff_runs_opts`] are
+//!   its shorthands for ungated runs.
 //! * [`sweep`] iterates a parameter grid producing the paper's ranking
 //!   tables (Tables VI–IX).
+//! * [`analyze_single_opts_rec`] is the no-reference mode of §II-A.
 //! * [`DiffNlr`] renders the diffNLR visualization (Figures 5–7).
-//! * [`analyze_single`] is the no-reference mode of §II-A.
 //!
 //! # Example
 //!
@@ -116,15 +120,10 @@ pub type RaceOptions = CheckOptions;
 pub type ReqOptions = CheckOptions;
 
 pub use pipeline::{
-    analyze, analyze_aligned_rec, analyze_opts, content_fingerprints, diff_runs, diff_runs_opts,
-    try_diff_runs, AnalysisRun, DiffRun, Params, PipelineOptions,
+    analyze, content_fingerprints, diff_runs, diff_runs_opts, try_diff_runs, AnalysisRun, DiffRun,
+    Params, PipelineOptions,
 };
-pub use ranking::{
-    render_ranking, sweep, sweep_cached, sweep_parallel, sweep_parallel_cached_rec,
-    sweep_parallel_rec, RankingRow,
-};
+pub use ranking::{render_ranking, sweep, RankingRow};
 pub use recording::record_masters;
 pub use report::{generate as generate_report, ReportOptions};
-pub use single_run::{
-    analyze_single, analyze_single_opts_rec, analyze_single_rec, SingleRunReport,
-};
+pub use single_run::{analyze_single_opts_rec, SingleRunReport};

@@ -7,12 +7,9 @@
 //! fit per-trace facts, so lint implements the whole run step itself
 //! on top of the shared fold and per-trace dispatch.
 
-use crate::attributes::{AttrConfig, AttrKind, FreqMode};
-use crate::check::{
-    trace_facts, CheckInput, CheckOptions, Checker, LintDomain, LintGate, PrePass, RawFold,
-};
+use crate::check::{trace_facts, CheckInput, CheckOptions, Checker, LintDomain, PrePass, RawFold};
 use crate::filter::{table_i_catalog, ClassProbe, FilterConfig};
-use crate::pipeline::{analyze_opts, DiffRun, Params, PipelineOptions};
+use crate::pipeline::{analyze, DiffRun, Params, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
 use dt_obs::Recorder;
 use dt_trace::{FunctionRegistry, Trace, TraceId, TraceSet};
@@ -162,14 +159,6 @@ impl Checker for Lint {
         LintReport::new(diags)
     }
 
-    fn gate(opts: &PipelineOptions) -> LintGate {
-        opts.lint
-    }
-
-    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
-        &mut opts.lint
-    }
-
     fn attached(run: &DiffRun) -> Option<&PrePass<Lint>> {
         run.lint.as_ref()
     }
@@ -258,26 +247,19 @@ fn probe_diag(probe: &ClassProbe, corpus: usize) -> Vec<Diagnostic> {
 /// TL006 (deep): run the front half of the pipeline and check the
 /// Godin postconditions of the resulting concept lattice.
 fn deep_lattice_diags(set: &TraceSet, opts: &LintOptions, k: usize) -> Vec<Diagnostic> {
-    let filter = opts
-        .filter
-        .clone()
-        .unwrap_or_else(|| FilterConfig::everything(k));
-    let params = Params::new(
-        filter,
-        AttrConfig {
-            kind: AttrKind::Single,
-            freq: FreqMode::Actual,
-        },
-    );
-    let mut table = LoopTable::new();
-    let run = analyze_opts(
+    let params = Params {
+        filter: opts
+            .filter
+            .clone()
+            .unwrap_or_else(|| FilterConfig::everything(k)),
+        ..Params::default()
+    };
+    let run = analyze(
         set,
         &params,
-        &mut table,
-        &PipelineOptions {
-            threads: opts.threads,
-            ..PipelineOptions::default()
-        },
+        &mut LoopTable::new(),
+        &PipelineOptions::with_threads(opts.threads),
+        &dt_obs::NOOP,
     );
     rules::check_lattice(&run.lattice, &run.context)
 }

@@ -1,4 +1,7 @@
-//! Running NLR summarization over a filtered execution.
+//! Running NLR summarization over a filtered execution: the one
+//! per-trace fold (`fold_trace`, cache-aware) and its two drivers —
+//! sequential into a [`LoopTable`], parallel into a [`SharedLoopTable`]
+//! with canonical replay — behind `NlrSet::fold`.
 //!
 //! One [`nlr::LoopTable`] is shared by **all** traces of an analysis —
 //! including both the normal and the faulty execution of a diff — so a
@@ -6,14 +9,15 @@
 //! the paper's Tables III/IV and diffNLR figures.
 
 use crate::filter::FilteredSet;
+use crate::sync::par_map;
 use dt_cache::Cache;
 use dt_trace::TraceId;
-use nlr::{LoopId, LoopTable, Nlr, NlrBuilder, RecordingInterner, SharedLoopTable};
+use nlr::{LoopId, LoopInterner, LoopTable, Nlr, NlrBuilder, RecordingInterner, SharedLoopTable};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// NLR summaries of one execution's filtered traces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NlrSet {
     /// Per-trace summaries.
     pub nlrs: BTreeMap<TraceId, Nlr>,
@@ -21,28 +25,48 @@ pub struct NlrSet {
     pub truncated: BTreeMap<TraceId, bool>,
 }
 
+/// One set of filtered traces to fold, with its per-trace cache keys
+/// (aligned with `traces`) when a [`Cache`] is in use.
+pub(crate) type FoldInput<'a> = (&'a FilteredSet, Option<(&'a Cache, &'a [u128])>);
+
+/// The one per-trace NLR fold. With a cache, a hit replays the stored
+/// fold into `interner` — re-interning the trace's bodies in its own
+/// first-fold order, exactly the intern sequence a cold build issues,
+/// so loop numbering is byte-identical either way — and a miss builds
+/// and stores the fold. Returns the summary, the trace's fold order
+/// (every intern result, in call order) and whether the builder ran.
+fn fold_trace<I: LoopInterner>(
+    k: usize,
+    symbols: &[u32],
+    interner: I,
+    cached: Option<(&Cache, u128)>,
+) -> (Nlr, Vec<LoopId>, bool) {
+    let mut rec = RecordingInterner::new(interner);
+    if let Some(fold) = cached.and_then(|(cache, key)| cache.get_nlr(key)) {
+        let nlr = Nlr::from_parts(dt_cache::replay(&fold, &mut rec), fold.input_len);
+        return (nlr, rec.into_order(), false);
+    }
+    let nlr = NlrBuilder::new(k).build(symbols, &mut rec);
+    if let Some((cache, key)) = cached {
+        let fold = dt_cache::fold_from_build(rec.order(), nlr.elements(), nlr.input_len(), |id| {
+            rec.body(id).to_vec()
+        });
+        cache.put_nlr(key, Arc::new(fold));
+    }
+    (nlr, rec.into_order(), true)
+}
+
 impl NlrSet {
     /// Summarize every trace of `set` with body bound `k`, interning
     /// loops into the shared `table`.
     pub fn build(set: &FilteredSet, k: usize, table: &mut LoopTable) -> NlrSet {
-        let builder = NlrBuilder::new(k);
-        let mut nlrs = BTreeMap::new();
-        let mut truncated = BTreeMap::new();
-        for t in &set.traces {
-            nlrs.insert(t.id, builder.build(&t.symbols, table));
-            truncated.insert(t.id, t.truncated);
-        }
-        NlrSet { nlrs, truncated }
+        NlrSet::fold_sequential((set, None), k, table).0
     }
 
     /// [`NlrSet::build`] through a [`Cache`]: each trace's fold is
     /// looked up by its content key (`keys`, aligned with `set.traces`)
-    /// and replayed into `table` on a hit — skipping the builder — or
-    /// built and stored on a miss. Replay re-interns the trace's bodies
-    /// in its own first-fold order, which is exactly the intern sequence
-    /// a cold build would issue, so loop numbering (and therefore every
-    /// downstream label) is byte-identical either way. Returns the set
-    /// plus the number of actual builder invocations.
+    /// and replayed on a hit or built and stored on a miss. Returns the
+    /// set plus the number of actual builder invocations.
     pub fn build_cached(
         set: &FilteredSet,
         k: usize,
@@ -50,123 +74,79 @@ impl NlrSet {
         cache: &Cache,
         keys: &[u128],
     ) -> (NlrSet, u64) {
-        let builder = NlrBuilder::new(k);
-        let mut nlrs = BTreeMap::new();
-        let mut truncated = BTreeMap::new();
-        let mut folds = 0u64;
-        for (t, &key) in set.traces.iter().zip(keys) {
-            let nlr = match cache.get_nlr(key) {
-                Some(fold) => Nlr::from_parts(dt_cache::replay(&fold, table), fold.input_len),
-                None => {
-                    folds += 1;
-                    let mut rec = dt_cache::Recording::new(table);
-                    let nlr = builder.build(&t.symbols, &mut rec);
-                    let order = rec.into_order();
-                    let fold =
-                        dt_cache::fold_from_build(&order, nlr.elements(), nlr.input_len(), |id| {
-                            table.body(id).to_vec()
-                        });
-                    cache.put_nlr(key, Arc::new(fold));
-                    nlr
-                }
-            };
-            nlrs.insert(t.id, nlr);
-            truncated.insert(t.id, t.truncated);
-        }
-        (NlrSet { nlrs, truncated }, folds)
+        NlrSet::fold_sequential((set, Some((cache, keys))), k, table)
     }
 
-    /// Summarize every trace of `set` on up to `threads` threads,
-    /// interning into the concurrent `shared` table. The resulting
-    /// summaries carry **provisional** loop IDs (scheduling-dependent);
-    /// also returned are the per-trace fold orders, in `set.traces`
-    /// order, which [`SharedLoopTable::canonicalize_into`] replays to
-    /// renumber deterministically — after which [`NlrSet::remap`]
-    /// rewrites the summaries. NLR folding decisions are independent of
-    /// the interner's numbering, so the structures are identical to a
-    /// sequential build.
-    pub fn build_shared(
-        set: &FilteredSet,
+    /// Fold `sets` into `table` on up to `threads` workers: the
+    /// sequential driver at one thread, the parallel one otherwise.
+    /// Either way the numbering is that of folding set 0, then set 1, …
+    /// in trace order. Returns each set with its builder-invocation
+    /// count.
+    pub(crate) fn fold(
+        sets: &[FoldInput],
         k: usize,
-        shared: &SharedLoopTable,
+        table: &mut LoopTable,
         threads: usize,
-    ) -> (NlrSet, Vec<Vec<LoopId>>) {
-        let builder = NlrBuilder::new(k);
-        let built = crate::sync::par_map(&set.traces, threads, |_, t| {
-            let mut rec = RecordingInterner::new(shared);
-            let nlr = builder.build(&t.symbols, &mut rec);
-            (t.id, nlr, t.truncated, rec.into_order())
-        });
-        let mut nlrs = BTreeMap::new();
-        let mut truncated = BTreeMap::new();
-        let mut orders = Vec::with_capacity(built.len());
-        for (id, nlr, trunc, order) in built {
-            nlrs.insert(id, nlr);
-            truncated.insert(id, trunc);
-            orders.push(order);
+    ) -> Vec<(NlrSet, u64)> {
+        if threads <= 1 {
+            sets.iter()
+                .map(|&input| NlrSet::fold_sequential(input, k, table))
+                .collect()
+        } else {
+            NlrSet::fold_parallel(sets, k, table, threads)
         }
-        (NlrSet { nlrs, truncated }, orders)
     }
 
-    /// [`NlrSet::build_shared`] through a [`Cache`]: per-trace lookups
-    /// as in [`NlrSet::build_cached`], but hits replay into the
-    /// concurrent `shared` table through a [`RecordingInterner`], so the
-    /// replayed interns appear in the trace's fold order exactly like a
-    /// cold parallel build's — the subsequent canonical renumbering is
-    /// oblivious to which traces hit. Returns the provisional set, the
-    /// per-trace fold orders, and the number of builder invocations.
-    pub fn build_shared_cached(
-        set: &FilteredSet,
-        k: usize,
-        shared: &SharedLoopTable,
-        threads: usize,
-        cache: &Cache,
-        keys: &[u128],
-    ) -> (NlrSet, Vec<Vec<LoopId>>, u64) {
-        let builder = NlrBuilder::new(k);
-        let built = crate::sync::par_map(&set.traces, threads, |i, t| {
-            let mut rec = RecordingInterner::new(shared);
-            match cache.get_nlr(keys[i]) {
-                Some(fold) => {
-                    let nlr = Nlr::from_parts(dt_cache::replay(&fold, &mut rec), fold.input_len);
-                    (t.id, nlr, t.truncated, rec.into_order(), 0u64)
-                }
-                None => {
-                    let nlr = builder.build(&t.symbols, &mut rec);
-                    let order = rec.into_order();
-                    let fold =
-                        dt_cache::fold_from_build(&order, nlr.elements(), nlr.input_len(), |id| {
-                            shared.body(id).to_vec()
-                        });
-                    cache.put_nlr(keys[i], Arc::new(fold));
-                    (t.id, nlr, t.truncated, order, 1)
-                }
-            }
-        });
-        let mut nlrs = BTreeMap::new();
-        let mut truncated = BTreeMap::new();
-        let mut orders = Vec::with_capacity(built.len());
+    /// The sequential driver: fold trace by trace straight into `table`.
+    fn fold_sequential((set, cache): FoldInput, k: usize, table: &mut LoopTable) -> (NlrSet, u64) {
+        let mut out = NlrSet::default();
         let mut folds = 0u64;
-        for (id, nlr, trunc, order, fresh) in built {
-            nlrs.insert(id, nlr);
-            truncated.insert(id, trunc);
-            orders.push(order);
-            folds += fresh;
+        for (i, t) in set.traces.iter().enumerate() {
+            let cached = cache.map(|(c, keys)| (c, keys[i]));
+            let (nlr, _, built) = fold_trace(k, &t.symbols, &mut *table, cached);
+            folds += u64::from(built);
+            out.nlrs.insert(t.id, nlr);
+            out.truncated.insert(t.id, t.truncated);
         }
-        (NlrSet { nlrs, truncated }, orders, folds)
+        (out, folds)
     }
 
-    /// Rewrite every summary's loop references through `map`
-    /// (provisional ID → canonical ID, indexed by provisional ID).
-    pub fn remap(&self, map: &[LoopId]) -> NlrSet {
-        NlrSet {
-            nlrs: self
-                .nlrs
-                .iter()
-                .map(|(&id, n)| (id, n.remap_loops(&|l: LoopId| map[l.0 as usize])))
-                .collect(),
-            truncated: self.truncated.clone(),
+    /// The parallel driver: every trace of every set folds concurrently
+    /// into a [`SharedLoopTable`] seeded from `table` (provisional,
+    /// scheduling-dependent IDs); the recorded fold orders are then
+    /// replayed into `table` in (set, trace) order, and the summaries
+    /// remapped to those canonical IDs. NLR folding decisions are
+    /// independent of the interner's numbering, so the result is
+    /// byte-identical to the sequential driver (see `nlr::shared`).
+    fn fold_parallel(
+        sets: &[FoldInput],
+        k: usize,
+        table: &mut LoopTable,
+        threads: usize,
+    ) -> Vec<(NlrSet, u64)> {
+        let shared = SharedLoopTable::from_table(table);
+        let items: Vec<(usize, usize)> = sets
+            .iter()
+            .enumerate()
+            .flat_map(|(s, (set, _))| (0..set.traces.len()).map(move |i| (s, i)))
+            .collect();
+        let built = par_map(&items, threads, |_, &(s, i)| {
+            let (set, cache) = sets[s];
+            let cached = cache.map(|(c, keys)| (c, keys[i]));
+            fold_trace(k, &set.traces[i].symbols, &shared, cached)
+        });
+        let orders = built.iter().flat_map(|(_, order, _)| order.iter().copied());
+        let map = shared.canonicalize_into(orders, table);
+        let mut out: Vec<(NlrSet, u64)> = sets.iter().map(|_| Default::default()).collect();
+        for ((s, i), (nlr, _, built)) in items.into_iter().zip(built) {
+            let t = &sets[s].0.traces[i];
+            let (set, folds) = &mut out[s];
+            set.nlrs
+                .insert(t.id, nlr.remap_loops(&|l: LoopId| map[l.0 as usize]));
+            set.truncated.insert(t.id, t.truncated);
+            *folds += u64::from(built);
         }
+        out
     }
 
     /// Look up one summary.

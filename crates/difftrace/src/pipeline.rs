@@ -1,37 +1,42 @@
 //! The end-to-end DiffTrace pipeline for one parameter combination.
 //!
+//! # One driver
+//!
+//! Every analysis — one execution ([`analyze`]), a (normal, faulty)
+//! pair ([`try_diff_runs`]) and the front half of a fleet fold — runs
+//! through one driver that analyzes k executions against one trace-id
+//! universe and one loop table: filter → NLR (see [`NlrSet`]) → mine →
+//! lattice → JSM → linkage per execution.
+//!
 //! # Parallel execution
 //!
-//! Every stage of an iteration can run on multiple threads via the
-//! entry points that take [`PipelineOptions`] ([`analyze_aligned_rec`],
-//! [`analyze_opts`], [`diff_runs_opts`], [`try_diff_runs`]) and its
-//! `threads` knob — with **byte-identical output** for every thread
-//! count. The only stage
-//! whose naive parallelization would change output is NLR construction
-//! (loop IDs are assigned in fold order, and IDs leak into attribute
-//! names and rendered summaries); see [`nlr::SharedLoopTable`] for the
-//! provisional-then-canonical renumbering that removes the schedule
-//! from the result. All other stages (mining, JSM rows, JSM diff, row
-//! scores) are pure per-item functions whose outputs are merged in a
-//! fixed order. `threads == 1` short-circuits to the plain sequential
-//! code path.
+//! The [`PipelineOptions::threads`] knob changes how fast an answer is
+//! computed, never which answer: output is **byte-identical** for every
+//! thread count. At one thread the driver filters, folds and finishes
+//! one execution, then the next. With more, every trace of every
+//! execution folds concurrently into a [`nlr::SharedLoopTable`], whose
+//! provisional-then-canonical renumbering removes the schedule from
+//! the loop IDs (which leak into attribute names and rendered
+//! summaries); the executions then finish concurrently. All other
+//! stages (mining, JSM rows, JSM diff, row scores) are pure per-item
+//! functions whose outputs are merged in a fixed order.
 
-use crate::attributes::{mine, AttrConfig};
+use crate::attributes::{mine, AttrConfig, AttrKind, FreqMode};
 use crate::check::{CheckInput, DiffDenied, LintGate, PrePass};
 use crate::filter::{symbol_name, FilterConfig, FilteredSet, FilteredTrace};
 use crate::hbcheck::HbCheck;
 use crate::jsm::JsmMatrix;
 use crate::lint::{Lint, LintOptions};
-use crate::nlr_stage::NlrSet;
+use crate::nlr_stage::{FoldInput, NlrSet};
 use crate::racecheck::RaceCheck;
 use crate::reqcheck::ReqCheck;
-use crate::sync::{effective_threads, join};
+use crate::sync::effective_threads;
 use cluster::{bscore, linkage, CondensedMatrix, Dendrogram, Method};
 use dt_cache::Cache;
 use dt_obs::{stage, Recorder};
 use dt_trace::{TraceId, TraceSet};
 use fca::{ConceptLattice, FormalContext};
-use nlr::{LoopTable, SharedLoopTable};
+use nlr::LoopTable;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,19 +48,13 @@ pub struct PipelineOptions {
     /// exact sequential path; `0` means all available parallelism; any
     /// other value is taken literally.
     pub threads: usize,
-    /// Gate of the tracelint pre-pass ([`crate::lint`]). Each gate
+    /// The diff pre-pass gates, keyed by [`crate::Checker::NAME`]; a
+    /// checker missing from the table is [`LintGate::Off`]. Each gate
     /// says whether its checker runs before diffing and whether its
-    /// findings stop the pipeline (see [`crate::check`]); the
-    /// single-execution entry points never run checkers.
-    pub lint: LintGate,
-    /// Gate of the hbcheck pre-pass ([`crate::hbcheck`]). It needs the
-    /// executions' happens-before logs, so [`try_diff_runs`] without
-    /// logs ignores it.
-    pub hb: LintGate,
-    /// Gate of the racecheck pre-pass ([`crate::racecheck`]).
-    pub race: LintGate,
-    /// Gate of the reqcheck pre-pass ([`crate::reqcheck`]).
-    pub req: LintGate,
+    /// findings stop the pipeline (see [`crate::check`]); checkers that
+    /// need happens-before logs run only when [`try_diff_runs`] gets
+    /// them, and the single-execution entry points never run checkers.
+    pub gates: BTreeMap<&'static str, LintGate>,
     /// Content-addressed analysis cache ([`dt_cache::Cache`]), shared
     /// across pipeline runs (e.g. every cell of a sweep). Like the
     /// other options it is observational: a cached analysis is
@@ -68,10 +67,7 @@ impl Default for PipelineOptions {
     fn default() -> PipelineOptions {
         PipelineOptions {
             threads: 1,
-            lint: LintGate::Off,
-            hb: LintGate::Off,
-            race: LintGate::Off,
-            req: LintGate::Off,
+            gates: BTreeMap::new(),
             cache: None,
         }
     }
@@ -84,6 +80,11 @@ impl PipelineOptions {
             threads,
             ..PipelineOptions::default()
         }
+    }
+
+    /// The gate of the checker called `name`.
+    pub fn gate(&self, name: &str) -> LintGate {
+        self.gates.get(name).copied().unwrap_or_default()
     }
 }
 
@@ -112,6 +113,20 @@ impl Params {
     }
 }
 
+impl Default for Params {
+    /// The defaults of every analysis command and daemon query: the
+    /// `everything` filter at K = 10, `sing.actual` attributes, Ward.
+    fn default() -> Params {
+        Params::new(
+            FilterConfig::everything(10),
+            AttrConfig {
+                kind: AttrKind::Single,
+                freq: FreqMode::Actual,
+            },
+        )
+    }
+}
+
 /// The analysis artifacts of a single execution.
 #[derive(Debug)]
 pub struct AnalysisRun {
@@ -131,98 +146,139 @@ pub struct AnalysisRun {
     pub dendrogram: Dendrogram,
 }
 
-/// Analyze one execution under `params`, interning loops into the
-/// shared `table`, reporting stage spans and counters into `rec`.
-/// `id_universe` fixes the object set (pass the union of normal+faulty
-/// IDs when analyzing a pair so the matrices align; traces missing
-/// from `set` become empty objects — e.g. threads a fault prevented
-/// from spawning). Output is byte-identical for every `opts.threads`
-/// value and whatever recorder is passed (asserted by the
+/// Analyze one execution (object set = its own traces) under `params`,
+/// interning loops into `table` and reporting stage spans and counters
+/// into `rec`. Output is byte-identical for every `opts.threads` value
+/// and whatever recorder is passed (asserted by the
 /// parallel-equivalence harness).
-pub fn analyze_aligned_rec(
+pub fn analyze(
     set: &TraceSet,
     params: &Params,
     table: &mut LoopTable,
-    id_universe: &[TraceId],
     opts: &PipelineOptions,
     rec: &dyn Recorder,
 ) -> AnalysisRun {
-    let threads = effective_threads(opts.threads, id_universe.len());
-    let aligned = {
-        let _s = stage(rec, "filter");
-        align_filtered(set, params, id_universe)
-    };
-    record_filter_counters(rec, set, &aligned, id_universe);
-    let keys: Option<Vec<u128>> = opts
-        .cache
-        .as_ref()
-        .map(|_| nlr_cache_keys(set, &aligned, params.filter.nlr_k));
-    let (nlrs, folds) = {
-        let _s = stage(rec, "nlr");
-        build_nlrs(
-            &aligned,
-            params.filter.nlr_k,
-            table,
-            threads,
-            opts.cache.as_deref(),
-            keys.as_deref(),
-        )
-    };
-    record_nlr_counters(rec, &nlrs, id_universe, folds);
-    let cache_keys = opts.cache.as_deref().zip(keys.as_deref());
-    finish_run(
-        set,
-        params,
-        &aligned,
-        nlrs,
-        id_universe,
-        threads,
-        rec,
-        cache_keys,
-    )
+    let mut runs = analyze_runs(&[set], params, &set.ids(), table, opts, rec);
+    runs.pop().expect("one execution analyzed")
 }
 
-/// Build the NLR summaries for `aligned`, dispatching over thread count
-/// and cache availability. Returns the summaries plus the number of
-/// actual NLR-builder invocations (`folds` — lower than the trace count
-/// when the cache is warm). Shared by the pairwise pipeline and the
-/// N-way fleet fold; every arm produces byte-identical summaries.
-pub(crate) fn build_nlrs(
-    aligned: &FilteredSet,
-    k: usize,
+/// The stage names of the driver's front half.
+const STAGES: [&str; 2] = ["filter", "nlr"];
+
+/// The one analysis driver: analyze every execution in `sets` against
+/// the object universe `ids` (traces missing from a set become empty
+/// objects — e.g. threads a fault prevented from spawning), all
+/// interning into `table`, so a loop ID means the same body in every
+/// execution. The thread count is resolved once, by
+/// [`effective_threads`]: at one thread each execution is filtered,
+/// folded and finished before the next; with more, all traces fold
+/// concurrently (one canonical replay, in `sets` order) and the
+/// executions finish concurrently on an equal share of the workers.
+fn analyze_runs(
+    sets: &[&TraceSet],
+    params: &Params,
+    ids: &[TraceId],
+    table: &mut LoopTable,
+    opts: &PipelineOptions,
+    rec: &dyn Recorder,
+) -> Vec<AnalysisRun> {
+    let threads = effective_threads(opts.threads, sets.len() * ids.len().max(1));
+    let cache = opts.cache.as_deref();
+    let finish = |set: &TraceSet, folded: Folded, threads: usize| {
+        record_front_counters(rec, set, &folded, ids);
+        finish_run(set, params, folded, ids, threads, rec, cache)
+    };
+    if threads <= 1 {
+        return sets
+            .iter()
+            .map(|&set| {
+                let mut folded = fold_runs(&[set], params, ids, table, 1, cache, rec, STAGES);
+                finish(set, folded.pop().expect("one execution folded"), 1)
+            })
+            .collect();
+    }
+    let folded = fold_runs(sets, params, ids, table, threads, cache, rec, STAGES);
+    let per_run = (threads / sets.len()).max(1);
+    let finish = &finish;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = sets
+            .iter()
+            .zip(folded)
+            .map(|(&set, f)| s.spawn(move || finish(set, f, per_run)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
+/// One execution after the front half of an analysis.
+pub(crate) struct Folded {
+    /// Its filtered traces, in `ids` order (see [`align_filtered`]).
+    pub aligned: FilteredSet,
+    /// Per-trace NLR cache keys, in the same order, when a cache is in
+    /// use.
+    pub keys: Option<Vec<u128>>,
+    /// The summaries, under the shared table's canonical numbering.
+    pub nlrs: NlrSet,
+    /// Actual NLR-builder invocations — fewer than the traces when the
+    /// cache is warm.
+    pub folds: u64,
+}
+
+/// The front half of an analysis — filter, align to `ids`, NLR cache
+/// keys, NLR fold — for every execution in `sets`, all folding into
+/// `table` on up to `threads` workers ([`NlrSet::fold`]). `stages`
+/// names the filter and NLR spans. Shared by the pipeline driver and
+/// the N-way fleet fold.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_runs(
+    sets: &[&TraceSet],
+    params: &Params,
+    ids: &[TraceId],
     table: &mut LoopTable,
     threads: usize,
     cache: Option<&Cache>,
-    keys: Option<&[u128]>,
-) -> (NlrSet, u64) {
-    match (cache, keys, threads) {
-        (Some(cache), Some(keys), ..=1) => NlrSet::build_cached(aligned, k, table, cache, keys),
-        (Some(cache), Some(keys), _) => {
-            let shared = SharedLoopTable::from_table(table);
-            let (prov, orders, folds) =
-                NlrSet::build_shared_cached(aligned, k, &shared, threads, cache, keys);
-            let map = shared.canonicalize_into(orders.into_iter().flatten(), table);
-            (prov.remap(&map), folds)
-        }
-        (_, _, ..=1) => (
-            NlrSet::build(aligned, k, table),
-            aligned.traces.len() as u64,
-        ),
-        _ => {
-            // Parallel NLR build: provisional IDs into a concurrent table,
-            // then a sequential replay of the recorded fold orders to
-            // restore the exact sequential numbering (see nlr::shared).
-            let shared = SharedLoopTable::from_table(table);
-            let (prov, orders) = NlrSet::build_shared(aligned, k, &shared, threads);
-            let map = shared.canonicalize_into(orders.into_iter().flatten(), table);
-            (prov.remap(&map), aligned.traces.len() as u64)
-        }
-    }
+    rec: &dyn Recorder,
+    stages: [&str; 2],
+) -> Vec<Folded> {
+    let k = params.filter.nlr_k;
+    let aligned: Vec<FilteredSet> = {
+        let _s = stage(rec, stages[0]);
+        sets.iter()
+            .map(|set| align_filtered(set, params, ids))
+            .collect()
+    };
+    let keys: Vec<Option<Vec<u128>>> = sets
+        .iter()
+        .zip(&aligned)
+        .map(|(set, a)| cache.map(|_| nlr_cache_keys(set, a, k)))
+        .collect();
+    let nlrs = {
+        let _s = stage(rec, stages[1]);
+        let inputs: Vec<FoldInput> = aligned
+            .iter()
+            .zip(&keys)
+            .map(|(a, keys)| (a, cache.zip(keys.as_deref())))
+            .collect();
+        NlrSet::fold(&inputs, k, table, threads)
+    };
+    aligned
+        .into_iter()
+        .zip(keys)
+        .zip(nlrs)
+        .map(|((aligned, keys), (nlrs, folds))| Folded {
+            aligned,
+            keys,
+            nlrs,
+            folds,
+        })
+        .collect()
 }
 
-/// The per-trace NLR cache keys for `aligned`, in its trace order
-/// (which is the `id_universe` order — see [`align_filtered`]).
-pub(crate) fn nlr_cache_keys(set: &TraceSet, aligned: &FilteredSet, k: usize) -> Vec<u128> {
+/// The per-trace NLR cache keys for `aligned`, in its trace order.
+fn nlr_cache_keys(set: &TraceSet, aligned: &FilteredSet, k: usize) -> Vec<u128> {
     aligned
         .traces
         .iter()
@@ -230,41 +286,33 @@ pub(crate) fn nlr_cache_keys(set: &TraceSet, aligned: &FilteredSet, k: usize) ->
         .collect()
 }
 
-/// Tally the front-end filter's work into `rec` (no-op when disabled).
-fn record_filter_counters(
-    rec: &dyn Recorder,
-    set: &TraceSet,
-    aligned: &FilteredSet,
-    id_universe: &[TraceId],
-) {
+/// Tally the front half's work into `rec` (no-op when disabled):
+/// filter volume, and NLR sizes plus `nlr_folds` — actual builder
+/// invocations, lower than the trace count with a warm cache, which is
+/// how the bench and CI assert that caching skipped work without
+/// comparing wall-clock.
+fn record_front_counters(rec: &dyn Recorder, set: &TraceSet, f: &Folded, ids: &[TraceId]) {
     if !rec.enabled() {
         return;
     }
-    rec.add("traces", id_universe.len() as u64);
+    rec.add("traces", ids.len() as u64);
     rec.add(
         "events_total",
         set.iter().map(|t| t.events.len() as u64).sum(),
     );
     rec.add(
         "events_kept",
-        aligned.traces.iter().map(|t| t.symbols.len() as u64).sum(),
+        f.aligned
+            .traces
+            .iter()
+            .map(|t| t.symbols.len() as u64)
+            .sum(),
     );
-}
-
-/// Tally NLR sizes into `rec` (no-op when disabled). `folds` counts
-/// actual NLR-builder invocations — with a warm cache it is lower than
-/// the trace count, which is how the bench and CI assert that caching
-/// skipped work without comparing wall-clock.
-fn record_nlr_counters(rec: &dyn Recorder, nlrs: &NlrSet, id_universe: &[TraceId], folds: u64) {
-    if !rec.enabled() {
-        return;
-    }
-    rec.add("nlr_folds", folds);
+    rec.add("nlr_folds", f.folds);
     rec.add(
         "nlr_terms",
-        id_universe
-            .iter()
-            .filter_map(|id| nlrs.get(*id))
+        ids.iter()
+            .filter_map(|id| f.nlrs.get(*id))
             .map(|n| n.elements().len() as u64)
             .sum(),
     );
@@ -311,11 +359,7 @@ pub fn content_fingerprints(set: &TraceSet, filter: &FilterConfig) -> Vec<(Trace
 
 /// Filter `set` and align the result to `id_universe` order; traces
 /// missing from `set` become empty objects.
-pub(crate) fn align_filtered(
-    set: &TraceSet,
-    params: &Params,
-    id_universe: &[TraceId],
-) -> FilteredSet {
+fn align_filtered(set: &TraceSet, params: &Params, id_universe: &[TraceId]) -> FilteredSet {
     let filtered = params.filter.apply(set);
     let by_id: BTreeMap<TraceId, FilteredTrace> =
         filtered.traces.into_iter().map(|t| (t.id, t)).collect();
@@ -334,38 +378,36 @@ pub(crate) fn align_filtered(
 }
 
 /// The back half of an analysis — attribute mining, formal context,
-/// lattice, JSM, dendrogram — given the (already canonical) summaries.
-/// Mining and JSM rows are pure per-trace/per-row functions and fan out
-/// across `threads`; the context is assembled sequentially in
-/// `id_universe` order so object/attribute numbering never depends on
-/// the schedule. `cache_keys` (the per-trace NLR keys, in `id_universe`
-/// order) enables attribute-set memoization: mined labels embed global
-/// loop IDs, so the attr key covers the summary's element sequence too
-/// (see [`dt_cache::attr_key`]).
-#[allow(clippy::too_many_arguments)]
+/// lattice, JSM, dendrogram — given the front half's (already
+/// canonical) summaries. Mining and JSM rows are pure per-trace/per-row
+/// functions and fan out across `threads`; the context is assembled
+/// sequentially in `ids` order so object/attribute numbering never
+/// depends on the schedule. With a cache, mined attribute sets are
+/// memoized: mined labels embed global loop IDs, so the attr key covers
+/// the summary's element sequence too (see [`dt_cache::attr_key`]).
 fn finish_run(
     set: &TraceSet,
     params: &Params,
-    aligned: &FilteredSet,
-    nlrs: NlrSet,
-    id_universe: &[TraceId],
+    folded: Folded,
+    ids: &[TraceId],
     threads: usize,
     rec: &dyn Recorder,
-    cache_keys: Option<(&Cache, &[u128])>,
+    cache: Option<&Cache>,
 ) -> AnalysisRun {
+    let Folded {
+        aligned,
+        keys,
+        nlrs,
+        ..
+    } = folded;
     let name = |s: u32| symbol_name(&set.registry, s);
     let attr_code = params.attrs.to_string();
     let mined: Vec<Vec<(String, f64)>> = {
         let _s = stage(rec, "mine");
-        crate::sync::par_map_obs(id_universe, threads, rec, "mine", |i, id| {
+        crate::sync::par_map_obs(ids, threads, rec, "mine", |i, id| {
             let nlr = nlrs.get(*id).expect("aligned");
-            let symbols: &[u32] = aligned
-                .traces
-                .iter()
-                .find(|t| t.id == *id)
-                .map(|t| t.symbols.as_slice())
-                .unwrap_or(&[]);
-            if let Some((cache, keys)) = cache_keys {
+            let symbols = &aligned.traces[i].symbols;
+            if let (Some(cache), Some(keys)) = (cache, &keys) {
                 let akey = dt_cache::attr_key(keys[i], &attr_code, nlr.elements());
                 if let Some(v) = cache.get_attrs(akey) {
                     return (*v).clone();
@@ -386,7 +428,7 @@ fn finish_run(
     let (context, lattice) = {
         let _s = stage(rec, "lattice");
         let mut context = FormalContext::new();
-        for (id, attrs) in id_universe.iter().zip(&mined) {
+        for (id, attrs) in ids.iter().zip(&mined) {
             context.add_object(&id.to_string(), attrs.iter().map(|(k, w)| (k.as_str(), *w)));
         }
         let lattice = ConceptLattice::from_context(&context);
@@ -397,7 +439,7 @@ fn finish_run(
     }
     let jsm = {
         let _s = stage(rec, "jsm");
-        JsmMatrix::from_context_opts(&context, id_universe.to_vec(), threads)
+        JsmMatrix::from_context_opts(&context, ids.to_vec(), threads)
     };
     if rec.enabled() {
         rec.add("jsm_cells", (jsm.len() * jsm.len()) as u64);
@@ -408,29 +450,13 @@ fn finish_run(
     };
     AnalysisRun {
         registry: set.registry.clone(),
-        ids: id_universe.to_vec(),
+        ids: ids.to_vec(),
         nlrs,
         context,
         lattice,
         jsm,
         dendrogram,
     }
-}
-
-/// Analyze a single execution (object set = its own traces).
-pub fn analyze(set: &TraceSet, params: &Params, table: &mut LoopTable) -> AnalysisRun {
-    analyze_opts(set, params, table, &PipelineOptions::default())
-}
-
-/// [`analyze`] with explicit execution options.
-pub fn analyze_opts(
-    set: &TraceSet,
-    params: &Params,
-    table: &mut LoopTable,
-    opts: &PipelineOptions,
-) -> AnalysisRun {
-    let ids = set.ids();
-    analyze_aligned_rec(set, params, table, &ids, opts, &dt_obs::NOOP)
 }
 
 /// The result of diffing a normal and a faulty execution.
@@ -475,12 +501,7 @@ pub fn diff_runs(normal: &TraceSet, faulty: &TraceSet, params: &Params) -> DiffR
     diff_runs_opts(normal, faulty, params, &PipelineOptions::default())
 }
 
-/// [`diff_runs`] with explicit execution options. With more than one
-/// thread the normal and faulty analyses run **concurrently** against
-/// one shared provisional loop table, then a single canonical replay
-/// (normal's fold orders first, faulty's second — the sequential
-/// interleaving) renumbers both; output is byte-identical to
-/// `threads == 1`.
+/// [`diff_runs`] with explicit execution options.
 ///
 /// # Panics
 ///
@@ -508,8 +529,9 @@ pub fn diff_runs_opts(
 /// goes into NLR/FCA/JSM. Their reports attach to the [`DiffRun`]; a
 /// tripped `Deny` gate returns them as [`DiffDenied`] instead. Checkers
 /// that need happens-before logs run only when `hb_logs` is `Some`.
-/// Instrumentation is observational only: the diff is byte-identical
-/// whatever recorder is passed, at any thread count.
+/// Both executions are then analyzed by the one driver against the
+/// union of their trace IDs and one loop table. Output is
+/// byte-identical whatever recorder is passed, at any thread count.
 pub fn try_diff_runs(
     normal: &TraceSet,
     faulty: &TraceSet,
@@ -542,83 +564,15 @@ pub fn try_diff_runs(
     }
     ids.sort();
 
-    let threads = effective_threads(opts.threads, 2 * ids.len().max(1));
     let mut table = LoopTable::new();
-    let (normal_run, faulty_run) = if threads <= 1 {
-        let seq_opts = PipelineOptions {
-            cache: opts.cache.clone(),
-            ..PipelineOptions::default()
-        };
-        let n = analyze_aligned_rec(normal, params, &mut table, &ids, &seq_opts, rec);
-        let f = analyze_aligned_rec(faulty, params, &mut table, &ids, &seq_opts, rec);
-        (n, f)
-    } else {
-        // Each side gets half the workers; both interleave on the same
-        // shared table, so every distinct loop body is interned once.
-        let half = (threads / 2).max(1);
-        let cache = opts.cache.as_deref();
-        let (n_aligned, f_aligned) = {
-            let _s = stage(rec, "filter");
-            (
-                align_filtered(normal, params, &ids),
-                align_filtered(faulty, params, &ids),
-            )
-        };
-        record_filter_counters(rec, normal, &n_aligned, &ids);
-        record_filter_counters(rec, faulty, &f_aligned, &ids);
-        let (n_keys, f_keys) = match cache {
-            Some(_) => (
-                Some(nlr_cache_keys(normal, &n_aligned, params.filter.nlr_k)),
-                Some(nlr_cache_keys(faulty, &f_aligned, params.filter.nlr_k)),
-            ),
-            None => (None, None),
-        };
-        let (n_nlrs, f_nlrs) = {
-            let _s = stage(rec, "nlr");
-            let shared = SharedLoopTable::new();
-            let k = params.filter.nlr_k;
-            let build = |aligned: &FilteredSet, keys: &Option<Vec<u128>>| match (cache, keys) {
-                (Some(c), Some(keys)) => {
-                    NlrSet::build_shared_cached(aligned, k, &shared, half, c, keys)
-                }
-                _ => {
-                    let (prov, orders) = NlrSet::build_shared(aligned, k, &shared, half);
-                    let folds = aligned.traces.len() as u64;
-                    (prov, orders, folds)
-                }
-            };
-            let ((n_prov, n_orders, n_folds), (f_prov, f_orders, f_folds)) = join(
-                true,
-                || build(&n_aligned, &n_keys),
-                || build(&f_aligned, &f_keys),
-            );
-            let map = shared.canonicalize_into(
-                n_orders
-                    .into_iter()
-                    .flatten()
-                    .chain(f_orders.into_iter().flatten()),
-                &mut table,
-            );
-            let (n_nlrs, f_nlrs) = (n_prov.remap(&map), f_prov.remap(&map));
-            record_nlr_counters(rec, &n_nlrs, &ids, n_folds);
-            record_nlr_counters(rec, &f_nlrs, &ids, f_folds);
-            (n_nlrs, f_nlrs)
-        };
-        join(
-            true,
-            || {
-                let ck = cache.zip(n_keys.as_deref());
-                finish_run(normal, params, &n_aligned, n_nlrs, &ids, half, rec, ck)
-            },
-            || {
-                let ck = cache.zip(f_keys.as_deref());
-                finish_run(faulty, params, &f_aligned, f_nlrs, &ids, half, rec, ck)
-            },
-        )
+    let runs = analyze_runs(&[normal, faulty], params, &ids, &mut table, opts, rec);
+    let Ok([normal_run, faulty_run]) = <[AnalysisRun; 2]>::try_from(runs) else {
+        unreachable!("two executions analyzed");
     };
     if rec.enabled() {
         rec.add("loops_interned", table.len() as u64);
     }
+    let threads = effective_threads(opts.threads, 2 * ids.len().max(1));
     let jsm_d = {
         let _s = stage(rec, "jsm_diff");
         faulty_run
@@ -851,7 +805,13 @@ mod tests {
     fn analyze_builds_all_artifacts() {
         let (normal, _, _) = two_runs();
         let mut table = LoopTable::new();
-        let run = analyze(&normal, &params(), &mut table);
+        let run = analyze(
+            &normal,
+            &params(),
+            &mut table,
+            &PipelineOptions::default(),
+            &dt_obs::NOOP,
+        );
         assert_eq!(run.ids.len(), 4);
         assert_eq!(run.jsm.len(), 4);
         // All four traces share identical attribute sets, so the

@@ -7,8 +7,8 @@
 //! vocabulary; the rule evaluation is a pure function of them. It needs
 //! no happens-before log.
 
-use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
-use crate::pipeline::{DiffRun, PipelineOptions};
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
+use crate::pipeline::DiffRun;
 use dt_racecheck::compressed::Summarizer;
 use dt_racecheck::{analyze, expanded, RaceCode, RaceReport, RaceVocab, TraceRaceFacts};
 use dt_trace::{Trace, TraceSet};
@@ -52,14 +52,6 @@ impl Checker for RaceCheck {
         facts: Vec<TraceRaceFacts>,
     ) -> RaceReport {
         analyze(&facts)
-    }
-
-    fn gate(opts: &PipelineOptions) -> LintGate {
-        opts.race
-    }
-
-    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
-        &mut opts.race
     }
 
     fn attached(run: &DiffRun) -> Option<&PrePass<RaceCheck>> {

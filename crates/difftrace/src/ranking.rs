@@ -10,11 +10,9 @@ use crate::attributes::AttrConfig;
 use crate::filter::FilterConfig;
 use crate::pipeline::{try_diff_runs, Params, PipelineOptions};
 use cluster::Method;
-use dt_cache::Cache;
 use dt_trace::{TraceId, TraceSet};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// One row of a ranking table.
 #[derive(Debug, Clone)]
@@ -33,122 +31,42 @@ pub struct RankingRow {
 
 /// Sweep the parameter grid on a (normal, faulty) pair; rows come back
 /// sorted by B-score ascending (the paper's table order).
+///
+/// Every parameter combination is an independent DiffTrace iteration,
+/// so the grid itself is the parallelism axis — the paper's future-work
+/// item (1), "optimizing [the components] to exploit multi-core CPUs":
+/// `opts.threads` cells run at once (`0` picks the available
+/// parallelism), each sequential inside and with every gate off
+/// (`opts.gates` is ignored). Every cell consults `opts.cache`, so
+/// whichever folds a (filtered trace, K) first saves the work for all
+/// later cells sharing that filter — and for later processes, when the
+/// cache is disk-backed. `rec` gets one `cell/<filter>/<attrs>` span
+/// per grid point, per-worker busy time under `cells`, and a `cells`
+/// counter. Rows are byte-identical whatever the thread count, cache
+/// state or recorder (asserted by the parallel- and cache-equivalence
+/// harnesses).
 pub fn sweep(
     normal: &TraceSet,
     faulty: &TraceSet,
     filters: &[FilterConfig],
     attr_configs: &[AttrConfig],
     method: Method,
-) -> Vec<RankingRow> {
-    sweep_cached(normal, faulty, filters, attr_configs, method, None)
-}
-
-/// [`sweep`] through a shared analysis [`Cache`]: grid cells that share
-/// a filter reuse each trace's NLR fold, and re-runs over unchanged
-/// corpora reuse everything. Rows are byte-identical to an uncached
-/// sweep (the cache is observational; asserted by the cache-equivalence
-/// harness).
-pub fn sweep_cached(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    filters: &[FilterConfig],
-    attr_configs: &[AttrConfig],
-    method: Method,
-    cache: Option<Arc<Cache>>,
-) -> Vec<RankingRow> {
-    let opts = cell_opts(cache);
-    let mut rows: Vec<RankingRow> = grid(filters, attr_configs, method)
-        .iter()
-        .map(|p| run_cell(normal, faulty, p, &opts, &dt_obs::NOOP))
-        .collect();
-    sort_rows(&mut rows);
-    rows
-}
-
-/// Pipeline options for one sweep cell: sequential inside the cell (the
-/// grid itself is the parallelism axis), gates off, sharing `cache`.
-fn cell_opts(cache: Option<Arc<Cache>>) -> PipelineOptions {
-    PipelineOptions {
-        cache,
-        ..PipelineOptions::default()
-    }
-}
-
-/// Multi-threaded [`sweep`] — the paper's future-work item (1),
-/// "optimizing [the components] to exploit multi-core CPUs": every
-/// parameter combination is an independent DiffTrace iteration, so the
-/// grid is embarrassingly parallel. Results are identical to [`sweep`]
-/// (asserted in tests); `threads` ≤ 0 picks the available parallelism.
-pub fn sweep_parallel(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    filters: &[FilterConfig],
-    attr_configs: &[AttrConfig],
-    method: Method,
-    threads: usize,
-) -> Vec<RankingRow> {
-    sweep_parallel_rec(
-        normal,
-        faulty,
-        filters,
-        attr_configs,
-        method,
-        threads,
-        &dt_obs::NOOP,
-    )
-}
-
-/// [`sweep_parallel`] reporting into `rec`: one `cell/<filter>/<attrs>`
-/// span per grid point, per-worker busy time under `cells`, and a
-/// `cells` counter. Observational only — rows are identical whatever
-/// recorder is passed.
-pub fn sweep_parallel_rec(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    filters: &[FilterConfig],
-    attr_configs: &[AttrConfig],
-    method: Method,
-    threads: usize,
-    rec: &dyn dt_obs::Recorder,
-) -> Vec<RankingRow> {
-    sweep_parallel_cached_rec(
-        normal,
-        faulty,
-        filters,
-        attr_configs,
-        method,
-        threads,
-        None,
-        rec,
-    )
-}
-
-/// [`sweep_parallel_rec`] through a shared analysis [`Cache`]: every
-/// worker consults the same cache, so whichever cell folds a
-/// (filtered trace, K) first saves the work for all later cells sharing
-/// that filter — and for later processes, when the cache is
-/// disk-backed. Rows are byte-identical to the uncached sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_parallel_cached_rec(
-    normal: &TraceSet,
-    faulty: &TraceSet,
-    filters: &[FilterConfig],
-    attr_configs: &[AttrConfig],
-    method: Method,
-    threads: usize,
-    cache: Option<Arc<Cache>>,
+    opts: &PipelineOptions,
     rec: &dyn dt_obs::Recorder,
 ) -> Vec<RankingRow> {
     let params = grid(filters, attr_configs, method);
     if rec.enabled() {
         rec.add("cells", params.len() as u64);
     }
-    let opts = cell_opts(cache);
-    let mut rows = crate::sync::par_map_obs(&params, threads, rec, "cells", |_, p| {
+    let cell = PipelineOptions {
+        cache: opts.cache.clone(),
+        ..PipelineOptions::default()
+    };
+    let mut rows = crate::sync::par_map_obs(&params, opts.threads, rec, "cells", |_, p| {
         let _s = rec
             .enabled()
             .then(|| dt_obs::stage_owned(rec, format!("cell/{}/{}", p.filter, p.attrs)));
-        run_cell(normal, faulty, p, &opts, rec)
+        run_cell(normal, faulty, p, &cell, rec)
     });
     sort_rows(&mut rows);
     rows
@@ -252,6 +170,26 @@ mod tests {
     use dt_trace::FunctionRegistry;
     use std::sync::Arc;
 
+    /// A Ward-linkage sweep on `threads` workers, no cache.
+    fn sweep_at(
+        normal: &TraceSet,
+        faulty: &TraceSet,
+        filters: &[FilterConfig],
+        attrs: &[AttrConfig],
+        threads: usize,
+    ) -> Vec<RankingRow> {
+        let opts = PipelineOptions::with_threads(threads);
+        sweep(
+            normal,
+            faulty,
+            filters,
+            attrs,
+            Method::Ward,
+            &opts,
+            &dt_obs::NOOP,
+        )
+    }
+
     fn runs() -> (TraceSet, TraceSet) {
         let registry = Arc::new(FunctionRegistry::new());
         let mk = |bad_rank: Option<u32>| {
@@ -282,7 +220,7 @@ mod tests {
                 freq: FreqMode::NoFreq,
             },
         ];
-        let rows = sweep(&normal, &faulty, &filters, &attrs, Method::Ward);
+        let rows = sweep_at(&normal, &faulty, &filters, &attrs, 1);
         assert_eq!(rows.len(), 4);
         for w in rows.windows(2) {
             assert!(w[0].bscore <= w[1].bscore);
@@ -299,16 +237,9 @@ mod tests {
     fn parallel_sweep_matches_serial() {
         let (normal, faulty) = runs();
         let filters = vec![FilterConfig::mpi_all(10), FilterConfig::everything(10)];
-        let serial = sweep(&normal, &faulty, &filters, &AttrConfig::ALL, Method::Ward);
+        let serial = sweep_at(&normal, &faulty, &filters, &AttrConfig::ALL, 1);
         for threads in [0usize, 1, 3, 16] {
-            let par = sweep_parallel(
-                &normal,
-                &faulty,
-                &filters,
-                &AttrConfig::ALL,
-                Method::Ward,
-                threads,
-            );
+            let par = sweep_at(&normal, &faulty, &filters, &AttrConfig::ALL, threads);
             assert_eq!(par.len(), serial.len());
             for (a, b) in par.iter().zip(&serial) {
                 assert_eq!(a.filter, b.filter);
@@ -346,7 +277,7 @@ mod tests {
                 freq: FreqMode::NoFreq,
             },
         ];
-        let rows = sweep(&normal, &faulty, &filters, &attrs, Method::Ward);
+        let rows = sweep_at(&normal, &faulty, &filters, &attrs, 1);
         assert_eq!(rows.len(), 4, "{rows:?}");
         let cells: BTreeSet<(String, String)> = rows
             .iter()
@@ -425,17 +356,10 @@ mod tests {
             },
             FilterConfig::mpi_all(10),
         ];
-        let serial = sweep(&normal, &faulty, &filters, &AttrConfig::ALL, Method::Ward);
+        let serial = sweep_at(&normal, &faulty, &filters, &AttrConfig::ALL, 1);
         assert_eq!(serial.len(), 2 * AttrConfig::ALL.len());
         for threads in [0usize, 3] {
-            let par = sweep_parallel(
-                &normal,
-                &faulty,
-                &filters,
-                &AttrConfig::ALL,
-                Method::Ward,
-                threads,
-            );
+            let par = sweep_at(&normal, &faulty, &filters, &AttrConfig::ALL, threads);
             for (a, b) in par.iter().zip(&serial) {
                 assert_eq!(
                     (a.filter.as_str(), a.attrs.as_str()),
@@ -449,7 +373,7 @@ mod tests {
     #[test]
     fn render_contains_all_rows() {
         let (normal, faulty) = runs();
-        let rows = sweep(
+        let rows = sweep_at(
             &normal,
             &faulty,
             &[FilterConfig::mpi_all(10)],
@@ -457,7 +381,7 @@ mod tests {
                 kind: AttrKind::Single,
                 freq: FreqMode::Actual,
             }],
-            Method::Ward,
+            1,
         );
         let table = render_ranking(&rows);
         assert!(table.contains("B-score"));

@@ -7,8 +7,8 @@
 //! the rule evaluation is a pure function of them. It needs no
 //! happens-before log.
 
-use crate::check::{run_facts, CheckInput, CheckOptions, Checker, LintGate, PrePass};
-use crate::pipeline::{DiffRun, PipelineOptions};
+use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
+use crate::pipeline::DiffRun;
 use dt_reqcheck::compressed::Summarizer;
 use dt_reqcheck::{analyze, expanded, ReqCode, ReqReport, ReqVocab, TraceReqFacts};
 use dt_trace::{Trace, TraceSet};
@@ -52,14 +52,6 @@ impl Checker for ReqCheck {
         facts: Vec<TraceReqFacts>,
     ) -> ReqReport {
         analyze(&facts)
-    }
-
-    fn gate(opts: &PipelineOptions) -> LintGate {
-        opts.req
-    }
-
-    fn gate_mut(opts: &mut PipelineOptions) -> &mut LintGate {
-        &mut opts.req
     }
 
     fn attached(run: &DiffRun) -> Option<&PrePass<ReqCheck>> {

@@ -5,13 +5,13 @@
 //! cases … the B-score based ranking can then be made on JSM_faulty
 //! directly."
 //!
-//! [`analyze_single`] clusters one execution's traces and reports the
-//! *outlier clusters*: the smallest flat clusters, which in a mostly
-//! homogeneous SPMD job are the aberrant threads. No reference
+//! [`analyze_single_opts_rec`] clusters one execution's traces and
+//! reports the *outlier clusters*: the smallest flat clusters, which in
+//! a mostly homogeneous SPMD job are the aberrant threads. No reference
 //! execution is needed — this is the entry point when no "last known
 //! good" run exists.
 
-use crate::pipeline::{analyze_aligned_rec, AnalysisRun, Params, PipelineOptions};
+use crate::pipeline::{analyze, AnalysisRun, Params, PipelineOptions};
 use cluster::fcluster_maxclust;
 use dt_obs::{stage, Recorder};
 use dt_trace::{TraceId, TraceSet};
@@ -30,28 +30,11 @@ pub struct SingleRunReport {
 }
 
 /// Cluster one execution's traces into `k` flat clusters and surface
-/// the outliers. `k = 0` picks the granularity automatically: the
-/// largest `k ≤ 4` whose smallest cluster is a strict minority
-/// (falling back to 2).
-pub fn analyze_single(set: &TraceSet, params: &Params, k: usize) -> SingleRunReport {
-    analyze_single_rec(set, params, k, &dt_obs::NOOP)
-}
-
-/// [`analyze_single`] reporting stage spans and counters into `rec`.
-/// Observational only — the report is identical whatever recorder is
-/// passed.
-pub fn analyze_single_rec(
-    set: &TraceSet,
-    params: &Params,
-    k: usize,
-    rec: &dyn Recorder,
-) -> SingleRunReport {
-    analyze_single_opts_rec(set, params, k, &PipelineOptions::default(), rec)
-}
-
-/// [`analyze_single_rec`] with explicit execution options (threads,
-/// analysis cache). Like every `_opts` entry point, options change how
-/// fast the report is computed, never what it says.
+/// the outliers, reporting stage spans and counters into `rec`. `k = 0`
+/// picks the granularity automatically: the largest `k ≤ 4` whose
+/// smallest cluster is a strict minority (falling back to 2). Like
+/// every entry point, `opts` (threads, analysis cache) and `rec` change
+/// how fast the report is computed, never what it says.
 pub fn analyze_single_opts_rec(
     set: &TraceSet,
     params: &Params,
@@ -60,8 +43,7 @@ pub fn analyze_single_opts_rec(
     rec: &dyn Recorder,
 ) -> SingleRunReport {
     let mut table = LoopTable::new();
-    let ids = set.ids();
-    let run = analyze_aligned_rec(set, params, &mut table, &ids, opts, rec);
+    let run = analyze(set, params, &mut table, opts, rec);
     if rec.enabled() {
         rec.add("loops_interned", table.len() as u64);
     }
@@ -129,6 +111,10 @@ mod tests {
                 freq: FreqMode::NoFreq,
             },
         )
+    }
+
+    fn analyze_single(set: &TraceSet, params: &Params, k: usize) -> SingleRunReport {
+        analyze_single_opts_rec(set, params, k, &PipelineOptions::default(), &dt_obs::NOOP)
     }
 
     /// 7 healthy ranks reach Finalize; one truncated rank does not.

@@ -51,5 +51,5 @@ pub mod table;
 
 pub use builder::NlrBuilder;
 pub use element::{Element, LoopId, Nlr};
-pub use shared::{RecordingInterner, SharedLoopTable};
-pub use table::{LoopInterner, LoopTable};
+pub use shared::SharedLoopTable;
+pub use table::{LoopInterner, LoopTable, RecordingInterner};

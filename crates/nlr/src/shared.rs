@@ -18,7 +18,8 @@
 //!
 //! 1. builds all NLRs in parallel against a [`SharedLoopTable`], each
 //!    worker recording its per-trace fold order via a
-//!    [`RecordingInterner`] (**provisional** IDs, scheduling-dependent);
+//!    [`crate::RecordingInterner`] (**provisional** IDs,
+//!    scheduling-dependent);
 //! 2. replays the recorded fold orders sequentially — traces in
 //!    deterministic order, folds in recorded order — assigning
 //!    **canonical** IDs into a plain [`LoopTable`]
@@ -158,9 +159,9 @@ impl SharedLoopTable {
     /// Returns the provisional→canonical map, indexed by provisional ID.
     ///
     /// Panics if a fold order references an inner loop before it was
-    /// recorded — impossible for orders produced by
-    /// [`RecordingInterner`], since the builder always folds inner loops
-    /// before the outer loop whose body references them.
+    /// recorded — impossible for orders produced by a
+    /// [`crate::RecordingInterner`], since the builder always folds
+    /// inner loops before the outer loop whose body references them.
     pub fn canonicalize_into<I>(&self, fold_orders: I, out: &mut LoopTable) -> Vec<LoopId>
     where
         I: IntoIterator<Item = LoopId>,
@@ -209,45 +210,10 @@ impl LoopInterner for &SharedLoopTable {
     }
 }
 
-/// A [`LoopInterner`] over a [`SharedLoopTable`] that records every
-/// `intern` result in call order. One per trace during a parallel
-/// build; the recorded orders drive
-/// [`SharedLoopTable::canonicalize_into`].
-pub struct RecordingInterner<'a> {
-    table: &'a SharedLoopTable,
-    order: Vec<LoopId>,
-}
-
-impl<'a> RecordingInterner<'a> {
-    pub fn new(table: &'a SharedLoopTable) -> RecordingInterner<'a> {
-        RecordingInterner {
-            table,
-            order: Vec::new(),
-        }
-    }
-
-    /// The recorded fold order (every `intern` call's result, duplicates
-    /// included — replay skips already-mapped IDs).
-    pub fn into_order(self) -> Vec<LoopId> {
-        self.order
-    }
-}
-
-impl LoopInterner for RecordingInterner<'_> {
-    fn intern(&mut self, body: Vec<Element>) -> LoopId {
-        let id = self.table.intern(body);
-        self.order.push(id);
-        id
-    }
-    fn body(&self, id: LoopId) -> &[Element] {
-        self.table.body(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NlrBuilder;
+    use crate::{NlrBuilder, RecordingInterner};
 
     fn sym(s: u32) -> Element {
         Element::Sym(s)

@@ -14,13 +14,63 @@ use std::collections::HashMap;
 /// The interface the NLR builder needs from a loop-body store: intern a
 /// body to an ID and read a body back. Implemented by the plain
 /// single-threaded [`LoopTable`], by `&`[`crate::SharedLoopTable`]
-/// (concurrent interning), and by [`crate::RecordingInterner`] (which
-/// additionally records the fold order for canonical renumbering).
+/// (concurrent interning), and by [`RecordingInterner`] (which
+/// additionally records the fold order).
 pub trait LoopInterner {
     /// Intern `body`, returning its (possibly pre-existing) ID.
     fn intern(&mut self, body: Vec<Element>) -> LoopId;
     /// The body of `id`. Panics on a foreign ID.
     fn body(&self, id: LoopId) -> &[Element];
+}
+
+impl<I: LoopInterner + ?Sized> LoopInterner for &mut I {
+    fn intern(&mut self, body: Vec<Element>) -> LoopId {
+        (**self).intern(body)
+    }
+    fn body(&self, id: LoopId) -> &[Element] {
+        (**self).body(id)
+    }
+}
+
+/// A [`LoopInterner`] wrapper that records every `intern` result in
+/// call order: over a `&mut`[`LoopTable`] it captures a trace's fold
+/// order for caching; over a `&`[`crate::SharedLoopTable`] (one per
+/// trace during a parallel build) the recorded orders drive
+/// [`crate::SharedLoopTable::canonicalize_into`].
+pub struct RecordingInterner<I> {
+    inner: I,
+    order: Vec<LoopId>,
+}
+
+impl<I: LoopInterner> RecordingInterner<I> {
+    pub fn new(inner: I) -> RecordingInterner<I> {
+        RecordingInterner {
+            inner,
+            order: Vec::new(),
+        }
+    }
+
+    /// The fold order recorded so far (every `intern` call's result,
+    /// duplicates included — replay skips already-mapped IDs).
+    pub fn order(&self) -> &[LoopId] {
+        &self.order
+    }
+
+    /// The recorded fold order.
+    pub fn into_order(self) -> Vec<LoopId> {
+        self.order
+    }
+}
+
+impl<I: LoopInterner> LoopInterner for RecordingInterner<I> {
+    fn intern(&mut self, body: Vec<Element>) -> LoopId {
+        let id = self.inner.intern(body);
+        self.order.push(id);
+        id
+    }
+    fn body(&self, id: LoopId) -> &[Element] {
+        self.inner.body(id)
+    }
 }
 
 /// Interning table: loop body (element sequence) → [`LoopId`].

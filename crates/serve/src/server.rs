@@ -17,8 +17,8 @@ use crate::protocol::{self, Request};
 use crate::render;
 use difftrace::sync::Pool;
 use difftrace::{
-    checker, AnyChecker, AttrConfig, AttrKind, CheckInput, FilterConfig, FreqMode, LintDomain,
-    LintOptions, Params, PipelineOptions,
+    checker, AnyChecker, AttrConfig, CheckInput, FilterConfig, LintDomain, LintOptions, Params,
+    PipelineOptions,
 };
 use dt_cache::Cache;
 use dt_obs::{MetricsRecorder, Recorder};
@@ -281,29 +281,17 @@ fn no_trace_field(req: &Request) -> Result<(), String> {
 }
 
 fn params_of(req: &Request) -> Result<Params, String> {
-    let filter = match &req.filter {
-        Some(f) => f.parse::<FilterConfig>()?,
-        None => FilterConfig::everything(10),
-    };
-    let attrs = match &req.attrs {
-        Some(a) => a.parse::<AttrConfig>()?,
-        None => AttrConfig {
-            kind: AttrKind::Single,
-            freq: FreqMode::Actual,
-        },
-    };
-    let linkage = match &req.linkage {
-        Some(name) => cluster::Method::ALL
-            .into_iter()
-            .find(|m| m.name() == name.as_str())
-            .ok_or_else(|| format!("unknown linkage `{name}`"))?,
-        None => cluster::Method::Ward,
-    };
-    Ok(Params {
-        filter,
-        attrs,
-        linkage,
-    })
+    let mut params = Params::default();
+    if let Some(f) = &req.filter {
+        params.filter = f.parse::<FilterConfig>()?;
+    }
+    if let Some(a) = &req.attrs {
+        params.attrs = a.parse::<AttrConfig>()?;
+    }
+    if let Some(name) = &req.linkage {
+        params.linkage = name.parse()?;
+    }
+    Ok(params)
 }
 
 /// Run one analysis query. Returns `(stdout-equivalent output,

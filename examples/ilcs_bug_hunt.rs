@@ -9,7 +9,7 @@
 
 use difftrace::{
     diff_runs, render_ranking, sweep, AttrConfig, AttrKind, FilterConfig, FreqMode, KeepClass,
-    Params,
+    Params, PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceId};
 use std::sync::Arc;
@@ -41,6 +41,8 @@ fn main() {
         &filters,
         &AttrConfig::ALL,
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     println!("{}", render_ranking(&rows));
     println!("every informative row flags trace 6.4 — the planted bug site\n");

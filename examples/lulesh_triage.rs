@@ -9,6 +9,7 @@
 
 use difftrace::{
     diff_runs, render_ranking, sweep, AttrConfig, AttrKind, FilterConfig, FreqMode, Params,
+    PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceId};
 use std::sync::Arc;
@@ -40,6 +41,8 @@ fn main() {
         &filters,
         &AttrConfig::ALL,
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     println!("{}", render_ranking(&rows));
 

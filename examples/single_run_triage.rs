@@ -7,7 +7,9 @@
 //! cargo run --release --example single_run_triage
 //! ```
 
-use difftrace::{analyze_single, AttrConfig, AttrKind, FilterConfig, FreqMode, Params};
+use difftrace::{
+    analyze_single_opts_rec, AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions,
+};
 use dt_trace::FunctionRegistry;
 use std::sync::Arc;
 use workloads::{run_lulesh, LuleshConfig};
@@ -44,7 +46,8 @@ fn main() {
             freq: FreqMode::Actual,
         },
     );
-    let report = analyze_single(&out.traces, &params, 4);
+    let opts = PipelineOptions::default();
+    let report = analyze_single_opts_rec(&out.traces, &params, 4, &opts, &dt_obs::NOOP);
     println!("\nclusters (largest first):");
     for (i, c) in report.clusters.iter().enumerate() {
         println!(

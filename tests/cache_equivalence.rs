@@ -13,8 +13,8 @@
 
 use difftrace::filter::symbol_name;
 use difftrace::{
-    sweep, sweep_cached, sweep_parallel_cached_rec, try_diff_runs, AttrConfig, AttrKind, DiffRun,
-    FilterConfig, FreqMode, LintGate, Params, PipelineOptions, RankingRow,
+    sweep, try_diff_runs, AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode, Params,
+    PipelineOptions, RankingRow,
 };
 use dt_cache::Cache;
 use dt_trace::{FunctionRegistry, TraceCollector, TraceId, TraceSet};
@@ -46,10 +46,7 @@ fn params() -> Params {
 fn opts(threads: usize, cache: Option<Arc<Cache>>) -> PipelineOptions {
     PipelineOptions {
         threads,
-        lint: LintGate::Off,
-        hb: LintGate::Off,
-        race: LintGate::Off,
-        req: LintGate::Off,
+        gates: Default::default(),
         cache,
     }
 }
@@ -156,19 +153,20 @@ fn warm_sweep_folds_strictly_fewer_with_identical_rows() {
         &filters,
         &AttrConfig::ALL,
         cluster::Method::Ward,
+        &opts(1, None),
+        &dt_obs::NOOP,
     );
 
     let cache = Arc::new(Cache::new());
     let run = |tag: &str| {
         let rec = dt_obs::MetricsRecorder::new();
-        let rows = sweep_parallel_cached_rec(
+        let rows = sweep(
             &normal,
             &faulty,
             &filters,
             &AttrConfig::ALL,
             cluster::Method::Ward,
-            4,
-            Some(cache.clone()),
+            &opts(4, Some(cache.clone())),
             &rec,
         );
         assert_rows_equal(tag, &rows, &uncached);
@@ -199,18 +197,27 @@ fn disk_cache_persists_and_corruption_degrades_to_miss() {
             freq: FreqMode::NoFreq,
         },
     ];
-    let uncached = sweep(&normal, &faulty, &filters, &attrs, cluster::Method::Ward);
-    let dir = tmp("persist");
-
-    // Populate.
-    let writer = Arc::new(Cache::with_dir(&dir).unwrap());
-    let rows = sweep_cached(
+    let uncached = sweep(
         &normal,
         &faulty,
         &filters,
         &attrs,
         cluster::Method::Ward,
-        Some(writer.clone()),
+        &opts(1, None),
+        &dt_obs::NOOP,
+    );
+    let dir = tmp("persist");
+
+    // Populate.
+    let writer = Arc::new(Cache::with_dir(&dir).unwrap());
+    let rows = sweep(
+        &normal,
+        &faulty,
+        &filters,
+        &attrs,
+        cluster::Method::Ward,
+        &opts(1, Some(writer.clone())),
+        &dt_obs::NOOP,
     );
     assert_rows_equal("populate", &rows, &uncached);
     assert!(writer.stats().disk_write_bytes > 0);
@@ -218,13 +225,14 @@ fn disk_cache_persists_and_corruption_degrades_to_miss() {
 
     // A fresh instance (empty memory) hits from disk, re-folds nothing.
     let reader = Arc::new(Cache::with_dir(&dir).unwrap());
-    let rows = sweep_cached(
+    let rows = sweep(
         &normal,
         &faulty,
         &filters,
         &attrs,
         cluster::Method::Ward,
-        Some(reader.clone()),
+        &opts(1, Some(reader.clone())),
+        &dt_obs::NOOP,
     );
     assert_rows_equal("disk-warm", &rows, &uncached);
     let s = reader.stats();
@@ -248,13 +256,14 @@ fn disk_cache_persists_and_corruption_degrades_to_miss() {
         }
     }
     let survivor = Arc::new(Cache::with_dir(&dir).unwrap());
-    let rows = sweep_cached(
+    let rows = sweep(
         &normal,
         &faulty,
         &filters,
         &attrs,
         cluster::Method::Ward,
-        Some(survivor.clone()),
+        &opts(1, Some(survivor.clone())),
+        &dt_obs::NOOP,
     );
     assert_rows_equal("corrupted-dir", &rows, &uncached);
     assert!(
@@ -327,16 +336,20 @@ proptest! {
             AttrConfig { kind: AttrKind::Single, freq: FreqMode::Actual },
             AttrConfig { kind: AttrKind::Double, freq: FreqMode::NoFreq },
         ];
-        let cold = sweep(&normal, &faulty, &filters, &attrs, cluster::Method::Ward);
+        let cold = sweep(
+            &normal, &faulty, &filters, &attrs, cluster::Method::Ward, &opts(1, None),
+            &dt_obs::NOOP,
+        );
 
         let cache = Arc::new(Cache::new());
         // Prime, then sweep warm in parallel.
-        let primed = sweep_cached(
-            &normal, &faulty, &filters, &attrs, cluster::Method::Ward, Some(cache.clone()),
+        let primed = sweep(
+            &normal, &faulty, &filters, &attrs, cluster::Method::Ward,
+            &opts(1, Some(cache.clone())), &dt_obs::NOOP,
         );
-        let warm = sweep_parallel_cached_rec(
-            &normal, &faulty, &filters, &attrs, cluster::Method::Ward, 4,
-            Some(cache), &dt_obs::NOOP,
+        let warm = sweep(
+            &normal, &faulty, &filters, &attrs, cluster::Method::Ward,
+            &opts(4, Some(cache)), &dt_obs::NOOP,
         );
         for (label, rows) in [("primed", &primed), ("warm", &warm)] {
             prop_assert_eq!(rows.len(), cold.len(), "{}", label);
@@ -365,7 +378,9 @@ proptest! {
         let p = Params::new(FilterConfig::everything(10), AttrConfig {
             kind: AttrKind::Single, freq: FreqMode::Actual,
         });
-        let baseline = difftrace::analyze_single(&set, &p, 0);
+        let baseline = difftrace::analyze_single_opts_rec(
+            &set, &p, 0, &PipelineOptions::default(), &dt_obs::NOOP,
+        );
 
         let dir = tmp(&format!("prop_{:x}", dt_cache::nlr_key(10, &stream, |s| s.to_string())));
         let writer = Arc::new(Cache::with_dir(&dir).unwrap());

@@ -3,6 +3,7 @@
 
 use difftrace::{
     diff_runs, sweep, AttrConfig, AttrKind, FilterConfig, FreqMode, KeepClass, Params,
+    PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceId};
 use std::sync::Arc;
@@ -33,6 +34,8 @@ fn table_vi_flags_thread_6_4() {
         &filters,
         &AttrConfig::ALL,
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     assert_eq!(rows.len(), 6);
     for r in &rows {
@@ -167,6 +170,8 @@ fn table_ix_lulesh_flags_rank_2() {
             },
         ],
         cluster::Method::Ward,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
     );
     for r in &rows {
         assert_eq!(r.top_processes.first(), Some(&2), "{r}");

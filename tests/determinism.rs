@@ -3,7 +3,7 @@
 //! normal/faulty diffing sound (any difference comes from the fault,
 //! not the harness).
 
-use difftrace::{render_ranking, sweep, AttrConfig, FilterConfig};
+use difftrace::{render_ranking, sweep, AttrConfig, FilterConfig, PipelineOptions};
 use dt_trace::FunctionRegistry;
 use std::sync::Arc;
 use workloads::{run_ilcs, run_lulesh, IlcsConfig, LuleshConfig};
@@ -20,6 +20,8 @@ fn ilcs_ranking_tables_are_identical_across_harness_runs() {
             &[FilterConfig::mpi_all(10), FilterConfig::everything(10)],
             &AttrConfig::ALL,
             cluster::Method::Ward,
+            &PipelineOptions::default(),
+            &dt_obs::NOOP,
         );
         render_ranking(&rows)
     };

@@ -14,9 +14,8 @@
 use cluster::render_dendrogram;
 use difftrace::filter::symbol_name;
 use difftrace::{
-    analyze_opts, analyze_single_rec, diff_runs_opts, sweep, sweep_parallel, sweep_parallel_rec,
-    try_diff_runs, AnalysisRun, AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode, Params,
-    PipelineOptions,
+    analyze, analyze_single_opts_rec, diff_runs_opts, sweep, try_diff_runs, AnalysisRun,
+    AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode, Params, PipelineOptions,
 };
 use dt_trace::{FunctionRegistry, TraceSet};
 use nlr::{LoopId, LoopTable};
@@ -136,14 +135,21 @@ fn analyze_matches_sequential_on_all_workloads() {
     for (tag, normal, faulty) in workload_pairs() {
         for set in [&normal, &faulty] {
             let mut seq_table = LoopTable::new();
-            let seq = analyze_opts(set, &params(), &mut seq_table, &PipelineOptions::default());
+            let seq = analyze(
+                set,
+                &params(),
+                &mut seq_table,
+                &PipelineOptions::default(),
+                &dt_obs::NOOP,
+            );
             for &threads in THREADS {
                 let mut par_table = LoopTable::new();
-                let par = analyze_opts(
+                let par = analyze(
                     set,
                     &params(),
                     &mut par_table,
                     &PipelineOptions::with_threads(threads),
+                    &dt_obs::NOOP,
                 );
                 assert_runs_equal(&format!("{tag} t={threads}"), &seq, &par);
                 assert_tables_equal(&format!("{tag} t={threads}"), &seq_table, &par_table);
@@ -196,16 +202,21 @@ fn sweep_matches_sequential_on_workload_traces() {
             freq: FreqMode::NoFreq,
         },
     ];
-    let serial = sweep(&normal, &faulty, &filters, &attrs, cluster::Method::Ward);
-    for &threads in THREADS {
-        let par = sweep_parallel(
+    let sweep_at = |threads: usize| {
+        let opts = PipelineOptions::with_threads(threads);
+        sweep(
             &normal,
             &faulty,
             &filters,
             &attrs,
             cluster::Method::Ward,
-            threads,
-        );
+            &opts,
+            &dt_obs::NOOP,
+        )
+    };
+    let serial = sweep_at(1);
+    for &threads in THREADS {
+        let par = sweep_at(threads);
         assert_eq!(par.len(), serial.len());
         for (a, b) in par.iter().zip(&serial) {
             assert_eq!(a.filter, b.filter, "t={threads}");
@@ -258,9 +269,10 @@ fn instrumentation_is_observational() {
     }
 
     // Same contract for the single-run and sweep entry points.
-    let plain = analyze_single_rec(&faulty, &params(), 0, &dt_obs::NOOP);
+    let single = PipelineOptions::default();
+    let plain = analyze_single_opts_rec(&faulty, &params(), 0, &single, &dt_obs::NOOP);
     let rec = dt_obs::MetricsRecorder::new();
-    let instrumented = analyze_single_rec(&faulty, &params(), 0, &rec);
+    let instrumented = analyze_single_opts_rec(&faulty, &params(), 0, &single, &rec);
     assert_runs_equal("single instrumented", &plain.run, &instrumented.run);
     assert_eq!(plain.clusters, instrumented.clusters, "single clusters");
     assert_eq!(plain.outliers, instrumented.outliers, "single outliers");
@@ -270,15 +282,23 @@ fn instrumentation_is_observational() {
         kind: AttrKind::Single,
         freq: FreqMode::Actual,
     }];
-    let plain = sweep(&normal, &faulty, &filters, &attrs, cluster::Method::Ward);
-    let rec = dt_obs::MetricsRecorder::new();
-    let instrumented = sweep_parallel_rec(
+    let plain = sweep(
         &normal,
         &faulty,
         &filters,
         &attrs,
         cluster::Method::Ward,
-        4,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
+    );
+    let rec = dt_obs::MetricsRecorder::new();
+    let instrumented = sweep(
+        &normal,
+        &faulty,
+        &filters,
+        &attrs,
+        cluster::Method::Ward,
+        &PipelineOptions::with_threads(4),
         &rec,
     );
     assert_eq!(plain.len(), instrumented.len());

@@ -176,7 +176,7 @@ fn reports_are_byte_identical_across_cache_states() {
 
     let reference = {
         let o = PipelineOptions {
-            req: LintGate::Warn,
+            gates: [("reqcheck", LintGate::Warn)].into(),
             ..PipelineOptions::default()
         };
         let d = try_diff_runs(
@@ -203,9 +203,8 @@ fn reports_are_byte_identical_across_cache_states() {
             for _pass in 0..2 {
                 let o = PipelineOptions {
                     threads,
-                    req: LintGate::Warn,
+                    gates: [("reqcheck", LintGate::Warn)].into(),
                     cache: cache.clone(),
-                    ..PipelineOptions::default()
                 };
                 let d = try_diff_runs(
                     &normal.traces,

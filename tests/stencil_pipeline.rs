@@ -91,7 +91,7 @@ fn flipped_sign_only_moves_trip_counts() {
 
 #[test]
 fn single_run_mode_isolates_the_faulty_lulesh_rank() {
-    use difftrace::analyze_single;
+    use difftrace::{analyze_single_opts_rec, PipelineOptions};
     use workloads::{run_lulesh, LuleshConfig};
     let out = run_lulesh(
         &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
@@ -109,6 +109,7 @@ fn single_run_mode_isolates_the_faulty_lulesh_rank() {
             freq: FreqMode::Actual,
         },
     );
-    let report = analyze_single(&out.traces, &p, 4);
+    let opts = PipelineOptions::default();
+    let report = analyze_single_opts_rec(&out.traces, &p, 4, &opts, &dt_obs::NOOP);
     assert_eq!(report.outliers, vec![TraceId::master(2)]);
 }

@@ -2,7 +2,9 @@
 //! II/III/IV, Figures 3/4/5/6 — asserting the *exact* shapes the paper
 //! prints (these small experiments are deterministic).
 
-use difftrace::{analyze, diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params};
+use difftrace::{
+    analyze, diff_runs, AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions,
+};
 use dt_trace::{FunctionRegistry, TraceId};
 use nlr::LoopTable;
 use std::sync::Arc;
@@ -36,7 +38,13 @@ fn params(freq: FreqMode) -> Params {
 fn table_iii_nlr_shapes() {
     let set = oddeven(4, None, Arc::new(FunctionRegistry::new()));
     let mut table = LoopTable::new();
-    let run = analyze(&set, &params(FreqMode::NoFreq), &mut table);
+    let run = analyze(
+        &set,
+        &params(FreqMode::NoFreq),
+        &mut table,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
+    );
     let render = |p: u32| {
         run.nlrs
             .get(TraceId::master(p))
@@ -57,7 +65,13 @@ fn table_iii_nlr_shapes() {
 fn figure_3_lattice_and_figure_4_jsm() {
     let set = oddeven(4, None, Arc::new(FunctionRegistry::new()));
     let mut table = LoopTable::new();
-    let run = analyze(&set, &params(FreqMode::NoFreq), &mut table);
+    let run = analyze(
+        &set,
+        &params(FreqMode::NoFreq),
+        &mut table,
+        &PipelineOptions::default(),
+        &dt_obs::NOOP,
+    );
     // Figure 3: 4-concept diamond.
     assert_eq!(run.lattice.concepts().len(), 4);
     assert_eq!(run.lattice.top().extent_len(), 4);
