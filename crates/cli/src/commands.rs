@@ -2,11 +2,12 @@
 
 use difftrace::{
     checker, render_ranking, sweep, try_diff_runs, AnyChecker, AttrConfig, CheckInput,
-    FilterConfig, LintDomain, LintGate, LintOptions, Params, PipelineOptions, CHECKERS,
+    FilterConfig, LintGate, LintOptions, Params, PipelineOptions, CHECKERS,
 };
 use dt_baseline::{evaluate, snapshot_rec, Baseline, Policy};
 use dt_cache::Cache;
 use dt_obs::{stage, MetricsRecorder, Recorder};
+use dt_serve::Request;
 use dt_trace::hb::HbLog;
 use dt_trace::{store, FunctionRegistry, TraceId, TraceSet, TraceSetStats};
 use std::fmt;
@@ -81,55 +82,257 @@ fn unknown_option(flag: &str, cmd: &str) -> String {
     format!("unknown option `{flag}` for `{cmd}` ({})", usage_of(cmd))
 }
 
-/// A `--format` value: `text` or `json`.
-fn parse_format(format: String) -> Result<String, String> {
-    if format == "text" || format == "json" {
-        Ok(format)
-    } else {
-        Err(format!("unknown format `{format}` (text|json)"))
+/// How a flag takes its argument.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Arity {
+    /// A bare switch, at most once (`--full`).
+    Switch,
+    /// One value, at most once (`--filter CODE`).
+    Value,
+    /// One value per occurrence, repeatable (sweep's grid axes).
+    Repeat,
+}
+
+use Arity::{Repeat, Switch, Value};
+
+/// One accepted flag: its name and how it takes its argument.
+type Flag = (&'static str, Arity);
+
+/// The flags that travel on the wire for an analysis command (`single`,
+/// `diff`, `fleet`, each checker): what `query <cmd>` accepts and what
+/// [`request_of`] maps onto a [`Request`]. Empty for other commands.
+fn wire_flags(cmd: &str) -> &'static [Flag] {
+    match cmd {
+        "single" => &[
+            ("--filter", Value),
+            ("--attrs", Value),
+            ("--k", Value),
+            ("--trace", Value),
+        ],
+        "diff" => &[
+            ("--filter", Value),
+            ("--attrs", Value),
+            ("--linkage", Value),
+            ("--diffnlr", Value),
+            ("--threads", Value),
+            ("--full", Switch),
+        ],
+        "fleet" => &[
+            ("--suspect", Value),
+            ("--filter", Value),
+            ("--attrs", Value),
+            ("--linkage", Value),
+            ("--threads", Value),
+            ("--format", Value),
+        ],
+        _ => match checker(cmd) {
+            Some(c) if c.lint_options() => &[
+                ("--format", Value),
+                ("--domain", Value),
+                ("--threads", Value),
+                ("--deep", Switch),
+                ("--filter", Value),
+                ("--trace", Value),
+            ],
+            Some(_) => &[
+                ("--format", Value),
+                ("--domain", Value),
+                ("--threads", Value),
+            ],
+            None => &[],
+        },
     }
 }
 
-/// Duplicate-flag guard for the hand-rolled option loops. Every flag
-/// match arm calls [`Seen::check`] first, so `--filter A --filter B`
-/// fails the same way on every subcommand instead of silently keeping
-/// whichever value the loop happened to see last. Flags that are
-/// genuinely repeatable (sweep's grid axes) skip the check.
-struct Seen<'a> {
-    cmd: &'a str,
-    seen: std::collections::BTreeSet<&'static str>,
+/// Every flag `cmd` accepts on its own command line: its wire flags
+/// plus the ones that stay local to the process (cache, profiling,
+/// gates, output paths). `info`, `filters` and `cache` take none.
+fn flags_of(cmd: &str) -> Vec<Flag> {
+    const CACHE: Flag = ("--cache", Value);
+    const OBS: [Flag; 2] = [("--profile", Switch), ("--metrics", Value)];
+    let local: Vec<Flag> = match cmd {
+        "demo" => vec![("--force", Switch)],
+        "serve" => vec![("--addr", Value), ("--jobs", Value), CACHE],
+        // The union over every served command; `query_cmd` narrows it
+        // to the queried command once that positional is known.
+        "query" => {
+            let mut all = vec![("--gate", Value)];
+            for flag in dt_serve::COMMANDS.iter().flat_map(|c| wire_flags(c)) {
+                if !all.contains(flag) {
+                    all.push(*flag);
+                }
+            }
+            return all;
+        }
+        "single" => vec![CACHE],
+        "diff" => CHECKERS
+            .iter()
+            .map(|c| (c.diff_flag(), Value))
+            .chain([CACHE])
+            .collect(),
+        "fleet" => vec![("--gate", Value), CACHE],
+        "export" => vec![
+            ("--filter", Value),
+            ("--attrs", Value),
+            ("--linkage", Value),
+            ("--threads", Value),
+            CACHE,
+        ],
+        "sweep" => vec![
+            ("--filter", Repeat),
+            ("--attrs", Repeat),
+            ("--linkage", Value),
+            ("--jobs", Value),
+            CACHE,
+        ],
+        "baseline record" => vec![
+            ("--filter", Value),
+            ("--attrs", Value),
+            ("--threads", Value),
+            CACHE,
+            ("--force", Switch),
+        ],
+        "baseline check" => vec![
+            ("--policy", Value),
+            ("--format", Value),
+            ("--threads", Value),
+            CACHE,
+            ("--dir", Value),
+            ("--out", Value),
+        ],
+        _ if checker(cmd).is_some() => vec![("--gate", Value)],
+        _ => return Vec::new(),
+    };
+    let mut flags = wire_flags(cmd).to_vec();
+    flags.extend(local);
+    if !matches!(cmd, "demo" | "serve") {
+        flags.extend(OBS);
+    }
+    flags
 }
 
-impl<'a> Seen<'a> {
-    fn new(cmd: &'a str) -> Seen<'a> {
-        Seen {
-            cmd,
-            seen: std::collections::BTreeSet::new(),
+/// A parsed command line: the positionals in order, and each given
+/// flag with its values (none for a switch) in order of first use.
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, Vec<String>)>,
+}
+
+impl Args {
+    /// Walk `argv` against `cmd`'s flag table ([`flags_of`]). Anything
+    /// not starting with `--` is a positional. A flag outside the
+    /// table, a second use of a non-repeatable flag, and a value flag
+    /// with nothing after it are argument errors naming the flag.
+    fn parse(cmd: &str, argv: &[String]) -> Result<Args, String> {
+        let table = flags_of(cmd);
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                args.positional.push(a.clone());
+                continue;
+            }
+            let &(name, arity) = table
+                .iter()
+                .find(|(n, _)| n == a)
+                .ok_or_else(|| unknown_option(a, cmd))?;
+            let slot = args.flags.iter().position(|(n, _)| *n == name);
+            if slot.is_some() && arity != Repeat {
+                return Err(format!(
+                    "duplicate option `{name}` for `{cmd}` ({})",
+                    usage_of(cmd)
+                ));
+            }
+            let value = match arity {
+                Switch => None,
+                Value | Repeat => Some(
+                    it.next()
+                        .cloned()
+                        .ok_or_else(|| format!("{name} needs a value"))?,
+                ),
+            };
+            match slot {
+                Some(i) => args.flags[i].1.extend(value),
+                None => args.flags.push((name, value.into_iter().collect())),
+            }
         }
+        Ok(args)
     }
 
-    fn check(&mut self, flag: &'static str) -> Result<(), String> {
-        if self.seen.insert(flag) {
-            Ok(())
-        } else {
-            Err(format!(
-                "duplicate option `{flag}` for `{}` ({})",
-                self.cmd,
-                usage_of(self.cmd)
-            ))
-        }
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == flag)
     }
+
+    /// Every value given for `flag`, in order.
+    fn values(&self, flag: &str) -> &[String] {
+        self.flags
+            .iter()
+            .find(|(n, _)| *n == flag)
+            .map_or(&[], |(_, v)| v)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values(flag).first().map(String::as_str)
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// A count flag (`--k`, `--threads`, `--jobs`), if given.
+    fn number(&self, flag: &str) -> Result<Option<usize>, String> {
+        self.value(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {flag}")))
+            .transpose()
+    }
+
+    /// A gate flag (`off|warn|deny`), `default` when absent.
+    fn gate(&self, flag: &str, default: LintGate) -> Result<LintGate, String> {
+        self.value(flag).map_or(Ok(default), LintGate::parse)
+    }
+}
+
+/// Map the wire flags in `args` onto a [`Request`] for `cmd`: the one
+/// option vocabulary of `query <cmd>` and of the one-shot commands,
+/// which resolve it through the daemon's own conversions
+/// (`dt_serve::options`). `export` and `baseline` reuse it for the
+/// subset of those flags they take.
+fn request_of(cmd: &str, args: &Args) -> Result<Request, String> {
+    let text = |flag: &str| args.value(flag).map(str::to_string);
+    Ok(Request {
+        cmd: cmd.to_string(),
+        suspect: text("--suspect"),
+        format: text("--format"),
+        domain: text("--domain"),
+        deep: args.has("--deep"),
+        filter: text("--filter"),
+        attrs: text("--attrs"),
+        linkage: text("--linkage"),
+        k: args.number("--k")?,
+        threads: args.number("--threads")?,
+        trace: text("--trace"),
+        diffnlr: text("--diffnlr"),
+        full: args.has("--full"),
+        ..Request::default()
+    })
 }
 
 /// The `--profile` / `--metrics FILE` pair shared by the analysis
 /// subcommands.
-#[derive(Default)]
 struct ObsOpts {
     profile: bool,
     metrics: Option<PathBuf>,
 }
 
 impl ObsOpts {
+    fn of(args: &Args) -> ObsOpts {
+        ObsOpts {
+            profile: args.has("--profile"),
+            metrics: args.path("--metrics"),
+        }
+    }
+
     fn active(&self) -> bool {
         self.profile || self.metrics.is_some()
     }
@@ -328,13 +531,17 @@ USAGE:
       against the named corpus (two names for diff: normal faulty;
       two or more for fleet; none for metrics/shutdown) and prints
       the reply's output — byte-identical to running the subcommand
-      locally. --gate deny exits 3 when the reply carries
-      error-severity diagnostics; a refused or failed query exits 2
-      with the daemon's diagnosis.
+      locally. Each <cmd> takes exactly the analysis flags of its
+      one-shot subcommand, so `single` takes no --threads or
+      --linkage (the daemon still reads those fields from raw wire
+      frames). --gate applies to the checkers and fleet only: deny
+      exits 3 when the reply carries error-severity diagnostics or a
+      fleet outlier. A refused or failed query exits 2 with the
+      daemon's diagnosis.
 
   difftrace export <normal.dtts> <faulty.dtts> <outdir>
           [--filter CODE] [--attrs CODE] [--linkage NAME] [--threads N]
-          [--cache DIR]
+          [--cache DIR] [--profile] [--metrics FILE]
       Write analysis artifacts for external tools: concept lattices and
       dendrograms as Graphviz DOT, formal contexts and JSMs as CSV, and
       the full text report.
@@ -382,9 +589,10 @@ USAGE:
       Check every RUNS/*.dtts against the baseline through one shared
       analysis cache; write OUTDIR/index.json plus one JSON assertion
       report per run (all with stable content hashes), and exit 3 if
-      any run fails.
+      any run fails. Batch reports are always JSON, so --format is
+      refused here.
 
-CACHING (single, diff, export, sweep, baseline):
+CACHING (single, diff, fleet, export, sweep, baseline, serve):
   --cache DIR      memoize content-addressed analysis results — per-
                    trace NLR folds and mined attribute sets — in DIR
                    (created if absent). Grid cells sharing a filter
@@ -397,8 +605,8 @@ CACHING (single, diff, export, sweep, baseline):
                    observational: output is byte-identical with or
                    without it, at any thread count.
 
-PROFILING (lint, hbcheck, racecheck, reqcheck, diff, single, export, sweep,
-           baseline):
+PROFILING (lint, hbcheck, racecheck, reqcheck, diff, single, fleet, export,
+           sweep, baseline):
   --profile        print a per-stage wall-time and counter table to
                    stderr after the run, including per-worker busy
                    times for the parallel stages.
@@ -451,20 +659,9 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
 }
 
 fn demo(args: &[String]) -> Result<(), String> {
-    let mut seen = Seen::new("demo");
-    let mut force = false;
-    let mut positional = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--force" => {
-                seen.check("--force")?;
-                force = true;
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "demo")),
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [workload, outdir] = positional.as_slice() else {
+    let args = Args::parse("demo", args)?;
+    let force = args.has("--force");
+    let [workload, outdir] = args.positional.as_slice() else {
         return Err(usage_of("demo"));
     };
     if matches!(workload.as_str(), "fleet-oddeven" | "fleet-stencil") {
@@ -694,12 +891,12 @@ fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
 }
 
 /// Open the persistent analysis cache when `--cache DIR` was given.
-fn open_cache(dir: Option<&PathBuf>) -> Result<Option<Arc<Cache>>, String> {
+fn open_cache(dir: Option<&str>) -> Result<Option<Arc<Cache>>, String> {
     match dir {
         None => Ok(None),
-        Some(d) => Cache::with_dir(d)
+        Some(d) => Cache::with_dir(Path::new(d))
             .map(|c| Some(Arc::new(c)))
-            .map_err(|e| format!("opening cache {}: {e}", d.display())),
+            .map_err(|e| format!("opening cache {d}: {e}")),
     }
 }
 
@@ -712,10 +909,8 @@ fn report_cache(cache: Option<&Arc<Cache>>, rec: &dyn Recorder) {
 }
 
 fn cache_cmd(args: &[String]) -> Result<(), String> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(unknown_option(flag, "cache"));
-    }
-    let [action, dir] = args else {
+    let args = Args::parse("cache", args)?;
+    let [action, dir] = args.positional.as_slice() else {
         return Err(usage_of("cache"));
     };
     let path = Path::new(dir.as_str());
@@ -745,10 +940,8 @@ fn load_full(path: &str) -> Result<(TraceSet, HbLog), String> {
 }
 
 fn info(args: &[String]) -> Result<(), String> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(unknown_option(flag, "info"));
-    }
-    let [path] = args else {
+    let args = Args::parse("info", args)?;
+    let [path] = args.positional.as_slice() else {
         return Err(usage_of("info"));
     };
     let set = load(path)?;
@@ -784,10 +977,8 @@ fn info(args: &[String]) -> Result<(), String> {
 }
 
 fn filters(args: &[String]) -> Result<(), String> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(unknown_option(flag, "filters"));
-    }
-    let [path] = args else {
+    let args = Args::parse("filters", args)?;
+    let [path] = args.positional.as_slice() else {
         return Err(usage_of("filters"));
     };
     let set = load(path)?;
@@ -810,82 +1001,39 @@ fn filters(args: &[String]) -> Result<(), String> {
 }
 
 fn single(args: &[String]) -> Result<(), String> {
-    let mut seen = Seen::new("single");
-    let mut path: Option<String> = None;
-    let mut params = Params::default();
-    let mut k = 0usize;
-    let mut trace: Option<TraceId> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--filter" => {
-                seen.check("--filter")?;
-                params.filter = value("--filter")?.parse()?;
-            }
-            "--attrs" => {
-                seen.check("--attrs")?;
-                params.attrs = value("--attrs")?.parse()?;
-            }
-            "--k" => {
-                seen.check("--k")?;
-                k = value("--k")?.parse().map_err(|_| "bad --k")?;
-            }
-            "--trace" => {
-                seen.check("--trace")?;
-                trace = Some(dt_serve::render::parse_trace_id(&value("--trace")?)?);
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache_dir = Some(PathBuf::from(value("--cache")?));
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "single")),
-            other => {
-                if path.is_some() {
-                    return Err(format!(
-                        "unexpected extra argument `{other}` ({})",
-                        usage_of("single")
-                    ));
-                }
-                path = Some(other.to_string());
-            }
+    let args = Args::parse("single", args)?;
+    let req = request_of("single", &args)?;
+    let params = req.params()?;
+    let trace = req.trace_id()?;
+    let path = match args.positional.as_slice() {
+        [path] => path,
+        [] => return Err(usage_of("single")),
+        [_, extra, ..] => {
+            return Err(format!(
+                "unexpected extra argument `{extra}` ({})",
+                usage_of("single")
+            ))
         }
-    }
-    let path = path.ok_or_else(|| usage_of("single"))?;
-    let cache = open_cache(cache_dir.as_ref())?;
+    };
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
     let set = {
         let _s = stage(rec, "load");
         match trace {
-            None => load(&path)?,
-            Some(id) => load_one_trace(&path, id, rec)?,
+            None => load(path)?,
+            Some(id) => load_one_trace(path, id, rec)?,
         }
     };
-    let popts = PipelineOptions {
-        cache: cache.clone(),
-        ..PipelineOptions::default()
-    };
-    let report = difftrace::analyze_single_opts_rec(&set, &params, k, &popts, rec);
+    let popts = req.pipeline_options(cache.clone());
+    let report =
+        difftrace::analyze_single_opts_rec(&set, &params, req.flat_clusters(), &popts, rec);
     // Shared with `difftrace serve`, whose replies must be
     // byte-identical to this stdout.
     print!("{}", dt_serve::render::single_summary(set.len(), &report));
     report_cache(cache.as_ref(), rec);
-    obs.emit(&live, "single", 1)?;
+    obs.emit(&live, "single", popts.threads)?;
     Ok(())
 }
 
@@ -894,68 +1042,19 @@ fn single(args: &[String]) -> Result<(), String> {
 /// (lint alone takes `--deep`, `--filter` and `--trace`).
 fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
     let name = c.name();
-    let mut seen = Seen::new(name);
-    let mut paths = Vec::new();
-    let mut format = "text".to_string();
-    let mut gate = LintGate::Warn;
-    let mut trace: Option<TraceId> = None;
-    let mut opts = LintOptions::default();
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--format" => {
-                seen.check("--format")?;
-                format = parse_format(value("--format")?)?;
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--domain" => {
-                seen.check("--domain")?;
-                opts.domain = LintDomain::parse(&value("--domain")?)?;
-            }
-            "--deep" if c.lint_options() => {
-                seen.check("--deep")?;
-                opts.deep = true;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                opts.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            // Lenient on purpose: a bad custom pattern must surface as
-            // a TL004 diagnostic with a byte span, not an arg error.
-            "--filter" if c.lint_options() => {
-                seen.check("--filter")?;
-                opts.filter = Some(FilterConfig::parse_lenient(&value("--filter")?)?);
-            }
-            "--trace" if c.lint_options() => {
-                seen.check("--trace")?;
-                trace = Some(dt_serve::render::parse_trace_id(&value("--trace")?)?);
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, name).into()),
-            other => paths.push(other.to_string()),
-        }
-    }
+    let args = Args::parse(name, args)?;
+    let req = request_of(name, &args)?;
+    let format = req.report_format()?;
+    let opts = req.lint_options(c)?;
+    let trace = req.trace_id()?;
+    let gate = args.gate("--gate", LintGate::Warn)?;
+    let paths = &args.positional;
     if paths.is_empty() {
         return Err(usage_of(name).into());
     }
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
-    let (rendered, errors) = check_render(c, &paths, &format, &opts, trace, obs.recorder(&live))?;
+    let (rendered, errors) = check_render(c, paths, format, &opts, trace, obs.recorder(&live))?;
     print!("{rendered}");
     obs.emit(&live, name, opts.threads.max(1))?;
     if gate == LintGate::Deny && errors > 0 {
@@ -1036,189 +1135,37 @@ fn check_render(
     Ok((out, errors))
 }
 
-/// The options of `diff`, `export` and `sweep`, which share one
-/// parser; each command accepts only the flags it reads
-/// ([`accepts_flag`]).
-struct DiffOpts {
-    normal: String,
-    faulty: String,
-    /// `export`'s third positional; empty for `diff` and `sweep`.
-    outdir: String,
-    filters: Vec<FilterConfig>,
-    attrs: Vec<AttrConfig>,
-    linkage: cluster::Method,
-    diffnlr: Option<TraceId>,
-    jobs: usize,
-    threads: usize,
-    full: bool,
-    /// The checker gates (`--gate`, `--hb`, `--race`, `--req`), keyed
-    /// by checker name.
-    gates: std::collections::BTreeMap<&'static str, LintGate>,
-    cache: Option<PathBuf>,
-    obs: ObsOpts,
-}
-
-impl DiffOpts {
-    /// The one parameter combination of `diff` and `export`: the
-    /// `--filter`/`--attrs` given, the defaults otherwise.
-    fn params(&self) -> Params {
-        let default = Params::default();
-        Params {
-            filter: self.filters.first().cloned().unwrap_or(default.filter),
-            attrs: self.attrs.first().copied().unwrap_or(default.attrs),
-            linkage: self.linkage,
-        }
-    }
-}
-
-/// The flags `diff`, `export` and `sweep` all read.
-const SHARED_FLAGS: [&str; 6] = [
-    "--filter",
-    "--attrs",
-    "--linkage",
-    "--cache",
-    "--profile",
-    "--metrics",
-];
-
-/// Whether `cmd` (`diff`, `export` or `sweep`) reads `flag`.
-fn accepts_flag(cmd: &str, flag: &str) -> bool {
-    let own: &[&str] = match cmd {
-        "diff" => &["--diffnlr", "--threads", "--full"],
-        "export" => &["--threads"],
-        _ => &["--jobs"],
-    };
-    SHARED_FLAGS.contains(&flag)
-        || own.contains(&flag)
-        || (cmd == "diff" && CHECKERS.iter().any(|c| c.diff_flag() == flag))
-}
-
-fn parse_opts(args: &[String], cmd: &str) -> Result<DiffOpts, String> {
-    let mut seen = Seen::new(cmd);
-    // Only sweep's grid axes are repeatable; everywhere else a repeated
-    // flag is a mistake, not a list.
-    let repeatable_axes = cmd == "sweep";
-    let mut positional = Vec::new();
-    let mut filters = Vec::new();
-    let mut attrs = Vec::new();
-    let mut linkage = cluster::Method::Ward;
-    let mut diffnlr = None;
-    let mut jobs = 0usize;
-    let mut threads = 0usize;
-    let mut full = false;
-    let mut gates = std::collections::BTreeMap::new();
-    let mut cache = None;
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        if a.starts_with("--") && !accepts_flag(cmd, a) {
-            return Err(unknown_option(a, cmd));
-        }
-        if let Some(c) = CHECKERS.iter().find(|c| c.diff_flag() == a) {
-            seen.check(c.diff_flag())?;
-            gates.insert(c.name(), LintGate::parse(&value(c.diff_flag())?)?);
-            continue;
-        }
-        match a.as_str() {
-            "--filter" => {
-                if !repeatable_axes {
-                    seen.check("--filter")?;
-                }
-                filters.push(value("--filter")?.parse::<FilterConfig>()?);
-            }
-            "--attrs" => {
-                if !repeatable_axes {
-                    seen.check("--attrs")?;
-                }
-                attrs.push(value("--attrs")?.parse::<AttrConfig>()?);
-            }
-            "--linkage" => {
-                seen.check("--linkage")?;
-                linkage = value("--linkage")?.parse()?;
-            }
-            "--diffnlr" => {
-                seen.check("--diffnlr")?;
-                let spec = value("--diffnlr")?;
-                let (p, t) = spec
-                    .split_once('.')
-                    .ok_or_else(|| format!("--diffnlr wants P.T, got `{spec}`"))?;
-                diffnlr = Some(TraceId::new(
-                    p.parse().map_err(|_| "bad process id")?,
-                    t.parse().map_err(|_| "bad thread id")?,
-                ));
-            }
-            "--jobs" => {
-                seen.check("--jobs")?;
-                jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--full" => {
-                seen.check("--full")?;
-                full = true;
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache = Some(PathBuf::from(value("--cache")?));
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let (normal, faulty, outdir) = match (cmd, positional.as_slice()) {
-        ("export", [n, f, out]) => (n, f, out.clone()),
-        (_, [n, f]) if cmd != "export" => (n, f, String::new()),
-        _ => return Err(usage_of(cmd)),
-    };
-    Ok(DiffOpts {
-        normal: normal.clone(),
-        faulty: faulty.clone(),
-        outdir,
-        filters,
-        attrs,
-        linkage,
-        diffnlr,
-        jobs,
-        threads,
-        full,
-        gates,
-        cache,
-        obs,
-    })
-}
-
 fn diff_cmd(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args, "diff")?;
-    let cache = open_cache(opts.cache.as_ref())?;
+    let args = Args::parse("diff", args)?;
+    let req = request_of("diff", &args)?;
+    let params = req.params()?;
+    let diffnlr = req.diffnlr_id()?;
+    // The checker gates (`--gate`, `--hb`, `--race`, `--req`), keyed
+    // by checker name.
+    let mut gates = std::collections::BTreeMap::new();
+    for c in CHECKERS {
+        if let Some(v) = args.value(c.diff_flag()) {
+            gates.insert(c.name(), LintGate::parse(v)?);
+        }
+    }
+    let [normal_path, faulty_path] = args.positional.as_slice() else {
+        return Err(usage_of("diff").into());
+    };
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
-    let rec = opts.obs.recorder(&live);
+    let rec = obs.recorder(&live);
     let (normal, normal_hb) = {
         let _s = stage(rec, "load");
-        load_full(&opts.normal)?
+        load_full(normal_path)?
     };
     let (faulty, faulty_hb) = {
         let _s = stage(rec, "load");
-        load_full(&opts.faulty)?
+        load_full(faulty_path)?
     };
-    let params = opts.params();
     let popts = PipelineOptions {
-        threads: opts.threads,
-        gates: opts.gates,
-        cache: cache.clone(),
+        gates,
+        ..req.pipeline_options(cache.clone())
     };
     let have_logs = normal_hb.world_size() > 0 && faulty_hb.world_size() > 0;
     for c in CHECKERS.iter().filter(|c| c.needs_hb() && !have_logs) {
@@ -1236,7 +1183,7 @@ fn diff_cmd(args: &[String]) -> Result<(), CliError> {
             eprint!("{}", denied.render_reports());
             // The metrics still describe the work that ran (load + the
             // pre-pass that denied).
-            opts.obs.emit(&live, "diff", opts.threads)?;
+            obs.emit(&live, "diff", popts.threads)?;
             return Err(CliError::LintDenied(denied.to_string()));
         }
     };
@@ -1244,21 +1191,18 @@ fn diff_cmd(args: &[String]) -> Result<(), CliError> {
     for c in CHECKERS {
         eprint!("{}", c.findings(&d));
     }
-    if opts.full {
+    if req.full {
         print!(
             "{}",
             difftrace::generate_report(&d, &difftrace::ReportOptions::default())
         );
-        opts.obs.emit(&live, "diff", opts.threads)?;
+        obs.emit(&live, "diff", popts.threads)?;
         return Ok(());
     }
     // Shared with `difftrace serve`, whose replies must be
     // byte-identical to this stdout.
-    print!(
-        "{}",
-        dt_serve::render::diff_summary(&d, &params, opts.diffnlr)
-    );
-    opts.obs.emit(&live, "diff", opts.threads)?;
+    print!("{}", dt_serve::render::diff_summary(&d, &params, diffnlr));
+    obs.emit(&live, "diff", popts.threads)?;
     Ok(())
 }
 
@@ -1312,71 +1256,15 @@ fn expand_fleet_paths(positional: &[String]) -> Result<Vec<String>, String> {
 }
 
 fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("fleet");
-    let mut positional = Vec::new();
-    let mut suspect: Option<String> = None;
-    let mut params = Params::default();
-    let mut threads = 0usize;
-    let mut format = "text".to_string();
-    let mut gate = LintGate::Off;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--suspect" => {
-                seen.check("--suspect")?;
-                suspect = Some(value("--suspect")?);
-            }
-            "--filter" => {
-                seen.check("--filter")?;
-                params.filter = value("--filter")?.parse()?;
-            }
-            "--attrs" => {
-                seen.check("--attrs")?;
-                params.attrs = value("--attrs")?.parse()?;
-            }
-            "--linkage" => {
-                seen.check("--linkage")?;
-                params.linkage = value("--linkage")?.parse()?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--format" => {
-                seen.check("--format")?;
-                format = parse_format(value("--format")?)?;
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache_dir = Some(PathBuf::from(value("--cache")?));
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "fleet").into()),
-            other => positional.push(other.to_string()),
-        }
-    }
-    if positional.is_empty() {
+    let args = Args::parse("fleet", args)?;
+    let req = request_of("fleet", &args)?;
+    let params = req.params()?;
+    let format = req.report_format()?;
+    let gate = args.gate("--gate", LintGate::Off)?;
+    if args.positional.is_empty() {
         return Err(usage_of("fleet").into());
     }
-    let files = expand_fleet_paths(&positional)?;
+    let files = expand_fleet_paths(&args.positional)?;
     if files.len() < 2 {
         return Err(format!(
             "fleet needs at least 2 runs, got {} ({})",
@@ -1386,13 +1274,11 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
         .into());
     }
     let named = named_by_stem(&files)?;
-    let cache = open_cache(cache_dir.as_ref())?;
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let opts = difftrace::FleetOptions {
-        threads,
-        cache: cache.clone(),
-    };
+    let opts = req.fleet_options(cache.clone());
     let mut fleet = difftrace::FleetRun::new(params.clone());
     for (name, path) in &named {
         let set = {
@@ -1407,9 +1293,9 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
     let report = fleet.report();
     // Shared with `difftrace serve`, whose `fleet` replies must be
     // byte-identical to this stdout.
-    let out = dt_serve::render::fleet_summary(&report, &params, suspect.as_deref(), &format)?;
+    let out = dt_serve::render::fleet_summary(&report, &params, req.suspect.as_deref(), format)?;
     print!("{out}");
-    obs.emit(&live, "fleet", threads)?;
+    obs.emit(&live, "fleet", opts.threads)?;
     if gate == LintGate::Deny {
         if let Some(name) = &report.outlier {
             return Err(CliError::LintDenied(format!(
@@ -1421,44 +1307,17 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
 }
 
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let mut seen = Seen::new("serve");
-    let mut files = Vec::new();
-    let mut addr = "127.0.0.1:4178".to_string();
-    let mut jobs = 0usize;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => {
-                seen.check("--addr")?;
-                addr = value("--addr")?;
-            }
-            "--jobs" => {
-                seen.check("--jobs")?;
-                jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache_dir = Some(PathBuf::from(value("--cache")?));
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "serve")),
-            other => files.push(other.to_string()),
-        }
-    }
-    if files.is_empty() {
+    let args = Args::parse("serve", args)?;
+    let jobs = args.number("--jobs")?.unwrap_or(0);
+    if args.positional.is_empty() {
         return Err(usage_of("serve"));
     }
-    let corpora = named_by_stem(&files)?;
+    let corpora = named_by_stem(&args.positional)?;
     let server = dt_serve::Server::bind(&dt_serve::ServeConfig {
-        addr,
+        addr: args.value("--addr").unwrap_or("127.0.0.1:4178").to_string(),
         corpora,
         jobs,
-        cache_dir,
+        cache_dir: args.path("--cache"),
     })?;
     println!(
         "listening on {} ({} corpora: {}; {} workers)",
@@ -1475,83 +1334,16 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn query_cmd(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("query");
-    let mut positional = Vec::new();
-    let mut gate = LintGate::Warn;
-    let mut req = dt_serve::Request {
+    let args = Args::parse("query", args)?;
+    let [addr, cmd, rest @ ..] = args.positional.as_slice() else {
+        return Err(usage_of("query").into());
+    };
+    let gate = args.gate("--gate", LintGate::Warn)?;
+    let mut req = Request {
         id: 1,
-        ..dt_serve::Request::default()
+        ..request_of(cmd, &args)?
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--format" => {
-                seen.check("--format")?;
-                req.format = Some(value("--format")?);
-            }
-            "--gate" => {
-                seen.check("--gate")?;
-                gate = LintGate::parse(&value("--gate")?)?;
-            }
-            "--domain" => {
-                seen.check("--domain")?;
-                req.domain = Some(value("--domain")?);
-            }
-            "--deep" => {
-                seen.check("--deep")?;
-                req.deep = true;
-            }
-            "--filter" => {
-                seen.check("--filter")?;
-                req.filter = Some(value("--filter")?);
-            }
-            "--attrs" => {
-                seen.check("--attrs")?;
-                req.attrs = Some(value("--attrs")?);
-            }
-            "--linkage" => {
-                seen.check("--linkage")?;
-                req.linkage = Some(value("--linkage")?);
-            }
-            "--k" => {
-                seen.check("--k")?;
-                req.k = Some(value("--k")?.parse().map_err(|_| "bad --k")?);
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                req.threads = Some(value("--threads")?.parse().map_err(|_| "bad --threads")?);
-            }
-            "--trace" => {
-                seen.check("--trace")?;
-                req.trace = Some(value("--trace")?);
-            }
-            "--diffnlr" => {
-                seen.check("--diffnlr")?;
-                req.diffnlr = Some(value("--diffnlr")?);
-            }
-            "--suspect" => {
-                seen.check("--suspect")?;
-                req.suspect = Some(value("--suspect")?);
-            }
-            "--full" => {
-                seen.check("--full")?;
-                req.full = true;
-            }
-            other if other.starts_with("--") => return Err(unknown_option(other, "query").into()),
-            other => positional.push(other.to_string()),
-        }
-    }
-    let (addr, cmd, rest) = match positional.as_slice() {
-        [addr, cmd, rest @ ..] => (addr.clone(), cmd.clone(), rest.to_vec()),
-        _ => return Err(usage_of("query").into()),
-    };
-    req.cmd = cmd.clone();
-    match (cmd.as_str(), rest.as_slice()) {
+    match (cmd.as_str(), rest) {
         ("metrics" | "shutdown", []) => {}
         ("diff", [normal, faulty]) => {
             req.normal = Some(normal.clone());
@@ -1571,8 +1363,16 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
             .into())
         }
     }
+    // `query <cmd>` takes exactly `cmd`'s wire flags, plus `--gate`
+    // where the reply's error count is the verdict (checkers, fleet).
+    let gated = cmd == "fleet" || checker(cmd).is_some();
+    let accepted =
+        |flag: &str| wire_flags(cmd).iter().any(|(n, _)| *n == flag) || (gated && flag == "--gate");
+    if let Some((flag, _)) = args.flags.iter().find(|(flag, _)| !accepted(flag)) {
+        return Err(unknown_option(flag, "query").into());
+    }
     let mut stream =
-        std::net::TcpStream::connect(&addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        std::net::TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     {
         use std::io::Write as _;
         writeln!(stream, "{}", dt_serve::request_line(&req))
@@ -1605,36 +1405,31 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
 }
 
 fn export(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, "export")?;
-    let cache = open_cache(opts.cache.as_ref())?;
+    let args = Args::parse("export", args)?;
+    let req = request_of("export", &args)?;
+    let params = req.params()?;
+    let [normal_path, faulty_path, outdir] = args.positional.as_slice() else {
+        return Err(usage_of("export"));
+    };
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
-    let rec = opts.obs.recorder(&live);
+    let rec = obs.recorder(&live);
     let normal = {
         let _s = stage(rec, "load");
-        load(&opts.normal)?
+        load(normal_path)?
     };
     let faulty = {
         let _s = stage(rec, "load");
-        load(&opts.faulty)?
+        load(faulty_path)?
     };
-    let params = opts.params();
     // Export takes no gate flags; with every gate off the pipeline
     // cannot deny.
-    let Ok(d) = try_diff_runs(
-        &normal,
-        &faulty,
-        None,
-        &params,
-        &PipelineOptions {
-            cache: cache.clone(),
-            ..PipelineOptions::with_threads(opts.threads)
-        },
-        rec,
-    ) else {
+    let popts = req.pipeline_options(cache.clone());
+    let Ok(d) = try_diff_runs(&normal, &faulty, None, &params, &popts, rec) else {
         unreachable!("gates are off");
     };
     report_cache(cache.as_ref(), rec);
-    let outdir = &opts.outdir;
     let dir = PathBuf::from(outdir);
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {outdir}: {e}"))?;
     let write = |name: &str, content: String| -> Result<(), String> {
@@ -1659,56 +1454,62 @@ fn export(args: &[String]) -> Result<(), String> {
         difftrace::generate_report(&d, &difftrace::ReportOptions::default()),
     )?;
     println!("wrote 10 artifacts to {outdir}");
-    opts.obs.emit(&live, "export", opts.threads)?;
+    obs.emit(&live, "export", popts.threads)?;
     Ok(())
 }
 
 fn sweep_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, "sweep")?;
-    let cache = open_cache(opts.cache.as_ref())?;
+    let args = Args::parse("sweep", args)?;
+    let mut filters: Vec<FilterConfig> = args
+        .values("--filter")
+        .iter()
+        .map(|v| v.parse())
+        .collect::<Result<_, _>>()?;
+    let mut attrs: Vec<AttrConfig> = args
+        .values("--attrs")
+        .iter()
+        .map(|v| v.parse())
+        .collect::<Result<_, _>>()?;
+    let linkage = args
+        .value("--linkage")
+        .map_or(Ok(cluster::Method::Ward), str::parse)?;
+    let jobs = args.number("--jobs")?.unwrap_or(0);
+    let [normal_path, faulty_path] = args.positional.as_slice() else {
+        return Err(usage_of("sweep"));
+    };
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
-    let rec = opts.obs.recorder(&live);
+    let rec = obs.recorder(&live);
     let normal = {
         let _s = stage(rec, "load");
-        load(&opts.normal)?
+        load(normal_path)?
     };
     let faulty = {
         let _s = stage(rec, "load");
-        load(&opts.faulty)?
+        load(faulty_path)?
     };
-    let filters = if opts.filters.is_empty() {
-        vec![
+    if filters.is_empty() {
+        filters = vec![
             FilterConfig::everything(10),
             FilterConfig {
                 drop_returns: false,
                 ..FilterConfig::everything(10)
             },
-        ]
-    } else {
-        opts.filters
-    };
-    let attrs = if opts.attrs.is_empty() {
-        AttrConfig::ALL.to_vec()
-    } else {
-        opts.attrs
-    };
+        ];
+    }
+    if attrs.is_empty() {
+        attrs = AttrConfig::ALL.to_vec();
+    }
     let popts = PipelineOptions {
-        threads: opts.jobs,
+        threads: jobs,
         cache: cache.clone(),
         ..PipelineOptions::default()
     };
-    let rows = sweep(
-        &normal,
-        &faulty,
-        &filters,
-        &attrs,
-        opts.linkage,
-        &popts,
-        rec,
-    );
+    let rows = sweep(&normal, &faulty, &filters, &attrs, linkage, &popts, rec);
     print!("{}", render_ranking(&rows));
     report_cache(cache.as_ref(), rec);
-    opts.obs.emit(&live, "sweep", opts.jobs)?;
+    obs.emit(&live, "sweep", jobs)?;
     Ok(())
 }
 
@@ -1746,87 +1547,38 @@ fn baseline_params(b: &Baseline) -> Result<Params, String> {
 }
 
 /// Load `--policy FILE`, or the strict default without one.
-fn load_policy(path: Option<&PathBuf>) -> Result<Policy, String> {
+fn load_policy(path: Option<&str>) -> Result<Policy, String> {
     match path {
         None => Ok(Policy::default()),
         Some(p) => {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-            Policy::parse(&text).map_err(|e| format!("{}: {e}", p.display()))
+            let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
+            Policy::parse(&text).map_err(|e| format!("{p}: {e}"))
         }
     }
 }
 
 fn baseline_record(args: &[String]) -> Result<(), String> {
-    let mut seen = Seen::new("baseline record");
-    let mut positional = Vec::new();
-    let mut params = Params::default();
-    let mut threads = 0usize;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut force = false;
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--filter" => {
-                seen.check("--filter")?;
-                params.filter = value("--filter")?.parse()?;
-            }
-            "--attrs" => {
-                seen.check("--attrs")?;
-                params.attrs = value("--attrs")?.parse()?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache_dir = Some(PathBuf::from(value("--cache")?));
-            }
-            "--force" => {
-                seen.check("--force")?;
-                force = true;
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => {
-                return Err(unknown_option(other, "baseline record"))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let [run, out] = positional.as_slice() else {
+    let args = Args::parse("baseline record", args)?;
+    let req = request_of("baseline record", &args)?;
+    let params = req.params()?;
+    let [run, out] = args.positional.as_slice() else {
         return Err(usage_of("baseline record"));
     };
     let out_path = PathBuf::from(out);
-    if out_path.exists() && !force {
+    if out_path.exists() && !args.has("--force") {
         return Err(format!(
             "refusing to overwrite {out} (pass --force to replace the baseline)"
         ));
     }
-    let cache = open_cache(cache_dir.as_ref())?;
+    let cache = open_cache(args.value("--cache"))?;
+    let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
     let (set, hb) = {
         let _s = stage(rec, "load");
         load_full(run)?
     };
-    let popts = PipelineOptions {
-        threads,
-        cache: cache.clone(),
-        ..PipelineOptions::default()
-    };
+    let popts = req.pipeline_options(cache.clone());
     let baseline = snapshot_rec(&set, &hb, &params, &popts, rec);
     let bytes = baseline.encode();
     if rec.enabled() {
@@ -1844,7 +1596,7 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
         baseline.bundle_hash()
     );
     report_cache(cache.as_ref(), rec);
-    obs.emit(&live, "baseline-record", threads)?;
+    obs.emit(&live, "baseline-record", popts.threads)?;
     Ok(())
 }
 
@@ -1855,86 +1607,30 @@ fn json_str(s: &str) -> String {
 }
 
 fn baseline_check(args: &[String]) -> Result<(), CliError> {
-    let mut seen = Seen::new("baseline check");
-    let mut positional = Vec::new();
-    let mut policy_path: Option<PathBuf> = None;
-    let mut format = "text".to_string();
-    let mut threads = 0usize;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut runs_dir: Option<PathBuf> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut obs = ObsOpts::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--policy" => {
-                seen.check("--policy")?;
-                policy_path = Some(PathBuf::from(value("--policy")?));
-            }
-            "--format" => {
-                seen.check("--format")?;
-                format = parse_format(value("--format")?)?;
-            }
-            "--threads" => {
-                seen.check("--threads")?;
-                threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--cache" => {
-                seen.check("--cache")?;
-                cache_dir = Some(PathBuf::from(value("--cache")?));
-            }
-            "--dir" => {
-                seen.check("--dir")?;
-                runs_dir = Some(PathBuf::from(value("--dir")?));
-            }
-            "--out" => {
-                seen.check("--out")?;
-                out_dir = Some(PathBuf::from(value("--out")?));
-            }
-            "--profile" => {
-                seen.check("--profile")?;
-                obs.profile = true;
-            }
-            "--metrics" => {
-                seen.check("--metrics")?;
-                obs.metrics = Some(PathBuf::from(value("--metrics")?));
-            }
-            other if other.starts_with("--") => {
-                return Err(unknown_option(other, "baseline check").into())
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let policy = load_policy(policy_path.as_ref())?;
-    match runs_dir {
+    let args = Args::parse("baseline check", args)?;
+    let req = request_of("baseline check", &args)?;
+    let format = req.report_format()?;
+    let policy = load_policy(args.value("--policy"))?;
+    let obs = ObsOpts::of(&args);
+    let out_dir = args.path("--out");
+    match args.path("--dir") {
         None => {
             if out_dir.is_some() {
-                return Err("--out only applies to --dir batch checks"
-                    .to_string()
-                    .into());
+                return Err("--out only applies to --dir batch checks".into());
             }
-            let [run, bundle] = positional.as_slice() else {
+            let [run, bundle] = args.positional.as_slice() else {
                 return Err(usage_of("baseline check").into());
             };
             let baseline = load_baseline(bundle)?;
             let params = baseline_params(&baseline)?;
-            let cache = open_cache(cache_dir.as_ref())?;
+            let cache = open_cache(args.value("--cache"))?;
             let live = MetricsRecorder::new();
             let rec = obs.recorder(&live);
             let (set, hb) = {
                 let _s = stage(rec, "load");
                 load_full(run)?
             };
-            let popts = PipelineOptions {
-                threads,
-                cache: cache.clone(),
-                ..PipelineOptions::default()
-            };
+            let popts = req.pipeline_options(cache.clone());
             let candidate = snapshot_rec(&set, &hb, &params, &popts, rec);
             let report = evaluate(&baseline, &candidate, &policy, run)?;
             if rec.enabled() {
@@ -1947,7 +1643,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             } else {
                 print!("{}", report.render_text());
             }
-            obs.emit(&live, "baseline-check", threads)?;
+            obs.emit(&live, "baseline-check", popts.threads)?;
             if !report.passed() {
                 let names: Vec<&str> = report.failures().iter().map(|c| c.as_str()).collect();
                 return Err(CliError::LintDenied(format!(
@@ -1958,8 +1654,14 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some(dir) => {
+            if args.has("--format") {
+                return Err(
+                    "--format only applies to single-run checks (batch reports are always JSON)"
+                        .into(),
+                );
+            }
             let out = out_dir.ok_or("--dir needs --out OUTDIR for the report bundle")?;
-            let [bundle] = positional.as_slice() else {
+            let [bundle] = args.positional.as_slice() else {
                 return Err(usage_of("baseline check").into());
             };
             let baseline = load_baseline(bundle)?;
@@ -1978,14 +1680,11 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             // One shared cache for the whole batch: identical traces
             // across runs fold once. In-memory unless --cache persists
             // it on disk.
-            let cache = open_cache(cache_dir.as_ref())?.unwrap_or_else(|| Arc::new(Cache::new()));
+            let cache =
+                open_cache(args.value("--cache"))?.unwrap_or_else(|| Arc::new(Cache::new()));
             let live = MetricsRecorder::new();
             let rec = obs.recorder(&live);
-            let popts = PipelineOptions {
-                threads,
-                cache: Some(cache.clone()),
-                ..PipelineOptions::default()
-            };
+            let popts = req.pipeline_options(Some(cache.clone()));
             let mut failed: Vec<String> = Vec::new();
             let mut index_rows = Vec::new();
             for run in &runs {
@@ -2040,7 +1739,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
                 failed.len(),
                 out.display()
             );
-            obs.emit(&live, "baseline-check", threads)?;
+            obs.emit(&live, "baseline-check", popts.threads)?;
             if !failed.is_empty() {
                 return Err(CliError::LintDenied(format!(
                     "baseline gate failed for {}",
@@ -2055,6 +1754,7 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use difftrace::LintDomain;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -2069,12 +1769,13 @@ mod tests {
 
     #[test]
     fn parse_opts_full() {
-        let o = parse_opts(
+        let args = Args::parse(
+            "diff",
             &s(&[
                 "n.dtts",
-                "f.dtts",
                 "--filter",
                 "11.mpiall.K10",
+                "f.dtts",
                 "--attrs",
                 "doub.noFreq",
                 "--linkage",
@@ -2083,29 +1784,117 @@ mod tests {
                 "6.4",
                 "--threads",
                 "4",
+                "--hb",
+                "warn",
             ]),
-            "diff",
         )
         .unwrap();
-        assert_eq!(o.normal, "n.dtts");
-        assert_eq!(o.faulty, "f.dtts");
-        assert_eq!(o.filters.len(), 1);
-        assert_eq!(o.attrs.len(), 1);
-        assert_eq!(o.linkage.name(), "average");
-        assert_eq!(o.diffnlr, Some(TraceId::new(6, 4)));
-        assert_eq!(o.threads, 4);
-        let o = parse_opts(&s(&["n.dtts", "f.dtts", "--jobs", "3"]), "sweep").unwrap();
-        assert_eq!(o.jobs, 3);
+        assert_eq!(args.positional, s(&["n.dtts", "f.dtts"]));
+        assert_eq!(args.value("--hb"), Some("warn"));
+        let req = request_of("diff", &args).unwrap();
+        let params = req.params().unwrap();
+        assert_eq!(params.filter.to_string(), "11.mpiall.K10");
+        assert_eq!(params.attrs.to_string(), "doub.noFreq");
+        assert_eq!(params.linkage.name(), "average");
+        assert_eq!(req.diffnlr_id().unwrap(), Some(TraceId::new(6, 4)));
+        assert_eq!(req.pipeline_options(None).threads, 4);
+        let args = Args::parse("sweep", &s(&["n.dtts", "f.dtts", "--jobs", "3"])).unwrap();
+        assert_eq!(args.number("--jobs").unwrap(), Some(3));
     }
 
+    /// `diff` diagnoses each bad argument before touching a file (none
+    /// of the stores named here exists).
     #[test]
     fn parse_opts_rejects_garbage() {
-        assert!(parse_opts(&s(&["only-one.dtts"]), "diff").is_err());
-        assert!(parse_opts(&s(&["a", "b", "--filter", "zz"]), "diff").is_err());
-        assert!(parse_opts(&s(&["a", "b", "--linkage", "quantum"]), "diff").is_err());
-        assert!(parse_opts(&s(&["a", "b", "--bogus"]), "diff").is_err());
-        assert!(parse_opts(&s(&["a", "b", "--diffnlr", "64"]), "diff").is_err());
-        assert!(parse_opts(&s(&["a", "b", "--jobs", "3"]), "diff").is_err());
+        let cases: &[(&[&str], &str)] = &[
+            (&["only-one.dtts"], "usage: difftrace diff"),
+            (&["a", "b", "--filter", "zz"], "filter code"),
+            (
+                &["a", "b", "--linkage", "quantum"],
+                "unknown linkage `quantum`",
+            ),
+            (&["a", "b", "--bogus"], "unknown option `--bogus`"),
+            (
+                &["a", "b", "--diffnlr", "64"],
+                "trace spec wants P.T, got `64`",
+            ),
+            (&["a", "b", "--jobs", "3"], "unknown option `--jobs`"),
+        ];
+        for (args, want) in cases {
+            let err = dispatch(&s(&[&["diff"], *args].concat())).unwrap_err();
+            assert!(err.to_string().contains(want), "{args:?}: {err}");
+        }
+    }
+
+    /// Every subcommand's HELP synopsis lists exactly the flags its
+    /// table accepts (for `query`, the union over the served commands),
+    /// and the CACHING / PROFILING headers name exactly the subcommands
+    /// that take `--cache` / `--profile`.
+    #[test]
+    fn help_synopses_match_the_flag_tables() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let flag_of = |token: &str| {
+            let t = token.trim_start_matches('[');
+            t.starts_with("--").then(|| {
+                t.chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect::<String>()
+            })
+        };
+        let mut synopsis: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut current: Option<String> = None;
+        for line in HELP.lines() {
+            if let Some(rest) = line.strip_prefix("  difftrace ") {
+                let words: Vec<&str> = rest.split_whitespace().collect();
+                current = Some(match words[0] {
+                    "baseline" => format!("baseline {}", words[1]),
+                    cmd => cmd.to_string(),
+                });
+            } else if !line.starts_with("          ") {
+                current = None;
+            }
+            if let Some(cmd) = &current {
+                let flags = synopsis.entry(cmd.clone()).or_default();
+                flags.extend(line.split_whitespace().filter_map(flag_of));
+            }
+        }
+        let mut commands = vec![
+            "demo",
+            "info",
+            "filters",
+            "single",
+            "diff",
+            "fleet",
+            "serve",
+            "query",
+            "export",
+            "sweep",
+            "cache",
+            "baseline record",
+            "baseline check",
+        ];
+        commands.extend(CHECKERS.iter().map(|c| c.name()));
+        assert_eq!(
+            synopsis.keys().map(String::as_str).collect::<BTreeSet<_>>(),
+            commands.iter().copied().collect::<BTreeSet<_>>()
+        );
+        for cmd in &commands {
+            let table: BTreeSet<String> = flags_of(cmd).iter().map(|f| f.0.to_string()).collect();
+            assert_eq!(synopsis[*cmd], table, "HELP synopsis of `{cmd}`");
+        }
+        for (header, flag) in [("CACHING (", "--cache"), ("PROFILING (", "--profile")] {
+            let start = HELP.find(header).unwrap() + header.len();
+            let listed: BTreeSet<&str> = HELP[start..start + HELP[start..].find(')').unwrap()]
+                .split([',', ' ', '\n'])
+                .filter(|w| !w.is_empty())
+                .collect();
+            let takers: BTreeSet<&str> = commands
+                .iter()
+                .filter(|cmd| flags_of(cmd).iter().any(|f| f.0 == flag))
+                .map(|cmd| cmd.split(' ').next().unwrap())
+                .collect();
+            assert_eq!(listed, takers, "HELP header {header}…)");
+        }
     }
 
     #[test]
@@ -2706,6 +2495,9 @@ mod tests {
             &[
                 "query", "addr", "lint", "c", "--gate", "warn", "--gate", "deny",
             ],
+            &["fleet", "a", "b", "--suspect", "x", "--suspect", "y"],
+            &["export", "n", "f", "out", "--profile", "--profile"],
+            &["query", "addr", "single", "c", "--k", "1", "--k", "2"],
         ];
         for case in dup_cases {
             let err = dispatch(&s(case)).unwrap_err();
@@ -2733,6 +2525,8 @@ mod tests {
             &["baseline", "check", "r", "b", "--bogus"],
             &["serve", "a.dtts", "--bogus"],
             &["query", "addr", "lint", "c", "--bogus"],
+            &["fleet", "a", "b", "--bogus"],
+            &["query", "addr", "metrics", "--bogus"],
         ];
         for case in unknown_cases {
             let err = dispatch(&s(case)).unwrap_err();
@@ -2744,7 +2538,8 @@ mod tests {
         }
 
         // sweep's grid axes are the one sanctioned repetition.
-        let o = parse_opts(
+        let o = Args::parse(
+            "sweep",
             &s(&[
                 "n",
                 "f",
@@ -2757,11 +2552,10 @@ mod tests {
                 "--attrs",
                 "doub.noFreq",
             ]),
-            "sweep",
         )
         .unwrap();
-        assert_eq!(o.filters.len(), 2);
-        assert_eq!(o.attrs.len(), 2);
+        assert_eq!(o.values("--filter").len(), 2);
+        assert_eq!(o.values("--attrs").len(), 2);
     }
 
     /// `--cache` end to end: a sweep populates the directory, `cache

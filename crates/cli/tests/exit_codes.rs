@@ -139,6 +139,29 @@ fn exit_codes_for_every_subcommand() {
     assert_exit(2, &["diff", &n, &f, "--jobs", "7"]);
     assert_exit(2, &["export", &n, &f, out, "--gate", "deny", "--full"]);
     assert_exit(2, &["sweep", &n, &f, "--hb", "deny", "--threads", "8"]);
+    // `--diffnlr` goes through the same trace-spec parser as the
+    // served `diffnlr` field, with the same diagnosis.
+    let (code, _, stderr) = run(&["diff", &n, &f, "--diffnlr", "10"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("trace spec wants P.T, got `10`"),
+        "{stderr}"
+    );
+    // `query <cmd>` refuses flags that `cmd` does not read, before it
+    // connects anywhere.
+    for (args, flag) in [
+        (&["diff", "n", "f", "--gate", "deny"][..], "--gate"),
+        (&["single", "c", "--gate", "deny"][..], "--gate"),
+        (&["lint", "c", "--diffnlr", "1.0"][..], "--diffnlr"),
+        (&["metrics", "--format", "json"][..], "--format"),
+    ] {
+        let (code, _, stderr) = run(&[&["query", "127.0.0.1:1"][..], args].concat());
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option `{flag}` for `query`")),
+            "{args:?}: {stderr}"
+        );
+    }
     assert_exit(2, &["baseline"]); // missing action
     assert_exit(2, &["baseline", "frobnicate"]);
     assert_exit(2, &["baseline", "record", &sn]); // missing out
@@ -152,6 +175,18 @@ fn exit_codes_for_every_subcommand() {
         ],
     );
     assert_exit(2, &["baseline", "check", &sn, "/nonexistent/b.dtb"]);
+    // Batch reports are always JSON: `--format` with `--dir` is a
+    // diagnosed misuse, like `--out` without `--dir`.
+    let runs = dir.join("stencil").to_str().unwrap().to_string();
+    let reports = dir.join("reports").to_str().unwrap().to_string();
+    let (code, _, stderr) = run(&[
+        "baseline", "check", "--dir", &runs, "--out", &reports, "--format", "text", &base,
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains("--format only applies to single-run checks"),
+        "{stderr}"
+    );
     // A corrupt bundle must be a diagnosed exit-2 error naming the
     // file — never a panic, never a false pass.
     let corrupt = dir.join("corrupt.dtb");

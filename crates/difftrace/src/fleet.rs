@@ -49,6 +49,7 @@ use crate::sync::{effective_threads, par_map_obs};
 use cluster::{fcluster_maxclust, linkage, CondensedMatrix};
 use dt_cache::Cache;
 use dt_obs::{stage, Recorder};
+use dt_trace::hash::StableHasher;
 use dt_trace::{TraceId, TraceSet};
 use fca::{AttrId, ConceptLattice, FormalContext};
 use nlr::{Element, LoopId, LoopTable};
@@ -261,30 +262,7 @@ impl FleetRun {
         opts: &FleetOptions,
         rec: &dyn Recorder,
     ) -> Result<(), FleetError> {
-        if self.runs.iter().any(|r| r == run) {
-            return Err(FleetError::DuplicateRun(run.to_string()));
-        }
-        let ids = set.ids();
-        if self.runs.is_empty() {
-            self.universe = ids;
-        } else if ids != self.universe {
-            let missing = self
-                .universe
-                .iter()
-                .filter(|t| !ids.contains(t))
-                .copied()
-                .collect();
-            let extra = ids
-                .iter()
-                .filter(|t| !self.universe.contains(t))
-                .copied()
-                .collect();
-            return Err(FleetError::Misaligned {
-                run: run.to_string(),
-                missing,
-                extra,
-            });
-        }
+        self.admit(run, set)?;
         let attrs = mine_run(set, &self.params, &self.universe, opts, rec);
 
         // Grow the persistent lattice by exactly this run's objects —
@@ -328,6 +306,28 @@ impl FleetRun {
         }
         self.attrs.push(attrs);
         self.runs.push(run.to_string());
+        Ok(())
+    }
+
+    /// Refuse a duplicate run name or a run whose trace set differs
+    /// from the fleet's; the first run fixes the universe.
+    fn admit(&mut self, run: &str, set: &TraceSet) -> Result<(), FleetError> {
+        if self.runs.iter().any(|r| r == run) {
+            return Err(FleetError::DuplicateRun(run.to_string()));
+        }
+        let ids = set.ids();
+        if self.runs.is_empty() {
+            self.universe = ids;
+        } else if ids != self.universe {
+            let outside = |a: &[TraceId], b: &[TraceId]| -> Vec<TraceId> {
+                a.iter().filter(|t| !b.contains(t)).copied().collect()
+            };
+            return Err(FleetError::Misaligned {
+                run: run.to_string(),
+                missing: outside(&self.universe, &ids),
+                extra: outside(&ids, &self.universe),
+            });
+        }
         Ok(())
     }
 
@@ -484,30 +484,7 @@ impl FleetRun {
     ) -> Result<FleetRun, FleetError> {
         let mut fleet = FleetRun::new(params.clone());
         for (run, set) in named {
-            if fleet.runs.iter().any(|r| r == run) {
-                return Err(FleetError::DuplicateRun(run.to_string()));
-            }
-            let ids = set.ids();
-            if fleet.runs.is_empty() {
-                fleet.universe = ids;
-            } else if ids != fleet.universe {
-                let missing = fleet
-                    .universe
-                    .iter()
-                    .filter(|t| !ids.contains(t))
-                    .copied()
-                    .collect();
-                let extra = ids
-                    .iter()
-                    .filter(|t| !fleet.universe.contains(t))
-                    .copied()
-                    .collect();
-                return Err(FleetError::Misaligned {
-                    run: run.to_string(),
-                    missing,
-                    extra,
-                });
-            }
+            fleet.admit(run, set)?;
             let attrs = mine_run(set, params, &fleet.universe, opts, rec);
             fleet.attrs.push(attrs);
             fleet.runs.push(run.to_string());
@@ -611,7 +588,9 @@ fn mine_run(
 fn canonical_loop_label<F: Fn(u32) -> String>(table: &LoopTable, id: LoopId, name: &F) -> String {
     let mut rendered = String::new();
     render_body(table, id, name, &mut rendered);
-    format!("L#{:016x}", fold64(fnv128(rendered.as_bytes())))
+    let mut h = StableHasher::new();
+    h.write_raw(rendered.as_bytes());
+    format!("L#{:016x}", fold64(h.finish()))
 }
 
 fn render_body<F: Fn(u32) -> String>(table: &LoopTable, id: LoopId, name: &F, out: &mut String) {
@@ -628,18 +607,6 @@ fn render_body<F: Fn(u32) -> String>(table: &LoopTable, id: LoopId, name: &F, ou
             }
         }
     }
-}
-
-/// 128-bit FNV-1a.
-fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 fn fold64(h: u128) -> u64 {

@@ -15,10 +15,12 @@
 //! The contract that makes the daemon trustworthy: **every served
 //! reply's `output` is byte-identical to what the one-shot CLI prints
 //! for the same query**, at any worker count and any request
-//! interleaving. The [`render`] module is how — the CLI and the server
-//! share one renderer per command — and the serve-equivalence suite in
-//! `crates/cli/tests` is the proof.
+//! interleaving. The [`render`] and [`options`] modules are how — the
+//! CLI and the server share one renderer per command and one
+//! conversion from request options to analysis options — and the
+//! serve-equivalence suite in `crates/cli/tests` is the proof.
 
+pub mod options;
 pub mod protocol;
 pub mod render;
 pub mod server;

@@ -96,6 +96,7 @@ pub fn fleet_summary(
     suspect: Option<&str>,
     format: &str,
 ) -> Result<String, String> {
+    let json = parse_format(format)? == "json";
     let suspect_rank = match suspect {
         None => None,
         Some(name) => Some(report.rank_of(name).ok_or_else(|| {
@@ -118,111 +119,115 @@ pub fn fleet_summary(
             .map(|(_, c)| *c)
             .unwrap_or(0)
     };
-    match format {
-        "json" => {
-            let mut out = String::from("{\"format\":\"difftrace-fleet/v1\"");
-            out.push_str(&format!(
-                ",\"runs\":{},\"traces\":{},\"objects\":{},\"concepts\":{},\"median\":{:.6}",
-                report.runs.len(),
-                report.universe.len(),
-                report.objects,
-                report.concepts,
-                report.median
-            ));
-            match &report.outlier {
-                Some(name) => {
-                    out.push_str(&format!(",\"outlier\":\"{}\"", json::escape(name)));
-                }
-                None => out.push_str(",\"outlier\":null"),
+    if json {
+        let mut out = String::from("{\"format\":\"difftrace-fleet/v1\"");
+        out.push_str(&format!(
+            ",\"runs\":{},\"traces\":{},\"objects\":{},\"concepts\":{},\"median\":{:.6}",
+            report.runs.len(),
+            report.universe.len(),
+            report.objects,
+            report.concepts,
+            report.median
+        ));
+        match &report.outlier {
+            Some(name) => {
+                out.push_str(&format!(",\"outlier\":\"{}\"", json::escape(name)));
             }
-            out.push_str(",\"ranking\":[");
-            for (i, r) in report.runs.iter().enumerate() {
-                if i > 0 {
+            None => out.push_str(",\"outlier\":null"),
+        }
+        out.push_str(",\"ranking\":[");
+        for (i, r) in report.runs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"rank\":{},\"run\":\"{}\",\"score\":{:.6},\"cluster\":{},\"top_traces\":[",
+                i + 1,
+                json::escape(&r.name),
+                r.score,
+                cluster_of(&r.name)
+            ));
+            for (j, (id, dev)) in r.traces.iter().take(FLEET_TOP_TRACES).enumerate() {
+                if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!(
-                    "{{\"rank\":{},\"run\":\"{}\",\"score\":{:.6},\"cluster\":{},\"top_traces\":[",
-                    i + 1,
-                    json::escape(&r.name),
-                    r.score,
-                    cluster_of(&r.name)
-                ));
-                for (j, (id, dev)) in r.traces.iter().take(FLEET_TOP_TRACES).enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{{\"trace\":\"{id}\",\"dev\":{dev:.6}}}"));
-                }
-                out.push_str("]}");
+                out.push_str(&format!("{{\"trace\":\"{id}\",\"dev\":{dev:.6}}}"));
             }
-            out.push(']');
-            if let (Some(name), Some((rank, score))) = (suspect, suspect_rank) {
-                out.push_str(&format!(
-                    ",\"suspect\":{{\"run\":\"{}\",\"rank\":{rank},\"score\":{score:.6},\
-                     \"is_outlier\":{}}}",
-                    json::escape(name),
-                    report.outlier.as_deref() == Some(name)
-                ));
-            }
-            out.push_str("}\n");
-            Ok(out)
+            out.push_str("]}");
         }
-        "text" => {
-            let mut out = String::new();
+        out.push(']');
+        if let (Some(name), Some((rank, score))) = (suspect, suspect_rank) {
             out.push_str(&format!(
-                "params: {} {} {}\n",
-                params.filter,
-                params.attrs,
-                params.linkage.name()
+                ",\"suspect\":{{\"run\":\"{}\",\"rank\":{rank},\"score\":{score:.6},\
+                 \"is_outlier\":{}}}",
+                json::escape(name),
+                report.outlier.as_deref() == Some(name)
             ));
-            out.push_str(&format!(
-                "fleet: {} runs × {} traces ({} objects, {} concepts)\n",
-                report.runs.len(),
-                report.universe.len(),
-                report.objects,
-                report.concepts
-            ));
-            out.push_str("rank  score     cluster  run\n");
-            for (i, r) in report.runs.iter().enumerate() {
-                out.push_str(&format!(
-                    "{:>4}  {:.6}  {:>7}  {}\n",
-                    i + 1,
-                    r.score,
-                    cluster_of(&r.name),
-                    r.name
-                ));
-            }
-            match &report.outlier {
-                Some(name) => {
-                    let top = &report.runs[0];
-                    out.push_str(&format!(
-                        "outlier: {name} (score {:.6} > 2 × median {:.6})\n",
-                        top.score, report.median
-                    ));
-                    let traces = top
-                        .traces
-                        .iter()
-                        .take(FLEET_TOP_TRACES)
-                        .map(|(id, dev)| format!("{id} ({dev:.4})"))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    out.push_str(&format!("  most deviant traces: {traces}\n"));
-                }
-                None => out.push_str("no outlier — the fleet looks homogeneous\n"),
-            }
-            if let (Some(name), Some((rank, score))) = (suspect, suspect_rank) {
-                let verdict = if report.outlier.as_deref() == Some(name) {
-                    "it IS the fleet outlier"
-                } else {
-                    "it is not the fleet outlier"
-                };
-                out.push_str(&format!(
-                    "suspect {name}: ranked #{rank} of {} (score {score:.6}) — {verdict}\n",
-                    report.runs.len()
-                ));
-            }
-            Ok(out)
         }
+        out.push_str("}\n");
+        return Ok(out);
+    }
+    let mut out = String::new();
+    out.push_str(&format!(
+        "params: {} {} {}\n",
+        params.filter,
+        params.attrs,
+        params.linkage.name()
+    ));
+    out.push_str(&format!(
+        "fleet: {} runs × {} traces ({} objects, {} concepts)\n",
+        report.runs.len(),
+        report.universe.len(),
+        report.objects,
+        report.concepts
+    ));
+    out.push_str("rank  score     cluster  run\n");
+    for (i, r) in report.runs.iter().enumerate() {
+        out.push_str(&format!(
+            "{:>4}  {:.6}  {:>7}  {}\n",
+            i + 1,
+            r.score,
+            cluster_of(&r.name),
+            r.name
+        ));
+    }
+    match &report.outlier {
+        Some(name) => {
+            let top = &report.runs[0];
+            out.push_str(&format!(
+                "outlier: {name} (score {:.6} > 2 × median {:.6})\n",
+                top.score, report.median
+            ));
+            let traces = top
+                .traces
+                .iter()
+                .take(FLEET_TOP_TRACES)
+                .map(|(id, dev)| format!("{id} ({dev:.4})"))
+                .collect::<Vec<_>>()
+                .join(", ");
+            out.push_str(&format!("  most deviant traces: {traces}\n"));
+        }
+        None => out.push_str("no outlier — the fleet looks homogeneous\n"),
+    }
+    if let (Some(name), Some((rank, score))) = (suspect, suspect_rank) {
+        let verdict = if report.outlier.as_deref() == Some(name) {
+            "it IS the fleet outlier"
+        } else {
+            "it is not the fleet outlier"
+        };
+        out.push_str(&format!(
+            "suspect {name}: ranked #{rank} of {} (score {score:.6}) — {verdict}\n",
+            report.runs.len()
+        ));
+    }
+    Ok(out)
+}
+
+/// Validate a report format, `text` or `json` — the `--format` value,
+/// the wire `format` field and [`fleet_summary`] go through here.
+pub fn parse_format(format: &str) -> Result<&str, String> {
+    match format {
+        "text" | "json" => Ok(format),
         other => Err(format!("unknown format `{other}` (text|json)")),
     }
 }

@@ -16,10 +16,7 @@
 use crate::protocol::{self, Request};
 use crate::render;
 use difftrace::sync::Pool;
-use difftrace::{
-    checker, AnyChecker, AttrConfig, CheckInput, FilterConfig, LintDomain, LintOptions, Params,
-    PipelineOptions,
-};
+use difftrace::{checker, AnyChecker, CheckInput};
 use dt_cache::Cache;
 use dt_obs::{MetricsRecorder, Recorder};
 use dt_trace::store::IndexedSet;
@@ -250,23 +247,12 @@ impl WorkingSet {
     }
 }
 
-fn working_set(ix: &IndexedSet, trace: &Option<String>) -> Result<WorkingSet, String> {
-    match trace {
+fn working_set(ix: &IndexedSet, req: &Request) -> Result<WorkingSet, String> {
+    match req.trace_id()? {
         None => Ok(WorkingSet::Full(ix.full_set().map_err(|e| e.to_string())?)),
-        Some(spec) => {
-            let id = render::parse_trace_id(spec)?;
-            Ok(WorkingSet::Sub(
-                ix.subset(&[id]).map_err(|e| e.to_string())?,
-            ))
-        }
-    }
-}
-
-fn format_of(req: &Request) -> Result<&str, String> {
-    match req.format.as_deref() {
-        None => Ok("text"),
-        Some(f @ ("text" | "json")) => Ok(f),
-        Some(other) => Err(format!("unknown format `{other}` (text|json)")),
+        Some(id) => Ok(WorkingSet::Sub(
+            ix.subset(&[id]).map_err(|e| e.to_string())?,
+        )),
     }
 }
 
@@ -278,20 +264,6 @@ fn no_trace_field(req: &Request) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-fn params_of(req: &Request) -> Result<Params, String> {
-    let mut params = Params::default();
-    if let Some(f) = &req.filter {
-        params.filter = f.parse::<FilterConfig>()?;
-    }
-    if let Some(a) = &req.attrs {
-        params.attrs = a.parse::<AttrConfig>()?;
-    }
-    if let Some(name) = &req.linkage {
-        params.linkage = name.parse()?;
-    }
-    Ok(params)
 }
 
 /// Run one analysis query. Returns `(stdout-equivalent output,
@@ -307,12 +279,9 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
                     req.corpora.len()
                 ));
             }
-            let params = params_of(req)?;
-            let format = format_of(req)?;
-            let opts = difftrace::FleetOptions {
-                threads: req.threads.unwrap_or(0),
-                cache: Some(Arc::clone(&state.cache)),
-            };
+            let params = req.params()?;
+            let format = req.report_format()?;
+            let opts = req.fleet_options(Some(Arc::clone(&state.cache)));
             let mut fleet = difftrace::FleetRun::new(params.clone());
             for name in &req.corpora {
                 let ix = state.corpora.get(name).ok_or_else(|| {
@@ -332,34 +301,23 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
         }
         "single" => {
             let ix = corpus(state, &req.corpus, "corpus")?;
-            let params = params_of(req)?;
-            let k = req.k.unwrap_or(0);
-            let ws = working_set(ix, &req.trace)?;
-            let popts = PipelineOptions {
-                threads: req.threads.unwrap_or(1),
-                cache: Some(Arc::clone(&state.cache)),
-                ..PipelineOptions::default()
-            };
+            let params = req.params()?;
+            let ws = working_set(ix, req)?;
+            let popts = req.pipeline_options(Some(Arc::clone(&state.cache)));
             let set = ws.as_set();
-            let report = difftrace::analyze_single_opts_rec(set, &params, k, &popts, rec);
+            let report =
+                difftrace::analyze_single_opts_rec(set, &params, req.flat_clusters(), &popts, rec);
             Ok((render::single_summary(set.len(), &report), 0))
         }
         "diff" => {
             no_trace_field(req)?;
             let normal_ix = corpus(state, &req.normal, "normal")?;
             let faulty_ix = corpus(state, &req.faulty, "faulty")?;
-            let params = params_of(req)?;
-            let diffnlr = match &req.diffnlr {
-                Some(spec) => Some(render::parse_trace_id(spec)?),
-                None => None,
-            };
+            let params = req.params()?;
+            let diffnlr = req.diffnlr_id()?;
             let normal = normal_ix.full_set().map_err(|e| e.to_string())?;
             let faulty = faulty_ix.full_set().map_err(|e| e.to_string())?;
-            let popts = PipelineOptions {
-                threads: req.threads.unwrap_or(0),
-                cache: Some(Arc::clone(&state.cache)),
-                ..PipelineOptions::default()
-            };
+            let popts = req.pipeline_options(Some(Arc::clone(&state.cache)));
             let Ok(d) = difftrace::try_diff_runs(&normal, &faulty, None, &params, &popts, rec)
             else {
                 unreachable!("gates are off");
@@ -381,13 +339,13 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
 /// Run one checker query — the daemon twin of `difftrace <checker>`.
 /// Lint-only fields (`deep`, `filter`, `trace`) apply to checkers that
 /// take them ([`AnyChecker::lint_options`]); others reject `trace` and
-/// ignore the rest, like their CLI subcommands.
+/// ignore the rest, which only raw frames can carry.
 fn check(state: &State, c: &dyn AnyChecker, req: &Request) -> Result<(String, usize), String> {
     if !c.lint_options() {
         no_trace_field(req)?;
     }
     let ix = corpus(state, &req.corpus, "corpus")?;
-    let format = format_of(req)?;
+    let format = req.report_format()?;
     if c.needs_hb() && ix.hb().world_size() == 0 {
         return Err(format!(
             "corpus `{}`: no happens-before section — re-record the run (e.g. \
@@ -395,20 +353,8 @@ fn check(state: &State, c: &dyn AnyChecker, req: &Request) -> Result<(String, us
             req.corpus.as_deref().unwrap_or_default()
         ));
     }
-    let mut opts = LintOptions::default();
-    if let Some(d) = &req.domain {
-        opts.domain = LintDomain::parse(d)?;
-    }
-    if let Some(t) = req.threads {
-        opts.threads = t;
-    }
-    if c.lint_options() {
-        opts.deep = req.deep;
-        if let Some(f) = &req.filter {
-            opts.filter = Some(FilterConfig::parse_lenient(f)?);
-        }
-    }
-    let ws = working_set(ix, &req.trace)?;
+    let opts = req.lint_options(c)?;
+    let ws = working_set(ix, req)?;
     let input = CheckInput {
         set: ws.as_set(),
         hb: Some(ix.hb()),
