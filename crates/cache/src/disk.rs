@@ -183,7 +183,7 @@ fn decode_attrs(sealed: &[u8]) -> Option<AttrSet> {
     let mut out = Vec::new();
     for _ in 0..count {
         let len = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
-        let name = std::str::from_utf8(buf.get(at..at + len)?).ok()?;
+        let name = std::str::from_utf8(buf.get(at..at.checked_add(len)?)?).ok()?;
         at += len;
         let bits = buf.get(at..at + 8)?;
         at += 8;
@@ -301,6 +301,19 @@ mod tests {
         ];
         let bytes = encode_attrs(&set);
         assert_eq!(decode_attrs(&bytes), Some(set));
+    }
+
+    /// A correctly sealed attribute entry whose name length is
+    /// `u64::MAX` (the seal is an unkeyed hash anyone can recompute) is
+    /// a miss, not an offset overflow.
+    #[test]
+    fn forged_attr_name_length_is_a_miss() {
+        let mut out = ATTR_MAGIC.to_vec();
+        write_varint(&mut out, u64::from(CACHE_FORMAT_VERSION));
+        write_varint(&mut out, 1);
+        write_varint(&mut out, u64::MAX);
+        out.extend_from_slice(b"name");
+        assert_eq!(decode_attrs(&seal(out)), None);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
 use crate::pipeline::DiffRun;
-use ::hbcheck::compressed::Summarizer;
-use ::hbcheck::{expanded, HbCode, HbReport, TraceProgress, WaitForGraph};
+use ::hbcheck::{compressed, expanded, HbCode, HbReport, TraceProgress, WaitForGraph};
 use dt_trace::hb::HbLog;
 use dt_trace::{Trace, TraceSet};
 use nlr::{LoopTable, Nlr};
@@ -37,7 +36,7 @@ impl Checker for HbCheck {
     }
 
     fn compressed(&self, _vocab: &(), table: &LoopTable, t: &Trace, term: &Nlr) -> TraceProgress {
-        Summarizer::new(table).summarize(t.id, term, t.truncated)
+        compressed::summarize(table, t.id, term, t.truncated)
     }
 
     fn analyze(&self, _vocab: &(), input: &CheckInput, facts: Vec<TraceProgress>) -> HbReport {

@@ -17,7 +17,7 @@ use nlr::{LoopTable, Nlr};
 use std::sync::Arc;
 use tracelint::compressed::{
     check_collective_order_compressed, check_stack_discipline_compressed, rank_streams,
-    CollProjector, EffectChecker,
+    CollProjector,
 };
 use tracelint::rules;
 use tracelint::{Diagnostic, LintReport, RuleCode, Span};
@@ -102,8 +102,7 @@ impl Checker for Lint {
         t: &Trace,
         term: &Nlr,
     ) -> Vec<Diagnostic> {
-        let mut checker = EffectChecker::new(table);
-        check_stack_discipline_compressed(&mut checker, t.id, term, t.truncated, registry)
+        check_stack_discipline_compressed(table, t.id, term, t.truncated, registry)
     }
 
     /// The per-trace findings alone; [`Lint::run`] adds the rest.

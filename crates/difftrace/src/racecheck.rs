@@ -9,8 +9,9 @@
 
 use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
 use crate::pipeline::DiffRun;
-use dt_racecheck::compressed::Summarizer;
-use dt_racecheck::{analyze, expanded, RaceCode, RaceReport, RaceVocab, TraceRaceFacts};
+use dt_racecheck::{
+    analyze, compressed, expanded, RaceCode, RaceReport, RaceVocab, TraceRaceFacts,
+};
 use dt_trace::{Trace, TraceSet};
 use nlr::{LoopTable, Nlr};
 
@@ -42,7 +43,7 @@ impl Checker for RaceCheck {
         t: &Trace,
         term: &Nlr,
     ) -> TraceRaceFacts {
-        Summarizer::new(table, vocab).summarize(t.id, term, t.truncated)
+        compressed::summarize(table, vocab, t.id, term, t.truncated)
     }
 
     fn analyze(

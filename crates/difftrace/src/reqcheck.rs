@@ -9,8 +9,7 @@
 
 use crate::check::{run_facts, CheckInput, CheckOptions, Checker, PrePass};
 use crate::pipeline::DiffRun;
-use dt_reqcheck::compressed::Summarizer;
-use dt_reqcheck::{analyze, expanded, ReqCode, ReqReport, ReqVocab, TraceReqFacts};
+use dt_reqcheck::{analyze, compressed, expanded, ReqCode, ReqReport, ReqVocab, TraceReqFacts};
 use dt_trace::{Trace, TraceSet};
 use nlr::{LoopTable, Nlr};
 
@@ -42,7 +41,7 @@ impl Checker for ReqCheck {
         t: &Trace,
         term: &Nlr,
     ) -> TraceReqFacts {
-        Summarizer::new(table, vocab).summarize(t.id, term, t.truncated)
+        compressed::summarize(table, vocab, t.id, term, t.truncated)
     }
 
     fn analyze(

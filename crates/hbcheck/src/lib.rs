@@ -22,9 +22,10 @@
 //! The per-trace side of the analysis (per-rank progress counts, the
 //! open call chain at truncation) has two implementations with
 //! identical verdicts: [`expanded`] scans the expanded symbol streams;
-//! [`compressed`] walks NLR terms directly, summarizing each loop body
-//! once and applying closed forms for the repetition — the same
-//! compressed-trace technique as `tracelint`'s TL001–TL003 checks.
+//! [`compressed`] walks NLR terms directly with the shared
+//! `nlr::Summarizer`, summarizing each loop body once and applying
+//! closed forms for the repetition — the same walk, and the same
+//! `nlr::summary::StackEffect`, as `tracelint`'s TL001–TL003 checks.
 //! Property tests assert the two agree event-for-event.
 
 pub mod compressed;
@@ -101,7 +102,7 @@ impl dt_diag::Code for HbCode {
 
 /// Per-trace progress facts, derivable in either domain.
 ///
-/// [`expanded::summarize`] and [`compressed::Summarizer::summarize`]
+/// [`expanded::summarize`] and [`compressed::summarize`]
 /// must produce *equal* values for the same trace — that equality is
 /// what "verdict agreement" means for `hbcheck`, since [`analyze`]
 /// is a pure function of the [`HbLog`] and these summaries.

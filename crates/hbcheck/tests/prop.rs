@@ -5,7 +5,7 @@
 
 use dt_trace::hb::{BlockedOp, HbLog, HbOp, VectorClock};
 use dt_trace::{FunctionRegistry, TraceId};
-use hbcheck::{analyze, compressed::Summarizer, expanded, HbCode, TraceProgress};
+use hbcheck::{analyze, compressed, expanded, HbCode, TraceProgress};
 use nlr::{LoopTable, NlrBuilder};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -116,8 +116,7 @@ fn both_domains(
     let mut table = LoopTable::new();
     let term = NlrBuilder::new(k).build(syms, &mut table);
     assert_eq!(term.expand(&table), syms);
-    let mut s = Summarizer::new(&table);
-    (exp, s.summarize(id, &term, truncated))
+    (exp, compressed::summarize(&table, id, &term, truncated))
 }
 
 fn codes(report: &hbcheck::HbReport) -> BTreeSet<HbCode> {

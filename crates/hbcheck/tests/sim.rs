@@ -6,7 +6,7 @@
 //! reports compared byte for byte.
 
 use dt_trace::{FunctionRegistry, TraceId};
-use hbcheck::{analyze, compressed::Summarizer, expanded, HbCode, TraceProgress};
+use hbcheck::{analyze, compressed, expanded, HbCode, TraceProgress};
 use mpisim::{run, RunOutcome, SimConfig};
 use nlr::{LoopTable, NlrBuilder};
 use std::collections::BTreeSet;
@@ -39,10 +39,9 @@ fn compressed_progress(out: &RunOutcome) -> Vec<TraceProgress> {
             )
         })
         .collect();
-    let mut s = Summarizer::new(&table);
     terms
         .iter()
-        .map(|(id, term, truncated)| s.summarize(*id, term, *truncated))
+        .map(|(id, term, truncated)| compressed::summarize(&table, *id, term, *truncated))
         .collect()
 }
 

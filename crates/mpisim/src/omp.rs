@@ -92,13 +92,13 @@ impl OmpCtx<'_> {
     /// Enter a named critical section for the duration of `f`.
     ///
     /// Traced as `GOMP_critical_start` (returns once the lock is held)
-    /// and `GOMP_critical_end`. Named criticals are program-global, as
-    /// in OpenMP.
+    /// and `GOMP_critical_end`. Named criticals are global to the
+    /// rank's process, as in OpenMP.
     pub fn critical<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         let tracer = self.tracer();
         let start = tracer.intern("GOMP_critical_start");
         let end = tracer.intern("GOMP_critical_end");
-        let mutex = self.world.critical_mutex(name);
+        let mutex = self.world.critical_mutex(self.tracer().id().process, name);
         tracer.call(start);
         let guard = mutex.lock();
         tracer.ret(start);
@@ -116,12 +116,12 @@ impl OmpCtx<'_> {
     /// `GOMP_critical_start/end` markers existing workloads depend on —
     /// these named markers let `racecheck` reconstruct locksets and
     /// lock-acquisition order from the trace alone. Named locks are
-    /// program-global, like named criticals.
+    /// per process, like named criticals.
     pub fn lock<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         let tracer = self.tracer();
         let acquire = tracer.intern(&RaceOp::Acquire(name.to_string()).marker_name());
         let release = tracer.intern(&RaceOp::Release(name.to_string()).marker_name());
-        let mutex = self.world.critical_mutex(name);
+        let mutex = self.world.critical_mutex(self.tracer().id().process, name);
         tracer.call(acquire);
         let guard = mutex.lock();
         tracer.ret(acquire);

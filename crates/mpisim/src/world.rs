@@ -67,6 +67,9 @@ pub fn take_pending_send(
     Some((p.data, p.vc))
 }
 
+/// One named OpenMP lock or critical section.
+pub type CriticalMutex = Arc<Mutex<()>>;
+
 /// Mutable world state, guarded by one global lock. The lock is
 /// world-global on purpose: it makes the quiescence argument airtight
 /// (a predicate is re-evaluated atomically with the blocked-count
@@ -148,7 +151,8 @@ pub struct World {
     /// Mirror of `WorldState::version` readable without the lock (the
     /// watchdog polls it).
     progress: AtomicU64,
-    criticals: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+    /// Named OpenMP locks and criticals: (process, name) → mutex.
+    criticals: Mutex<HashMap<(u32, String), CriticalMutex>>,
     /// `omp single` election slots: name → winning thread.
     singles: Mutex<HashMap<String, u32>>,
 }
@@ -366,11 +370,14 @@ impl World {
         self.bump_locked(&mut st);
     }
 
-    /// The named-critical-section mutex for `name` (created on first
-    /// use) — models OpenMP named criticals, which are program-global.
-    pub fn critical_mutex(&self, name: &str) -> Arc<Mutex<()>> {
+    /// The mutex of named critical section or lock `name` in rank
+    /// `process` (created on first use). OpenMP names are global to one
+    /// program *instance*: two ranks never share a lock, so a
+    /// cross-rank lock cycle cannot block threads the MPI deadlock
+    /// detector does not see.
+    pub fn critical_mutex(&self, process: u32, name: &str) -> CriticalMutex {
         let mut m = self.criticals.lock();
-        m.entry(name.to_string())
+        m.entry((process, name.to_string()))
             .or_insert_with(|| Arc::new(Mutex::new(())))
             .clone()
     }
@@ -581,10 +588,19 @@ mod tests {
     #[test]
     fn critical_mutexes_are_shared_by_name() {
         let w = World::new(1, 64);
-        let a = w.critical_mutex("champ");
-        let b = w.critical_mutex("champ");
-        let c = w.critical_mutex("other");
+        let a = w.critical_mutex(0, "champ");
+        let b = w.critical_mutex(0, "champ");
+        let c = w.critical_mutex(0, "other");
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn critical_mutexes_are_per_process() {
+        let w = World::new(2, 64);
+        let a = w.critical_mutex(0, "champ");
+        let b = w.critical_mutex(1, "champ");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&b, &w.critical_mutex(1, "champ")));
     }
 }

@@ -31,6 +31,10 @@
 //! every trace — the heuristic the paper uses to diff loops across
 //! threads.
 //!
+//! Checkers read the compressed form directly through [`summary`]: a
+//! [`Summary`] monoid with a closed-form `repeat`, folded over a term
+//! by the one memoized walk, [`Summarizer`].
+//!
 //! # Example
 //!
 //! ```
@@ -47,9 +51,11 @@
 pub mod builder;
 pub mod element;
 pub mod shared;
+pub mod summary;
 pub mod table;
 
 pub use builder::NlrBuilder;
 pub use element::{Element, LoopId, Nlr};
 pub use shared::SharedLoopTable;
+pub use summary::{Summarizer, Summary};
 pub use table::{LoopInterner, LoopTable, RecordingInterner};

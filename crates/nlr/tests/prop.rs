@@ -1,6 +1,6 @@
 //! Property tests for nested-loop recognition.
 
-use nlr::{LoopId, LoopTable, NlrBuilder, RecordingInterner, SharedLoopTable};
+use nlr::{LoopId, LoopTable, NlrBuilder, RecordingInterner, SharedLoopTable, Summarizer, Summary};
 use proptest::prelude::*;
 
 fn loopy_stream() -> impl Strategy<Value = Vec<u32>> {
@@ -29,8 +29,53 @@ fn loopy_stream() -> impl Strategy<Value = Vec<u32>> {
     ]
 }
 
+/// The free monoid: a summary that keeps the whole sequence, so the
+/// summary walk must reproduce the expansion exactly.
+#[derive(Debug, Clone, PartialEq)]
+struct Free(Vec<u32>);
+
+impl Summary for Free {
+    type Ctx = ();
+
+    fn identity() -> Free {
+        Free(Vec::new())
+    }
+
+    fn push_symbol(&mut self, sym: u32, _ctx: &()) {
+        self.0.push(sym);
+    }
+
+    fn append(&mut self, next: &Free) {
+        self.0.extend_from_slice(&next.0);
+    }
+
+    fn repeat(&self, count: u64) -> Free {
+        Free(self.0.repeat(count as usize))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one summary walk over a term (its loop bodies memoized once
+    /// across every term of the table) equals the term's expansion.
+    #[test]
+    fn summary_walk_matches_expansion(
+        streams in proptest::collection::vec(loopy_stream(), 1..4),
+        k in 1usize..25,
+    ) {
+        let mut table = LoopTable::new();
+        let terms: Vec<_> = streams
+            .iter()
+            .map(|s| NlrBuilder::new(k).build(s, &mut table))
+            .collect();
+        let mut summarizer = Summarizer::<Free>::new(&table, &());
+        for (term, stream) in terms.iter().zip(&streams) {
+            let walked = summarizer.summary_of(term.elements());
+            prop_assert_eq!(&walked.0, &term.expand(&table));
+            prop_assert_eq!(&walked.0, stream);
+        }
+    }
 
     /// Expansion always reproduces the input, for any K.
     #[test]

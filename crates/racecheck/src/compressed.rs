@@ -45,8 +45,8 @@
 use crate::{AccessGroup, AccessKind, RaceSym, RaceVocab, TraceRaceFacts};
 use dt_trace::race::RaceOp;
 use dt_trace::TraceId;
-use nlr::{Element, LoopId, LoopTable, Nlr};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use nlr::{LoopTable, Nlr, Summarizer, Summary};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An access-group key relative to the term's entry lockset: the
 /// target, the kind, and the (acq, rel) context sets.
@@ -73,16 +73,6 @@ pub struct TermSummary {
 }
 
 impl TermSummary {
-    fn identity() -> TermSummary {
-        TermSummary {
-            len: 0,
-            barriers: 0,
-            exit_acq: BTreeSet::new(),
-            exit_rel: BTreeSet::new(),
-            groups: BTreeMap::new(),
-        }
-    }
-
     /// Record one access at the current end of the summary.
     fn record(&mut self, var: &str, kind: AccessKind) {
         let key = (
@@ -98,6 +88,42 @@ impl TermSummary {
             phase_last: self.barriers,
         };
         merge_group(&mut self.groups, key, val);
+    }
+
+    /// Rewrite a context set pair against this summary's exit effect
+    /// (the composition rule from the module docs).
+    fn rewrite(
+        &self,
+        acq: &BTreeSet<String>,
+        rel: &BTreeSet<String>,
+    ) -> (BTreeSet<String>, BTreeSet<String>) {
+        let mut acq2 = acq.clone();
+        let mut rel2 = rel.clone();
+        for l in &self.exit_acq {
+            if !acq.contains(l) && !rel.contains(l) {
+                acq2.insert(l.clone());
+            }
+        }
+        for l in &self.exit_rel {
+            if !acq.contains(l) && !rel.contains(l) {
+                rel2.insert(l.clone());
+            }
+        }
+        (acq2, rel2)
+    }
+}
+
+impl Summary for TermSummary {
+    type Ctx = RaceVocab;
+
+    fn identity() -> TermSummary {
+        TermSummary {
+            len: 0,
+            barriers: 0,
+            exit_acq: BTreeSet::new(),
+            exit_rel: BTreeSet::new(),
+            groups: BTreeMap::new(),
+        }
     }
 
     /// Append one raw symbol.
@@ -122,28 +148,6 @@ impl TermSummary {
             }
         }
         self.len += 1;
-    }
-
-    /// Rewrite a context set pair against this summary's exit effect
-    /// (the composition rule from the module docs).
-    fn rewrite(
-        &self,
-        acq: &BTreeSet<String>,
-        rel: &BTreeSet<String>,
-    ) -> (BTreeSet<String>, BTreeSet<String>) {
-        let mut acq2 = acq.clone();
-        let mut rel2 = rel.clone();
-        for l in &self.exit_acq {
-            if !acq.contains(l) && !rel.contains(l) {
-                acq2.insert(l.clone());
-            }
-        }
-        for l in &self.exit_rel {
-            if !acq.contains(l) && !rel.contains(l) {
-                rel2.insert(l.clone());
-            }
-        }
-        (acq2, rel2)
     }
 
     /// Append a whole summary (sequential composition `self · next`).
@@ -218,7 +222,7 @@ impl TermSummary {
     }
 }
 
-fn merge_group(groups: &mut BTreeMap<RelKey, GroupVal>, key: RelKey, val: GroupVal) {
+fn merge_group<K: Ord>(groups: &mut BTreeMap<K, GroupVal>, key: K, val: GroupVal) {
     groups
         .entry(key)
         .and_modify(|g| {
@@ -230,86 +234,39 @@ fn merge_group(groups: &mut BTreeMap<RelKey, GroupVal>, key: RelKey, val: GroupV
         .or_insert(val);
 }
 
-/// Memoizes per-loop-body summaries against a shared loop table.
-pub struct Summarizer<'t> {
-    table: &'t LoopTable,
-    vocab: &'t RaceVocab,
-    memo: HashMap<LoopId, TermSummary>,
-}
-
-impl<'t> Summarizer<'t> {
-    /// A summarizer over `table`, classifying symbols with `vocab`.
-    pub fn new(table: &'t LoopTable, vocab: &'t RaceVocab) -> Summarizer<'t> {
-        Summarizer {
-            table,
-            vocab,
-            memo: HashMap::new(),
-        }
+/// Summarize one NLR term — must equal [`crate::expanded::summarize`]
+/// on the term's expansion.
+pub fn summarize(
+    table: &LoopTable,
+    vocab: &RaceVocab,
+    id: TraceId,
+    term: &Nlr,
+    truncated: bool,
+) -> TraceRaceFacts {
+    let s: TermSummary = Summarizer::new(table, vocab).summary_of(term.elements());
+    // Top level: the entry lockset is empty, so the absolute
+    // lockset of a group is exactly its `acq` context; groups that
+    // differ only in `rel` collapse together.
+    let mut groups: BTreeMap<(String, AccessKind, BTreeSet<String>), GroupVal> = BTreeMap::new();
+    for ((var, kind, acq, _rel), val) in s.groups {
+        merge_group(&mut groups, (var, kind, acq), val);
     }
-
-    /// Summary of a whole element sequence.
-    pub fn summary_of(&mut self, elements: &[Element]) -> TermSummary {
-        let mut acc = TermSummary::identity();
-        for e in elements {
-            match *e {
-                Element::Sym(s) => acc.push_symbol(s, self.vocab),
-                Element::Loop { body, count } => {
-                    let s = self.body_summary(body).repeat(count);
-                    acc.append(&s);
-                }
-            }
-        }
-        acc
-    }
-
-    /// Summary of one iteration of `id`'s body (memoized).
-    fn body_summary(&mut self, id: LoopId) -> TermSummary {
-        if let Some(s) = self.memo.get(&id) {
-            return s.clone();
-        }
-        let body = self.table.body(id);
-        let s = self.summary_of(body);
-        self.memo.insert(id, s.clone());
-        s
-    }
-
-    /// Summarize one NLR term — must equal
-    /// [`crate::expanded::summarize`] on the term's expansion.
-    pub fn summarize(&mut self, id: TraceId, term: &Nlr, truncated: bool) -> TraceRaceFacts {
-        let s = self.summary_of(term.elements());
-        // Top level: the entry lockset is empty, so the absolute
-        // lockset of a group is exactly its `acq` context; groups that
-        // differ only in `rel` collapse together.
-        let mut groups: BTreeMap<(String, AccessKind, BTreeSet<String>), GroupVal> =
-            BTreeMap::new();
-        for ((var, kind, acq, _rel), val) in s.groups {
-            groups
-                .entry((var, kind, acq))
-                .and_modify(|g| {
-                    g.count = g.count.saturating_add(val.count);
-                    g.first_offset = g.first_offset.min(val.first_offset);
-                    g.phase_first = g.phase_first.min(val.phase_first);
-                    g.phase_last = g.phase_last.max(val.phase_last);
-                })
-                .or_insert(val);
-        }
-        TraceRaceFacts {
-            id,
-            groups: groups
-                .into_iter()
-                .map(|((var, kind, lockset), v)| AccessGroup {
-                    var,
-                    kind,
-                    lockset,
-                    count: v.count,
-                    first_offset: v.first_offset,
-                    phase_first: v.phase_first,
-                    phase_last: v.phase_last,
-                })
-                .collect(),
-            barriers: s.barriers,
-            truncated,
-        }
+    TraceRaceFacts {
+        id,
+        groups: groups
+            .into_iter()
+            .map(|((var, kind, lockset), v)| AccessGroup {
+                var,
+                kind,
+                lockset,
+                count: v.count,
+                first_offset: v.first_offset,
+                phase_first: v.phase_first,
+                phase_last: v.phase_last,
+            })
+            .collect(),
+        barriers: s.barriers,
+        truncated,
     }
 }
 
@@ -318,7 +275,7 @@ mod tests {
     use super::*;
     use crate::expanded;
     use dt_trace::FunctionRegistry;
-    use nlr::NlrBuilder;
+    use nlr::{Element, NlrBuilder};
     use proptest::prelude::*;
 
     fn call(f: dt_trace::FnId) -> u32 {
@@ -359,10 +316,9 @@ mod tests {
         let mut table = LoopTable::new();
         let term = NlrBuilder::new(10).build(symbols, &mut table);
         assert_eq!(term.expand(&table), symbols, "NLR must be lossless");
-        let mut summarizer = Summarizer::new(&table, &vocab);
         let id = TraceId::new(0, 1);
         assert_eq!(
-            summarizer.summarize(id, &term, truncated),
+            summarize(&table, &vocab, id, &term, truncated),
             expanded::summarize(id, symbols, truncated, &vocab),
         );
     }
@@ -466,8 +422,7 @@ mod tests {
             body,
             count: 1_000_000,
         }];
-        let mut s = Summarizer::new(&table, &vocab);
-        let sum = s.summary_of(&elements);
+        let sum: TermSummary = Summarizer::new(&table, &vocab).summary_of(&elements);
         assert_eq!(sum.len, 8_000_000);
         assert_eq!(sum.barriers, 1_000_000);
         // Relative groups: the iteration-1 acquire sees an untouched
@@ -475,7 +430,7 @@ mod tests {
         // keys that the top-level collapse merges (same `acq` set).
         assert_eq!(sum.groups.len(), 3);
         let term = Nlr::from_parts(elements, 8_000_000);
-        let facts = s.summarize(TraceId::new(0, 1), &term, false);
+        let facts = summarize(&table, &vocab, TraceId::new(0, 1), &term, false);
         // One write group (under A) and one acquire group, each hit
         // once per iteration.
         assert_eq!(facts.groups.len(), 2);

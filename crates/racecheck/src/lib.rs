@@ -30,8 +30,8 @@
 //! # Domains
 //!
 //! [`expanded::summarize`] walks the raw symbol stream; the
-//! [`compressed`] summarizer folds per-term summaries bottom-up over
-//! NLR loop structure — each loop body is summarized once and its
+//! [`compressed`] summary is folded bottom-up over NLR loop structure
+//! by the shared `nlr::Summarizer` walk — each loop body is summarized once and its
 //! repetition applied in closed form, so a million-iteration loop
 //! costs O(|body|) (the ZipTrack result, adapted to barrier-phase
 //! abstraction). Property tests assert the two produce *equal* facts,
@@ -145,7 +145,7 @@ pub struct AccessGroup {
 
 /// Per-trace facts, derivable in either domain.
 ///
-/// [`expanded::summarize`] and [`compressed::Summarizer::summarize`]
+/// [`expanded::summarize`] and [`compressed::summarize`]
 /// must produce *equal* values for the same trace — that equality is
 /// what "verdict agreement" means for `racecheck`, since [`analyze`]
 /// is a pure function of these facts.

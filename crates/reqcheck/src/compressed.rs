@@ -33,8 +33,8 @@
 use crate::expanded::rle_push;
 use crate::{CollRun, ReqSym, ReqVocab, TraceReqFacts};
 use dt_trace::TraceId;
-use nlr::{Element, LoopId, LoopTable, Nlr};
-use std::collections::{BTreeMap, HashMap};
+use nlr::{LoopTable, Nlr, Summarizer, Summary};
+use std::collections::BTreeMap;
 
 /// Append `src` (shifted by `shift` symbols) onto `dst`, merging the
 /// boundary runs when their values match.
@@ -103,6 +103,17 @@ pub struct TermSummary {
 }
 
 impl TermSummary {
+    /// Net request balance of the whole term.
+    fn delta(&self) -> i64 {
+        i64::try_from(self.posted)
+            .unwrap_or(i64::MAX)
+            .saturating_sub(i64::try_from(self.completed).unwrap_or(i64::MAX))
+    }
+}
+
+impl Summary for TermSummary {
+    type Ctx = ReqVocab;
+
     fn identity() -> TermSummary {
         TermSummary {
             len: 0,
@@ -119,13 +130,6 @@ impl TermSummary {
             sigs: Vec::new(),
             pending: BTreeMap::new(),
         }
-    }
-
-    /// Net request balance of the whole term.
-    fn delta(&self) -> i64 {
-        i64::try_from(self.posted)
-            .unwrap_or(i64::MAX)
-            .saturating_sub(i64::try_from(self.completed).unwrap_or(i64::MAX))
     }
 
     /// Append one raw symbol.
@@ -245,80 +249,32 @@ impl TermSummary {
         }
         out
     }
-
-    /// Symbol length covered (for tests).
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the summary covers no symbols.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
-/// Memoizes per-loop-body summaries against a shared loop table.
-pub struct Summarizer<'t> {
-    table: &'t LoopTable,
-    vocab: &'t ReqVocab,
-    memo: HashMap<LoopId, TermSummary>,
-}
-
-impl<'t> Summarizer<'t> {
-    /// A summarizer over `table`, classifying symbols with `vocab`.
-    pub fn new(table: &'t LoopTable, vocab: &'t ReqVocab) -> Summarizer<'t> {
-        Summarizer {
-            table,
-            vocab,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Summary of a whole element sequence.
-    pub fn summary_of(&mut self, elements: &[Element]) -> TermSummary {
-        let mut acc = TermSummary::identity();
-        for e in elements {
-            match *e {
-                Element::Sym(s) => acc.push_symbol(s, self.vocab),
-                Element::Loop { body, count } => {
-                    let s = self.body_summary(body).repeat(count);
-                    acc.append(&s);
-                }
-            }
-        }
-        acc
-    }
-
-    /// Summary of one iteration of `id`'s body (memoized).
-    fn body_summary(&mut self, id: LoopId) -> TermSummary {
-        if let Some(s) = self.memo.get(&id) {
-            return s.clone();
-        }
-        let body = self.table.body(id);
-        let s = self.summary_of(body);
-        self.memo.insert(id, s.clone());
-        s
-    }
-
-    /// Summarize one NLR term — must equal
-    /// [`crate::expanded::summarize`] on the term's expansion.
-    pub fn summarize(&mut self, id: TraceId, term: &Nlr, truncated: bool) -> TraceReqFacts {
-        let s = self.summary_of(term.elements());
-        TraceReqFacts {
-            id,
-            posted: s.posted,
-            completed: s.completed,
-            min_balance: s.min_bal,
-            min_balance_offset: s.min_off,
-            first_post_offset: s.first_post,
-            finalized: s.finalized,
-            after_finalize: s.after_fin,
-            after_finalize_offset: s.after_off,
-            kinds: s.kinds,
-            sigs: s.sigs,
-            pending: s.pending.into_iter().collect(),
-            truncated,
-        }
+/// Summarize one NLR term — must equal [`crate::expanded::summarize`]
+/// on the term's expansion.
+pub fn summarize(
+    table: &LoopTable,
+    vocab: &ReqVocab,
+    id: TraceId,
+    term: &Nlr,
+    truncated: bool,
+) -> TraceReqFacts {
+    let s: TermSummary = Summarizer::new(table, vocab).summary_of(term.elements());
+    TraceReqFacts {
+        id,
+        posted: s.posted,
+        completed: s.completed,
+        min_balance: s.min_bal,
+        min_balance_offset: s.min_off,
+        first_post_offset: s.first_post,
+        finalized: s.finalized,
+        after_finalize: s.after_fin,
+        after_finalize_offset: s.after_off,
+        kinds: s.kinds,
+        sigs: s.sigs,
+        pending: s.pending.into_iter().collect(),
+        truncated,
     }
 }
 
@@ -327,7 +283,7 @@ mod tests {
     use super::*;
     use crate::expanded;
     use dt_trace::FunctionRegistry;
-    use nlr::NlrBuilder;
+    use nlr::{Element, NlrBuilder};
     use proptest::prelude::*;
 
     fn call(f: dt_trace::FnId) -> u32 {
@@ -369,10 +325,9 @@ mod tests {
         let mut table = LoopTable::new();
         let term = NlrBuilder::new(10).build(symbols, &mut table);
         assert_eq!(term.expand(&table), symbols, "NLR must be lossless");
-        let mut summarizer = Summarizer::new(&table, &vocab);
         let id = TraceId::new(0, 1);
         assert_eq!(
-            summarizer.summarize(id, &term, truncated),
+            summarize(&table, &vocab, id, &term, truncated),
             expanded::summarize(id, symbols, truncated, &vocab),
         );
     }
@@ -462,11 +417,10 @@ mod tests {
             body,
             count: 1_000_000,
         }];
-        let mut s = Summarizer::new(&table, &vocab);
-        let sum = s.summary_of(&elements);
-        assert_eq!(sum.len(), 8_000_000);
+        let sum: TermSummary = Summarizer::new(&table, &vocab).summary_of(&elements);
+        assert_eq!(sum.len, 8_000_000);
         let term = Nlr::from_parts(elements, 8_000_000);
-        let facts = s.summarize(TraceId::new(0, 1), &term, false);
+        let facts = summarize(&table, &vocab, TraceId::new(0, 1), &term, false);
         assert_eq!((facts.posted, facts.completed), (1_000_000, 1_000_000));
         assert_eq!(facts.min_balance, 0);
         assert_eq!(facts.min_balance_offset, None);

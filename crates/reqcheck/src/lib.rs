@@ -32,8 +32,8 @@
 //! # Domains
 //!
 //! [`expanded::summarize`] walks the raw symbol stream; the
-//! [`compressed`] summarizer folds per-term summaries bottom-up over
-//! NLR loop structure with closed-form repeat rules (prefix minima
+//! [`compressed`] summary is folded bottom-up over NLR loop structure
+//! by the shared `nlr::Summarizer` walk with closed-form repeat rules (prefix minima
 //! shift linearly per iteration, uniform collective runs multiply), so
 //! a million-iteration loop costs O(|body|). Property tests assert the
 //! two produce *equal* facts, and [`analyze`] is a pure function of
@@ -126,7 +126,7 @@ pub struct CollRun {
 
 /// Per-trace facts, derivable in either domain.
 ///
-/// [`expanded::summarize`] and [`compressed::Summarizer::summarize`]
+/// [`expanded::summarize`] and [`compressed::summarize`]
 /// must produce *equal* values for the same trace — that equality is
 /// what "verdict agreement" means for `reqcheck`, since [`analyze`]
 /// is a pure function of these facts.

@@ -173,8 +173,7 @@ pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
     let n_traces = read_varint(buf, &mut at)? as usize;
     let mut set = TraceSet::new(registry);
     for _ in 0..n_traces {
-        let process = read_varint(buf, &mut at)? as u32;
-        let thread = read_varint(buf, &mut at)? as u32;
+        let id = read_trace_id(buf, &mut at)?;
         let truncated = match buf.get(at) {
             Some(0) => false,
             Some(1) => true,
@@ -184,12 +183,11 @@ pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
         at += 1;
         let blob_len = read_varint(buf, &mut at)? as usize;
         let blob = take(buf, &mut at, blob_len).ok_or(StoreError::Format("blob overruns file"))?;
+        if set.get(id).is_some() {
+            return Err(StoreError::Format("duplicate trace id in store"));
+        }
         let symbols = compress::decompress(blob)?;
-        set.insert(Trace::from_symbols(
-            TraceId::new(process, thread),
-            &symbols,
-            truncated,
-        ));
+        set.insert(Trace::from_symbols(id, &symbols, truncated));
     }
     let hb = if version >= 2 {
         match buf.get(at) {
@@ -225,6 +223,15 @@ fn read_names(
         names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
     }
     Ok(names)
+}
+
+/// A trace id: a process and a thread varint, each of which must fit a
+/// `u32` (a wider one would alias another trace's id).
+fn read_trace_id(buf: &[u8], at: &mut usize) -> Result<TraceId, StoreError> {
+    let mut part = || {
+        u32::try_from(read_varint(buf, at)?).map_err(|_| StoreError::Format("trace id exceeds u32"))
+    };
+    Ok(TraceId::new(part()?, part()?))
 }
 
 /// The `len` bytes at `*at`, advancing past them; `None` when they
@@ -525,8 +532,7 @@ impl IndexedSet {
         }
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let process = read_varint(buf, &mut at)? as u32;
-            let thread = read_varint(buf, &mut at)? as u32;
+            let id = read_trace_id(buf, &mut at)?;
             let truncated = match buf.get(at) {
                 Some(0) => false,
                 Some(1) => true,
@@ -536,7 +542,7 @@ impl IndexedSet {
             let off = read_varint(buf, &mut at)? as usize;
             let len = read_varint(buf, &mut at)? as usize;
             entries.push(IndexEntry {
-                id: TraceId::new(process, thread),
+                id,
                 truncated,
                 off,
                 len,
@@ -552,8 +558,7 @@ impl IndexedSet {
         let n_traces = read_varint(buf, &mut at)? as usize;
         let mut entries = Vec::with_capacity(n_traces.min(buf.len()));
         for _ in 0..n_traces {
-            let process = read_varint(buf, &mut at)? as u32;
-            let thread = read_varint(buf, &mut at)? as u32;
+            let id = read_trace_id(buf, &mut at)?;
             let truncated = match buf.get(at) {
                 Some(0) => false,
                 Some(1) => true,
@@ -566,7 +571,7 @@ impl IndexedSet {
                 return Err(StoreError::Format("blob overruns file"));
             }
             entries.push(IndexEntry {
-                id: TraceId::new(process, thread),
+                id,
                 truncated,
                 off: at,
                 len,
@@ -844,6 +849,75 @@ mod tests {
         let bytes = downgrade(to_bytes(&sample_set()), 2);
         let set = from_bytes(&bytes).unwrap();
         assert_eq!(set.len(), 3);
+    }
+
+    /// A hand-built image of empty traces with raw (process, thread)
+    /// varints: a v1 body, or (for `version` 3) the body plus an empty
+    /// HB section, the index and the footer.
+    fn crafted_image(version: u8, ids: &[(u64, u64)]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(version);
+        write_varint(&mut out, 0); // no names
+        write_varint(&mut out, ids.len() as u64);
+        let blob = compress::compress(&[]);
+        let mut offs = Vec::new();
+        for &(p, t) in ids {
+            write_varint(&mut out, p);
+            write_varint(&mut out, t);
+            out.push(0);
+            write_varint(&mut out, blob.len() as u64);
+            offs.push(out.len() as u64);
+            out.extend_from_slice(&blob);
+        }
+        if version == 3 {
+            let hb_off = out.len() as u64;
+            out.push(0);
+            let index_off = out.len() as u64;
+            out.extend_from_slice(INDEX_MAGIC);
+            write_varint(&mut out, ids.len() as u64);
+            for (&(p, t), &off) in ids.iter().zip(&offs) {
+                write_varint(&mut out, p);
+                write_varint(&mut out, t);
+                out.push(0);
+                write_varint(&mut out, off);
+                write_varint(&mut out, blob.len() as u64);
+            }
+            out.extend_from_slice(&hb_off.to_le_bytes());
+            out.extend_from_slice(&index_off.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn over_wide_and_duplicate_trace_ids_are_format_errors() {
+        let wide = (1u64 << 32) + 1;
+        let cases: [(&[(u64, u64)], &str); 4] = [
+            (&[(1, 0), (wide, 0)], "trace id exceeds u32"),
+            (&[(1, 0), (2, wide)], "trace id exceeds u32"),
+            (&[(wide, 0)], "trace id exceeds u32"),
+            (&[(1, 0), (1, 0)], "duplicate trace id in store"),
+        ];
+        for (ids, want) in cases {
+            for version in [1, 3] {
+                let bytes = crafted_image(version, ids);
+                let eager = from_bytes(&bytes).map(|s| s.len());
+                assert!(
+                    matches!(eager, Err(StoreError::Format(m)) if m == want),
+                    "eager v{version} {ids:?}: {eager:?}"
+                );
+                let lazy = IndexedSet::from_bytes(bytes).map(|s| s.len());
+                assert!(
+                    matches!(lazy, Err(StoreError::Format(m)) if m == want),
+                    "lazy v{version} {ids:?}: {lazy:?}"
+                );
+            }
+        }
+        // The same images with in-range, distinct ids load.
+        for version in [1, 3] {
+            let bytes = crafted_image(version, &[(1, 0), (2, 0)]);
+            assert_eq!(from_bytes(&bytes).unwrap().len(), 2);
+            assert_eq!(IndexedSet::from_bytes(bytes).unwrap().len(), 2);
+        }
     }
 
     /// A save interrupted mid-write (simulated here by the truncated

@@ -7,7 +7,8 @@
 //! * **Stack discipline** (TL001/TL003): every symbol has a *stack
 //!   effect* (pop a frame / push a frame); effects compose, and the
 //!   effect of `body^n` has a closed form, so a loop of a million
-//!   iterations is checked in O(|body|) — see [`StackEffect::repeat`].
+//!   iterations is checked in O(|body|) — see [`StackEffect`], folded
+//!   by the shared [`Summarizer`] walk.
 //! * **Collective order** (TL002): each term is projected onto its
 //!   collective calls, keeping the loop structure ([`PTok`]); two
 //!   projected streams are compared lazily, consuming identical
@@ -20,180 +21,22 @@
 use crate::rules::CollDivergence;
 use crate::{Diagnostic, RuleCode};
 use dt_trace::{FunctionRegistry, TraceId};
-use nlr::{Element, LoopId, LoopTable, Nlr};
+use nlr::summary::StackEffect;
+use nlr::{Element, LoopId, LoopTable, Nlr, Summarizer};
 use std::collections::{HashMap, HashSet};
-
-// ---------------------------------------------------------------------
-// Stack effects (TL001 + TL003).
-// ---------------------------------------------------------------------
-
-/// The net effect of a symbol sequence on the call stack, abstracted
-/// from *which* events produced it: the frames it pops from its caller
-/// (in pop order), the frames it leaves pushed (bottom to top), and
-/// whether every interior return matched its innermost open call.
-///
-/// Effects form a monoid under [`StackEffect::compose`], mirroring the
-/// expanded walk exactly: a mismatched return still pops (just like
-/// `Trace::validate_nesting`), it only clears `ok`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StackEffect {
-    /// False if some return crossed a different open call.
-    pub ok: bool,
-    /// Function IDs popped from the surrounding context, first first.
-    pub pops: Vec<u32>,
-    /// Function IDs left open, outermost first.
-    pub pushes: Vec<u32>,
-}
-
-impl StackEffect {
-    /// The empty sequence's effect.
-    pub fn identity() -> StackEffect {
-        StackEffect {
-            ok: true,
-            pops: Vec::new(),
-            pushes: Vec::new(),
-        }
-    }
-
-    /// The effect of one NLR symbol (`fn_id << 1 | is_return`).
-    pub fn sym(sym: u32) -> StackEffect {
-        let fn_id = sym >> 1;
-        if sym & 1 == 1 {
-            StackEffect {
-                ok: true,
-                pops: vec![fn_id],
-                pushes: Vec::new(),
-            }
-        } else {
-            StackEffect {
-                ok: true,
-                pops: Vec::new(),
-                pushes: vec![fn_id],
-            }
-        }
-    }
-
-    /// Sequential composition: `self` then `next`. `next`'s pops match
-    /// against `self`'s pushes top-down; a mismatch clears `ok` but
-    /// still pops (the expanded semantics).
-    pub fn compose(&self, next: &StackEffect) -> StackEffect {
-        let mut ok = self.ok && next.ok;
-        let mut pops = self.pops.clone();
-        let mut pushes = self.pushes.clone();
-        for &f in &next.pops {
-            match pushes.pop() {
-                Some(top) => {
-                    if top != f {
-                        ok = false;
-                    }
-                }
-                None => pops.push(f),
-            }
-        }
-        pushes.extend_from_slice(&next.pushes);
-        StackEffect { ok, pops, pushes }
-    }
-
-    /// `self` composed with itself `count` times, in closed form.
-    ///
-    /// For `e = (ok, p, q)` with `|q| ≥ |p|`, each extra iteration
-    /// consumes `p` from the top of `q` and re-deposits `q`, so the
-    /// surviving prefix `grow = q[..|q|−|p|]` accumulates:
-    /// `e^n = (ok₂, p, grow^{n−1} ++ q)`. Symmetrically for `|q| < |p|`
-    /// the unmatched pop tail accumulates. All iteration boundaries are
-    /// identical, so `ok` of `e∘e` already accounts for every boundary
-    /// mismatch. Cost: O(|e| · n) output size but O(|e|) decision work —
-    /// and for the common balanced loop body, O(1).
-    pub fn repeat(&self, count: u64) -> StackEffect {
-        match count {
-            0 => return StackEffect::identity(),
-            1 => return self.clone(),
-            _ => {}
-        }
-        let boundary_ok = self.compose(self).ok;
-        let p = &self.pops;
-        let q = &self.pushes;
-        let reps = usize::try_from(count - 1).expect("loop count exceeds usize");
-        if q.len() >= p.len() {
-            let grow = &q[..q.len() - p.len()];
-            let mut pushes = Vec::with_capacity(grow.len() * reps + q.len());
-            for _ in 0..reps {
-                pushes.extend_from_slice(grow);
-            }
-            pushes.extend_from_slice(q);
-            StackEffect {
-                ok: boundary_ok,
-                pops: p.clone(),
-                pushes,
-            }
-        } else {
-            let tail = &p[q.len()..];
-            let mut pops = Vec::with_capacity(p.len() + tail.len() * reps);
-            pops.extend_from_slice(p);
-            for _ in 0..reps {
-                pops.extend_from_slice(tail);
-            }
-            StackEffect {
-                ok: boundary_ok,
-                pops,
-                pushes: q.clone(),
-            }
-        }
-    }
-}
-
-/// Memoizes per-loop stack effects against a shared loop table.
-pub struct EffectChecker<'t> {
-    table: &'t LoopTable,
-    memo: HashMap<LoopId, StackEffect>,
-}
-
-impl<'t> EffectChecker<'t> {
-    /// A checker over `table`.
-    pub fn new(table: &'t LoopTable) -> EffectChecker<'t> {
-        EffectChecker {
-            table,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Effect of a whole element sequence.
-    pub fn effect_of(&mut self, elements: &[Element]) -> StackEffect {
-        let mut acc = StackEffect::identity();
-        for e in elements {
-            let fe = match *e {
-                Element::Sym(s) => StackEffect::sym(s),
-                Element::Loop { body, count } => self.loop_effect(body).repeat(count),
-            };
-            acc = acc.compose(&fe);
-        }
-        acc
-    }
-
-    /// Effect of one iteration of `id`'s body (memoized).
-    fn loop_effect(&mut self, id: LoopId) -> StackEffect {
-        if let Some(e) = self.memo.get(&id) {
-            return e.clone();
-        }
-        let body = self.table.body(id);
-        let e = self.effect_of(body);
-        self.memo.insert(id, e.clone());
-        e
-    }
-}
 
 /// Compressed TL001 + TL003 for one trace. Produces the same
 /// `(code, severity)` verdicts as `rules::check_stack_discipline` on
 /// the expanded stream — asserted by the crate's property test — but
 /// without event offsets, which do not exist in the compressed domain.
 pub fn check_stack_discipline_compressed(
-    checker: &mut EffectChecker<'_>,
+    table: &LoopTable,
     id: TraceId,
     term: &Nlr,
     truncated: bool,
     registry: &FunctionRegistry,
 ) -> Vec<Diagnostic> {
-    let eff = checker.effect_of(term.elements());
+    let eff: StackEffect = Summarizer::new(table, &()).summary_of(term.elements());
     let mut out = Vec::new();
     if !eff.ok {
         out.push(
@@ -724,8 +567,7 @@ mod tests {
     fn effect_of(syms: &[u32], k: usize) -> StackEffect {
         let mut table = LoopTable::new();
         let term = NlrBuilder::new(k).build(syms, &mut table);
-        let mut checker = EffectChecker::new(&table);
-        checker.effect_of(term.elements())
+        Summarizer::new(&table, &()).summary_of(term.elements())
     }
 
     #[test]
@@ -736,33 +578,6 @@ mod tests {
         assert!(e.ok);
         assert!(e.pops.is_empty());
         assert!(e.pushes.is_empty());
-    }
-
-    #[test]
-    fn repeat_closed_form_matches_iterated_compose() {
-        // Effects with every shape: growing, shrinking, mixed, broken.
-        let cases: Vec<Vec<u32>> = vec![
-            vec![call(1)],                          // push
-            vec![ret(1)],                           // pop
-            vec![call(1), call(2)],                 // push×2
-            vec![ret(2), call(2)],                  // pop then push
-            vec![call(1), ret(2)],                  // crossed
-            vec![ret(1), ret(2), call(3)],          // net pop
-            vec![call(1), call(2), ret(2)],         // net push
-            vec![call(7), ret(7), ret(7), call(7)], // balanced but popping
-        ];
-        for syms in cases {
-            let base = syms.iter().fold(StackEffect::identity(), |acc, &s| {
-                acc.compose(&StackEffect::sym(s))
-            });
-            for n in 0..7u64 {
-                let mut iterated = StackEffect::identity();
-                for _ in 0..n {
-                    iterated = iterated.compose(&base);
-                }
-                assert_eq!(base.repeat(n), iterated, "syms={syms:?} n={n}");
-            }
-        }
     }
 
     #[test]
@@ -805,9 +620,8 @@ mod tests {
             let expanded = rules::check_stack_discipline(&trace, &registry);
             let mut table = LoopTable::new();
             let term = NlrBuilder::new(4).build(&syms, &mut table);
-            let mut checker = EffectChecker::new(&table);
             let compressed =
-                check_stack_discipline_compressed(&mut checker, id, &term, truncated, &registry);
+                check_stack_discipline_compressed(&table, id, &term, truncated, &registry);
             let ev: std::collections::BTreeSet<(RuleCode, Severity)> =
                 expanded.iter().map(|d| (d.code, d.severity)).collect();
             let cv: std::collections::BTreeSet<(RuleCode, Severity)> =

@@ -13,7 +13,7 @@
 //!
 //! | code  | checks                                             | compressed-domain |
 //! |-------|----------------------------------------------------|-------------------|
-//! | TL001 | call/return balance and stack discipline           | yes ([`compressed::StackEffect`]) |
+//! | TL001 | call/return balance and stack discipline           | yes ([`nlr::summary::StackEffect`]) |
 //! | TL002 | cross-rank collective-sequence consistency         | yes (projected compressed streams) |
 //! | TL003 | truncated/poisoned/empty-trace detection           | yes (shares TL001's stack effects) |
 //! | TL004 | dead-filter analysis (patterns matching nothing)   | n/a (configuration rule) |

@@ -9,7 +9,6 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use tracelint::compressed::{
     check_stack_discipline_compressed, collective_divergences, rank_streams, CollProjector,
-    EffectChecker,
 };
 use tracelint::rules::{self, CollDivergence};
 use tracelint::{RuleCode, Severity};
@@ -136,9 +135,7 @@ proptest! {
 
         let mut table = LoopTable::new();
         let term = NlrBuilder::new(k).build(&syms, &mut table);
-        let mut checker = EffectChecker::new(&table);
-        let compressed =
-            check_stack_discipline_compressed(&mut checker, id, &term, truncated, &reg);
+        let compressed = check_stack_discipline_compressed(&table, id, &term, truncated, &reg);
 
         prop_assert_eq!(
             verdicts(&expanded),
