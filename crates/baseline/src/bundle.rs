@@ -13,8 +13,9 @@
 //! 16-byte StableHasher digest of everything above (the seal)
 //! ```
 //!
-//! The trailing digest is the same sealing scheme dt-cache uses for
-//! disk entries, with one deliberate difference in *policy*: a cache
+//! The trailing digest is [`dt_trace::codec::seal`], the seal dt-cache
+//! puts on its disk entries, with one deliberate difference in
+//! *policy*: a cache
 //! entry that fails its seal is silently re-derived (a miss), while a
 //! baseline that fails its seal is a hard, diagnosable error — a CI
 //! gate must never silently pass because its reference data rotted.
@@ -27,8 +28,7 @@
 //! unchanged corpus therefore reproduces the bundle byte for byte —
 //! the CI `baseline-gate` job byte-diffs two recordings to pin this.
 
-use dt_trace::compress::{read_varint, write_varint};
-use dt_trace::hash::StableHasher;
+use dt_trace::codec::{seal, unseal, write_varint, CodecError, Reader};
 use dt_trace::TraceId;
 
 /// Bump whenever the encoded payload changes shape. Decoders reject
@@ -128,56 +128,12 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Bounded cursor over a decoded payload. Every read is checked; no
-/// input can make decoding panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn varint(&mut self) -> Result<u64, String> {
-        read_varint(self.buf, &mut self.at).map_err(|e| format!("truncated field: {e}"))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or("truncated field")?;
-        let slice = &self.buf[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn id(&mut self) -> Result<TraceId, String> {
-        let p = self.varint()?;
-        let t = self.varint()?;
-        let (p, t) = (
-            u32::try_from(p).map_err(|_| "process id out of range")?,
-            u32::try_from(t).map_err(|_| "thread id out of range")?,
-        );
-        Ok(TraceId::new(p, t))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let n = usize::try_from(self.varint()?).map_err(|_| "string length out of range")?;
-        if n > self.buf.len() {
-            return Err("string length out of range".to_string());
-        }
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "invalid UTF-8".to_string())
-    }
-
-    /// A length header for `n` follow-up records of at least
-    /// `min_bytes` each — bounded by the remaining input so a corrupt
-    /// count cannot trigger a huge allocation.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
-        let n = usize::try_from(self.varint()?).map_err(|_| "count out of range")?;
-        if n.saturating_mul(min_bytes.max(1)) > self.buf.len() - self.at.min(self.buf.len()) {
-            return Err("count exceeds input size".to_string());
-        }
-        Ok(n)
+/// The reason string for a payload field that fails to decode.
+fn field_error(e: CodecError) -> String {
+    match e {
+        CodecError::Truncated => "truncated field".to_string(),
+        CodecError::Corrupt(m) => m.to_string(),
+        other => other.to_string(),
     }
 }
 
@@ -190,17 +146,23 @@ fn code_counts_encode(out: &mut Vec<u8>, counts: &[CodeCount]) {
     }
 }
 
-fn code_counts_decode(r: &mut Reader<'_>) -> Result<Vec<CodeCount>, String> {
-    let n = r.count(3)?;
-    let mut counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        counts.push(CodeCount {
+/// A 0/1 flag byte; any other value is the defect `what`.
+fn flag(r: &mut Reader<'_>, what: &'static str) -> Result<bool, CodecError> {
+    match r.byte()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError::Corrupt(what)),
+    }
+}
+
+fn code_counts_decode(r: &mut Reader<'_>) -> Result<Vec<CodeCount>, CodecError> {
+    r.list(3, |r| {
+        Ok(CodeCount {
             code: r.string()?,
             errors: r.varint()?,
             warnings: r.varint()?,
-        });
-    }
-    Ok(counts)
+        })
+    })
 }
 
 impl Baseline {
@@ -231,44 +193,30 @@ impl Baseline {
         code_counts_encode(&mut out, &self.hb);
         code_counts_encode(&mut out, &self.race);
         code_counts_encode(&mut out, &self.req);
-        let mut h = StableHasher::new();
-        h.write_raw(&out);
-        out.extend_from_slice(&h.finish().to_le_bytes());
-        out
+        seal(out)
     }
 
     /// Decode a sealed bundle. The error is a human-readable reason —
     /// callers prefix the file path and surface it as an ordinary
     /// (exit 2) error. Never panics, whatever the input.
     pub fn decode(bytes: &[u8]) -> Result<Baseline, String> {
-        let payload_len = bytes
-            .len()
-            .checked_sub(16)
-            .ok_or("truncated baseline bundle (shorter than its seal)")?;
-        let (payload, digest) = bytes.split_at(payload_len);
-        let mut h = StableHasher::new();
-        h.write_raw(payload);
-        if h.finish().to_le_bytes() != digest {
-            return Err(
-                "corrupt or truncated baseline bundle (seal digest mismatch) — re-record it"
-                    .to_string(),
-            );
+        if bytes.len() < 16 {
+            return Err("truncated baseline bundle (shorter than its seal)".to_string());
         }
-        let mut r = Reader {
-            buf: payload,
-            at: 0,
-        };
-        if r.take(4)? != MAGIC {
+        let (payload, _) = unseal(bytes)
+            .ok_or("corrupt or truncated baseline bundle (seal digest mismatch) — re-record it")?;
+        let mut r = Reader::new(payload);
+        if r.take(4).map_err(field_error)? != MAGIC {
             return Err("not a baseline bundle (bad magic)".to_string());
         }
-        let version = r.varint()?;
+        let version = r.varint().map_err(field_error)?;
         if version != u64::from(BUNDLE_FORMAT_VERSION) {
             return Err(format!(
                 "baseline bundle format version {version}; this build reads \
                  {BUNDLE_FORMAT_VERSION} — re-record the baseline"
             ));
         }
-        let cache_version = r.varint()?;
+        let cache_version = r.varint().map_err(field_error)?;
         if cache_version != u64::from(dt_cache::CACHE_FORMAT_VERSION) {
             return Err(format!(
                 "baseline recorded with content-key format {cache_version}; this build \
@@ -276,60 +224,41 @@ impl Baseline {
                 dt_cache::CACHE_FORMAT_VERSION
             ));
         }
-        let filter = r.string()?;
-        let attrs = r.string()?;
-        let n = r.count(27)?;
-        let mut traces = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = r.id()?;
-            let fingerprint = u128::from_le_bytes(r.take(16)?.try_into().expect("16-byte slice"));
-            let score = f64::from_bits(u64::from_le_bytes(
-                r.take(8)?.try_into().expect("8-byte slice"),
-            ));
-            let truncated = match r.take(1)?[0] {
-                0 => false,
-                1 => true,
-                b => return Err(format!("bad truncated flag {b}")),
-            };
-            traces.push(TraceRecord {
-                id,
-                fingerprint,
-                score,
-                truncated,
-            });
-        }
-        let clusters = r.varint()?;
-        let n = r.count(2)?;
-        let mut outliers = Vec::with_capacity(n);
-        for _ in 0..n {
-            outliers.push(r.id()?);
-        }
-        let lint = code_counts_decode(&mut r)?;
-        let has_hb = match r.take(1)?[0] {
-            0 => false,
-            1 => true,
-            b => return Err(format!("bad happens-before flag {b}")),
-        };
-        let hb = code_counts_decode(&mut r)?;
-        let race = code_counts_decode(&mut r)?;
-        let req = code_counts_decode(&mut r)?;
-        if r.at != payload.len() {
+        let baseline = Self::decode_payload(&mut r).map_err(field_error)?;
+        if r.remaining() != 0 {
             return Err(format!(
                 "{} trailing byte(s) after the payload",
-                payload.len() - r.at
+                r.remaining()
             ));
         }
+        Ok(baseline)
+    }
+
+    /// The payload fields after the two format versions.
+    fn decode_payload(r: &mut Reader<'_>) -> Result<Baseline, CodecError> {
+        let filter = r.string()?;
+        let attrs = r.string()?;
+        let traces = r.list(27, |r| {
+            Ok(TraceRecord {
+                id: r.id()?,
+                fingerprint: u128::from_le_bytes(r.array()?),
+                score: f64::from_bits(u64::from_le_bytes(r.array()?)),
+                truncated: flag(r, "bad truncated flag")?,
+            })
+        })?;
+        let clusters = r.varint()?;
+        let outliers = r.list(2, Reader::id)?;
         Ok(Baseline {
             filter,
             attrs,
             traces,
             clusters,
             outliers,
-            lint,
-            has_hb,
-            hb,
-            race,
-            req,
+            lint: code_counts_decode(r)?,
+            has_hb: flag(r, "bad happens-before flag")?,
+            hb: code_counts_decode(r)?,
+            race: code_counts_decode(r)?,
+            req: code_counts_decode(r)?,
         })
     }
 
@@ -344,17 +273,13 @@ impl Baseline {
 /// Read the seal digest off an already-encoded bundle, verifying it.
 /// `None` when the bytes are not a validly sealed bundle.
 pub fn sealed_hash(bytes: &[u8]) -> Option<u128> {
-    let payload_len = bytes.len().checked_sub(16)?;
-    let (payload, digest) = bytes.split_at(payload_len);
-    let mut h = StableHasher::new();
-    h.write_raw(payload);
-    let d = h.finish();
-    (d.to_le_bytes() == digest).then_some(d)
+    unseal(bytes).map(|(_, digest)| digest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dt_trace::hash::StableHasher;
 
     pub(crate) fn sample() -> Baseline {
         Baseline {

@@ -2,13 +2,13 @@
 //! text and JSON with a stable content hash.
 //!
 //! The renderers follow the dt-diag conventions (canonical ordering,
-//! [`dt_diag::json_escape`] for strings) so a report is a pure
+//! [`dt_obs::json::escape`] for strings) so a report is a pure
 //! function of its findings: the same check renders the same bytes at
 //! any thread count, with or without a cache — the property the
 //! defect-injection suite pins.
 
 use crate::policy::DiffClass;
-use dt_diag::json_escape;
+use dt_obs::json;
 use dt_trace::hash::StableHasher;
 
 /// Outcome of one policy clause.
@@ -148,7 +148,7 @@ impl AssertionReport {
         let mut out = String::from("{\"schema\":\"difftrace-baseline-report/v1\",");
         out.push_str(&format!(
             "\"candidate\":\"{}\",",
-            json_escape(&self.candidate)
+            json::escape(&self.candidate)
         ));
         out.push_str(&format!(
             "\"baseline_hash\":\"{:032x}\",",
@@ -167,13 +167,13 @@ impl AssertionReport {
                 "{{\"class\":\"{}\",\"status\":\"{}\",\"summary\":\"{}\",\"details\":[",
                 c.class.as_str(),
                 c.status.label(),
-                json_escape(&c.summary)
+                json::escape(&c.summary)
             ));
             for (j, d) in c.details.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\"", json_escape(d)));
+                out.push_str(&format!("\"{}\"", json::escape(d)));
             }
             out.push_str("]}");
         }

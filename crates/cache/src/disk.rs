@@ -3,23 +3,22 @@
 //! * `<key:032x>.nlr` — a serialized [`NlrFold`]
 //! * `<key:032x>.att` — a serialized attribute set
 //!
-//! Both formats are magic + format version + varint-encoded payload
-//! (LEB128, via `dt_trace::compress`) + a 16-byte integrity digest of
-//! everything before it. Readers validate everything — magic, version,
-//! digest, structural well-formedness, exact length — and return
-//! `None` on any deviation: a corrupt or truncated entry is a cache
-//! miss, never an error and never a wrong value. The digest closes the
-//! hole structural checks leave open: a flipped byte that still parses
-//! would silently decode to a *different* value under the same content
-//! key. Writers go through a uniquely-named temp file and an atomic
-//! rename, so readers (including concurrent sweeps sharing a
-//! directory) only ever see complete entries.
+//! Both formats are magic + format version + varint-encoded payload +
+//! the 16-byte integrity seal of everything before it, all through
+//! [`dt_trace::codec`] (the same seal baseline bundles use). Readers
+//! validate everything — magic, version, seal, structural
+//! well-formedness, exact length — and return `None` on any deviation:
+//! a corrupt or truncated entry is a cache miss, never an error and
+//! never a wrong value. The seal closes the hole structural checks
+//! leave open: a flipped byte that still parses would silently decode
+//! to a *different* value under the same content key. Writers go
+//! through [`dt_trace::store::write_atomic`] (a uniquely-named temp
+//! file and an atomic rename), so readers (including concurrent sweeps
+//! sharing a directory) only ever see complete entries.
 
 use crate::{AttrSet, NlrFold, PElem, CACHE_FORMAT_VERSION};
-use dt_trace::compress::{read_varint, write_varint};
-use dt_trace::hash::StableHasher;
+use dt_trace::codec::{seal, unseal, write_varint, CodecError, Reader};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const NLR_MAGIC: &[u8; 4] = b"DTCN";
 const ATTR_MAGIC: &[u8; 4] = b"DTCA";
@@ -32,48 +31,11 @@ pub(crate) fn attr_path(dir: &Path, key: u128) -> PathBuf {
     dir.join(format!("{key:032x}.att"))
 }
 
-/// Write `bytes` to `path` atomically: a unique temp sibling (same
-/// directory, so the rename cannot cross filesystems) followed by a
-/// rename. Returns the bytes written, 0 on any I/O failure — the disk
-/// layer is best-effort by contract.
-fn write_atomic(path: &Path, bytes: &[u8]) -> u64 {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let Some(dir) = path.parent() else { return 0 };
-    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-        return 0;
-    };
-    let tmp = dir.join(format!(
-        ".{name}.tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if std::fs::write(&tmp, bytes).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-        return 0;
-    }
-    if std::fs::rename(&tmp, path).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-        return 0;
-    }
-    bytes.len() as u64
-}
-
-/// Append the integrity digest: 16 bytes of [`StableHasher`] over the
-/// encoded entry so far (magic and version included).
-fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let mut h = StableHasher::new();
-    h.write_raw(&bytes);
-    bytes.extend_from_slice(&h.finish().to_le_bytes());
-    bytes
-}
-
-/// Strip and verify the integrity digest; `None` on any mismatch.
-fn unseal(buf: &[u8]) -> Option<&[u8]> {
-    let payload_len = buf.len().checked_sub(16)?;
-    let (payload, digest) = buf.split_at(payload_len);
-    let mut h = StableHasher::new();
-    h.write_raw(payload);
-    (h.finish().to_le_bytes() == digest).then_some(payload)
+/// Write an entry with [`dt_trace::store::write_atomic`]. Returns the
+/// bytes written, 0 on any I/O failure — the disk layer is best-effort
+/// by contract.
+fn write_entry(path: &Path, bytes: &[u8]) -> u64 {
+    dt_trace::store::write_atomic(path, bytes).map_or(0, |()| bytes.len() as u64)
 }
 
 fn encode_pelem(out: &mut Vec<u8>, e: PElem) {
@@ -90,16 +52,22 @@ fn encode_pelem(out: &mut Vec<u8>, e: PElem) {
     }
 }
 
-fn decode_pelem(buf: &[u8], at: &mut usize) -> Option<PElem> {
-    match read_varint(buf, at).ok()? {
-        0 => Some(PElem::Sym(u32::try_from(read_varint(buf, at).ok()?).ok()?)),
-        1 => {
-            let local = u32::try_from(read_varint(buf, at).ok()?).ok()?;
-            let count = read_varint(buf, at).ok()?;
-            Some(PElem::Loop { local, count })
-        }
-        _ => None,
+fn decode_pelem(r: &mut Reader<'_>) -> Result<PElem, CodecError> {
+    match r.varint()? {
+        0 => Ok(PElem::Sym(r.u32()?)),
+        1 => Ok(PElem::Loop {
+            local: r.u32()?,
+            count: r.varint()?,
+        }),
+        _ => Err(CodecError::Corrupt("bad element tag")),
     }
+}
+
+/// A sealed entry's payload, past its magic and version; `None` on a
+/// bad seal, magic or version.
+fn open_entry<'a>(sealed: &'a [u8], magic: &[u8; 4]) -> Option<Reader<'a>> {
+    let mut r = Reader::new(unseal(sealed)?.0);
+    (r.take(4).ok()? == magic && r.varint().ok()? == u64::from(CACHE_FORMAT_VERSION)).then_some(r)
 }
 
 fn encode_nlr(fold: &NlrFold) -> Vec<u8> {
@@ -122,39 +90,15 @@ fn encode_nlr(fold: &NlrFold) -> Vec<u8> {
 }
 
 fn decode_nlr(sealed: &[u8]) -> Option<NlrFold> {
-    let buf = unseal(sealed)?;
-    if buf.len() < 4 || &buf[..4] != NLR_MAGIC {
-        return None;
-    }
-    let mut at = 4;
-    if read_varint(buf, &mut at).ok()? != u64::from(CACHE_FORMAT_VERSION) {
-        return None;
-    }
-    let input_len = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
-    let n_bodies = read_varint(buf, &mut at).ok()?;
-    let mut bodies = Vec::new();
-    for _ in 0..n_bodies {
-        let len = read_varint(buf, &mut at).ok()?;
-        let mut body = Vec::new();
-        for _ in 0..len {
-            body.push(decode_pelem(buf, &mut at)?);
-        }
-        bodies.push(body);
-    }
-    let n_elems = read_varint(buf, &mut at).ok()?;
-    let mut elements = Vec::new();
-    for _ in 0..n_elems {
-        elements.push(decode_pelem(buf, &mut at)?);
-    }
-    if at != buf.len() {
-        return None; // trailing garbage
-    }
+    let mut r = open_entry(sealed, NLR_MAGIC)?;
+    let input_len = usize::try_from(r.varint().ok()?).ok()?;
+    // Every element takes at least two bytes: a tag and a value.
     let fold = NlrFold {
-        bodies,
-        elements,
+        bodies: r.list(1, |r| r.list(2, decode_pelem)).ok()?,
+        elements: r.list(2, decode_pelem).ok()?,
         input_len,
     };
-    fold.is_well_formed().then_some(fold)
+    (r.remaining() == 0 && fold.is_well_formed()).then_some(fold)
 }
 
 fn encode_attrs(set: &AttrSet) -> Vec<u8> {
@@ -171,26 +115,14 @@ fn encode_attrs(set: &AttrSet) -> Vec<u8> {
 }
 
 fn decode_attrs(sealed: &[u8]) -> Option<AttrSet> {
-    let buf = unseal(sealed)?;
-    if buf.len() < 4 || &buf[..4] != ATTR_MAGIC {
-        return None;
-    }
-    let mut at = 4;
-    if read_varint(buf, &mut at).ok()? != u64::from(CACHE_FORMAT_VERSION) {
-        return None;
-    }
-    let count = read_varint(buf, &mut at).ok()?;
-    let mut out = Vec::new();
-    for _ in 0..count {
-        let len = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
-        let name = std::str::from_utf8(buf.get(at..at.checked_add(len)?)?).ok()?;
-        at += len;
-        let bits = buf.get(at..at + 8)?;
-        at += 8;
-        let weight = f64::from_bits(u64::from_le_bytes(bits.try_into().ok()?));
-        out.push((name.to_string(), weight));
-    }
-    (at == buf.len()).then_some(out)
+    let mut r = open_entry(sealed, ATTR_MAGIC)?;
+    // Each entry is a name length, the name, and an 8-byte weight.
+    let set = r
+        .list(9, |r| {
+            Ok((r.string()?, f64::from_bits(u64::from_le_bytes(r.array()?))))
+        })
+        .ok()?;
+    (r.remaining() == 0).then_some(set)
 }
 
 pub(crate) fn read_nlr(path: &Path) -> Option<(NlrFold, u64)> {
@@ -199,7 +131,7 @@ pub(crate) fn read_nlr(path: &Path) -> Option<(NlrFold, u64)> {
 }
 
 pub(crate) fn write_nlr(path: &Path, fold: &NlrFold) -> u64 {
-    write_atomic(path, &encode_nlr(fold))
+    write_entry(path, &encode_nlr(fold))
 }
 
 pub(crate) fn read_attrs(path: &Path) -> Option<(AttrSet, u64)> {
@@ -208,7 +140,7 @@ pub(crate) fn read_attrs(path: &Path) -> Option<(AttrSet, u64)> {
 }
 
 pub(crate) fn write_attrs(path: &Path, set: &AttrSet) -> u64 {
-    write_atomic(path, &encode_attrs(set))
+    write_entry(path, &encode_attrs(set))
 }
 
 /// What `difftrace cache stats` reports about a cache directory.

@@ -6,7 +6,7 @@ use difftrace::{
 };
 use dt_baseline::{evaluate, snapshot_rec, Baseline, Policy};
 use dt_cache::Cache;
-use dt_obs::{stage, MetricsRecorder, Recorder};
+use dt_obs::{json, stage, MetricsRecorder, Recorder};
 use dt_serve::Request;
 use dt_trace::hb::HbLog;
 use dt_trace::{store, FunctionRegistry, TraceId, TraceSet, TraceSetStats};
@@ -1121,7 +1121,7 @@ fn check_render(
                 // One object per line, tagged with its file.
                 out.push_str(&format!(
                     "{{\"path\":\"{}\",\"report\":{}}}\n",
-                    path.replace('\\', "\\\\").replace('"', "\\\""),
+                    json::escape(path),
                     report.render_json().trim_end()
                 ));
             }
@@ -1600,12 +1600,6 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Minimal JSON string escaping for the batch index (same idiom as the
-/// multi-file lint/hbcheck renderers).
-fn json_str(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn baseline_check(args: &[String]) -> Result<(), CliError> {
     let args = Args::parse("baseline check", args)?;
     let req = request_of("baseline check", &args)?;
@@ -1712,16 +1706,16 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
                 println!("{label}: {verdict}");
                 index_rows.push(format!(
                     "{{\"run\":\"{}\",\"verdict\":\"{}\",\"report\":\"{}\",\"report_hash\":\"{:032x}\"}}",
-                    json_str(&label),
+                    json::escape(&label),
                     if report.passed() { "pass" } else { "fail" },
-                    json_str(&report_name),
+                    json::escape(&report_name),
                     report.report_hash()
                 ));
             }
             let index = format!(
                 "{{\"schema\":\"difftrace-baseline-index/v1\",\"baseline\":\"{}\",\
                  \"baseline_hash\":\"{:032x}\",\"runs\":[{}]}}\n",
-                json_str(bundle),
+                json::escape(bundle),
                 baseline.bundle_hash(),
                 index_rows.join(",")
             );
@@ -2715,6 +2709,44 @@ mod tests {
         // --dir without --out (and --out without --dir) are usage errors.
         assert!(dispatch(&s(&["baseline", "check", "--dir", &runs, &b])).is_err());
         assert!(dispatch(&s(&["baseline", "check", "--out", &out, &n, &b])).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The batch index is valid JSON whatever the run paths hold: a
+    /// tab in a run name is escaped, and parses back to the same name.
+    #[test]
+    fn batch_index_escapes_control_characters() {
+        let dir = std::env::temp_dir().join("difftrace_cli_index_escape_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let dirs = dir.to_str().unwrap().to_string();
+        dispatch(&s(&["demo", "oddeven", &dirs])).unwrap();
+        let b = format!("{dirs}/base.dtb");
+        dispatch(&s(&[
+            "baseline",
+            "record",
+            &format!("{dirs}/normal.dtts"),
+            &b,
+        ]))
+        .unwrap();
+        let runs = format!("{dirs}/runs");
+        std::fs::create_dir_all(&runs).unwrap();
+        let run = format!("{runs}/tab\there.dtts");
+        std::fs::copy(format!("{dirs}/normal.dtts"), &run).unwrap();
+        let out = format!("{dirs}/reports");
+        dispatch(&s(&[
+            "baseline", "check", "--dir", &runs, "--out", &out, &b,
+        ]))
+        .unwrap();
+        let index = std::fs::read_to_string(format!("{out}/index.json")).unwrap();
+        assert!(index.contains("tab\\there.dtts"), "{index}");
+        let doc = dt_obs::json::parse(&index).expect("valid index JSON");
+        let field = |v: &dt_obs::json::Value, key: &str| {
+            let members = v.as_object().expect("object");
+            members.iter().find(|(k, _)| k == key).expect(key).1.clone()
+        };
+        let rows = field(&doc, "runs");
+        let row = &rows.as_array().expect("runs array")[0];
+        assert_eq!(field(row, "run"), dt_obs::json::Value::Str(run));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -346,11 +346,11 @@ impl<C: Code> Report<C> {
                 ));
             }
             out.push_str(",\"message\":\"");
-            out.push_str(&json_escape(&d.message));
+            out.push_str(&dt_obs::json::escape(&d.message));
             out.push('"');
             if let Some(h) = &d.hint {
                 out.push_str(",\"hint\":\"");
-                out.push_str(&json_escape(h));
+                out.push_str(&dt_obs::json::escape(h));
                 out.push('"');
             }
             out.push('}');
@@ -358,23 +358,6 @@ impl<C: Code> Report<C> {
         out.push_str("]}");
         out
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

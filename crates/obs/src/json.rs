@@ -164,6 +164,9 @@ fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 }
                 *at += 1;
             }
+            Some(c) if *c < 0x20 => {
+                return Err(format!("unescaped control character at byte {at}"));
+            }
             Some(_) => {
                 // Consume one UTF-8 scalar. The document came in as
                 // &str, so slicing at char boundaries is safe.
@@ -260,6 +263,7 @@ mod tests {
             "1 2",
             "nul",
             "[1,]",
+            "\"tab\there\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

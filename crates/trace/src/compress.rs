@@ -12,14 +12,15 @@
 //! * matches may **overlap** their source (`len > dist`), which encodes
 //!   `N` iterations of a loop of period `dist` as a *single token* — the
 //!   step that yields ratios ≫ 1000 on loopy traces;
-//! * LEB128 varint encoding of literals and match headers.
+//! * LEB128 varint encoding of literals and match headers (see
+//!   [`crate::codec`]).
 //!
 //! The format is self-describing (`magic ∥ version ∥ count ∥ tokens`)
 //! and the decoder validates every structural invariant, returning
 //! [`CodecError`] instead of panicking on corrupt input.
 
+use crate::codec::{write_varint, CodecError, Reader};
 use std::collections::HashMap;
-use std::fmt;
 
 const MAGIC: &[u8; 4] = b"DTLZ";
 const VERSION: u8 = 1;
@@ -27,64 +28,6 @@ const VERSION: u8 = 1;
 const MIN_MATCH: usize = 3;
 /// Longest-match candidates examined per position.
 const MAX_CHAIN: usize = 64;
-
-/// Error decoding a compressed trace blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Wrong magic bytes.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// Input ended mid-token.
-    Truncated,
-    /// A varint exceeded its width or a match referenced data before
-    /// the start of the stream.
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::BadMagic => write!(f, "bad magic bytes (not a DTLZ blob)"),
-            CodecError::BadVersion(v) => write!(f, "unsupported DTLZ version {v}"),
-            CodecError::Truncated => write!(f, "compressed stream ended unexpectedly"),
-            CodecError::Corrupt(m) => write!(f, "corrupt compressed stream: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// LEB128-encode `v` into `out`.
-pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// LEB128-decode from `buf[*at..]`, advancing `*at`.
-pub fn read_varint(buf: &[u8], at: &mut usize) -> Result<u64, CodecError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*at).ok_or(CodecError::Truncated)?;
-        *at += 1;
-        if shift >= 64 {
-            return Err(CodecError::Corrupt("varint too long"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
 
 #[inline]
 fn gram(s: &[u32], i: usize) -> u64 {
@@ -279,16 +222,16 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
     if blob[4] != VERSION {
         return Err(CodecError::BadVersion(blob[4]));
     }
-    let mut at = 5usize;
-    let n = read_varint(blob, &mut at)? as usize;
+    let mut r = Reader::at(blob, 5);
+    let n = r.varint()? as usize;
     // `n` is untrusted: the capacity is only a hint, capped by the
     // input size (a match token can expand, so this is not a bound).
-    let mut out: Vec<u32> = Vec::with_capacity(n.min(blob.len() - at));
+    let mut out: Vec<u32> = Vec::with_capacity(n.min(r.remaining()));
     while out.len() < n {
-        let tok = read_varint(blob, &mut at)?;
+        let tok = r.varint()?;
         if tok & 1 == 1 {
             let len = (tok >> 1) as usize;
-            let dist = read_varint(blob, &mut at)? as usize;
+            let dist = r.varint()? as usize;
             if dist == 0 || dist > out.len() {
                 return Err(CodecError::Corrupt("match distance out of range"));
             }
@@ -502,26 +445,5 @@ mod tests {
         let mut sc = StreamCompressor::new();
         sc.extend(sym.iter().copied());
         assert_eq!(decompress(&sc.finish()).unwrap(), sym);
-    }
-
-    #[test]
-    fn varint_round_trip() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            16383,
-            16384,
-            u32::MAX as u64,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut at = 0;
-            assert_eq!(read_varint(&buf, &mut at).unwrap(), v);
-            assert_eq!(at, buf.len());
-        }
     }
 }

@@ -22,6 +22,7 @@
 //! reconstruction is exact; `hb::tests` asserts equivalence against
 //! the dense representation on randomized logs.
 
+use crate::codec::{write_varint, CodecError, Reader};
 use crate::TraceId;
 use std::fmt;
 
@@ -523,7 +524,6 @@ pub fn export_otf(set: &crate::TraceSet, hb: &HbLog) -> String {
 impl HbLog {
     /// Serialize into `out` (varint-based; see `store` for framing).
     pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
-        use crate::compress::write_varint;
         write_varint(out, u64::from(self.world_size));
         write_varint(out, self.names.len() as u64);
         for n in &self.names {
@@ -588,55 +588,38 @@ impl HbLog {
         }
     }
 
-    /// Deserialize from `buf[*pos..]`, advancing `pos`. Errors are
-    /// reported as `None` (the caller maps to its format error).
-    pub(crate) fn read_from(buf: &[u8], pos: &mut usize) -> Option<HbLog> {
-        let world_size = u32::try_from(rv(buf, pos)?).ok()?;
+    /// Deserialize from `r`, advancing it. The caller maps any error
+    /// to its own format error.
+    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<HbLog, CodecError> {
+        // Every rank of a recorded world ends up in `finished` or
+        // `blocked` (see `mpisim::runtime::export_hb`), and each of
+        // those takes at least one byte after the world size: a claim
+        // beyond the bytes left is malformed, and never sizes the
+        // per-rank vectors below.
+        let world_size = u32::try_from(r.count(1)?).map_err(|_| BAD)?;
         let mut log = HbLog::new(world_size as usize);
-        let n_names = rv(buf, pos)?;
-        for _ in 0..n_names {
-            log.names.push(read_string(buf, pos)?);
-        }
-        let n_records = rv(buf, pos)?;
+        log.names = r.list(1, Reader::string)?;
+        let n_records = r.count(1)?;
         let mut lasts: Vec<u32> = vec![NO_PREV; world_size as usize];
         for i in 0..n_records {
-            let process = u32::try_from(rv(buf, pos)?).ok()?;
-            let thread = u32::try_from(rv(buf, pos)?).ok()?;
-            let name = u32::try_from(rv(buf, pos)?).ok()?;
-            if name as usize >= log.names.len() || process >= world_size {
-                return None;
+            let trace = r.id()?;
+            let name = r.u32()?;
+            if name as usize >= log.names.len() || trace.process >= world_size {
+                return Err(BAD);
             }
-            let op = read_op(buf, pos)?;
-            let clock = match *buf.get(*pos)? {
-                0 => {
-                    *pos += 1;
-                    let n = rv(buf, pos)?;
-                    let mut vc = Vec::with_capacity(capacity(n, buf, *pos));
-                    for _ in 0..n {
-                        vc.push(rv(buf, pos)?);
-                    }
-                    ClockRepr::Full(VectorClock(vc))
-                }
-                1 => {
-                    *pos += 1;
-                    let n = rv(buf, pos)?;
-                    let mut d = Vec::with_capacity(capacity(n, buf, *pos));
-                    for _ in 0..n {
-                        let c = u32::try_from(rv(buf, pos)?).ok()?;
-                        let v = rv(buf, pos)?;
-                        d.push((c, v));
-                    }
-                    ClockRepr::Delta(d)
-                }
-                _ => return None,
+            let op = read_op(r)?;
+            let clock = match r.byte()? {
+                0 => ClockRepr::Full(VectorClock(r.list(1, Reader::varint)?)),
+                1 => ClockRepr::Delta(r.list(2, |r| Ok((r.u32()?, r.varint()?)))?),
+                _ => return Err(BAD),
             };
-            let prev = lasts[process as usize];
+            let prev = lasts[trace.process as usize];
             if matches!(clock, ClockRepr::Delta(_)) && prev == NO_PREV {
-                return None;
+                return Err(BAD);
             }
-            lasts[process as usize] = u32::try_from(i).ok()?;
+            lasts[trace.process as usize] = u32::try_from(i).map_err(|_| BAD)?;
             log.records.push(Record {
-                trace: TraceId::new(process, thread),
+                trace,
                 name,
                 op,
                 clock,
@@ -653,46 +636,38 @@ impl HbLog {
                 });
             }
         }
-        let n_blocked = rv(buf, pos)?;
-        for _ in 0..n_blocked {
-            let rank = u32::try_from(rv(buf, pos)?).ok()?;
-            let name = read_string(buf, pos)?;
-            let op = read_op(buf, pos)?;
-            log.blocked.push(BlockedOp { rank, name, op });
-        }
-        let n_pending = rv(buf, pos)?;
-        for _ in 0..n_pending {
-            let slot = rv(buf, pos)?;
-            let name = read_string(buf, pos)?;
-            let arrived = read_ranks(buf, pos)?;
-            let mismatched = read_ranks(buf, pos)?;
-            log.pending_collectives.push(PendingCollective {
-                slot,
-                name,
-                arrived,
-                mismatched,
-            });
-        }
-        let n_unmatched = rv(buf, pos)?;
-        for _ in 0..n_unmatched {
-            let src = u32::try_from(rv(buf, pos)?).ok()?;
-            let dst = u32::try_from(rv(buf, pos)?).ok()?;
-            let tag = unzigzag(rv(buf, pos)?);
-            let count = rv(buf, pos)?;
-            log.unmatched_sends.push(UnmatchedSend {
-                src,
-                dst,
-                tag,
-                count,
-            });
-        }
-        log.finished = read_ranks(buf, pos)?;
-        Some(log)
+        log.blocked = r.list(3, |r| {
+            Ok(BlockedOp {
+                rank: r.u32()?,
+                name: r.string()?,
+                op: read_op(r)?,
+            })
+        })?;
+        log.pending_collectives = r.list(4, |r| {
+            Ok(PendingCollective {
+                slot: r.varint()?,
+                name: r.string()?,
+                arrived: r.list(1, Reader::u32)?,
+                mismatched: r.list(1, Reader::u32)?,
+            })
+        })?;
+        log.unmatched_sends = r.list(4, |r| {
+            Ok(UnmatchedSend {
+                src: r.u32()?,
+                dst: r.u32()?,
+                tag: unzigzag(r.varint()?),
+                count: r.varint()?,
+            })
+        })?;
+        log.finished = r.list(1, Reader::u32)?;
+        Ok(log)
     }
 }
 
+/// A structurally invalid happens-before section.
+const BAD: CodecError = CodecError::Corrupt("malformed happens-before section");
+
 fn write_op(out: &mut Vec<u8>, op: HbOp) {
-    use crate::compress::write_varint;
     match op {
         HbOp::Local => out.push(0),
         HbOp::Send {
@@ -723,76 +698,21 @@ fn write_op(out: &mut Vec<u8>, op: HbOp) {
     }
 }
 
-fn read_op(buf: &[u8], pos: &mut usize) -> Option<HbOp> {
-    let tag_byte = *buf.get(*pos)?;
-    *pos += 1;
-    Some(match tag_byte {
+fn read_op(r: &mut Reader<'_>) -> Result<HbOp, CodecError> {
+    Ok(match r.byte()? {
         0 => HbOp::Local,
-        1 => {
-            let dst = u32::try_from(rv(buf, pos)?).ok()?;
-            let tag = unzigzag(rv(buf, pos)?);
-            let rendezvous = match *buf.get(*pos)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            *pos += 1;
-            HbOp::Send {
-                dst,
-                tag,
-                rendezvous,
-            }
-        }
-        2 => {
-            let src = match *buf.get(*pos)? {
-                0 => {
-                    *pos += 1;
-                    None
-                }
-                1 => {
-                    *pos += 1;
-                    Some(u32::try_from(rv(buf, pos)?).ok()?)
-                }
-                _ => return None,
-            };
-            let tag = unzigzag(rv(buf, pos)?);
-            HbOp::Recv { src, tag }
-        }
-        3 => HbOp::Collective {
-            slot: rv(buf, pos)?,
+        1 => HbOp::Send {
+            dst: r.u32()?,
+            tag: unzigzag(r.varint()?),
+            rendezvous: r.flag()?,
         },
-        _ => return None,
+        2 => HbOp::Recv {
+            src: if r.flag()? { Some(r.u32()?) } else { None },
+            tag: unzigzag(r.varint()?),
+        },
+        3 => HbOp::Collective { slot: r.varint()? },
+        _ => return Err(BAD),
     })
-}
-
-/// `read_varint` adapted to the `Option`-based parsing in this module.
-fn rv(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    crate::compress::read_varint(buf, pos).ok()
-}
-
-/// Initial capacity for `n` encoded items: each takes at least one
-/// byte, so an untrusted `n` never sizes an allocation beyond the bytes
-/// left after `pos`.
-fn capacity(n: u64, buf: &[u8], pos: usize) -> usize {
-    usize::try_from(n)
-        .unwrap_or(usize::MAX)
-        .min(buf.len().saturating_sub(pos))
-}
-
-fn read_string(buf: &[u8], pos: &mut usize) -> Option<String> {
-    let len = usize::try_from(rv(buf, pos)?).ok()?;
-    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-fn read_ranks(buf: &[u8], pos: &mut usize) -> Option<Vec<u32>> {
-    let n = rv(buf, pos)?;
-    let mut out = Vec::with_capacity(capacity(n, buf, *pos));
-    for _ in 0..n {
-        out.push(u32::try_from(rv(buf, pos)?).ok()?);
-    }
-    Some(out)
 }
 
 fn zigzag(v: i32) -> u64 {
@@ -966,9 +886,9 @@ mod tests {
         log.finished = vec![0];
         let mut buf = Vec::new();
         log.write_to(&mut buf);
-        let mut pos = 0;
-        let back = HbLog::read_from(&buf, &mut pos).expect("round trip");
-        assert_eq!(pos, buf.len());
+        let mut r = Reader::new(&buf);
+        let back = HbLog::read_from(&mut r).expect("round trip");
+        assert_eq!(r.pos(), buf.len());
         assert_eq!(back.world_size(), 3);
         assert_eq!(back.len(), log.len());
         assert_eq!(back.events(), log.events());

@@ -22,6 +22,8 @@
 //! * [`compress`] implements the on-the-fly trace compressor: an
 //!   LZ-style coder specialised for extremely repetitive (loopy) symbol
 //!   streams; [`store`] is the on-disk format (ParLOT's trace files).
+//! * [`codec`] is the bounded reader, varint writer and integrity seal
+//!   that every binary format in the workspace decodes and seals with.
 //! * [`stats`] reproduces the §V trace statistics (distinct functions,
 //!   compressed bytes per thread, calls per process).
 //!
@@ -46,6 +48,7 @@
 //! assert_eq!(trace.events.len(), 4); // 2 calls + 2 returns
 //! ```
 
+pub mod codec;
 pub mod collector;
 pub mod compress;
 pub mod event;

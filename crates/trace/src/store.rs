@@ -25,12 +25,18 @@
 //! touching) any trace blob: `blob_off` is the absolute file offset of
 //! that trace's compressed blob, `hb_off` the offset of the
 //! HB-presence byte, `index_off` the offset of the `"DTIX"` magic.
-//! Earlier-version files still load — they simply carry an empty
-//! [`HbLog`] (v1) and, for [`IndexedSet`], pay one cheap header scan
-//! to reconstruct the index. Readers predating v3 diagnose v3 files
-//! as `unsupported DTTS version` rather than misparsing the tail.
+//! Earlier-version files still load — v1 files simply carry an empty
+//! [`HbLog`]. Readers predating v3 diagnose v3 files as `unsupported
+//! DTTS version` rather than misparsing the tail.
+//!
+//! Both readers — the eager [`from_bytes_full`] and the lazy
+//! [`IndexedSet`] — share one layout parser, so they accept and reject
+//! exactly the same images: it reads the trace headers of every
+//! version (skipping the blobs), and checks a v3 index and footer
+//! against them. Fields are read through [`crate::codec::Reader`].
 
-use crate::compress::{self, read_varint, write_varint, CodecError};
+use crate::codec::{write_varint, CodecError, Reader};
+use crate::compress;
 use crate::hb::HbLog;
 use crate::registry::FunctionRegistry;
 use crate::trace::{Trace, TraceId, TraceSet};
@@ -87,7 +93,8 @@ impl From<std::io::Error> for StoreError {
 impl From<CodecError> for StoreError {
     fn from(e: CodecError) -> StoreError {
         match e {
-            CodecError::Truncated => StoreError::Format("truncated blob"),
+            CodecError::Truncated => StoreError::Format(TRUNCATED),
+            CodecError::Utf8 => StoreError::Utf8,
             other => StoreError::Codec(other),
         }
     }
@@ -156,90 +163,178 @@ pub fn from_bytes(buf: &[u8]) -> Result<TraceSet, StoreError> {
 /// Deserialise a trace set and its happens-before log. V1 files (and
 /// v2 files saved without one) yield an empty log.
 pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
-    if buf.len() < 5 {
-        return Err(StoreError::Format("file too short"));
+    let layout = Layout::parse(buf)?;
+    let mut set = TraceSet::new(layout.registry);
+    for e in &layout.entries {
+        set.insert(e.decode(buf)?);
     }
-    if &buf[..4] != MAGIC {
-        return Err(StoreError::Format("bad magic (not a DTTS file)"));
-    }
-    let version = buf[4];
-    if !(1..=VERSION).contains(&version) {
-        return Err(StoreError::Format("unsupported DTTS version"));
-    }
-    let mut at = 5usize;
-    let names = read_names(buf, &mut at, "name overruns file")?;
-    let registry = Arc::new(FunctionRegistry::from_names(names));
+    Ok((set, layout.hb))
+}
 
-    let n_traces = read_varint(buf, &mut at)? as usize;
-    let mut set = TraceSet::new(registry);
-    for _ in 0..n_traces {
-        let id = read_trace_id(buf, &mut at)?;
-        let truncated = match buf.get(at) {
-            Some(0) => false,
-            Some(1) => true,
-            Some(_) => return Err(StoreError::Format("bad truncated flag")),
-            None => return Err(StoreError::Format("file ends mid-trace")),
+/// One trace's header: its id, truncation flag and where its blob sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IndexEntry {
+    id: TraceId,
+    truncated: bool,
+    off: usize,
+    len: usize,
+}
+
+impl IndexEntry {
+    fn decode(&self, buf: &[u8]) -> Result<Trace, CodecError> {
+        let symbols = compress::decompress(&buf[self.off..self.off + self.len])?;
+        Ok(Trace::from_symbols(self.id, &symbols, self.truncated))
+    }
+}
+
+/// A `.dtts` image parsed up to its blobs — everything both readers
+/// need before decoding a trace.
+struct Layout {
+    registry: Arc<FunctionRegistry>,
+    /// Sorted by id, no duplicates, every blob inside the image.
+    entries: Vec<IndexEntry>,
+    hb: HbLog,
+}
+
+impl Layout {
+    /// Parse magic and version, the registry, every trace header
+    /// (skipping the blobs), the v3 index and footer — which must agree
+    /// with the headers — and the HB section.
+    fn parse(buf: &[u8]) -> Result<Layout, StoreError> {
+        if buf.len() < 5 {
+            return Err(StoreError::Format("file too short"));
+        }
+        if &buf[..4] != MAGIC {
+            return Err(StoreError::Format("bad magic (not a DTTS file)"));
+        }
+        let version = buf[4];
+        if !(1..=VERSION).contains(&version) {
+            return Err(StoreError::Format("unsupported DTTS version"));
+        }
+        let mut r = Reader::at(buf, 5);
+        let names = read_names(&mut r, "name overruns file")?;
+        let n = r
+            .count(4)
+            .map_err(site(TRUNCATED, "trace count overruns file"))?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = read_trace_id(&mut r)?;
+            let truncated = r
+                .flag()
+                .map_err(site("file ends mid-trace", "bad truncated flag"))?;
+            let len = r.varint()? as usize;
+            let off = r.pos();
+            r.take(len)
+                .map_err(|_| StoreError::Format("blob overruns file"))?;
+            entries.push(IndexEntry {
+                id,
+                truncated,
+                off,
+                len,
+            });
+        }
+        let hb_end = if version >= 3 {
+            check_index(buf, &entries, r.pos())?
+        } else {
+            buf.len()
         };
-        at += 1;
-        let blob_len = read_varint(buf, &mut at)? as usize;
-        let blob = take(buf, &mut at, blob_len).ok_or(StoreError::Format("blob overruns file"))?;
-        if set.get(id).is_some() {
+        let hb = if version >= 2 {
+            let mut r = Reader::at(&buf[..hb_end], r.pos());
+            let present = r
+                .flag()
+                .map_err(site("file ends before HB section", "bad HB-presence flag"))?;
+            let hb = if present {
+                HbLog::read_from(&mut r)
+                    .map_err(|_| StoreError::Format("malformed happens-before section"))?
+            } else {
+                HbLog::default()
+            };
+            if version >= 3 && r.remaining() != 0 {
+                return Err(StoreError::Format("index does not follow the HB section"));
+            }
+            hb
+        } else {
+            HbLog::default()
+        };
+        entries.sort_by_key(|e| e.id);
+        if entries.windows(2).any(|w| w[0].id == w[1].id) {
             return Err(StoreError::Format("duplicate trace id in store"));
         }
-        let symbols = compress::decompress(blob)?;
-        set.insert(Trace::from_symbols(id, &symbols, truncated));
+        Ok(Layout {
+            registry: Arc::new(FunctionRegistry::from_names(names)),
+            entries,
+            hb,
+        })
     }
-    let hb = if version >= 2 {
-        match buf.get(at) {
-            Some(0) => HbLog::default(),
-            Some(1) => {
-                at += 1;
-                HbLog::read_from(buf, &mut at)
-                    .ok_or(StoreError::Format("malformed happens-before section"))?
-            }
-            Some(_) => return Err(StoreError::Format("bad HB-presence flag")),
-            None => return Err(StoreError::Format("file ends before HB section")),
-        }
-    } else {
-        HbLog::default()
-    };
-    Ok((set, hb))
 }
 
-/// A name table: a varint count, then that many length-prefixed UTF-8
-/// strings. The count sizes the allocation only up to the bytes left
-/// (every name takes at least one), so a hostile count or length is a
-/// format error, never a panic or an allocation sized by the claim.
-fn read_names(
-    buf: &[u8],
-    at: &mut usize,
-    overrun: &'static str,
-) -> Result<Vec<String>, StoreError> {
-    let n = read_varint(buf, at)? as usize;
-    let mut names = Vec::with_capacity(n.min(buf.len().saturating_sub(*at)));
-    for _ in 0..n {
-        let len = read_varint(buf, at)? as usize;
-        let bytes = take(buf, at, len).ok_or(StoreError::Format(overrun))?;
-        names.push(String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::Utf8)?);
+/// Check the v3 tail against the body: the footer's HB offset is where
+/// the trace headers end, and the `DTIX` index lists exactly `entries`,
+/// in order, ending at the footer. Returns the index offset (where the
+/// HB section must end).
+fn check_index(buf: &[u8], entries: &[IndexEntry], hb_at: usize) -> Result<usize, StoreError> {
+    let foot = buf
+        .len()
+        .checked_sub(16)
+        .ok_or(StoreError::Format("v3 file too short for footer"))?;
+    let mut r = Reader::at(buf, foot);
+    let hb_off = u64::from_le_bytes(r.array()?) as usize;
+    let index_off = u64::from_le_bytes(r.array()?) as usize;
+    if hb_off >= foot || index_off >= foot || hb_off > index_off {
+        return Err(StoreError::Format("bad v3 footer offsets"));
     }
-    Ok(names)
+    let mut r = Reader::at(&buf[..foot], index_off);
+    if r.take(4).ok() != Some(INDEX_MAGIC.as_slice()) {
+        return Err(StoreError::Format("bad index magic"));
+    }
+    let count = r
+        .count(5)
+        .map_err(site(TRUNCATED, "index count overruns file"))?;
+    let mut index = Vec::with_capacity(count);
+    for _ in 0..count {
+        index.push(IndexEntry {
+            id: read_trace_id(&mut r)?,
+            truncated: r
+                .flag()
+                .map_err(|_| StoreError::Format("bad truncated flag in index"))?,
+            off: r.varint()? as usize,
+            len: r.varint()? as usize,
+        });
+    }
+    if index != entries || hb_off != hb_at || r.remaining() != 0 {
+        return Err(StoreError::Format("index disagrees with trace headers"));
+    }
+    Ok(index_off)
 }
 
-/// A trace id: a process and a thread varint, each of which must fit a
-/// `u32` (a wider one would alias another trace's id).
-fn read_trace_id(buf: &[u8], at: &mut usize) -> Result<TraceId, StoreError> {
-    let mut part = || {
-        u32::try_from(read_varint(buf, at)?).map_err(|_| StoreError::Format("trace id exceeds u32"))
-    };
-    Ok(TraceId::new(part()?, part()?))
+/// A field cut short by the end of the input.
+const TRUNCATED: &str = "truncated blob";
+
+/// Map a reader error at one site of the layout: running out of input
+/// is the format error `ends`, any other defect the format error `bad`.
+fn site(ends: &'static str, bad: &'static str) -> impl Fn(CodecError) -> StoreError {
+    move |e| {
+        StoreError::Format(if e == CodecError::Truncated {
+            ends
+        } else {
+            bad
+        })
+    }
 }
 
-/// The `len` bytes at `*at`, advancing past them; `None` when they
-/// overrun `buf` (checked, so a hostile `len` cannot wrap the offset).
-fn take<'a>(buf: &'a [u8], at: &mut usize, len: usize) -> Option<&'a [u8]> {
-    let bytes = buf.get(*at..at.checked_add(len)?)?;
-    *at += len;
-    Some(bytes)
+/// A trace id whose parts must each fit a `u32`.
+fn read_trace_id(r: &mut Reader<'_>) -> Result<TraceId, StoreError> {
+    r.id().map_err(site(TRUNCATED, "trace id exceeds u32"))
+}
+
+/// A name table: a count, then that many length-prefixed UTF-8
+/// strings. The count is bounded by the bytes left, so a hostile count
+/// or length is a format error, never an allocation sized by the claim.
+fn read_names(r: &mut Reader<'_>, overrun: &'static str) -> Result<Vec<String>, StoreError> {
+    r.list(1, Reader::string).map_err(|e| match e {
+        CodecError::Utf8 => StoreError::Utf8,
+        _ => StoreError::Format(overrun),
+    })
 }
 
 /// Write `bytes` to `path` atomically: write a uniquely-named temp file
@@ -334,7 +429,7 @@ pub fn save_dir(set: &TraceSet, dir: &Path) -> Result<(), StoreError> {
 /// Read a trace set back from a [`save_dir`] directory.
 pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
     let reg_buf = std::fs::read(dir.join(REGISTRY_FILE))?;
-    let names = read_names(&reg_buf, &mut 0, "name overruns registry file")?;
+    let names = read_names(&mut Reader::new(&reg_buf), "name overruns registry file")?;
     let registry = Arc::new(FunctionRegistry::from_names(names));
     let mut set = TraceSet::new(registry);
 
@@ -380,39 +475,24 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
             )));
         }
         let buf = std::fs::read(&path)?;
-        if buf.len() < 5 || &buf[..4] != THREAD_MAGIC {
-            return Err(StoreError::Format("bad per-thread trace file header"));
+        let mut r = Reader::new(&buf);
+        let header = "bad per-thread trace file header";
+        if r.take(4).ok() != Some(THREAD_MAGIC.as_slice()) {
+            return Err(StoreError::Format(header));
         }
-        let truncated = match buf[4] {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::Format("bad truncated flag")),
-        };
-        let symbols = compress::decompress(&buf[5..])?;
-        set.insert(Trace::from_symbols(
-            TraceId::new(process, thread),
-            &symbols,
-            truncated,
-        ));
+        let truncated = r.flag().map_err(site(header, "bad truncated flag"))?;
+        let symbols = compress::decompress(&buf[r.pos()..])?;
+        set.insert(Trace::from_symbols(id, &symbols, truncated));
     }
     Ok(set)
 }
 
-/// One trace's location inside an [`IndexedSet`]'s byte image.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    id: TraceId,
-    truncated: bool,
-    off: usize,
-    len: usize,
-}
-
 /// An index-backed, lazily-decoded view of a `.dtts` corpus.
 ///
-/// `open` parses only the registry, the happens-before log, and the
-/// per-trace offset index (read directly from a v3 file's tail; for
-/// v1/v2 files reconstructed by a header scan that *skips* every
-/// blob). No trace blob is decompressed until someone asks for that
+/// `open` parses the same layout as [`from_bytes_full`] — registry,
+/// trace headers (skipping every blob), the v3 index and footer, and
+/// the happens-before log — and stops there: no trace blob is
+/// decompressed until someone asks for that
 /// trace, so a single-trace query touches one trace's bytes instead of
 /// the whole corpus. Decoded traces are cached interior-mutably —
 /// `get` takes `&self` and is safe to call from many threads; the
@@ -431,7 +511,7 @@ pub struct IndexedSet {
     pub registry: Arc<FunctionRegistry>,
     entries: Vec<IndexEntry>,
     hb: HbLog,
-    cells: Vec<std::sync::OnceLock<Option<Trace>>>,
+    cells: Vec<std::sync::OnceLock<Result<Trace, CodecError>>>,
     full: std::sync::OnceLock<Arc<TraceSet>>,
     decodes: std::sync::atomic::AtomicU64,
 }
@@ -451,53 +531,15 @@ impl IndexedSet {
         IndexedSet::from_bytes(std::fs::read(path)?)
     }
 
-    /// Build an indexed view over an in-memory `.dtts` image.
+    /// Build an indexed view over an in-memory `.dtts` image. It
+    /// accepts exactly the images [`from_bytes_full`] accepts, up to
+    /// blob decoding.
     pub fn from_bytes(buf: Vec<u8>) -> Result<IndexedSet, StoreError> {
-        if buf.len() < 5 {
-            return Err(StoreError::Format("file too short"));
-        }
-        if &buf[..4] != MAGIC {
-            return Err(StoreError::Format("bad magic (not a DTTS file)"));
-        }
-        let version = buf[4];
-        if !(1..=VERSION).contains(&version) {
-            return Err(StoreError::Format("unsupported DTTS version"));
-        }
-        let mut at = 5usize;
-        let names = read_names(&buf, &mut at, "name overruns file")?;
-        let registry = Arc::new(FunctionRegistry::from_names(names));
-
-        let (mut entries, hb_at) = if version >= 3 {
-            Self::read_index(&buf)?
-        } else {
-            Self::scan_headers(&buf, at)?
-        };
-        for e in &entries {
-            if e.off.checked_add(e.len).is_none_or(|end| end > buf.len()) {
-                return Err(StoreError::Format("index entry overruns file"));
-            }
-        }
-        entries.sort_by_key(|e| e.id);
-        if entries.windows(2).any(|w| w[0].id == w[1].id) {
-            return Err(StoreError::Format("duplicate trace id in store"));
-        }
-
-        let hb = if version >= 2 {
-            let mut at = hb_at;
-            match buf.get(at) {
-                Some(0) => HbLog::default(),
-                Some(1) => {
-                    at += 1;
-                    HbLog::read_from(&buf, &mut at)
-                        .ok_or(StoreError::Format("malformed happens-before section"))?
-                }
-                Some(_) => return Err(StoreError::Format("bad HB-presence flag")),
-                None => return Err(StoreError::Format("file ends before HB section")),
-            }
-        } else {
-            HbLog::default()
-        };
-
+        let Layout {
+            registry,
+            entries,
+            hb,
+        } = Layout::parse(&buf)?;
         let n = entries.len();
         Ok(IndexedSet {
             buf,
@@ -508,77 +550,6 @@ impl IndexedSet {
             full: std::sync::OnceLock::new(),
             decodes: std::sync::atomic::AtomicU64::new(0),
         })
-    }
-
-    /// Read the v3 tail: footer → index section. Returns the entries
-    /// and the offset of the HB-presence byte.
-    fn read_index(buf: &[u8]) -> Result<(Vec<IndexEntry>, usize), StoreError> {
-        if buf.len() < 16 {
-            return Err(StoreError::Format("v3 file too short for footer"));
-        }
-        let foot = buf.len() - 16;
-        let hb_off = u64::from_le_bytes(buf[foot..foot + 8].try_into().unwrap()) as usize;
-        let index_off = u64::from_le_bytes(buf[foot + 8..].try_into().unwrap()) as usize;
-        if hb_off >= foot || index_off >= foot || hb_off > index_off {
-            return Err(StoreError::Format("bad v3 footer offsets"));
-        }
-        if buf.get(index_off..index_off + 4) != Some(INDEX_MAGIC.as_slice()) {
-            return Err(StoreError::Format("bad index magic"));
-        }
-        let mut at = index_off + 4;
-        let count = read_varint(buf, &mut at)? as usize;
-        if count > foot - index_off {
-            return Err(StoreError::Format("index count overruns file"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = read_trace_id(buf, &mut at)?;
-            let truncated = match buf.get(at) {
-                Some(0) => false,
-                Some(1) => true,
-                _ => return Err(StoreError::Format("bad truncated flag in index")),
-            };
-            at += 1;
-            let off = read_varint(buf, &mut at)? as usize;
-            let len = read_varint(buf, &mut at)? as usize;
-            entries.push(IndexEntry {
-                id,
-                truncated,
-                off,
-                len,
-            });
-        }
-        Ok((entries, hb_off))
-    }
-
-    /// Reconstruct the index for a v1/v2 file by scanning trace
-    /// headers and *skipping* each blob — cheap (no decompression),
-    /// one pass over the header bytes.
-    fn scan_headers(buf: &[u8], mut at: usize) -> Result<(Vec<IndexEntry>, usize), StoreError> {
-        let n_traces = read_varint(buf, &mut at)? as usize;
-        let mut entries = Vec::with_capacity(n_traces.min(buf.len()));
-        for _ in 0..n_traces {
-            let id = read_trace_id(buf, &mut at)?;
-            let truncated = match buf.get(at) {
-                Some(0) => false,
-                Some(1) => true,
-                Some(_) => return Err(StoreError::Format("bad truncated flag")),
-                None => return Err(StoreError::Format("file ends mid-trace")),
-            };
-            at += 1;
-            let len = read_varint(buf, &mut at)? as usize;
-            if at.checked_add(len).is_none_or(|end| end > buf.len()) {
-                return Err(StoreError::Format("blob overruns file"));
-            }
-            entries.push(IndexEntry {
-                id,
-                truncated,
-                off: at,
-                len,
-            });
-            at += len;
-        }
-        Ok((entries, at))
     }
 
     /// Number of traces in the corpus (decoded or not).
@@ -618,20 +589,15 @@ impl IndexedSet {
 
     fn decode(&self, idx: usize) -> Result<&Trace, StoreError> {
         use std::sync::atomic::Ordering;
-        let e = self.entries[idx];
         let mut fresh = false;
         let cell = self.cells[idx].get_or_init(|| {
             fresh = true;
-            let blob = &self.buf[e.off..e.off + e.len];
-            compress::decompress(blob)
-                .ok()
-                .map(|symbols| Trace::from_symbols(e.id, &symbols, e.truncated))
+            self.entries[idx].decode(&self.buf)
         });
         if fresh {
             self.decodes.fetch_add(1, Ordering::Relaxed);
         }
-        cell.as_ref()
-            .ok_or_else(|| StoreError::Invalid(format!("trace {} blob failed to decode", e.id)))
+        cell.as_ref().map_err(|e| e.clone().into())
     }
 
     /// Materialize a [`TraceSet`] holding just `ids` (sharing the
@@ -917,6 +883,66 @@ mod tests {
             let bytes = crafted_image(version, &[(1, 0), (2, 0)]);
             assert_eq!(from_bytes(&bytes).unwrap().len(), 2);
             assert_eq!(IndexedSet::from_bytes(bytes).unwrap().len(), 2);
+        }
+    }
+
+    /// Both readers, run on one image: the traces and HB log as text,
+    /// or the error's `Display` text. A panic is reported, not raised.
+    fn both_readers(bytes: &[u8]) -> [Result<String, String>; 2] {
+        let show =
+            |set: &TraceSet, hb: &HbLog| format!("{:?} {hb:?}", set.iter().collect::<Vec<_>>());
+        let eager = || from_bytes_full(bytes).map(|(set, hb)| show(&set, &hb));
+        let lazy = || {
+            let ix = IndexedSet::from_bytes(bytes.to_vec())?;
+            Ok(show(&*ix.full_set()?, ix.hb()))
+        };
+        let guard = |f: &dyn Fn() -> Result<String, StoreError>| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .unwrap_or_else(|_| Ok("PANIC".to_string()))
+                .map_err(|e| e.to_string())
+        };
+        [guard(&eager), guard(&lazy)]
+    }
+
+    /// The eager and the lazy reader agree on every prefix and every
+    /// single-byte flip (two masks) of a v1, v2 and v3 image with an HB
+    /// section: both fail with the same message, or both yield the same
+    /// traces and HB log. Neither panics.
+    #[test]
+    fn eager_and_lazy_readers_agree_on_every_mutation() {
+        use crate::hb::{BlockedOp, HbOp, VectorClock};
+        let mut hb = HbLog::new(3);
+        let mut vc = VectorClock::zero(3);
+        vc.tick(0);
+        hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        hb.blocked.push(BlockedOp {
+            rank: 1,
+            name: "MPI_Recv".to_string(),
+            op: HbOp::Recv { src: None, tag: 3 },
+        });
+        hb.finished = vec![0, 2];
+        let v3 = to_bytes_full(&sample_set(), Some(&hb));
+        for image in [downgrade(v3.clone(), 1), downgrade(v3.clone(), 2), v3] {
+            let version = image[4];
+            assert!(both_readers(&image)[0].is_ok(), "v{version} intact");
+            let mut mutants: Vec<(String, Vec<u8>)> = (0..image.len())
+                .map(|cut| (format!("prefix {cut}"), image[..cut].to_vec()))
+                .collect();
+            for i in 0..image.len() {
+                for mask in [0x01u8, 0x80] {
+                    let mut flipped = image.clone();
+                    flipped[i] ^= mask;
+                    mutants.push((format!("byte {i} ^ {mask:#04x}"), flipped));
+                }
+            }
+            for (what, bytes) in mutants {
+                let [eager, lazy] = both_readers(&bytes);
+                assert!(
+                    eager.as_deref() != Ok("PANIC") && lazy.as_deref() != Ok("PANIC"),
+                    "v{version} {what}: panic"
+                );
+                assert_eq!(eager, lazy, "v{version} {what}");
+            }
         }
     }
 

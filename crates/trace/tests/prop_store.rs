@@ -1,5 +1,6 @@
 //! Property tests for the on-disk trace formats.
 
+use dt_trace::codec::write_varint;
 use dt_trace::{store, FunctionRegistry, Trace, TraceEvent, TraceId, TraceSet};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,7 +79,7 @@ proptest! {
 fn crafted(fields: &[u64]) -> Vec<u8> {
     let mut buf = b"DTTS\x02".to_vec();
     for &f in fields {
-        dt_trace::compress::write_varint(&mut buf, f);
+        write_varint(&mut buf, f);
     }
     buf
 }
@@ -93,7 +94,7 @@ fn hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
         let mut buf = crafted(&[0, 0]);
         buf.push(1); // HB section present
         for &f in hb {
-            dt_trace::compress::write_varint(&mut buf, f);
+            write_varint(&mut buf, f);
         }
         buf
     };
@@ -104,7 +105,7 @@ fn hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
         ("blob length", {
             let mut buf = crafted(&[0, 1, 0, 0]);
             buf.push(0); // not truncated
-            dt_trace::compress::write_varint(&mut buf, near_max);
+            write_varint(&mut buf, near_max);
             buf
         }),
         ("HB name length", with_hb(&[1, 1, near_max])),
@@ -113,6 +114,11 @@ fn hostile_headers() -> Vec<(&'static str, Vec<u8>)> {
         (
             "HB clock length",
             with_hb(&[1, 1, 1, u64::from(b'a'), 1, 0, 0, 0, 0, 0, huge]),
+        ),
+        // A world of 2^32 - 1 ranks in a section of six bytes.
+        (
+            "HB world size",
+            with_hb(&[u64::from(u32::MAX), 0, 0, 0, 0, 0, 0]),
         ),
     ]
 }
@@ -144,7 +150,7 @@ fn hostile_registry_file_is_a_format_error_not_a_panic() {
         std::fs::create_dir_all(&dir).unwrap();
         let mut reg = Vec::new();
         for f in fields {
-            dt_trace::compress::write_varint(&mut reg, f);
+            write_varint(&mut reg, f);
         }
         std::fs::write(dir.join("functions.dtfn"), reg).unwrap();
         let got = std::panic::catch_unwind(|| store::load_dir(&dir).err());
