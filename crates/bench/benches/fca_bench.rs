@@ -6,7 +6,9 @@
 //! objects (traces) and attributes grows, plus the JSM computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fca::{jaccard_matrix, ConceptLattice, FormalContext};
+use difftrace::JsmMatrix;
+use dt_trace::TraceId;
+use fca::{ConceptLattice, FormalContext};
 use std::hint::black_box;
 
 /// A context resembling trace attributes: `n` objects over a universe
@@ -44,7 +46,8 @@ fn bench_fca(c: &mut Criterion) {
             });
         });
         g.bench_with_input(BenchmarkId::new("jaccard_matrix", n), &ctx, |b, ctx| {
-            b.iter(|| black_box(jaccard_matrix(black_box(ctx))));
+            let ids: Vec<TraceId> = (0..n as u32).map(TraceId::master).collect();
+            b.iter(|| black_box(JsmMatrix::from_context(black_box(ctx), ids.clone())));
         });
     }
     g.finish();

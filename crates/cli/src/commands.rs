@@ -1192,10 +1192,7 @@ fn diff_cmd(args: &[String]) -> Result<(), CliError> {
         eprint!("{}", c.findings(&d));
     }
     if req.full {
-        print!(
-            "{}",
-            difftrace::generate_report(&d, &difftrace::ReportOptions::default())
-        );
+        print!("{}", difftrace::generate_report(&d));
         obs.emit(&live, "diff", popts.threads)?;
         return Ok(());
     }
@@ -1449,10 +1446,7 @@ fn export(args: &[String]) -> Result<(), String> {
         write(&format!("{tag}.jsm.csv"), run.jsm.to_csv())?;
     }
     write("jsm_d.csv", d.jsm_d.to_csv())?;
-    write(
-        "report.txt",
-        difftrace::generate_report(&d, &difftrace::ReportOptions::default()),
-    )?;
+    write("report.txt", difftrace::generate_report(&d))?;
     println!("wrote 10 artifacts to {outdir}");
     obs.emit(&live, "export", popts.threads)?;
     Ok(())

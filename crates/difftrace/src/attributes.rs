@@ -8,7 +8,7 @@
 //! `actual` (observed count; loop entries weigh their iteration count),
 //! `log10` (compressed), or `noFreq` (presence only).
 
-use nlr::{Element, Nlr};
+use nlr::{Element, LoopId, Nlr};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -160,14 +160,6 @@ impl std::str::FromStr for AttrConfig {
     }
 }
 
-/// Render one NLR element as an attribute token: function/loop label.
-fn entry_label<F: Fn(u32) -> String>(e: Element, name: &F) -> String {
-    match e {
-        Element::Sym(s) => name(s),
-        Element::Loop { body, .. } => body.to_string(),
-    }
-}
-
 /// Occurrence weight of one NLR element: a symbol counts 1, a loop
 /// counts its iteration count (it stands for that many body executions).
 fn entry_weight(e: Element) -> f64 {
@@ -177,32 +169,54 @@ fn entry_weight(e: Element) -> f64 {
     }
 }
 
-/// Mine the attribute set `{attr: weight}` of one trace.
+/// Mine the attribute set `{attr: weight}` of one trace, name-sorted.
 ///
 /// `symbols` is the filtered pre-NLR stream (needed for the
 /// caller/callee kind, which recovers nesting from call/return bits);
-/// `nlr` is its summarization (used for single/double kinds).
+/// `nlr` is its summarization (used for single/double kinds). Loop
+/// entries are labelled `L<n>` by their loop id.
 pub fn mine<F: Fn(u32) -> String>(
     symbols: &[u32],
     nlr: &Nlr,
     cfg: AttrConfig,
     name: &F,
 ) -> Vec<(String, f64)> {
+    mine_labelled(symbols, nlr, cfg, name, &|id: LoopId| id.to_string())
+}
+
+/// [`mine`] with loop entries labelled by `loop_label`. Entries that
+/// render to the same label are one attribute: their counts add up
+/// before the [`FreqMode`] transform.
+pub(crate) fn mine_labelled<F, L>(
+    symbols: &[u32],
+    nlr: &Nlr,
+    cfg: AttrConfig,
+    name: &F,
+    loop_label: &L,
+) -> Vec<(String, f64)>
+where
+    F: Fn(u32) -> String,
+    L: Fn(LoopId) -> String,
+{
+    let label = |e: Element| match e {
+        Element::Sym(s) => name(s),
+        Element::Loop { body, .. } => loop_label(body),
+    };
     let mut freq: BTreeMap<String, f64> = BTreeMap::new();
     let elems = nlr.elements();
     match cfg.kind {
         AttrKind::Single => {
             for &e in elems {
-                *freq.entry(entry_label(e, name)).or_insert(0.0) += entry_weight(e);
+                *freq.entry(label(e)).or_insert(0.0) += entry_weight(e);
             }
         }
         AttrKind::Double => {
-            mine_double(elems, name, &mut freq);
+            mine_double(elems, &label, &mut freq);
         }
         AttrKind::CallerCallee => {
             if !mine_caller_callee(symbols, name, &mut freq) {
                 // No return events in the stream: nesting unknown.
-                mine_double(elems, name, &mut freq);
+                mine_double(elems, &label, &mut freq);
             }
         }
     }
@@ -218,19 +232,19 @@ pub fn mine<F: Fn(u32) -> String>(
         .collect()
 }
 
-fn mine_double<F: Fn(u32) -> String>(
+fn mine_double<E: Fn(Element) -> String>(
     elems: &[Element],
-    name: &F,
+    label: &E,
     freq: &mut BTreeMap<String, f64>,
 ) {
     for w in elems.windows(2) {
-        let key = format!("{}→{}", entry_label(w[0], name), entry_label(w[1], name));
+        let key = format!("{}→{}", label(w[0]), label(w[1]));
         *freq.entry(key).or_insert(0.0) += 1.0;
     }
     // A 1-element trace still yields its lone entry so the object is
     // not empty.
     if elems.len() == 1 {
-        freq.insert(entry_label(elems[0], name), 1.0);
+        freq.insert(label(elems[0]), 1.0);
     }
 }
 
@@ -352,6 +366,28 @@ mod tests {
         );
         let keys: Vec<&str> = attrs.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["L0→f3", "f0→L0", "f3→f0"]);
+    }
+
+    #[test]
+    fn double_attrs_label_loops_on_both_sides_of_a_pair() {
+        let mut table = LoopTable::new();
+        // f0 (f1 f2)^4 (f3 f4)^2 f0, where f0 is a function named `L0`.
+        let input = vec![0, 1, 2, 1, 2, 1, 2, 1, 2, 3, 4, 3, 4, 0];
+        let nlr = NlrBuilder::new(10).build(&input, &mut table);
+        let name = |s: u32| if s == 0 { "L0".to_string() } else { names(s) };
+        let loop_label = |id: LoopId| ["L#cafe", "L#beef"][id.0 as usize].to_string();
+        let attrs = mine_labelled(
+            &input,
+            &nlr,
+            AttrConfig {
+                kind: AttrKind::Double,
+                freq: FreqMode::Actual,
+            },
+            &name,
+            &loop_label,
+        );
+        let keys: Vec<&str> = attrs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, vec!["L#beef→L0", "L#cafe→L#beef", "L0→L#cafe"]);
     }
 
     #[test]

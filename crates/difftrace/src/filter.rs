@@ -268,11 +268,6 @@ impl FilterConfig {
     /// Apply to one trace: resolve names through `set`'s registry, keep
     /// matching events, encode as NLR-ready symbols
     /// ([`dt_trace::TraceEvent::to_symbol`]).
-    pub fn apply_trace(&self, set: &TraceSet, trace: &Trace) -> FilteredTrace {
-        let compiled: Vec<CompiledClass> = self.keep.iter().map(compile_class).collect();
-        self.apply_trace_compiled(set, trace, &compiled)
-    }
-
     fn apply_trace_compiled(
         &self,
         set: &TraceSet,

@@ -17,13 +17,13 @@
 //!
 //! * every run gets its own local [`nlr::LoopTable`], so loop
 //!   numbering never depends on which runs were folded before it;
-//! * loop tokens in mined attribute names are rewritten to
-//!   content-hash labels (`L#<hash>` over the structural rendering of
-//!   the body through *registry names*), so two runs that fold the
-//!   same loop agree on its attribute name no matter what their
-//!   registries or tables look like;
-//! * every floating-point reduction (pairwise Jaccard merge-join,
-//!   consensus sums, run means) iterates in a canonical order —
+//! * loops are labelled while mining with content-hash labels
+//!   (`L#<hash>` over the structural rendering of the body through
+//!   *registry names*), so two runs that fold the same loop agree on
+//!   its attribute name no matter what their registries or tables look
+//!   like, and no function name is ever read back as a loop;
+//! * every floating-point reduction (pairwise [`fca::weighted_jaccard`]
+//!   merges, consensus sums, run means) iterates in a canonical order —
 //!   name-sorted attributes, name-sorted runs, id-sorted traces —
 //!   never in ingestion order.
 //!
@@ -42,7 +42,7 @@
 //! [`f64::total_cmp`] with name/id tie-breaks, so ranking is total
 //! and NaN-safe.
 
-use crate::attributes::mine;
+use crate::attributes::mine_labelled;
 use crate::filter::symbol_name;
 use crate::pipeline::{fold_runs, Folded, Params};
 use crate::sync::{effective_threads, par_map_obs};
@@ -56,11 +56,6 @@ use nlr::{Element, LoopId, LoopTable};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Loop tokens in mined labels are shifted above this base before the
-/// content-hash rewrite, so a *function* named like `L5` can never be
-/// mistaken for a loop reference (real loop ids stay far below 2³⁰).
-const LOOP_TOKEN_BASE: u32 = 1 << 30;
 
 /// A healthy-looking fleet is never flagged: the top score must beat
 /// `2 × median + ε`.
@@ -275,8 +270,7 @@ impl FleetRun {
                     &format!("{run}/{id}"),
                     a.iter().map(|(k, w)| (k.as_str(), *w)),
                 );
-                let intent = self.context.object_attrs(g).clone();
-                self.lattice.add_object(&intent);
+                self.lattice.add_object(&self.context.object_attrs(g));
             }
         }
         if rec.enabled() {
@@ -286,8 +280,8 @@ impl FleetRun {
 
         // Incrementally extend the cross-run similarity view: one
         // per-trace row against each already-folded run. Each cell is
-        // a pure merge-join over two runs' name-sorted attribute
-        // lists, so its value cannot depend on fold order.
+        // a pure merge over two runs' name-sorted attribute lists, so
+        // its value cannot depend on fold order.
         {
             let _s = stage(rec, "fleet_jsm");
             let row: Vec<Vec<f64>> = self
@@ -295,7 +289,7 @@ impl FleetRun {
                 .iter()
                 .map(|prev| {
                     (0..self.universe.len())
-                        .map(|t| pair_jaccard(&attrs[t], &prev[t]))
+                        .map(|t| fca::weighted_jaccard(&attrs[t], &prev[t]))
                         .collect()
                 })
                 .collect();
@@ -504,7 +498,7 @@ impl FleetRun {
             let row: Vec<Vec<f64>> = (0..i)
                 .map(|j| {
                     (0..fleet.universe.len())
-                        .map(|t| pair_jaccard(&fleet.attrs[i][t], &fleet.attrs[j][t]))
+                        .map(|t| fca::weighted_jaccard(&fleet.attrs[i][t], &fleet.attrs[j][t]))
                         .collect()
                 })
                 .collect();
@@ -551,32 +545,26 @@ fn mine_run(
     let name = |s: u32| symbol_name(&set.registry, s);
     // Canonical labels for every top-level loop reference. Nested
     // references render structurally inside the hash input, so only
-    // top-level ids (the only ones that reach attribute names — see
-    // `attributes::entry_label`) need entries.
-    let mut labels: BTreeMap<u32, String> = BTreeMap::new();
+    // top-level ids (the only ones mining ever labels) need entries.
+    let mut labels: BTreeMap<LoopId, String> = BTreeMap::new();
     for id in universe {
         if let Some(nlr) = nlrs.get(*id) {
             for e in nlr.elements() {
                 if let Element::Loop { body, .. } = e {
                     labels
-                        .entry(body.0)
+                        .entry(*body)
                         .or_insert_with(|| canonical_loop_label(&table, *body, &name));
                 }
             }
         }
     }
 
-    let shift = |id: LoopId| LoopId(id.0 + LOOP_TOKEN_BASE);
+    let loop_label = |id: LoopId| labels[&id].clone();
     let _s = stage(rec, "fleet_mine");
     par_map_obs(universe, threads, rec, "fleet_mine", |i, id| {
         let nlr = nlrs.get(*id).expect("aligned");
         let symbols = &aligned.traces[i].symbols;
-        let raw = mine(symbols, &nlr.remap_loops(&shift), params.attrs, &name);
-        let mut agg: BTreeMap<String, f64> = BTreeMap::new();
-        for (key, w) in raw {
-            *agg.entry(rewrite_label(&key, &labels)).or_insert(0.0) += w;
-        }
-        agg.into_iter().collect()
+        mine_labelled(symbols, nlr, params.attrs, &name, &loop_label)
     })
 }
 
@@ -613,131 +601,37 @@ fn fold64(h: u128) -> u64 {
     (h ^ (h >> 64)) as u64
 }
 
-/// Rewrite shifted loop tokens (`L<n>` with `n ≥ LOOP_TOKEN_BASE`)
-/// inside a mined attribute name to their canonical labels. Composite
-/// labels (`a→b` doubles, `a⇒b` caller/callee) are split on their
-/// separators and each segment rewritten independently.
-fn rewrite_label(label: &str, labels: &BTreeMap<u32, String>) -> String {
-    let mut out = String::with_capacity(label.len());
-    let mut token = String::new();
-    let flush = |token: &mut String, out: &mut String| {
-        if let Some(canon) = shifted_loop_token(token).and_then(|n| labels.get(&n)) {
-            out.push_str(canon);
-        } else {
-            out.push_str(token);
-        }
-        token.clear();
-    };
-    for c in label.chars() {
-        if c == '→' || c == '⇒' {
-            flush(&mut token, &mut out);
-            out.push(c);
-        } else {
-            token.push(c);
-        }
-    }
-    flush(&mut token, &mut out);
-    out
-}
-
-/// If `token` is `L<n>` with `n ≥ LOOP_TOKEN_BASE`, the original
-/// (unshifted) loop id.
-fn shifted_loop_token(token: &str) -> Option<u32> {
-    let digits = token.strip_prefix('L')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let n: u32 = digits.parse().ok()?;
-    n.checked_sub(LOOP_TOKEN_BASE)
-}
-
-/// Weighted Jaccard of two name-sorted attribute lists by merge-join:
-/// `Σ min / Σ max` over the name union, accumulated in name order.
-/// Matches [`fca::weighted_jaccard`] semantics (absent attribute =
-/// weight 0; two empty sets are perfectly similar) while being a pure
-/// function of the two lists — no shared interning order involved.
-fn pair_jaccard(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut num, mut den) = (0.0f64, 0.0f64);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some((ka, wa)), Some((kb, wb))) => match ka.cmp(kb) {
-                std::cmp::Ordering::Equal => {
-                    num += wa.min(*wb);
-                    den += wa.max(*wb);
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    den += *wa;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    den += *wb;
-                    j += 1;
-                }
-            },
-            (Some((_, wa)), None) => {
-                den += *wa;
-                i += 1;
-            }
-            (None, Some((_, wb))) => {
-                den += *wb;
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    if den == 0.0 {
-        1.0
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn al(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
-        pairs.iter().map(|(k, w)| (k.to_string(), *w)).collect()
-    }
-
     #[test]
-    fn pair_jaccard_matches_weighted_jaccard_semantics() {
-        // Identical sets → 1, empty pair → 1, disjoint → 0.
-        let a = al(&[("a", 2.0), ("b", 1.0)]);
-        assert_eq!(pair_jaccard(&a, &a), 1.0);
-        assert_eq!(pair_jaccard(&[], &[]), 1.0);
-        assert_eq!(pair_jaccard(&a, &al(&[("c", 3.0)])), 0.0);
-        // min/max over the union: (min(2,1)) / (max(2,1)+1) = 1/3.
-        let b = al(&[("a", 1.0)]);
-        assert!((pair_jaccard(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        // Symmetric to the bit.
-        assert_eq!(
-            pair_jaccard(&a, &b).to_bits(),
-            pair_jaccard(&b, &a).to_bits()
+    fn function_named_like_a_loop_token_keeps_its_own_attribute() {
+        let registry = Arc::new(dt_trace::FunctionRegistry::new());
+        let run = || {
+            crate::record_masters(&registry, 2, |_, tr| {
+                tr.leaf("MPI_Init");
+                for _ in 0..8 {
+                    tr.leaf("MPI_Send");
+                    tr.leaf("MPI_Recv");
+                }
+                tr.leaf("L1073741824");
+            })
+        };
+        let mut fleet = FleetRun::new(Params::default());
+        for name in ["a", "b"] {
+            fleet
+                .add_run(name, &run(), &FleetOptions::default())
+                .unwrap();
+        }
+        let row = &fleet.attrs[0][0];
+        assert_eq!(row.len(), 3, "{row:?}");
+        assert!(row.contains(&("L1073741824".to_string(), 1.0)), "{row:?}");
+        assert!(row.contains(&("MPI_Init".to_string(), 1.0)), "{row:?}");
+        assert!(
+            row.iter().any(|(k, w)| k.starts_with("L#") && *w == 8.0),
+            "{row:?}"
         );
-    }
-
-    #[test]
-    fn loop_token_rewrite_handles_composites() {
-        let mut labels = BTreeMap::new();
-        labels.insert(0u32, "L#cafe".to_string());
-        labels.insert(3u32, "L#beef".to_string());
-        let base = LOOP_TOKEN_BASE;
-        assert_eq!(
-            rewrite_label(&format!("L{base}"), &labels),
-            "L#cafe".to_string()
-        );
-        assert_eq!(
-            rewrite_label(&format!("MPI_Send→L{}", base + 3), &labels),
-            "MPI_Send→L#beef"
-        );
-        assert_eq!(rewrite_label(&format!("⊤⇒L{base}"), &labels), "⊤⇒L#cafe");
-        // Un-shifted tokens are function names, left alone.
-        assert_eq!(rewrite_label("L5", &labels), "L5");
-        assert_eq!(rewrite_label("MPI_Send", &labels), "MPI_Send");
     }
 
     #[test]

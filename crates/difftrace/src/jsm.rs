@@ -65,20 +65,26 @@ impl JsmMatrix {
 
     /// Like [`JsmMatrix::from_context`], computing the O(n²) rows on up
     /// to `threads` threads (0 = available parallelism, ≤1 = inline).
-    /// `weighted_jaccard` is bitwise symmetric, so per-row computation
-    /// produces the exact same floats as the sequential
-    /// mirrored-triangle fill.
+    /// Row `i` computes only the cells `j > i`; the lower triangle is
+    /// then mirrored, so every cell is one [`fca::weighted_jaccard`]
+    /// call whatever the thread count.
     pub fn from_context_opts(ctx: &FormalContext, ids: Vec<TraceId>, threads: usize) -> JsmMatrix {
         assert_eq!(ctx.num_objects(), ids.len());
-        let threads = crate::sync::effective_threads(threads, ids.len());
-        if threads <= 1 {
-            return JsmMatrix {
-                ids,
-                m: fca::jaccard_matrix(ctx),
-            };
+        let n = ids.len();
+        let mut m = crate::sync::par_map(&ids, threads, |i, _| {
+            let mut row = vec![0.0; n];
+            row[i] = 1.0;
+            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
+                *cell = fca::weighted_jaccard(ctx.row(i), ctx.row(j));
+            }
+            row
+        });
+        for i in 1..n {
+            let (above, below) = m.split_at_mut(i);
+            for (j, row) in above.iter().enumerate() {
+                below[0][j] = row[i];
+            }
         }
-        let rows: Vec<usize> = (0..ids.len()).collect();
-        let m = crate::sync::par_map(&rows, threads, |_, &i| fca::jaccard_row(ctx, i));
         JsmMatrix { ids, m }
     }
 

@@ -125,5 +125,5 @@ pub use pipeline::{
 };
 pub use ranking::{render_ranking, sweep, RankingRow};
 pub use recording::record_masters;
-pub use report::{generate as generate_report, ReportOptions};
+pub use report::generate as generate_report;
 pub use single_run::{analyze_single_opts_rec, SingleRunReport};

@@ -730,15 +730,9 @@ impl DiffRun {
         let Some(g) = pos else { return Vec::new() };
         let weights = |run: &AnalysisRun| -> BTreeMap<String, f64> {
             run.context
-                .object_attrs(g)
+                .row(g)
                 .iter()
-                .map(|m| {
-                    let a = fca::AttrId(m as u32);
-                    (
-                        run.context.attr_name(a).to_string(),
-                        run.context.weight(g, a),
-                    )
-                })
+                .map(|&(a, w)| (run.context.attr_name(a).to_string(), w))
                 .collect()
         };
         let n = weights(&self.normal);

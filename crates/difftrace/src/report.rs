@@ -7,32 +7,13 @@ use crate::pipeline::DiffRun;
 use cluster::render_dendrogram;
 use std::fmt::Write as _;
 
-/// Options for [`generate`].
-#[derive(Debug, Clone)]
-pub struct ReportOptions {
-    /// Include the three JSM heatmaps (normal, faulty, diff).
-    pub heatmaps: bool,
-    /// Include the two dendrograms.
-    pub dendrograms: bool,
-    /// diffNLR views for the top-N suspects.
-    pub diffnlr_top: usize,
-    /// Include the concept-lattice summary.
-    pub lattice_summary: bool,
-}
+/// The report prints diffNLR views and weight explanations for this
+/// many top suspects.
+const DIFFNLR_TOP: usize = 3;
 
-impl Default for ReportOptions {
-    fn default() -> ReportOptions {
-        ReportOptions {
-            heatmaps: true,
-            dendrograms: true,
-            diffnlr_top: 3,
-            lattice_summary: true,
-        }
-    }
-}
-
-/// Generate the full report for one diff.
-pub fn generate(d: &DiffRun, opts: &ReportOptions) -> String {
+/// Generate the full report for one diff: lattice summaries, the three
+/// JSM heatmaps, both dendrograms, and the top suspects' diffNLR views.
+pub fn generate(d: &DiffRun) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "================ DiffTrace report ================");
     let _ = writeln!(
@@ -59,57 +40,51 @@ pub fn generate(d: &DiffRun, opts: &ReportOptions) -> String {
             .join(", ")
     );
 
-    if opts.lattice_summary {
-        let _ = writeln!(out, "\n---- concept lattices ----");
-        for (label, run) in [("normal", &d.normal), ("faulty", &d.faulty)] {
-            let _ = writeln!(
-                out,
-                "{label}: {} concepts over {} attributes; top extent {} / intent {}",
-                run.lattice.concepts().len(),
-                run.context.num_attrs(),
-                run.lattice.top().extent_len(),
-                run.lattice.top().intent_len(),
-            );
-        }
-    }
-
-    if opts.heatmaps {
+    let _ = writeln!(out, "\n---- concept lattices ----");
+    for (label, run) in [("normal", &d.normal), ("faulty", &d.faulty)] {
         let _ = writeln!(
             out,
-            "\n---- JSM (normal) ----\n{}",
-            d.normal.jsm.render_heatmap()
-        );
-        let _ = writeln!(
-            out,
-            "---- JSM (faulty) ----\n{}",
-            d.faulty.jsm.render_heatmap()
-        );
-        let _ = writeln!(
-            out,
-            "---- JSM_D = |faulty − normal| ----\n{}",
-            d.jsm_d.render_heatmap()
+            "{label}: {} concepts over {} attributes; top extent {} / intent {}",
+            run.lattice.concepts().len(),
+            run.context.num_attrs(),
+            run.lattice.top().extent_len(),
+            run.lattice.top().intent_len(),
         );
     }
 
-    if opts.dendrograms {
-        let label = |run: &crate::pipeline::AnalysisRun| {
-            let ids = run.ids.clone();
-            move |i: usize| ids[i].to_string()
-        };
-        let _ = writeln!(
-            out,
-            "---- dendrogram (normal, {}) ----\n{}",
-            d.params.linkage.name(),
-            render_dendrogram(&d.normal.dendrogram, &label(&d.normal))
-        );
-        let _ = writeln!(
-            out,
-            "---- dendrogram (faulty) ----\n{}",
-            render_dendrogram(&d.faulty.dendrogram, &label(&d.faulty))
-        );
-    }
+    let _ = writeln!(
+        out,
+        "\n---- JSM (normal) ----\n{}",
+        d.normal.jsm.render_heatmap()
+    );
+    let _ = writeln!(
+        out,
+        "---- JSM (faulty) ----\n{}",
+        d.faulty.jsm.render_heatmap()
+    );
+    let _ = writeln!(
+        out,
+        "---- JSM_D = |faulty − normal| ----\n{}",
+        d.jsm_d.render_heatmap()
+    );
 
-    for id in d.suspicious_threads.iter().take(opts.diffnlr_top) {
+    let label = |run: &crate::pipeline::AnalysisRun| {
+        let ids = run.ids.clone();
+        move |i: usize| ids[i].to_string()
+    };
+    let _ = writeln!(
+        out,
+        "---- dendrogram (normal, {}) ----\n{}",
+        d.params.linkage.name(),
+        render_dendrogram(&d.normal.dendrogram, &label(&d.normal))
+    );
+    let _ = writeln!(
+        out,
+        "---- dendrogram (faulty) ----\n{}",
+        render_dendrogram(&d.faulty.dendrogram, &label(&d.faulty))
+    );
+
+    for id in d.suspicious_threads.iter().take(DIFFNLR_TOP) {
         if let Some(dn) = d.diff_nlr(*id) {
             let _ = writeln!(out, "---- {} ----", dn.render().trim_end());
         }
@@ -162,7 +137,7 @@ mod tests {
 
     #[test]
     fn full_report_contains_every_section() {
-        let r = generate(&diff(), &ReportOptions::default());
+        let r = generate(&diff());
         for needle in [
             "DiffTrace report",
             "B-score",
@@ -175,20 +150,5 @@ mod tests {
         ] {
             assert!(r.contains(needle), "missing `{needle}`:\n{r}");
         }
-    }
-
-    #[test]
-    fn sections_toggle_off() {
-        let opts = ReportOptions {
-            heatmaps: false,
-            dendrograms: false,
-            diffnlr_top: 0,
-            lattice_summary: false,
-        };
-        let r = generate(&diff(), &opts);
-        assert!(r.contains("B-score"));
-        assert!(!r.contains("JSM (normal)"));
-        assert!(!r.contains("dendrogram"));
-        assert!(!r.contains("diffNLR"));
     }
 }

@@ -255,29 +255,6 @@ impl Drop for Pool {
     }
 }
 
-/// Run two closures, possibly on two threads, and return both results.
-/// With `parallel == false` they run sequentially on the caller's
-/// thread (left first), which is the exact sequential path.
-pub fn join<A, B, RA, RB>(parallel: bool, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if !parallel {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("join: right branch panicked");
-        (ra, rb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,15 +279,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, 0, |_, &x| x).is_empty());
         assert_eq!(par_map(&[41u32], 8, |_, &x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn join_returns_both_sides() {
-        for parallel in [false, true] {
-            let (a, b) = join(parallel, || 1 + 1, || "two".len());
-            assert_eq!(a, 2);
-            assert_eq!(b, 3);
-        }
     }
 
     #[test]

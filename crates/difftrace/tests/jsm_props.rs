@@ -72,8 +72,7 @@ proptest! {
         }
     }
 
-    /// The parallel row kernel is bitwise identical to the sequential
-    /// triangle fill for every thread count.
+    /// The JSM fill is bitwise identical at every thread count.
     #[test]
     fn jsm_thread_count_is_unobservable(ctx in context_strategy(), threads in 2usize..9) {
         let n = ctx.num_objects();

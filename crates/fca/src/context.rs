@@ -1,7 +1,7 @@
 //! Formal contexts `K = (G, M, I)` with optionally weighted incidence.
 
 use crate::bitset::BitSet;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Dense attribute identifier within one context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -14,8 +14,9 @@ impl AttrId {
     }
 }
 
-/// A formal context: objects (trace labels), interned attributes, the
-/// incidence relation, and per-(object, attribute) weights.
+/// A formal context: objects (trace labels), interned attributes, and
+/// one weighted attribute row per object — the incidence relation and
+/// the per-(object, attribute) weights in one store.
 ///
 /// Weights implement the paper's Table V frequency modes: under
 /// `noFreq` every weight is 1.0 and similarity degenerates to set
@@ -26,10 +27,9 @@ pub struct FormalContext {
     attr_names: Vec<String>,
     attr_ids: HashMap<String, AttrId>,
     object_labels: Vec<String>,
-    /// Per object: its attribute set.
-    incidence: Vec<BitSet>,
-    /// Per object: attribute → weight (only incident attrs present).
-    weights: Vec<HashMap<AttrId, f64>>,
+    /// Per object: its incident attributes with their weights, sorted
+    /// by id, each id once.
+    rows: Vec<Vec<(AttrId, f64)>>,
 }
 
 impl FormalContext {
@@ -60,20 +60,17 @@ impl FormalContext {
     }
 
     /// Add an object with `(attribute, weight)` pairs. Returns its index.
+    /// A repeated attribute is one incidence; its last weight wins.
     pub fn add_object<'a, I>(&mut self, label: &str, attrs: I) -> usize
     where
         I: IntoIterator<Item = (&'a str, f64)>,
     {
-        let mut set = BitSet::new();
-        let mut w = HashMap::new();
+        let mut row = BTreeMap::new();
         for (name, weight) in attrs {
-            let id = self.intern_attr(name);
-            set.insert(id.index());
-            w.insert(id, weight);
+            row.insert(self.intern_attr(name), weight);
         }
         self.object_labels.push(label.to_string());
-        self.incidence.push(set);
-        self.weights.push(w);
+        self.rows.push(row.into_iter().collect());
         self.object_labels.len() - 1
     }
 
@@ -100,19 +97,27 @@ impl FormalContext {
         &self.object_labels[g]
     }
 
+    /// The attribute row of object `g`: `(attribute, weight)` sorted
+    /// by id — the input of [`crate::weighted_jaccard`].
+    pub fn row(&self, g: usize) -> &[(AttrId, f64)] {
+        &self.rows[g]
+    }
+
     /// Attribute set of object `g`.
-    pub fn object_attrs(&self, g: usize) -> &BitSet {
-        &self.incidence[g]
+    pub fn object_attrs(&self, g: usize) -> BitSet {
+        BitSet::from_indices(self.rows[g].iter().map(|(m, _)| m.index()))
     }
 
     /// Weight of `(g, m)`; 0.0 when not incident.
     pub fn weight(&self, g: usize, m: AttrId) -> f64 {
-        self.weights[g].get(&m).copied().unwrap_or(0.0)
+        self.rows[g]
+            .binary_search_by_key(&m, |&(id, _)| id)
+            .map_or(0.0, |i| self.rows[g][i].1)
     }
 
     /// Does object `g` have attribute `m`?
     pub fn incident(&self, g: usize, m: AttrId) -> bool {
-        self.incidence[g].contains(m.index())
+        self.rows[g].binary_search_by_key(&m, |&(id, _)| id).is_ok()
     }
 
     /// Export as CSV: header `object,<attr>,…`; cells carry the weight
@@ -177,7 +182,7 @@ impl FormalContext {
         for g in 0..self.num_objects() {
             out.push_str(&format!("{:<12}", self.object_labels[g]));
             for m in 0..self.num_attrs() {
-                let mark = if self.incidence[g].contains(m) {
+                let mark = if self.incident(g, AttrId(m as u32)) {
                     "×"
                 } else {
                     ""
@@ -228,6 +233,19 @@ mod tests {
         assert_eq!(ctx.weight(0, a), 3.0);
         assert_eq!(ctx.weight(1, a), 1.0);
         assert_eq!(ctx.weight(1, b), 0.0);
+    }
+
+    #[test]
+    fn repeated_attribute_is_one_incidence_and_last_weight_wins() {
+        let mut ctx = FormalContext::new();
+        ctx.add_object("g0", [("b", 2.0), ("a", 1.0), ("b", 5.0)]);
+        let (a, b) = (
+            ctx.resolve_attr("a").unwrap(),
+            ctx.resolve_attr("b").unwrap(),
+        );
+        assert_eq!(b, AttrId(0), "interning follows first appearance");
+        assert_eq!(ctx.row(0), &[(b, 5.0), (a, 1.0)]);
+        assert_eq!(ctx.object_attrs(0).len(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! (Weighted) Jaccard similarity between context objects.
+//! (Weighted) Jaccard similarity between attribute rows.
 //!
 //! The paper's JSMs (Figures 4, and the JSM_normal/JSM_faulty pair) are
 //! pairwise Jaccard similarity matrices over traces. With `noFreq`
@@ -6,21 +6,50 @@
 //! weights it is the weighted Jaccard `Σ min(w_a, w_b) / Σ max(w_a, w_b)`
 //! over the attribute universe.
 
-use crate::context::{AttrId, FormalContext};
+use std::cmp::Ordering;
 
-/// Weighted Jaccard similarity of objects `a` and `b` in `ctx`.
+/// Weighted Jaccard similarity of two attribute rows, each sorted by
+/// key with every key once — a context's [`crate::FormalContext::row`]s,
+/// or any name-sorted `(name, weight)` lists.
+///
+/// The rows are merged in key order. An attribute missing on one side
+/// weighs 0.0 and still goes through `min`/`max`, so the sums add up in
+/// the same order and to the same bits whatever the weights, and the
+/// result is a pure function of the two rows.
 ///
 /// Two objects with no attributes at all are defined maximally similar
 /// (1.0) — e.g. two traces that were filtered to nothing.
-pub fn weighted_jaccard(ctx: &FormalContext, a: usize, b: usize) -> f64 {
-    let sa = ctx.object_attrs(a);
-    let sb = ctx.object_attrs(b);
+pub fn weighted_jaccard<K: Ord>(a: &[(K, f64)], b: &[(K, f64)]) -> f64 {
+    let (mut i, mut j) = (0, 0);
     let mut min_sum = 0.0f64;
     let mut max_sum = 0.0f64;
-    for m in sa.union(sb).iter() {
-        let id = AttrId(m as u32);
-        let wa = ctx.weight(a, id);
-        let wb = ctx.weight(b, id);
+    loop {
+        let (wa, wb) = match (a.get(i), b.get(j)) {
+            (Some((ka, wa)), Some((kb, wb))) => match ka.cmp(kb) {
+                Ordering::Less => {
+                    i += 1;
+                    (*wa, 0.0)
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (0.0, *wb)
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (*wa, *wb)
+                }
+            },
+            (Some((_, wa)), None) => {
+                i += 1;
+                (*wa, 0.0)
+            }
+            (None, Some((_, wb))) => {
+                j += 1;
+                (0.0, *wb)
+            }
+            (None, None) => break,
+        };
         min_sum += wa.min(wb);
         max_sum += wa.max(wb);
     }
@@ -31,46 +60,19 @@ pub fn weighted_jaccard(ctx: &FormalContext, a: usize, b: usize) -> f64 {
     }
 }
 
-/// One row of the pairwise similarity matrix: `row[j] =
-/// weighted_jaccard(i, j)`, with `row[i] = 1.0`.
-///
-/// `weighted_jaccard` iterates the attribute *union* in index order and
-/// combines with `min`/`max`, so it is bitwise symmetric in its two
-/// arguments: computing full rows independently (e.g. one row per
-/// thread) yields the exact same floats as [`jaccard_matrix`]'s
-/// mirrored upper triangle.
-pub fn jaccard_row(ctx: &FormalContext, i: usize) -> Vec<f64> {
-    (0..ctx.num_objects())
-        .map(|j| {
-            if i == j {
-                1.0
-            } else {
-                weighted_jaccard(ctx, i, j)
-            }
-        })
-        .collect()
-}
-
-/// The full symmetric pairwise similarity matrix.
-#[allow(clippy::needless_range_loop)] // triangular matrix indexing is clearer by index
-pub fn jaccard_matrix(ctx: &FormalContext) -> Vec<Vec<f64>> {
-    let n = ctx.num_objects();
-    let mut m = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        m[i][i] = 1.0;
-        for j in i + 1..n {
-            let s = weighted_jaccard(ctx, i, j);
-            m[i][j] = s;
-            m[j][i] = s;
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::FormalContext;
     use crate::lattice::ConceptLattice;
+
+    fn pair(ctx: &FormalContext, a: usize, b: usize) -> f64 {
+        weighted_jaccard(ctx.row(a), ctx.row(b))
+    }
+
+    fn al(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|(k, w)| (k.to_string(), *w)).collect()
+    }
 
     #[test]
     fn unweighted_equals_set_jaccard() {
@@ -78,7 +80,7 @@ mod tests {
         ctx.add_object_unweighted("a", ["x", "y", "z"]);
         ctx.add_object_unweighted("b", ["y", "z", "w"]);
         // |∩| = 2 (y,z), |∪| = 4.
-        assert!((weighted_jaccard(&ctx, 0, 1) - 0.5).abs() < 1e-12);
+        assert!((pair(&ctx, 0, 1) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -87,40 +89,24 @@ mod tests {
         ctx.add_object("a", [("x", 4.0), ("y", 1.0)]);
         ctx.add_object("b", [("x", 2.0), ("y", 1.0)]);
         // Σmin = 2+1 = 3, Σmax = 4+1 = 5.
-        assert!((weighted_jaccard(&ctx, 0, 1) - 0.6).abs() < 1e-12);
+        assert!((pair(&ctx, 0, 1) - 0.6).abs() < 1e-12);
     }
 
     #[test]
-    fn matrix_is_symmetric_with_unit_diagonal() {
-        let mut ctx = FormalContext::new();
-        ctx.add_object_unweighted("a", ["x"]);
-        ctx.add_object_unweighted("b", ["x", "y"]);
-        ctx.add_object_unweighted("c", ["z"]);
-        let m = jaccard_matrix(&ctx);
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..3 {
-            assert_eq!(m[i][i], 1.0);
-            for j in 0..3 {
-                assert_eq!(m[i][j], m[j][i]);
-            }
-        }
-        assert_eq!(m[0][2], 0.0); // disjoint
-    }
-
-    #[test]
-    fn row_computation_is_bitwise_identical_to_matrix() {
-        let mut ctx = FormalContext::new();
-        ctx.add_object("a", [("x", 4.0), ("y", 1.0), ("q", 0.25)]);
-        ctx.add_object("b", [("x", 2.0), ("y", 1.0)]);
-        ctx.add_object("c", [("z", 3.0), ("q", 7.5)]);
-        ctx.add_object("d", []);
-        let m = jaccard_matrix(&ctx);
-        for (i, m_row) in m.iter().enumerate() {
-            let row = jaccard_row(&ctx, i);
-            for j in 0..4 {
-                assert_eq!(m_row[j].to_bits(), row[j].to_bits(), "({i},{j})");
-            }
-        }
+    fn name_sorted_rows_identical_empty_disjoint_and_symmetric() {
+        // Identical sets → 1, empty pair → 1, disjoint → 0.
+        let a = al(&[("a", 2.0), ("b", 1.0)]);
+        assert_eq!(weighted_jaccard(&a, &a), 1.0);
+        assert_eq!(weighted_jaccard::<String>(&[], &[]), 1.0);
+        assert_eq!(weighted_jaccard(&a, &al(&[("c", 3.0)])), 0.0);
+        // min/max over the union: (min(2,1)) / (max(2,1)+1) = 1/3.
+        let b = al(&[("a", 1.0)]);
+        assert!((weighted_jaccard(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
+        // Symmetric to the bit.
+        assert_eq!(
+            weighted_jaccard(&a, &b).to_bits(),
+            weighted_jaccard(&b, &a).to_bits()
+        );
     }
 
     #[test]
@@ -128,7 +114,7 @@ mod tests {
         let mut ctx = FormalContext::new();
         ctx.add_object_unweighted("a", []);
         ctx.add_object_unweighted("b", []);
-        assert_eq!(weighted_jaccard(&ctx, 0, 1), 1.0);
+        assert_eq!(pair(&ctx, 0, 1), 1.0);
     }
 
     #[test]
@@ -141,7 +127,7 @@ mod tests {
         for i in 0..3 {
             for j in 0..3 {
                 assert!(
-                    (l.object_jaccard(i, j) - weighted_jaccard(&ctx, i, j)).abs() < 1e-12,
+                    (l.object_jaccard(i, j) - pair(&ctx, i, j)).abs() < 1e-12,
                     "mismatch at ({i},{j})"
                 );
             }

@@ -69,7 +69,7 @@ impl ConceptLattice {
     pub fn from_context(ctx: &FormalContext) -> ConceptLattice {
         let mut l = ConceptLattice::new();
         for g in 0..ctx.num_objects() {
-            l.add_object(ctx.object_attrs(g));
+            l.add_object(&ctx.object_attrs(g));
         }
         l
     }
@@ -321,7 +321,7 @@ mod tests {
         let n = ctx.num_objects();
         let mut all_attrs = BitSet::new();
         for g in 0..n {
-            all_attrs = all_attrs.union(ctx.object_attrs(g));
+            all_attrs = all_attrs.union(&ctx.object_attrs(g));
         }
         let mut intents: Vec<BitSet> = vec![all_attrs.canonical()];
         // Closed intents = intersections over all subsets of G; generate
@@ -332,7 +332,7 @@ mod tests {
             let snapshot = intents.clone();
             for y in &snapshot {
                 for g in 0..n {
-                    let cand = y.intersection(ctx.object_attrs(g)).canonical();
+                    let cand = y.intersection(&ctx.object_attrs(g)).canonical();
                     if !intents.contains(&cand) {
                         intents.push(cand);
                         changed = true;
@@ -345,7 +345,7 @@ mod tests {
             .map(|intent| {
                 let mut extent = BitSet::new();
                 for g in 0..n {
-                    if intent.is_subset(ctx.object_attrs(g)) {
+                    if intent.is_subset(&ctx.object_attrs(g)) {
                         extent.insert(g);
                     }
                 }

@@ -17,9 +17,12 @@
 //! implements that incremental step.
 //!
 //! Attributes can carry *weights* (the paper's `{attr:freq}` with
-//! `actual`, `log10`, or `noFreq` frequency modes — Table V); weighted
-//! Jaccard similarity is `Σᵢ min(wᵢ) / Σᵢ max(wᵢ)`, which degenerates to
-//! set Jaccard under `noFreq`.
+//! `actual`, `log10`, or `noFreq` frequency modes — Table V). Each
+//! object keeps one attribute row, `(AttrId, weight)` sorted by id
+//! ([`FormalContext::row`]). Weighted Jaccard similarity is
+//! `Σᵢ min(wᵢ) / Σᵢ max(wᵢ)`, which degenerates to set Jaccard under
+//! `noFreq`; [`weighted_jaccard`] computes it by merging two sorted
+//! rows, and is the one Jaccard kernel of the workspace.
 //!
 //! # Example (the paper's Table IV / Figure 3)
 //!
@@ -38,8 +41,8 @@
 //! let lattice = ConceptLattice::from_context(&ctx);
 //! // top: all traces share the four MPI calls; middle: {T0,T2} vs {T1,T3}.
 //! assert_eq!(lattice.top().extent_len(), 4);
-//! let jsm = fca::jaccard_matrix(&ctx);
-//! assert!(jsm[0][2] > jsm[0][1]); // T0 is more similar to T2 than to T1
+//! let sim = |a, b| fca::weighted_jaccard(ctx.row(a), ctx.row(b));
+//! assert!(sim(0, 2) > sim(0, 1)); // T0 is more similar to T2 than to T1
 //! ```
 
 pub mod bitset;
@@ -49,5 +52,5 @@ pub mod lattice;
 
 pub use bitset::BitSet;
 pub use context::{AttrId, FormalContext};
-pub use jaccard::{jaccard_matrix, jaccard_row, weighted_jaccard};
+pub use jaccard::weighted_jaccard;
 pub use lattice::{Concept, ConceptLattice};

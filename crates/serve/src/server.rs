@@ -22,8 +22,8 @@ use dt_obs::{MetricsRecorder, Recorder};
 use dt_trace::store::IndexedSet;
 use dt_trace::TraceSet;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -130,17 +130,57 @@ impl Server {
     }
 }
 
+/// Longest request frame the daemon reads, newline excluded. The
+/// largest real request, a fleet query naming every served corpus, is a
+/// few KiB; 1 MiB is far above any of them, and it bounds what a client
+/// that never sends a newline can make a connection buffer.
+const MAX_FRAME: u64 = 1 << 20;
+
 fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     let Ok(reader) = stream.try_clone() else {
         return;
     };
+    let mut reader = BufReader::new(reader);
     let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        // One byte past the cap tells a full-size frame from an oversize one.
+        match (&mut reader)
+            .take(MAX_FRAME + 1)
+            .read_until(b'\n', &mut frame)
+        {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if frame.last() == Some(&b'\n') {
+            frame.pop();
+            if frame.last() == Some(&b'\r') {
+                frame.pop();
+            }
+        } else if frame.len() as u64 > MAX_FRAME {
+            state.rec.add("requests_oversize", 1);
+            let reply = protocol::err_line(
+                0,
+                &format!("request frame exceeds {MAX_FRAME} bytes; closing the connection"),
+            );
+            if writeln!(writer, "{reply}")
+                .and_then(|()| writer.flush())
+                .is_ok()
+            {
+                // FIN right after the reply: closing with the rest of
+                // the frame unread resets the connection.
+                let _ = writer.shutdown(Shutdown::Write);
+            }
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let reply = answer(state, &line);
+        let reply = answer(state, line);
         if writeln!(writer, "{reply}")
             .and_then(|()| writer.flush())
             .is_err()
@@ -323,7 +363,7 @@ fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
                 unreachable!("gates are off");
             };
             let out = if req.full {
-                difftrace::generate_report(&d, &difftrace::ReportOptions::default())
+                difftrace::generate_report(&d)
             } else {
                 render::diff_summary(&d, &params, diffnlr)
             };

@@ -195,10 +195,7 @@ fn single_and_diff_match_shared_renderers() {
 
     // --full report too.
     dq.full = true;
-    assert_eq!(
-        c.roundtrip(&dq).output,
-        difftrace::generate_report(&d, &difftrace::ReportOptions::default())
-    );
+    assert_eq!(c.roundtrip(&dq).output, difftrace::generate_report(&d));
 
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -229,6 +226,36 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
 
     // Same connection still answers real queries.
     let resp = c.roundtrip(&req("lint", "faulty"));
+    assert!(resp.ok, "{}", resp.error);
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn oversize_frame_is_refused_and_the_daemon_keeps_serving() {
+    let dir = demo_corpora("oversize");
+    let daemon = Daemon::start(&dir, 1);
+    let mut c = daemon.connect();
+    c.stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+
+    // 2 MiB with no newline: far past any real request.
+    let _ = c.stream.write_all(&vec![b'x'; 2 << 20]);
+    let mut reply = String::new();
+    c.reader
+        .read_line(&mut reply)
+        .expect("an oversize frame gets a reply, not a hang");
+    let resp = protocol::parse_response(reply.trim_end()).unwrap();
+    assert!(!resp.ok);
+    assert!(resp.error.contains("exceeds"), "{}", resp.error);
+    // ... and then the daemon closes that connection.
+    reply.clear();
+    assert_eq!(c.reader.read_line(&mut reply).unwrap_or(0), 0, "{reply}");
+
+    // Another client is still answered.
+    let resp = daemon.connect().roundtrip(&req("lint", "faulty"));
     assert!(resp.ok, "{}", resp.error);
 
     daemon.shutdown();

@@ -72,7 +72,7 @@ fn run_diff(
 /// computation can leak into: the full report, both mined contexts,
 /// every NLR render, the shared loop table, and the raw B-score bits.
 fn fingerprint(d: &DiffRun) -> String {
-    let mut s = difftrace::generate_report(d, &difftrace::ReportOptions::default());
+    let mut s = difftrace::generate_report(d);
     s.push_str(&format!("\nbscore={:016x}\n", d.bscore.to_bits()));
     for (tag, run) in [("normal", &d.normal), ("faulty", &d.faulty)] {
         s.push_str(&format!("{tag}.context:\n{}", run.context.to_csv()));

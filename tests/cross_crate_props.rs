@@ -138,7 +138,8 @@ proptest! {
                 .collect();
             ctx.add_object(&format!("o{i}"), named.iter().map(|(n, w)| (n.as_str(), *w)));
         }
-        let m = fca::jaccard_matrix(&ctx);
+        let ids = (0..objs.len() as u32).map(TraceId::master).collect();
+        let m = difftrace::JsmMatrix::from_context(&ctx, ids).m;
         #[allow(clippy::needless_range_loop)]
         for i in 0..m.len() {
             prop_assert!((m[i][i] - 1.0).abs() < 1e-12);
