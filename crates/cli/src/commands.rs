@@ -1,15 +1,16 @@
 //! Command parsing and execution.
 
 use difftrace::{
-    checker, render_ranking, sweep, try_diff_runs, AnyChecker, AttrConfig, CheckInput,
-    FilterConfig, LintGate, LintOptions, Params, PipelineOptions, CHECKERS,
+    checker, render_ranking, sweep, try_diff_runs, AnyChecker, AttrConfig, FilterConfig, LintGate,
+    Params, PipelineOptions, CHECKERS,
 };
 use dt_baseline::{evaluate, snapshot_rec, Baseline, Policy};
 use dt_cache::Cache;
 use dt_obs::{json, stage, MetricsRecorder, Recorder};
-use dt_serve::Request;
+use dt_serve::{Corpora, Failure, Request};
 use dt_trace::hb::HbLog;
-use dt_trace::{store, FunctionRegistry, TraceId, TraceSet, TraceSetStats};
+use dt_trace::{store, FunctionRegistry, TraceSet, TraceSetStats};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,6 +35,15 @@ impl From<String> for CliError {
 impl From<&str> for CliError {
     fn from(m: &str) -> CliError {
         CliError::Msg(m.to_string())
+    }
+}
+
+impl From<Failure> for CliError {
+    fn from(f: Failure) -> CliError {
+        match f {
+            Failure::Error(m) => CliError::Msg(m),
+            Failure::Denied { verdict, .. } => CliError::LintDenied(verdict),
+        }
     }
 }
 
@@ -643,7 +653,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         Some("demo") => demo(&args[1..]).map_err(CliError::Msg),
         Some("info") => info(&args[1..]).map_err(CliError::Msg),
         Some("filters") => filters(&args[1..]).map_err(CliError::Msg),
-        Some("single") => single(&args[1..]).map_err(CliError::Msg),
+        Some("single") => single(&args[1..]),
         Some("export") => export(&args[1..]).map_err(CliError::Msg),
         Some("diff") => diff_cmd(&args[1..]),
         Some("fleet") => fleet_cmd(&args[1..]),
@@ -865,17 +875,6 @@ fn load(path: &str) -> Result<TraceSet, String> {
     store::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Load ONE trace from a store via the v3 offset index: the rest of
-/// the file's blobs are never decompressed. The store reports its
-/// decode tally (`store_trace_decodes`) into `rec`, which is how the
-/// laziness is asserted under `--metrics`.
-fn load_one_trace(path: &str, id: TraceId, rec: &dyn Recorder) -> Result<TraceSet, String> {
-    let ix = store::IndexedSet::open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    let sub = ix.subset(&[id]).map_err(|e| format!("{path}: {e}"))?;
-    ix.report_to(rec);
-    Ok(sub)
-}
-
 /// Write a CLI output file through the store's temp+rename helper, so
 /// no reader ever observes a partial file and a failed write leaves
 /// nothing behind at the destination. Every file this tool emits —
@@ -1000,41 +999,40 @@ fn filters(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn single(args: &[String]) -> Result<(), String> {
+fn single(args: &[String]) -> Result<(), CliError> {
     let args = Args::parse("single", args)?;
-    let req = request_of("single", &args)?;
-    let params = req.params()?;
-    let trace = req.trace_id()?;
-    let path = match args.positional.as_slice() {
-        [path] => path,
-        [] => return Err(usage_of("single")),
+    let mut req = request_of("single", &args)?;
+    req.corpus = match args.positional.as_slice() {
+        [path] => Some(path.clone()),
+        [] => return Err(usage_of("single").into()),
         [_, extra, ..] => {
             return Err(format!(
                 "unexpected extra argument `{extra}` ({})",
                 usage_of("single")
-            ))
+            )
+            .into())
         }
     };
     let cache = open_cache(args.value("--cache"))?;
     let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let set = {
-        let _s = stage(rec, "load");
-        match trace {
-            None => load(path)?,
-            Some(id) => load_one_trace(path, id, rec)?,
-        }
-    };
-    let popts = req.pipeline_options(cache.clone());
-    let report =
-        difftrace::analyze_single_opts_rec(&set, &params, req.flat_clusters(), &popts, rec);
-    // Shared with `difftrace serve`, whose replies must be
-    // byte-identical to this stdout.
-    print!("{}", dt_serve::render::single_summary(set.len(), &report));
+    let files = files_named_by_path(&args.positional);
+    let answer = dt_serve::execute(&req, &files, cache.clone(), BTreeMap::new(), rec)?;
+    print!("{}", answer.output);
     report_cache(cache.as_ref(), rec);
-    obs.emit(&live, "single", popts.threads)?;
+    obs.emit(&live, "single", req.pipeline_options(None).threads)?;
     Ok(())
+}
+
+/// The stores named on a command line, each under its own path.
+fn files_named_by_path(paths: &[String]) -> Corpora<'static> {
+    Corpora::Files(
+        paths
+            .iter()
+            .map(|p| (p.clone(), PathBuf::from(p)))
+            .collect(),
+    )
 }
 
 /// `difftrace <checker>`: one subcommand shape for every registered
@@ -1044,9 +1042,6 @@ fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
     let name = c.name();
     let args = Args::parse(name, args)?;
     let req = request_of(name, &args)?;
-    let format = req.report_format()?;
-    let opts = req.lint_options(c)?;
-    let trace = req.trace_id()?;
     let gate = args.gate("--gate", LintGate::Warn)?;
     let paths = &args.positional;
     if paths.is_empty() {
@@ -1054,9 +1049,10 @@ fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
     }
     let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
-    let (rendered, errors) = check_render(c, paths, format, &opts, trace, obs.recorder(&live))?;
+    let (rendered, errors) = check_render(paths, &req, obs.recorder(&live))?;
     print!("{rendered}");
-    obs.emit(&live, name, opts.threads.max(1))?;
+    let threads = req.lint_options(c).map_or(1, |o| o.threads.max(1));
+    obs.emit(&live, name, threads)?;
     if gate == LintGate::Deny && errors > 0 {
         return Err(CliError::LintDenied(format!(
             "{name} gate denied: {errors} error(s) across {} file(s)",
@@ -1066,70 +1062,42 @@ fn check_cmd(c: &dyn AnyChecker, args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Render checker `c`'s reports for `paths` — split out from
-/// [`check_cmd`] so tests can assert the output is byte-identical
-/// across thread counts and domains. Returns the rendered output and
-/// the total error count. With `trace` set, each file is opened
-/// through the v3 offset index and ONLY that trace is decoded (the
-/// decode tally lands in the metrics as `store_trace_decodes`).
+/// Run the checker query `req` on each of `paths` and frame the
+/// reports — split out from [`check_cmd`] so tests can assert the
+/// output is byte-identical across thread counts and domains. Returns
+/// the rendered output and the total error count. Several files are
+/// framed by path (`== path` headers, or one JSON object per line).
 fn check_render(
-    c: &dyn AnyChecker,
     paths: &[String],
-    format: &str,
-    opts: &LintOptions,
-    trace: Option<TraceId>,
+    req: &Request,
     rec: &dyn Recorder,
-) -> Result<(String, usize), String> {
+) -> Result<(String, usize), CliError> {
+    let files = files_named_by_path(paths);
     let mut out = String::new();
     let mut errors = 0;
     for path in paths {
-        let (set, hb) = {
-            let _s = stage(rec, "load");
-            match trace {
-                _ if c.needs_hb() => load_full(path)?,
-                None => (load(path)?, HbLog::default()),
-                Some(id) => (load_one_trace(path, id, rec)?, HbLog::default()),
-            }
+        let req = Request {
+            corpus: Some(path.clone()),
+            ..req.clone()
         };
-        if c.needs_hb() && hb.world_size() == 0 {
-            return Err(format!(
-                "{path}: no happens-before section — re-record the run (e.g. `difftrace demo`) \
-                 to get one"
-            ));
-        }
-        let report = {
-            let _s = stage(rec, c.name());
-            c.check(
-                &CheckInput {
-                    set: &set,
-                    hb: Some(&hb),
-                },
-                opts,
-                rec,
-            )
-        };
+        let answer = dt_serve::execute(&req, &files, None, BTreeMap::new(), rec)?;
         if rec.enabled() {
             rec.add("files", 1);
-            rec.add("diagnostics", report.diagnostics().len() as u64);
-            rec.add("errors", report.error_count() as u64);
+            rec.add("diagnostics", answer.diagnostics as u64);
+            rec.add("errors", answer.errors as u64);
         }
-        errors += report.error_count();
-        if format == "json" {
-            if paths.len() == 1 {
-                out.push_str(&report.render_json());
-            } else {
-                // One object per line, tagged with its file.
-                out.push_str(&format!(
-                    "{{\"path\":\"{}\",\"report\":{}}}\n",
-                    json::escape(path),
-                    report.render_json().trim_end()
-                ));
-            }
+        errors += answer.errors;
+        if paths.len() == 1 {
+            out.push_str(&answer.output);
+        } else if req.format.as_deref() == Some("json") {
+            // One object per line, tagged with its file.
+            out.push_str(&format!(
+                "{{\"path\":\"{}\",\"report\":{}}}\n",
+                json::escape(path),
+                answer.output.trim_end()
+            ));
         } else {
-            if paths.len() > 1 {
-                out.push_str(&format!("== {path}\n"));
-            }
-            out.push_str(&report.render_text());
+            out.push_str(&format!("== {path}\n{}", answer.output));
         }
     }
     Ok((out, errors))
@@ -1137,69 +1105,41 @@ fn check_render(
 
 fn diff_cmd(args: &[String]) -> Result<(), CliError> {
     let args = Args::parse("diff", args)?;
-    let req = request_of("diff", &args)?;
-    let params = req.params()?;
-    let diffnlr = req.diffnlr_id()?;
+    let mut req = request_of("diff", &args)?;
     // The checker gates (`--gate`, `--hb`, `--race`, `--req`), keyed
     // by checker name.
-    let mut gates = std::collections::BTreeMap::new();
+    let mut gates = BTreeMap::new();
     for c in CHECKERS {
         if let Some(v) = args.value(c.diff_flag()) {
             gates.insert(c.name(), LintGate::parse(v)?);
         }
     }
-    let [normal_path, faulty_path] = args.positional.as_slice() else {
+    let [normal, faulty] = args.positional.as_slice() else {
         return Err(usage_of("diff").into());
     };
+    req.normal = Some(normal.clone());
+    req.faulty = Some(faulty.clone());
     let cache = open_cache(args.value("--cache"))?;
     let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let (normal, normal_hb) = {
-        let _s = stage(rec, "load");
-        load_full(normal_path)?
-    };
-    let (faulty, faulty_hb) = {
-        let _s = stage(rec, "load");
-        load_full(faulty_path)?
-    };
-    let popts = PipelineOptions {
-        gates,
-        ..req.pipeline_options(cache.clone())
-    };
-    let have_logs = normal_hb.world_size() > 0 && faulty_hb.world_size() > 0;
-    for c in CHECKERS.iter().filter(|c| c.needs_hb() && !have_logs) {
-        if popts.gate(c.name()) != LintGate::Off {
-            eprintln!(
-                "note: {} ignored — the inputs carry no happens-before section",
-                c.diff_flag()
-            );
-        }
-    }
-    let hb_logs = have_logs.then_some((&normal_hb, &faulty_hb));
-    let d = match try_diff_runs(&normal, &faulty, hb_logs, &params, &popts, rec) {
-        Ok(d) => d,
-        Err(denied) => {
-            eprint!("{}", denied.render_reports());
+    let files = files_named_by_path(&args.positional);
+    let threads = req.pipeline_options(None).threads;
+    let answer = match dt_serve::execute(&req, &files, cache.clone(), gates, rec) {
+        Ok(answer) => answer,
+        Err(Failure::Denied { stderr, verdict }) => {
+            eprint!("{stderr}");
             // The metrics still describe the work that ran (load + the
             // pre-pass that denied).
-            obs.emit(&live, "diff", popts.threads)?;
-            return Err(CliError::LintDenied(denied.to_string()));
+            obs.emit(&live, "diff", threads)?;
+            return Err(CliError::LintDenied(verdict));
         }
+        Err(e) => return Err(e.into()),
     };
     report_cache(cache.as_ref(), rec);
-    for c in CHECKERS {
-        eprint!("{}", c.findings(&d));
-    }
-    if req.full {
-        print!("{}", difftrace::generate_report(&d));
-        obs.emit(&live, "diff", popts.threads)?;
-        return Ok(());
-    }
-    // Shared with `difftrace serve`, whose replies must be
-    // byte-identical to this stdout.
-    print!("{}", dt_serve::render::diff_summary(&d, &params, diffnlr));
-    obs.emit(&live, "diff", popts.threads)?;
+    eprint!("{}", answer.stderr);
+    print!("{}", answer.output);
+    obs.emit(&live, "diff", threads)?;
     Ok(())
 }
 
@@ -1254,9 +1194,7 @@ fn expand_fleet_paths(positional: &[String]) -> Result<Vec<String>, String> {
 
 fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
     let args = Args::parse("fleet", args)?;
-    let req = request_of("fleet", &args)?;
-    let params = req.params()?;
-    let format = req.report_format()?;
+    let mut req = request_of("fleet", &args)?;
     let gate = args.gate("--gate", LintGate::Off)?;
     if args.positional.is_empty() {
         return Err(usage_of("fleet").into());
@@ -1271,30 +1209,23 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
         .into());
     }
     let named = named_by_stem(&files)?;
+    req.corpora = named.iter().map(|(name, _)| name.clone()).collect();
     let cache = open_cache(args.value("--cache"))?;
     let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let opts = req.fleet_options(cache.clone());
-    let mut fleet = difftrace::FleetRun::new(params.clone());
-    for (name, path) in &named {
-        let set = {
-            let _s = stage(rec, "load");
-            load(&path.display().to_string())?
-        };
-        fleet
-            .add_run_rec(name, &set, &opts, rec)
-            .map_err(|e| e.to_string())?;
-    }
+    let answer = dt_serve::execute(
+        &req,
+        &Corpora::Files(named),
+        cache.clone(),
+        BTreeMap::new(),
+        rec,
+    )?;
     report_cache(cache.as_ref(), rec);
-    let report = fleet.report();
-    // Shared with `difftrace serve`, whose `fleet` replies must be
-    // byte-identical to this stdout.
-    let out = dt_serve::render::fleet_summary(&report, &params, req.suspect.as_deref(), format)?;
-    print!("{out}");
-    obs.emit(&live, "fleet", opts.threads)?;
+    print!("{}", answer.output);
+    obs.emit(&live, "fleet", req.fleet_options(None).threads)?;
     if gate == LintGate::Deny {
-        if let Some(name) = &report.outlier {
+        if let Some(name) = &answer.outlier {
             return Err(CliError::LintDenied(format!(
                 "fleet gate denied: run `{name}` deviates from the fleet consensus"
             )));
@@ -1742,10 +1673,17 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftrace::LintDomain;
+    use difftrace::LintOptions;
+    use dt_trace::TraceId;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// The request `difftrace <cmd> <flags>…` builds from its flags.
+    fn request(argv: &[&str]) -> Request {
+        let args = Args::parse(argv[0], &s(&argv[1..])).unwrap();
+        request_of(argv[0], &args).unwrap()
     }
 
     #[test]
@@ -1965,25 +1903,26 @@ mod tests {
         // Byte-identical output across thread counts, both formats and
         // both domains.
         for format in ["text", "json"] {
-            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+            for domain in ["expanded", "compressed"] {
                 let render = |threads: usize| {
                     check_render(
-                        checker("lint").unwrap(),
                         &[n.clone(), f.clone()],
-                        format,
-                        &LintOptions {
-                            threads,
+                        &request(&[
+                            "lint",
+                            "--format",
+                            format,
+                            "--threads",
+                            &threads.to_string(),
+                            "--domain",
                             domain,
-                            ..LintOptions::default()
-                        },
-                        None,
+                        ]),
                         &dt_obs::NOOP,
                     )
                     .unwrap()
                 };
                 let base = render(1);
-                assert_eq!(base, render(2), "{format}/{domain:?}");
-                assert_eq!(base, render(0), "{format}/{domain:?}");
+                assert_eq!(base, render(2), "{format}/{domain}");
+                assert_eq!(base, render(0), "{format}/{domain}");
             }
         }
 
@@ -2000,14 +1939,8 @@ mod tests {
         ]));
         assert!(matches!(denied, Err(CliError::LintDenied(_))), "{denied:?}");
         let (out, errors) = check_render(
-            checker("lint").unwrap(),
             std::slice::from_ref(&n),
-            "json",
-            &LintOptions {
-                filter: Some(FilterConfig::parse_lenient("11.cust:*bad.K10").unwrap()),
-                ..LintOptions::default()
-            },
-            None,
+            &request(&["lint", "--format", "json", "--filter", "11.cust:*bad.K10"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2049,11 +1982,8 @@ mod tests {
 
         // The faulty report names the cycle, in both formats.
         let (text, errors) = check_render(
-            checker("hbcheck").unwrap(),
             std::slice::from_ref(&f),
-            "text",
-            &LintOptions::default(),
-            None,
+            &request(&["hbcheck", "--format", "text"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2063,29 +1993,26 @@ mod tests {
 
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
-            let render = |threads: usize, domain: LintDomain| {
+            let render = |threads: usize, domain: &str| {
                 check_render(
-                    checker("hbcheck").unwrap(),
                     &[n.clone(), f.clone()],
-                    format,
-                    &LintOptions {
-                        threads,
+                    &request(&[
+                        "hbcheck",
+                        "--format",
+                        format,
+                        "--threads",
+                        &threads.to_string(),
+                        "--domain",
                         domain,
-                        ..LintOptions::default()
-                    },
-                    None,
+                    ]),
                     &dt_obs::NOOP,
                 )
                 .unwrap()
             };
-            let base = render(1, LintDomain::Expanded);
-            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+            let base = render(1, "expanded");
+            for domain in ["expanded", "compressed"] {
                 for threads in [1usize, 2, 0] {
-                    assert_eq!(
-                        base,
-                        render(threads, domain),
-                        "{format}/{domain:?}/{threads}"
-                    );
+                    assert_eq!(base, render(threads, domain), "{format}/{domain}/{threads}");
                 }
             }
         }
@@ -2135,11 +2062,8 @@ mod tests {
 
         // The faulty report names the race, in both formats.
         let (text, errors) = check_render(
-            checker("racecheck").unwrap(),
             std::slice::from_ref(&f),
-            "text",
-            &LintOptions::default(),
-            None,
+            &request(&["racecheck", "--format", "text"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2149,29 +2073,26 @@ mod tests {
 
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
-            let render = |threads: usize, domain: LintDomain| {
+            let render = |threads: usize, domain: &str| {
                 check_render(
-                    checker("racecheck").unwrap(),
                     &[n.clone(), f.clone()],
-                    format,
-                    &LintOptions {
-                        threads,
+                    &request(&[
+                        "racecheck",
+                        "--format",
+                        format,
+                        "--threads",
+                        &threads.to_string(),
+                        "--domain",
                         domain,
-                        ..LintOptions::default()
-                    },
-                    None,
+                    ]),
                     &dt_obs::NOOP,
                 )
                 .unwrap()
             };
-            let base = render(1, LintDomain::Expanded);
-            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+            let base = render(1, "expanded");
+            for domain in ["expanded", "compressed"] {
                 for threads in [1usize, 2, 0] {
-                    assert_eq!(
-                        base,
-                        render(threads, domain),
-                        "{format}/{domain:?}/{threads}"
-                    );
+                    assert_eq!(base, render(threads, domain), "{format}/{domain}/{threads}");
                 }
             }
         }
@@ -2207,11 +2128,8 @@ mod tests {
         let lf = format!("{ldir}/faulty.dtts");
         dispatch(&s(&["racecheck", &ln, "--gate", "deny"])).unwrap();
         let (text, errors) = check_render(
-            checker("racecheck").unwrap(),
             std::slice::from_ref(&lf),
-            "text",
-            &LintOptions::default(),
-            None,
+            &request(&["racecheck", "--format", "text"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2240,11 +2158,8 @@ mod tests {
 
         // The faulty report names the leak with its teardown witness.
         let (text, errors) = check_render(
-            checker("reqcheck").unwrap(),
             std::slice::from_ref(&f),
-            "text",
-            &LintOptions::default(),
-            None,
+            &request(&["reqcheck", "--format", "text"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2254,29 +2169,26 @@ mod tests {
 
         // Byte-identical output across thread counts and domains.
         for format in ["text", "json"] {
-            let render = |threads: usize, domain: LintDomain| {
+            let render = |threads: usize, domain: &str| {
                 check_render(
-                    checker("reqcheck").unwrap(),
                     &[n.clone(), f.clone()],
-                    format,
-                    &LintOptions {
-                        threads,
+                    &request(&[
+                        "reqcheck",
+                        "--format",
+                        format,
+                        "--threads",
+                        &threads.to_string(),
+                        "--domain",
                         domain,
-                        ..LintOptions::default()
-                    },
-                    None,
+                    ]),
                     &dt_obs::NOOP,
                 )
                 .unwrap()
             };
-            let base = render(1, LintDomain::Expanded);
-            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+            let base = render(1, "expanded");
+            for domain in ["expanded", "compressed"] {
                 for threads in [1usize, 2, 0] {
-                    assert_eq!(
-                        base,
-                        render(threads, domain),
-                        "{format}/{domain:?}/{threads}"
-                    );
+                    assert_eq!(base, render(threads, domain), "{format}/{domain}/{threads}");
                 }
             }
         }
@@ -2285,14 +2197,8 @@ mod tests {
         // --metrics plumbing.
         let live = MetricsRecorder::new();
         check_render(
-            checker("reqcheck").unwrap(),
             std::slice::from_ref(&f),
-            "text",
-            &LintOptions {
-                domain: LintDomain::Compressed,
-                ..LintOptions::default()
-            },
-            None,
+            &request(&["reqcheck", "--domain", "compressed"]),
             &live,
         )
         .unwrap();
@@ -2337,11 +2243,8 @@ mod tests {
         let cf = format!("{cdir}/faulty.dtts");
         dispatch(&s(&["reqcheck", &cn, "--gate", "deny"])).unwrap();
         let (text, errors) = check_render(
-            checker("reqcheck").unwrap(),
             std::slice::from_ref(&cf),
-            "text",
-            &LintOptions::default(),
-            None,
+            &request(&["reqcheck", "--format", "text"]),
             &dt_obs::NOOP,
         )
         .unwrap();
@@ -2834,11 +2737,8 @@ mod tests {
 
         // The restricted report equals linting a hand-built subset.
         let (out, _) = check_render(
-            checker("lint").unwrap(),
             std::slice::from_ref(&f),
-            "text",
-            &LintOptions::default(),
-            Some(id),
+            &request(&["lint", "--format", "text", "--trace", &id.to_string()]),
             &dt_obs::NOOP,
         )
         .unwrap();

@@ -13,7 +13,14 @@
 //! The renderers only ever consult [`Code::as_str`], so an analyzer's
 //! output is a pure function of its diagnostics — factoring a concrete
 //! report type through this crate cannot change a single output byte.
+//!
+//! [`witness_cycles`] is the one cycle finder behind the analyzers
+//! whose findings are cycles: hbcheck's wait-for deadlocks and
+//! racecheck's lock-order inversions.
 
+mod cycles;
+
+pub use cycles::witness_cycles;
 use dt_trace::TraceId;
 use std::collections::BTreeSet;
 use std::fmt;

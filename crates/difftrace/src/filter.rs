@@ -10,7 +10,7 @@
 //! `11.mem.ompcrit.cust.K10` — first digit: returns dropped, second:
 //! PLT dropped, then the keep classes, then the NLR constant.
 
-use dt_trace::{Trace, TraceEvent, TraceId, TraceSet};
+use dt_trace::{TraceEvent, TraceId, TraceSet};
 use rex::Regex;
 use std::fmt;
 
@@ -255,51 +255,34 @@ impl FilterConfig {
             .collect()
     }
 
-    fn keeps(&self, name: &str, compiled: &[CompiledClass]) -> bool {
-        if self.drop_plt && (name.ends_with("@plt") || name.contains(".plt")) {
-            return false;
-        }
-        if compiled.is_empty() {
-            return true;
-        }
-        compiled.iter().any(|c| c.matches(name))
-    }
-
-    /// Apply to one trace: resolve names through `set`'s registry, keep
-    /// matching events, encode as NLR-ready symbols
-    /// ([`dt_trace::TraceEvent::to_symbol`]).
-    fn apply_trace_compiled(
-        &self,
-        set: &TraceSet,
-        trace: &Trace,
-        compiled: &[CompiledClass],
-    ) -> FilteredTrace {
-        let mut symbols = Vec::new();
-        for &e in &trace.events {
-            if self.drop_returns && e.is_return() {
-                continue;
-            }
-            let name = set.registry.name(e.fn_id());
-            if self.keeps(&name, compiled) {
-                symbols.push(e.to_symbol());
-            }
-        }
-        FilteredTrace {
-            id: trace.id,
-            symbols,
-            truncated: trace.truncated,
-        }
-    }
-
-    /// Apply to every trace of a set.
+    /// Apply to every trace of a set. Whether an event is kept depends
+    /// only on its function, so the keep decision is made once per
+    /// registered name and then looked up per event.
     pub fn apply(&self, set: &TraceSet) -> FilteredSet {
         let compiled: Vec<CompiledClass> = self.keep.iter().map(compile_class).collect();
-        FilteredSet {
-            traces: set
-                .iter()
-                .map(|t| self.apply_trace_compiled(set, t, &compiled))
-                .collect(),
-        }
+        let keep: Vec<bool> = set
+            .registry
+            .names()
+            .iter()
+            .map(|name| {
+                !(self.drop_plt && (name.ends_with("@plt") || name.contains(".plt")))
+                    && (compiled.is_empty() || compiled.iter().any(|c| c.matches(name)))
+            })
+            .collect();
+        let traces = set
+            .iter()
+            .map(|trace| FilteredTrace {
+                id: trace.id,
+                symbols: trace
+                    .events
+                    .iter()
+                    .filter(|e| !(self.drop_returns && e.is_return()) && keep[e.fn_id().index()])
+                    .map(|e| e.to_symbol())
+                    .collect(),
+                truncated: trace.truncated,
+            })
+            .collect();
+        FilteredSet { traces }
     }
 }
 

@@ -82,121 +82,23 @@ impl WaitForGraph {
     /// deterministic: each cycle is the shortest cycle through its
     /// component's smallest rank, and cycles are returned in order of
     /// that smallest rank. A cycle `[r0, r1, …, rk]` means
-    /// `r0 → r1 → … → rk → r0`.
+    /// `r0 → r1 → … → rk → r0`. Only edges between blocked ranks count
+    /// ([`dt_diag::witness_cycles`] over the blocked ranks in order).
     pub fn cycles(&self) -> Vec<Vec<u32>> {
-        let sccs = self.sccs();
-        let mut out = Vec::new();
-        for scc in sccs {
-            let root = scc[0];
-            let self_loop = self.waits_on(root).contains(&root);
-            if scc.len() < 2 && !self_loop {
-                continue;
-            }
-            if let Some(cycle) = self.shortest_cycle_within(root, &scc) {
-                out.push(cycle);
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Strongly-connected components (iterative Tarjan), each sorted
-    /// ascending, restricted to edges between blocked ranks.
-    fn sccs(&self) -> Vec<Vec<u32>> {
-        let nodes: Vec<u32> = self.edges.keys().copied().collect();
-        let index_of: BTreeMap<u32, usize> =
-            nodes.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let n = nodes.len();
+        let nodes = self.blocked_ranks();
         let adj: Vec<Vec<usize>> = nodes
             .iter()
             .map(|&r| {
                 self.waits_on(r)
                     .iter()
-                    .filter_map(|t| index_of.get(t).copied())
+                    .filter_map(|t| nodes.binary_search(t).ok())
                     .collect()
             })
             .collect();
-
-        const UNSET: usize = usize::MAX;
-        let mut index = vec![UNSET; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs: Vec<Vec<u32>> = Vec::new();
-
-        // Explicit DFS frames: (node, next child position).
-        for start in 0..n {
-            if index[start] != UNSET {
-                continue;
-            }
-            let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-                if *child == 0 {
-                    index[v] = next_index;
-                    low[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = adj[v].get(*child) {
-                    *child += 1;
-                    if index[w] == UNSET {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        low[parent] = low[parent].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        let mut scc = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("Tarjan stack underflow");
-                            on_stack[w] = false;
-                            scc.push(nodes[w]);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        scc.sort_unstable();
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-        sccs.sort();
-        sccs
-    }
-
-    /// BFS for the shortest cycle `root → … → root` using only nodes
-    /// of `scc` (ascending neighbor order makes it deterministic).
-    fn shortest_cycle_within(&self, root: u32, scc: &[u32]) -> Option<Vec<u32>> {
-        let mut pred: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            for &w in self.waits_on(v) {
-                if w == root {
-                    // Reconstruct root → … → v, then close the loop.
-                    let mut path = vec![v];
-                    let mut cur = v;
-                    while cur != root {
-                        cur = pred[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                if scc.contains(&w) && !pred.contains_key(&w) && w != root {
-                    pred.insert(w, v);
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
+        dt_diag::witness_cycles(&adj)
+            .into_iter()
+            .map(|cycle| cycle.into_iter().map(|i| nodes[i]).collect())
+            .collect()
     }
 }
 

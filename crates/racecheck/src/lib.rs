@@ -458,104 +458,24 @@ fn lock_order(process: u32, traces: &[&TraceRaceFacts]) -> Vec<RaceDiagnostic> {
 
 /// One witness cycle per strongly-connected component of the lock
 /// graph, deterministic: the shortest cycle through the component's
-/// lexicographically smallest lock, components in that lock's order.
+/// lexicographically smallest lock, components in that lock's order
+/// ([`dt_diag::witness_cycles`] over the locks in name order).
 fn cycles(adj: &BTreeMap<&str, Vec<&str>>) -> Vec<Vec<String>> {
     let nodes: Vec<&str> = adj.keys().copied().collect();
-    let index_of: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let n = nodes.len();
-    let edges: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|&u| {
-            let mut v: Vec<usize> = adj[u].iter().map(|t| index_of[t]).collect();
+    let index = |t: &&str| nodes.binary_search(t).expect("every lock is a node");
+    let edges: Vec<Vec<usize>> = adj
+        .values()
+        .map(|targets| {
+            let mut v: Vec<usize> = targets.iter().map(index).collect();
             v.sort_unstable();
             v.dedup();
             v
         })
         .collect();
-
-    // Iterative Tarjan (mirrors `hbcheck::graph`).
-    const UNSET: usize = usize::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = edges[v].get(*child) {
-                *child += 1;
-                if index[w] == UNSET {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc.sort_unstable();
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs.sort();
-
-    let mut out = Vec::new();
-    for scc in sccs {
-        let root = scc[0];
-        if scc.len() < 2 && !edges[root].contains(&root) {
-            continue;
-        }
-        // BFS for the shortest cycle root → … → root within the SCC.
-        let mut pred: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(root);
-        'bfs: while let Some(v) = queue.pop_front() {
-            for &w in &edges[v] {
-                if w == root {
-                    let mut path = vec![v];
-                    let mut cur = v;
-                    while cur != root {
-                        cur = pred[&cur];
-                        path.push(cur);
-                    }
-                    path.reverse();
-                    out.push(path.into_iter().map(|i| nodes[i].to_string()).collect());
-                    break 'bfs;
-                }
-                if scc.contains(&w) && !pred.contains_key(&w) && w != root {
-                    pred.insert(w, v);
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
+    dt_diag::witness_cycles(&edges)
+        .into_iter()
+        .map(|cycle| cycle.into_iter().map(|i| nodes[i].to_string()).collect())
+        .collect()
 }
 
 #[cfg(test)]

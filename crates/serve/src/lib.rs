@@ -15,16 +15,20 @@
 //! The contract that makes the daemon trustworthy: **every served
 //! reply's `output` is byte-identical to what the one-shot CLI prints
 //! for the same query**, at any worker count and any request
-//! interleaving. The [`render`] and [`options`] modules are how — the
-//! CLI and the server share one renderer per command and one
-//! conversion from request options to analysis options — and the
-//! serve-equivalence suite in `crates/cli/tests` is the proof.
+//! interleaving. It holds by construction: both front ends run every
+//! analysis query through the one executor, [`execute`] — which finds
+//! the corpora, parses the options ([`options`]), runs the analysis and
+//! renders it ([`render`]) — and differ only in how they reach the
+//! corpora ([`Corpora`]). The serve-equivalence suite in
+//! `crates/cli/tests` checks it end to end.
 
+pub mod executor;
 pub mod options;
 pub mod protocol;
 pub mod render;
 pub mod server;
 
+pub use executor::{execute, Answer, Corpora, Failure};
 pub use protocol::{
     err_line, ok_line, parse_request, parse_response, request_line, Request, Response, COMMANDS,
 };

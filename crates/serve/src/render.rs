@@ -1,13 +1,12 @@
-//! Stdout renderers shared by the one-shot CLI and the daemon.
+//! Stdout renderers: one per analysis command.
 //!
 //! The serve contract is *byte identity*: a served reply's `output`
 //! must equal what `difftrace <cmd> …` prints for the same query. The
-//! only safe way to keep two front ends byte-identical is to make them
-//! call the same code — so the `diff` and `single` summaries, which
-//! used to be inline `println!`s in the CLI, live here and both sides
-//! render through them. (The check commands need no shared helper:
-//! their whole stdout is `Report::render_text`/`render_json`, already
-//! one function.)
+//! executor ([`crate::execute`]) renders every query through these
+//! functions for both front ends, so a reply and its one-shot twin are
+//! one string. (The check commands need no helper here: their whole
+//! output is `Report::render_text`/`render_json`.) perfbench renders
+//! its reference replies through them too.
 
 use difftrace::{DiffRun, FleetReport, Params, SingleRunReport};
 use dt_obs::json;

@@ -4,23 +4,21 @@
 //! live [`MetricsRecorder`] the `metrics` query snapshots.
 //!
 //! Concurrency model: one OS thread per *connection* reads frames and
-//! writes replies in order; each query's analysis runs as one job on
-//! the worker pool, so at most `jobs` analyses execute at once no
-//! matter how many clients connect. Every analysis entry point used
-//! here is observational-deterministic (byte-identical output at any
-//! thread count), and per-corpus decode caches are interior-mutable
-//! behind per-trace once-cells — so replies are byte-identical to the
-//! one-shot CLI at any interleaving, which the serve-equivalence suite
-//! enforces.
+//! writes replies in order; each query runs as one job on the worker
+//! pool, so at most `jobs` analyses execute at once no matter how many
+//! clients connect. The job is [`executor::execute`], the path the
+//! one-shot CLI takes too. Every analysis entry point is
+//! observational-deterministic (byte-identical output at any thread
+//! count), and per-corpus decode caches are interior-mutable behind
+//! per-trace once-cells — so replies are byte-identical to the one-shot
+//! CLI at any interleaving, which the serve-equivalence suite checks.
 
-use crate::protocol::{self, Request};
-use crate::render;
+use crate::executor::{self, Corpora};
+use crate::protocol;
 use difftrace::sync::Pool;
-use difftrace::{checker, AnyChecker, CheckInput};
 use dt_cache::Cache;
 use dt_obs::{MetricsRecorder, Recorder};
 use dt_trace::store::IndexedSet;
-use dt_trace::TraceSet;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -42,7 +40,7 @@ pub struct ServeConfig {
 }
 
 struct State {
-    corpora: BTreeMap<String, IndexedSet>,
+    corpora: BTreeMap<String, Arc<IndexedSet>>,
     cache: Arc<Cache>,
     rec: MetricsRecorder,
     pool: Pool,
@@ -68,7 +66,7 @@ impl Server {
         let mut corpora = BTreeMap::new();
         for (name, path) in &cfg.corpora {
             let ix = IndexedSet::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-            if corpora.insert(name.clone(), ix).is_some() {
+            if corpora.insert(name.clone(), Arc::new(ix)).is_some() {
                 return Err(format!("duplicate corpus name `{name}`"));
             }
         }
@@ -180,53 +178,56 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = answer(state, line);
-        if writeln!(writer, "{reply}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        let (reply, shutdown) = answer(state, line);
+        let sent = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+        if shutdown {
+            // Only now that the reply is written: once the flag is set
+            // and the accept loop woken, `run` returns and the process
+            // may exit.
+            state.stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(state.addr);
             break;
         }
-        if state.stop.load(Ordering::SeqCst) {
+        if sent.is_err() || state.stop.load(Ordering::SeqCst) {
             break;
         }
     }
 }
 
-/// One frame in, one reply line out. Never panics the daemon: parse
-/// failures become diagnosed error replies, and a panicking analysis
-/// job is caught at the pool boundary and reported as an error too.
-fn answer(state: &Arc<State>, line: &str) -> String {
+/// One frame in, one reply line out, and whether the frame asked the
+/// daemon to shut down. Never panics the daemon: parse failures become
+/// diagnosed error replies, and a panicking analysis job is caught at
+/// the pool boundary and reported as an error too.
+fn answer(state: &Arc<State>, line: &str) -> (String, bool) {
     state.rec.add("requests", 1);
     let req = match protocol::parse_request(line) {
         Ok(req) => req,
         Err(e) => {
             state.rec.add("requests_malformed", 1);
-            return protocol::err_line(0, &e);
+            return (protocol::err_line(0, &e), false);
         }
     };
     state.rec.add(&format!("requests_{}", req.cmd), 1);
     let id = req.id;
-    match req.cmd.as_str() {
+    let reply = match req.cmd.as_str() {
         // Control-plane commands answer inline — they must not queue
         // behind long analyses.
         "metrics" => protocol::ok_line(id, &metrics_text(state), 0),
-        "shutdown" => {
-            state.stop.store(true, Ordering::SeqCst);
-            // Unblock the accept loop so `run` can join and return.
-            let _ = TcpStream::connect(state.addr);
-            protocol::ok_line(id, "shutting down\n", 0)
-        }
+        "shutdown" => return (protocol::ok_line(id, "shutting down\n", 0), true),
         _ => {
             let st = Arc::clone(state);
             let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                state.pool.run(move || execute(&st, &req))
+                state.pool.run(move || {
+                    let corpora = Corpora::Served(&st.corpora);
+                    let cache = Some(Arc::clone(&st.cache));
+                    executor::execute(&req, &corpora, cache, BTreeMap::new(), &st.rec)
+                })
             }));
             match ran {
-                Ok(Ok((output, errors))) => protocol::ok_line(id, &output, errors as u64),
+                Ok(Ok(answer)) => protocol::ok_line(id, &answer.output, answer.errors as u64),
                 Ok(Err(e)) => {
                     state.rec.add("requests_failed", 1);
-                    protocol::err_line(id, &e)
+                    protocol::err_line(id, &e.to_string())
                 }
                 Err(_) => {
                     state.rec.add("requests_panicked", 1);
@@ -234,7 +235,8 @@ fn answer(state: &Arc<State>, line: &str) -> String {
                 }
             }
         }
-    }
+    };
+    (reply, false)
 }
 
 /// `GET /metrics`-style text: one `name value` line per counter, the
@@ -253,157 +255,4 @@ fn metrics_text(state: &State) -> String {
         out.push_str(&format!("{k} {v}\n"));
     }
     out
-}
-
-fn corpus<'s>(
-    state: &'s State,
-    name: &Option<String>,
-    field: &str,
-) -> Result<&'s IndexedSet, String> {
-    let name = name
-        .as_deref()
-        .ok_or_else(|| format!("request needs a `{field}` field"))?;
-    state.corpora.get(name).ok_or_else(|| {
-        format!(
-            "unknown corpus `{name}` (serving: {})",
-            state.corpora.keys().cloned().collect::<Vec<_>>().join(", ")
-        )
-    })
-}
-
-/// The set a query analyzes: the whole corpus (decoded once, shared
-/// across requests) or a lazily-decoded single-trace subset.
-enum WorkingSet {
-    Full(Arc<TraceSet>),
-    Sub(TraceSet),
-}
-
-impl WorkingSet {
-    fn as_set(&self) -> &TraceSet {
-        match self {
-            WorkingSet::Full(s) => s,
-            WorkingSet::Sub(s) => s,
-        }
-    }
-}
-
-fn working_set(ix: &IndexedSet, req: &Request) -> Result<WorkingSet, String> {
-    match req.trace_id()? {
-        None => Ok(WorkingSet::Full(ix.full_set().map_err(|e| e.to_string())?)),
-        Some(id) => Ok(WorkingSet::Sub(
-            ix.subset(&[id]).map_err(|e| e.to_string())?,
-        )),
-    }
-}
-
-fn no_trace_field(req: &Request) -> Result<(), String> {
-    if req.trace.is_some() {
-        return Err(format!(
-            "`trace` is only supported for lint and single queries, not `{}`",
-            req.cmd
-        ));
-    }
-    Ok(())
-}
-
-/// Run one analysis query. Returns `(stdout-equivalent output,
-/// error-severity diagnostic count)`.
-fn execute(state: &State, req: &Request) -> Result<(String, usize), String> {
-    let rec: &dyn Recorder = &state.rec;
-    match req.cmd.as_str() {
-        "fleet" => {
-            no_trace_field(req)?;
-            if req.corpora.len() < 2 {
-                return Err(format!(
-                    "fleet needs at least 2 corpora, got {}",
-                    req.corpora.len()
-                ));
-            }
-            let params = req.params()?;
-            let format = req.report_format()?;
-            let opts = req.fleet_options(Some(Arc::clone(&state.cache)));
-            let mut fleet = difftrace::FleetRun::new(params.clone());
-            for name in &req.corpora {
-                let ix = state.corpora.get(name).ok_or_else(|| {
-                    format!(
-                        "unknown corpus `{name}` (serving: {})",
-                        state.corpora.keys().cloned().collect::<Vec<_>>().join(", ")
-                    )
-                })?;
-                let set = ix.full_set().map_err(|e| e.to_string())?;
-                fleet
-                    .add_run_rec(name, &set, &opts, rec)
-                    .map_err(|e| e.to_string())?;
-            }
-            let report = fleet.report();
-            let out = render::fleet_summary(&report, &params, req.suspect.as_deref(), format)?;
-            Ok((out, usize::from(report.outlier.is_some())))
-        }
-        "single" => {
-            let ix = corpus(state, &req.corpus, "corpus")?;
-            let params = req.params()?;
-            let ws = working_set(ix, req)?;
-            let popts = req.pipeline_options(Some(Arc::clone(&state.cache)));
-            let set = ws.as_set();
-            let report =
-                difftrace::analyze_single_opts_rec(set, &params, req.flat_clusters(), &popts, rec);
-            Ok((render::single_summary(set.len(), &report), 0))
-        }
-        "diff" => {
-            no_trace_field(req)?;
-            let normal_ix = corpus(state, &req.normal, "normal")?;
-            let faulty_ix = corpus(state, &req.faulty, "faulty")?;
-            let params = req.params()?;
-            let diffnlr = req.diffnlr_id()?;
-            let normal = normal_ix.full_set().map_err(|e| e.to_string())?;
-            let faulty = faulty_ix.full_set().map_err(|e| e.to_string())?;
-            let popts = req.pipeline_options(Some(Arc::clone(&state.cache)));
-            let Ok(d) = difftrace::try_diff_runs(&normal, &faulty, None, &params, &popts, rec)
-            else {
-                unreachable!("gates are off");
-            };
-            let out = if req.full {
-                difftrace::generate_report(&d)
-            } else {
-                render::diff_summary(&d, &params, diffnlr)
-            };
-            Ok((out, 0))
-        }
-        other => match checker(other) {
-            Some(c) => check(state, c, req),
-            None => Err(format!("unknown command `{other}`")),
-        },
-    }
-}
-
-/// Run one checker query — the daemon twin of `difftrace <checker>`.
-/// Lint-only fields (`deep`, `filter`, `trace`) apply to checkers that
-/// take them ([`AnyChecker::lint_options`]); others reject `trace` and
-/// ignore the rest, which only raw frames can carry.
-fn check(state: &State, c: &dyn AnyChecker, req: &Request) -> Result<(String, usize), String> {
-    if !c.lint_options() {
-        no_trace_field(req)?;
-    }
-    let ix = corpus(state, &req.corpus, "corpus")?;
-    let format = req.report_format()?;
-    if c.needs_hb() && ix.hb().world_size() == 0 {
-        return Err(format!(
-            "corpus `{}`: no happens-before section — re-record the run (e.g. \
-             `difftrace demo`) to get one",
-            req.corpus.as_deref().unwrap_or_default()
-        ));
-    }
-    let opts = req.lint_options(c)?;
-    let ws = working_set(ix, req)?;
-    let input = CheckInput {
-        set: ws.as_set(),
-        hb: Some(ix.hb()),
-    };
-    let report = c.check(&input, &opts, &state.rec);
-    let out = if format == "json" {
-        report.render_json()
-    } else {
-        report.render_text()
-    };
-    Ok((out, report.error_count()))
 }

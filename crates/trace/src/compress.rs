@@ -44,15 +44,39 @@ pub fn compress(symbols: &[u32]) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     write_varint(&mut out, symbols.len() as u64);
+    // An uncapped match runs to the end of the stream at most.
+    encode(
+        symbols,
+        &mut 0,
+        &mut HashMap::new(),
+        &mut out,
+        usize::MAX,
+        0,
+    );
+    out
+}
 
-    let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-    let n = symbols.len();
-    let mut i = 0;
-    while i < n {
+/// The greedy token loop both coders share. Codes `s[*pos..]` into
+/// `out`, advancing `*pos`; a match encodes at most `max_match`
+/// symbols. Stops before coding a position with fewer than `hold`
+/// symbols after it (a streaming match there might still extend), and
+/// `table` carries the 3-gram hash chains from one call to the next.
+fn encode(
+    s: &[u32],
+    pos: &mut usize,
+    table: &mut HashMap<u64, Vec<usize>>,
+    out: &mut Vec<u8>,
+    max_match: usize,
+    hold: usize,
+) {
+    let n = s.len();
+    while *pos < n && n - *pos >= hold {
+        let i = *pos;
+        let cap = (n - i).min(max_match);
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if i + MIN_MATCH <= n {
-            if let Some(chain) = table.get(&gram(symbols, i)) {
+            if let Some(chain) = table.get(&gram(s, i)) {
                 for &j in chain.iter().rev().take(MAX_CHAIN) {
                     // Verify the gram (hash collisions possible) and
                     // extend. Overlap is allowed: `j + len` may run past
@@ -60,7 +84,7 @@ pub fn compress(symbols: &[u32]) -> Vec<u8> {
                     // stays behind `i + len`, i.e. within data the
                     // decoder will already have reconstructed.
                     let mut len = 0usize;
-                    while i + len < n && symbols[j + len] == symbols[i + len] {
+                    while len < cap && s[j + len] == s[i + len] {
                         len += 1;
                     }
                     if len > best_len {
@@ -70,26 +94,23 @@ pub fn compress(symbols: &[u32]) -> Vec<u8> {
                 }
             }
         }
-        if best_len >= MIN_MATCH {
+        let step = if best_len >= MIN_MATCH {
             // Token: (len << 1) | 1, then dist.
-            write_varint(&mut out, ((best_len as u64) << 1) | 1);
-            write_varint(&mut out, best_dist as u64);
-            for k in i..i + best_len {
-                if k + MIN_MATCH <= n {
-                    table.entry(gram(symbols, k)).or_default().push(k);
-                }
-            }
-            i += best_len;
+            write_varint(out, ((best_len as u64) << 1) | 1);
+            write_varint(out, best_dist as u64);
+            best_len
         } else {
             // Token: (symbol << 1) | 0.
-            write_varint(&mut out, (symbols[i] as u64) << 1);
-            if i + MIN_MATCH <= n {
-                table.entry(gram(symbols, i)).or_default().push(i);
+            write_varint(out, u64::from(s[i]) << 1);
+            1
+        };
+        for k in i..i + step {
+            if k + MIN_MATCH <= n {
+                table.entry(gram(s, k)).or_default().push(k);
             }
-            i += 1;
         }
+        *pos += step;
     }
-    out
 }
 
 /// Longest match a streaming token may encode (bounds emission lag).
@@ -167,47 +188,15 @@ impl StreamCompressor {
     /// Emit tokens for buffered symbols. Unless `force`, stop while a
     /// match might still extend with future input.
     fn process(&mut self, force: bool) {
-        let n = self.window.len();
-        while self.pos < n {
-            let remaining = n - self.pos;
-            if !force && remaining < STREAM_MAX_MATCH {
-                break;
-            }
-            let cap = remaining.min(STREAM_MAX_MATCH);
-            let i = self.pos;
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-            if i + MIN_MATCH <= n {
-                if let Some(chain) = self.table.get(&gram(&self.window, i)) {
-                    for &j in chain.iter().rev().take(MAX_CHAIN) {
-                        let mut len = 0usize;
-                        while len < cap && self.window[j + len] == self.window[i + len] {
-                            len += 1;
-                        }
-                        if len > best_len {
-                            best_len = len;
-                            best_dist = i - j;
-                        }
-                    }
-                }
-            }
-            if best_len >= MIN_MATCH {
-                write_varint(&mut self.tokens, ((best_len as u64) << 1) | 1);
-                write_varint(&mut self.tokens, best_dist as u64);
-                for k in i..i + best_len {
-                    if k + MIN_MATCH <= n {
-                        self.table.entry(gram(&self.window, k)).or_default().push(k);
-                    }
-                }
-                self.pos += best_len;
-            } else {
-                write_varint(&mut self.tokens, (self.window[i] as u64) << 1);
-                if i + MIN_MATCH <= n {
-                    self.table.entry(gram(&self.window, i)).or_default().push(i);
-                }
-                self.pos += 1;
-            }
-        }
+        let hold = if force { 0 } else { STREAM_MAX_MATCH };
+        encode(
+            &self.window,
+            &mut self.pos,
+            &mut self.table,
+            &mut self.tokens,
+            STREAM_MAX_MATCH,
+            hold,
+        );
     }
 }
 
@@ -424,6 +413,43 @@ mod tests {
         let back = decompress(&blob).unwrap();
         assert_eq!(back.len(), 3 * super::STREAM_TRIGGER);
     }
+
+    /// Both coders' exact bytes on fixed inputs, pinned by digest: a
+    /// change to either token loop that alters a single stored byte
+    /// fails here, so `.dtts` writers stay byte-identical.
+    #[test]
+    fn coder_output_is_pinned() {
+        let mut x = 7u64;
+        let mut noise = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as u32
+        };
+        let inputs: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![5, 5],
+            [1u32, 2, 3].iter().cycle().take(10_000).copied().collect(),
+            (0..3 * super::STREAM_TRIGGER as u32)
+                .map(|i| i % 7)
+                .collect(),
+            (0..20_000).map(|_| noise(16)).collect(),
+            (0..5_000).map(|_| noise(1 << 30)).collect(),
+            (0..40u32)
+                .flat_map(|r| (0..300u32).flat_map(move |i| [100, 101 + i % 3, 200 + r]))
+                .collect(),
+        ];
+        let mut h = crate::hash::StableHasher::new();
+        for sym in &inputs {
+            h.write_bytes(&compress(sym));
+            let mut sc = StreamCompressor::new();
+            sc.extend(sym.iter().copied());
+            h.write_bytes(&sc.finish());
+        }
+        assert_eq!(h.finish(), PINNED, "{:#034x}", h.finish());
+    }
+
+    const PINNED: u128 = 0xe4ac_e934_7602_2e39_4924_6ca5_1a0c_4b09;
 
     #[test]
     fn streaming_edge_cases() {

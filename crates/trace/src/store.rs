@@ -498,7 +498,9 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
 /// `get` takes `&self` and is safe to call from many threads; the
 /// first caller for a given trace decodes it, concurrent callers for
 /// the same trace block on that decode, and everyone else proceeds
-/// independently.
+/// independently. A whole-corpus read ([`IndexedSet::full_set`])
+/// decodes the blobs not yet read straight into the shared set, so
+/// each trace is held once, not once per cell and again in the set.
 ///
 /// The number of blob decodes actually performed is counted and can be
 /// reported as the dt-obs `store_trace_decodes` counter via
@@ -511,8 +513,11 @@ pub struct IndexedSet {
     pub registry: Arc<FunctionRegistry>,
     entries: Vec<IndexEntry>,
     hb: HbLog,
+    /// Traces read one at a time, and every blob that failed.
     cells: Vec<std::sync::OnceLock<Result<Trace, CodecError>>>,
-    full: std::sync::OnceLock<Arc<TraceSet>>,
+    /// The whole corpus once read, or the index of the first blob that
+    /// failed (its error is in its cell).
+    full: std::sync::OnceLock<Result<Arc<TraceSet>, usize>>,
     decodes: std::sync::atomic::AtomicU64,
 }
 
@@ -577,14 +582,19 @@ impl IndexedSet {
         &self.hb
     }
 
-    /// Fetch one trace, decoding it on first access. Concurrent calls
-    /// are safe; each blob is decompressed at most once.
+    /// Fetch one trace, decoding it on first access unless the whole
+    /// corpus has been read. Concurrent calls are safe; each blob is
+    /// decompressed at most once, unless this call races the first
+    /// [`IndexedSet::full_set`] for the same trace.
     pub fn get(&self, id: TraceId) -> Result<&Trace, StoreError> {
         let idx = self
             .entries
             .binary_search_by_key(&id, |e| e.id)
             .map_err(|_| StoreError::Invalid(format!("trace {id} not in store")))?;
-        self.decode(idx)
+        match self.full.get() {
+            Some(Ok(full)) => Ok(full.get(id).expect("the full set holds every entry")),
+            _ => self.decode(idx),
+        }
     }
 
     fn decode(&self, idx: usize) -> Result<&Trace, StoreError> {
@@ -610,26 +620,48 @@ impl IndexedSet {
         Ok(set)
     }
 
-    /// The whole corpus as a [`TraceSet`], decoding every trace. The
-    /// set is built once and shared (`Arc`) across callers — the
-    /// resident-daemon case where many full-corpus queries hit the
-    /// same execution.
+    /// The whole corpus as a [`TraceSet`], built once and shared
+    /// (`Arc`) across callers — the resident-daemon case where many
+    /// full-corpus queries hit the same execution. Decodes every trace
+    /// not yet read, in index order, up to the first blob that fails.
     pub fn full_set(&self) -> Result<Arc<TraceSet>, StoreError> {
-        // Decode (and thereby validate) every blob first so the
-        // infallible cache-fill below cannot hide an error.
-        for idx in 0..self.entries.len() {
-            self.decode(idx)?;
+        match self.full.get_or_init(|| self.read().map(Arc::new)) {
+            Ok(set) => Ok(Arc::clone(set)),
+            Err(idx) => Err(self
+                .decode(*idx)
+                .expect_err("the failed blob's error is cached")),
         }
-        Ok(self
-            .full
-            .get_or_init(|| {
-                let mut set = TraceSet::new(self.registry.clone());
-                for idx in 0..self.entries.len() {
-                    set.insert(self.decode(idx).expect("validated above").clone());
+    }
+
+    /// Read every trace, decoding the blobs not yet read straight into
+    /// the set; `Err` is the first blob that fails, whose error (and
+    /// every trace decoded before it) is then cached in the cells.
+    fn read(&self) -> Result<TraceSet, usize> {
+        let mut set = TraceSet::new(self.registry.clone());
+        let mut fresh = Vec::new();
+        for (idx, entry) in self.entries.iter().enumerate() {
+            let read = match self.cells[idx].get() {
+                Some(read) => read.clone(),
+                None => {
+                    self.decodes
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    fresh.push(idx);
+                    entry.decode(&self.buf)
                 }
-                Arc::new(set)
-            })
-            .clone())
+            };
+            match read {
+                Ok(trace) => set.insert(trace),
+                Err(e) => {
+                    // Keep what was read, as one-at-a-time reads would.
+                    for i in fresh {
+                        let read = set.get(self.entries[i].id).cloned();
+                        let _ = self.cells[i].set(read.ok_or_else(|| e.clone()));
+                    }
+                    return Err(idx);
+                }
+            }
+        }
+        Ok(set)
     }
 
     /// How many trace blobs have actually been decompressed so far.
@@ -1087,6 +1119,37 @@ mod tests {
         assert_eq!(ix.decode_count(), 3);
         // The full set is built once and shared.
         assert!(Arc::ptr_eq(&full, &ix.full_set().unwrap()));
+    }
+
+    /// Each blob is decoded once and each trace held once, whichever
+    /// read comes first; a failed whole-corpus read keeps the traces
+    /// before the bad blob.
+    #[test]
+    fn full_set_and_gets_decode_each_blob_once() {
+        let set = sample_set();
+        let bytes = to_bytes(&set);
+        let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
+        let full = ix.full_set().unwrap();
+        for id in ix.ids() {
+            // Held once: a get after the whole-corpus read is the set's.
+            assert!(std::ptr::eq(ix.get(id).unwrap(), full.get(id).unwrap()));
+        }
+        ix.subset(&ix.ids()).unwrap();
+        assert_eq!(ix.decode_count(), 3);
+
+        // Break the last trace's blob magic.
+        let mut bad = bytes.clone();
+        let last = bad.windows(4).rposition(|w| w == b"DTLZ").unwrap();
+        bad[last] ^= 0xff;
+        let eager = from_bytes(&bad).unwrap_err().to_string();
+        let ix = IndexedSet::from_bytes(bad).unwrap();
+        assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
+        assert_eq!(ix.decode_count(), 3);
+        ix.get(TraceId::new(0, 0)).unwrap();
+        ix.get(TraceId::new(1, 0)).unwrap();
+        assert!(ix.get(TraceId::new(2, 0)).is_err());
+        assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
+        assert_eq!(ix.decode_count(), 3);
     }
 
     #[test]
