@@ -1,6 +1,6 @@
 //! The persistent layer: one file per entry, named by the hex key.
 //!
-//! * `<key:032x>.nlr` — a serialized [`NlrFold`]
+//! * `<key:032x>.nlr` — a serialized [`nlr::Fold`]
 //! * `<key:032x>.att` — a serialized attribute set
 //!
 //! Both formats are magic + format version + varint-encoded payload +
@@ -16,8 +16,9 @@
 //! file and an atomic rename), so readers (including concurrent sweeps
 //! sharing a directory) only ever see complete entries.
 
-use crate::{AttrSet, NlrFold, PElem, CACHE_FORMAT_VERSION};
+use crate::{AttrSet, CACHE_FORMAT_VERSION};
 use dt_trace::codec::{seal, unseal, write_varint, CodecError, Reader};
+use nlr::{Element, Fold, LoopId};
 use std::path::{Path, PathBuf};
 
 const NLR_MAGIC: &[u8; 4] = b"DTCN";
@@ -38,25 +39,27 @@ fn write_entry(path: &Path, bytes: &[u8]) -> u64 {
     dt_trace::store::write_atomic(path, bytes).map_or(0, |()| bytes.len() as u64)
 }
 
-fn encode_pelem(out: &mut Vec<u8>, e: PElem) {
+/// One element: tag 0 and the symbol, or tag 1, the local body index
+/// and the count.
+fn encode_element(out: &mut Vec<u8>, e: Element) {
     match e {
-        PElem::Sym(s) => {
+        Element::Sym(s) => {
             write_varint(out, 0);
             write_varint(out, u64::from(s));
         }
-        PElem::Loop { local, count } => {
+        Element::Loop { body, count } => {
             write_varint(out, 1);
-            write_varint(out, u64::from(local));
+            write_varint(out, u64::from(body.0));
             write_varint(out, count);
         }
     }
 }
 
-fn decode_pelem(r: &mut Reader<'_>) -> Result<PElem, CodecError> {
+fn decode_element(r: &mut Reader<'_>) -> Result<Element, CodecError> {
     match r.varint()? {
-        0 => Ok(PElem::Sym(r.u32()?)),
-        1 => Ok(PElem::Loop {
-            local: r.u32()?,
+        0 => Ok(Element::Sym(r.u32()?)),
+        1 => Ok(Element::Loop {
+            body: LoopId(r.u32()?),
             count: r.varint()?,
         }),
         _ => Err(CodecError::Corrupt("bad element tag")),
@@ -70,7 +73,7 @@ fn open_entry<'a>(sealed: &'a [u8], magic: &[u8; 4]) -> Option<Reader<'a>> {
     (r.take(4).ok()? == magic && r.varint().ok()? == u64::from(CACHE_FORMAT_VERSION)).then_some(r)
 }
 
-fn encode_nlr(fold: &NlrFold) -> Vec<u8> {
+fn encode_nlr(fold: &Fold) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + 4 * fold.elements.len());
     out.extend_from_slice(NLR_MAGIC);
     write_varint(&mut out, u64::from(CACHE_FORMAT_VERSION));
@@ -79,23 +82,23 @@ fn encode_nlr(fold: &NlrFold) -> Vec<u8> {
     for body in &fold.bodies {
         write_varint(&mut out, body.len() as u64);
         for &e in body {
-            encode_pelem(&mut out, e);
+            encode_element(&mut out, e);
         }
     }
     write_varint(&mut out, fold.elements.len() as u64);
     for &e in &fold.elements {
-        encode_pelem(&mut out, e);
+        encode_element(&mut out, e);
     }
     seal(out)
 }
 
-fn decode_nlr(sealed: &[u8]) -> Option<NlrFold> {
+fn decode_nlr(sealed: &[u8]) -> Option<Fold> {
     let mut r = open_entry(sealed, NLR_MAGIC)?;
     let input_len = usize::try_from(r.varint().ok()?).ok()?;
     // Every element takes at least two bytes: a tag and a value.
-    let fold = NlrFold {
-        bodies: r.list(1, |r| r.list(2, decode_pelem)).ok()?,
-        elements: r.list(2, decode_pelem).ok()?,
+    let fold = Fold {
+        bodies: r.list(1, |r| r.list(2, decode_element)).ok()?,
+        elements: r.list(2, decode_element).ok()?,
         input_len,
     };
     (r.remaining() == 0 && fold.is_well_formed()).then_some(fold)
@@ -125,12 +128,12 @@ fn decode_attrs(sealed: &[u8]) -> Option<AttrSet> {
     (r.remaining() == 0).then_some(set)
 }
 
-pub(crate) fn read_nlr(path: &Path) -> Option<(NlrFold, u64)> {
+pub(crate) fn read_nlr(path: &Path) -> Option<(Fold, u64)> {
     let bytes = std::fs::read(path).ok()?;
     decode_nlr(&bytes).map(|f| (f, bytes.len() as u64))
 }
 
-pub(crate) fn write_nlr(path: &Path, fold: &NlrFold) -> u64 {
+pub(crate) fn write_nlr(path: &Path, fold: &Fold) -> u64 {
     write_entry(path, &encode_nlr(fold))
 }
 
@@ -206,13 +209,20 @@ mod tests {
         dir
     }
 
-    fn sample_fold() -> NlrFold {
-        NlrFold {
+    fn lp(body: u32, count: u64) -> Element {
+        Element::Loop {
+            body: LoopId(body),
+            count,
+        }
+    }
+
+    fn sample_fold() -> Fold {
+        Fold {
             bodies: vec![
-                vec![PElem::Sym(1), PElem::Sym(2)],
-                vec![PElem::Loop { local: 0, count: 2 }, PElem::Sym(9)],
+                vec![Element::Sym(1), Element::Sym(2)],
+                vec![lp(0, 2), Element::Sym(9)],
             ],
-            elements: vec![PElem::Loop { local: 1, count: 2 }, PElem::Sym(3)],
+            elements: vec![lp(1, 2), Element::Sym(3)],
             input_len: 11,
         }
     }
@@ -279,8 +289,8 @@ mod tests {
 
         // A structurally invalid fold (forward body reference) encodes
         // fine but must be rejected on read.
-        let evil = NlrFold {
-            bodies: vec![vec![PElem::Loop { local: 9, count: 2 }]],
+        let evil = Fold {
+            bodies: vec![vec![lp(9, 2)]],
             elements: vec![],
             input_len: 0,
         };
@@ -293,13 +303,15 @@ mod tests {
         let key = 0xabcdefu128;
         {
             let c = Cache::with_dir(&dir).unwrap();
-            c.put_nlr(key, Arc::new(sample_fold()));
+            c.nlr_fold(key, sample_fold);
             c.put_attrs(key, Arc::new(vec![("a".into(), 2.0)]));
             assert!(c.stats().disk_write_bytes > 0);
         }
         // A brand-new instance over the same directory hits from disk.
         let c2 = Cache::with_dir(&dir).unwrap();
-        assert_eq!(*c2.get_nlr(key).unwrap(), sample_fold());
+        let (fold, built) = c2.nlr_fold(key, || unreachable!("the entry is on disk"));
+        assert_eq!(*fold, sample_fold());
+        assert!(!built);
         assert_eq!(c2.get_attrs(key).unwrap().as_slice(), &[("a".into(), 2.0)]);
         let s = c2.stats();
         assert_eq!((s.nlr_hits, s.attr_hits), (1, 1));
@@ -318,14 +330,14 @@ mod tests {
         let dir = tmp("corrupt");
         let key = 42u128;
         let c = Cache::with_dir(&dir).unwrap();
-        c.put_nlr(key, Arc::new(sample_fold()));
+        c.nlr_fold(key, sample_fold);
         // Truncate the entry on disk behind the cache's back, then ask
         // a fresh instance (no memory copy): must miss cleanly.
         let path = nlr_path(&dir, key);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let fresh = Cache::with_dir(&dir).unwrap();
-        assert!(fresh.get_nlr(key).is_none());
+        assert!(fresh.nlr_fold(key, sample_fold).1, "folded afresh");
         assert_eq!(fresh.stats().nlr_misses, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -335,7 +347,7 @@ mod tests {
         let dir = tmp("tmpfiles");
         let c = Cache::with_dir(&dir).unwrap();
         for k in 0..8u128 {
-            c.put_nlr(k, Arc::new(sample_fold()));
+            c.nlr_fold(k, sample_fold);
         }
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -345,4 +357,50 @@ mod tests {
         assert!(leftovers.is_empty(), "{leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Fixed loopy inputs, one per `(k, symbols)` pair: nested loops,
+    /// a truncated remainder, noise over small alphabets (dozens of
+    /// bodies) and a body only a large `k` folds.
+    fn pinned_inputs() -> Vec<(usize, Vec<u32>)> {
+        let mut x = 11u64;
+        let mut noise = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % m) as u32
+        };
+        let nested: Vec<u32> = (0..5)
+            .flat_map(|_| [0u32, 1, 0, 1, 0, 1, 2])
+            .chain([7])
+            .collect();
+        let mut oddeven = vec![0u32, 1, 2];
+        oddeven.extend([3u32, 4].repeat(8));
+        oddeven.extend([5, 3]);
+        vec![
+            (10, vec![]),
+            (10, vec![1, 2, 1, 2, 9, 1, 2, 1, 2, 9, 3, 3, 3, 3]),
+            (10, [1u32, 2, 3, 4].repeat(50)),
+            (10, nested),
+            (10, oddeven),
+            (10, (0..2_000).map(|_| noise(3)).collect()),
+            (4, (0..3_000).map(|_| noise(6)).collect()),
+            (50, (0..40).flat_map(|_| 0..12u32).collect()),
+        ]
+    }
+
+    /// The disk bytes of every fold are pinned: the fold's first-intern
+    /// body order is the loop numbering of every cached analysis, so a
+    /// change here would silently renumber warm caches written earlier.
+    #[test]
+    fn fold_encoding_is_pinned() {
+        let mut h = dt_trace::hash::StableHasher::new();
+        for (k, symbols) in pinned_inputs() {
+            let fold = nlr::NlrBuilder::new(k).fold(&symbols);
+            assert!(fold.is_well_formed());
+            h.write_bytes(&encode_nlr(&fold));
+        }
+        assert_eq!(h.finish(), PINNED_FOLDS, "{:#034x}", h.finish());
+    }
+
+    const PINNED_FOLDS: u128 = 0xeb2c_ce0e_18c0_dbd7_57f5_705a_abc2_d3d3;
 }

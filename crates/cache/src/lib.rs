@@ -9,10 +9,10 @@
 //! *content* — a stable digest of the filtered symbol stream and the
 //! analysis parameters — so identical work is done once:
 //!
-//! * `(trace content, filter K)` → the trace's NLR fold, stored
-//!   *portably* (see [`NlrFold`]) so one cached fold replays into any
-//!   loop table, sequential or shared, reproducing the exact loop
-//!   numbering a cold build would have produced;
+//! * `(trace content, filter K)` → the trace's [`nlr::Fold`], the one
+//!   portable fold form: it replays into any loop table, reproducing
+//!   the exact loop numbering a cold build would have produced, and
+//!   each key folds at most once per cache ([`Cache::nlr_fold`]);
 //! * `(NLR key, attribute config, loop numbering)` → the mined
 //!   attribute set.
 //!
@@ -29,11 +29,11 @@ mod disk;
 pub use disk::{clear_dir, disk_stats, DiskStats};
 
 use dt_trace::hash::StableHasher;
-use nlr::{Element, LoopId, LoopInterner};
+use nlr::{Element, Fold};
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version stamp of the cache key derivation *and* the on-disk entry
 /// encoding. Bump whenever either changes (hash algorithm, key inputs,
@@ -41,143 +41,6 @@ use std::sync::{Arc, Mutex};
 /// cached value means): old entries then miss instead of being reused
 /// incorrectly.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
-
-/// One element of a *portable* NLR fold: like [`nlr::Element`], but
-/// loop references use trace-local IDs (first-intern order within the
-/// trace) instead of table-global [`LoopId`]s, which depend on what
-/// other traces interned first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PElem {
-    /// An unsummarized symbol.
-    Sym(u32),
-    /// `count` repetitions of the trace-local body `local`.
-    Loop {
-        /// Index into [`NlrFold::bodies`].
-        local: u32,
-        /// Iteration count.
-        count: u64,
-    },
-}
-
-/// A per-trace NLR fold in table-independent form.
-///
-/// The NLR builder only ever embeds loop IDs returned by its *own*
-/// intern calls, so numbering every body by its first intern occurrence
-/// within the trace captures the complete fold. Replaying the bodies in
-/// that order into any [`LoopInterner`] ([`replay`]) re-interns exactly
-/// the sequence a cold build of this trace would have interned
-/// (duplicate interns never change numbering), which is what makes
-/// cached and cold analyses byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NlrFold {
-    /// Distinct loop bodies in first-intern order; a body references
-    /// only strictly earlier bodies (inner loops fold first).
-    pub bodies: Vec<Vec<PElem>>,
-    /// The top-level summarized sequence.
-    pub elements: Vec<PElem>,
-    /// Length of the original (filtered) symbol stream.
-    pub input_len: usize,
-}
-
-impl NlrFold {
-    /// Structural validity: every loop reference points at a strictly
-    /// earlier body (for bodies) or any body (for elements). Disk
-    /// deserialization enforces this so [`replay`] can never index out
-    /// of bounds on untrusted input.
-    pub fn is_well_formed(&self) -> bool {
-        let ok = |es: &[PElem], limit: u32| {
-            es.iter().all(|e| match e {
-                PElem::Sym(_) => true,
-                PElem::Loop { local, .. } => *local < limit,
-            })
-        };
-        self.bodies.iter().enumerate().all(|(i, b)| ok(b, i as u32))
-            && ok(&self.elements, self.bodies.len() as u32)
-    }
-}
-
-/// Convert one build result into its portable fold: `order` is the
-/// trace's recorded intern sequence (global IDs, duplicates allowed),
-/// `elements`/`input_len` the built summary, `body_of` resolves a
-/// global ID to its body in the table the build ran against.
-///
-/// # Panics
-///
-/// Panics if a body references a global ID absent from `order` — which
-/// cannot happen for orders recorded from the NLR builder, since it
-/// interns inner loops before any outer body that embeds them.
-pub fn fold_from_build<F>(
-    order: &[LoopId],
-    elements: &[Element],
-    input_len: usize,
-    body_of: F,
-) -> NlrFold
-where
-    F: Fn(LoopId) -> Vec<Element>,
-{
-    let mut local: HashMap<u32, u32> = HashMap::new();
-    let mut bodies: Vec<Vec<PElem>> = Vec::new();
-    for &gid in order {
-        if local.contains_key(&gid.0) {
-            continue;
-        }
-        let body = body_of(gid)
-            .iter()
-            .map(|&e| to_portable(e, &local))
-            .collect();
-        local.insert(gid.0, bodies.len() as u32);
-        bodies.push(body);
-    }
-    NlrFold {
-        elements: elements.iter().map(|&e| to_portable(e, &local)).collect(),
-        bodies,
-        input_len,
-    }
-}
-
-fn to_portable(e: Element, local: &HashMap<u32, u32>) -> PElem {
-    match e {
-        Element::Sym(s) => PElem::Sym(s),
-        Element::Loop { body, count } => PElem::Loop {
-            local: *local
-                .get(&body.0)
-                .expect("inner loop interned before any body referencing it"),
-            count,
-        },
-    }
-}
-
-/// Replay a fold into `interner`: intern the bodies in recorded order
-/// and return the top-level elements under the interner's (global)
-/// numbering. Interning an already-present body is a no-op for
-/// numbering, so replaying into a table that a cold build would have
-/// reached the same way yields byte-identical IDs.
-///
-/// # Panics
-///
-/// Panics on a malformed fold (forward/out-of-range body reference);
-/// disk deserialization rejects those before they get here.
-pub fn replay<I: LoopInterner>(fold: &NlrFold, interner: &mut I) -> Vec<Element> {
-    let mut globals: Vec<LoopId> = Vec::with_capacity(fold.bodies.len());
-    for body in &fold.bodies {
-        let b: Vec<Element> = body.iter().map(|&pe| to_element(pe, &globals)).collect();
-        globals.push(interner.intern(b));
-    }
-    fold.elements
-        .iter()
-        .map(|&pe| to_element(pe, &globals))
-        .collect()
-}
-
-fn to_element(pe: PElem, globals: &[LoopId]) -> Element {
-    match pe {
-        PElem::Sym(s) => Element::Sym(s),
-        PElem::Loop { local, count } => Element::Loop {
-            body: globals[local as usize],
-            count,
-        },
-    }
-}
 
 /// The NLR cache key for one filtered trace: a stable digest of the
 /// format version, the fold bound `k`, the filtered symbol stream, and
@@ -255,15 +118,17 @@ pub struct CacheStats {
 
 /// The content-addressed analysis cache: two in-memory maps (NLR folds,
 /// attribute sets) shared across threads, plus an optional persistent
-/// directory. All methods take `&self`; the cache is designed to be
-/// held in an `Arc` and shared across sweep cells and pipeline stages.
+/// directory. Each NLR key owns a write-once slot, so a key folds at
+/// most once however many threads ask for it. All methods take
+/// `&self`; the cache is designed to be held in an `Arc` and shared
+/// across sweep cells and pipeline stages.
 ///
 /// Disk writes are atomic (unique temp file + rename) and best-effort:
 /// an I/O error degrades the cache to memory-only behavior for that
 /// entry rather than failing the analysis.
 #[derive(Debug, Default)]
 pub struct Cache {
-    nlr: Mutex<HashMap<u128, Arc<NlrFold>>>,
+    nlr: Mutex<HashMap<u128, Arc<OnceLock<Arc<Fold>>>>>,
     attrs: Mutex<HashMap<u128, Arc<AttrSet>>>,
     dir: Option<PathBuf>,
     nlr_hits: AtomicU64,
@@ -296,33 +161,37 @@ impl Cache {
         self.dir.as_deref()
     }
 
-    /// Look up an NLR fold. Checks memory first, then the disk layer;
-    /// a disk entry that fails validation is a miss.
-    pub fn get_nlr(&self, key: u128) -> Option<Arc<NlrFold>> {
-        if let Some(f) = lock(&self.nlr).get(&key).cloned() {
-            self.nlr_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(f);
-        }
-        if let Some(dir) = &self.dir {
-            if let Some((fold, bytes)) = disk::read_nlr(&disk::nlr_path(dir, key)) {
+    /// The fold under `key`: from memory, else from the disk layer (an
+    /// entry that fails validation is a miss), else from `fold`, which
+    /// is then stored. The first caller for a key does the lookup and
+    /// counts a miss when it folds; every later or concurrent caller
+    /// waits for that result and counts a hit, so the counters depend
+    /// only on the sequence of keys asked for, never on the thread
+    /// schedule. Returns the fold and whether `fold` ran.
+    pub fn nlr_fold(&self, key: u128, fold: impl FnOnce() -> Fold) -> (Arc<Fold>, bool) {
+        let slot = lock(&self.nlr).entry(key).or_default().clone();
+        let mut built = false;
+        let value = slot.get_or_init(|| {
+            let path = self.dir.as_deref().map(|dir| disk::nlr_path(dir, key));
+            if let Some((fold, bytes)) = path.as_deref().and_then(disk::read_nlr) {
                 self.disk_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.nlr_hits.fetch_add(1, Ordering::Relaxed);
-                let fold = Arc::new(fold);
-                lock(&self.nlr).insert(key, fold.clone());
-                return Some(fold);
+                return Arc::new(fold);
             }
-        }
-        self.nlr_misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Store an NLR fold under `key` (memory, and disk when backed).
-    pub fn put_nlr(&self, key: u128, fold: Arc<NlrFold>) {
-        if let Some(dir) = &self.dir {
-            let bytes = disk::write_nlr(&disk::nlr_path(dir, key), &fold);
-            self.disk_write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-        lock(&self.nlr).insert(key, fold);
+            built = true;
+            let fold = fold();
+            if let Some(path) = &path {
+                let bytes = disk::write_nlr(path, &fold);
+                self.disk_write_bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
+            Arc::new(fold)
+        });
+        let counter = if built {
+            &self.nlr_misses
+        } else {
+            &self.nlr_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (value.clone(), built)
     }
 
     /// Look up a mined attribute set.
@@ -389,19 +258,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlr::{LoopTable, Nlr, NlrBuilder, RecordingInterner};
+    use nlr::{LoopId, LoopTable, Nlr, NlrBuilder};
 
-    /// Build `symbols` sequentially into `table`, recording the fold
-    /// order, and return (summary, portable fold).
-    fn build_and_fold(symbols: &[u32], table: &mut LoopTable) -> (Nlr, NlrFold) {
+    /// Build `symbols` cold into `table` and fold it in isolation:
+    /// (summary, portable fold).
+    fn build_and_fold(symbols: &[u32], table: &mut LoopTable) -> (Nlr, Fold) {
         let builder = NlrBuilder::new(10);
-        let mut rec = RecordingInterner::new(&mut *table);
-        let nlr = builder.build(symbols, &mut rec);
-        let order = rec.into_order();
-        let fold = fold_from_build(&order, nlr.elements(), nlr.input_len(), |id| {
-            table.body(id).to_vec()
-        });
-        (nlr, fold)
+        (builder.build(symbols, table), builder.fold(symbols))
     }
 
     #[test]
@@ -415,8 +278,7 @@ mod tests {
 
         // Replay into a fresh table: identical numbering and bodies.
         let mut warm = LoopTable::new();
-        let elements = replay(&fold, &mut warm);
-        assert_eq!(elements, nlr.elements());
+        assert_eq!(fold.replay(&mut warm), nlr);
         assert_eq!(warm.len(), cold.len());
         for i in 0..cold.len() {
             assert_eq!(warm.body(LoopId(i as u32)), cold.body(LoopId(i as u32)));
@@ -424,25 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn fold_is_table_independent() {
-        // The same trace folded into two tables with different
-        // pre-existing content yields the same portable fold.
-        let symbols: Vec<u32> = [5u32, 6].repeat(4);
-        let mut empty = LoopTable::new();
-        let (_, fold_a) = build_and_fold(&symbols, &mut empty);
-        let mut seeded = LoopTable::new();
-        seeded.intern(vec![Element::Sym(99)]);
-        seeded.intern(vec![Element::Sym(98), Element::Sym(97)]);
-        let (_, fold_b) = build_and_fold(&symbols, &mut seeded);
-        assert_eq!(fold_a, fold_b);
-    }
-
-    #[test]
     fn replay_into_populated_table_matches_cold_build() {
-        // Two traces share a loop body. Cache the second trace's fold
-        // from an isolated build, then replay it into a table the first
-        // trace already populated: numbering must equal a cold build of
-        // both traces in order.
+        // Two traces share a loop body. Cache the second trace's fold,
+        // then replay it into a table the first trace already
+        // populated: numbering must equal a cold build of both traces
+        // in order.
         let t1: Vec<u32> = [1u32, 2].repeat(5);
         let t2: Vec<u32> = {
             let mut v = [1u32, 2].repeat(3);
@@ -450,18 +298,13 @@ mod tests {
             v
         };
         let mut cold = LoopTable::new();
-        let b = NlrBuilder::new(10);
-        let n1 = b.build(&t1, &mut cold);
-        let n2 = b.build(&t2, &mut cold);
-
-        let mut iso = LoopTable::new();
-        let (_, fold2) = build_and_fold(&t2, &mut iso);
+        let (n1, _) = build_and_fold(&t1, &mut cold);
+        let (n2, fold2) = build_and_fold(&t2, &mut cold);
 
         let mut warm = LoopTable::new();
-        let w1 = b.build(&t1, &mut warm);
-        let w2 = replay(&fold2, &mut warm);
-        assert_eq!(w1.elements(), n1.elements());
-        assert_eq!(w2, n2.elements());
+        let w1 = NlrBuilder::new(10).build(&t1, &mut warm);
+        assert_eq!(w1, n1);
+        assert_eq!(fold2.replay(&mut warm), n2);
         assert_eq!(warm.len(), cold.len());
     }
 
@@ -499,16 +342,12 @@ mod tests {
     #[test]
     fn memory_cache_hits_and_counts() {
         let c = Cache::new();
-        assert!(c.get_nlr(1).is_none());
-        c.put_nlr(
-            1,
-            Arc::new(NlrFold {
-                bodies: vec![],
-                elements: vec![PElem::Sym(3)],
-                input_len: 1,
-            }),
-        );
-        assert!(c.get_nlr(1).is_some());
+        let fold = || NlrBuilder::new(10).fold(&[3]);
+        let (first, built) = c.nlr_fold(1, fold);
+        assert!(built);
+        let (again, built) = c.nlr_fold(1, || unreachable!("key 1 is cached"));
+        assert!(!built);
+        assert_eq!(first, again);
         assert!(c.get_attrs(2).is_none());
         c.put_attrs(2, Arc::new(vec![("a".into(), 1.0)]));
         assert_eq!(c.get_attrs(2).unwrap().as_slice(), &[("a".into(), 1.0)]);
@@ -519,18 +358,26 @@ mod tests {
     }
 
     #[test]
-    fn malformed_fold_is_detected() {
-        let forward = NlrFold {
-            bodies: vec![vec![PElem::Loop { local: 0, count: 2 }]],
-            elements: vec![],
-            input_len: 0,
-        };
-        assert!(!forward.is_well_formed(), "self/forward reference");
-        let oob = NlrFold {
-            bodies: vec![],
-            elements: vec![PElem::Loop { local: 5, count: 2 }],
-            input_len: 10,
-        };
-        assert!(!oob.is_well_formed(), "element past bodies");
+    fn concurrent_callers_fold_a_key_once() {
+        // Many threads ask for the same few keys at once: each key
+        // folds exactly once, and the counters are those of asking
+        // one key after another.
+        let c = Cache::new();
+        let runs = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for key in 0..4u128 {
+                        c.nlr_fold(key, || {
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            NlrBuilder::new(10).fold(&[key as u32; 4])
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 4);
+        let s = c.stats();
+        assert_eq!((s.nlr_hits, s.nlr_misses), (28, 4));
     }
 }

@@ -122,7 +122,7 @@ pub struct RawFold {
 
 impl RawFold {
     /// Fold every trace's raw stream — identical output at any thread
-    /// count (see `nlr::shared`) — and count the folds as
+    /// count (see [`nlr::fold`]) — and count the folds as
     /// `<name>_folds` in `rec`.
     pub fn build(
         name: &str,

@@ -27,9 +27,9 @@
 //!   name-sorted attributes, name-sorted runs, id-sorted traces —
 //!   never in ingestion order.
 //!
-//! This mirrors how [`nlr::SharedLoopTable`] replay removes the thread
-//! schedule from parallel NLR builds: compute in whatever order is
-//! convenient, then canonicalize before anything observable.
+//! This mirrors how [`nlr::Fold`] replay removes the thread schedule
+//! from parallel NLR builds: compute in whatever order is convenient,
+//! then canonicalize before anything observable.
 //!
 //! # Scoring
 //!

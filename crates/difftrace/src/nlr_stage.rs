@@ -1,18 +1,20 @@
 //! Running NLR summarization over a filtered execution: the one
-//! per-trace fold (`fold_trace`, cache-aware) and its two drivers —
-//! sequential into a [`LoopTable`], parallel into a [`SharedLoopTable`]
-//! with canonical replay — behind `NlrSet::fold`.
+//! per-trace fold (`fold_trace`, cache-aware) and its one driver,
+//! `NlrSet::fold`.
 //!
 //! One [`nlr::LoopTable`] is shared by **all** traces of an analysis —
 //! including both the normal and the faulty execution of a diff — so a
 //! loop ID (`L0`, `L1`, …) denotes the same loop body everywhere, as in
-//! the paper's Tables III/IV and diffNLR figures.
+//! the paper's Tables III/IV and diffNLR figures. Each trace folds into
+//! its own table (on any worker, or from the cache) and the folds are
+//! replayed into the shared one in (set, trace) order — see
+//! [`nlr::fold`] for why that numbering equals a trace-by-trace build.
 
 use crate::filter::FilteredSet;
 use crate::sync::par_map;
 use dt_cache::Cache;
 use dt_trace::TraceId;
-use nlr::{LoopId, LoopInterner, LoopTable, Nlr, NlrBuilder, RecordingInterner, SharedLoopTable};
+use nlr::{Fold, LoopTable, Nlr, NlrBuilder};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,44 +31,28 @@ pub struct NlrSet {
 /// (aligned with `traces`) when a [`Cache`] is in use.
 pub(crate) type FoldInput<'a> = (&'a FilteredSet, Option<(&'a Cache, &'a [u128])>);
 
-/// The one per-trace NLR fold. With a cache, a hit replays the stored
-/// fold into `interner` — re-interning the trace's bodies in its own
-/// first-fold order, exactly the intern sequence a cold build issues,
-/// so loop numbering is byte-identical either way — and a miss builds
-/// and stores the fold. Returns the summary, the trace's fold order
-/// (every intern result, in call order) and whether the builder ran.
-fn fold_trace<I: LoopInterner>(
-    k: usize,
-    symbols: &[u32],
-    interner: I,
-    cached: Option<(&Cache, u128)>,
-) -> (Nlr, Vec<LoopId>, bool) {
-    let mut rec = RecordingInterner::new(interner);
-    if let Some(fold) = cached.and_then(|(cache, key)| cache.get_nlr(key)) {
-        let nlr = Nlr::from_parts(dt_cache::replay(&fold, &mut rec), fold.input_len);
-        return (nlr, rec.into_order(), false);
+/// The one per-trace NLR fold: the cache's fold under the trace's key
+/// (folded there on its first miss), or a fresh trace-local fold
+/// without a cache. Returns the fold and whether the builder ran.
+fn fold_trace(k: usize, symbols: &[u32], cached: Option<(&Cache, u128)>) -> (Arc<Fold>, bool) {
+    let fold = || NlrBuilder::new(k).fold(symbols);
+    match cached {
+        Some((cache, key)) => cache.nlr_fold(key, fold),
+        None => (Arc::new(fold()), true),
     }
-    let nlr = NlrBuilder::new(k).build(symbols, &mut rec);
-    if let Some((cache, key)) = cached {
-        let fold = dt_cache::fold_from_build(rec.order(), nlr.elements(), nlr.input_len(), |id| {
-            rec.body(id).to_vec()
-        });
-        cache.put_nlr(key, Arc::new(fold));
-    }
-    (nlr, rec.into_order(), true)
 }
 
 impl NlrSet {
     /// Summarize every trace of `set` with body bound `k`, interning
     /// loops into the shared `table`.
     pub fn build(set: &FilteredSet, k: usize, table: &mut LoopTable) -> NlrSet {
-        NlrSet::fold_sequential((set, None), k, table).0
+        NlrSet::fold_one((set, None), k, table).0
     }
 
     /// [`NlrSet::build`] through a [`Cache`]: each trace's fold is
     /// looked up by its content key (`keys`, aligned with `set.traces`)
-    /// and replayed on a hit or built and stored on a miss. Returns the
-    /// set plus the number of actual builder invocations.
+    /// and folded and stored on a miss. Returns the set plus the number
+    /// of actual builder invocations.
     pub fn build_cached(
         set: &FilteredSet,
         k: usize,
@@ -74,75 +60,46 @@ impl NlrSet {
         cache: &Cache,
         keys: &[u128],
     ) -> (NlrSet, u64) {
-        NlrSet::fold_sequential((set, Some((cache, keys))), k, table)
+        NlrSet::fold_one((set, Some((cache, keys))), k, table)
     }
 
-    /// Fold `sets` into `table` on up to `threads` workers: the
-    /// sequential driver at one thread, the parallel one otherwise.
-    /// Either way the numbering is that of folding set 0, then set 1, …
-    /// in trace order. Returns each set with its builder-invocation
-    /// count.
+    fn fold_one(input: FoldInput, k: usize, table: &mut LoopTable) -> (NlrSet, u64) {
+        NlrSet::fold(&[input], k, table, 1)
+            .pop()
+            .expect("one set folded")
+    }
+
+    /// Fold `sets` into `table` on up to `threads` workers: every trace
+    /// of every set folds into its own table (concurrently; inline at
+    /// one thread), then the folds replay into `table` in (set, trace)
+    /// order. The numbering is therefore that of folding set 0, then
+    /// set 1, … in trace order, at any thread count. Returns each set
+    /// with its builder-invocation count.
     pub(crate) fn fold(
         sets: &[FoldInput],
         k: usize,
         table: &mut LoopTable,
         threads: usize,
     ) -> Vec<(NlrSet, u64)> {
-        if threads <= 1 {
-            sets.iter()
-                .map(|&input| NlrSet::fold_sequential(input, k, table))
-                .collect()
-        } else {
-            NlrSet::fold_parallel(sets, k, table, threads)
-        }
-    }
-
-    /// The sequential driver: fold trace by trace straight into `table`.
-    fn fold_sequential((set, cache): FoldInput, k: usize, table: &mut LoopTable) -> (NlrSet, u64) {
-        let mut out = NlrSet::default();
-        let mut folds = 0u64;
-        for (i, t) in set.traces.iter().enumerate() {
-            let cached = cache.map(|(c, keys)| (c, keys[i]));
-            let (nlr, _, built) = fold_trace(k, &t.symbols, &mut *table, cached);
-            folds += u64::from(built);
-            out.nlrs.insert(t.id, nlr);
-            out.truncated.insert(t.id, t.truncated);
-        }
-        (out, folds)
-    }
-
-    /// The parallel driver: every trace of every set folds concurrently
-    /// into a [`SharedLoopTable`] seeded from `table` (provisional,
-    /// scheduling-dependent IDs); the recorded fold orders are then
-    /// replayed into `table` in (set, trace) order, and the summaries
-    /// remapped to those canonical IDs. NLR folding decisions are
-    /// independent of the interner's numbering, so the result is
-    /// byte-identical to the sequential driver (see `nlr::shared`).
-    fn fold_parallel(
-        sets: &[FoldInput],
-        k: usize,
-        table: &mut LoopTable,
-        threads: usize,
-    ) -> Vec<(NlrSet, u64)> {
-        let shared = SharedLoopTable::from_table(table);
         let items: Vec<(usize, usize)> = sets
             .iter()
             .enumerate()
             .flat_map(|(s, (set, _))| (0..set.traces.len()).map(move |i| (s, i)))
             .collect();
-        let built = par_map(&items, threads, |_, &(s, i)| {
+        let folds = par_map(&items, threads, |_, &(s, i)| {
             let (set, cache) = sets[s];
-            let cached = cache.map(|(c, keys)| (c, keys[i]));
-            fold_trace(k, &set.traces[i].symbols, &shared, cached)
+            fold_trace(
+                k,
+                &set.traces[i].symbols,
+                cache.map(|(c, keys)| (c, keys[i])),
+            )
         });
-        let orders = built.iter().flat_map(|(_, order, _)| order.iter().copied());
-        let map = shared.canonicalize_into(orders, table);
         let mut out: Vec<(NlrSet, u64)> = sets.iter().map(|_| Default::default()).collect();
-        for ((s, i), (nlr, _, built)) in items.into_iter().zip(built) {
+        for ((s, i), (fold, built)) in items.into_iter().zip(folds) {
             let t = &sets[s].0.traces[i];
             let (set, folds) = &mut out[s];
             set.nlrs
-                .insert(t.id, nlr.remap_loops(&|l: LoopId| map[l.0 as usize]));
+                .insert(t.id, Arc::unwrap_or_clone(fold).replay(table));
             set.truncated.insert(t.id, t.truncated);
             *folds += u64::from(built);
         }
@@ -208,5 +165,49 @@ mod tests {
         let ns = NlrSet::build(&FilteredSet::default(), 10, &mut table);
         assert!(ns.ids().is_empty());
         assert_eq!(ns.mean_reduction_factor(), 1.0);
+    }
+
+    /// Duplicate traces through one cache fold once per content key at
+    /// every thread count: the builder runs and the cache counters read
+    /// exactly what they read at one thread, however the workers race.
+    #[test]
+    fn fold_counts_do_not_depend_on_threads() {
+        // 16 traces over 4 distinct streams, long enough that workers
+        // overlap on one key.
+        let streams: Vec<Vec<u32>> = (0..4u32)
+            .map(|s| {
+                (0..20_000u32)
+                    .map(|i| s + i % (3 + s) + (i / 97) % 2)
+                    .collect()
+            })
+            .collect();
+        let set = FilteredSet {
+            traces: (0..16)
+                .map(|t| filtered(TraceId::new(t, 0), streams[t as usize % 4].clone()))
+                .collect(),
+        };
+        let keys: Vec<u128> = set
+            .traces
+            .iter()
+            .map(|t| dt_cache::nlr_key(10, &t.symbols, |s| s.to_string()))
+            .collect();
+        let counts = |threads: usize| {
+            let cache = Cache::new();
+            let mut table = LoopTable::new();
+            let input = (&set, Some((&cache, keys.as_slice())));
+            let folds: u64 = NlrSet::fold(&[input, input], 10, &mut table, threads)
+                .iter()
+                .map(|(_, f)| f)
+                .sum();
+            let s = cache.stats();
+            (folds, s.nlr_hits, s.nlr_misses)
+        };
+        let sequential = counts(1);
+        assert_eq!(sequential, (4, 28, 4));
+        for threads in [2, 4, 8] {
+            for rep in 0..20 {
+                assert_eq!(counts(threads), sequential, "threads={threads} rep={rep}");
+            }
+        }
     }
 }

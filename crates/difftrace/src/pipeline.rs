@@ -14,10 +14,11 @@
 //! computed, never which answer: output is **byte-identical** for every
 //! thread count. At one thread the driver filters, folds and finishes
 //! one execution, then the next. With more, every trace of every
-//! execution folds concurrently into a [`nlr::SharedLoopTable`], whose
-//! provisional-then-canonical renumbering removes the schedule from
-//! the loop IDs (which leak into attribute names and rendered
-//! summaries); the executions then finish concurrently. All other
+//! execution folds concurrently into its own loop table, and the folds
+//! replay into the shared table in (execution, trace) order — the one
+//! fold form of [`nlr::fold`], which keeps the schedule out of the loop
+//! IDs (they leak into attribute names and rendered summaries); the
+//! executions then finish concurrently. All other
 //! stages (mining, JSM rows, JSM diff, row scores) are pure per-item
 //! functions whose outputs are merged in a fixed order.
 
@@ -172,7 +173,7 @@ const STAGES: [&str; 2] = ["filter", "nlr"];
 /// execution. The thread count is resolved once, by
 /// [`effective_threads`]: at one thread each execution is filtered,
 /// folded and finished before the next; with more, all traces fold
-/// concurrently (one canonical replay, in `sets` order) and the
+/// concurrently (replayed into `table` in `sets` order) and the
 /// executions finish concurrently on an equal share of the workers.
 fn analyze_runs(
     sets: &[&TraceSet],

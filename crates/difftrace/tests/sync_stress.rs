@@ -1,14 +1,12 @@
-//! Stress tests for the concurrency primitives under the parallel
-//! engine: the write-once `Slot` protocol inside `par_map`, and the
-//! sharded `SharedLoopTable` interner. `loom` is not available in this
-//! build environment, so these hammer the real scheduler with heavy
-//! over-subscription and repetition instead; the `Slot` invariants
-//! (single writer, publish-before-read) are additionally checked by
-//! assertions inside the type itself, which any interleaving violation
-//! turns into a panic here.
+//! Stress tests for the concurrency primitive under the parallel
+//! engine: the write-once `Slot` protocol inside `par_map`. `loom` is
+//! not available in this build environment, so these hammer the real
+//! scheduler with heavy over-subscription and repetition instead; the
+//! `Slot` invariants (single writer, publish-before-read) are
+//! additionally checked by assertions inside the type itself, which any
+//! interleaving violation turns into a panic here.
 
 use difftrace::sync::{par_map, Slot};
-use nlr::{Element, LoopId, SharedLoopTable};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -58,67 +56,6 @@ fn slot_handoff_across_many_threads() {
             s.spawn(|| slot.set(vec![round; 32]));
         });
         assert_eq!(slot.take(), vec![round; 32]);
-    }
-}
-
-#[test]
-fn shared_table_contended_identical_bodies() {
-    // All threads intern the *same* few bodies as fast as possible —
-    // worst case for the dedup shard locks. Exactly one ID may ever
-    // exist per body.
-    let table = SharedLoopTable::new();
-    let results: Vec<Vec<LoopId>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..16)
-            .map(|_| {
-                s.spawn(|| {
-                    (0..2_000u32)
-                        .map(|i| table.intern(vec![Element::Sym(i % 4)]))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert_eq!(table.len(), 4);
-    for per_thread in &results {
-        assert_eq!(
-            &per_thread[..4],
-            &results[0][..4],
-            "IDs disagree across threads"
-        );
-        for (i, id) in per_thread.iter().enumerate() {
-            assert_eq!(*id, per_thread[i % 4]);
-        }
-    }
-    for i in 0..4u32 {
-        let id = results[0][i as usize];
-        assert_eq!(table.body(id), &[Element::Sym(i)]);
-    }
-}
-
-#[test]
-fn shared_table_disjoint_bodies_cross_page_boundary() {
-    // Threads intern mostly-disjoint bodies; total crosses the arena's
-    // 1024-entry page boundary, exercising concurrent page init.
-    let table = SharedLoopTable::new();
-    let per_thread = 400u32;
-    let threads = 8u32;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let table = &table;
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    let id = table.intern(vec![Element::Sym(t * per_thread + i)]);
-                    assert_eq!(table.body(id), &[Element::Sym(t * per_thread + i)]);
-                }
-            });
-        }
-    });
-    assert_eq!(table.len(), (threads * per_thread) as usize);
-    // Every body is readable afterwards and distinct.
-    let mut seen = std::collections::HashSet::new();
-    for i in 0..table.len() {
-        assert!(seen.insert(table.body(LoopId(i as u32)).to_vec()));
     }
 }
 

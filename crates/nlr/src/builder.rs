@@ -1,8 +1,12 @@
 //! The NLR stack machine (the paper's Procedure 1) and the multi-pass
-//! driver that finds deeper loop nests.
+//! driver that finds deeper loop nests. It interns into a plain
+//! [`LoopTable`]: [`NlrBuilder::build`] into a given one,
+//! [`NlrBuilder::fold`] into a fresh trace-local one whose bodies form
+//! the portable [`Fold`].
 
 use crate::element::{Element, Nlr};
-use crate::table::LoopInterner;
+use crate::fold::Fold;
+use crate::table::LoopTable;
 
 /// Configurable NLR recognizer.
 ///
@@ -34,15 +38,13 @@ impl NlrBuilder {
         self.k
     }
 
-    /// Summarize `input`, interning loop bodies into `table` — a plain
-    /// [`crate::LoopTable`], a `&`[`crate::SharedLoopTable`] for
-    /// concurrent builds, or any other [`LoopInterner`]. The folding
-    /// decisions depend only on the input and the bodies this build
-    /// interned itself, never on what the table already contained — so
-    /// the resulting *structure* is table-independent (only the ID
-    /// numbering varies), which is what makes parallel NLR construction
-    /// with post-hoc canonical renumbering exact.
-    pub fn build<I: LoopInterner + ?Sized>(&self, input: &[u32], table: &mut I) -> Nlr {
+    /// Summarize `input`, interning loop bodies into `table`. The
+    /// folding decisions depend only on the input and the bodies this
+    /// build interned itself, never on what the table already
+    /// contained — so the resulting *structure* is table-independent
+    /// (only the ID numbering varies), which is what makes a
+    /// trace-local [`NlrBuilder::fold`] replayable into any table.
+    pub fn build(&self, input: &[u32], table: &mut LoopTable) -> Nlr {
         let mut elements: Vec<Element> = input.iter().map(|&s| Element::Sym(s)).collect();
         // Pass 1 finds depth-1 loops; each subsequent pass treats the
         // previous summary's loops as atomic symbols and can therefore
@@ -55,11 +57,25 @@ impl NlrBuilder {
                 break;
             }
         }
-        Nlr::new(elements, input.len())
+        Nlr::from_parts(elements, input.len())
+    }
+
+    /// Summarize `input` into a fresh trace-local table: the portable
+    /// [`Fold`] of this trace. Local IDs are assigned in first-intern
+    /// order, so [`Fold::replay`] into any table re-interns exactly the
+    /// sequence [`NlrBuilder::build`] into that table would have.
+    pub fn fold(&self, input: &[u32]) -> Fold {
+        let mut table = LoopTable::new();
+        let nlr = self.build(input, &mut table);
+        Fold {
+            bodies: table.into_bodies(),
+            elements: nlr.elements,
+            input_len: nlr.input_len,
+        }
     }
 
     /// One stack-machine pass over an element sequence.
-    fn pass<I: LoopInterner + ?Sized>(&self, input: &[Element], table: &mut I) -> Vec<Element> {
+    fn pass(&self, input: &[Element], table: &mut LoopTable) -> Vec<Element> {
         let mut stack: Vec<Element> = Vec::with_capacity(input.len().min(4096));
         for &e in input {
             stack.push(e);
@@ -70,7 +86,7 @@ impl NlrBuilder {
 
     /// Procedure 1: repeatedly apply (in priority order) loop merge,
     /// loop extension, and loop folding to the top of the stack.
-    fn reduce<I: LoopInterner + ?Sized>(&self, stack: &mut Vec<Element>, table: &mut I) {
+    fn reduce(&self, stack: &mut Vec<Element>, table: &mut LoopTable) {
         loop {
             if self.try_merge_adjacent(stack)
                 || self.try_extend(stack, table)
@@ -114,7 +130,7 @@ impl NlrBuilder {
     /// If the top `b` elements equal the body of the loop right below
     /// them, absorb them as one more iteration:
     /// `… L(body)^c body` → `… L(body)^(c+1)`.
-    fn try_extend<I: LoopInterner + ?Sized>(&self, stack: &mut Vec<Element>, table: &I) -> bool {
+    fn try_extend(&self, stack: &mut Vec<Element>, table: &LoopTable) -> bool {
         let n = stack.len();
         for b in 1..=self.k.min(n.saturating_sub(1)) {
             let loop_pos = n - b - 1;
@@ -140,7 +156,7 @@ impl NlrBuilder {
 
     /// If the top `2·b` elements are two equal halves, fold them into a
     /// fresh loop of two iterations: `… X X` → `… L(X)^2`.
-    fn try_fold<I: LoopInterner + ?Sized>(&self, stack: &mut Vec<Element>, table: &mut I) -> bool {
+    fn try_fold(&self, stack: &mut Vec<Element>, table: &mut LoopTable) -> bool {
         let n = stack.len();
         for b in 1..=self.k.min(n / 2) {
             // Cheap prefilter: the halves can only match if their last
@@ -170,7 +186,6 @@ impl NlrBuilder {
 mod tests {
     use super::*;
     use crate::element::LoopId;
-    use crate::table::LoopTable;
 
     fn build(k: usize, input: &[u32]) -> (Nlr, LoopTable) {
         let mut table = LoopTable::new();

@@ -58,23 +58,15 @@ impl Element {
 /// live in the shared [`LoopTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nlr {
-    elements: Vec<Element>,
+    pub(crate) elements: Vec<Element>,
     /// Length of the original (unsummarized) sequence.
-    input_len: usize,
+    pub(crate) input_len: usize,
 }
 
 impl Nlr {
-    pub(crate) fn new(elements: Vec<Element>, input_len: usize) -> Nlr {
-        Nlr {
-            elements,
-            input_len,
-        }
-    }
-
-    /// Assemble a summary from parts produced outside the builder —
-    /// e.g. replayed from a serialized cache entry. The caller is
-    /// responsible for every [`LoopId`] referring to the table the
-    /// summary will be used with.
+    /// Assemble a summary from its top-level elements — e.g. a replayed
+    /// [`crate::Fold`]. The caller is responsible for every [`LoopId`]
+    /// referring to the table the summary will be used with.
     pub fn from_parts(elements: Vec<Element>, input_len: usize) -> Nlr {
         Nlr {
             elements,
@@ -139,28 +131,6 @@ impl Nlr {
             .map(|&e| render_element(e, table, name))
             .collect::<Vec<_>>()
             .join(" ")
-    }
-
-    /// A copy of this summary with every top-level loop reference
-    /// renumbered through `f`. Nested references live in the loop
-    /// *table*, not in the summary, so remapping the table and the
-    /// top-level elements together relabels the whole structure — used
-    /// when canonicalizing provisional IDs after a parallel build.
-    pub fn remap_loops<F: Fn(LoopId) -> LoopId>(&self, f: &F) -> Nlr {
-        Nlr {
-            elements: self
-                .elements
-                .iter()
-                .map(|&e| match e {
-                    Element::Loop { body, count } => Element::Loop {
-                        body: f(body),
-                        count,
-                    },
-                    sym => sym,
-                })
-                .collect(),
-            input_len: self.input_len,
-        }
     }
 
     /// Render with a symbol-name resolver, e.g.
@@ -244,7 +214,7 @@ mod tests {
             },
             Element::Sym(3),
         ]);
-        let nlr = Nlr::new(
+        let nlr = Nlr::from_parts(
             vec![
                 Element::Sym(0),
                 Element::Loop {

@@ -29,7 +29,11 @@
 //! Loop IDs are assigned from a [`LoopTable`] that is *shared across
 //! traces of the same execution*, so `L0` means the same loop body in
 //! every trace — the heuristic the paper uses to diff loops across
-//! threads.
+//! threads. There is one way to fill it: each trace folds into its own
+//! table ([`NlrBuilder::fold`], any order, any thread, or a cached
+//! [`Fold`]) and the folds are replayed into the shared table in trace
+//! order ([`Fold::replay`]), which numbers loops exactly as building
+//! trace after trace into it would (see [`fold`]).
 //!
 //! Checkers read the compressed form directly through [`summary`]: a
 //! [`Summary`] monoid with a closed-form `repeat`, folded over a term
@@ -50,12 +54,12 @@
 
 pub mod builder;
 pub mod element;
-pub mod shared;
+pub mod fold;
 pub mod summary;
 pub mod table;
 
 pub use builder::NlrBuilder;
 pub use element::{Element, LoopId, Nlr};
-pub use shared::SharedLoopTable;
+pub use fold::Fold;
 pub use summary::{Summarizer, Summary};
-pub use table::{LoopInterner, LoopTable, RecordingInterner};
+pub use table::LoopTable;

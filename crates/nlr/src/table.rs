@@ -11,82 +11,11 @@
 use crate::element::{Element, LoopId};
 use std::collections::HashMap;
 
-/// The interface the NLR builder needs from a loop-body store: intern a
-/// body to an ID and read a body back. Implemented by the plain
-/// single-threaded [`LoopTable`], by `&`[`crate::SharedLoopTable`]
-/// (concurrent interning), and by [`RecordingInterner`] (which
-/// additionally records the fold order).
-pub trait LoopInterner {
-    /// Intern `body`, returning its (possibly pre-existing) ID.
-    fn intern(&mut self, body: Vec<Element>) -> LoopId;
-    /// The body of `id`. Panics on a foreign ID.
-    fn body(&self, id: LoopId) -> &[Element];
-}
-
-impl<I: LoopInterner + ?Sized> LoopInterner for &mut I {
-    fn intern(&mut self, body: Vec<Element>) -> LoopId {
-        (**self).intern(body)
-    }
-    fn body(&self, id: LoopId) -> &[Element] {
-        (**self).body(id)
-    }
-}
-
-/// A [`LoopInterner`] wrapper that records every `intern` result in
-/// call order: over a `&mut`[`LoopTable`] it captures a trace's fold
-/// order for caching; over a `&`[`crate::SharedLoopTable`] (one per
-/// trace during a parallel build) the recorded orders drive
-/// [`crate::SharedLoopTable::canonicalize_into`].
-pub struct RecordingInterner<I> {
-    inner: I,
-    order: Vec<LoopId>,
-}
-
-impl<I: LoopInterner> RecordingInterner<I> {
-    pub fn new(inner: I) -> RecordingInterner<I> {
-        RecordingInterner {
-            inner,
-            order: Vec::new(),
-        }
-    }
-
-    /// The fold order recorded so far (every `intern` call's result,
-    /// duplicates included — replay skips already-mapped IDs).
-    pub fn order(&self) -> &[LoopId] {
-        &self.order
-    }
-
-    /// The recorded fold order.
-    pub fn into_order(self) -> Vec<LoopId> {
-        self.order
-    }
-}
-
-impl<I: LoopInterner> LoopInterner for RecordingInterner<I> {
-    fn intern(&mut self, body: Vec<Element>) -> LoopId {
-        let id = self.inner.intern(body);
-        self.order.push(id);
-        id
-    }
-    fn body(&self, id: LoopId) -> &[Element] {
-        self.inner.body(id)
-    }
-}
-
 /// Interning table: loop body (element sequence) → [`LoopId`].
 #[derive(Debug, Clone, Default)]
 pub struct LoopTable {
     bodies: Vec<Vec<Element>>,
     by_body: HashMap<Vec<Element>, LoopId>,
-}
-
-impl LoopInterner for LoopTable {
-    fn intern(&mut self, body: Vec<Element>) -> LoopId {
-        LoopTable::intern(self, body)
-    }
-    fn body(&self, id: LoopId) -> &[Element] {
-        LoopTable::body(self, id)
-    }
 }
 
 impl LoopTable {
@@ -124,6 +53,11 @@ impl LoopTable {
     /// True if no bodies have been interned.
     pub fn is_empty(&self) -> bool {
         self.bodies.is_empty()
+    }
+
+    /// The bodies in ID order, dropping the dedup index.
+    pub(crate) fn into_bodies(self) -> Vec<Vec<Element>> {
+        self.bodies
     }
 
     /// Fully expanded body of `id` (recursing through nested loops),

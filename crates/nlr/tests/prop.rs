@@ -1,6 +1,6 @@
 //! Property tests for nested-loop recognition.
 
-use nlr::{LoopId, LoopTable, NlrBuilder, RecordingInterner, SharedLoopTable, Summarizer, Summary};
+use nlr::{LoopId, LoopTable, NlrBuilder, Summarizer, Summary};
 use proptest::prelude::*;
 
 fn loopy_stream() -> impl Strategy<Value = Vec<u32>> {
@@ -132,103 +132,33 @@ proptest! {
         prop_assert_eq!(nlr.expand(&table), input);
     }
 
-    /// Interning the same loop bodies from many threads concurrently
-    /// always yields exactly one ID per distinct body, every thread
-    /// observes the same ID for the same body, and every ID reads back
-    /// its body.
-    #[test]
-    fn concurrent_interning_is_race_free(
-        streams in proptest::collection::vec(loopy_stream(), 2..6),
-        threads in 2usize..8,
-    ) {
-        fn expand_shared(elements: &[nlr::Element], t: &SharedLoopTable, out: &mut Vec<u32>) {
-            for &e in elements {
-                match e {
-                    nlr::Element::Sym(s) => out.push(s),
-                    nlr::Element::Loop { body, count } => {
-                        for _ in 0..count {
-                            expand_shared(t.body(body), t, out);
-                        }
-                    }
-                }
-            }
-        }
-        let shared = SharedLoopTable::new();
-        let builder = NlrBuilder::new(10);
-        let per_thread: Vec<Vec<(usize, Vec<nlr::Element>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let shared = &shared;
-                    let streams = &streams;
-                    let builder = &builder;
-                    s.spawn(move || {
-                        let mut seen = Vec::new();
-                        // Each thread builds every stream, starting at a
-                        // different offset so schedules interleave.
-                        for i in 0..streams.len() {
-                            let idx = (i + t) % streams.len();
-                            let mut rec = RecordingInterner::new(shared);
-                            let nlr = builder.build(&streams[idx], &mut rec);
-                            let mut expanded = Vec::new();
-                            expand_shared(nlr.elements(), shared, &mut expanded);
-                            assert_eq!(expanded, streams[idx], "lossless through the shared table");
-                            for id in rec.into_order() {
-                                seen.push((id.0 as usize, shared.body(id).to_vec()));
-                            }
-                        }
-                        seen
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // One body per ID, globally consistent across threads.
-        let mut by_id: std::collections::BTreeMap<usize, Vec<nlr::Element>> =
-            std::collections::BTreeMap::new();
-        for (id, body) in per_thread.into_iter().flatten() {
-            if let Some(prev) = by_id.insert(id, body.clone()) {
-                prop_assert_eq!(prev, body, "id {} maps to two bodies", id);
-            }
-        }
-        // IDs are dense and each body is interned exactly once.
-        let distinct: std::collections::HashSet<Vec<nlr::Element>> =
-            by_id.values().cloned().collect();
-        prop_assert_eq!(distinct.len(), by_id.len(), "duplicate bodies under distinct ids");
-        prop_assert_eq!(shared.len(), by_id.len());
-        for id in by_id.keys() {
-            prop_assert!(*id < shared.len());
-        }
-    }
-
-    /// Canonicalizing a worst-case (reverse-order) parallel build
-    /// reproduces the sequential table and summaries exactly.
+    /// Trace-local folds built in a worst-case (reverse) order and then
+    /// replayed in forward order reproduce a direct sequential build
+    /// exactly — table and summaries — both into a fresh table and into
+    /// one another trace already populated.
     #[test]
     fn canonicalization_reproduces_sequential_numbering(
         streams in proptest::collection::vec(loopy_stream(), 1..6),
+        seed in loopy_stream(),
         k in 2usize..12,
     ) {
         let builder = NlrBuilder::new(k);
-        let mut seq_table = LoopTable::new();
-        let seq: Vec<_> = streams.iter().map(|s| builder.build(s, &mut seq_table)).collect();
-
-        let shared = SharedLoopTable::new();
-        let mut orders = vec![Vec::new(); streams.len()];
-        let mut prov = vec![None; streams.len()];
-        for i in (0..streams.len()).rev() {
-            let mut rec = RecordingInterner::new(&shared);
-            prov[i] = Some(builder.build(&streams[i], &mut rec));
-            orders[i] = rec.into_order();
-        }
-        let mut canon_table = LoopTable::new();
-        let map = shared.canonicalize_into(orders.into_iter().flatten(), &mut canon_table);
-        prop_assert_eq!(canon_table.len(), seq_table.len());
-        for i in 0..canon_table.len() {
-            let id = LoopId(i as u32);
-            prop_assert_eq!(canon_table.body(id), seq_table.body(id), "body L{}", i);
-        }
-        for (p, s) in prov.into_iter().zip(&seq) {
-            let c = p.unwrap().remap_loops(&|id| map[id.0 as usize]);
-            prop_assert_eq!(c.elements(), s.elements());
+        let mut folds: Vec<_> = streams.iter().rev().map(|s| builder.fold(s)).collect();
+        folds.reverse();
+        let mut seeded = LoopTable::new();
+        builder.build(&seed, &mut seeded);
+        for start in [LoopTable::new(), seeded] {
+            let mut seq_table = start.clone();
+            let seq: Vec<_> = streams.iter().map(|s| builder.build(s, &mut seq_table)).collect();
+            let mut table = start;
+            for (fold, s) in folds.iter().zip(&seq) {
+                prop_assert_eq!(&fold.clone().replay(&mut table), s);
+            }
+            prop_assert_eq!(table.len(), seq_table.len());
+            for i in 0..table.len() {
+                let id = LoopId(i as u32);
+                prop_assert_eq!(table.body(id), seq_table.body(id), "body L{}", i);
+            }
         }
     }
 }

@@ -608,11 +608,21 @@ impl HbLog {
                 return Err(BAD);
             }
             let op = read_op(r)?;
+            // Every clock has `world_size` components, so a snapshot of
+            // another length or a delta past the last component is
+            // malformed: reconstruction indexes clocks by component.
             let clock = match r.byte()? {
                 0 => ClockRepr::Full(VectorClock(r.list(1, Reader::varint)?)),
                 1 => ClockRepr::Delta(r.list(2, |r| Ok((r.u32()?, r.varint()?)))?),
                 _ => return Err(BAD),
             };
+            let in_world = match &clock {
+                ClockRepr::Full(vc) => vc.0.len() == world_size as usize,
+                ClockRepr::Delta(d) => d.iter().all(|&(c, _)| c < world_size),
+            };
+            if !in_world {
+                return Err(BAD);
+            }
             let prev = lasts[trace.process as usize];
             if matches!(clock, ClockRepr::Delta(_)) && prev == NO_PREV {
                 return Err(BAD);

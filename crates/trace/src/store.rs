@@ -800,8 +800,12 @@ mod tests {
         let set = sample_set();
         let mut hb = HbLog::new(3);
         let mut vc = VectorClock::zero(3);
-        vc.tick(0);
-        hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        // A snapshot, then delta records on every component (a flipped
+        // component or snapshot length must not index past the clock).
+        for c in [0, 1, 2, 0, 2] {
+            vc.tick(c);
+            hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        }
         hb.blocked.push(BlockedOp {
             rank: 1,
             name: "MPI_Recv".to_string(),
@@ -945,8 +949,12 @@ mod tests {
         use crate::hb::{BlockedOp, HbOp, VectorClock};
         let mut hb = HbLog::new(3);
         let mut vc = VectorClock::zero(3);
-        vc.tick(0);
-        hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        // A snapshot, then delta records on every component (a flipped
+        // component or snapshot length must not index past the clock).
+        for c in [0, 1, 2, 0, 2] {
+            vc.tick(c);
+            hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        }
         hb.blocked.push(BlockedOp {
             rank: 1,
             name: "MPI_Recv".to_string(),
