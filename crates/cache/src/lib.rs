@@ -14,7 +14,7 @@
 //!   the exact loop numbering a cold build would have produced, and
 //!   each key folds at most once per cache ([`Cache::nlr_fold`]);
 //! * `(NLR key, attribute config, loop numbering)` → the mined
-//!   attribute set.
+//!   attribute set, mined at most once per cache ([`Cache::attrs`]).
 //!
 //! An optional on-disk layer (`Cache::with_dir`) persists entries
 //! across processes. Disk entries are versioned
@@ -99,6 +99,21 @@ pub fn attr_key(nlr_key: u128, attr_code: &str, elements: &[Element]) -> u128 {
 /// returns it.
 pub type AttrSet = Vec<(String, f64)>;
 
+/// One map of write-once slots: a key's value is computed (or read from
+/// disk) by the first caller and shared with every later one.
+type Slots<T> = Mutex<HashMap<u128, Arc<OnceLock<Arc<T>>>>>;
+
+/// One kind of entry: its slot map, how it reaches the disk layer, and
+/// where its lookups are counted.
+struct Kind<'a, T> {
+    slots: &'a Slots<T>,
+    path: fn(&Path, u128) -> PathBuf,
+    read: fn(&Path) -> Option<(T, u64)>,
+    write: fn(&Path, &T) -> u64,
+    hits: &'a AtomicU64,
+    misses: &'a AtomicU64,
+}
+
 /// Counter snapshot of a cache's activity ([`Cache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -118,8 +133,8 @@ pub struct CacheStats {
 
 /// The content-addressed analysis cache: two in-memory maps (NLR folds,
 /// attribute sets) shared across threads, plus an optional persistent
-/// directory. Each NLR key owns a write-once slot, so a key folds at
-/// most once however many threads ask for it. All methods take
+/// directory. Each key owns a write-once slot, so a key folds or mines
+/// at most once however many threads ask for it. All methods take
 /// `&self`; the cache is designed to be held in an `Arc` and shared
 /// across sweep cells and pipeline stages.
 ///
@@ -128,8 +143,8 @@ pub struct CacheStats {
 /// entry rather than failing the analysis.
 #[derive(Debug, Default)]
 pub struct Cache {
-    nlr: Mutex<HashMap<u128, Arc<OnceLock<Arc<Fold>>>>>,
-    attrs: Mutex<HashMap<u128, Arc<AttrSet>>>,
+    nlr: Slots<Fold>,
+    attrs: Slots<AttrSet>,
     dir: Option<PathBuf>,
     nlr_hits: AtomicU64,
     nlr_misses: AtomicU64,
@@ -169,57 +184,99 @@ impl Cache {
     /// only on the sequence of keys asked for, never on the thread
     /// schedule. Returns the fold and whether `fold` ran.
     pub fn nlr_fold(&self, key: u128, fold: impl FnOnce() -> Fold) -> (Arc<Fold>, bool) {
-        let slot = lock(&self.nlr).entry(key).or_default().clone();
-        let mut built = false;
-        let value = slot.get_or_init(|| {
-            let path = self.dir.as_deref().map(|dir| disk::nlr_path(dir, key));
-            if let Some((fold, bytes)) = path.as_deref().and_then(disk::read_nlr) {
+        let kind = Kind {
+            slots: &self.nlr,
+            path: disk::nlr_path,
+            read: disk::read_nlr,
+            write: disk::write_nlr,
+            hits: &self.nlr_hits,
+            misses: &self.nlr_misses,
+        };
+        self.once(&kind, key, fold)
+    }
+
+    /// The attribute set under `key`, mined by `mine` at most once per
+    /// cache: the same contract as [`Cache::nlr_fold`]. Returns the set
+    /// and whether `mine` ran.
+    pub fn attrs(&self, key: u128, mine: impl FnOnce() -> AttrSet) -> (Arc<AttrSet>, bool) {
+        let kind = Kind {
+            slots: &self.attrs,
+            path: disk::attr_path,
+            read: disk::read_attrs,
+            write: disk::write_attrs,
+            hits: &self.attr_hits,
+            misses: &self.attr_misses,
+        };
+        self.once(&kind, key, mine)
+    }
+
+    /// Look up a mined attribute set without mining it: from memory,
+    /// else from the disk layer. A miss is counted and leaves the key
+    /// to [`Cache::put_attrs`] or [`Cache::attrs`].
+    pub fn get_attrs(&self, key: u128) -> Option<Arc<AttrSet>> {
+        let slot = lock(&self.attrs).get(&key).cloned();
+        let found = slot
+            .as_deref()
+            .and_then(OnceLock::get)
+            .cloned()
+            .or_else(|| {
+                let (set, bytes) = disk::read_attrs(&disk::attr_path(self.dir.as_deref()?, key))?;
                 self.disk_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-                return Arc::new(fold);
-            }
-            built = true;
-            let fold = fold();
-            if let Some(path) = &path {
-                let bytes = disk::write_nlr(path, &fold);
-                self.disk_write_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            Arc::new(fold)
-        });
-        let counter = if built {
-            &self.nlr_misses
+                Some(Self::store(&self.attrs, key, Arc::new(set)))
+            });
+        let counter = if found.is_some() {
+            &self.attr_hits
         } else {
-            &self.nlr_hits
+            &self.attr_misses
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        (value.clone(), built)
+        found
     }
 
-    /// Look up a mined attribute set.
-    pub fn get_attrs(&self, key: u128) -> Option<Arc<AttrSet>> {
-        if let Some(a) = lock(&self.attrs).get(&key).cloned() {
-            self.attr_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(a);
-        }
-        if let Some(dir) = &self.dir {
-            if let Some((set, bytes)) = disk::read_attrs(&disk::attr_path(dir, key)) {
-                self.disk_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-                self.attr_hits.fetch_add(1, Ordering::Relaxed);
-                let set = Arc::new(set);
-                lock(&self.attrs).insert(key, set.clone());
-                return Some(set);
-            }
-        }
-        self.attr_misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Store a mined attribute set under `key`.
+    /// Store a mined attribute set under `key`. A key already set keeps
+    /// its value: equal keys mean equal sets.
     pub fn put_attrs(&self, key: u128, set: Arc<AttrSet>) {
         if let Some(dir) = &self.dir {
             let bytes = disk::write_attrs(&disk::attr_path(dir, key), &set);
             self.disk_write_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
-        lock(&self.attrs).insert(key, set);
+        Self::store(&self.attrs, key, set);
+    }
+
+    /// The slot of `key` in `slots`, created empty if absent.
+    fn slot<T>(slots: &Slots<T>, key: u128) -> Arc<OnceLock<Arc<T>>> {
+        lock(slots).entry(key).or_default().clone()
+    }
+
+    /// Set `key`'s slot to `value` unless it is set already; returns
+    /// what the slot holds.
+    fn store<T>(slots: &Slots<T>, key: u128, value: Arc<T>) -> Arc<T> {
+        Self::slot(slots, key).get_or_init(|| value).clone()
+    }
+
+    /// The one fold-once lookup behind [`Cache::nlr_fold`] and
+    /// [`Cache::attrs`]: memory, else disk, else `make` (stored to
+    /// disk too), with one hit or one miss counted per call.
+    fn once<T>(&self, kind: &Kind<'_, T>, key: u128, make: impl FnOnce() -> T) -> (Arc<T>, bool) {
+        let slot = Self::slot(kind.slots, key);
+        let mut made = false;
+        let value = slot.get_or_init(|| {
+            let path = self.dir.as_deref().map(|dir| (kind.path)(dir, key));
+            if let Some((value, bytes)) = path.as_deref().and_then(kind.read) {
+                self.disk_read_bytes.fetch_add(bytes, Ordering::Relaxed);
+                return Arc::new(value);
+            }
+            made = true;
+            let value = make();
+            if let Some(path) = &path {
+                let bytes = (kind.write)(path, &value);
+                self.disk_write_bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
+            Arc::new(value)
+        });
+        let counter = if made { kind.misses } else { kind.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (value.clone(), made)
     }
 
     /// Snapshot the activity counters.
@@ -379,5 +436,30 @@ mod tests {
         assert_eq!(runs.load(Ordering::Relaxed), 4);
         let s = c.stats();
         assert_eq!((s.nlr_hits, s.nlr_misses), (28, 4));
+    }
+
+    #[test]
+    fn concurrent_callers_mine_a_key_once() {
+        let c = Cache::new();
+        let runs = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for key in 0..4u128 {
+                        let (set, _) = c.attrs(key, || {
+                            runs.fetch_add(1, Ordering::Relaxed);
+                            vec![(format!("a{key}"), 1.0)]
+                        });
+                        assert_eq!(set[0].0, format!("a{key}"));
+                    }
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 4);
+        let s = c.stats();
+        assert_eq!((s.attr_hits, s.attr_misses), (28, 4));
+        // The slots `attrs` filled answer `get_attrs` too.
+        assert_eq!(c.get_attrs(3).unwrap()[0].0, "a3");
+        assert!(c.get_attrs(4).is_none());
     }
 }

@@ -1301,12 +1301,10 @@ fn query_cmd(args: &[String]) -> Result<(), CliError> {
     }
     let mut stream =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-    {
-        use std::io::Write as _;
-        writeln!(stream, "{}", dt_serve::request_line(&req))
-            .and_then(|()| stream.flush())
-            .map_err(|e| format!("sending query to {addr}: {e}"))?;
-    }
+    // Best effort, as in the daemon: a frame is one write either way.
+    let _ = stream.set_nodelay(true);
+    dt_serve::write_line(&mut stream, &dt_serve::request_line(&req))
+        .map_err(|e| format!("sending query to {addr}: {e}"))?;
     let mut reply = String::new();
     {
         use std::io::BufRead as _;

@@ -6,6 +6,15 @@
 //! round-trip (TL005), filter (TL004) and lattice (TL006) rules do not
 //! fit per-trace facts, so lint implements the whole run step itself
 //! on top of the shared fold and per-trace dispatch.
+//!
+//! TL005 checks each trace's raw NLR term against its own symbol
+//! stream. The compressed domain needs every term at once for its
+//! facts and its collective-order rule, so it folds the whole execution
+//! up front ([`RawFold::build`]). In the expanded domain TL005 is the
+//! only reader of the fold, so there the terms stream: one chunk of
+//! `threads` traces is folded, replayed in trace order into one shared
+//! table, checked and dropped before the next, and lint never holds
+//! more than a chunk's raw streams and terms.
 
 use crate::check::{trace_facts, CheckInput, CheckOptions, Checker, LintDomain, PrePass, RawFold};
 use crate::filter::{table_i_catalog, ClassProbe, FilterConfig};
@@ -13,7 +22,7 @@ use crate::pipeline::{analyze, DiffRun, Params, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
 use dt_obs::Recorder;
 use dt_trace::{FunctionRegistry, Trace, TraceId, TraceSet};
-use nlr::{LoopTable, Nlr};
+use nlr::{LoopTable, Nlr, NlrBuilder};
 use std::sync::Arc;
 use tracelint::compressed::{
     check_collective_order_compressed, check_stack_discipline_compressed, rank_streams,
@@ -120,19 +129,24 @@ impl Checker for Lint {
         let traces: Vec<&Trace> = set.iter().collect();
         let threads = effective_threads(opts.threads, traces.len().max(1));
         let k = opts.check_options().nlr_k;
-        // TL005 checks the raw NLR terms, so lint folds in both domains.
-        let fold = RawFold::build(Self::NAME, &traces, k, threads, rec);
         let registry = self.vocab(input);
-        let per_trace = trace_facts(self, &registry, &traces, opts.domain, Some(&fold), threads);
-        let roundtrip = par_map(&fold.streams.traces, threads, |i, rt| {
-            rules::check_roundtrip(rt.id, &rt.symbols, fold.term(traces[i]), &fold.table)
-        });
-        let mut diags: Vec<Diagnostic> = per_trace.into_iter().chain(roundtrip).flatten().collect();
-
-        // Cross-trace and corpus-level rules, sequential.
-        match opts.domain {
-            LintDomain::Expanded => diags.extend(rules::check_collective_order(set)),
+        let mut diags: Vec<Diagnostic> = match opts.domain {
+            LintDomain::Expanded => {
+                let per_trace = trace_facts(self, &registry, &traces, opts.domain, None, threads);
+                let mut diags: Vec<Diagnostic> = per_trace.into_iter().flatten().collect();
+                diags.extend(streamed_roundtrip(&traces, k, threads, rec));
+                diags.extend(rules::check_collective_order(set));
+                diags
+            }
             LintDomain::Compressed => {
+                let fold = RawFold::build(Self::NAME, &traces, k, threads, rec);
+                let per_trace =
+                    trace_facts(self, &registry, &traces, opts.domain, Some(&fold), threads);
+                let roundtrip = par_map(&fold.streams.traces, threads, |i, rt| {
+                    rules::check_roundtrip(rt.id, &rt.symbols, fold.term(traces[i]), &fold.table)
+                });
+                let mut diags: Vec<Diagnostic> =
+                    per_trace.into_iter().chain(roundtrip).flatten().collect();
                 let coll = rules::collective_fn_ids(&registry);
                 let mut projector = CollProjector::new(&fold.table, &coll);
                 let terms: Vec<(TraceId, &Nlr, bool)> = fold
@@ -145,8 +159,9 @@ impl Checker for Lint {
                 diags.extend(check_collective_order_compressed(
                     &ranks, &projector, &registry,
                 ));
+                diags
             }
-        }
+        };
         diags.extend(dead_filter_diags(
             opts.filter.as_ref(),
             &registry.names(),
@@ -161,6 +176,37 @@ impl Checker for Lint {
     fn attached(run: &DiffRun) -> Option<&PrePass<Lint>> {
         run.lint.as_ref()
     }
+}
+
+/// TL005 over the raw streams without holding them all: each chunk of
+/// `threads` traces folds concurrently; then each trace of the chunk,
+/// in trace order, replays into one shared table (numbering loops
+/// exactly as [`RawFold::build`] does), is checked against it and is
+/// dropped before the next chunk folds. Counts the folds as
+/// `lint_folds`, one per trace, as [`RawFold::build`] would.
+fn streamed_roundtrip(
+    traces: &[&Trace],
+    k: usize,
+    threads: usize,
+    rec: &dyn Recorder,
+) -> Vec<Diagnostic> {
+    let mut table = LoopTable::new();
+    let mut diags = Vec::new();
+    for chunk in traces.chunks(threads) {
+        let folds = par_map(chunk, threads, |_, t| {
+            let symbols = t.to_symbols();
+            let fold = NlrBuilder::new(k).fold(&symbols);
+            (symbols, fold)
+        });
+        for (t, (symbols, fold)) in chunk.iter().zip(folds) {
+            let term = fold.replay(&mut table);
+            diags.extend(rules::check_roundtrip(t.id, &symbols, &term, &table));
+        }
+    }
+    if rec.enabled() {
+        rec.add("lint_folds", traces.len() as u64);
+    }
+    diags
 }
 
 /// Lint one execution. Diagnostics are byte-identical for every thread

@@ -384,8 +384,10 @@ fn align_filtered(set: &TraceSet, params: &Params, id_universe: &[TraceId]) -> F
 /// functions and fan out across `threads`; the context is assembled
 /// sequentially in `ids` order so object/attribute numbering never
 /// depends on the schedule. With a cache, mined attribute sets are
-/// memoized: mined labels embed global loop IDs, so the attr key covers
-/// the summary's element sequence too (see [`dt_cache::attr_key`]).
+/// memoized, each key mined once however the workers race
+/// ([`Cache::attrs`]), and shared rather than copied: mined labels
+/// embed global loop IDs, so the attr key covers the summary's element
+/// sequence too (see [`dt_cache::attr_key`]).
 fn finish_run(
     set: &TraceSet,
     params: &Params,
@@ -403,21 +405,18 @@ fn finish_run(
     } = folded;
     let name = |s: u32| symbol_name(&set.registry, s);
     let attr_code = params.attrs.to_string();
-    let mined: Vec<Vec<(String, f64)>> = {
+    let mined: Vec<Arc<dt_cache::AttrSet>> = {
         let _s = stage(rec, "mine");
         crate::sync::par_map_obs(ids, threads, rec, "mine", |i, id| {
             let nlr = nlrs.get(*id).expect("aligned");
-            let symbols = &aligned.traces[i].symbols;
-            if let (Some(cache), Some(keys)) = (cache, &keys) {
-                let akey = dt_cache::attr_key(keys[i], &attr_code, nlr.elements());
-                if let Some(v) = cache.get_attrs(akey) {
-                    return (*v).clone();
+            let fresh = || mine(&aligned.traces[i].symbols, nlr, params.attrs, &name);
+            match (cache, &keys) {
+                (Some(cache), Some(keys)) => {
+                    let akey = dt_cache::attr_key(keys[i], &attr_code, nlr.elements());
+                    cache.attrs(akey, fresh).0
                 }
-                let fresh = mine(symbols, nlr, params.attrs, &name);
-                cache.put_attrs(akey, Arc::new(fresh.clone()));
-                return fresh;
+                _ => Arc::new(fresh()),
             }
-            mine(symbols, nlr, params.attrs, &name)
         })
     };
     if rec.enabled() {
@@ -893,5 +892,47 @@ mod tests {
         assert_eq!(d.faulty.ids.len(), 4);
         // Rank 3 must be among the suspects (it vanished).
         assert!(d.suspicious_threads.contains(&TraceId::master(3)));
+    }
+
+    /// Duplicate traces through one cache mine once per attribute key
+    /// at every thread count: the attribute counters read exactly what
+    /// they read at one thread, however the workers race.
+    #[test]
+    fn attr_counts_do_not_depend_on_threads() {
+        // 16 traces over 4 distinct streams that barely fold, so each
+        // mine is long enough that workers overlap on one key.
+        let registry = Arc::new(FunctionRegistry::new());
+        let set = crate::record_masters(&registry, 16, |p, tr| {
+            let mut x = p % 4 + 1;
+            for _ in 0..1_000 {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                tr.leaf(&format!("f{}", (x >> 16) % 64));
+            }
+        });
+        let params = Params::new(
+            FilterConfig::everything(10),
+            AttrConfig {
+                kind: AttrKind::Double,
+                freq: FreqMode::Actual,
+            },
+        );
+        let counts = |threads: usize| {
+            let cache = Arc::new(Cache::new());
+            let opts = PipelineOptions {
+                threads,
+                cache: Some(Arc::clone(&cache)),
+                ..PipelineOptions::default()
+            };
+            analyze(&set, &params, &mut LoopTable::new(), &opts, &dt_obs::NOOP);
+            let s = cache.stats();
+            (s.attr_hits, s.attr_misses)
+        };
+        let sequential = counts(1);
+        assert_eq!(sequential, (12, 4));
+        for threads in [2, 4, 8] {
+            for rep in 0..5 {
+                assert_eq!(counts(threads), sequential, "threads={threads} rep={rep}");
+            }
+        }
     }
 }

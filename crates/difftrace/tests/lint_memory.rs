@@ -1,0 +1,199 @@
+//! Lint's working set, counted exactly. A counting global allocator
+//! tracks live heap bytes, so the peak a `lint_set` call reaches is a
+//! property of the code and the input, not of the machine.
+//!
+//! In the expanded domain TL005 streams the raw NLR terms a chunk at a
+//! time, so a one-thread lint never holds every raw term at once; and
+//! TL005 reports the same in both domains, whichever way it folds.
+
+use difftrace::{lint_set, CheckInput, Checker, Lint, LintDomain, LintOptions};
+use dt_obs::MetricsRecorder;
+use dt_trace::{FunctionRegistry, TraceSet};
+use nlr::{Element, NlrBuilder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use tracelint::RuleCode;
+use workloads::{run_ilcs, run_lulesh, run_oddeven, IlcsConfig, LuleshConfig, OddEvenConfig};
+
+/// The system allocator, with a running count of live bytes and the
+/// highest count seen since [`peak_during`] last reset it.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(n: usize) {
+    let now = LIVE.fetch_add(n, Ordering::SeqCst) + n;
+    PEAK.fetch_max(now, Ordering::SeqCst);
+}
+
+fn shrank(n: usize) {
+    LIVE.fetch_sub(n, Ordering::SeqCst);
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Tests in this binary take turns, so no other test's allocations
+/// land inside a measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Live heap bytes `f` adds at its peak, above what was live when it
+/// started.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = f();
+    (out, PEAK.load(Ordering::SeqCst) - base)
+}
+
+/// The demo corpora `difftrace demo` writes for these workloads.
+fn demo_corpora() -> Vec<(&'static str, TraceSet)> {
+    let registry = Arc::new(FunctionRegistry::new());
+    vec![
+        (
+            "oddeven/faulty",
+            run_oddeven(
+                &OddEvenConfig::paper(Some(OddEvenConfig::swap_bug())),
+                registry.clone(),
+            )
+            .traces,
+        ),
+        (
+            "ilcs-crit/faulty",
+            run_ilcs(
+                &IlcsConfig::paper(Some(IlcsConfig::omp_crit_bug())),
+                registry.clone(),
+            )
+            .traces,
+        ),
+        (
+            "lulesh/normal",
+            run_lulesh(&LuleshConfig::paper(None), registry.clone()).traces,
+        ),
+        (
+            "lulesh/faulty",
+            run_lulesh(
+                &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
+                registry,
+            )
+            .traces,
+        ),
+    ]
+}
+
+/// At one thread, lint's peak live heap on the demo LULESH faulty
+/// corpus stays below the bytes of that corpus's raw NLR terms: the
+/// terms are never all held at once.
+#[test]
+fn one_thread_lint_never_holds_every_raw_term() {
+    let _turn = serial();
+    let registry = Arc::new(FunctionRegistry::new());
+    let set = run_lulesh(
+        &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
+        registry,
+    )
+    .traces;
+    let opts = LintOptions::default();
+    let terms: usize = set
+        .iter()
+        .map(|t| NlrBuilder::new(10).fold(&t.to_symbols()).elements.len())
+        .sum::<usize>()
+        * std::mem::size_of::<Element>();
+    let (report, peak) = peak_during(|| lint_set(&set, &opts));
+    assert!(!report.diagnostics().is_empty(), "the faulty corpus lints");
+    assert!(
+        peak < terms,
+        "lint_set peaked at {peak} live heap bytes; the raw terms alone are {terms}"
+    );
+}
+
+/// TL005 reports the same in the expanded domain, which streams the
+/// terms, as in the compressed domain, which folds them all up front,
+/// at every thread count; both fold each trace once.
+#[test]
+fn roundtrip_diagnostics_agree_across_domains() {
+    let _turn = serial();
+    for (name, set) in demo_corpora() {
+        let tl005 = |domain: LintDomain, threads: usize| {
+            let opts = LintOptions {
+                threads,
+                domain,
+                ..LintOptions::default()
+            };
+            let rec = MetricsRecorder::new();
+            let report = Lint.run(
+                &CheckInput {
+                    set: &set,
+                    hb: None,
+                },
+                &opts,
+                &rec,
+            );
+            let folds = rec
+                .counters()
+                .into_iter()
+                .find(|(k, _)| k == "lint_folds")
+                .map(|(_, v)| v);
+            assert_eq!(folds, Some(set.len() as u64), "{name}: {domain:?}");
+            report
+                .diagnostics()
+                .iter()
+                .filter(|d| d.code == RuleCode::NlrRoundtrip)
+                .map(|d| format!("{d:?}"))
+                .collect::<Vec<String>>()
+        };
+        let reference = tl005(LintDomain::Compressed, 1);
+        for threads in [1, 2, 4] {
+            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+                assert_eq!(
+                    tl005(domain, threads),
+                    reference,
+                    "{name}: {domain:?} at {threads} thread(s)"
+                );
+            }
+        }
+    }
+}

@@ -30,6 +30,7 @@ pub mod server;
 
 pub use executor::{execute, Answer, Corpora, Failure};
 pub use protocol::{
-    err_line, ok_line, parse_request, parse_response, request_line, Request, Response, COMMANDS,
+    err_line, ok_line, parse_request, parse_response, request_line, write_line, Request, Response,
+    COMMANDS,
 };
 pub use server::{ServeConfig, Server};

@@ -19,8 +19,13 @@
 //! Malformed frames (bad JSON, unknown fields, wrong types) get a
 //! diagnosed `ok:false` reply — never a dropped connection, never a
 //! daemon crash.
+//!
+//! Both ends send a frame with [`write_line`]: the line and its newline
+//! leave in one write, on a stream with `TCP_NODELAY` set, so no part
+//! of a frame waits for the peer's delayed ACK.
 
 use dt_obs::json::{self, Value};
+use std::io::Write;
 
 /// Commands the daemon answers, in help order.
 pub const COMMANDS: &[&str] = &[
@@ -240,6 +245,19 @@ pub fn err_line(id: u64, error: &str) -> String {
         "{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}",
         json::escape(error)
     )
+}
+
+/// Send one frame: `line` and its `\n` built into one buffer and
+/// handed to the stream in a single `write_all`, then flushed. Writing
+/// the newline on its own would send it as a second segment, which
+/// Nagle's algorithm holds until the peer ACKs the first — a delayed
+/// ACK of about 40 ms on every round trip.
+pub fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
+    w.flush()
 }
 
 /// Parse one reply line — the client side of [`ok_line`]/[`err_line`].

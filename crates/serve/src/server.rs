@@ -12,6 +12,11 @@
 //! count), and per-corpus decode caches are interior-mutable behind
 //! per-trace once-cells — so replies are byte-identical to the one-shot
 //! CLI at any interleaving, which the serve-equivalence suite checks.
+//!
+//! On the wire, every accepted stream has `TCP_NODELAY` set and every
+//! frame leaves in one write ([`protocol::write_line`]): a reply split
+//! into payload and newline on a Nagle-enabled socket would hold the
+//! newline until the client's delayed ACK, about 43 ms on every reply.
 
 use crate::executor::{self, Corpora};
 use crate::protocol;
@@ -20,7 +25,7 @@ use dt_cache::Cache;
 use dt_obs::{MetricsRecorder, Recorder};
 use dt_trace::store::IndexedSet;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,6 +140,10 @@ impl Server {
 const MAX_FRAME: u64 = 1 << 20;
 
 fn handle_connection(state: &Arc<State>, stream: TcpStream) {
+    // A reply longer than one segment must not leave its tail behind
+    // Nagle either; without the option the daemon still answers, only
+    // slower.
+    let _ = stream.set_nodelay(true);
     let Ok(reader) = stream.try_clone() else {
         return;
     };
@@ -162,10 +171,7 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                 0,
                 &format!("request frame exceeds {MAX_FRAME} bytes; closing the connection"),
             );
-            if writeln!(writer, "{reply}")
-                .and_then(|()| writer.flush())
-                .is_ok()
-            {
+            if protocol::write_line(&mut writer, &reply).is_ok() {
                 // FIN right after the reply: closing with the rest of
                 // the frame unread resets the connection.
                 let _ = writer.shutdown(Shutdown::Write);
@@ -179,7 +185,7 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
             continue;
         }
         let (reply, shutdown) = answer(state, line);
-        let sent = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+        let sent = protocol::write_line(&mut writer, &reply);
         if shutdown {
             // Only now that the reply is written: once the flag is set
             // and the accept loop woken, `run` returns and the process

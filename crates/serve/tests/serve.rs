@@ -1,6 +1,7 @@
 //! Daemon behaviour tests: equivalence with direct library calls,
 //! malformed-frame resilience, lazy decode accounting, concurrent
-//! clients, clean shutdown.
+//! clients, clean shutdown, and round trips free of the delayed-ACK
+//! stall.
 
 use dt_serve::protocol::{self, Request};
 use dt_serve::{render, ServeConfig, Server};
@@ -53,8 +54,11 @@ impl Daemon {
         }
     }
 
+    /// A client that sends each frame in one write with `TCP_NODELAY`
+    /// set, as `difftrace query` does.
     fn connect(&self) -> Client {
         let stream = TcpStream::connect(self.addr).unwrap();
+        stream.set_nodelay(true).unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         Client { stream, reader }
     }
@@ -76,7 +80,7 @@ impl Drop for Daemon {
         if let Some(h) = self.handle.take() {
             // Best-effort shutdown so a failing test doesn't hang.
             if let Ok(mut s) = TcpStream::connect(self.addr) {
-                let _ = writeln!(s, "{{\"cmd\":\"shutdown\"}}");
+                let _ = protocol::write_line(&mut s, "{\"cmd\":\"shutdown\"}");
             }
             let _ = h.join();
         }
@@ -90,8 +94,7 @@ struct Client {
 
 impl Client {
     fn send_line(&mut self, line: &str) -> protocol::Response {
-        writeln!(self.stream, "{line}").unwrap();
-        self.stream.flush().unwrap();
+        protocol::write_line(&mut self.stream, line).unwrap();
         let mut reply = String::new();
         self.reader.read_line(&mut reply).unwrap();
         protocol::parse_response(reply.trim_end()).unwrap()
@@ -356,6 +359,42 @@ fn unknown_trace_and_bad_spec_are_diagnosed() {
     let resp = c.roundtrip(&q);
     assert!(!resp.ok);
     assert!(resp.error.contains("not in store"), "{}", resp.error);
+
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Round trips on one connection are not held back by the delayed ACK.
+/// A reply sent as payload and newline in two writes on a Nagle-enabled
+/// socket stalls each round trip by about 40 ms, so 40 of them take
+/// over 1.6 s; sent in one write with `TCP_NODELAY`, a batch takes a
+/// few ms. The 400 ms bound sits far from both.
+#[test]
+fn round_trips_do_not_wait_for_the_delayed_ack() {
+    let dir = demo_corpora("stall");
+    let daemon = Daemon::start(&dir, 1);
+    let mut c = daemon.connect();
+    let metrics = Request {
+        id: 3,
+        cmd: "metrics".to_string(),
+        ..Request::default()
+    };
+    let race = req("racecheck", "faulty");
+    // One cold query first, so the batch times only warm round trips.
+    assert!(c.roundtrip(&race).ok);
+    for q in [&metrics, &race] {
+        let start = std::time::Instant::now();
+        for _ in 0..40 {
+            let resp = c.roundtrip(q);
+            assert!(resp.ok, "{}", resp.error);
+        }
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(400),
+            "40 `{}` round trips took {took:?}",
+            q.cmd
+        );
+    }
 
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).ok();
