@@ -28,14 +28,15 @@
 //! unchanged corpus therefore reproduces the bundle byte for byte —
 //! the CI `baseline-gate` job byte-diffs two recordings to pin this.
 
+use difftrace::CHECKERS;
 use dt_trace::codec::{seal, unseal, write_varint, CodecError, Reader};
 use dt_trace::TraceId;
 
 /// Bump whenever the encoded payload changes shape. Decoders reject
 /// other versions with a "re-record" message rather than guessing.
-/// Version 2 added the racecheck per-code section; version 3 the
-/// reqcheck one.
-pub const BUNDLE_FORMAT_VERSION: u32 = 3;
+/// Version 4 records one named section per registered checker, so a
+/// new checker changes the sections a bundle must hold, not the format.
+pub const BUNDLE_FORMAT_VERSION: u32 = 4;
 
 /// File magic: distinguishes bundles from other sealed artifacts
 /// (dt-cache entries carry their own magic).
@@ -82,39 +83,28 @@ pub struct Baseline {
     pub clusters: u64,
     /// Outlier traces (members of the smallest cluster), sorted.
     pub outliers: Vec<TraceId>,
-    /// tracelint findings aggregated per code, sorted by code.
-    pub lint: Vec<CodeCount>,
-    /// Whether the recorded run carried a happens-before section.
-    pub has_hb: bool,
-    /// hbcheck findings aggregated per code, sorted by code. Empty
-    /// when `has_hb` is false.
-    pub hb: Vec<CodeCount>,
-    /// racecheck findings aggregated per code (`RC001`…), sorted by
-    /// code. Races need no happens-before section, so this is recorded
-    /// for every corpus.
-    pub race: Vec<CodeCount>,
-    /// reqcheck findings aggregated per code (`RQ001`…), sorted by
-    /// code. Runs without request markers are trivially clean, so this
-    /// is recorded for every corpus too.
-    pub req: Vec<CodeCount>,
+    /// One section per registered checker, in registry order
+    /// ([`difftrace::CHECKERS`]).
+    pub checks: Vec<CheckSection>,
+}
+
+/// One registered checker's findings in a bundle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckSection {
+    /// The checker's name ([`difftrace::AnyChecker::name`]).
+    pub name: String,
+    /// Whether the checker ran. A checker that needs a happens-before
+    /// section does not run on a run without one.
+    pub ran: bool,
+    /// Findings aggregated per code, sorted by code; empty when the
+    /// checker did not run.
+    pub counts: Vec<CodeCount>,
 }
 
 impl Baseline {
-    /// The per-code counts recorded for the registered checker `name`
-    /// (one bundle field per checker; a new checker needs a bundle
-    /// format bump).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a name no bundle field records.
-    pub fn counts_mut(&mut self, name: &str) -> &mut Vec<CodeCount> {
-        match name {
-            "lint" => &mut self.lint,
-            "hbcheck" => &mut self.hb,
-            "racecheck" => &mut self.race,
-            "reqcheck" => &mut self.req,
-            other => panic!("no bundle field records checker `{other}`"),
-        }
+    /// The section of the registered checker `name`.
+    pub fn section(&self, name: &str) -> Option<&CheckSection> {
+        self.checks.iter().find(|c| c.name == name)
     }
 }
 
@@ -188,11 +178,12 @@ impl Baseline {
         for &id in &self.outliers {
             write_id(&mut out, id);
         }
-        code_counts_encode(&mut out, &self.lint);
-        out.push(u8::from(self.has_hb));
-        code_counts_encode(&mut out, &self.hb);
-        code_counts_encode(&mut out, &self.race);
-        code_counts_encode(&mut out, &self.req);
+        write_varint(&mut out, self.checks.len() as u64);
+        for c in &self.checks {
+            write_str(&mut out, &c.name);
+            out.push(u8::from(c.ran));
+            code_counts_encode(&mut out, &c.counts);
+        }
         seal(out)
     }
 
@@ -231,6 +222,17 @@ impl Baseline {
                 r.remaining()
             ));
         }
+        // Exactly this build's checkers, in registry order.
+        let names: Vec<&str> = baseline.checks.iter().map(|c| c.name.as_str()).collect();
+        let registry: Vec<&str> = CHECKERS.iter().map(|c| c.name()).collect();
+        if names != registry {
+            return Err(format!(
+                "baseline bundle has checker sections [{}]; this build runs [{}] — re-record \
+                 the baseline",
+                names.join(", "),
+                registry.join(", ")
+            ));
+        }
         Ok(baseline)
     }
 
@@ -248,17 +250,20 @@ impl Baseline {
         })?;
         let clusters = r.varint()?;
         let outliers = r.list(2, Reader::id)?;
+        let checks = r.list(3, |r| {
+            Ok(CheckSection {
+                name: r.string()?,
+                ran: flag(r, "bad ran flag")?,
+                counts: code_counts_decode(r)?,
+            })
+        })?;
         Ok(Baseline {
             filter,
             attrs,
             traces,
             clusters,
             outliers,
-            lint: code_counts_decode(r)?,
-            has_hb: flag(r, "bad happens-before flag")?,
-            hb: code_counts_decode(r)?,
-            race: code_counts_decode(r)?,
-            req: code_counts_decode(r)?,
+            checks,
         })
     }
 
@@ -301,27 +306,19 @@ mod tests {
             ],
             clusters: 2,
             outliers: vec![TraceId::new(1, 0)],
-            lint: vec![CodeCount {
-                code: "TL003".to_string(),
-                errors: 0,
-                warnings: 1,
-            }],
-            has_hb: true,
-            hb: vec![CodeCount {
-                code: "HB001".to_string(),
-                errors: 1,
-                warnings: 0,
-            }],
-            race: vec![CodeCount {
-                code: "RC004".to_string(),
-                errors: 0,
-                warnings: 2,
-            }],
-            req: vec![CodeCount {
-                code: "RQ001".to_string(),
-                errors: 1,
-                warnings: 0,
-            }],
+            checks: CHECKERS
+                .iter()
+                .enumerate()
+                .map(|(i, c)| CheckSection {
+                    name: c.name().to_string(),
+                    ran: true,
+                    counts: vec![CodeCount {
+                        code: c.codes()[i].to_string(),
+                        errors: i as u64 % 2,
+                        warnings: 2 - i as u64 % 2,
+                    }],
+                })
+                .collect(),
         }
     }
 
@@ -371,6 +368,38 @@ mod tests {
         let err = Baseline::decode(&payload).unwrap_err();
         assert!(err.contains("format version"), "{err}");
         assert!(err.contains("re-record"), "{err}");
+    }
+
+    /// Sections that are not this build's registry, in its order, are
+    /// a diagnosed re-record error, never a panic or a false decode.
+    #[test]
+    fn sections_off_the_registry_are_a_re_record_error() {
+        let with = |edit: fn(&mut Vec<CheckSection>)| {
+            let mut b = sample();
+            edit(&mut b.checks);
+            b
+        };
+        let cases = [
+            ("missing", with(|s| drop(s.pop()))),
+            ("none", with(Vec::clear)),
+            (
+                "extra",
+                with(|s| {
+                    s.push(CheckSection {
+                        name: "newcheck".to_string(),
+                        ran: true,
+                        counts: Vec::new(),
+                    });
+                }),
+            ),
+            ("renamed", with(|s| s[1].name = "hb".to_string())),
+            ("out of order", with(|s| s.swap(1, 2))),
+        ];
+        for (what, bad) in cases {
+            let err = Baseline::decode(&bad.encode()).unwrap_err();
+            assert!(err.contains("checker sections"), "{what}: {err}");
+            assert!(err.contains("re-record"), "{what}: {err}");
+        }
     }
 
     #[test]

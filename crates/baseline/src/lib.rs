@@ -5,11 +5,12 @@
 //! record` snapshots one analyzed run into a sealed [`Baseline`]
 //! bundle: per-trace NLR content fingerprints (the same dt-cache keys
 //! the analysis cache uses), the single-run JSM ranking, and the
-//! tracelint/hbcheck/racecheck/reqcheck findings. `baseline check`
-//! re-snapshots a
-//! candidate run under the baseline's recorded parameters and judges
-//! the divergence under a [`Policy`], producing an [`AssertionReport`]
-//! with one entry per policy clause.
+//! findings of every registered checker ([`difftrace::CHECKERS`]).
+//! `baseline check` re-snapshots a candidate run under the baseline's
+//! recorded parameters and judges the divergence under a [`Policy`],
+//! producing an [`AssertionReport`] with one entry per policy clause.
+//! Nothing here names a checker: sections, policy keys and clauses all
+//! come from the registry.
 //!
 //! Everything here inherits the pipeline's determinism contract: a
 //! snapshot (and therefore a verdict, and therefore an encoded
@@ -20,7 +21,9 @@ mod bundle;
 mod policy;
 mod report;
 
-pub use bundle::{sealed_hash, Baseline, CodeCount, TraceRecord, BUNDLE_FORMAT_VERSION};
+pub use bundle::{
+    sealed_hash, Baseline, CheckSection, CodeCount, TraceRecord, BUNDLE_FORMAT_VERSION,
+};
 pub use policy::{DiffClass, Policy};
 pub use report::{AssertionReport, ClauseEntry, ClauseStatus};
 
@@ -105,19 +108,20 @@ pub fn snapshot_rec(
         traces,
         clusters: single.clusters.len() as u64,
         outliers,
-        has_hb,
-        ..Baseline::default()
+        checks: Vec::new(),
     };
     if rec.enabled() {
         rec.add("baseline_traces", baseline.traces.len() as u64);
     }
     // Every checker under the pipeline pre-pass options (the recorded
-    // filter for lint, expanded domain). Checkers that need a
-    // happens-before section record nothing for runs without one.
+    // filter for the checkers that take one, expanded domain). Checkers
+    // that need a happens-before section do not run on runs without
+    // one, and their sections say so.
     let check = LintOptions::for_pipeline(params, opts.threads);
     let input = CheckInput { set, hb: Some(hb) };
     for c in CHECKERS {
-        let counts = if has_hb || !c.needs_hb() {
+        let ran = has_hb || !c.needs_hb();
+        let counts = if ran {
             let _s = stage(rec, c.name());
             code_counts(&c.check(&input, &check, rec))
         } else {
@@ -127,7 +131,11 @@ pub fn snapshot_rec(
             let errors = counts.iter().map(|c| c.errors).sum();
             rec.add(&format!("baseline_{}_errors", c.tag()), errors);
         }
-        *baseline.counts_mut(c.name()) = counts;
+        baseline.checks.push(CheckSection {
+            name: c.name().to_string(),
+            ran,
+            counts,
+        });
     }
     baseline
 }
@@ -161,11 +169,11 @@ fn clause(
 /// at error severity.
 fn required_clean_violations(
     counts: &[CodeCount],
-    required: &std::collections::BTreeSet<String>,
+    required: Option<&std::collections::BTreeSet<String>>,
 ) -> Vec<String> {
     counts
         .iter()
-        .filter(|c| c.errors > 0 && required.contains(&c.code))
+        .filter(|c| c.errors > 0 && required.is_some_and(|r| r.contains(&c.code)))
         .map(|c| format!("{}: {} error(s) (required clean)", c.code, c.errors))
         .collect()
 }
@@ -231,11 +239,6 @@ pub fn evaluate(
             )
         })
         .collect();
-
-    let lint_viol = required_clean_violations(&candidate.lint, &policy.require_clean_tl);
-    let hb_viol = required_clean_violations(&candidate.hb, &policy.require_clean_hb);
-    let race_viol = required_clean_violations(&candidate.race, &policy.require_clean_race);
-    let req_viol = required_clean_violations(&candidate.req, &policy.require_clean_req);
 
     let count_summary = |n: usize, what: &str, suffix: &str| {
         if n == 0 {
@@ -306,50 +309,36 @@ pub fn evaluate(
             shifted,
             false,
         ),
-        clause(
-            DiffClass::LintRegression,
-            policy,
-            count_summary(lint_viol.len(), "required-clean lint code(s) fired", ""),
-            lint_viol,
-            false,
-        ),
     ];
-    if candidate.has_hb {
+    for (i, c) in CHECKERS.iter().enumerate() {
+        let class = DiffClass::Regression(i);
+        let section = candidate
+            .section(c.name())
+            .ok_or_else(|| format!("candidate snapshot has no `{}` section", c.name()))?;
+        if !section.ran {
+            let summary = if c.needs_hb() {
+                "no happens-before section in the candidate run".to_string()
+            } else {
+                format!("{} did not run on the candidate", c.name())
+            };
+            clauses.push(ClauseEntry {
+                class,
+                status: ClauseStatus::Skipped,
+                summary,
+                details: Vec::new(),
+            });
+            continue;
+        }
+        let viol = required_clean_violations(&section.counts, policy.require_clean.get(c.name()));
+        let what = format!("required-clean {} code(s) fired", c.name());
         clauses.push(clause(
-            DiffClass::HbRegression,
+            class,
             policy,
-            count_summary(hb_viol.len(), "required-clean hbcheck code(s) fired", ""),
-            hb_viol,
+            count_summary(viol.len(), &what, ""),
+            viol,
             false,
         ));
-    } else {
-        clauses.push(ClauseEntry {
-            class: DiffClass::HbRegression,
-            status: ClauseStatus::Skipped,
-            summary: "no happens-before section in the candidate run".to_string(),
-            details: Vec::new(),
-        });
     }
-    // Races need no happens-before section; this clause always runs.
-    clauses.push(clause(
-        DiffClass::RaceRegression,
-        policy,
-        count_summary(
-            race_viol.len(),
-            "required-clean racecheck code(s) fired",
-            "",
-        ),
-        race_viol,
-        false,
-    ));
-    // Request markers likewise live in the traces themselves.
-    clauses.push(clause(
-        DiffClass::ReqRegression,
-        policy,
-        count_summary(req_viol.len(), "required-clean reqcheck code(s) fired", ""),
-        req_viol,
-        false,
-    ));
     Ok(AssertionReport {
         candidate: candidate_label.to_string(),
         baseline_hash: baseline.bundle_hash(),
@@ -377,12 +366,35 @@ mod tests {
             traces,
             clusters: 1,
             outliers: Vec::new(),
-            lint: Vec::new(),
-            has_hb: true,
-            hb: Vec::new(),
-            race: Vec::new(),
-            req: Vec::new(),
+            checks: CHECKERS
+                .iter()
+                .map(|c| CheckSection {
+                    name: c.name().to_string(),
+                    ran: true,
+                    counts: Vec::new(),
+                })
+                .collect(),
         }
+    }
+
+    /// The section of checker `name` in `b`.
+    fn section<'a>(b: &'a mut Baseline, name: &str) -> &'a mut CheckSection {
+        b.checks.iter_mut().find(|c| c.name == name).unwrap()
+    }
+
+    /// `b` with one error-severity `code` recorded for checker `name`.
+    fn firing(b: &Baseline, name: &str, code: &str, errors: u64) -> Baseline {
+        let mut b = b.clone();
+        section(&mut b, name).counts = vec![CodeCount {
+            code: code.to_string(),
+            errors,
+            warnings: 0,
+        }];
+        b
+    }
+
+    fn class(name: &str) -> DiffClass {
+        DiffClass::parse(name).unwrap()
     }
 
     #[test]
@@ -391,6 +403,8 @@ mod tests {
         let r = evaluate(&b, &b, &Policy::default(), "run").unwrap();
         assert!(r.passed(), "{}", r.render_text());
         assert!(r.clauses.iter().all(|c| c.status == ClauseStatus::Pass));
+        let classes: Vec<DiffClass> = r.clauses.iter().map(|c| c.class).collect();
+        assert_eq!(classes, DiffClass::all().collect::<Vec<_>>());
     }
 
     #[test]
@@ -418,41 +432,17 @@ mod tests {
         let r = evaluate(&b, &shifted, &policy, "run").unwrap();
         assert_eq!(r.failures(), vec![DiffClass::RankingShift]);
 
-        let mut linty = b.clone();
-        linty.lint = vec![CodeCount {
-            code: "TL002".to_string(),
-            errors: 2,
-            warnings: 0,
-        }];
-        let r = evaluate(&b, &linty, &policy, "run").unwrap();
-        assert_eq!(r.failures(), vec![DiffClass::LintRegression]);
-
-        let mut hb = b.clone();
-        hb.hb = vec![CodeCount {
-            code: "HB001".to_string(),
-            errors: 1,
-            warnings: 0,
-        }];
-        let r = evaluate(&b, &hb, &policy, "run").unwrap();
-        assert_eq!(r.failures(), vec![DiffClass::HbRegression]);
-
-        let mut racy = b.clone();
-        racy.race = vec![CodeCount {
-            code: "RC001".to_string(),
-            errors: 3,
-            warnings: 0,
-        }];
-        let r = evaluate(&b, &racy, &policy, "run").unwrap();
-        assert_eq!(r.failures(), vec![DiffClass::RaceRegression]);
-
-        let mut leaky = b.clone();
-        leaky.req = vec![CodeCount {
-            code: "RQ001".to_string(),
-            errors: 1,
-            warnings: 0,
-        }];
-        let r = evaluate(&b, &leaky, &policy, "run").unwrap();
-        assert_eq!(r.failures(), vec![DiffClass::ReqRegression]);
+        for (name, code, errors, fails) in [
+            ("lint", "TL002", 2, "lint-regression"),
+            ("hbcheck", "HB001", 1, "hb-regression"),
+            ("racecheck", "RC001", 3, "race-regression"),
+            ("reqcheck", "RQ001", 1, "req-regression"),
+        ] {
+            let r = evaluate(&b, &firing(&b, name, code, errors), &policy, "run").unwrap();
+            assert_eq!(r.failures(), vec![class(fails)]);
+            let summary = format!("1 required-clean {name} code(s) fired");
+            assert!(r.render_text().contains(&summary), "{}", r.render_text());
+        }
     }
 
     #[test]
@@ -495,7 +485,7 @@ mod tests {
 
         // Required-clean sets: codes outside the set never gate.
         let mut warn_only = b.clone();
-        warn_only.lint = vec![CodeCount {
+        section(&mut warn_only, "lint").counts = vec![CodeCount {
             code: "TL003".to_string(),
             errors: 0,
             warnings: 4,
@@ -503,31 +493,31 @@ mod tests {
         assert!(evaluate(&b, &warn_only, &Policy::default(), "run")
             .unwrap()
             .passed());
-        let mut off_list = b.clone();
-        off_list.hb = vec![CodeCount {
-            code: "HB001".to_string(),
-            errors: 1,
-            warnings: 0,
-        }];
-        let narrow = Policy {
-            require_clean_hb: ["HB002".to_string()].into_iter().collect(),
-            ..Policy::default()
-        };
+        let off_list = firing(&b, "hbcheck", "HB001", 1);
+        let mut narrow = Policy::default();
+        narrow
+            .require_clean
+            .insert("hbcheck", ["HB002".to_string()].into_iter().collect());
         assert!(evaluate(&b, &off_list, &narrow, "run").unwrap().passed());
     }
 
     #[test]
     fn missing_hb_section_skips_the_clause() {
         let mut b = snap(vec![rec(0, 1, 2.0)]);
-        b.has_hb = false;
+        section(&mut b, "hbcheck").ran = false;
         let r = evaluate(&b, &b, &Policy::default(), "run").unwrap();
         assert!(r.passed());
+        assert_eq!(r.clauses[5].class, class("hb-regression"));
         assert_eq!(r.clauses[5].status, ClauseStatus::Skipped);
+        assert_eq!(
+            r.clauses[5].summary,
+            "no happens-before section in the candidate run"
+        );
         // The race and req clauses need no happens-before log; they
         // still run.
-        assert_eq!(r.clauses[6].class, DiffClass::RaceRegression);
+        assert_eq!(r.clauses[6].class, class("race-regression"));
         assert_eq!(r.clauses[6].status, ClauseStatus::Pass);
-        assert_eq!(r.clauses[7].class, DiffClass::ReqRegression);
+        assert_eq!(r.clauses[7].class, class("req-regression"));
         assert_eq!(r.clauses[7].status, ClauseStatus::Pass);
     }
 

@@ -2,14 +2,17 @@
 //!
 //! A `baseline check` never judges "did any byte change" — it
 //! classifies each divergence between the candidate and the baseline
-//! into one of eight [`DiffClass`]es and judges each class under the
+//! into one [`DiffClass`] (four fixed classes, then one regression
+//! class per registered checker) and judges each class under the
 //! policy. The policy text format is a deliberately boring
 //! `key = value` file (hand-parsed; the workspace carries no serde):
 //! it diffs well in review, and a CI gate's tolerances belong in
 //! version control next to the workflows that consume them.
 
-use std::collections::BTreeSet;
+use difftrace::{AnyChecker, CHECKERS};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The kinds of divergence a check can observe; each is one clause of
 /// the [`crate::AssertionReport`].
@@ -23,56 +26,48 @@ pub enum DiffClass {
     NlrChanged,
     /// A trace's JSM row score moved more than the allowed shift.
     RankingShift,
-    /// The candidate fires a required-clean tracelint code at error
-    /// severity.
-    LintRegression,
-    /// The candidate fires a required-clean hbcheck code at error
-    /// severity.
-    HbRegression,
-    /// The candidate fires a required-clean racecheck code at error
-    /// severity.
-    RaceRegression,
-    /// The candidate fires a required-clean reqcheck code at error
-    /// severity.
-    ReqRegression,
+    /// The candidate fires a required-clean code of the checker at this
+    /// index of [`CHECKERS`] at error severity (`<tag>-regression`).
+    Regression(usize),
 }
 
 impl DiffClass {
-    /// Every class, in report (and evaluation) order.
-    pub const ALL: [DiffClass; 8] = [
-        DiffClass::TraceAdded,
-        DiffClass::TraceRemoved,
-        DiffClass::NlrChanged,
-        DiffClass::RankingShift,
-        DiffClass::LintRegression,
-        DiffClass::HbRegression,
-        DiffClass::RaceRegression,
-        DiffClass::ReqRegression,
-    ];
+    /// Every class, in report (and evaluation) order: the four fixed
+    /// classes, then one regression class per registered checker.
+    pub fn all() -> impl Iterator<Item = DiffClass> {
+        [
+            DiffClass::TraceAdded,
+            DiffClass::TraceRemoved,
+            DiffClass::NlrChanged,
+            DiffClass::RankingShift,
+        ]
+        .into_iter()
+        .chain((0..CHECKERS.len()).map(DiffClass::Regression))
+    }
 
     /// Stable name used in policy files, reports, and gate messages.
     pub fn as_str(self) -> &'static str {
+        static REGRESSIONS: OnceLock<Vec<String>> = OnceLock::new();
         match self {
             DiffClass::TraceAdded => "trace-added",
             DiffClass::TraceRemoved => "trace-removed",
             DiffClass::NlrChanged => "nlr-changed",
             DiffClass::RankingShift => "ranking-shift",
-            DiffClass::LintRegression => "lint-regression",
-            DiffClass::HbRegression => "hb-regression",
-            DiffClass::RaceRegression => "race-regression",
-            DiffClass::ReqRegression => "req-regression",
+            DiffClass::Regression(i) => &REGRESSIONS.get_or_init(|| {
+                CHECKERS
+                    .iter()
+                    .map(|c| format!("{}-regression", c.tag()))
+                    .collect()
+            })[i],
         }
     }
 
     /// Parse a class name (the [`DiffClass::as_str`] form).
     pub fn parse(s: &str) -> Result<DiffClass, String> {
-        DiffClass::ALL
-            .into_iter()
-            .find(|c| c.as_str() == s)
-            .ok_or_else(|| {
-                let all: Vec<&str> = DiffClass::ALL.iter().map(|c| c.as_str()).collect();
-                format!("unknown diff class `{s}` ({})", all.join(", "))
-            })
+        DiffClass::all().find(|c| c.as_str() == s).ok_or_else(|| {
+            let all: Vec<&str> = DiffClass::all().map(DiffClass::as_str).collect();
+            format!("unknown diff class `{s}` ({})", all.join(", "))
+        })
     }
 }
 
@@ -93,14 +88,9 @@ pub struct Policy {
     /// strictly larger shifts fail. Scores are bit-deterministic, so
     /// the default `0.0` means "exactly the recorded ranking".
     pub max_ranking_shift: f64,
-    /// tracelint codes that must not fire at error severity.
-    pub require_clean_tl: BTreeSet<String>,
-    /// hbcheck codes that must not fire at error severity.
-    pub require_clean_hb: BTreeSet<String>,
-    /// racecheck codes that must not fire at error severity.
-    pub require_clean_race: BTreeSet<String>,
-    /// reqcheck codes that must not fire at error severity.
-    pub require_clean_req: BTreeSet<String>,
+    /// Per registered checker, keyed by its name: the codes that must
+    /// not fire at error severity (policy key `require_clean_<key>`).
+    pub require_clean: BTreeMap<&'static str, BTreeSet<String>>,
     /// Whether traces absent from the baseline are acceptable.
     pub allow_new_traces: bool,
     /// Whether missing baseline traces are acceptable.
@@ -109,14 +99,13 @@ pub struct Policy {
 
 impl Default for Policy {
     fn default() -> Policy {
-        let codes = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Policy {
             tolerate: BTreeSet::new(),
             max_ranking_shift: 0.0,
-            require_clean_tl: codes(&["TL001", "TL002", "TL003", "TL004", "TL005", "TL006"]),
-            require_clean_hb: codes(&["HB001", "HB002", "HB003", "HB004", "HB005"]),
-            require_clean_race: codes(&["RC001", "RC002", "RC003", "RC004"]),
-            require_clean_req: codes(&["RQ001", "RQ002", "RQ003", "RQ004", "RQ005"]),
+            require_clean: CHECKERS
+                .iter()
+                .map(|c| (c.name(), c.codes().into_iter().map(String::from).collect()))
+                .collect(),
             allow_new_traces: false,
             allow_removed_traces: false,
         }
@@ -131,18 +120,18 @@ fn parse_bool(key: &str, v: &str) -> Result<bool, String> {
     }
 }
 
-fn parse_codes(key: &str, v: &str) -> Result<BTreeSet<String>, String> {
+/// A comma-separated set of `checker`'s codes; any other token is an
+/// error, so a typo never leaves a code silently ungated.
+fn parse_codes(key: &str, v: &str, checker: &dyn AnyChecker) -> Result<BTreeSet<String>, String> {
+    let codes = checker.codes();
     let mut set = BTreeSet::new();
-    for tok in v.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        if !tok
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return Err(format!("{key}: bad code token `{tok}`"));
+    for tok in v.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        if !codes.contains(&tok) {
+            return Err(format!(
+                "{key}: bad code token `{tok}`: not a {} code ({})",
+                checker.name(),
+                codes.join(", ")
+            ));
         }
         set.insert(tok.to_string());
     }
@@ -153,29 +142,34 @@ impl Policy {
     /// Render as the policy text format. `Policy::parse` of the result
     /// reconstructs the policy exactly (property-tested).
     pub fn to_text(&self) -> String {
-        let join_classes =
-            |s: &BTreeSet<DiffClass>| s.iter().map(|c| c.as_str()).collect::<Vec<_>>().join(",");
-        let join_codes =
-            |s: &BTreeSet<String>| s.iter().map(String::as_str).collect::<Vec<_>>().join(",");
-        format!(
+        let classes: Vec<&str> = self.tolerate.iter().map(|c| c.as_str()).collect();
+        let mut out = format!(
             "# difftrace baseline policy\n\
              tolerate = {}\n\
-             max_ranking_shift = {}\n\
-             require_clean_tl = {}\n\
-             require_clean_hb = {}\n\
-             require_clean_race = {}\n\
-             require_clean_req = {}\n\
-             allow_new_traces = {}\n\
-             allow_removed_traces = {}\n",
-            join_classes(&self.tolerate),
+             max_ranking_shift = {}\n",
+            classes.join(","),
             self.max_ranking_shift,
-            join_codes(&self.require_clean_tl),
-            join_codes(&self.require_clean_hb),
-            join_codes(&self.require_clean_race),
-            join_codes(&self.require_clean_req),
-            self.allow_new_traces,
-            self.allow_removed_traces,
-        )
+        );
+        for c in CHECKERS {
+            let codes: Vec<&str> = self
+                .require_clean
+                .get(c.name())
+                .into_iter()
+                .flatten()
+                .map(String::as_str)
+                .collect();
+            out.push_str(&format!(
+                "require_clean_{} = {}\n",
+                c.key(),
+                codes.join(",")
+            ));
+        }
+        out.push_str(&format!(
+            "allow_new_traces = {}\n\
+             allow_removed_traces = {}\n",
+            self.allow_new_traces, self.allow_removed_traces,
+        ));
+        out
     }
 
     /// Parse the policy text format. Unknown keys and repeated keys are
@@ -217,25 +211,20 @@ impl Policy {
                     }
                     policy.max_ranking_shift = v;
                 }
-                "require_clean_tl" => {
-                    policy.require_clean_tl = parse_codes(key, value).map_err(&at)?;
-                }
-                "require_clean_hb" => {
-                    policy.require_clean_hb = parse_codes(key, value).map_err(&at)?;
-                }
-                "require_clean_race" => {
-                    policy.require_clean_race = parse_codes(key, value).map_err(&at)?;
-                }
-                "require_clean_req" => {
-                    policy.require_clean_req = parse_codes(key, value).map_err(&at)?;
-                }
                 "allow_new_traces" => {
                     policy.allow_new_traces = parse_bool(key, value).map_err(&at)?;
                 }
                 "allow_removed_traces" => {
                     policy.allow_removed_traces = parse_bool(key, value).map_err(&at)?;
                 }
-                other => return Err(at(format!("unknown policy key `{other}`"))),
+                other => {
+                    let checker = other
+                        .strip_prefix("require_clean_")
+                        .and_then(|k| CHECKERS.iter().find(|c| c.key() == k))
+                        .ok_or_else(|| at(format!("unknown policy key `{other}`")))?;
+                    let codes = parse_codes(key, value, *checker).map_err(&at)?;
+                    policy.require_clean.insert(checker.name(), codes);
+                }
             }
             // Checked after the value parse so the error for a bad
             // value on a fresh key wins over the duplicate complaint.
@@ -257,6 +246,24 @@ mod tests {
         assert_eq!(Policy::parse(&p.to_text()).unwrap(), p);
     }
 
+    /// The default renders exactly as it did when every checker had
+    /// its own policy field, so committed policy files stay valid.
+    #[test]
+    fn default_text_is_pinned() {
+        assert_eq!(
+            Policy::default().to_text(),
+            "# difftrace baseline policy\n\
+             tolerate = \n\
+             max_ranking_shift = 0\n\
+             require_clean_tl = TL001,TL002,TL003,TL004,TL005,TL006\n\
+             require_clean_hb = HB001,HB002,HB003,HB004,HB005\n\
+             require_clean_race = RC001,RC002,RC003,RC004\n\
+             require_clean_req = RQ001,RQ002,RQ003,RQ004,RQ005\n\
+             allow_new_traces = false\n\
+             allow_removed_traces = false\n"
+        );
+    }
+
     #[test]
     fn empty_text_is_the_default() {
         assert_eq!(Policy::parse("").unwrap(), Policy::default());
@@ -271,7 +278,7 @@ mod tests {
         let p = Policy::parse("tolerate = ranking-shift\nmax_ranking_shift = 0.5\n").unwrap();
         assert!(p.tolerate.contains(&DiffClass::RankingShift));
         assert_eq!(p.max_ranking_shift, 0.5);
-        assert_eq!(p.require_clean_tl, Policy::default().require_clean_tl);
+        assert_eq!(p.require_clean, Policy::default().require_clean);
         assert!(!p.allow_new_traces);
     }
 
@@ -286,6 +293,9 @@ mod tests {
             ("frobnication = on", "unknown policy key"),
             ("just some words", "key = value"),
             ("require_clean_tl = TL 001", "bad code token"),
+            ("require_clean_hb = HB001, TL001", "not a hbcheck code"),
+            ("require_clean_race = RC005", "not a racecheck code"),
+            ("require_clean_lint = TL001", "unknown policy key"),
             (
                 "tolerate = nlr-changed\ntolerate = trace-added",
                 "duplicate policy key",
@@ -302,9 +312,23 @@ mod tests {
 
     #[test]
     fn class_names_roundtrip() {
-        for c in DiffClass::ALL {
+        for c in DiffClass::all() {
             assert_eq!(DiffClass::parse(c.as_str()).unwrap(), c);
         }
         assert!(DiffClass::parse("NLR-CHANGED").is_err());
+        let names: Vec<&str> = DiffClass::all().map(DiffClass::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "trace-added",
+                "trace-removed",
+                "nlr-changed",
+                "ranking-shift",
+                "lint-regression",
+                "hb-regression",
+                "race-regression",
+                "req-regression",
+            ]
+        );
     }
 }

@@ -65,7 +65,7 @@ pub struct AssertionReport {
     pub candidate: String,
     /// Seal digest of the baseline bundle the check ran against.
     pub baseline_hash: u128,
-    /// One entry per [`DiffClass`], in [`DiffClass::ALL`] order.
+    /// One entry per [`DiffClass`], in [`DiffClass::all`] order.
     pub clauses: Vec<ClauseEntry>,
 }
 
@@ -193,9 +193,8 @@ mod tests {
         AssertionReport {
             candidate: "runs/faulty.dtts".to_string(),
             baseline_hash: 0xabcd,
-            clauses: DiffClass::ALL
-                .iter()
-                .map(|&class| ClauseEntry {
+            clauses: DiffClass::all()
+                .map(|class| ClauseEntry {
                     class,
                     status: if class == DiffClass::NlrChanged {
                         status

@@ -5,37 +5,37 @@
 
 use std::collections::BTreeSet;
 
-use dt_baseline::{Baseline, CodeCount, DiffClass, Policy, TraceRecord};
+use difftrace::CHECKERS;
+use dt_baseline::{Baseline, CheckSection, CodeCount, DiffClass, Policy, TraceRecord};
 use dt_trace::TraceId;
 use proptest::prelude::*;
 
 fn policy_strategy() -> impl Strategy<Value = Policy> {
-    let classes = proptest::collection::vec(0usize..DiffClass::ALL.len(), 0..8);
+    let classes = proptest::collection::vec(0usize..DiffClass::all().count(), 0..8);
     let shift = (0u32..2_000_000).prop_map(|v| f64::from(v) / 1000.0);
-    let codes = || {
-        let code = (0u8..26, 0u16..1000)
-            .prop_map(|(c, n)| format!("{}{}{:03}", char::from(b'A' + c), char::from(b'A' + c), n));
-        proptest::collection::vec(code, 0..8)
-    };
-    (
-        classes,
-        shift,
-        (codes(), codes(), codes(), codes()),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(classes, shift, (tl, hb, race, req), new, removed)| Policy {
-                tolerate: classes.into_iter().map(|i| DiffClass::ALL[i]).collect(),
+    // One keep-mask per registered checker over its code list (no
+    // checker has more than 8 codes).
+    let masks =
+        proptest::collection::vec(proptest::collection::vec(any::<bool>(), 8), CHECKERS.len());
+    (classes, shift, masks, any::<bool>(), any::<bool>()).prop_map(
+        |(classes, shift, masks, new, removed)| {
+            let all: Vec<DiffClass> = DiffClass::all().collect();
+            Policy {
+                tolerate: classes.into_iter().map(|i| all[i]).collect(),
                 max_ranking_shift: shift,
-                require_clean_tl: tl.into_iter().collect(),
-                require_clean_hb: hb.into_iter().collect(),
-                require_clean_race: race.into_iter().collect(),
-                require_clean_req: req.into_iter().collect(),
+                require_clean: CHECKERS
+                    .iter()
+                    .zip(masks)
+                    .map(|(c, mask)| {
+                        let kept = c.codes().into_iter().zip(mask).filter(|&(_, keep)| keep);
+                        (c.name(), kept.map(|(code, _)| code.to_string()).collect())
+                    })
+                    .collect(),
                 allow_new_traces: new,
                 allow_removed_traces: removed,
-            },
-        )
+            }
+        },
+    )
 }
 
 fn baseline_strategy() -> impl Strategy<Value = Baseline> {
@@ -53,47 +53,52 @@ fn baseline_strategy() -> impl Strategy<Value = Baseline> {
             score: f64::from(score) / 8.0,
             truncated,
         });
-    let count = || {
-        (0u8..5, 0u8..10, 0u8..10).prop_map(|(c, e, w)| CodeCount {
-            code: format!("TL{:03}", c + 1),
-            errors: u64::from(e),
-            warnings: u64::from(w),
-        })
-    };
+    // One section per registered checker: a ran flag and counts of
+    // (code index, errors, warnings).
+    let section = (
+        any::<bool>(),
+        proptest::collection::vec((0usize..8, 0u8..10, 0u8..10), 0..4),
+    );
     (
         proptest::collection::vec(trace, 0..12),
-        (
-            proptest::collection::vec(count(), 0..4),
-            proptest::collection::vec(count(), 0..4),
-            proptest::collection::vec(count(), 0..4),
-            proptest::collection::vec(count(), 0..4),
-        ),
+        proptest::collection::vec(section, CHECKERS.len()),
         0u64..10,
-        any::<bool>(),
     )
-        .prop_map(|(mut traces, (lint, hb, race, req), clusters, has_hb)| {
+        .prop_map(|(mut traces, sections, clusters)| {
             // Canonical form: unique trace ids in sorted order, unique
-            // codes — what `snapshot` always produces.
+            // codes sorted — what `snapshot` always produces.
             traces.sort_by_key(|t| t.id);
             traces.dedup_by_key(|t| t.id);
-            let dedup = |v: Vec<CodeCount>| {
-                let mut v = v;
-                v.sort_by(|a, b| a.code.cmp(&b.code));
-                v.dedup_by(|a, b| a.code == b.code);
-                v
-            };
             let outliers: Vec<TraceId> = traces.iter().take(2).map(|t| t.id).collect();
+            let checks = CHECKERS
+                .iter()
+                .zip(sections)
+                .map(|(c, (ran, counts))| {
+                    let codes = c.codes();
+                    let mut counts: Vec<CodeCount> = counts
+                        .into_iter()
+                        .map(|(i, e, w)| CodeCount {
+                            code: codes[i % codes.len()].to_string(),
+                            errors: u64::from(e),
+                            warnings: u64::from(w),
+                        })
+                        .collect();
+                    counts.sort_by(|a, b| a.code.cmp(&b.code));
+                    counts.dedup_by(|a, b| a.code == b.code);
+                    CheckSection {
+                        name: c.name().to_string(),
+                        ran,
+                        counts,
+                    }
+                })
+                .collect();
             Baseline {
                 filter: "11.mpiall.K10".to_string(),
                 attrs: "sing.actual".to_string(),
                 traces,
                 clusters,
                 outliers,
-                lint: dedup(lint),
-                has_hb,
-                hb: dedup(hb),
-                race: dedup(race),
-                req: dedup(req),
+                checks,
             }
         })
 }
@@ -139,7 +144,7 @@ proptest! {
 #[test]
 fn all_class_names_parse() {
     let mut seen = BTreeSet::new();
-    for c in DiffClass::ALL {
+    for c in DiffClass::all() {
         assert_eq!(DiffClass::parse(c.as_str()).unwrap(), c);
         assert!(seen.insert(c.as_str()), "duplicate name {}", c.as_str());
     }

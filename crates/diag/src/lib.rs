@@ -28,7 +28,11 @@ use std::fmt;
 /// An analyzer's closed rule-code enum. The string form returned by
 /// [`Code::as_str`] is part of the analyzer's output-format contract
 /// (scripts grep for it); implementors must never renumber.
-pub trait Code: Copy + Ord + fmt::Display {
+pub trait Code: Copy + Ord + fmt::Display + 'static {
+    /// Every code of the analyzer, in code order: what a baseline
+    /// policy requires clean by default, and the only codes it accepts.
+    const ALL: &'static [Self];
+
     /// The stable code string, e.g. `"TL001"` or `"HB003"`.
     fn as_str(self) -> &'static str;
 
@@ -55,6 +59,9 @@ impl fmt::Display for AnyCode {
 }
 
 impl Code for AnyCode {
+    /// An erased code belongs to no one analyzer, so it has no list.
+    const ALL: &'static [AnyCode] = &[];
+
     fn as_str(self) -> &'static str {
         self.code
     }
@@ -384,6 +391,8 @@ mod tests {
     }
 
     impl Code for TestCode {
+        const ALL: &'static [TestCode] = &[TestCode::Alpha, TestCode::Beta];
+
         fn as_str(self) -> &'static str {
             match self {
                 TestCode::Alpha => "XX001",

@@ -7,20 +7,19 @@
 //! expanded event stream, and over the trace's raw (unfiltered) NLR
 //! term without expanding it — plus a [`Checker::analyze`] step that
 //! turns the input-ordered facts into a report. [`run_facts`] owns the
-//! rest: the raw NLR fold (compressed domain only), the per-trace
-//! fan-out through [`crate::sync::par_map`], and the `<name>_folds`
-//! counter. Reports are byte-identical at every thread count, and the
-//! two domains agree (DESIGN.md §14).
+//! rest: the per-trace fan-out through [`crate::sync::par_map`] and, in
+//! the compressed domain, the one raw NLR fold ([`fold_raw`]), which
+//! streams the terms a chunk at a time and counts `<name>_folds`.
+//! Reports are byte-identical at every thread count, and the two
+//! domains agree (DESIGN.md §14).
 
-use crate::filter::{FilteredSet, FilteredTrace};
 use crate::lint::LintOptions;
-use crate::nlr_stage::NlrSet;
 use crate::pipeline::{DiffRun, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
 use dt_obs::{stage_owned, Recorder};
 use dt_trace::hb::HbLog;
 use dt_trace::{Trace, TraceSet};
-use nlr::{LoopTable, Nlr};
+use nlr::{LoopTable, Nlr, NlrBuilder};
 use std::fmt;
 use tracelint::{AnyCode, Code, Report};
 
@@ -109,56 +108,57 @@ pub struct CheckInput<'a> {
     pub hb: Option<&'a HbLog>,
 }
 
-/// The raw (unfiltered) symbol streams of one execution and their NLR
-/// terms under one canonical loop table.
-pub struct RawFold {
-    /// The streams, in trace-set order.
-    pub streams: FilteredSet,
-    /// One term per trace.
-    pub nlrs: NlrSet,
-    /// The loop table the terms reference.
-    pub table: LoopTable,
+/// One trace of a [`fold_raw`] chunk: its raw (unfiltered) symbol
+/// stream and its NLR term under the execution's loop table.
+pub(crate) struct RawTerm<'a> {
+    /// The recorded trace.
+    pub trace: &'a Trace,
+    /// The trace's raw symbol stream.
+    pub symbols: Vec<u32>,
+    /// The stream's NLR term.
+    pub term: Nlr,
 }
 
-impl RawFold {
-    /// Fold every trace's raw stream — identical output at any thread
-    /// count (see [`nlr::fold`]) — and count the folds as
-    /// `<name>_folds` in `rec`.
-    pub fn build(
-        name: &str,
-        traces: &[&Trace],
-        k: usize,
-        threads: usize,
-        rec: &dyn Recorder,
-    ) -> RawFold {
-        let streams = FilteredSet {
-            traces: traces
-                .iter()
-                .map(|t| FilteredTrace {
-                    id: t.id,
-                    symbols: t.to_symbols(),
-                    truncated: t.truncated,
-                })
-                .collect(),
-        };
-        let mut table = LoopTable::new();
-        let (nlrs, folds) = NlrSet::fold(&[(&streams, None)], k, &mut table, threads)
-            .pop()
-            .expect("one set folded");
-        if rec.enabled() {
-            rec.add(&format!("{name}_folds"), folds);
-        }
-        RawFold {
-            streams,
-            nlrs,
-            table,
-        }
-    }
+/// What [`fold_raw`] hands each chunk to, with the loop table.
+pub(crate) type OnChunk<'f, 'a> = dyn FnMut(&LoopTable, Vec<RawTerm<'a>>) + 'f;
 
-    /// The term of trace `t`.
-    pub fn term(&self, t: &Trace) -> &Nlr {
-        self.nlrs.get(t.id).expect("term built for every trace")
+/// The one raw NLR fold of an execution. Each chunk of `threads`
+/// traces folds concurrently; the folds replay in trace order into one
+/// [`LoopTable`], so loop numbering is that of a trace-by-trace fold at
+/// any thread count (see [`nlr::fold`]); then `each` gets the chunk
+/// with the table before the next chunk folds. Whatever `each` drops
+/// is never held for the whole execution. Counts one fold per trace as
+/// `<name>_folds` in `rec` and returns the table.
+pub(crate) fn fold_raw<'a>(
+    name: &str,
+    traces: &[&'a Trace],
+    k: usize,
+    threads: usize,
+    rec: &dyn Recorder,
+    mut each: impl FnMut(&LoopTable, Vec<RawTerm<'a>>),
+) -> LoopTable {
+    let mut table = LoopTable::new();
+    for chunk in traces.chunks(threads.max(1)) {
+        let folds = par_map(chunk, threads, |_, t| {
+            let symbols = t.to_symbols();
+            let fold = NlrBuilder::new(k).fold(&symbols);
+            (symbols, fold)
+        });
+        let raw = chunk
+            .iter()
+            .zip(folds)
+            .map(|(&trace, (symbols, fold))| RawTerm {
+                trace,
+                symbols,
+                term: fold.replay(&mut table),
+            })
+            .collect();
+        each(&table, raw);
     }
+    if rec.enabled() {
+        rec.add(&format!("{name}_folds"), traces.len() as u64);
+    }
+    table
 }
 
 /// One pre-diff analysis. Implementations are unit structs listed in
@@ -168,16 +168,19 @@ pub trait Checker: Sync + Sized {
     /// The checker's rule codes.
     type Code: Code + fmt::Debug;
     /// What one trace contributes to the analysis.
-    type Facts: Send;
+    type Facts: Send + Sync;
     /// Per-execution lookup data shared by every trace (e.g. the
     /// marker vocabulary resolved against the registry).
     type Vocab: Sync;
 
     /// Subcommand, query, metrics-stage and counter name.
     const NAME: &'static str;
-    /// Short tag of the diff pre-pass stage (`pre/<tag>`) and of the
-    /// baseline counters (`baseline_<tag>_errors`).
+    /// Short tag of the diff pre-pass stage (`pre/<tag>`), of the
+    /// baseline counters (`baseline_<tag>_errors`) and of the baseline
+    /// clause (`<tag>-regression`).
     const TAG: &'static str;
+    /// The baseline policy's require-clean key, `require_clean_<key>`.
+    const KEY: &'static str;
     /// The `difftrace diff` flag that gates the pre-pass.
     const DIFF_FLAG: &'static str;
     /// Needs the run's happens-before section.
@@ -229,25 +232,46 @@ pub trait Checker: Sync + Sized {
 }
 
 /// Per-trace facts in input order: the one place a checker's domain is
-/// dispatched. `fold` must be present for the compressed domain.
-pub(crate) fn trace_facts<C: Checker>(
+/// dispatched. The compressed domain computes each chunk's facts from
+/// its [`fold_raw`] terms, fanned out over the chunk, and drops them.
+/// With `raw`, the raw fold runs in either domain and `raw` gets every
+/// chunk after its facts. Returns the facts and the fold's loop table
+/// (empty when nothing folded).
+pub(crate) fn trace_facts<'a, C: Checker>(
     checker: &C,
     vocab: &C::Vocab,
-    traces: &[&Trace],
-    domain: LintDomain,
-    fold: Option<&RawFold>,
-    threads: usize,
-) -> Vec<C::Facts> {
-    par_map(traces, threads, |_, t| match (domain, fold) {
-        (LintDomain::Compressed, Some(f)) => checker.compressed(vocab, &f.table, t, f.term(t)),
-        (LintDomain::Compressed, None) => unreachable!("the compressed domain folds first"),
-        (LintDomain::Expanded, _) => checker.expanded(vocab, t),
-    })
+    traces: &[&'a Trace],
+    opts: &CheckOptions,
+    rec: &dyn Recorder,
+    mut raw: Option<&mut OnChunk<'_, 'a>>,
+) -> (Vec<C::Facts>, LoopTable) {
+    let threads = effective_threads(opts.threads, traces.len().max(1));
+    let fold =
+        |each: &mut OnChunk<'_, 'a>| fold_raw(C::NAME, traces, opts.nlr_k, threads, rec, each);
+    match opts.domain {
+        LintDomain::Expanded => {
+            let facts = par_map(traces, threads, |_, t| checker.expanded(vocab, t));
+            let table = raw.map_or_else(LoopTable::new, fold);
+            (facts, table)
+        }
+        LintDomain::Compressed => {
+            let mut facts = Vec::with_capacity(traces.len());
+            let table = fold(&mut |table, chunk| {
+                facts.extend(par_map(&chunk, threads, |_, r| {
+                    checker.compressed(vocab, table, r.trace, &r.term)
+                }));
+                if let Some(raw) = raw.as_mut() {
+                    raw(table, chunk);
+                }
+            });
+            (facts, table)
+        }
+    }
 }
 
-/// Run `checker` over one execution: fold the raw streams when the
-/// domain is compressed, fan the per-trace facts out, then analyze.
-/// The report is byte-identical at every thread count.
+/// Run `checker` over one execution: the per-trace facts in the
+/// options' domain, then the analysis. The report is byte-identical at
+/// every thread count.
 pub fn run_facts<C: Checker>(
     checker: &C,
     input: &CheckInput,
@@ -255,18 +279,8 @@ pub fn run_facts<C: Checker>(
     rec: &dyn Recorder,
 ) -> Report<C::Code> {
     let traces: Vec<&Trace> = input.set.iter().collect();
-    let threads = effective_threads(opts.threads, traces.len().max(1));
-    let fold = (opts.domain == LintDomain::Compressed)
-        .then(|| RawFold::build(C::NAME, &traces, opts.nlr_k, threads, rec));
     let vocab = checker.vocab(input);
-    let facts = trace_facts(
-        checker,
-        &vocab,
-        &traces,
-        opts.domain,
-        fold.as_ref(),
-        threads,
-    );
+    let (facts, _) = trace_facts(checker, &vocab, &traces, opts, rec, None);
     checker.analyze(&vocab, input, facts)
 }
 
@@ -376,6 +390,11 @@ pub trait AnyChecker: Sync {
     fn name(&self) -> &'static str;
     /// [`Checker::TAG`].
     fn tag(&self) -> &'static str;
+    /// [`Checker::KEY`].
+    fn key(&self) -> &'static str;
+    /// The checker's rule code strings, in code order
+    /// ([`tracelint::Code::ALL`]).
+    fn codes(&self) -> Vec<&'static str>;
     /// [`Checker::DIFF_FLAG`].
     fn diff_flag(&self) -> &'static str;
     /// [`Checker::NEEDS_HB`].
@@ -395,6 +414,12 @@ impl<C: Checker> AnyChecker for C {
     }
     fn tag(&self) -> &'static str {
         C::TAG
+    }
+    fn key(&self) -> &'static str {
+        C::KEY
+    }
+    fn codes(&self) -> Vec<&'static str> {
+        C::Code::ALL.iter().map(|c| c.as_str()).collect()
     }
     fn diff_flag(&self) -> &'static str {
         C::DIFF_FLAG

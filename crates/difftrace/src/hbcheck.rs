@@ -26,6 +26,7 @@ impl Checker for HbCheck {
 
     const NAME: &'static str = "hbcheck";
     const TAG: &'static str = "hb";
+    const KEY: &'static str = "hb";
     const DIFF_FLAG: &'static str = "--hb";
     const NEEDS_HB: bool = true;
 

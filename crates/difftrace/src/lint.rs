@@ -8,21 +8,19 @@
 //! on top of the shared fold and per-trace dispatch.
 //!
 //! TL005 checks each trace's raw NLR term against its own symbol
-//! stream. The compressed domain needs every term at once for its
-//! facts and its collective-order rule, so it folds the whole execution
-//! up front ([`RawFold::build`]). In the expanded domain TL005 is the
-//! only reader of the fold, so there the terms stream: one chunk of
-//! `threads` traces is folded, replayed in trace order into one shared
-//! table, checked and dropped before the next, and lint never holds
-//! more than a chunk's raw streams and terms.
+//! stream. Lint reads the raw terms through the one streamed fold
+//! ([`crate::check::fold_raw`]) in both domains: TL005 runs on each
+//! chunk and drops its streams. Only the compressed domain keeps the
+//! terms, because its TL002 collective projection reads them all; in
+//! the expanded domain lint never holds more than a chunk's raw streams
+//! and terms.
 
-use crate::check::{trace_facts, CheckInput, CheckOptions, Checker, LintDomain, PrePass, RawFold};
+use crate::check::{trace_facts, CheckInput, CheckOptions, Checker, LintDomain, PrePass, RawTerm};
 use crate::filter::{table_i_catalog, ClassProbe, FilterConfig};
 use crate::pipeline::{analyze, DiffRun, Params, PipelineOptions};
-use crate::sync::{effective_threads, par_map};
 use dt_obs::Recorder;
 use dt_trace::{FunctionRegistry, Trace, TraceId, TraceSet};
-use nlr::{LoopTable, Nlr, NlrBuilder};
+use nlr::{LoopTable, Nlr};
 use std::sync::Arc;
 use tracelint::compressed::{
     check_collective_order_compressed, check_stack_discipline_compressed, rank_streams,
@@ -93,6 +91,7 @@ impl Checker for Lint {
 
     const NAME: &'static str = "lint";
     const TAG: &'static str = "lint";
+    const KEY: &'static str = "tl";
     const DIFF_FLAG: &'static str = "--gate";
     const LINT_OPTIONS: bool = true;
 
@@ -127,48 +126,48 @@ impl Checker for Lint {
     fn run(&self, input: &CheckInput, opts: &LintOptions, rec: &dyn Recorder) -> LintReport {
         let set = input.set;
         let traces: Vec<&Trace> = set.iter().collect();
-        let threads = effective_threads(opts.threads, traces.len().max(1));
-        let k = opts.check_options().nlr_k;
+        let check = opts.check_options();
         let registry = self.vocab(input);
-        let mut diags: Vec<Diagnostic> = match opts.domain {
-            LintDomain::Expanded => {
-                let per_trace = trace_facts(self, &registry, &traces, opts.domain, None, threads);
-                let mut diags: Vec<Diagnostic> = per_trace.into_iter().flatten().collect();
-                diags.extend(streamed_roundtrip(&traces, k, threads, rec));
-                diags.extend(rules::check_collective_order(set));
-                diags
-            }
-            LintDomain::Compressed => {
-                let fold = RawFold::build(Self::NAME, &traces, k, threads, rec);
-                let per_trace =
-                    trace_facts(self, &registry, &traces, opts.domain, Some(&fold), threads);
-                let roundtrip = par_map(&fold.streams.traces, threads, |i, rt| {
-                    rules::check_roundtrip(rt.id, &rt.symbols, fold.term(traces[i]), &fold.table)
-                });
-                let mut diags: Vec<Diagnostic> =
-                    per_trace.into_iter().chain(roundtrip).flatten().collect();
-                let coll = rules::collective_fn_ids(&registry);
-                let mut projector = CollProjector::new(&fold.table, &coll);
-                let terms: Vec<(TraceId, &Nlr, bool)> = fold
-                    .nlrs
-                    .nlrs
-                    .iter()
-                    .map(|(&id, n)| (id, n, *fold.nlrs.truncated.get(&id).unwrap_or(&false)))
-                    .collect();
-                let ranks = rank_streams(&terms, &mut projector);
-                diags.extend(check_collective_order_compressed(
-                    &ranks, &projector, &registry,
-                ));
-                diags
-            }
-        };
+        let compressed = opts.domain == LintDomain::Compressed;
+        let mut roundtrip = Vec::new();
+        let mut terms: Vec<(TraceId, Nlr, bool)> = Vec::new();
+        let (per_trace, table) = trace_facts(
+            self,
+            &registry,
+            &traces,
+            &check,
+            rec,
+            Some(&mut |table: &LoopTable, chunk: Vec<RawTerm>| {
+                for r in chunk {
+                    let id = r.trace.id;
+                    roundtrip.extend(rules::check_roundtrip(id, &r.symbols, &r.term, table));
+                    if compressed {
+                        terms.push((id, r.term, r.trace.truncated));
+                    }
+                }
+            }),
+        );
+        let mut diags: Vec<Diagnostic> = per_trace.into_iter().flatten().collect();
+        diags.extend(roundtrip);
+        if compressed {
+            let coll = rules::collective_fn_ids(&registry);
+            let mut projector = CollProjector::new(&table, &coll);
+            let terms: Vec<(TraceId, &Nlr, bool)> =
+                terms.iter().map(|(id, n, t)| (*id, n, *t)).collect();
+            let ranks = rank_streams(&terms, &mut projector);
+            diags.extend(check_collective_order_compressed(
+                &ranks, &projector, &registry,
+            ));
+        } else {
+            diags.extend(rules::check_collective_order(set));
+        }
         diags.extend(dead_filter_diags(
             opts.filter.as_ref(),
             &registry.names(),
-            k,
+            check.nlr_k,
         ));
         if opts.deep {
-            diags.extend(deep_lattice_diags(set, opts, k));
+            diags.extend(deep_lattice_diags(set, opts, check.nlr_k));
         }
         LintReport::new(diags)
     }
@@ -176,37 +175,6 @@ impl Checker for Lint {
     fn attached(run: &DiffRun) -> Option<&PrePass<Lint>> {
         run.lint.as_ref()
     }
-}
-
-/// TL005 over the raw streams without holding them all: each chunk of
-/// `threads` traces folds concurrently; then each trace of the chunk,
-/// in trace order, replays into one shared table (numbering loops
-/// exactly as [`RawFold::build`] does), is checked against it and is
-/// dropped before the next chunk folds. Counts the folds as
-/// `lint_folds`, one per trace, as [`RawFold::build`] would.
-fn streamed_roundtrip(
-    traces: &[&Trace],
-    k: usize,
-    threads: usize,
-    rec: &dyn Recorder,
-) -> Vec<Diagnostic> {
-    let mut table = LoopTable::new();
-    let mut diags = Vec::new();
-    for chunk in traces.chunks(threads) {
-        let folds = par_map(chunk, threads, |_, t| {
-            let symbols = t.to_symbols();
-            let fold = NlrBuilder::new(k).fold(&symbols);
-            (symbols, fold)
-        });
-        for (t, (symbols, fold)) in chunk.iter().zip(folds) {
-            let term = fold.replay(&mut table);
-            diags.extend(rules::check_roundtrip(t.id, &symbols, &term, &table));
-        }
-    }
-    if rec.enabled() {
-        rec.add("lint_folds", traces.len() as u64);
-    }
-    diags
 }
 
 /// Lint one execution. Diagnostics are byte-identical for every thread

@@ -26,6 +26,7 @@ impl Checker for RaceCheck {
 
     const NAME: &'static str = "racecheck";
     const TAG: &'static str = "race";
+    const KEY: &'static str = "race";
     const DIFF_FLAG: &'static str = "--race";
 
     fn vocab(&self, input: &CheckInput) -> RaceVocab {

@@ -24,6 +24,7 @@ impl Checker for ReqCheck {
 
     const NAME: &'static str = "reqcheck";
     const TAG: &'static str = "req";
+    const KEY: &'static str = "req";
     const DIFF_FLAG: &'static str = "--req";
 
     fn vocab(&self, input: &CheckInput) -> ReqVocab {

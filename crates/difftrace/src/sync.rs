@@ -1,8 +1,8 @@
 //! Concurrency primitives shared by the parallel pipeline stages.
 //!
 //! Everything here is built on `std` only: scoped threads
-//! (`std::thread::scope`), an atomic work-stealing index, and a
-//! write-once [`Slot`] per output cell. The combination gives a small,
+//! (`std::thread::scope`), an atomic work-stealing index, and one
+//! `OnceLock` per output cell. The combination gives a small,
 //! auditable `par_map` without pulling in an external thread pool.
 //!
 //! Determinism note: [`par_map`] assigns output cell `i` to input `i`,
@@ -10,8 +10,9 @@
 //! OS schedules workers. Callers get byte-identical output for any
 //! thread count as long as `f` itself is a pure function of its inputs.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Resolve a user-facing thread-count knob: `0` means "all available
 /// parallelism", anything else is taken literally. The result is
@@ -27,63 +28,20 @@ pub fn effective_threads(threads: usize, work_items: usize) -> usize {
     n.min(work_items.max(1))
 }
 
-/// A write-once cell: many threads may hold `&Slot`, exactly one calls
-/// [`Slot::set`], and ownership is recovered with [`Slot::take`] after
-/// all writers are joined.
-pub struct Slot<T> {
-    claimed: AtomicBool,
-    ready: AtomicBool,
-    value: UnsafeCell<Option<T>>,
-}
-
-// Safety: `claimed` admits exactly one writer (checked with a swap);
-// that single write is published by the Release store of `ready`, and
-// readers Acquire `ready` before touching `value`. `take` additionally
-// consumes the slot by value, so it has exclusive ownership.
-unsafe impl<T: Send> Sync for Slot<T> {}
-
-impl<T> Slot<T> {
-    pub fn new() -> Slot<T> {
-        Slot {
-            claimed: AtomicBool::new(false),
-            ready: AtomicBool::new(false),
-            value: UnsafeCell::new(None),
-        }
-    }
-
-    /// Deposit the value. Must be called at most once per slot; callers
-    /// guarantee this by claiming disjoint indices from an atomic
-    /// counter, and the claim flag turns any violation into a panic
-    /// instead of UB.
-    pub fn set(&self, v: T) {
-        let already = self.claimed.swap(true, Ordering::AcqRel);
-        assert!(!already, "Slot::set called twice");
-        // Safety: the swap above admits exactly one writer, and readers
-        // only dereference `value` after observing `ready` (below).
-        unsafe { *self.value.get() = Some(v) };
-        self.ready.store(true, Ordering::Release);
-    }
-
-    /// True once a value has been deposited and published.
-    pub fn is_set(&self) -> bool {
-        self.ready.load(Ordering::Acquire)
-    }
-
-    /// Recover the value. Panics if the slot was never written.
-    pub fn take(self) -> T {
-        assert!(self.ready.load(Ordering::Acquire), "slot never written");
-        self.value.into_inner().expect("slot written once")
-    }
-}
-
-impl<T> Default for Slot<T> {
-    fn default() -> Slot<T> {
-        Slot::new()
-    }
+/// Apply `f` to every index/item pair and collect the results in input
+/// order: [`par_map_obs`] with nothing observing.
+pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send + Sync,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    par_map_obs(items, threads, &dt_obs::NOOP, "", f)
 }
 
 /// Apply `f` to every index/item pair and collect the results in input
-/// order.
+/// order, reporting each worker's total time inside `f` to `rec` under
+/// `path` (the raw material of the `--profile` imbalance report).
 ///
 /// * `threads == 1` runs inline on the caller's thread — no spawning,
 ///   no atomics on the hot path — so it is the *exact* sequential
@@ -92,39 +50,9 @@ impl<T> Default for Slot<T> {
 /// * Work is distributed dynamically (atomic next-index counter), which
 ///   keeps long-tailed workloads balanced; output position is fixed by
 ///   input index, which keeps results deterministic.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Slot<U>> = (0..items.len()).map(|_| Slot::new()).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                slots[i].set(f(i, &items[i]));
-            });
-        }
-    });
-    slots.into_iter().map(|s| s.take()).collect()
-}
-
-/// [`par_map`] with per-worker busy-time observation: each worker's
-/// total time spent inside `f` is reported to `rec` under `path` (the
-/// raw material of the `--profile` imbalance report). With a disabled
-/// recorder this *is* [`par_map`] — no clock is ever read — and the
-/// results are identical either way: timing wraps each call, it never
-/// reorders or drops one.
+/// * With a disabled recorder no clock is ever read. Timing wraps each
+///   call; it never reorders or drops one, so the results are the same
+///   either way.
 pub fn par_map_obs<T, U, F>(
     items: &[T],
     threads: usize,
@@ -134,41 +62,51 @@ pub fn par_map_obs<T, U, F>(
 ) -> Vec<U>
 where
     T: Sync,
-    U: Send,
+    U: Send + Sync,
     F: Fn(usize, &T) -> U + Sync,
 {
-    if !rec.enabled() {
-        return par_map(items, threads, f);
-    }
+    let timed = rec.enabled();
     let threads = effective_threads(threads, items.len());
     if threads <= 1 || items.len() <= 1 {
-        let t0 = std::time::Instant::now();
+        let t0 = timed.then(Instant::now);
         let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        rec.worker_ns(path, 0, t0.elapsed().as_nanos() as u64);
+        if let Some(t0) = t0 {
+            rec.worker_ns(path, 0, t0.elapsed().as_nanos() as u64);
+        }
         return out;
     }
 
     let next = AtomicUsize::new(0);
-    let slots: Vec<Slot<U>> = (0..items.len()).map(|_| Slot::new()).collect();
+    let slots: Vec<OnceLock<U>> = (0..items.len()).map(|_| OnceLock::new()).collect();
     std::thread::scope(|s| {
         for w in 0..threads {
             let (next, slots, f) = (&next, &slots, &f);
             s.spawn(move || {
                 let mut busy = 0u64;
                 loop {
+                    // Each index is claimed by exactly one worker; the
+                    // scope's join publishes every cell to the caller.
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;
                     }
-                    let t0 = std::time::Instant::now();
-                    slots[i].set(f(i, &items[i]));
-                    busy += t0.elapsed().as_nanos() as u64;
+                    let t0 = timed.then(Instant::now);
+                    let out = f(i, &items[i]);
+                    if let Some(t0) = t0 {
+                        busy += t0.elapsed().as_nanos() as u64;
+                    }
+                    assert!(slots[i].set(out).is_ok(), "index {i} claimed twice");
                 }
-                rec.worker_ns(path, w, busy);
+                if timed {
+                    rec.worker_ns(path, w, busy);
+                }
             });
         }
     });
-    slots.into_iter().map(|s| s.take()).collect()
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every index is claimed"))
+        .collect()
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -319,20 +257,5 @@ mod tests {
         }
         drop(pool);
         assert_eq!(counter.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot never written")]
-    fn take_unwritten_slot_panics() {
-        let s: Slot<u8> = Slot::new();
-        s.take();
-    }
-
-    #[test]
-    #[should_panic(expected = "Slot::set called twice")]
-    fn double_set_panics() {
-        let s: Slot<u8> = Slot::new();
-        s.set(1);
-        s.set(2);
     }
 }

@@ -1,12 +1,17 @@
-//! Lint's working set, counted exactly. A counting global allocator
-//! tracks live heap bytes, so the peak a `lint_set` call reaches is a
-//! property of the code and the input, not of the machine.
+//! The checkers' working sets, counted exactly. A counting global
+//! allocator tracks live heap bytes, so the peak a checker call
+//! reaches is a property of the code and the input, not of the
+//! machine.
 //!
-//! In the expanded domain TL005 streams the raw NLR terms a chunk at a
-//! time, so a one-thread lint never holds every raw term at once; and
-//! TL005 reports the same in both domains, whichever way it folds.
+//! Every checker reads raw NLR terms through one fold that streams
+//! them a chunk at a time, so at one thread neither lint (whose TL005
+//! folds in both domains) nor a compressed-domain checker ever holds
+//! every raw term at once; and TL005 reports the same in both domains.
 
-use difftrace::{lint_set, CheckInput, Checker, Lint, LintDomain, LintOptions};
+use difftrace::{
+    hbcheck_set, lint_set, racecheck_set, reqcheck_set, CheckInput, CheckOptions, Checker, Lint,
+    LintDomain, LintOptions,
+};
 use dt_obs::MetricsRecorder;
 use dt_trace::{FunctionRegistry, TraceSet};
 use nlr::{Element, NlrBuilder};
@@ -14,7 +19,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tracelint::RuleCode;
-use workloads::{run_ilcs, run_lulesh, run_oddeven, IlcsConfig, LuleshConfig, OddEvenConfig};
+use workloads::{
+    run_ilcs, run_lulesh, run_oddeven, IlcsConfig, LuleshConfig, OddEvenConfig, RunOutcome,
+};
 
 /// The system allocator, with a running count of live bytes and the
 /// highest count seen since [`peak_during`] last reset it.
@@ -124,24 +131,32 @@ fn demo_corpora() -> Vec<(&'static str, TraceSet)> {
     ]
 }
 
+/// The demo LULESH faulty run.
+fn lulesh_faulty() -> RunOutcome {
+    run_lulesh(
+        &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
+        Arc::new(FunctionRegistry::new()),
+    )
+}
+
+/// The bytes of `set`'s raw NLR terms at `K = 10` (664,096 on the demo
+/// LULESH faulty corpus).
+fn raw_term_bytes(set: &TraceSet) -> usize {
+    set.iter()
+        .map(|t| NlrBuilder::new(10).fold(&t.to_symbols()).elements.len())
+        .sum::<usize>()
+        * std::mem::size_of::<Element>()
+}
+
 /// At one thread, lint's peak live heap on the demo LULESH faulty
 /// corpus stays below the bytes of that corpus's raw NLR terms: the
 /// terms are never all held at once.
 #[test]
 fn one_thread_lint_never_holds_every_raw_term() {
     let _turn = serial();
-    let registry = Arc::new(FunctionRegistry::new());
-    let set = run_lulesh(
-        &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
-        registry,
-    )
-    .traces;
+    let set = lulesh_faulty().traces;
     let opts = LintOptions::default();
-    let terms: usize = set
-        .iter()
-        .map(|t| NlrBuilder::new(10).fold(&t.to_symbols()).elements.len())
-        .sum::<usize>()
-        * std::mem::size_of::<Element>();
+    let terms = raw_term_bytes(&set);
     let (report, peak) = peak_during(|| lint_set(&set, &opts));
     assert!(!report.diagnostics().is_empty(), "the faulty corpus lints");
     assert!(
@@ -150,9 +165,44 @@ fn one_thread_lint_never_holds_every_raw_term() {
     );
 }
 
-/// TL005 reports the same in the expanded domain, which streams the
-/// terms, as in the compressed domain, which folds them all up front,
-/// at every thread count; both fold each trace once.
+/// At one thread, each compressed-domain checker's peak live heap on
+/// the demo LULESH faulty corpus stays below the bytes of its raw NLR
+/// terms: the facts are computed a chunk at a time and the terms are
+/// dropped with their chunk.
+#[test]
+fn one_thread_compressed_checkers_never_hold_every_raw_term() {
+    let _turn = serial();
+    let run = lulesh_faulty();
+    let set = &run.traces;
+    let terms = raw_term_bytes(set);
+    let opts = CheckOptions {
+        domain: LintDomain::Compressed,
+        ..CheckOptions::default()
+    };
+    let peaks = [
+        (
+            "hbcheck",
+            peak_during(|| hbcheck_set(set, &run.hb, &opts).render_text()),
+        ),
+        (
+            "racecheck",
+            peak_during(|| racecheck_set(set, &opts).render_text()),
+        ),
+        (
+            "reqcheck",
+            peak_during(|| reqcheck_set(set, &opts).render_text()),
+        ),
+    ];
+    for (name, (_, peak)) in peaks {
+        assert!(
+            peak < terms,
+            "compressed {name} peaked at {peak} live heap bytes; the raw terms alone are {terms}"
+        );
+    }
+}
+
+/// TL005 reports the same in both domains at every thread count, and
+/// each domain folds each trace once.
 #[test]
 fn roundtrip_diagnostics_agree_across_domains() {
     let _turn = serial();

@@ -1,18 +1,18 @@
 //! Stress tests for the concurrency primitive under the parallel
-//! engine: the write-once `Slot` protocol inside `par_map`. `loom` is
-//! not available in this build environment, so these hammer the real
-//! scheduler with heavy over-subscription and repetition instead; the
-//! `Slot` invariants (single writer, publish-before-read) are
-//! additionally checked by assertions inside the type itself, which any
-//! interleaving violation turns into a panic here.
+//! engine: `par_map`'s claim-and-publish of one `OnceLock` per output
+//! cell. `loom` is not available in this build environment, so these
+//! hammer the real scheduler with heavy over-subscription and
+//! repetition instead; a cell written twice or never is a panic inside
+//! `par_map`, which any interleaving violation turns into a failure
+//! here.
 
-use difftrace::sync::{par_map, Slot};
+use difftrace::sync::par_map;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn par_map_under_heavy_oversubscription() {
     // 64 threads on (likely) far fewer cores, 10k near-empty items:
-    // maximizes claim/publish races on the slot array.
+    // maximizes claim/publish races on the output cells.
     let items: Vec<usize> = (0..10_000).collect();
     for rep in 0..3 {
         let out = par_map(&items, 64, |i, &x| {
@@ -35,28 +35,6 @@ fn par_map_runs_every_item_exactly_once() {
     });
     assert_eq!(calls.load(Ordering::Relaxed), items.len());
     assert_eq!(out, items);
-}
-
-#[test]
-fn slot_handoff_across_many_threads() {
-    // Each round: one writer thread publishes into a fresh slot while
-    // reader threads spin on is_set; the value must never be observed
-    // torn or missing after the flag flips.
-    for round in 0..200u64 {
-        let slot: Slot<Vec<u64>> = Slot::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    while !slot.is_set() {
-                        std::hint::spin_loop();
-                    }
-                    // Acquire on is_set orders this read after the write.
-                });
-            }
-            s.spawn(|| slot.set(vec![round; 32]));
-        });
-        assert_eq!(slot.take(), vec![round; 32]);
-    }
 }
 
 #[test]

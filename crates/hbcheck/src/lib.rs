@@ -92,6 +92,14 @@ impl fmt::Display for HbCode {
 }
 
 impl dt_diag::Code for HbCode {
+    const ALL: &'static [HbCode] = &[
+        HbCode::WaitCycle,
+        HbCode::OrphanOp,
+        HbCode::UnmatchedSend,
+        HbCode::RacyChannel,
+        HbCode::Triage,
+    ];
+
     fn as_str(self) -> &'static str {
         HbCode::as_str(self)
     }

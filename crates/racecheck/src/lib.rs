@@ -96,6 +96,13 @@ impl fmt::Display for RaceCode {
 }
 
 impl dt_diag::Code for RaceCode {
+    const ALL: &'static [RaceCode] = &[
+        RaceCode::WriteWrite,
+        RaceCode::ReadWrite,
+        RaceCode::LockOrder,
+        RaceCode::Unprotected,
+    ];
+
     fn as_str(self) -> &'static str {
         RaceCode::as_str(self)
     }

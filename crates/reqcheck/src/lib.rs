@@ -100,6 +100,14 @@ impl fmt::Display for ReqCode {
 }
 
 impl dt_diag::Code for ReqCode {
+    const ALL: &'static [ReqCode] = &[
+        ReqCode::Leaked,
+        ReqCode::UnmatchedWait,
+        ReqCode::SignatureMismatch,
+        ReqCode::OrderDivergence,
+        ReqCode::CompleteAfterFinalize,
+    ];
+
     fn as_str(self) -> &'static str {
         ReqCode::as_str(self)
     }

@@ -102,6 +102,15 @@ impl fmt::Display for RuleCode {
 }
 
 impl dt_diag::Code for RuleCode {
+    const ALL: &'static [RuleCode] = &[
+        RuleCode::StackDiscipline,
+        RuleCode::CollectiveOrder,
+        RuleCode::Truncation,
+        RuleCode::DeadFilter,
+        RuleCode::NlrRoundtrip,
+        RuleCode::LatticeInvariant,
+    ];
+
     fn as_str(self) -> &'static str {
         RuleCode::as_str(self)
     }

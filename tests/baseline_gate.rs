@@ -15,8 +15,8 @@
 
 use difftrace::{AttrConfig, AttrKind, FilterConfig, FreqMode, Params, PipelineOptions};
 use dt_baseline::{
-    evaluate, sealed_hash, snapshot, snapshot_rec, Baseline, CodeCount, DiffClass, Policy,
-    TraceRecord,
+    evaluate, sealed_hash, snapshot, snapshot_rec, Baseline, CheckSection, CodeCount, DiffClass,
+    Policy, TraceRecord,
 };
 use dt_cache::Cache;
 use dt_trace::hb::HbLog;
@@ -69,6 +69,11 @@ fn reqlife(fault: Option<ReqLifeFault>) -> RunOutcome {
     run_reqlife(&cfg, reg)
 }
 
+/// The regression class of the checker tagged `tag`.
+fn regression(tag: &str) -> DiffClass {
+    DiffClass::parse(&format!("{tag}-regression")).unwrap()
+}
+
 fn check(base: &RunOutcome, cand: &RunOutcome) -> Vec<DiffClass> {
     let p = params();
     let baseline = snapshot(&base.traces, &base.hb, &p);
@@ -102,7 +107,7 @@ fn stencil_tag_fault_fires_expected_clauses() {
         vec![
             DiffClass::NlrChanged,
             DiffClass::RankingShift,
-            DiffClass::HbRegression,
+            regression("hb"),
         ]
     );
 }
@@ -122,7 +127,7 @@ fn lulesh_skip_fault_fires_expected_clauses() {
             DiffClass::TraceRemoved,
             DiffClass::NlrChanged,
             DiffClass::RankingShift,
-            DiffClass::HbRegression,
+            regression("hb"),
         ]
     );
 }
@@ -139,16 +144,13 @@ fn omp_race_fault_fires_the_race_clause() {
         &omp_counter(None),
         &omp_counter(Some(OmpCounterFault::Unprotected { rank: 1 })),
     );
-    assert!(
-        failures.contains(&DiffClass::RaceRegression),
-        "{failures:?}"
-    );
+    assert!(failures.contains(&regression("race")), "{failures:?}");
     assert_eq!(
         failures,
         vec![
             DiffClass::NlrChanged,
             DiffClass::RankingShift,
-            DiffClass::RaceRegression,
+            regression("race"),
         ]
     );
 
@@ -163,8 +165,8 @@ fn omp_race_fault_fires_the_race_clause() {
     policy.tolerate.insert(DiffClass::NlrChanged);
     policy.tolerate.insert(DiffClass::RankingShift);
     let report = evaluate(&baseline, &candidate, &policy, "candidate").unwrap();
-    assert_eq!(report.failures(), vec![DiffClass::RaceRegression]);
-    policy.require_clean_race.clear();
+    assert_eq!(report.failures(), vec![regression("race")]);
+    policy.require_clean.get_mut("racecheck").unwrap().clear();
     let report = evaluate(&baseline, &candidate, &policy, "candidate").unwrap();
     assert!(report.passed(), "{}", report.render_text());
 }
@@ -184,7 +186,7 @@ fn coll_args_fault_fires_the_req_clause() {
         vec![
             DiffClass::NlrChanged,
             DiffClass::RankingShift,
-            DiffClass::ReqRegression,
+            regression("req"),
         ]
     );
 
@@ -199,8 +201,8 @@ fn coll_args_fault_fires_the_req_clause() {
     policy.tolerate.insert(DiffClass::NlrChanged);
     policy.tolerate.insert(DiffClass::RankingShift);
     let report = evaluate(&baseline, &candidate, &policy, "candidate").unwrap();
-    assert_eq!(report.failures(), vec![DiffClass::ReqRegression]);
-    policy.require_clean_req.clear();
+    assert_eq!(report.failures(), vec![regression("req")]);
+    policy.require_clean.get_mut("reqcheck").unwrap().clear();
     let report = evaluate(&baseline, &candidate, &policy, "candidate").unwrap();
     assert!(report.passed(), "{}", report.render_text());
 }
@@ -218,7 +220,7 @@ fn tolerances_turn_the_gate_green() {
     for c in [
         DiffClass::NlrChanged,
         DiffClass::RankingShift,
-        DiffClass::HbRegression,
+        regression("hb"),
     ] {
         policy.tolerate.insert(c);
     }
@@ -304,41 +306,28 @@ fn golden_fixture() -> Baseline {
         ],
         clusters: 2,
         outliers: vec![TraceId::new(3, 1)],
-        lint: vec![CodeCount {
-            code: "TL003".to_string(),
-            errors: 0,
-            warnings: 1,
-        }],
-        has_hb: true,
-        hb: vec![CodeCount {
-            code: "HB001".to_string(),
-            errors: 1,
-            warnings: 0,
-        }],
-        race: vec![
-            CodeCount {
-                code: "RC001".to_string(),
-                errors: 2,
-                warnings: 0,
-            },
-            CodeCount {
-                code: "RC004".to_string(),
-                errors: 0,
-                warnings: 1,
-            },
+        checks: vec![
+            section("lint", &[("TL003", 0, 1)]),
+            section("hbcheck", &[("HB001", 1, 0)]),
+            section("racecheck", &[("RC001", 2, 0), ("RC004", 0, 1)]),
+            section("reqcheck", &[("RQ001", 1, 0), ("RQ005", 0, 2)]),
         ],
-        req: vec![
-            CodeCount {
-                code: "RQ001".to_string(),
-                errors: 1,
-                warnings: 0,
-            },
-            CodeCount {
-                code: "RQ005".to_string(),
-                errors: 0,
-                warnings: 2,
-            },
-        ],
+    }
+}
+
+/// A checker section that ran and recorded `(code, errors, warnings)`.
+fn section(name: &str, counts: &[(&str, u64, u64)]) -> CheckSection {
+    CheckSection {
+        name: name.to_string(),
+        ran: true,
+        counts: counts
+            .iter()
+            .map(|&(code, errors, warnings)| CodeCount {
+                code: code.to_string(),
+                errors,
+                warnings,
+            })
+            .collect(),
     }
 }
 
@@ -348,13 +337,13 @@ fn golden_fixture() -> Baseline {
 /// (mirrors the cache-format pin in `tests/cache_equivalence.rs`).
 #[test]
 fn bundle_encoding_is_pinned() {
-    assert_eq!(dt_baseline::BUNDLE_FORMAT_VERSION, 3);
+    assert_eq!(dt_baseline::BUNDLE_FORMAT_VERSION, 4);
     let bytes = golden_fixture().encode();
     assert_eq!(bytes, golden_fixture().encode(), "encoding must be pure");
     let digest = sealed_hash(&bytes).expect("well-sealed");
     assert_eq!(
         format!("{digest:032x}"),
-        "093a6cebe64f9f8a9a5429517e970cfe",
+        "d776cda560744f7d45bd4fd45751fa98",
         "bundle wire format changed — bump BUNDLE_FORMAT_VERSION and re-pin"
     );
 }
