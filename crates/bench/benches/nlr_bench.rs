@@ -1,13 +1,20 @@
 //! NLR throughput and reduction vs the buffer constant K.
 //!
-//! The paper quotes Θ(K²·N) complexity and reports trace-size
-//! reductions at K = 10 and K = 50 (§V). This bench measures both the
-//! time and (printed once) the reduction factor over three trace
-//! shapes: flat loops, nested loops, and loop bodies longer than K.
+//! The paper quotes Θ(K²·N) complexity for trying every body length up
+//! to K on every push, and reports trace-size reductions at K = 10 and
+//! K = 50 (§V). The builder scans once and visits only the stack slots
+//! that can match, so its time should barely move with K. This bench
+//! measures both the time and (printed once) the reduction factor over
+//! three synthetic shapes — flat loops, nested loops, and loop bodies
+//! longer than K — and over the raw traces of the demo LULESH faulty
+//! run (`lulesh_raw`, every trace folded).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dt_trace::FunctionRegistry;
 use nlr::{LoopTable, NlrBuilder};
 use std::hint::black_box;
+use std::sync::Arc;
+use workloads::{run_lulesh, LuleshConfig};
 
 /// (A B C D)^n — a flat 4-symbol loop.
 fn flat_loop(n: usize) -> Vec<u32> {
@@ -32,6 +39,15 @@ fn long_body(n: usize) -> Vec<u32> {
     (0..n).flat_map(|_| 0u32..12).collect()
 }
 
+/// The raw symbol stream of every trace of the demo LULESH faulty run.
+fn lulesh_raw() -> Vec<Vec<u32>> {
+    let run = run_lulesh(
+        &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
+        Arc::new(FunctionRegistry::new()),
+    );
+    run.traces.iter().map(|t| t.to_symbols()).collect()
+}
+
 fn bench_nlr(c: &mut Criterion) {
     let mut g = c.benchmark_group("nlr");
     for (name, input) in [
@@ -49,6 +65,19 @@ fn bench_nlr(c: &mut Criterion) {
                 });
             });
         }
+    }
+    let traces = lulesh_raw();
+    let events: usize = traces.iter().map(Vec::len).sum();
+    g.throughput(Throughput::Elements(events as u64));
+    for k in [10usize, 50] {
+        g.bench_with_input(BenchmarkId::new("lulesh_raw", k), &traces, |b, traces| {
+            b.iter(|| {
+                traces
+                    .iter()
+                    .map(|s| NlrBuilder::new(k).fold(black_box(s)).elements.len())
+                    .sum::<usize>()
+            });
+        });
     }
     g.finish();
 
@@ -68,6 +97,13 @@ fn bench_nlr(c: &mut Criterion) {
                 nlr.reduction_factor()
             );
         }
+    }
+    for k in [10usize, 50] {
+        let elements: usize = traces
+            .iter()
+            .map(|s| NlrBuilder::new(k).fold(s).elements.len())
+            .sum();
+        eprintln!("[nlr] lulesh_raw K={k}: {events} -> {elements} elements");
     }
 }
 

@@ -674,7 +674,7 @@ fn demo(args: &[String]) -> Result<(), String> {
     let [workload, outdir] = args.positional.as_slice() else {
         return Err(usage_of("demo"));
     };
-    if matches!(workload.as_str(), "fleet-oddeven" | "fleet-stencil") {
+    if workloads::DEMO_FLEETS.contains(&workload.as_str()) {
         return demo_fleet(workload, outdir, force);
     }
     let out = PathBuf::from(outdir);
@@ -712,12 +712,7 @@ fn demo(args: &[String]) -> Result<(), String> {
 /// injected fault, each under its run name — instead of the
 /// normal/faulty pair the other workloads produce.
 fn demo_fleet(workload: &str, outdir: &str, force: bool) -> Result<(), String> {
-    const HEALTHY: usize = 8;
-    let fleet = match workload {
-        "fleet-oddeven" => workloads::oddeven_fleet(HEALTHY),
-        "fleet-stencil" => workloads::stencil_fleet(HEALTHY),
-        _ => unreachable!("caller matched the fleet workloads"),
-    };
+    let fleet = workloads::demo_fleet(workload).expect("caller matched the fleet workloads");
     let out = PathBuf::from(outdir);
     let paths: Vec<PathBuf> = fleet
         .iter()
@@ -760,115 +755,15 @@ fn run_demo_pair(
     workload: &str,
     registry: &Arc<FunctionRegistry>,
 ) -> Result<(RecordedRun, RecordedRun), String> {
-    use workloads::*;
-    let pair = |n: RunOutcome, f: RunOutcome| Ok(((n.traces, n.hb), (f.traces, f.hb)));
-    match workload {
-        "oddeven" => pair(
-            run_oddeven(&OddEvenConfig::paper(None), registry.clone()),
-            run_oddeven(
-                &OddEvenConfig::paper(Some(OddEvenConfig::swap_bug())),
-                registry.clone(),
-            ),
-        ),
-        "oddeven-dl" => pair(
-            run_oddeven(&OddEvenConfig::paper(None), registry.clone()),
-            run_oddeven(
-                &OddEvenConfig::paper(Some(OddEvenConfig::dl_bug())),
-                registry.clone(),
-            ),
-        ),
-        "ilcs-crit" => pair(
-            run_ilcs(&IlcsConfig::paper(None), registry.clone()),
-            run_ilcs(
-                &IlcsConfig::paper(Some(IlcsConfig::omp_crit_bug())),
-                registry.clone(),
-            ),
-        ),
-        "ilcs-size" => pair(
-            run_ilcs(&IlcsConfig::paper(None), registry.clone()),
-            run_ilcs(
-                &IlcsConfig::paper(Some(IlcsConfig::coll_size_bug())),
-                registry.clone(),
-            ),
-        ),
-        "ilcs-op" => pair(
-            run_ilcs(&IlcsConfig::paper(None), registry.clone()),
-            run_ilcs(
-                &IlcsConfig::paper(Some(IlcsConfig::wrong_op_bug())),
-                registry.clone(),
-            ),
-        ),
-        "lulesh" => pair(
-            run_lulesh(&LuleshConfig::paper(None), registry.clone()),
-            run_lulesh(
-                &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
-                registry.clone(),
-            ),
-        ),
-        "stencil-tag" => pair(
-            run_stencil(&StencilConfig::default_8(), registry.clone()).0,
-            run_stencil(
-                &StencilConfig {
-                    fault: Some(StencilFault::TagMismatch { rank: 1 }),
-                    ..StencilConfig::default_8()
-                },
-                registry.clone(),
-            )
-            .0,
-        ),
-        "lulesh-coll" => pair(
-            run_lulesh(&LuleshConfig::paper(None), registry.clone()),
-            run_lulesh(
-                &LuleshConfig::paper(Some(LuleshFault::SkipCollective { rank: 2 })),
-                registry.clone(),
-            ),
-        ),
-        "omp-counter" => pair(
-            run_omp_counter(&OmpCounterConfig::default_2x4(), registry.clone()),
-            run_omp_counter(
-                &OmpCounterConfig {
-                    fault: Some(OmpCounterFault::Unprotected { rank: 1 }),
-                    ..OmpCounterConfig::default_2x4()
-                },
-                registry.clone(),
-            ),
-        ),
-        "omp-lockorder" => pair(
-            run_omp_lockorder(&OmpLockOrderConfig::default_2x3(), registry.clone()),
-            run_omp_lockorder(
-                &OmpLockOrderConfig {
-                    fault: Some(OmpLockOrderFault::Inverted { rank: 0, thread: 2 }),
-                    ..OmpLockOrderConfig::default_2x3()
-                },
-                registry.clone(),
-            ),
-        ),
-        "isend-leak" => pair(
-            run_reqlife(&ReqLifeConfig::default_4(), registry.clone()),
-            run_reqlife(
-                &ReqLifeConfig {
-                    fault: Some(ReqLifeFault::LeakRequest { rank: 2, iter: 1 }),
-                    ..ReqLifeConfig::default_4()
-                },
-                registry.clone(),
-            ),
-        ),
-        "coll-args" => pair(
-            run_reqlife(&ReqLifeConfig::default_4(), registry.clone()),
-            run_reqlife(
-                &ReqLifeConfig {
-                    fault: Some(ReqLifeFault::MismatchedCollArgs { rank: 1 }),
-                    ..ReqLifeConfig::default_4()
-                },
-                registry.clone(),
-            ),
-        ),
-        other => Err(format!(
-            "unknown workload `{other}` (oddeven, oddeven-dl, ilcs-crit, ilcs-size, ilcs-op, \
-             lulesh, stencil-tag, lulesh-coll, omp-counter, omp-lockorder, isend-leak, coll-args, \
-             fleet-oddeven, fleet-stencil)"
-        )),
-    }
+    let (n, f) = workloads::demo_pair(workload, registry).ok_or_else(|| {
+        let known: Vec<&str> = workloads::DEMO_PAIRS
+            .iter()
+            .chain(workloads::DEMO_FLEETS)
+            .copied()
+            .collect();
+        format!("unknown workload `{workload}` ({})", known.join(", "))
+    })?;
+    Ok(((n.traces, n.hb), (f.traces, f.hb)))
 }
 
 fn load(path: &str) -> Result<TraceSet, String> {

@@ -16,7 +16,7 @@
 use crate::lint::LintOptions;
 use crate::pipeline::{DiffRun, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
-use dt_obs::{stage_owned, Recorder};
+use dt_obs::{stage_owned, time_into, Recorder};
 use dt_trace::hb::HbLog;
 use dt_trace::{Trace, TraceSet};
 use nlr::{LoopTable, Nlr, NlrBuilder};
@@ -128,7 +128,8 @@ pub(crate) type OnChunk<'f, 'a> = dyn FnMut(&LoopTable, Vec<RawTerm<'a>>) + 'f;
 /// any thread count (see [`nlr::fold`]); then `each` gets the chunk
 /// with the table before the next chunk folds. Whatever `each` drops
 /// is never held for the whole execution. Counts one fold per trace as
-/// `<name>_folds` in `rec` and returns the table.
+/// `<name>_folds` in `rec` and reports the folding time of all chunks
+/// (not `each`) as one span of stage `<name>/fold`.
 pub(crate) fn fold_raw<'a>(
     name: &str,
     traces: &[&'a Trace],
@@ -136,29 +137,32 @@ pub(crate) fn fold_raw<'a>(
     threads: usize,
     rec: &dyn Recorder,
     mut each: impl FnMut(&LoopTable, Vec<RawTerm<'a>>),
-) -> LoopTable {
+) {
     let mut table = LoopTable::new();
+    let mut fold_ns = 0;
     for chunk in traces.chunks(threads.max(1)) {
-        let folds = par_map(chunk, threads, |_, t| {
-            let symbols = t.to_symbols();
-            let fold = NlrBuilder::new(k).fold(&symbols);
-            (symbols, fold)
+        let raw = time_into(rec, &mut fold_ns, || {
+            let folds = par_map(chunk, threads, |_, t| {
+                let symbols = t.to_symbols();
+                let fold = NlrBuilder::new(k).fold(&symbols);
+                (symbols, fold)
+            });
+            chunk
+                .iter()
+                .zip(folds)
+                .map(|(&trace, (symbols, fold))| RawTerm {
+                    trace,
+                    symbols,
+                    term: fold.replay(&mut table),
+                })
+                .collect()
         });
-        let raw = chunk
-            .iter()
-            .zip(folds)
-            .map(|(&trace, (symbols, fold))| RawTerm {
-                trace,
-                symbols,
-                term: fold.replay(&mut table),
-            })
-            .collect();
         each(&table, raw);
     }
     if rec.enabled() {
+        rec.span_ns(&format!("{name}/fold"), fold_ns);
         rec.add(&format!("{name}_folds"), traces.len() as u64);
     }
-    table
 }
 
 /// One pre-diff analysis. Implementations are unit structs listed in
@@ -235,8 +239,8 @@ pub trait Checker: Sync + Sized {
 /// dispatched. The compressed domain computes each chunk's facts from
 /// its [`fold_raw`] terms, fanned out over the chunk, and drops them.
 /// With `raw`, the raw fold runs in either domain and `raw` gets every
-/// chunk after its facts. Returns the facts and the fold's loop table
-/// (empty when nothing folded).
+/// chunk after its facts. The facts' time is one span of stage
+/// `<name>/facts`.
 pub(crate) fn trace_facts<'a, C: Checker>(
     checker: &C,
     vocab: &C::Vocab,
@@ -244,29 +248,40 @@ pub(crate) fn trace_facts<'a, C: Checker>(
     opts: &CheckOptions,
     rec: &dyn Recorder,
     mut raw: Option<&mut OnChunk<'_, 'a>>,
-) -> (Vec<C::Facts>, LoopTable) {
+) -> Vec<C::Facts> {
     let threads = effective_threads(opts.threads, traces.len().max(1));
     let fold =
         |each: &mut OnChunk<'_, 'a>| fold_raw(C::NAME, traces, opts.nlr_k, threads, rec, each);
-    match opts.domain {
+    let mut facts_ns = 0;
+    let facts = match opts.domain {
         LintDomain::Expanded => {
-            let facts = par_map(traces, threads, |_, t| checker.expanded(vocab, t));
-            let table = raw.map_or_else(LoopTable::new, fold);
-            (facts, table)
+            let facts = time_into(rec, &mut facts_ns, || {
+                par_map(traces, threads, |_, t| checker.expanded(vocab, t))
+            });
+            if let Some(raw) = raw {
+                fold(raw);
+            }
+            facts
         }
         LintDomain::Compressed => {
             let mut facts = Vec::with_capacity(traces.len());
-            let table = fold(&mut |table, chunk| {
-                facts.extend(par_map(&chunk, threads, |_, r| {
-                    checker.compressed(vocab, table, r.trace, &r.term)
-                }));
+            fold(&mut |table, chunk| {
+                time_into(rec, &mut facts_ns, || {
+                    facts.extend(par_map(&chunk, threads, |_, r| {
+                        checker.compressed(vocab, table, r.trace, &r.term)
+                    }))
+                });
                 if let Some(raw) = raw.as_mut() {
                     raw(table, chunk);
                 }
             });
-            (facts, table)
+            facts
         }
+    };
+    if rec.enabled() {
+        rec.span_ns(&format!("{}/facts", C::NAME), facts_ns);
     }
+    facts
 }
 
 /// Run `checker` over one execution: the per-trace facts in the
@@ -280,7 +295,7 @@ pub fn run_facts<C: Checker>(
 ) -> Report<C::Code> {
     let traces: Vec<&Trace> = input.set.iter().collect();
     let vocab = checker.vocab(input);
-    let (facts, _) = trace_facts(checker, &vocab, &traces, opts, rec, None);
+    let facts = trace_facts(checker, &vocab, &traces, opts, rec, None);
     checker.analyze(&vocab, input, facts)
 }
 
@@ -730,6 +745,44 @@ mod tests {
             let m = rec.finish(row.name, 1);
             let folds = pair.faulty.0.len() as u64;
             assert!(m.counters.contains(&(key, folds)), "{:?}", m.counters);
+        }
+    }
+
+    #[test]
+    fn every_run_records_its_sub_stages() {
+        for row in &ROWS {
+            let c = checker(row.name).unwrap();
+            let pair = (row.pair)();
+            for domain in [LintDomain::Expanded, LintDomain::Compressed] {
+                for deep in [false, true] {
+                    let rec = dt_obs::MetricsRecorder::new();
+                    let opts = LintOptions {
+                        domain,
+                        deep,
+                        ..LintOptions::default()
+                    };
+                    c.check(&input(&pair.faulty), &opts, &rec);
+                    let paths: Vec<String> = rec
+                        .finish(row.name, 1)
+                        .stages
+                        .into_iter()
+                        .map(|s| s.path)
+                        .collect();
+                    let mut want = vec!["facts"];
+                    if row.name == "lint" {
+                        want.extend(["fold", "tl002", "tl004", "tl005"]);
+                        if deep {
+                            want.push("tl006");
+                        }
+                    } else if domain == LintDomain::Compressed {
+                        want.push("fold");
+                    }
+                    let mut want: Vec<String> =
+                        want.iter().map(|s| format!("{}/{s}", row.name)).collect();
+                    want.sort();
+                    assert_eq!(paths, want, "{}/{domain:?}/deep={deep}", row.name);
+                }
+            }
         }
     }
 

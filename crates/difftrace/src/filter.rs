@@ -73,49 +73,77 @@ const MPI_COLLECTIVES: &[&str] = &[
 
 const MPI_SENDRECV: &[&str] = &["MPI_Send", "MPI_Isend", "MPI_Recv", "MPI_Irecv", "MPI_Wait"];
 
-/// Compiled keep predicate for one class.
+/// Compiled keep predicate for one class. Every built-in class is a
+/// literal table; only [`KeepClass::Custom`] compiles a regex.
 enum CompiledClass {
-    Prefix(&'static str),
+    /// The name is one of these.
     OneOf(&'static [&'static str]),
+    /// The name starts with one of these.
+    Prefix(&'static [&'static str]),
+    /// The name, each character folded to lower case, contains one of
+    /// these (`anchored`: starts with one).
+    Folded {
+        anchored: bool,
+        words: &'static [&'static str],
+    },
     Re(Regex),
 }
 
 impl CompiledClass {
     fn matches(&self, name: &str) -> bool {
         match self {
-            CompiledClass::Prefix(p) => name.starts_with(p),
             CompiledClass::OneOf(set) => set.contains(&name),
+            CompiledClass::Prefix(ps) => ps.iter().any(|p| name.starts_with(p)),
+            CompiledClass::Folded { anchored, words } => {
+                let folded: String = name.chars().map(fold_case).collect();
+                words.iter().any(|w| {
+                    if *anchored {
+                        folded.starts_with(w)
+                    } else {
+                        folded.contains(w)
+                    }
+                })
+            }
             CompiledClass::Re(re) => re.is_match(name),
         }
     }
 }
 
+/// One character folded to lower case as `rex`'s case-insensitive
+/// matcher folds it: the first character of its lower-case mapping
+/// (so the Kelvin sign folds to `k`, and `İ` to `i`).
+fn fold_case(c: char) -> char {
+    c.to_lowercase().next().unwrap_or(c)
+}
+
 fn compile_class(c: &KeepClass) -> CompiledClass {
     match c {
-        KeepClass::MpiAll => CompiledClass::Prefix("MPI_"),
+        KeepClass::MpiAll => CompiledClass::Prefix(&["MPI_"]),
         KeepClass::MpiCollectives => CompiledClass::OneOf(MPI_COLLECTIVES),
         KeepClass::MpiSendRecv => CompiledClass::OneOf(MPI_SENDRECV),
-        KeepClass::MpiInternal => {
-            CompiledClass::Re(Regex::new("^(MPIDI_|MPIR_|MPID_)").expect("static pattern"))
-        }
-        KeepClass::OmpAll => CompiledClass::Prefix("GOMP_"),
+        KeepClass::MpiInternal => CompiledClass::Prefix(&["MPIDI_", "MPIR_", "MPID_"]),
+        KeepClass::OmpAll => CompiledClass::Prefix(&["GOMP_"]),
         KeepClass::OmpCritical => {
-            CompiledClass::Re(Regex::new("^GOMP_critical_(start|end)$").expect("static pattern"))
+            CompiledClass::OneOf(&["GOMP_critical_start", "GOMP_critical_end"])
         }
-        KeepClass::Memory => CompiledClass::Re(
-            Regex::new_case_insensitive("memcpy|memchk|memset|memmove|alloc|free")
-                .expect("static pattern"),
-        ),
-        KeepClass::Network => CompiledClass::Re(
-            Regex::new_case_insensitive("network|tcp|socket|ib_|verbs").expect("static pattern"),
-        ),
-        KeepClass::Poll => CompiledClass::Re(
-            Regex::new_case_insensitive("poll|yield|sched").expect("static pattern"),
-        ),
-        KeepClass::Strings => CompiledClass::Re(
-            Regex::new_case_insensitive("^str(len|cpy|cmp|ncpy|ncmp|cat|chr)")
-                .expect("static pattern"),
-        ),
+        KeepClass::Memory => CompiledClass::Folded {
+            anchored: false,
+            words: &["memcpy", "memchk", "memset", "memmove", "alloc", "free"],
+        },
+        KeepClass::Network => CompiledClass::Folded {
+            anchored: false,
+            words: &["network", "tcp", "socket", "ib_", "verbs"],
+        },
+        KeepClass::Poll => CompiledClass::Folded {
+            anchored: false,
+            words: &["poll", "yield", "sched"],
+        },
+        KeepClass::Strings => CompiledClass::Folded {
+            anchored: true,
+            words: &[
+                "strlen", "strcpy", "strcmp", "strncpy", "strncmp", "strcat", "strchr",
+            ],
+        },
         // An invalid custom pattern matches nothing; callers surface
         // the error via `FilterConfig::validate` before running.
         KeepClass::Custom(pat) => match Regex::new(pat) {
@@ -206,8 +234,8 @@ impl FilterConfig {
     }
 
     /// Probe every keep class against a corpus of *distinct* function
-    /// names, without re-scanning any trace. Regex-backed classes are
-    /// counted through the rex match counter; prefix/set classes are
+    /// names, without re-scanning any trace. Custom classes are counted
+    /// through the rex match counter; the built-in literal tables are
     /// counted directly. This powers tracelint's dead-filter rule
     /// (TL004).
     pub fn probe_classes(&self, names: &[String]) -> Vec<ClassProbe> {

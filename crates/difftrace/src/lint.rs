@@ -10,16 +10,21 @@
 //! TL005 checks each trace's raw NLR term against its own symbol
 //! stream. Lint reads the raw terms through the one streamed fold
 //! ([`crate::check::fold_raw`]) in both domains: TL005 runs on each
-//! chunk and drops its streams. Only the compressed domain keeps the
-//! terms, because its TL002 collective projection reads them all; in
-//! the expanded domain lint never holds more than a chunk's raw streams
-//! and terms.
+//! chunk, and in the compressed domain the chunk's terms are projected
+//! onto their collectives for TL002 there too, so only the per-rank
+//! projected streams outlive the chunk. In neither domain does lint
+//! hold more than a chunk's raw streams and terms.
+//!
+//! Besides the `lint/facts` and `lint/fold` stages that
+//! [`crate::check`] records for it, [`Lint::run`] times each rule
+//! family it runs itself as `lint/tl002`, `lint/tl004`, `lint/tl005`
+//! and (deep) `lint/tl006`.
 
 use crate::check::{trace_facts, CheckInput, CheckOptions, Checker, LintDomain, PrePass, RawTerm};
 use crate::filter::{table_i_catalog, ClassProbe, FilterConfig};
 use crate::pipeline::{analyze, DiffRun, Params, PipelineOptions};
-use dt_obs::Recorder;
-use dt_trace::{FunctionRegistry, Trace, TraceId, TraceSet};
+use dt_obs::{stage, time_into, Recorder};
+use dt_trace::{FunctionRegistry, Trace, TraceSet};
 use nlr::{LoopTable, Nlr};
 use std::sync::Arc;
 use tracelint::compressed::{
@@ -129,44 +134,64 @@ impl Checker for Lint {
         let check = opts.check_options();
         let registry = self.vocab(input);
         let compressed = opts.domain == LintDomain::Compressed;
+        let coll = if compressed {
+            rules::collective_fn_ids(&registry)
+        } else {
+            Default::default()
+        };
+        let mut projector = CollProjector::new(&coll);
+        let mut ranks = Vec::new();
         let mut roundtrip = Vec::new();
-        let mut terms: Vec<(TraceId, Nlr, bool)> = Vec::new();
-        let (per_trace, table) = trace_facts(
+        let (mut tl002_ns, mut tl005_ns) = (0, 0);
+        let per_trace = trace_facts(
             self,
             &registry,
             &traces,
             &check,
             rec,
             Some(&mut |table: &LoopTable, chunk: Vec<RawTerm>| {
-                for r in chunk {
-                    let id = r.trace.id;
-                    roundtrip.extend(rules::check_roundtrip(id, &r.symbols, &r.term, table));
-                    if compressed {
-                        terms.push((id, r.term, r.trace.truncated));
+                time_into(rec, &mut tl005_ns, || {
+                    for r in &chunk {
+                        roundtrip.extend(rules::check_roundtrip(
+                            r.trace.id, &r.symbols, &r.term, table,
+                        ));
                     }
+                });
+                if compressed {
+                    time_into(rec, &mut tl002_ns, || {
+                        let terms = chunk
+                            .iter()
+                            .map(|r| (r.trace.id, &r.term, r.trace.truncated));
+                        rank_streams(&mut ranks, table, terms, &mut projector);
+                    });
                 }
             }),
         );
         let mut diags: Vec<Diagnostic> = per_trace.into_iter().flatten().collect();
         diags.extend(roundtrip);
-        if compressed {
-            let coll = rules::collective_fn_ids(&registry);
-            let mut projector = CollProjector::new(&table, &coll);
-            let terms: Vec<(TraceId, &Nlr, bool)> =
-                terms.iter().map(|(id, n, t)| (*id, n, *t)).collect();
-            let ranks = rank_streams(&terms, &mut projector);
-            diags.extend(check_collective_order_compressed(
-                &ranks, &projector, &registry,
-            ));
-        } else {
-            diags.extend(rules::check_collective_order(set));
+        time_into(rec, &mut tl002_ns, || {
+            if compressed {
+                diags.extend(check_collective_order_compressed(
+                    &ranks, &projector, &registry,
+                ));
+            } else {
+                diags.extend(rules::check_collective_order(set));
+            }
+        });
+        if rec.enabled() {
+            rec.span_ns("lint/tl002", tl002_ns);
+            rec.span_ns("lint/tl005", tl005_ns);
         }
-        diags.extend(dead_filter_diags(
-            opts.filter.as_ref(),
-            &registry.names(),
-            check.nlr_k,
-        ));
+        {
+            let _s = stage(rec, "lint/tl004");
+            diags.extend(dead_filter_diags(
+                opts.filter.as_ref(),
+                &registry.names(),
+                check.nlr_k,
+            ));
+        }
         if opts.deep {
+            let _s = stage(rec, "lint/tl006");
             diags.extend(deep_lattice_diags(set, opts, check.nlr_k));
         }
         LintReport::new(diags)

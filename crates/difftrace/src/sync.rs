@@ -109,87 +109,53 @@ where
         .collect()
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A small persistent worker pool: N threads draining one shared job
-/// queue. Unlike [`par_map`]'s scoped per-call workers, the threads
-/// outlive any single request — the scheduling substrate a resident
-/// server (`difftrace serve`) puts its queries on, so concurrent
-/// requests share a bounded set of analysis workers instead of
-/// spawning unboundedly.
-///
-/// [`Pool::run`] blocks the *calling* thread until its job finishes,
-/// so per-request code reads sequentially; concurrency comes from many
-/// callers. A panicking job is caught on the worker (which survives to
-/// serve the next job) and re-raised on the caller.
+/// A bound on concurrent jobs for a resident server (`difftrace
+/// serve`): at most `threads` jobs run at once however many callers
+/// there are. [`Pool::run`] runs its job on the *calling* thread once
+/// a slot is free, so per-request code reads sequentially, concurrency
+/// comes from many callers, and a job costs no hand-off to another
+/// thread and back. A panicking job unwinds into its caller and frees
+/// its slot.
 pub struct Pool {
-    tx: Option<std::sync::mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    slots: usize,
+    busy: std::sync::Mutex<usize>,
+    freed: std::sync::Condvar,
 }
 
 impl Pool {
-    /// Spawn a pool with the given thread knob (`0` = all available
-    /// parallelism).
+    /// A pool of `threads` slots (`0` = all available parallelism).
     pub fn new(threads: usize) -> Pool {
-        let threads = effective_threads(threads, usize::MAX);
-        let (tx, rx) = std::sync::mpsc::channel::<Job>();
-        let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|_| {
-                let rx = std::sync::Arc::clone(&rx);
-                std::thread::spawn(move || loop {
-                    // Hold the lock only while *receiving*, never while
-                    // running a job, so workers drain in parallel.
-                    let job = rx.lock().unwrap_or_else(|p| p.into_inner()).recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // pool dropped
-                    }
-                })
-            })
-            .collect();
         Pool {
-            tx: Some(tx),
-            workers,
+            slots: effective_threads(threads, usize::MAX),
+            busy: std::sync::Mutex::new(0),
+            freed: std::sync::Condvar::new(),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of jobs that may run at once.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.slots
     }
 
-    /// Run `f` on a pool worker and return its result, blocking the
-    /// caller until it is done. If `f` panics, the panic crosses back
-    /// to the caller; the worker survives.
-    pub fn run<T, F>(&self, f: F) -> T
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let job: Job = Box::new(move || {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            let _ = tx.send(out);
-        });
-        self.tx
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(job)
-            .expect("pool workers alive");
-        match rx.recv().expect("worker delivers exactly one result") {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
+    /// Wait for a free slot, then run `f` on this thread and return its
+    /// result.
+    pub fn run<T>(&self, f: impl FnOnce() -> T) -> T {
+        let mut busy = self.busy.lock().unwrap_or_else(|p| p.into_inner());
+        while *busy == self.slots {
+            busy = self.freed.wait(busy).unwrap_or_else(|p| p.into_inner());
         }
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the queue; workers see Err and exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        *busy += 1;
+        drop(busy);
+        /// Frees the slot when the job returns or unwinds.
+        struct Slot<'p>(&'p Pool);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                *self.0.busy.lock().unwrap_or_else(|p| p.into_inner()) -= 1;
+                self.0.freed.notify_one();
+            }
         }
+        let _slot = Slot(self);
+        f()
     }
 }
 
@@ -241,21 +207,26 @@ mod tests {
             pool.run(|| panic!("job exploded"));
         }));
         assert!(boom.is_err());
-        // The single worker is still alive and serving.
+        // The panic freed the only slot.
         assert_eq!(pool.run(|| "still here"), "still here");
     }
 
     #[test]
-    fn pool_drop_joins_cleanly() {
+    fn pool_never_runs_more_jobs_than_its_slots() {
         let pool = Pool::new(2);
-        let counter = std::sync::Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let c = std::sync::Arc::clone(&counter);
-            pool.run(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool);
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
+        let (running, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    pool.run(|| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        most.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                    })
+                });
+            }
+        });
+        assert_eq!(most.load(Ordering::SeqCst), 2);
     }
 }

@@ -19,9 +19,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tracelint::RuleCode;
-use workloads::{
-    run_ilcs, run_lulesh, run_oddeven, IlcsConfig, LuleshConfig, OddEvenConfig, RunOutcome,
-};
+use workloads::{run_lulesh, LuleshConfig, RunOutcome};
+
+mod common;
 
 /// The system allocator, with a running count of live bytes and the
 /// highest count seen since [`peak_during`] last reset it.
@@ -96,41 +96,6 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Ordering::SeqCst) - base)
 }
 
-/// The demo corpora `difftrace demo` writes for these workloads.
-fn demo_corpora() -> Vec<(&'static str, TraceSet)> {
-    let registry = Arc::new(FunctionRegistry::new());
-    vec![
-        (
-            "oddeven/faulty",
-            run_oddeven(
-                &OddEvenConfig::paper(Some(OddEvenConfig::swap_bug())),
-                registry.clone(),
-            )
-            .traces,
-        ),
-        (
-            "ilcs-crit/faulty",
-            run_ilcs(
-                &IlcsConfig::paper(Some(IlcsConfig::omp_crit_bug())),
-                registry.clone(),
-            )
-            .traces,
-        ),
-        (
-            "lulesh/normal",
-            run_lulesh(&LuleshConfig::paper(None), registry.clone()).traces,
-        ),
-        (
-            "lulesh/faulty",
-            run_lulesh(
-                &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
-                registry,
-            )
-            .traces,
-        ),
-    ]
-}
-
 /// The demo LULESH faulty run.
 fn lulesh_faulty() -> RunOutcome {
     run_lulesh(
@@ -168,7 +133,8 @@ fn one_thread_lint_never_holds_every_raw_term() {
 /// At one thread, each compressed-domain checker's peak live heap on
 /// the demo LULESH faulty corpus stays below the bytes of its raw NLR
 /// terms: the facts are computed a chunk at a time and the terms are
-/// dropped with their chunk.
+/// dropped with their chunk. Lint projects each chunk's terms for TL002
+/// there too, keeping only the per-rank collective streams.
 #[test]
 fn one_thread_compressed_checkers_never_hold_every_raw_term() {
     let _turn = serial();
@@ -179,7 +145,15 @@ fn one_thread_compressed_checkers_never_hold_every_raw_term() {
         domain: LintDomain::Compressed,
         ..CheckOptions::default()
     };
+    let lint_opts = LintOptions {
+        domain: LintDomain::Compressed,
+        ..LintOptions::default()
+    };
     let peaks = [
+        (
+            "lint",
+            peak_during(|| lint_set(set, &lint_opts).render_text()),
+        ),
         (
             "hbcheck",
             peak_during(|| hbcheck_set(set, &run.hb, &opts).render_text()),
@@ -201,12 +175,12 @@ fn one_thread_compressed_checkers_never_hold_every_raw_term() {
     }
 }
 
-/// TL005 reports the same in both domains at every thread count, and
-/// each domain folds each trace once.
+/// On every demo corpus, TL005 reports the same in both domains at every
+/// thread count, and each domain folds each trace once.
 #[test]
 fn roundtrip_diagnostics_agree_across_domains() {
     let _turn = serial();
-    for (name, set) in demo_corpora() {
+    for (name, set) in common::demo_runs() {
         let tl005 = |domain: LintDomain, threads: usize| {
             let opts = LintOptions {
                 threads,

@@ -1,36 +1,46 @@
-//! The NLR stack machine (the paper's Procedure 1) and the multi-pass
-//! driver that finds deeper loop nests. It interns into a plain
-//! [`LoopTable`]: [`NlrBuilder::build`] into a given one,
+//! The NLR stack machine (the paper's Procedure 1). It interns into a
+//! plain [`LoopTable`]: [`NlrBuilder::build`] into a given one,
 //! [`NlrBuilder::fold`] into a fresh trace-local one whose bodies form
 //! the portable [`Fold`].
+//!
+//! One pass over the input finds every loop nest. A folded loop is an
+//! element of the stack like any symbol, so later folds take it into
+//! their bodies (`((A B)^3 C)^4` folds inside out in one scan). A
+//! second pass over the output would be the identity: right after an
+//! output element's last write the stack was exactly the output's prefix
+//! up to it, and `reduce` had reached a fixpoint there; the rules read
+//! only the stack, `K` and bodies that never change once interned, so
+//! re-pushing the output fires no rule.
+//!
+//! The rules visit only the stack slots that can match, in the order a
+//! scan of every body length `b` in `1..=K` would meet them, so the
+//! decisions, the intern order and every [`Fold`] are those of that
+//! scan: a fold walks the links to earlier slots shaped like the top
+//! element, an extension the links between loops that end where the
+//! stack ends.
 
-use crate::element::{Element, Nlr};
+use crate::element::{Element, LoopId, Nlr};
 use crate::fold::Fold;
 use crate::table::LoopTable;
+use std::collections::HashMap;
 
 /// Configurable NLR recognizer.
 ///
 /// `K` is the paper's buffer constant: the maximum loop-body length
-/// considered. Complexity per pass is `Θ(K²·N)`.
+/// considered. A reduction step compares only candidate slots: earlier
+/// slots within `K` shaped like the top element, and loops whose body
+/// would end at the top. A trace costs `O(K²·N)` at worst, as a scan of
+/// every body length does, and close to `O(N)` when few slots repeat.
 #[derive(Debug, Clone, Copy)]
 pub struct NlrBuilder {
     k: usize,
-    max_passes: usize,
 }
 
 impl NlrBuilder {
     /// A builder with body-length bound `k` (the paper uses K = 10 and
-    /// K = 50) and the default nesting-pass limit.
+    /// K = 50).
     pub fn new(k: usize) -> NlrBuilder {
-        NlrBuilder { k, max_passes: 8 }
-    }
-
-    /// Override the maximum number of re-analysis passes (each pass can
-    /// add one level of loop nesting; the default of 8 is far deeper
-    /// than real call traces need).
-    pub fn with_max_passes(mut self, passes: usize) -> NlrBuilder {
-        self.max_passes = passes.max(1);
-        self
+        NlrBuilder { k }
     }
 
     /// The body-length bound.
@@ -45,18 +55,15 @@ impl NlrBuilder {
     /// (only the ID numbering varies), which is what makes a
     /// trace-local [`NlrBuilder::fold`] replayable into any table.
     pub fn build(&self, input: &[u32], table: &mut LoopTable) -> Nlr {
-        let mut elements: Vec<Element> = input.iter().map(|&s| Element::Sym(s)).collect();
-        // Pass 1 finds depth-1 loops; each subsequent pass treats the
-        // previous summary's loops as atomic symbols and can therefore
-        // fold loops-of-loops — the paper's "restarted once the whole
-        // trace has been analyzed for depth-2 loops and so on".
-        for _ in 0..self.max_passes {
-            let before = elements.len();
-            elements = self.pass(&elements, table);
-            if elements.len() == before {
-                break;
-            }
+        let mut m = Machine::new(self.k, table, input.len());
+        for &s in input {
+            m.push(Element::Sym(s));
+            m.reduce();
         }
+        // The stack was sized for the input; the summary is kept, often
+        // far shorter.
+        let mut elements = m.stack;
+        elements.shrink_to_fit();
         Nlr::from_parts(elements, input.len())
     }
 
@@ -73,34 +80,126 @@ impl NlrBuilder {
             input_len: nlr.input_len,
         }
     }
+}
 
-    /// One stack-machine pass over an element sequence.
-    fn pass(&self, input: &[Element], table: &mut LoopTable) -> Vec<Element> {
-        let mut stack: Vec<Element> = Vec::with_capacity(input.len().min(4096));
-        for &e in input {
-            stack.push(e);
-            self.reduce(&mut stack, table);
+/// No earlier slot.
+const NONE: u32 = u32::MAX;
+
+/// Symbols below this find their last slot in a dense array, larger
+/// ones in a map.
+const DENSE_SYMBOLS: u32 = 1 << 16;
+
+/// The stack of one build, with the indexes its rules walk. Every
+/// change goes through [`Machine::push`] and [`Machine::truncate`],
+/// which keep the indexes equal to the stack.
+///
+/// A fold's candidates are linked by *shape* ([`Element::same_shape`]:
+/// a symbol, or a loop body whatever its count), so a loop's link needs
+/// no hash: the walk meets every slot equal to the top, plus
+/// equal-bodied loops of other counts that its comparison rejects. An
+/// extension's candidates are linked by *reach*: a loop at slot `p`
+/// with a body of `b` elements can only absorb the top when the stack
+/// is `p + 1 + b` long.
+struct Machine<'t> {
+    k: usize,
+    table: &'t mut LoopTable,
+    stack: Vec<Element>,
+    /// `shape_prev[i]`: the highest slot below `i` with the shape of
+    /// `stack[i]`, or [`NONE`].
+    shape_prev: Vec<u32>,
+    /// `reach_prev[i]`: for a loop, the highest loop slot below `i`
+    /// with the same reach; [`NONE`] otherwise.
+    reach_prev: Vec<u32>,
+    /// The highest slot holding each small symbol, or [`NONE`].
+    last_sym: Vec<u32>,
+    /// The highest slot holding each large symbol.
+    last_wide: HashMap<u32, u32>,
+    /// The highest slot holding a loop of each body, or [`NONE`].
+    last_loop: Vec<u32>,
+    /// The highest loop slot of each reach, or [`NONE`].
+    last_reach: Vec<u32>,
+}
+
+/// `v[i]`, growing `v` with [`NONE`] to reach it.
+fn dense(v: &mut Vec<u32>, i: usize) -> &mut u32 {
+    if i >= v.len() {
+        v.resize(i + 1, NONE);
+    }
+    &mut v[i]
+}
+
+impl<'t> Machine<'t> {
+    fn new(k: usize, table: &'t mut LoopTable, len: usize) -> Machine<'t> {
+        let cap = len.min(4096);
+        Machine {
+            k,
+            table,
+            stack: Vec::with_capacity(cap),
+            shape_prev: Vec::with_capacity(cap),
+            reach_prev: Vec::with_capacity(cap),
+            last_sym: Vec::new(),
+            last_wide: HashMap::new(),
+            last_loop: Vec::new(),
+            last_reach: Vec::new(),
         }
-        stack
+    }
+
+    /// The head of `e`'s shape chain: the highest slot with its shape.
+    fn shape_head(&mut self, e: Element) -> &mut u32 {
+        match e {
+            Element::Sym(s) if s < DENSE_SYMBOLS => dense(&mut self.last_sym, s as usize),
+            Element::Sym(s) => self.last_wide.entry(s).or_insert(NONE),
+            Element::Loop { body, .. } => dense(&mut self.last_loop, body.0 as usize),
+        }
+    }
+
+    /// The head of the reach chain a loop of `body` at `slot` joins: the
+    /// highest loop slot with its reach.
+    fn reach_head(&mut self, slot: usize, body: LoopId) -> &mut u32 {
+        let reach = slot + 1 + self.table.body(body).len();
+        dense(&mut self.last_reach, reach)
+    }
+
+    fn push(&mut self, e: Element) {
+        let slot = self.stack.len();
+        // Links are `u32` with `NONE` reserved; a stack that long would
+        // already hold 64 GiB of elements.
+        let link = u32::try_from(slot)
+            .ok()
+            .filter(|&l| l != NONE)
+            .expect("NLR stack fits u32 slot links");
+        let prev = std::mem::replace(self.shape_head(e), link);
+        self.shape_prev.push(prev);
+        let prev = match e {
+            Element::Loop { body, .. } => std::mem::replace(self.reach_head(slot, body), link),
+            Element::Sym(_) => NONE,
+        };
+        self.reach_prev.push(prev);
+        self.stack.push(e);
+    }
+
+    /// Pop down to `len` slots, handing each popped slot's links back
+    /// to the indexes.
+    fn truncate(&mut self, len: usize) {
+        while self.stack.len() > len {
+            let e = self.stack.pop().expect("non-empty");
+            *self.shape_head(e) = self.shape_prev.pop().expect("one link per slot");
+            let prev = self.reach_prev.pop().expect("one link per slot");
+            if let Element::Loop { body, .. } = e {
+                *self.reach_head(self.stack.len(), body) = prev;
+            }
+        }
     }
 
     /// Procedure 1: repeatedly apply (in priority order) loop merge,
     /// loop extension, and loop folding to the top of the stack.
-    fn reduce(&self, stack: &mut Vec<Element>, table: &mut LoopTable) {
-        loop {
-            if self.try_merge_adjacent(stack)
-                || self.try_extend(stack, table)
-                || self.try_fold(stack, table)
-            {
-                continue;
-            }
-            break;
-        }
+    fn reduce(&mut self) {
+        while self.try_merge_adjacent() || self.try_extend() || self.try_fold() {}
     }
 
     /// `… L(b)^c1 L(b)^c2` → `… L(b)^(c1+c2)`.
-    fn try_merge_adjacent(&self, stack: &mut Vec<Element>) -> bool {
-        let n = stack.len();
+    fn try_merge_adjacent(&mut self) -> bool {
+        let n = self.stack.len();
         if n < 2 {
             return false;
         }
@@ -113,11 +212,11 @@ impl NlrBuilder {
                 body: b2,
                 count: c2,
             },
-        ) = (stack[n - 2], stack[n - 1])
+        ) = (self.stack[n - 2], self.stack[n - 1])
         {
             if b1 == b2 {
-                stack.truncate(n - 2);
-                stack.push(Element::Loop {
+                self.truncate(n - 2);
+                self.push(Element::Loop {
                     body: b1,
                     count: c1 + c2,
                 });
@@ -129,52 +228,56 @@ impl NlrBuilder {
 
     /// If the top `b` elements equal the body of the loop right below
     /// them, absorb them as one more iteration:
-    /// `… L(body)^c body` → `… L(body)^(c+1)`.
-    fn try_extend(&self, stack: &mut Vec<Element>, table: &LoopTable) -> bool {
-        let n = stack.len();
-        for b in 1..=self.k.min(n.saturating_sub(1)) {
-            let loop_pos = n - b - 1;
-            if let Element::Loop { body, count } = stack[loop_pos] {
-                let body_elems = table.body(body);
-                // Cheap prefilter: the first body element must match
-                // before paying for the slice comparison.
-                if body_elems.len() == b
-                    && body_elems.first() == stack.get(n - b)
-                    && body_elems == &stack[n - b..]
-                {
-                    stack.truncate(loop_pos);
-                    stack.push(Element::Loop {
+    /// `… L(body)^c body` → `… L(body)^(c+1)`. Only the loops whose
+    /// reach is the stack's length are candidates, nearest (smallest
+    /// `b`) first; their bodies are at most `K` long by construction.
+    fn try_extend(&mut self) -> bool {
+        let n = self.stack.len();
+        let mut j = self.last_reach.get(n).copied().unwrap_or(NONE);
+        while j != NONE {
+            let pos = j as usize;
+            if let Element::Loop { body, count } = self.stack[pos] {
+                if self.table.body(body) == &self.stack[pos + 1..] {
+                    self.truncate(pos);
+                    self.push(Element::Loop {
                         body,
                         count: count + 1,
                     });
                     return true;
                 }
             }
+            j = self.reach_prev[pos];
         }
         false
     }
 
     /// If the top `2·b` elements are two equal halves, fold them into a
-    /// fresh loop of two iterations: `… X X` → `… L(X)^2`.
-    fn try_fold(&self, stack: &mut Vec<Element>, table: &mut LoopTable) -> bool {
-        let n = stack.len();
-        for b in 1..=self.k.min(n / 2) {
-            // Cheap prefilter: the halves can only match if their last
-            // elements do — turns the common non-matching case from
-            // O(b) into O(1), keeping long-trace passes near O(K·N).
-            if stack[n - 1] == stack[n - 1 - b] && stack[n - b..] == stack[n - 2 * b..n - b] {
-                let body: Vec<Element> = stack[n - b..].to_vec();
-                // Folding a bare `L^c L^c` pair would create a loop
-                // whose body is a loop — that is just a count multiply;
-                // leave it to merge instead (it already ran).
-                if b == 1 {
-                    if let Element::Loop { .. } = body[0] {
-                        continue;
-                    }
-                }
-                let id = table.intern(body);
-                stack.truncate(n - 2 * b);
-                stack.push(Element::Loop { body: id, count: 2 });
+    /// fresh loop of two iterations: `… X X` → `… L(X)^2`. The halves
+    /// can only match if their last elements do, so only the earlier
+    /// slots with the top's shape are candidates, nearest first.
+    fn try_fold(&mut self) -> bool {
+        let n = self.stack.len();
+        let Some(&top) = self.stack.last() else {
+            return false;
+        };
+        let limit = self.k.min(n / 2);
+        let mut j = self.shape_prev[n - 1];
+        while j != NONE {
+            let b = n - 1 - j as usize;
+            if b > limit {
+                break;
+            }
+            j = self.shape_prev[j as usize];
+            // Folding a bare `L^c L^c` pair would create a loop whose
+            // body is a loop — that is just a count multiply; leave it
+            // to merge instead (it already ran).
+            if b == 1 && top.is_loop() {
+                continue;
+            }
+            if self.stack[n - b..] == self.stack[n - 2 * b..n - b] {
+                let id = self.table.intern(self.stack[n - b..].to_vec());
+                self.truncate(n - 2 * b);
+                self.push(Element::Loop { body: id, count: 2 });
                 return true;
             }
         }
@@ -185,7 +288,6 @@ impl NlrBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::LoopId;
 
     fn build(k: usize, input: &[u32]) -> (Nlr, LoopTable) {
         let mut table = LoopTable::new();
@@ -266,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_loops_found_in_later_passes() {
+    fn nested_loops_fold_in_one_pass() {
         // ((A B)^3 C)^4 — depth-2 nest.
         let mut input = Vec::new();
         for _ in 0..4 {

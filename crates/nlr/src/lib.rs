@@ -21,10 +21,13 @@
 //! (a) extends a loop below the stack top when the top `b` elements
 //! repeat its body, (b) merges adjacent equal-bodied loops, and (c)
 //! folds the top `2·b` elements into a fresh loop when the two halves
-//! are equal, for `b ≤ K`. `K` bounds the loop-body length and gives
-//! the `Θ(K²·N)` complexity quoted in the paper. As in the paper's
-//! adaptation, the process restarts on the summarized sequence to find
-//! deeper nests ("depth-2 loops and so on") until a fixpoint.
+//! are equal, for `b ≤ K`. `K` bounds the loop-body length; the paper
+//! quotes `Θ(K²·N)` for trying every `b`, and the builder visits only
+//! the stack slots that can match, in the same order. The paper's
+//! adaptation restarts on the summarized sequence to find deeper nests
+//! ("depth-2 loops and so on"); one scan already folds loops of loops,
+//! and a restart on its output never folds anything (see
+//! [`builder`]), so the builder scans once.
 //!
 //! Loop IDs are assigned from a [`LoopTable`] that is *shared across
 //! traces of the same execution*, so `L0` means the same loop body in

@@ -107,6 +107,19 @@ pub fn stage_owned(rec: &dyn Recorder, path: String) -> StageTimer<'_> {
     }
 }
 
+/// Run `f`, adding its wall time to `ns` when `rec` is enabled. A stage
+/// timed in many short sections (one per chunk of a loop) sums them
+/// here and reports once through [`Recorder::span_ns`], so a shared
+/// recorder is not locked once per section.
+pub fn time_into<T>(rec: &dyn Recorder, ns: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = rec.enabled().then(Instant::now);
+    let out = f();
+    if let Some(start) = start {
+        *ns += start.elapsed().as_nanos() as u64;
+    }
+    out
+}
+
 /// Aggregate of all spans recorded under one path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct SpanAgg {

@@ -9,8 +9,8 @@
 //! index means *opening* decodes nothing — and answers queries over a
 //! line-delimited JSON protocol on TCP ([`protocol`]). Traces decode
 //! lazily on first touch and stay cached; a shared [`dt_cache::Cache`]
-//! carries intermediate analysis artifacts across requests; a bounded
-//! [`difftrace::sync::Pool`] schedules the actual analyses.
+//! carries intermediate analysis artifacts across requests; a
+//! [`difftrace::sync::Pool`] bounds how many analyses run at once.
 //!
 //! The contract that makes the daemon trustworthy: **every served
 //! reply's `output` is byte-identical to what the one-shot CLI prints

@@ -1,12 +1,13 @@
 //! The daemon: corpora behind lazily-decoded [`IndexedSet`]s, a
-//! persistent [`difftrace::sync::Pool`] scheduling query execution, a
+//! [`difftrace::sync::Pool`] bounding concurrent query execution, a
 //! shared in-memory analysis cache as the cross-request hot set, and a
 //! live [`MetricsRecorder`] the `metrics` query snapshots.
 //!
 //! Concurrency model: one OS thread per *connection* reads frames and
-//! writes replies in order; each query runs as one job on the worker
-//! pool, so at most `jobs` analyses execute at once no matter how many
-//! clients connect. The job is [`executor::execute`], the path the
+//! writes replies in order, and runs each query itself once the pool
+//! has a free slot, so at most `jobs` analyses execute at once no
+//! matter how many clients connect, and no query is handed to another
+//! thread and back. The job is [`executor::execute`], the path the
 //! one-shot CLI takes too. Every analysis entry point is
 //! observational-deterministic (byte-identical output at any thread
 //! count), and per-corpus decode caches are interior-mutable behind
@@ -38,7 +39,7 @@ pub struct ServeConfig {
     pub addr: String,
     /// Named corpora: `(name, path-to-.dtts)`.
     pub corpora: Vec<(String, PathBuf)>,
-    /// Worker-pool size (`0` = all available parallelism).
+    /// Analyses run at once (`0` = all available parallelism).
     pub jobs: usize,
     /// Persist the shared analysis cache here (in-memory when `None`).
     pub cache_dir: Option<PathBuf>,
@@ -104,7 +105,7 @@ impl Server {
         self.state.addr
     }
 
-    /// Worker-pool size actually spawned.
+    /// Analyses that may run at once, `jobs` resolved.
     pub fn workers(&self) -> usize {
         self.state.pool.threads()
     }
@@ -221,12 +222,11 @@ fn answer(state: &Arc<State>, line: &str) -> (String, bool) {
         "metrics" => protocol::ok_line(id, &metrics_text(state), 0),
         "shutdown" => return (protocol::ok_line(id, "shutting down\n", 0), true),
         _ => {
-            let st = Arc::clone(state);
             let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                state.pool.run(move || {
-                    let corpora = Corpora::Served(&st.corpora);
-                    let cache = Some(Arc::clone(&st.cache));
-                    executor::execute(&req, &corpora, cache, BTreeMap::new(), &st.rec)
+                state.pool.run(|| {
+                    let corpora = Corpora::Served(&state.corpora);
+                    let cache = Some(Arc::clone(&state.cache));
+                    executor::execute(&req, &corpora, cache, BTreeMap::new(), &state.rec)
                 })
             }));
             match ran {

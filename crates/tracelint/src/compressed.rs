@@ -133,30 +133,29 @@ pub enum PTok {
 
 /// Projects terms onto their collective subsequence, memoizing per
 /// loop body: the projected tokens and the number of collectives one
-/// iteration contributes.
-pub struct CollProjector<'t> {
-    table: &'t LoopTable,
-    collectives: &'t HashSet<u32>,
+/// iteration contributes. Bodies never change once interned, so the
+/// memo stays valid while the table grows between calls.
+pub struct CollProjector<'c> {
+    collectives: &'c HashSet<u32>,
     memo: HashMap<LoopId, Vec<PTok>>,
     counts: HashMap<LoopId, u64>,
 }
 
-impl<'t> CollProjector<'t> {
-    /// A projector over `table` keeping calls to `collectives`
-    /// (function IDs).
-    pub fn new(table: &'t LoopTable, collectives: &'t HashSet<u32>) -> CollProjector<'t> {
+impl<'c> CollProjector<'c> {
+    /// A projector keeping calls to `collectives` (function IDs).
+    pub fn new(collectives: &'c HashSet<u32>) -> CollProjector<'c> {
         CollProjector {
-            table,
             collectives,
             memo: HashMap::new(),
             counts: HashMap::new(),
         }
     }
 
-    /// Project an element sequence. Loops whose projection is empty
-    /// vanish; loops projecting to a single run are flattened into a
-    /// multiplied run; anything else stays a [`PTok::Loop`].
-    pub fn project(&mut self, elements: &[Element]) -> Vec<PTok> {
+    /// Project an element sequence whose loops live in `table`. Loops
+    /// whose projection is empty vanish; loops projecting to a single
+    /// run are flattened into a multiplied run; anything else stays a
+    /// [`PTok::Loop`].
+    pub fn project(&mut self, table: &LoopTable, elements: &[Element]) -> Vec<PTok> {
         let mut out: Vec<PTok> = Vec::new();
         for e in elements {
             match *e {
@@ -167,7 +166,7 @@ impl<'t> CollProjector<'t> {
                     }
                 }
                 Element::Loop { body, count } => {
-                    self.ensure(body);
+                    self.ensure(table, body);
                     let per_iter = self.counts[&body];
                     if per_iter == 0 {
                         continue;
@@ -188,11 +187,11 @@ impl<'t> CollProjector<'t> {
         self.counts[&id]
     }
 
-    fn ensure(&mut self, id: LoopId) {
+    fn ensure(&mut self, table: &LoopTable, id: LoopId) {
         if self.memo.contains_key(&id) {
             return;
         }
-        let toks = self.project(self.table.body(id));
+        let toks = self.project(table, table.body(id));
         let count = toks
             .iter()
             .map(|t| match t {
@@ -422,16 +421,20 @@ pub struct RankCollStream {
     pub truncated: bool,
 }
 
-/// Build per-rank streams from `(trace id, term, truncated)` triples
-/// (must be sorted by trace ID, as `NlrSet` iteration is).
-pub fn rank_streams(
-    terms: &[(TraceId, &Nlr, bool)],
+/// Append the terms of `(trace id, term, truncated)` triples to the
+/// per-rank streams `ranks`. The triples must come in trace-ID order,
+/// as `NlrSet` iteration gives them, and may come over several calls
+/// (one per chunk of a streamed fold), so a rank's stream can be built
+/// without holding its terms.
+pub fn rank_streams<'n>(
+    ranks: &mut Vec<RankCollStream>,
+    table: &LoopTable,
+    terms: impl IntoIterator<Item = (TraceId, &'n Nlr, bool)>,
     projector: &mut CollProjector<'_>,
-) -> Vec<RankCollStream> {
-    let mut out: Vec<RankCollStream> = Vec::new();
+) {
     for (id, term, truncated) in terms {
-        let toks = projector.project(term.elements());
-        match out.last_mut() {
+        let toks = projector.project(table, term.elements());
+        match ranks.last_mut() {
             Some(r) if r.process == id.process => {
                 r.truncated |= truncated;
                 for t in toks {
@@ -441,14 +444,13 @@ pub fn rank_streams(
                     }
                 }
             }
-            _ => out.push(RankCollStream {
+            _ => ranks.push(RankCollStream {
                 process: id.process,
                 stream: toks,
-                truncated: *truncated,
+                truncated,
             }),
         }
     }
-    out
 }
 
 /// Compressed TL002 verdicts: for every non-reference rank, where (if
@@ -651,12 +653,13 @@ mod tests {
         let mut table = LoopTable::new();
         let t0 = NlrBuilder::new(6).build(&mk(reduce), &mut table);
         let t1 = NlrBuilder::new(6).build(&mk(barrier), &mut table);
-        let mut projector = CollProjector::new(&table, &collectives);
+        let mut projector = CollProjector::new(&collectives);
         let terms = [
             (TraceId::master(0), &t0, false),
             (TraceId::master(1), &t1, false),
         ];
-        let ranks = rank_streams(&terms, &mut projector);
+        let mut ranks = Vec::new();
+        rank_streams(&mut ranks, &table, terms, &mut projector);
         assert_eq!(ranks.len(), 2);
         let div = collective_divergences(&ranks, &projector);
         assert_eq!(
@@ -672,12 +675,13 @@ mod tests {
         );
         // And identical ranks compare Equal without expansion.
         let t2 = NlrBuilder::new(6).build(&mk(reduce), &mut table);
-        let mut projector = CollProjector::new(&table, &collectives);
+        let mut projector = CollProjector::new(&collectives);
         let terms = [
             (TraceId::master(0), &t0, false),
             (TraceId::master(1), &t2, false),
         ];
-        let ranks = rank_streams(&terms, &mut projector);
+        let mut ranks = Vec::new();
+        rank_streams(&mut ranks, &table, terms, &mut projector);
         assert_eq!(collective_divergences(&ranks, &projector), vec![(1, None)]);
     }
 
@@ -698,12 +702,13 @@ mod tests {
         let mut table = LoopTable::new();
         let t0 = NlrBuilder::new(6).build(&mk(20), &mut table);
         let t1 = NlrBuilder::new(6).build(&mk(15), &mut table);
-        let mut projector = CollProjector::new(&table, &collectives);
+        let mut projector = CollProjector::new(&collectives);
         let terms = [
             (TraceId::master(0), &t0, false),
             (TraceId::master(1), &t1, false),
         ];
-        let ranks = rank_streams(&terms, &mut projector);
+        let mut ranks = Vec::new();
+        rank_streams(&mut ranks, &table, terms, &mut projector);
         let div = collective_divergences(&ranks, &projector);
         assert_eq!(
             div,

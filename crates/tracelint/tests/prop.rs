@@ -245,12 +245,14 @@ proptest! {
             .collect();
 
         // Compressed verdicts over the shared table.
-        let mut projector = CollProjector::new(&table, &coll);
-        let term_refs: Vec<(TraceId, &nlr::Nlr, bool)> = terms_store
-            .iter()
-            .map(|(id, t, tr)| (*id, t, *tr))
-            .collect();
-        let streams = rank_streams(&term_refs, &mut projector);
+        let mut projector = CollProjector::new(&coll);
+        let mut streams = Vec::new();
+        rank_streams(
+            &mut streams,
+            &table,
+            terms_store.iter().map(|(id, t, tr)| (*id, t, *tr)),
+            &mut projector,
+        );
         let compressed = collective_divergences(&streams, &projector);
 
         prop_assert_eq!(expanded, compressed);

@@ -30,6 +30,7 @@
 //! registry** to produce an aligned normal/faulty trace pair for
 //! DiffTrace.
 
+pub mod demo;
 pub mod fleet;
 pub mod ilcs;
 pub mod lulesh;
@@ -39,6 +40,7 @@ pub mod reqlife;
 pub mod stencil;
 pub mod tsp;
 
+pub use demo::{demo_fleet, demo_pair, DEMO_FLEETS, DEMO_PAIRS, FLEET_HEALTHY};
 pub use fleet::{oddeven_fleet, oddeven_fleet_sized, stencil_fleet};
 pub use ilcs::{run_ilcs, IlcsConfig, IlcsFault};
 pub use lulesh::{run_lulesh, LuleshConfig, LuleshFault};
