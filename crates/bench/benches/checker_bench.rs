@@ -61,10 +61,10 @@ fn bench<C: Checker>(c: &mut Criterion, checker: &C) {
     for reps in [1_000usize, 10_000, 100_000] {
         let set = high_repetition_set(reps);
         let trace = set.iter().next().expect("one trace");
-        let syms = trace.to_symbols();
+        let syms = &trace.events;
         let mut table = LoopTable::new();
-        let term = NlrBuilder::new(NLR_K).build(&syms, &mut table);
-        assert_eq!(term.expand(&table), syms, "NLR must be lossless");
+        let term = NlrBuilder::new(NLR_K).build(syms, &mut table);
+        assert_eq!(&term.expand(&table), syms, "NLR must be lossless");
         assert!(
             term.elements().len() * 100 < syms.len(),
             "the stream must actually fold ({} elements for {} events)",

@@ -44,7 +44,9 @@ fn bench_compress(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new(format!("{name}_decompress"), n),
                 &blob,
-                |b, blob| b.iter(|| black_box(decompress(black_box(blob)).unwrap()).len()),
+                |b, blob| {
+                    b.iter(|| black_box(decompress(black_box(blob), u64::MAX).unwrap()).len());
+                },
             );
         }
     }

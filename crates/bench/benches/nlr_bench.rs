@@ -45,7 +45,7 @@ fn lulesh_raw() -> Vec<Vec<u32>> {
         &LuleshConfig::paper(Some(LuleshConfig::skip_bug())),
         Arc::new(FunctionRegistry::new()),
     );
-    run.traces.iter().map(|t| t.to_symbols()).collect()
+    run.traces.iter().map(|t| t.events.clone()).collect()
 }
 
 fn bench_nlr(c: &mut Criterion) {

@@ -9,7 +9,7 @@ use dt_cache::Cache;
 use dt_obs::{json, stage, MetricsRecorder, Recorder};
 use dt_serve::{Corpora, Failure, Request};
 use dt_trace::hb::HbLog;
-use dt_trace::{store, FunctionRegistry, TraceSet, TraceSetStats};
+use dt_trace::{canonicalize, store, FunctionRegistry, TraceSet, TraceSetStats};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -694,7 +694,9 @@ fn demo(args: &[String]) -> Result<(), String> {
         }
     }
     let registry = Arc::new(FunctionRegistry::new());
-    let ((normal, normal_hb), (faulty, faulty_hb)) = run_demo_pair(workload, &registry)?;
+    let ((mut normal, mut normal_hb), (mut faulty, mut faulty_hb)) =
+        run_demo_pair(workload, &registry)?;
+    canonicalize(&mut [(&mut normal, &mut normal_hb), (&mut faulty, &mut faulty_hb)]);
     std::fs::create_dir_all(outdir).map_err(|e| format!("creating {outdir}: {e}"))?;
     store::save_full(&normal, &normal_hb, &np).map_err(|e| e.to_string())?;
     store::save_full(&faulty, &faulty_hb, &fp).map_err(|e| e.to_string())?;
@@ -712,7 +714,10 @@ fn demo(args: &[String]) -> Result<(), String> {
 /// injected fault, each under its run name — instead of the
 /// normal/faulty pair the other workloads produce.
 fn demo_fleet(workload: &str, outdir: &str, force: bool) -> Result<(), String> {
-    let fleet = workloads::demo_fleet(workload).expect("caller matched the fleet workloads");
+    let mut fleet = workloads::demo_fleet(workload).expect("caller matched the fleet workloads");
+    for (_, run) in &mut fleet {
+        canonicalize(&mut [(&mut run.traces, &mut run.hb)]);
+    }
     let out = PathBuf::from(outdir);
     let paths: Vec<PathBuf> = fleet
         .iter()

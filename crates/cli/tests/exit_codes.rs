@@ -431,3 +431,50 @@ fn profile_and_metrics_outputs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A run whose trace calls a function its registry lacks is a
+/// diagnosed exit-2 error on every command that decodes it: the
+/// registry holds only `main`, `bad.dtts` also calls `FnId(7)`.
+#[test]
+fn out_of_registry_symbols_are_exit_2() {
+    use dt_trace::{store, FnId, FunctionRegistry, Trace, TraceEvent, TraceId, TraceSet};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("difftrace_out_of_reg_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, callee: Option<FnId>| {
+        let reg = Arc::new(FunctionRegistry::new());
+        let main = reg.intern("main");
+        let mut t = Trace::new(TraceId::master(0));
+        t.push(TraceEvent::Call(main));
+        if let Some(f) = callee {
+            t.push(TraceEvent::Call(f));
+            t.push(TraceEvent::Return(f));
+        }
+        t.push(TraceEvent::Return(main));
+        let mut set = TraceSet::new(reg);
+        set.insert(t);
+        let path = dir.join(name);
+        store::save(&set, &path).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let ok = write("ok.dtts", None);
+    let bad = write("bad.dtts", Some(FnId(7)));
+    assert_exit(0, &["single", &ok]);
+    for args in [
+        &["diff", &ok, &bad][..],
+        &["single", &bad],
+        &["lint", &bad, "--deep"],
+        &["racecheck", &bad],
+        &["reqcheck", &bad],
+    ] {
+        let (code, _, stderr) = run(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("symbol outside the function registry"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -108,13 +108,11 @@ pub struct CheckInput<'a> {
     pub hb: Option<&'a HbLog>,
 }
 
-/// One trace of a [`fold_raw`] chunk: its raw (unfiltered) symbol
-/// stream and its NLR term under the execution's loop table.
+/// One trace of a [`fold_raw`] chunk and the NLR term of its raw
+/// (unfiltered) symbol stream under the execution's loop table.
 pub(crate) struct RawTerm<'a> {
     /// The recorded trace.
     pub trace: &'a Trace,
-    /// The trace's raw symbol stream.
-    pub symbols: Vec<u32>,
     /// The stream's NLR term.
     pub term: Nlr,
 }
@@ -142,17 +140,12 @@ pub(crate) fn fold_raw<'a>(
     let mut fold_ns = 0;
     for chunk in traces.chunks(threads.max(1)) {
         let raw = time_into(rec, &mut fold_ns, || {
-            let folds = par_map(chunk, threads, |_, t| {
-                let symbols = t.to_symbols();
-                let fold = NlrBuilder::new(k).fold(&symbols);
-                (symbols, fold)
-            });
+            let folds = par_map(chunk, threads, |_, t| NlrBuilder::new(k).fold(&t.events));
             chunk
                 .iter()
                 .zip(folds)
-                .map(|(&trace, (symbols, fold))| RawTerm {
+                .map(|(&trace, fold)| RawTerm {
                     trace,
-                    symbols,
                     term: fold.replay(&mut table),
                 })
                 .collect()
@@ -269,7 +262,7 @@ pub(crate) fn trace_facts<'a, C: Checker>(
                 time_into(rec, &mut facts_ns, || {
                     facts.extend(par_map(&chunk, threads, |_, r| {
                         checker.compressed(vocab, table, r.trace, &r.term)
-                    }))
+                    }));
                 });
                 if let Some(raw) = raw.as_mut() {
                     raw(table, chunk);

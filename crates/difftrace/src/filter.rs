@@ -284,17 +284,20 @@ impl FilterConfig {
     }
 
     /// Apply to every trace of a set. Whether an event is kept depends
-    /// only on its function, so the keep decision is made once per
-    /// registered name and then looked up per event.
+    /// only on its symbol (function and return bit), so the keep
+    /// decision is made once per registered symbol — the call of
+    /// function `f` at `2f`, its return at `2f + 1` — and then looked
+    /// up per event, which is copied through as it is stored.
     pub fn apply(&self, set: &TraceSet) -> FilteredSet {
         let compiled: Vec<CompiledClass> = self.keep.iter().map(compile_class).collect();
         let keep: Vec<bool> = set
             .registry
             .names()
             .iter()
-            .map(|name| {
-                !(self.drop_plt && (name.ends_with("@plt") || name.contains(".plt")))
-                    && (compiled.is_empty() || compiled.iter().any(|c| c.matches(name)))
+            .flat_map(|name| {
+                let kept = !(self.drop_plt && (name.ends_with("@plt") || name.contains(".plt")))
+                    && (compiled.is_empty() || compiled.iter().any(|c| c.matches(name)));
+                [kept, kept && !self.drop_returns]
             })
             .collect();
         let traces = set
@@ -304,8 +307,8 @@ impl FilterConfig {
                 symbols: trace
                     .events
                     .iter()
-                    .filter(|e| !(self.drop_returns && e.is_return()) && keep[e.fn_id().index()])
-                    .map(|e| e.to_symbol())
+                    .copied()
+                    .filter(|&s| keep[s as usize])
                     .collect(),
                 truncated: trace.truncated,
             })

@@ -33,7 +33,7 @@ impl Checker for HbCheck {
     fn vocab(&self, _input: &CheckInput) {}
 
     fn expanded(&self, _vocab: &(), t: &Trace) -> TraceProgress {
-        expanded::summarize(t.id, &t.to_symbols(), t.truncated)
+        expanded::summarize(t.id, &t.events, t.truncated)
     }
 
     fn compressed(&self, _vocab: &(), table: &LoopTable, t: &Trace, term: &Nlr) -> TraceProgress {

@@ -153,7 +153,10 @@ impl Checker for Lint {
                 time_into(rec, &mut tl005_ns, || {
                     for r in &chunk {
                         roundtrip.extend(rules::check_roundtrip(
-                            r.trace.id, &r.symbols, &r.term, table,
+                            r.trace.id,
+                            &r.trace.events,
+                            &r.term,
+                            table,
                         ));
                     }
                 });

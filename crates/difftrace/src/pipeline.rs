@@ -362,13 +362,13 @@ pub fn content_fingerprints(set: &TraceSet, filter: &FilterConfig) -> Vec<(Trace
 /// missing from `set` become empty objects.
 fn align_filtered(set: &TraceSet, params: &Params, id_universe: &[TraceId]) -> FilteredSet {
     let filtered = params.filter.apply(set);
-    let by_id: BTreeMap<TraceId, FilteredTrace> =
+    let mut by_id: BTreeMap<TraceId, FilteredTrace> =
         filtered.traces.into_iter().map(|t| (t.id, t)).collect();
     FilteredSet {
         traces: id_universe
             .iter()
             .map(|&id| {
-                by_id.get(&id).cloned().unwrap_or(FilteredTrace {
+                by_id.remove(&id).unwrap_or(FilteredTrace {
                     id,
                     symbols: Vec::new(),
                     truncated: false,

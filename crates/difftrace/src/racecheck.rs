@@ -34,7 +34,7 @@ impl Checker for RaceCheck {
     }
 
     fn expanded(&self, vocab: &RaceVocab, t: &Trace) -> TraceRaceFacts {
-        expanded::summarize(t.id, &t.to_symbols(), t.truncated, vocab)
+        expanded::summarize(t.id, &t.events, t.truncated, vocab)
     }
 
     fn compressed(

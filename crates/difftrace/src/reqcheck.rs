@@ -32,7 +32,7 @@ impl Checker for ReqCheck {
     }
 
     fn expanded(&self, vocab: &ReqVocab, t: &Trace) -> TraceReqFacts {
-        expanded::summarize(t.id, &t.to_symbols(), t.truncated, vocab)
+        expanded::summarize(t.id, &t.events, t.truncated, vocab)
     }
 
     fn compressed(

@@ -223,7 +223,7 @@ mod tests {
                         most.fetch_max(now, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(5));
                         running.fetch_sub(1, Ordering::SeqCst);
-                    })
+                    });
                 });
             }
         });

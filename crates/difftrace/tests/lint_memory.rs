@@ -7,13 +7,15 @@
 //! them a chunk at a time, so at one thread neither lint (whose TL005
 //! folds in both domains) nor a compressed-domain checker ever holds
 //! every raw term at once; and TL005 reports the same in both domains.
+//! A decoded trace is its packed symbol stream, so reading a whole
+//! corpus costs about 4 bytes per event.
 
 use difftrace::{
     hbcheck_set, lint_set, racecheck_set, reqcheck_set, CheckInput, CheckOptions, Checker, Lint,
     LintDomain, LintOptions,
 };
 use dt_obs::MetricsRecorder;
-use dt_trace::{FunctionRegistry, TraceSet};
+use dt_trace::{store, FunctionRegistry, IndexedSet, TraceSet};
 use nlr::{Element, NlrBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -108,7 +110,7 @@ fn lulesh_faulty() -> RunOutcome {
 /// LULESH faulty corpus).
 fn raw_term_bytes(set: &TraceSet) -> usize {
     set.iter()
-        .map(|t| NlrBuilder::new(10).fold(&t.to_symbols()).elements.len())
+        .map(|t| NlrBuilder::new(10).fold(&t.events).elements.len())
         .sum::<usize>()
         * std::mem::size_of::<Element>()
 }
@@ -173,6 +175,26 @@ fn one_thread_compressed_checkers_never_hold_every_raw_term() {
             "compressed {name} peaked at {peak} live heap bytes; the raw terms alone are {terms}"
         );
     }
+}
+
+/// Decoding the demo LULESH faulty corpus holds each event once, as
+/// its 4-byte symbol: `IndexedSet::full_set` peaks below 5 bytes per
+/// event (the trace headers, the set's tree and one vector per trace
+/// share the last byte).
+#[test]
+fn whole_corpus_decode_holds_four_bytes_per_event() {
+    let _turn = serial();
+    let run = lulesh_faulty();
+    let events: usize = run.traces.iter().map(|t| t.len()).sum();
+    let ix = IndexedSet::from_bytes(store::to_bytes_full(&run.traces, Some(&run.hb))).unwrap();
+    drop(run);
+    let (set, peak) = peak_during(|| ix.full_set().unwrap());
+    assert_eq!(set.iter().map(|t| t.len()).sum::<usize>(), events);
+    assert!(
+        peak < 5 * events,
+        "full_set peaked at {peak} live heap bytes for {events} events ({:.2} B/event)",
+        peak as f64 / events as f64
+    );
 }
 
 /// On every demo corpus, TL005 reports the same in both domains at every

@@ -75,7 +75,7 @@ fn demo_workload_folds_are_pinned() {
         let filtered = FilterConfig::default().apply(&set);
         let streams = set
             .iter()
-            .map(|t| t.to_symbols())
+            .map(|t| t.events.clone())
             .chain(filtered.traces.into_iter().map(|t| t.symbols));
         for symbols in streams.map(rename) {
             for k in [1, 2, 10, 50] {

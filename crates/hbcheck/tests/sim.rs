@@ -20,7 +20,7 @@ fn registry() -> Arc<FunctionRegistry> {
 fn expanded_progress(out: &RunOutcome) -> Vec<TraceProgress> {
     out.traces
         .iter()
-        .map(|t| expanded::summarize(t.id, &t.to_symbols(), t.truncated))
+        .map(|t| expanded::summarize(t.id, &t.events, t.truncated))
         .collect()
 }
 
@@ -34,7 +34,7 @@ fn compressed_progress(out: &RunOutcome) -> Vec<TraceProgress> {
         .map(|t| {
             (
                 t.id,
-                NlrBuilder::new(6).build(&t.to_symbols(), &mut table),
+                NlrBuilder::new(6).build(&t.events, &mut table),
                 t.truncated,
             )
         })

@@ -835,7 +835,7 @@ mod tests {
         for t in out.traces.iter() {
             assert!(t.truncated);
             // Last event is the MPI_Send call that never returned.
-            let last = *t.events.last().unwrap();
+            let last = t.iter().next_back().unwrap();
             assert!(last.is_call());
             assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Send");
         }
@@ -892,7 +892,7 @@ mod tests {
         });
         assert!(out.deadlocked);
         for t in out.traces.iter() {
-            let last = *t.events.last().unwrap();
+            let last = t.iter().next_back().unwrap();
             assert!(last.is_call());
             assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Allreduce");
         }

@@ -335,7 +335,6 @@ mod tests {
             let mut shape = Vec::new();
             for t in out.traces.iter() {
                 let names: Vec<String> = t
-                    .events
                     .iter()
                     .map(|e| out.traces.registry.name(e.fn_id()))
                     .collect();

@@ -102,7 +102,7 @@ proptest! {
         // Every non-culprit rank's trace ends in the unreturned barrier.
         for t in out.traces.iter() {
             if t.id.process != culprit {
-                let last = *t.events.last().unwrap();
+                let last = t.iter().next_back().unwrap();
                 prop_assert!(last.is_call());
                 prop_assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Barrier");
             }

@@ -82,7 +82,7 @@ impl<'t, S: Summary> Summarizer<'t, S> {
 /// whether every interior return matched its innermost open call.
 ///
 /// A call symbol pushes `fn_id`; a return pops the innermost open call
-/// whether or not it matches (just like `Trace::validate_nesting`), and
+/// whether or not it matches (as tracelint's TL001 walk does), and
 /// a mismatch only clears `ok`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackEffect {

@@ -77,7 +77,8 @@ impl TraceCollector {
 pub struct Tracer {
     collector: Arc<TraceCollector>,
     id: TraceId,
-    events: RefCell<Vec<TraceEvent>>,
+    /// Recorded events, packed as [`TraceEvent::to_symbol`] symbols.
+    events: RefCell<Vec<u32>>,
     poisoned: Cell<bool>,
     finished: Cell<bool>,
 }
@@ -100,15 +101,17 @@ impl Tracer {
 
     /// Record a call event.
     pub fn call(&self, f: FnId) {
-        if !self.poisoned.get() {
-            self.events.borrow_mut().push(TraceEvent::Call(f));
-        }
+        self.record(TraceEvent::Call(f));
     }
 
     /// Record a return event.
     pub fn ret(&self, f: FnId) {
+        self.record(TraceEvent::Return(f));
+    }
+
+    fn record(&self, e: TraceEvent) {
         if !self.poisoned.get() {
-            self.events.borrow_mut().push(TraceEvent::Return(f));
+            self.events.borrow_mut().push(e.to_symbol());
         }
     }
 
@@ -222,7 +225,6 @@ mod tests {
         let set = c.into_trace_set();
         let t = set.get(TraceId::new(0, 0)).unwrap();
         let names: Vec<String> = t
-            .events
             .iter()
             .map(|e| {
                 let n = set.registry.name(e.fn_id());
@@ -264,8 +266,9 @@ mod tests {
         let t = set.get(TraceId::new(2, 0)).unwrap();
         assert!(t.truncated);
         assert_eq!(t.events.len(), 2); // main call + allreduce call
-        assert!(t.events[1].is_call());
-        assert_eq!(set.registry.name(t.events[1].fn_id()), "MPI_Allreduce");
+        let last = t.iter().next_back().unwrap();
+        assert!(last.is_call());
+        assert_eq!(set.registry.name(last.fn_id()), "MPI_Allreduce");
     }
 
     #[test]

@@ -200,8 +200,14 @@ impl StreamCompressor {
     }
 }
 
-/// Decompress a blob produced by [`compress`].
-pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
+/// Decompress a blob produced by [`compress`]. Every symbol must be
+/// below `symbol_bound` (capped at 2³², every `u32`): a store passes
+/// [`crate::FunctionRegistry::symbol_bound`], so a stream naming a
+/// function its registry lacks is a [`CodecError::Corrupt`], never an
+/// out-of-range lookup downstream. Only literals are checked — a match
+/// copies symbols already checked. The result holds exactly its
+/// symbols (no spare capacity): a decoded trace costs 4 bytes per event.
+pub fn decompress(blob: &[u8], symbol_bound: u64) -> Result<Vec<u32>, CodecError> {
     if blob.len() < 5 {
         return Err(CodecError::Truncated);
     }
@@ -211,6 +217,7 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
     if blob[4] != VERSION {
         return Err(CodecError::BadVersion(blob[4]));
     }
+    let bound = symbol_bound.min(1 << 32);
     let mut r = Reader::at(blob, 5);
     let n = r.varint()? as usize;
     // `n` is untrusted: the capacity is only a hint, capped by the
@@ -234,8 +241,8 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
             }
         } else {
             let sym = tok >> 1;
-            if sym > u64::from(u32::MAX) {
-                return Err(CodecError::Corrupt("literal exceeds u32"));
+            if sym >= bound {
+                return Err(CodecError::Corrupt("symbol outside the function registry"));
             }
             if out.len() + 1 > n {
                 return Err(CodecError::Corrupt("literal overruns declared length"));
@@ -243,6 +250,7 @@ pub fn decompress(blob: &[u8]) -> Result<Vec<u32>, CodecError> {
             out.push(sym as u32);
         }
     }
+    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -280,9 +288,12 @@ impl CompressionStats {
 mod tests {
     use super::*;
 
+    /// No bound: every `u32` symbol is accepted.
+    const ANY: u64 = u64::MAX;
+
     fn round_trip(sym: &[u32]) {
         let blob = compress(sym);
-        let back = decompress(&blob).expect("decompress");
+        let back = decompress(&blob, ANY).expect("decompress");
         assert_eq!(back, sym);
     }
 
@@ -305,7 +316,7 @@ mod tests {
         let body = [10u32, 11, 12, 13];
         let sym: Vec<u32> = body.iter().cycle().take(40_000).copied().collect();
         let blob = compress(&sym);
-        let back = decompress(&blob).unwrap();
+        let back = decompress(&blob, ANY).unwrap();
         assert_eq!(back, sym);
         let stats = CompressionStats::measure(&sym, &blob);
         assert!(
@@ -354,11 +365,29 @@ mod tests {
 
     #[test]
     fn decoder_rejects_garbage() {
-        assert_eq!(decompress(b"nope"), Err(CodecError::Truncated));
-        assert_eq!(decompress(b"XXXX\x01\x00"), Err(CodecError::BadMagic));
-        assert_eq!(decompress(b"DTLZ\x09\x00"), Err(CodecError::BadVersion(9)));
+        assert_eq!(decompress(b"nope", ANY), Err(CodecError::Truncated));
+        assert_eq!(decompress(b"XXXX\x01\x00", ANY), Err(CodecError::BadMagic));
+        assert_eq!(
+            decompress(b"DTLZ\x09\x00", ANY),
+            Err(CodecError::BadVersion(9))
+        );
         // Declared 5 symbols but no tokens follow.
-        assert_eq!(decompress(b"DTLZ\x01\x05"), Err(CodecError::Truncated));
+        assert_eq!(decompress(b"DTLZ\x01\x05", ANY), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn decoder_rejects_literals_outside_the_bound() {
+        let blob = compress(&[0, 1, 2, 3, 0, 1, 2, 3, 14]);
+        assert_eq!(decompress(&blob, 15).unwrap().len(), 9);
+        assert_eq!(
+            decompress(&blob, 14),
+            Err(CodecError::Corrupt("symbol outside the function registry"))
+        );
+        // A match copies symbols already checked: only literals count.
+        let blob = compress(&[4, 5, 6, 4, 5, 6, 4, 5, 6]);
+        assert_eq!(decompress(&blob, 7).unwrap().len(), 9);
+        assert!(decompress(&blob, 6).is_err());
+        assert_eq!(decompress(&blob, 7).unwrap().capacity(), 9);
     }
 
     #[test]
@@ -369,7 +398,10 @@ mod tests {
         write_varint(&mut blob, 3); // claim 3 symbols
         write_varint(&mut blob, (3 << 1) | 1); // match len 3 …
         write_varint(&mut blob, 1); // … dist 1, but output is empty
-        assert!(matches!(decompress(&blob), Err(CodecError::Corrupt(_))));
+        assert!(matches!(
+            decompress(&blob, ANY),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -383,7 +415,7 @@ mod tests {
         }
         assert_eq!(sc.len(), sym.len());
         let blob = sc.finish();
-        assert_eq!(decompress(&blob).unwrap(), sym);
+        assert_eq!(decompress(&blob, ANY).unwrap(), sym);
         // Within 4× of the batch compressor on loopy data (the match
         // cap costs a token per 4096 symbols).
         let batch = compress(&sym).len();
@@ -410,7 +442,7 @@ mod tests {
             "on-the-fly compression must not buffer everything"
         );
         let blob = sc.finish();
-        let back = decompress(&blob).unwrap();
+        let back = decompress(&blob, ANY).unwrap();
         assert_eq!(back.len(), 3 * super::STREAM_TRIGGER);
     }
 
@@ -454,12 +486,12 @@ mod tests {
     #[test]
     fn streaming_edge_cases() {
         assert_eq!(
-            decompress(&StreamCompressor::new().finish()).unwrap(),
+            decompress(&StreamCompressor::new().finish(), ANY).unwrap(),
             vec![]
         );
         let mut sc = StreamCompressor::new();
         sc.extend([1, 2, 3]);
-        assert_eq!(decompress(&sc.finish()).unwrap(), vec![1, 2, 3]);
+        assert_eq!(decompress(&sc.finish(), ANY).unwrap(), vec![1, 2, 3]);
         // Incompressible stream round-trips too.
         let mut x = 9u64;
         let sym: Vec<u32> = (0..10_000)
@@ -470,6 +502,6 @@ mod tests {
             .collect();
         let mut sc = StreamCompressor::new();
         sc.extend(sym.iter().copied());
-        assert_eq!(decompress(&sc.finish()).unwrap(), sym);
+        assert_eq!(decompress(&sc.finish(), ANY).unwrap(), sym);
     }
 }

@@ -401,6 +401,28 @@ impl HbLog {
             .collect()
     }
 
+    /// The same causal content in an order independent of thread
+    /// scheduling: events by trace (program order within one), and
+    /// every abort-time list sorted. A recorded log holds events in the
+    /// order the ranks' threads reached the log.
+    pub fn canonical(&self) -> HbLog {
+        let mut events = self.events();
+        events.sort_by_key(|e| e.trace);
+        let mut out = HbLog::new(self.world_size());
+        for e in &events {
+            out.push(e.trace, &e.name, e.op, &e.vc);
+        }
+        out.blocked = self.blocked.clone();
+        out.blocked.sort_by_key(|b| b.rank);
+        out.pending_collectives = self.pending_collectives.clone();
+        out.pending_collectives.sort_by_key(|p| p.slot);
+        out.unmatched_sends = self.unmatched_sends.clone();
+        out.unmatched_sends.sort_by_key(|u| (u.src, u.dst, u.tag));
+        out.finished = self.finished.clone();
+        out.finished.sort_unstable();
+        out
+    }
+
     /// Does event `a` happen before event `b` (indices into the log)?
     pub fn happens_before(&self, a: usize, b: usize) -> bool {
         self.clock_of(a).happens_before(&self.clock_of(b))
@@ -493,7 +515,7 @@ pub fn export_otf(set: &crate::TraceSet, hb: &HbLog) -> String {
         let mut current: u64 = 0;
         let mut seq: u32 = 0;
         let mut pending: Option<(&str, u64)> = stamps.next();
-        for ev in &trace.events {
+        for ev in trace.iter() {
             let name = set.registry.name(ev.fn_id());
             // Advance the logical clock when this is the call event of
             // the next stamped MPI op.

@@ -18,10 +18,16 @@
 //!   mid-call, which is exactly the signature DiffTrace exploits to spot
 //!   hangs ("the last entry is a call that never returned").
 //! * [`TraceCollector`] gathers finished per-thread traces into a
-//!   [`TraceSet`].
+//!   [`TraceSet`]. A [`Trace`] holds its events as the packed `u32`
+//!   symbol stream the compressor and every analysis read
+//!   ([`TraceEvent::to_symbol`], 4 bytes per event); [`Trace::iter`]
+//!   views them as [`TraceEvent`]s. [`canonicalize`] renumbers runs by
+//!   sorted function name so that re-recordings store equal bytes.
 //! * [`compress`] implements the on-the-fly trace compressor: an
 //!   LZ-style coder specialised for extremely repetitive (loopy) symbol
-//!   streams; [`store`] is the on-disk format (ParLOT's trace files).
+//!   streams; [`store`] is the on-disk format (ParLOT's trace files),
+//!   whose readers decompress each blob straight into its trace and
+//!   reject a symbol outside the file's registry.
 //! * [`codec`] is the bounded reader, varint writer and integrity seal
 //!   that every binary format in the workspace decodes and seals with.
 //! * [`stats`] reproduces the §V trace statistics (distinct functions,
@@ -45,7 +51,7 @@
 //!
 //! let set = collector.into_trace_set();
 //! let trace = set.get(TraceId::new(0, 0)).unwrap();
-//! assert_eq!(trace.events.len(), 4); // 2 calls + 2 returns
+//! assert_eq!(trace.len(), 4); // 2 calls + 2 returns
 //! ```
 
 pub mod codec;
@@ -70,4 +76,4 @@ pub use registry::{FnId, FunctionRegistry};
 pub use req::ReqMarker;
 pub use stats::{ProcessStats, TraceSetStats, TraceStats};
 pub use store::{IndexedSet, StoreError, STORE_FORMAT_VERSION};
-pub use trace::{Trace, TraceId, TraceSet};
+pub use trace::{canonicalize, Trace, TraceId, TraceSet};

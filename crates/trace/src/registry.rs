@@ -72,6 +72,12 @@ impl FunctionRegistry {
         self.inner.read().names.len()
     }
 
+    /// Every event symbol of this registry's functions
+    /// ([`crate::TraceEvent::to_symbol`]) is below this: `2 × len`.
+    pub fn symbol_bound(&self) -> u64 {
+        2 * self.len() as u64
+    }
+
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0

@@ -50,15 +50,14 @@ impl TraceSetStats {
     pub fn measure(set: &TraceSet) -> TraceSetStats {
         let mut per_trace = Vec::new();
         for t in set.iter() {
-            let symbols = t.to_symbols();
-            let blob = compress::compress(&symbols);
-            let distinct: HashSet<u32> = t.events.iter().map(|e| e.fn_id().0).collect();
+            let blob = compress::compress(&t.events);
+            let distinct: HashSet<u32> = t.iter().map(|e| e.fn_id().0).collect();
             per_trace.push(TraceStats {
                 id: t.id,
                 events: t.events.len(),
                 calls: t.calls().count(),
                 distinct_functions: distinct.len(),
-                compression: CompressionStats::measure(&symbols, &blob),
+                compression: CompressionStats::measure(&t.events, &blob),
             });
         }
 
@@ -66,7 +65,7 @@ impl TraceSetStats {
         for p in set.processes() {
             let mut distinct: HashSet<u32> = HashSet::new();
             for t in set.process_traces(p) {
-                distinct.extend(t.events.iter().map(|e| e.fn_id().0));
+                distinct.extend(t.iter().map(|e| e.fn_id().0));
             }
             let traces: Vec<&TraceStats> = per_trace.iter().filter(|s| s.id.process == p).collect();
             per_process.push(ProcessStats {
@@ -151,10 +150,10 @@ mod tests {
                 let a = reg.intern("kernelA");
                 let b = reg.intern("kernelB");
                 for _ in 0..1000 {
-                    t.events.push(TraceEvent::Call(a));
-                    t.events.push(TraceEvent::Return(a));
-                    t.events.push(TraceEvent::Call(b));
-                    t.events.push(TraceEvent::Return(b));
+                    t.push(TraceEvent::Call(a));
+                    t.push(TraceEvent::Return(a));
+                    t.push(TraceEvent::Call(b));
+                    t.push(TraceEvent::Return(b));
                 }
                 set.insert(t);
             }

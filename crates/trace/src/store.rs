@@ -127,7 +127,7 @@ pub fn to_bytes_full(set: &TraceSet, hb: Option<&HbLog>) -> Vec<u8> {
         write_varint(&mut out, u64::from(t.id.process));
         write_varint(&mut out, u64::from(t.id.thread));
         out.push(u8::from(t.truncated));
-        let blob = compress::compress(&t.to_symbols());
+        let blob = compress::compress(&t.events);
         write_varint(&mut out, blob.len() as u64);
         index.push((t.id, t.truncated, out.len() as u64, blob.len() as u64));
         out.extend_from_slice(&blob);
@@ -164,9 +164,10 @@ pub fn from_bytes(buf: &[u8]) -> Result<TraceSet, StoreError> {
 /// v2 files saved without one) yield an empty log.
 pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
     let layout = Layout::parse(buf)?;
+    let bound = layout.registry.symbol_bound();
     let mut set = TraceSet::new(layout.registry);
     for e in &layout.entries {
-        set.insert(e.decode(buf)?);
+        set.insert(e.decode(buf, bound)?);
     }
     Ok((set, layout.hb))
 }
@@ -181,9 +182,14 @@ struct IndexEntry {
 }
 
 impl IndexEntry {
-    fn decode(&self, buf: &[u8]) -> Result<Trace, CodecError> {
-        let symbols = compress::decompress(&buf[self.off..self.off + self.len])?;
-        Ok(Trace::from_symbols(self.id, &symbols, self.truncated))
+    /// Decompress this trace's blob straight into its [`Trace`]; every
+    /// symbol must be below `bound` (the registry's symbol bound).
+    fn decode(&self, buf: &[u8], bound: u64) -> Result<Trace, CodecError> {
+        Ok(Trace {
+            id: self.id,
+            events: compress::decompress(&buf[self.off..self.off + self.len], bound)?,
+            truncated: self.truncated,
+        })
     }
 }
 
@@ -417,7 +423,7 @@ pub fn save_dir(set: &TraceSet, dir: &Path) -> Result<(), StoreError> {
         let mut buf = Vec::new();
         buf.extend_from_slice(THREAD_MAGIC);
         buf.push(u8::from(t.truncated));
-        buf.extend_from_slice(&compress::compress(&t.to_symbols()));
+        buf.extend_from_slice(&compress::compress(&t.events));
         write_atomic(
             &dir.join(format!("{}.{}.dtt", t.id.process, t.id.thread)),
             &buf,
@@ -431,6 +437,7 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
     let reg_buf = std::fs::read(dir.join(REGISTRY_FILE))?;
     let names = read_names(&mut Reader::new(&reg_buf), "name overruns registry file")?;
     let registry = Arc::new(FunctionRegistry::from_names(names));
+    let bound = registry.symbol_bound();
     let mut set = TraceSet::new(registry);
 
     // Collect and sort trace files by name before insertion:
@@ -481,8 +488,11 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
             return Err(StoreError::Format(header));
         }
         let truncated = r.flag().map_err(site(header, "bad truncated flag"))?;
-        let symbols = compress::decompress(&buf[r.pos()..])?;
-        set.insert(Trace::from_symbols(id, &symbols, truncated));
+        set.insert(Trace {
+            id,
+            events: compress::decompress(&buf[r.pos()..], bound)?,
+            truncated,
+        });
     }
     Ok(set)
 }
@@ -602,7 +612,7 @@ impl IndexedSet {
         let mut fresh = false;
         let cell = self.cells[idx].get_or_init(|| {
             fresh = true;
-            self.entries[idx].decode(&self.buf)
+            self.entries[idx].decode(&self.buf, self.registry.symbol_bound())
         });
         if fresh {
             self.decodes.fetch_add(1, Ordering::Relaxed);
@@ -646,7 +656,7 @@ impl IndexedSet {
                     self.decodes
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     fresh.push(idx);
-                    entry.decode(&self.buf)
+                    entry.decode(&self.buf, self.registry.symbol_bound())
                 }
             };
             match read {
@@ -683,6 +693,7 @@ impl IndexedSet {
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
+    use crate::registry::FnId;
 
     fn sample_set() -> TraceSet {
         let reg = Arc::new(FunctionRegistry::new());
@@ -691,15 +702,15 @@ mod tests {
             let mut t = Trace::new(TraceId::new(p, 0));
             let main = reg.intern("main");
             let send = reg.intern("MPI_Send");
-            t.events.push(TraceEvent::Call(main));
+            t.push(TraceEvent::Call(main));
             for _ in 0..100 {
-                t.events.push(TraceEvent::Call(send));
-                t.events.push(TraceEvent::Return(send));
+                t.push(TraceEvent::Call(send));
+                t.push(TraceEvent::Return(send));
             }
             if p == 2 {
                 t.truncated = true; // simulate a killed rank
             } else {
-                t.events.push(TraceEvent::Return(main));
+                t.push(TraceEvent::Return(main));
             }
             set.insert(t);
         }
@@ -1052,6 +1063,57 @@ mod tests {
         std::fs::write(dir.join(".0.0.dtt.tmp.12345.7"), b"garbage").unwrap();
         let back = load_dir(&dir).unwrap();
         assert_eq!(back.len(), set.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A trace that calls a function its registry lacks: the registry
+    /// holds only `main`, the trace also calls `FnId(7)`.
+    fn out_of_registry_set() -> TraceSet {
+        let reg = Arc::new(FunctionRegistry::new());
+        let main = reg.intern("main");
+        let mut t = Trace::new(TraceId::new(0, 0));
+        for e in [
+            TraceEvent::Call(main),
+            TraceEvent::Call(FnId(7)),
+            TraceEvent::Return(FnId(7)),
+            TraceEvent::Return(main),
+        ] {
+            t.push(e);
+        }
+        let mut set = TraceSet::new(reg);
+        set.insert(t);
+        set
+    }
+
+    fn is_out_of_registry(err: &StoreError) -> bool {
+        matches!(
+            err,
+            StoreError::Codec(CodecError::Corrupt("symbol outside the function registry"))
+        )
+    }
+
+    /// Every reader diagnoses a symbol outside the registry when it
+    /// decodes the blob, so no consumer ever looks the function up.
+    #[test]
+    fn symbols_outside_the_registry_are_format_errors() {
+        let set = out_of_registry_set();
+        let bytes = to_bytes(&set);
+        let err = from_bytes_full(&bytes).unwrap_err();
+        assert!(is_out_of_registry(&err), "{err:?}");
+
+        // Opening decodes nothing, so it succeeds; every read fails.
+        let ix = IndexedSet::from_bytes(bytes).unwrap();
+        let err = ix.get(TraceId::new(0, 0)).unwrap_err();
+        assert!(is_out_of_registry(&err), "{err:?}");
+        let err = ix.full_set().unwrap_err();
+        assert!(is_out_of_registry(&err), "{err:?}");
+        assert_eq!(ix.decode_count(), 1);
+
+        let dir = std::env::temp_dir().join("dt_trace_store_dir_out_of_registry");
+        std::fs::remove_dir_all(&dir).ok();
+        save_dir(&set, &dir).unwrap();
+        let err = load_dir(&dir).unwrap_err();
+        assert!(is_out_of_registry(&err), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

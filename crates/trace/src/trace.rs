@@ -1,6 +1,7 @@
 //! Traces, trace identifiers, and collections of traces.
 
 use crate::event::TraceEvent;
+use crate::hb::HbLog;
 use crate::registry::FunctionRegistry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,13 +36,19 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// One per-thread trace: an ordered sequence of call/return events.
+/// One per-thread trace: an ordered sequence of call/return events,
+/// held as the packed symbol stream ParLOT stores — each event is its
+/// [`TraceEvent::to_symbol`] `u32`, 4 bytes, so a decoded trace is the
+/// compressor's input as-is and every consumer (filter, NLR fold,
+/// checkers, store) reads it without conversion. [`Trace::iter`] views
+/// the events as [`TraceEvent`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Which process/thread produced it.
     pub id: TraceId,
-    /// The recorded events, in program order.
-    pub events: Vec<TraceEvent>,
+    /// The recorded events in program order, packed as symbols
+    /// (`fn_id << 1 | return_bit`).
+    pub events: Vec<u32>,
     /// True if the thread was aborted (deadlock/job kill) — its last
     /// call(s) have no matching return.
     pub truncated: bool,
@@ -67,58 +74,32 @@ impl Trace {
         self.events.is_empty()
     }
 
+    /// Record one event.
+    pub fn push(&mut self, e: TraceEvent) {
+        self.events.push(e.to_symbol());
+    }
+
+    /// The events, decoded from their symbols, in program order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceEvent> + ExactSizeIterator + '_ {
+        self.events.iter().map(|&s| TraceEvent::from_symbol(s))
+    }
+
     /// Only the call events (ParLOT's "filter out all returns" view).
     pub fn calls(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.events.iter().copied().filter(|e| e.is_call())
+        self.iter().filter(|e| e.is_call())
     }
 
-    /// Validate call/return nesting: every return must match the
-    /// innermost open call, and a non-truncated trace must close every
-    /// call. Returns the violations (index + description) — empty for
-    /// a well-formed trace. A truncated trace may legitimately leave
-    /// calls open (the hang signature), so open frames are only
-    /// reported when `truncated` is false.
-    pub fn validate_nesting(&self) -> Vec<(usize, String)> {
-        let mut stack: Vec<crate::registry::FnId> = Vec::new();
-        let mut problems = Vec::new();
-        for (i, e) in self.events.iter().enumerate() {
-            match e {
-                TraceEvent::Call(f) => stack.push(*f),
-                TraceEvent::Return(f) => match stack.pop() {
-                    Some(open) if open == *f => {}
-                    Some(open) => problems.push((
-                        i,
-                        format!("return from fn#{} while fn#{} is innermost", f.0, open.0),
-                    )),
-                    None => problems.push((i, format!("return from fn#{} with no open call", f.0))),
-                },
-            }
-        }
-        if !self.truncated && !stack.is_empty() {
-            problems.push((
-                self.events.len(),
-                format!(
-                    "{} call(s) never returned in a non-truncated trace",
-                    stack.len()
-                ),
-            ));
-        }
-        problems
+    /// The symbol stream consumed by the compressor (the events
+    /// themselves).
+    pub fn to_symbols(&self) -> &[u32] {
+        &self.events
     }
 
-    /// Encode to the symbol stream consumed by the compressor.
-    pub fn to_symbols(&self) -> Vec<u32> {
-        self.events.iter().map(|e| e.to_symbol()).collect()
-    }
-
-    /// Rebuild from a symbol stream.
+    /// A trace holding a copy of `symbols`.
     pub fn from_symbols(id: TraceId, symbols: &[u32], truncated: bool) -> Trace {
         Trace {
             id,
-            events: symbols
-                .iter()
-                .map(|&s| TraceEvent::from_symbol(s))
-                .collect(),
+            events: symbols.to_vec(),
             truncated,
         }
     }
@@ -185,42 +166,59 @@ impl TraceSet {
             .filter(|t| t.id.process == process)
             .collect()
     }
+}
 
-    /// Human-readable rendering of a trace: one event per line, calls as
-    /// the function name, returns as `ret <name>` (used by examples and
-    /// tests; mirrors the paper's Table II).
-    pub fn render(&self, id: TraceId) -> Option<String> {
-        let t = self.traces.get(&id)?;
-        let mut out = String::new();
-        for e in &t.events {
-            match e {
-                TraceEvent::Call(f) => {
-                    out.push_str(&self.registry.name(*f));
-                    out.push('\n');
-                }
-                TraceEvent::Return(f) => {
-                    out.push_str("ret ");
-                    out.push_str(&self.registry.name(*f));
-                    out.push('\n');
-                }
+/// Canonicalise runs recorded on one shared registry, so that the
+/// bytes they store depend only on what they recorded. Threads intern
+/// function names as they first call them, so a re-recording numbers
+/// the same functions differently, and its happens-before log holds
+/// events in arrival order. This renumbers every function by sorted
+/// name — the registry is replaced by the sorted one, still shared by
+/// every run, and each event is rewritten in place — and replaces each
+/// log by its [`HbLog::canonical`] form.
+///
+/// Panics if the runs do not share one registry.
+pub fn canonicalize(runs: &mut [(&mut TraceSet, &mut HbLog)]) {
+    let Some(recorded) = runs.first().map(|(set, _)| Arc::clone(&set.registry)) else {
+        return;
+    };
+    let names = recorded.names();
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_by(|&a, &b| names[a].cmp(&names[b]));
+    let mut new_id = vec![0u32; names.len()];
+    for (i, &f) in order.iter().enumerate() {
+        new_id[f] = i as u32;
+    }
+    let registry = Arc::new(FunctionRegistry::from_names(
+        order.iter().map(|&f| names[f].clone()),
+    ));
+    for (set, hb) in runs.iter_mut() {
+        assert!(
+            Arc::ptr_eq(&set.registry, &recorded),
+            "canonicalized runs share one registry"
+        );
+        set.registry = Arc::clone(&registry);
+        for t in set.traces.values_mut() {
+            for s in &mut t.events {
+                *s = (new_id[(*s >> 1) as usize] << 1) | (*s & 1);
             }
         }
-        Some(out)
+        **hb = hb.canonical();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::FnId;
+    use crate::hb::{HbOp, VectorClock};
 
     fn set_with(id: TraceId, names: &[&str]) -> TraceSet {
         let reg = Arc::new(FunctionRegistry::new());
         let mut t = Trace::new(id);
         for n in names {
             let f = reg.intern(n);
-            t.events.push(TraceEvent::Call(f));
-            t.events.push(TraceEvent::Return(f));
+            t.push(TraceEvent::Call(f));
+            t.push(TraceEvent::Return(f));
         }
         let mut s = TraceSet::new(reg);
         s.insert(t);
@@ -237,9 +235,13 @@ mod tests {
     fn symbol_round_trip_preserves_trace() {
         let s = set_with(TraceId::new(0, 0), &["main", "MPI_Init", "MPI_Finalize"]);
         let t = s.get(TraceId::new(0, 0)).unwrap();
-        let syms = t.to_symbols();
-        let back = Trace::from_symbols(t.id, &syms, t.truncated);
+        let back = Trace::from_symbols(t.id, t.to_symbols(), t.truncated);
         assert_eq!(&back, t);
+        assert_eq!(t.iter().len(), 6);
+        assert!(t
+            .iter()
+            .map(TraceEvent::to_symbol)
+            .eq(t.events.iter().copied()));
     }
 
     #[test]
@@ -273,50 +275,57 @@ mod tests {
         assert_eq!(s.len(), 4);
     }
 
-    #[test]
-    fn nesting_validation() {
+    /// Two recordings of one pair that interned names in different
+    /// orders, with their log events in different arrival orders.
+    fn recording(names: [&str; 2], first: u32) -> [(TraceSet, HbLog); 2] {
         let reg = Arc::new(FunctionRegistry::new());
-        let a = reg.intern("a");
-        let b = reg.intern("b");
-        // Well formed: a { b } .
-        let mut t = Trace::new(TraceId::new(0, 0));
-        t.events = vec![
-            TraceEvent::Call(a),
-            TraceEvent::Call(b),
-            TraceEvent::Return(b),
-            TraceEvent::Return(a),
-        ];
-        assert!(t.validate_nesting().is_empty());
-        // Crossed returns.
-        let mut t2 = Trace::new(TraceId::new(0, 0));
-        t2.events = vec![
-            TraceEvent::Call(a),
-            TraceEvent::Call(b),
-            TraceEvent::Return(a),
-        ];
-        let probs = t2.validate_nesting();
-        assert!(
-            probs.iter().any(|(_, m)| m.contains("innermost")),
-            "{probs:?}"
-        );
-        // Open call: allowed only for truncated traces.
-        let mut t3 = Trace::new(TraceId::new(0, 0));
-        t3.events = vec![TraceEvent::Call(a)];
-        assert_eq!(t3.validate_nesting().len(), 1);
-        t3.truncated = true;
-        assert!(t3.validate_nesting().is_empty());
-        // Return with nothing open.
-        let mut t4 = Trace::new(TraceId::new(0, 0));
-        t4.events = vec![TraceEvent::Return(a)];
-        assert!(t4.validate_nesting()[0].1.contains("no open call"));
+        for n in names {
+            reg.intern(n);
+        }
+        let (a, b) = (reg.resolve("a").unwrap(), reg.resolve("b").unwrap());
+        let run = |f| {
+            let mut set = TraceSet::new(reg.clone());
+            for p in 0..2 {
+                let mut t = Trace::new(TraceId::master(p));
+                t.push(TraceEvent::Call(a));
+                t.push(TraceEvent::Call(f));
+                t.push(TraceEvent::Return(f));
+                set.insert(t);
+            }
+            let mut hb = HbLog::new(2);
+            for p in [first, 1 - first] {
+                let mut vc = VectorClock::zero(2);
+                vc.tick(p as usize);
+                hb.push(TraceId::master(p), "MPI_Barrier", HbOp::Local, &vc);
+            }
+            hb.finished = vec![1 - first, first];
+            (set, hb)
+        };
+        [run(a), run(b)]
     }
 
     #[test]
-    fn render_shows_calls_and_returns() {
-        let s = set_with(TraceId::new(0, 0), &["main"]);
-        let r = s.render(TraceId::new(0, 0)).unwrap();
-        assert_eq!(r, "main\nret main\n");
-        assert!(s.render(TraceId::new(9, 9)).is_none());
-        let _ = FnId(0); // silence unused import in some cfgs
+    fn canonicalize_makes_recordings_store_equal_bytes() {
+        let bytes = |names, first| {
+            let [(mut n, mut nh), (mut f, mut fh)] = recording(names, first);
+            canonicalize(&mut [(&mut n, &mut nh), (&mut f, &mut fh)]);
+            assert!(
+                Arc::ptr_eq(&n.registry, &f.registry),
+                "the pair shares one registry"
+            );
+            assert_eq!(n.registry.names(), ["a", "b"]);
+            assert_eq!(nh.finished, [0, 1]);
+            [
+                crate::store::to_bytes_full(&n, Some(&nh)),
+                crate::store::to_bytes_full(&f, Some(&fh)),
+            ]
+        };
+        assert_eq!(bytes(["a", "b"], 0), bytes(["b", "a"], 1));
+        let [(set, _), _] = recording(["b", "a"], 1);
+        assert_ne!(
+            crate::store::to_bytes(&set),
+            crate::store::to_bytes(&recording(["a", "b"], 0)[0].0),
+            "the recordings differ before canonicalization"
+        );
     }
 }

@@ -26,8 +26,8 @@ proptest! {
             let mut tr = Trace::new(TraceId::new(*p, *t));
             for &s in stream {
                 let f = registry.intern(&format!("fn_{s}"));
-                tr.events.push(TraceEvent::Call(f));
-                tr.events.push(TraceEvent::Return(f));
+                tr.push(TraceEvent::Call(f));
+                tr.push(TraceEvent::Return(f));
             }
             tr.truncated = *truncated;
             set.insert(tr);
@@ -58,7 +58,7 @@ proptest! {
             let mut tr = Trace::new(TraceId::master(p as u32));
             for &s in stream {
                 let f = registry.intern(&format!("fn_{s}"));
-                tr.events.push(TraceEvent::Call(f));
+                tr.push(TraceEvent::Call(f));
             }
             set.insert(tr);
         }

@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 pub fn check_stack_discipline(trace: &Trace, registry: &FunctionRegistry) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut stack: Vec<(u32, usize)> = Vec::new();
-    for (i, e) in trace.events.iter().enumerate() {
+    for (i, e) in trace.iter().enumerate() {
         match e {
             TraceEvent::Call(f) => stack.push((f.0, i)),
             TraceEvent::Return(f) => match stack.pop() {
@@ -240,7 +240,7 @@ pub fn collective_sequences(set: &TraceSet) -> Vec<RankCollSeq> {
             let mut truncated = false;
             for t in set.process_traces(p) {
                 truncated |= t.truncated;
-                for (i, e) in t.events.iter().enumerate() {
+                for (i, e) in t.iter().enumerate() {
                     if let TraceEvent::Call(f) = e {
                         if coll.contains(&f.0) {
                             seq.push(f.0);
@@ -533,7 +533,7 @@ mod tests {
         let mut t = Trace::new(id);
         for (name, is_ret) in script {
             let f = reg.intern(name);
-            t.events.push(if *is_ret {
+            t.push(if *is_ret {
                 TraceEvent::Return(f)
             } else {
                 TraceEvent::Call(f)

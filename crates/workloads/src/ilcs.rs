@@ -409,7 +409,7 @@ mod tests {
         for p in 0..4u32 {
             let t = out.traces.get(TraceId::master(p)).unwrap();
             assert!(t.truncated, "master {p} should be truncated");
-            let last = *t.events.last().unwrap();
+            let last = t.iter().next_back().unwrap();
             assert!(last.is_call());
             assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Allreduce");
         }

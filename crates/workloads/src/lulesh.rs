@@ -424,7 +424,7 @@ mod tests {
         // Its neighbours died inside the halo exchange.
         let t1 = out.traces.get(TraceId::master(1)).unwrap();
         assert!(t1.truncated);
-        let last = *t1.events.last().unwrap();
+        let last = t1.iter().next_back().unwrap();
         assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Recv");
     }
 
@@ -441,7 +441,7 @@ mod tests {
         let progress: Vec<_> = out
             .traces
             .iter()
-            .map(|t| hbcheck::expanded::summarize(t.id, &t.to_symbols(), t.truncated))
+            .map(|t| hbcheck::expanded::summarize(t.id, &t.events, t.truncated))
             .collect();
         let report = hbcheck::analyze(&out.hb, &progress, &reg);
         let cycle = report

@@ -288,7 +288,7 @@ mod tests {
         assert!(out.deadlocked);
         let t5 = out.traces.get(TraceId::master(5)).unwrap();
         assert!(t5.truncated);
-        let last = *t5.events.last().unwrap();
+        let last = t5.iter().next_back().unwrap();
         assert!(last.is_call());
         assert_eq!(out.traces.registry.name(last.fn_id()), "MPI_Recv");
         // No MPI_Finalize in rank 5's trace (Figure 6).

@@ -204,7 +204,7 @@ mod tests {
         let facts: Vec<_> = out
             .traces
             .iter()
-            .map(|t| dt_racecheck::expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab))
+            .map(|t| dt_racecheck::expanded::summarize(t.id, &t.events, t.truncated, &vocab))
             .collect();
         analyze(&facts)
     }

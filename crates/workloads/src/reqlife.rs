@@ -136,7 +136,7 @@ mod tests {
         let facts: Vec<_> = out
             .traces
             .iter()
-            .map(|t| expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab))
+            .map(|t| expanded::summarize(t.id, &t.events, t.truncated, &vocab))
             .collect();
         analyze(&facts).codes().into_iter().collect()
     }
@@ -169,7 +169,7 @@ mod tests {
         let facts: Vec<_> = out
             .traces
             .iter()
-            .map(|t| expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab))
+            .map(|t| expanded::summarize(t.id, &t.events, t.truncated, &vocab))
             .collect();
         let report = analyze(&facts);
         let d = &report.diagnostics()[0];
@@ -197,7 +197,7 @@ mod tests {
         let facts: Vec<_> = out
             .traces
             .iter()
-            .map(|t| expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab))
+            .map(|t| expanded::summarize(t.id, &t.events, t.truncated, &vocab))
             .collect();
         let report = analyze(&facts);
         let d = &report.diagnostics()[0];
@@ -222,7 +222,7 @@ mod tests {
         let vocab = ReqVocab::build(&out.traces.registry);
         let kind_seq = |p: u32| {
             let t = out.traces.get(TraceId::master(p)).unwrap();
-            expanded::summarize(t.id, &t.to_symbols(), t.truncated, &vocab).kinds
+            expanded::summarize(t.id, &t.events, t.truncated, &vocab).kinds
         };
         assert_eq!(kind_seq(0), kind_seq(1));
     }

@@ -267,8 +267,8 @@ mod tests {
         // Some master died inside the halo exchange.
         assert!(out.traces.iter().any(|t| {
             t.truncated
-                && t.events
-                    .last()
+                && t.iter()
+                    .next_back()
                     .is_some_and(|e| out.traces.registry.name(e.fn_id()) == "MPI_Sendrecv")
         }));
     }
@@ -284,7 +284,7 @@ mod tests {
         let progress: Vec<_> = out
             .traces
             .iter()
-            .map(|t| hbcheck::expanded::summarize(t.id, &t.to_symbols(), t.truncated))
+            .map(|t| hbcheck::expanded::summarize(t.id, &t.events, t.truncated))
             .collect();
         let report = hbcheck::analyze(&out.hb, &progress, &reg);
         let cycle = report

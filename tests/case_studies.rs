@@ -83,7 +83,7 @@ fn table_vii_collective_deadlock_truncates_all_masters() {
     for p in 0..8u32 {
         let t = faulty.get(TraceId::master(p)).unwrap();
         assert!(t.truncated, "master {p}");
-        let last = *t.events.last().unwrap();
+        let last = t.iter().next_back().unwrap();
         assert!(last.is_call());
         assert_eq!(faulty.registry.name(last.fn_id()), "MPI_Allreduce");
     }

@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn compression_round_trips(input in proptest::collection::vec(any::<u32>(), 0..500)) {
         let blob = compress::compress(&input);
-        prop_assert_eq!(compress::decompress(&blob).unwrap(), input);
+        prop_assert_eq!(compress::decompress(&blob, u64::MAX).unwrap(), input);
     }
 
     /// Myers diff reconstructs and its distance is zero iff equal.
@@ -108,8 +108,8 @@ proptest! {
             let mut t = Trace::new(TraceId::master(p as u32));
             for &s in stream {
                 let f = registry.intern(&format!("fn_{s}"));
-                t.events.push(TraceEvent::Call(f));
-                t.events.push(TraceEvent::Return(f));
+                t.push(TraceEvent::Call(f));
+                t.push(TraceEvent::Return(f));
             }
             t.truncated = *truncated;
             set.insert(t);

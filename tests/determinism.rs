@@ -39,7 +39,6 @@ fn lulesh_master_traces_are_bit_identical_across_runs() {
         for p in 0..8u32 {
             let t = out.traces.get(dt_trace::TraceId::master(p)).unwrap();
             let names: Vec<String> = t
-                .events
                 .iter()
                 .map(|e| out.traces.registry.name(e.fn_id()))
                 .collect();
