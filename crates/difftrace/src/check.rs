@@ -18,9 +18,10 @@ use crate::pipeline::{DiffRun, PipelineOptions};
 use crate::sync::{effective_threads, par_map};
 use dt_obs::{stage_owned, time_into, Recorder};
 use dt_trace::hb::HbLog;
-use dt_trace::{Trace, TraceSet};
+use dt_trace::{Classes, Trace, TraceSet};
 use nlr::{LoopTable, Nlr, NlrBuilder};
 use std::fmt;
+use std::sync::Arc;
 use tracelint::{AnyCode, Code, Report};
 
 /// When a checker's findings stop the pipeline.
@@ -113,19 +114,29 @@ pub struct CheckInput<'a> {
 pub(crate) struct RawTerm<'a> {
     /// The recorded trace.
     pub trace: &'a Trace,
-    /// The stream's NLR term.
-    pub term: Nlr,
+    /// The stream's NLR term, shared by every trace of its class.
+    pub term: Arc<Nlr>,
+    /// The class of equal streams the trace belongs to (numbered by
+    /// first occurrence).
+    pub class: usize,
+    /// Whether the trace is its class's first: anything computed from
+    /// the stream and term alone is computed here and reused by the
+    /// class's later traces.
+    pub first: bool,
 }
 
 /// What [`fold_raw`] hands each chunk to, with the loop table.
 pub(crate) type OnChunk<'f, 'a> = dyn FnMut(&LoopTable, Vec<RawTerm<'a>>) + 'f;
 
-/// The one raw NLR fold of an execution. Each chunk of `threads`
-/// traces folds concurrently; the folds replay in trace order into one
+/// The one raw NLR fold of an execution. Traces with equal streams
+/// form one class ([`Classes`]), and only a class's first trace folds.
+/// Each chunk of `threads` traces folds its classes' first traces
+/// concurrently; the folds replay in trace order into one
 /// [`LoopTable`], so loop numbering is that of a trace-by-trace fold at
 /// any thread count (see [`nlr::fold`]); then `each` gets the chunk
-/// with the table before the next chunk folds. Whatever `each` drops
-/// is never held for the whole execution. Counts one fold per trace as
+/// with the table before the next chunk folds. A class's term is held
+/// only until its last trace's chunk, and whatever `each` drops is
+/// never held for the whole execution. Counts one fold per class as
 /// `<name>_folds` in `rec` and reports the folding time of all chunks
 /// (not `each`) as one span of stage `<name>/fold`.
 pub(crate) fn fold_raw<'a>(
@@ -138,15 +149,39 @@ pub(crate) fn fold_raw<'a>(
 ) {
     let mut table = LoopTable::new();
     let mut fold_ns = 0;
-    for chunk in traces.chunks(threads.max(1)) {
+    let classes = time_into(rec, &mut fold_ns, || {
+        Classes::new(traces, |t| t.events.as_slice())
+    });
+    let mut last = vec![0; classes.len()];
+    for (i, &c) in classes.of.iter().enumerate() {
+        last[c] = i;
+    }
+    let mut held: Vec<Option<Arc<Nlr>>> = vec![None; classes.len()];
+    let chunk = threads.max(1);
+    for start in (0..traces.len()).step_by(chunk) {
+        let range = start..(start + chunk).min(traces.len());
         let raw = time_into(rec, &mut fold_ns, || {
-            let folds = par_map(chunk, threads, |_, t| NlrBuilder::new(k).fold(&t.events));
-            chunk
-                .iter()
-                .zip(folds)
-                .map(|(&trace, fold)| RawTerm {
-                    trace,
-                    term: fold.replay(&mut table),
+            let firsts: Vec<usize> = range.clone().filter(|&i| classes.rep_of(i) == i).collect();
+            let folds = par_map(&firsts, threads, |_, &i| {
+                NlrBuilder::new(k).fold(&traces[i].events)
+            });
+            for (&i, fold) in firsts.iter().zip(folds) {
+                held[classes.of[i]] = Some(Arc::new(fold.replay(&mut table)));
+            }
+            range
+                .clone()
+                .map(|i| {
+                    let class = classes.of[i];
+                    let term = held[class].clone().expect("the class's first trace folded");
+                    if last[class] == i {
+                        held[class] = None;
+                    }
+                    RawTerm {
+                        trace: traces[i],
+                        term,
+                        class,
+                        first: classes.reps[class] == i,
+                    }
                 })
                 .collect()
         });
@@ -154,7 +189,7 @@ pub(crate) fn fold_raw<'a>(
     }
     if rec.enabled() {
         rec.span_ns(&format!("{name}/fold"), fold_ns);
-        rec.add(&format!("{name}_folds"), traces.len() as u64);
+        rec.add(&format!("{name}_folds"), classes.len() as u64);
     }
 }
 
@@ -736,7 +771,10 @@ mod tests {
             c.check(&input(&pair.faulty), &opts, &rec);
             let key = format!("{}_folds", row.name);
             let m = rec.finish(row.name, 1);
-            let folds = pair.faulty.0.len() as u64;
+            // One fold per class of equal streams.
+            let distinct: std::collections::BTreeSet<&[u32]> =
+                pair.faulty.0.iter().map(|t| t.events.as_slice()).collect();
+            let folds = distinct.len() as u64;
             assert!(m.counters.contains(&(key, folds)), "{:?}", m.counters);
         }
     }

@@ -285,35 +285,52 @@ impl FilterConfig {
 
     /// Apply to every trace of a set. Whether an event is kept depends
     /// only on its symbol (function and return bit), so the keep
-    /// decision is made once per registered symbol — the call of
-    /// function `f` at `2f`, its return at `2f + 1` — and then looked
-    /// up per event, which is copied through as it is stored.
+    /// decision is made once per registered symbol ([`KeepTable`]) and
+    /// then looked up per event, which is copied through as it is
+    /// stored.
     pub fn apply(&self, set: &TraceSet) -> FilteredSet {
-        let compiled: Vec<CompiledClass> = self.keep.iter().map(compile_class).collect();
-        let keep: Vec<bool> = set
-            .registry
-            .names()
-            .iter()
-            .flat_map(|name| {
-                let kept = !(self.drop_plt && (name.ends_with("@plt") || name.contains(".plt")))
-                    && (compiled.is_empty() || compiled.iter().any(|c| c.matches(name)));
-                [kept, kept && !self.drop_returns]
-            })
-            .collect();
+        let keep = self.keep_table(&set.registry);
         let traces = set
             .iter()
             .map(|trace| FilteredTrace {
                 id: trace.id,
-                symbols: trace
-                    .events
-                    .iter()
-                    .copied()
-                    .filter(|&s| keep[s as usize])
-                    .collect(),
+                symbols: keep.filter(&trace.events),
                 truncated: trace.truncated,
             })
             .collect();
         FilteredSet { traces }
+    }
+
+    /// The keep decision of every symbol of `registry`.
+    pub(crate) fn keep_table(&self, registry: &dt_trace::FunctionRegistry) -> KeepTable {
+        let compiled: Vec<CompiledClass> = self.keep.iter().map(compile_class).collect();
+        KeepTable(
+            registry
+                .names()
+                .iter()
+                .flat_map(|name| {
+                    let kept = !(self.drop_plt
+                        && (name.ends_with("@plt") || name.contains(".plt")))
+                        && (compiled.is_empty() || compiled.iter().any(|c| c.matches(name)));
+                    [kept, kept && !self.drop_returns]
+                })
+                .collect(),
+        )
+    }
+}
+
+/// A filter's keep decision per registered symbol: the call of
+/// function `f` at `2f`, its return at `2f + 1`.
+pub(crate) struct KeepTable(Vec<bool>);
+
+impl KeepTable {
+    /// The kept symbols of one stream, in order.
+    pub(crate) fn filter(&self, events: &[u32]) -> Vec<u32> {
+        events
+            .iter()
+            .copied()
+            .filter(|&s| self.0[s as usize])
+            .collect()
     }
 }
 

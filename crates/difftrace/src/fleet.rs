@@ -52,7 +52,7 @@ use dt_obs::{stage, Recorder};
 use dt_trace::hash::StableHasher;
 use dt_trace::{TraceId, TraceSet};
 use fca::{AttrId, ConceptLattice, FormalContext};
-use nlr::{Element, LoopId, LoopTable};
+use nlr::{Element, LoopId, LoopTable, Nlr};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -533,39 +533,43 @@ fn mine_run(
         stages,
     );
     let Folded {
-        aligned,
+        classes,
+        symbols,
         nlrs,
         folds,
         ..
     } = folded.pop().expect("one run folded");
     if rec.enabled() {
         rec.add("nlr_folds", folds);
+        rec.add("trace_classes", classes.len() as u64);
     }
 
     let name = |s: u32| symbol_name(&set.registry, s);
+    let class_nlrs: Vec<&Nlr> = classes
+        .reps
+        .iter()
+        .map(|&i| nlrs.get(universe[i]).expect("aligned"))
+        .collect();
     // Canonical labels for every top-level loop reference. Nested
     // references render structurally inside the hash input, so only
     // top-level ids (the only ones mining ever labels) need entries.
     let mut labels: BTreeMap<LoopId, String> = BTreeMap::new();
-    for id in universe {
-        if let Some(nlr) = nlrs.get(*id) {
-            for e in nlr.elements() {
-                if let Element::Loop { body, .. } = e {
-                    labels
-                        .entry(*body)
-                        .or_insert_with(|| canonical_loop_label(&table, *body, &name));
-                }
+    for nlr in &class_nlrs {
+        for e in nlr.elements() {
+            if let Element::Loop { body, .. } = e {
+                labels
+                    .entry(*body)
+                    .or_insert_with(|| canonical_loop_label(&table, *body, &name));
             }
         }
     }
 
     let loop_label = |id: LoopId| labels[&id].clone();
     let _s = stage(rec, "fleet_mine");
-    par_map_obs(universe, threads, rec, "fleet_mine", |i, id| {
-        let nlr = nlrs.get(*id).expect("aligned");
-        let symbols = &aligned.traces[i].symbols;
-        mine_labelled(symbols, nlr, params.attrs, &name, &loop_label)
-    })
+    let mined = par_map_obs(&class_nlrs, threads, rec, "fleet_mine", |c, nlr| {
+        mine_labelled(&symbols[c], nlr, params.attrs, &name, &loop_label)
+    });
+    classes.of.iter().map(|&c| mined[c].clone()).collect()
 }
 
 /// The registry-independent canonical label of a loop body:

@@ -63,28 +63,44 @@ impl JsmMatrix {
         JsmMatrix::from_context_opts(ctx, ids, 1)
     }
 
-    /// Like [`JsmMatrix::from_context`], computing the O(n²) rows on up
-    /// to `threads` threads (0 = available parallelism, ≤1 = inline).
-    /// Row `i` computes only the cells `j > i`; the lower triangle is
-    /// then mirrored, so every cell is one [`fca::weighted_jaccard`]
-    /// call whatever the thread count.
+    /// Like [`JsmMatrix::from_context`], computing the cells on up to
+    /// `threads` threads (0 = available parallelism, ≤1 = inline).
+    ///
+    /// Objects with bit-equal rows form one class
+    /// ([`dt_trace::Classes`]), and only the distinct rows are paired:
+    /// each ordered pair of classes `(a, b)` is one
+    /// [`fca::weighted_jaccard`] call over their first objects' rows
+    /// (`(a, a)` too, for two members of one class). Cell `(i, j)`,
+    /// `i < j`, is then the pair of their classes, read by index, and
+    /// is mirrored to `(j, i)`; only the diagonal is 1.0 by definition.
+    /// Every cell is thus the kernel over its two rows in index order,
+    /// as a pair-by-pair fill computes it, at any thread count.
     pub fn from_context_opts(ctx: &FormalContext, ids: Vec<TraceId>, threads: usize) -> JsmMatrix {
         assert_eq!(ctx.num_objects(), ids.len());
         let n = ids.len();
-        let mut m = crate::sync::par_map(&ids, threads, |i, _| {
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            for (j, cell) in row.iter_mut().enumerate().skip(i + 1) {
-                *cell = fca::weighted_jaccard(ctx.row(i), ctx.row(j));
-            }
-            row
+        let bits: Vec<Vec<(fca::AttrId, u64)>> = (0..n)
+            .map(|i| ctx.row(i).iter().map(|&(a, w)| (a, w.to_bits())).collect())
+            .collect();
+        let classes = dt_trace::Classes::new(&bits, |r| r.as_slice());
+        let pairs = crate::sync::par_map(&classes.reps, threads, |_, &i| {
+            classes
+                .reps
+                .iter()
+                .map(|&j| fca::weighted_jaccard(ctx.row(i), ctx.row(j)))
+                .collect::<Vec<f64>>()
         });
-        for i in 1..n {
-            let (above, below) = m.split_at_mut(i);
-            for (j, row) in above.iter().enumerate() {
-                below[0][j] = row[i];
-            }
-        }
+        let of = &classes.of;
+        let m = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| match i.cmp(&j) {
+                        std::cmp::Ordering::Less => pairs[of[i]][of[j]],
+                        std::cmp::Ordering::Equal => 1.0,
+                        std::cmp::Ordering::Greater => pairs[of[j]][of[i]],
+                    })
+                    .collect()
+            })
+            .collect();
         JsmMatrix { ids, m }
     }
 

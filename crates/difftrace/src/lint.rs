@@ -10,7 +10,9 @@
 //! TL005 checks each trace's raw NLR term against its own symbol
 //! stream. Lint reads the raw terms through the one streamed fold
 //! ([`crate::check::fold_raw`]) in both domains: TL005 runs on each
-//! chunk, and in the compressed domain the chunk's terms are projected
+//! chunk, once per class of equal streams (a later trace of the class
+//! repeats the first's findings under its own id), and in the
+//! compressed domain the chunk's terms are projected
 //! onto their collectives for TL002 there too, so only the per-rank
 //! projected streams outlive the chunk. In neither domain does lint
 //! hold more than a chunk's raw streams and terms.
@@ -26,6 +28,7 @@ use crate::pipeline::{analyze, DiffRun, Params, PipelineOptions};
 use dt_obs::{stage, time_into, Recorder};
 use dt_trace::{FunctionRegistry, Trace, TraceSet};
 use nlr::{LoopTable, Nlr};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tracelint::compressed::{
     check_collective_order_compressed, check_stack_discipline_compressed, rank_streams,
@@ -142,6 +145,9 @@ impl Checker for Lint {
         let mut projector = CollProjector::new(&coll);
         let mut ranks = Vec::new();
         let mut roundtrip = Vec::new();
+        // TL005 findings of each class's first trace, when it has any;
+        // the class's later traces repeat them under their own ids.
+        let mut class_roundtrip: BTreeMap<usize, Vec<Diagnostic>> = BTreeMap::new();
         let (mut tl002_ns, mut tl005_ns) = (0, 0);
         let per_trace = trace_facts(
             self,
@@ -152,19 +158,23 @@ impl Checker for Lint {
             Some(&mut |table: &LoopTable, chunk: Vec<RawTerm>| {
                 time_into(rec, &mut tl005_ns, || {
                     for r in &chunk {
-                        roundtrip.extend(rules::check_roundtrip(
-                            r.trace.id,
-                            &r.trace.events,
-                            &r.term,
-                            table,
-                        ));
+                        let id = r.trace.id;
+                        if r.first {
+                            let found = rules::check_roundtrip(id, &r.trace.events, &r.term, table);
+                            if !found.is_empty() {
+                                class_roundtrip.insert(r.class, found);
+                            }
+                        }
+                        if let Some(found) = class_roundtrip.get(&r.class) {
+                            roundtrip.extend(found.iter().cloned().map(|d| d.with_trace(id)));
+                        }
                     }
                 });
                 if compressed {
                     time_into(rec, &mut tl002_ns, || {
                         let terms = chunk
                             .iter()
-                            .map(|r| (r.trace.id, &r.term, r.trace.truncated));
+                            .map(|r| (r.trace.id, &*r.term, r.trace.truncated));
                         rank_streams(&mut ranks, table, terms, &mut projector);
                     });
                 }

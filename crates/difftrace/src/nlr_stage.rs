@@ -1,19 +1,24 @@
 //! Running NLR summarization over a filtered execution: the one
-//! per-trace fold (`fold_trace`, cache-aware) and its one driver,
+//! per-stream fold (`fold_stream`, cache-aware) and its one driver,
 //! `NlrSet::fold`.
 //!
 //! One [`nlr::LoopTable`] is shared by **all** traces of an analysis —
 //! including both the normal and the faulty execution of a diff — so a
 //! loop ID (`L0`, `L1`, …) denotes the same loop body everywhere, as in
-//! the paper's Tables III/IV and diffNLR figures. Each trace folds into
-//! its own table (on any worker, or from the cache) and the folds are
-//! replayed into the shared one in (set, trace) order — see
-//! [`nlr::fold`] for why that numbering equals a trace-by-trace build.
+//! the paper's Tables III/IV and diffNLR figures.
+//!
+//! Traces with equal streams form one class ([`Classes`]), and only a
+//! class's first trace folds: each class folds into its own table (on
+//! any worker, or from the cache), the folds replay into the shared one
+//! in (set, class) order — which is first-occurrence (set, trace)
+//! order — and every member gets its class's summary. A repeated
+//! trace's replay would intern nothing new and yield the same summary,
+//! so the numbering equals a trace-by-trace build's (see [`nlr::fold`]).
 
 use crate::filter::FilteredSet;
 use crate::sync::par_map;
 use dt_cache::Cache;
-use dt_trace::TraceId;
+use dt_trace::{Classes, TraceId};
 use nlr::{Fold, LoopTable, Nlr, NlrBuilder};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,14 +32,45 @@ pub struct NlrSet {
     pub truncated: BTreeMap<TraceId, bool>,
 }
 
-/// One set of filtered traces to fold, with its per-trace cache keys
-/// (aligned with `traces`) when a [`Cache`] is in use.
-pub(crate) type FoldInput<'a> = (&'a FilteredSet, Option<(&'a Cache, &'a [u128])>);
+/// One execution to fold: its traces grouped into classes of equal
+/// streams, one stream per class, and each class's cache key when a
+/// [`Cache`] is in use.
+pub(crate) struct FoldInput<'a> {
+    /// Per trace: its id and truncation flag.
+    pub traces: Vec<(TraceId, bool)>,
+    /// The traces' classes.
+    pub classes: &'a Classes,
+    /// Each class's stream, in class order.
+    pub streams: Vec<&'a [u32]>,
+    /// The cache and each class's key, in class order.
+    pub cached: Option<(&'a Cache, &'a [u128])>,
+}
 
-/// The one per-trace NLR fold: the cache's fold under the trace's key
-/// (folded there on its first miss), or a fresh trace-local fold
+impl<'a> FoldInput<'a> {
+    /// `set`'s traces under `classes` (of their filtered streams), with
+    /// per-class keys when cached.
+    fn of_set(
+        set: &'a FilteredSet,
+        classes: &'a Classes,
+        cached: Option<(&'a Cache, &'a [u128])>,
+    ) -> FoldInput<'a> {
+        FoldInput {
+            traces: set.traces.iter().map(|t| (t.id, t.truncated)).collect(),
+            classes,
+            streams: classes
+                .reps
+                .iter()
+                .map(|&i| set.traces[i].symbols.as_slice())
+                .collect(),
+            cached,
+        }
+    }
+}
+
+/// The one per-stream NLR fold: the cache's fold under the stream's
+/// key (folded there on its first miss), or a fresh stream-local fold
 /// without a cache. Returns the fold and whether the builder ran.
-fn fold_trace(k: usize, symbols: &[u32], cached: Option<(&Cache, u128)>) -> (Arc<Fold>, bool) {
+fn fold_stream(k: usize, symbols: &[u32], cached: Option<(&Cache, u128)>) -> (Arc<Fold>, bool) {
     let fold = || NlrBuilder::new(k).fold(symbols);
     match cached {
         Some((cache, key)) => cache.nlr_fold(key, fold),
@@ -44,15 +80,17 @@ fn fold_trace(k: usize, symbols: &[u32], cached: Option<(&Cache, u128)>) -> (Arc
 
 impl NlrSet {
     /// Summarize every trace of `set` with body bound `k`, interning
-    /// loops into the shared `table`.
+    /// loops into the shared `table`. Traces with equal streams fold
+    /// once.
     pub fn build(set: &FilteredSet, k: usize, table: &mut LoopTable) -> NlrSet {
-        NlrSet::fold_one((set, None), k, table).0
+        let classes = Classes::new(&set.traces, |t| t.symbols.as_slice());
+        NlrSet::fold_one(FoldInput::of_set(set, &classes, None), k, table).0
     }
 
-    /// [`NlrSet::build`] through a [`Cache`]: each trace's fold is
-    /// looked up by its content key (`keys`, aligned with `set.traces`)
-    /// and folded and stored on a miss. Returns the set plus the number
-    /// of actual builder invocations.
+    /// [`NlrSet::build`] through a [`Cache`]: each class of equal
+    /// streams is looked up by its first trace's content key (`keys`,
+    /// aligned with `set.traces`) and folded and stored on a miss.
+    /// Returns the set plus the number of actual builder invocations.
     pub fn build_cached(
         set: &FilteredSet,
         k: usize,
@@ -60,7 +98,10 @@ impl NlrSet {
         cache: &Cache,
         keys: &[u128],
     ) -> (NlrSet, u64) {
-        NlrSet::fold_one((set, Some((cache, keys))), k, table)
+        let classes = Classes::new(&set.traces, |t| t.symbols.as_slice());
+        let class_keys: Vec<u128> = classes.reps.iter().map(|&i| keys[i]).collect();
+        let input = FoldInput::of_set(set, &classes, Some((cache, &class_keys)));
+        NlrSet::fold_one(input, k, table)
     }
 
     fn fold_one(input: FoldInput, k: usize, table: &mut LoopTable) -> (NlrSet, u64) {
@@ -69,12 +110,13 @@ impl NlrSet {
             .expect("one set folded")
     }
 
-    /// Fold `sets` into `table` on up to `threads` workers: every trace
+    /// Fold `sets` into `table` on up to `threads` workers: every class
     /// of every set folds into its own table (concurrently; inline at
-    /// one thread), then the folds replay into `table` in (set, trace)
-    /// order. The numbering is therefore that of folding set 0, then
-    /// set 1, … in trace order, at any thread count. Returns each set
-    /// with its builder-invocation count.
+    /// one thread), then the folds replay into `table` in (set, class)
+    /// order and each trace takes its class's summary. The numbering is
+    /// therefore that of folding set 0, then set 1, … in trace order,
+    /// at any thread count. Returns each set with its
+    /// builder-invocation count.
     pub(crate) fn fold(
         sets: &[FoldInput],
         k: usize,
@@ -84,26 +126,34 @@ impl NlrSet {
         let items: Vec<(usize, usize)> = sets
             .iter()
             .enumerate()
-            .flat_map(|(s, (set, _))| (0..set.traces.len()).map(move |i| (s, i)))
+            .flat_map(|(s, set)| (0..set.streams.len()).map(move |c| (s, c)))
             .collect();
-        let folds = par_map(&items, threads, |_, &(s, i)| {
-            let (set, cache) = sets[s];
-            fold_trace(
+        let folds = par_map(&items, threads, |_, &(s, c)| {
+            let set = &sets[s];
+            fold_stream(
                 k,
-                &set.traces[i].symbols,
-                cache.map(|(c, keys)| (c, keys[i])),
+                set.streams[c],
+                set.cached.map(|(cache, keys)| (cache, keys[c])),
             )
         });
-        let mut out: Vec<(NlrSet, u64)> = sets.iter().map(|_| Default::default()).collect();
-        for ((s, i), (fold, built)) in items.into_iter().zip(folds) {
-            let t = &sets[s].0.traces[i];
-            let (set, folds) = &mut out[s];
-            set.nlrs
-                .insert(t.id, Arc::unwrap_or_clone(fold).replay(table));
-            set.truncated.insert(t.id, t.truncated);
-            *folds += u64::from(built);
+        let mut terms: Vec<Vec<Nlr>> = sets.iter().map(|_| Vec::new()).collect();
+        let mut built = vec![0u64; sets.len()];
+        for ((s, _), (fold, fresh)) in items.into_iter().zip(folds) {
+            terms[s].push(Arc::unwrap_or_clone(fold).replay(table));
+            built[s] += u64::from(fresh);
         }
-        out
+        sets.iter()
+            .zip(terms)
+            .zip(built)
+            .map(|((set, terms), built)| {
+                let mut out = NlrSet::default();
+                for (&(id, truncated), &c) in set.traces.iter().zip(&set.classes.of) {
+                    out.nlrs.insert(id, terms[c].clone());
+                    out.truncated.insert(id, truncated);
+                }
+                (out, built)
+            })
+            .collect()
     }
 
     /// Look up one summary.
@@ -167,9 +217,10 @@ mod tests {
         assert_eq!(ns.mean_reduction_factor(), 1.0);
     }
 
-    /// Duplicate traces through one cache fold once per content key at
-    /// every thread count: the builder runs and the cache counters read
-    /// exactly what they read at one thread, however the workers race.
+    /// Duplicate traces fold once per class, and classes through one
+    /// cache fold once per content key, at every thread count: the
+    /// builder runs and the cache counters read exactly what they read
+    /// at one thread, however the workers race.
     #[test]
     fn fold_counts_do_not_depend_on_threads() {
         // 16 traces over 4 distinct streams, long enough that workers
@@ -186,24 +237,28 @@ mod tests {
                 .map(|t| filtered(TraceId::new(t, 0), streams[t as usize % 4].clone()))
                 .collect(),
         };
-        let keys: Vec<u128> = set
-            .traces
+        let classes = Classes::new(&set.traces, |t| t.symbols.as_slice());
+        let keys: Vec<u128> = classes
+            .reps
             .iter()
-            .map(|t| dt_cache::nlr_key(10, &t.symbols, |s| s.to_string()))
+            .map(|&i| dt_cache::nlr_key(10, &set.traces[i].symbols, |s| s.to_string()))
             .collect();
         let counts = |threads: usize| {
             let cache = Cache::new();
             let mut table = LoopTable::new();
-            let input = (&set, Some((&cache, keys.as_slice())));
-            let folds: u64 = NlrSet::fold(&[input, input], 10, &mut table, threads)
+            let input = || FoldInput::of_set(&set, &classes, Some((&cache, keys.as_slice())));
+            let folds: u64 = NlrSet::fold(&[input(), input()], 10, &mut table, threads)
                 .iter()
                 .map(|(_, f)| f)
                 .sum();
             let s = cache.stats();
             (folds, s.nlr_hits, s.nlr_misses)
         };
+        // Each set looks up its 4 classes once: the first set folds
+        // them, the second hits.
         let sequential = counts(1);
-        assert_eq!(sequential, (4, 28, 4));
+        assert_eq!(classes.len(), 4);
+        assert_eq!(sequential, (4, 4, 4));
         for threads in [2, 4, 8] {
             for rep in 0..20 {
                 assert_eq!(counts(threads), sequential, "threads={threads} rep={rep}");

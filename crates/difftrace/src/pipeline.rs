@@ -8,14 +8,25 @@
 //! universe and one loop table: filter → NLR (see [`NlrSet`]) → mine →
 //! lattice → JSM → linkage per execution.
 //!
+//! # Once per distinct trace
+//!
+//! Most threads of an SPMD run record the same stream. The driver
+//! groups each execution's traces into classes of equal raw streams
+//! ([`dt_trace::Classes`]) and runs filter, NLR keying and folding, and
+//! mining once per class; every trace takes its class's summary and
+//! attribute set, keeping its own id and truncation flag. The lattice
+//! and the JSM then work once per distinct attribute row. Output is
+//! byte-identical to a trace-by-trace run: a repeated trace would fold,
+//! mine and pair exactly as its class's first trace did.
+//!
 //! # Parallel execution
 //!
 //! The [`PipelineOptions::threads`] knob changes how fast an answer is
 //! computed, never which answer: output is **byte-identical** for every
 //! thread count. At one thread the driver filters, folds and finishes
-//! one execution, then the next. With more, every trace of every
+//! one execution, then the next. With more, every class of every
 //! execution folds concurrently into its own loop table, and the folds
-//! replay into the shared table in (execution, trace) order — the one
+//! replay into the shared table in (execution, class) order — the one
 //! fold form of [`nlr::fold`], which keeps the schedule out of the loop
 //! IDs (they leak into attribute names and rendered summaries); the
 //! executions then finish concurrently. All other
@@ -24,7 +35,7 @@
 
 use crate::attributes::{mine, AttrConfig, AttrKind, FreqMode};
 use crate::check::{CheckInput, DiffDenied, LintGate, PrePass};
-use crate::filter::{symbol_name, FilterConfig, FilteredSet, FilteredTrace};
+use crate::filter::{symbol_name, FilterConfig};
 use crate::hbcheck::HbCheck;
 use crate::jsm::JsmMatrix;
 use crate::lint::{Lint, LintOptions};
@@ -35,7 +46,7 @@ use crate::sync::effective_threads;
 use cluster::{bscore, linkage, CondensedMatrix, Dendrogram, Method};
 use dt_cache::Cache;
 use dt_obs::{stage, Recorder};
-use dt_trace::{TraceId, TraceSet};
+use dt_trace::{Classes, TraceId, TraceSet};
 use fca::{ConceptLattice, FormalContext};
 use nlr::LoopTable;
 use std::collections::BTreeMap;
@@ -216,23 +227,30 @@ fn analyze_runs(
 
 /// One execution after the front half of an analysis.
 pub(crate) struct Folded {
-    /// Its filtered traces, in `ids` order (see [`align_filtered`]).
-    pub aligned: FilteredSet,
-    /// Per-trace NLR cache keys, in the same order, when a cache is in
-    /// use.
+    /// Its traces (in `ids` order) grouped into classes of equal raw
+    /// streams; a trace missing from the execution is empty.
+    pub classes: Classes,
+    /// Each class's filtered stream, in class order.
+    pub symbols: Vec<Vec<u32>>,
+    /// Each class's NLR cache key, when a cache is in use.
     pub keys: Option<Vec<u128>>,
     /// The summaries, under the shared table's canonical numbering.
     pub nlrs: NlrSet,
-    /// Actual NLR-builder invocations — fewer than the traces when the
-    /// cache is warm.
+    /// Actual NLR-builder invocations — at most one per class, fewer
+    /// when the cache is warm.
     pub folds: u64,
 }
 
-/// The front half of an analysis — filter, align to `ids`, NLR cache
-/// keys, NLR fold — for every execution in `sets`, all folding into
-/// `table` on up to `threads` workers ([`NlrSet::fold`]). `stages`
-/// names the filter and NLR spans. Shared by the pipeline driver and
-/// the N-way fleet fold.
+/// The front half of an analysis for every execution in `sets`, all
+/// folding into `table` on up to `threads` workers. Under the first of
+/// `stages` (the filter span) each execution's traces, aligned to
+/// `ids`, are grouped into classes of equal raw streams — the filter
+/// keeps a symbol by its value alone, so equal raw streams filter
+/// equally — and only each class's first trace is filtered. Under the
+/// second (the NLR span) each class is keyed, when a cache is in use,
+/// and folded once ([`NlrSet::fold`]). Classes never span two
+/// executions: each has its own registry. Shared by the pipeline
+/// driver and the N-way fleet fold.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_runs(
     sets: &[&TraceSet],
@@ -245,32 +263,60 @@ pub(crate) fn fold_runs(
     stages: [&str; 2],
 ) -> Vec<Folded> {
     let k = params.filter.nlr_k;
-    let aligned: Vec<FilteredSet> = {
+    let filtered: Vec<(Classes, Vec<Vec<u32>>)> = {
         let _s = stage(rec, stages[0]);
         sets.iter()
-            .map(|set| align_filtered(set, params, ids))
+            .map(|set| {
+                let raw: Vec<&[u32]> = ids
+                    .iter()
+                    .map(|&id| set.get(id).map_or(&[][..], |t| &t.events))
+                    .collect();
+                let classes = Classes::new(&raw, |r| *r);
+                let keep = params.filter.keep_table(&set.registry);
+                let symbols = classes.reps.iter().map(|&i| keep.filter(raw[i])).collect();
+                (classes, symbols)
+            })
             .collect()
     };
-    let keys: Vec<Option<Vec<u128>>> = sets
-        .iter()
-        .zip(&aligned)
-        .map(|(set, a)| cache.map(|_| nlr_cache_keys(set, a, k)))
-        .collect();
-    let nlrs = {
+    let (keys, nlrs) = {
         let _s = stage(rec, stages[1]);
-        let inputs: Vec<FoldInput> = aligned
+        let keys: Vec<Option<Vec<u128>>> = sets
             .iter()
-            .zip(&keys)
-            .map(|(a, keys)| (a, cache.zip(keys.as_deref())))
+            .zip(&filtered)
+            .map(|(set, (_, symbols))| {
+                cache.map(|_| {
+                    let name = |s: u32| symbol_name(&set.registry, s);
+                    symbols
+                        .iter()
+                        .map(|sym| dt_cache::nlr_key(k, sym, name))
+                        .collect()
+                })
+            })
             .collect();
-        NlrSet::fold(&inputs, k, table, threads)
+        let inputs: Vec<FoldInput> = sets
+            .iter()
+            .zip(&filtered)
+            .zip(&keys)
+            .map(|((set, (classes, symbols)), keys)| FoldInput {
+                traces: ids
+                    .iter()
+                    .map(|&id| (id, set.get(id).is_some_and(|t| t.truncated)))
+                    .collect(),
+                classes,
+                streams: symbols.iter().map(Vec::as_slice).collect(),
+                cached: cache.zip(keys.as_deref()),
+            })
+            .collect();
+        let nlrs = NlrSet::fold(&inputs, k, table, threads);
+        (keys, nlrs)
     };
-    aligned
+    filtered
         .into_iter()
         .zip(keys)
         .zip(nlrs)
-        .map(|((aligned, keys), (nlrs, folds))| Folded {
-            aligned,
+        .map(|(((classes, symbols), keys), (nlrs, folds))| Folded {
+            classes,
+            symbols,
             keys,
             nlrs,
             folds,
@@ -278,35 +324,27 @@ pub(crate) fn fold_runs(
         .collect()
 }
 
-/// The per-trace NLR cache keys for `aligned`, in its trace order.
-fn nlr_cache_keys(set: &TraceSet, aligned: &FilteredSet, k: usize) -> Vec<u128> {
-    aligned
-        .traces
-        .iter()
-        .map(|t| dt_cache::nlr_key(k, &t.symbols, |s| symbol_name(&set.registry, s)))
-        .collect()
-}
-
 /// Tally the front half's work into `rec` (no-op when disabled):
-/// filter volume, and NLR sizes plus `nlr_folds` — actual builder
-/// invocations, lower than the trace count with a warm cache, which is
-/// how the bench and CI assert that caching skipped work without
-/// comparing wall-clock.
+/// filter volume, the class count (`trace_classes`), and NLR sizes
+/// plus `nlr_folds` — actual builder invocations, one per class cold
+/// and fewer with a warm cache, which is how the bench and CI assert
+/// that work was skipped without comparing wall-clock.
 fn record_front_counters(rec: &dyn Recorder, set: &TraceSet, f: &Folded, ids: &[TraceId]) {
     if !rec.enabled() {
         return;
     }
     rec.add("traces", ids.len() as u64);
+    rec.add("trace_classes", f.classes.len() as u64);
     rec.add(
         "events_total",
         set.iter().map(|t| t.events.len() as u64).sum(),
     );
     rec.add(
         "events_kept",
-        f.aligned
-            .traces
+        f.classes
+            .of
             .iter()
-            .map(|t| t.symbols.len() as u64)
+            .map(|&c| f.symbols[c].len() as u64)
             .sum(),
     );
     rec.add("nlr_folds", f.folds);
@@ -358,36 +396,17 @@ pub fn content_fingerprints(set: &TraceSet, filter: &FilterConfig) -> Vec<(Trace
         .collect()
 }
 
-/// Filter `set` and align the result to `id_universe` order; traces
-/// missing from `set` become empty objects.
-fn align_filtered(set: &TraceSet, params: &Params, id_universe: &[TraceId]) -> FilteredSet {
-    let filtered = params.filter.apply(set);
-    let mut by_id: BTreeMap<TraceId, FilteredTrace> =
-        filtered.traces.into_iter().map(|t| (t.id, t)).collect();
-    FilteredSet {
-        traces: id_universe
-            .iter()
-            .map(|&id| {
-                by_id.remove(&id).unwrap_or(FilteredTrace {
-                    id,
-                    symbols: Vec::new(),
-                    truncated: false,
-                })
-            })
-            .collect(),
-    }
-}
-
 /// The back half of an analysis — attribute mining, formal context,
 /// lattice, JSM, dendrogram — given the front half's (already
-/// canonical) summaries. Mining and JSM rows are pure per-trace/per-row
-/// functions and fan out across `threads`; the context is assembled
-/// sequentially in `ids` order so object/attribute numbering never
-/// depends on the schedule. With a cache, mined attribute sets are
-/// memoized, each key mined once however the workers race
-/// ([`Cache::attrs`]), and shared rather than copied: mined labels
-/// embed global loop IDs, so the attr key covers the summary's element
-/// sequence too (see [`dt_cache::attr_key`]).
+/// canonical) summaries. Mining runs once per class of equal streams,
+/// fanned out across `threads`, and every member shares its class's
+/// attribute set; the context is assembled sequentially in `ids` order
+/// so object/attribute numbering never depends on the schedule, and
+/// the lattice and JSM work once per distinct row. With a cache, mined
+/// attribute sets are memoized, each key mined once however the
+/// workers race ([`Cache::attrs`]): mined labels embed global loop IDs,
+/// so the attr key covers the summary's element sequence too (see
+/// [`dt_cache::attr_key`]).
 fn finish_run(
     set: &TraceSet,
     params: &Params,
@@ -398,7 +417,8 @@ fn finish_run(
     cache: Option<&Cache>,
 ) -> AnalysisRun {
     let Folded {
-        aligned,
+        classes,
+        symbols,
         keys,
         nlrs,
         ..
@@ -407,28 +427,30 @@ fn finish_run(
     let attr_code = params.attrs.to_string();
     let mined: Vec<Arc<dt_cache::AttrSet>> = {
         let _s = stage(rec, "mine");
-        crate::sync::par_map_obs(ids, threads, rec, "mine", |i, id| {
-            let nlr = nlrs.get(*id).expect("aligned");
-            let fresh = || mine(&aligned.traces[i].symbols, nlr, params.attrs, &name);
+        crate::sync::par_map_obs(&classes.reps, threads, rec, "mine", |c, &i| {
+            let nlr = nlrs.get(ids[i]).expect("aligned");
+            let fresh = || mine(&symbols[c], nlr, params.attrs, &name);
             match (cache, &keys) {
                 (Some(cache), Some(keys)) => {
-                    let akey = dt_cache::attr_key(keys[i], &attr_code, nlr.elements());
+                    let akey = dt_cache::attr_key(keys[c], &attr_code, nlr.elements());
                     cache.attrs(akey, fresh).0
                 }
                 _ => Arc::new(fresh()),
             }
         })
     };
+    drop(symbols);
     if rec.enabled() {
         rec.add(
             "attributes_mined",
-            mined.iter().map(|v| v.len() as u64).sum(),
+            classes.of.iter().map(|&c| mined[c].len() as u64).sum(),
         );
     }
     let (context, lattice) = {
         let _s = stage(rec, "lattice");
         let mut context = FormalContext::new();
-        for (id, attrs) in ids.iter().zip(&mined) {
+        for (id, &c) in ids.iter().zip(&classes.of) {
+            let attrs = &mined[c];
             context.add_object(&id.to_string(), attrs.iter().map(|(k, w)| (k.as_str(), *w)));
         }
         let lattice = ConceptLattice::from_context(&context);
@@ -894,13 +916,15 @@ mod tests {
         assert!(d.suspicious_threads.contains(&TraceId::master(3)));
     }
 
-    /// Duplicate traces through one cache mine once per attribute key
-    /// at every thread count: the attribute counters read exactly what
-    /// they read at one thread, however the workers race.
+    /// Duplicate traces mine once per class, and classes through one
+    /// cache once per attribute key, at every thread count: the
+    /// attribute counters read exactly what they read at one thread,
+    /// however the workers race.
     #[test]
     fn attr_counts_do_not_depend_on_threads() {
-        // 16 traces over 4 distinct streams that barely fold, so each
-        // mine is long enough that workers overlap on one key.
+        // 16 traces over 4 distinct streams that barely fold, diffed
+        // against themselves: the two executions finish concurrently,
+        // and each mine is long enough that they overlap on one key.
         let registry = Arc::new(FunctionRegistry::new());
         let set = crate::record_masters(&registry, 16, |p, tr| {
             let mut x = p % 4 + 1;
@@ -923,12 +947,14 @@ mod tests {
                 cache: Some(Arc::clone(&cache)),
                 ..PipelineOptions::default()
             };
-            analyze(&set, &params, &mut LoopTable::new(), &opts, &dt_obs::NOOP);
+            try_diff_runs(&set, &set, None, &params, &opts, &dt_obs::NOOP).unwrap();
             let s = cache.stats();
             (s.attr_hits, s.attr_misses)
         };
+        // Each execution looks up its 4 classes once: one mines, the
+        // other hits.
         let sequential = counts(1);
-        assert_eq!(sequential, (12, 4));
+        assert_eq!(sequential, (4, 4));
         for threads in [2, 4, 8] {
             for rep in 0..5 {
                 assert_eq!(counts(threads), sequential, "threads={threads} rep={rep}");

@@ -31,6 +31,32 @@ fn context_strategy() -> impl Strategy<Value = FormalContext> {
         })
 }
 
+/// A random context whose objects repeat: a few distinct weighted rows
+/// (the empty one among them), each inserted any number of times in a
+/// random interleaving.
+fn repeating_context_strategy() -> impl Strategy<Value = FormalContext> {
+    (
+        proptest::collection::vec(proptest::collection::vec((0u8..8, 1u32..1000), 0..6), 1..5),
+        proptest::collection::vec(0usize..16, 1..14),
+    )
+        .prop_map(|(distinct, picks)| {
+            let mut ctx = FormalContext::new();
+            for (i, p) in picks.iter().enumerate() {
+                let mut named: Vec<(String, f64)> = distinct[p % distinct.len()]
+                    .iter()
+                    .map(|&(a, w)| (format!("a{a}"), f64::from(w) / 16.0))
+                    .collect();
+                named.sort_by(|x, y| x.0.cmp(&y.0));
+                named.dedup_by(|x, y| x.0 == y.0);
+                ctx.add_object(
+                    &format!("{i}.0"),
+                    named.iter().map(|(k, w)| (k.as_str(), *w)),
+                );
+            }
+            ctx
+        })
+}
+
 fn ids(n: usize) -> Vec<TraceId> {
     (0..n as u32).map(TraceId::master).collect()
 }
@@ -81,6 +107,26 @@ proptest! {
         for i in 0..n {
             for k in 0..n {
                 prop_assert_eq!(seq.m[i][k].to_bits(), par.m[i][k].to_bits());
+            }
+        }
+    }
+
+    /// Repeated rows are paired once per class and expanded by index:
+    /// every cell is still the kernel over its two rows in index order,
+    /// same-class cells included, at every thread count.
+    #[test]
+    fn repeated_rows_fill_like_a_pairwise_fill(
+        ctx in repeating_context_strategy(),
+        threads in 1usize..5,
+    ) {
+        let n = ctx.num_objects();
+        let j = JsmMatrix::from_context_opts(&ctx, ids(n), threads);
+        for i in 0..n {
+            prop_assert_eq!(j.m[i][i].to_bits(), 1.0f64.to_bits());
+            for k in i + 1..n {
+                let want = fca::weighted_jaccard(ctx.row(i), ctx.row(k)).to_bits();
+                prop_assert_eq!(j.m[i][k].to_bits(), want, "({},{})", i, k);
+                prop_assert_eq!(j.m[k][i].to_bits(), want, "({},{})", k, i);
             }
         }
     }

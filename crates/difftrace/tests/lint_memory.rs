@@ -198,11 +198,13 @@ fn whole_corpus_decode_holds_four_bytes_per_event() {
 }
 
 /// On every demo corpus, TL005 reports the same in both domains at every
-/// thread count, and each domain folds each trace once.
+/// thread count, and each domain folds each class of equal streams once.
 #[test]
 fn roundtrip_diagnostics_agree_across_domains() {
     let _turn = serial();
     for (name, set) in common::demo_runs() {
+        let distinct: std::collections::BTreeSet<&[u32]> =
+            set.iter().map(|t| t.events.as_slice()).collect();
         let tl005 = |domain: LintDomain, threads: usize| {
             let opts = LintOptions {
                 threads,
@@ -223,7 +225,7 @@ fn roundtrip_diagnostics_agree_across_domains() {
                 .into_iter()
                 .find(|(k, _)| k == "lint_folds")
                 .map(|(_, v)| v);
-            assert_eq!(folds, Some(set.len() as u64), "{name}: {domain:?}");
+            assert_eq!(folds, Some(distinct.len() as u64), "{name}: {domain:?}");
             report
                 .diagnostics()
                 .iter()

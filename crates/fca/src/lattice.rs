@@ -87,10 +87,17 @@ impl ConceptLattice {
 
     /// Insert object `g` (index = number of objects inserted so far)
     /// with attribute set `attrs`. Incremental Godin step.
+    ///
+    /// When `attrs` is already a concept's intent — a repeated trace,
+    /// or one run's trace again in a fleet — step (1) is the whole
+    /// update: every `Y ∩ A` of two closed sets is closed, so already a
+    /// concept, and `A ⊆ M` leaves the bottom as it was.
     pub fn add_object(&mut self, attrs: &BitSet) {
         let g = self.object_intents.len();
         let attrs = attrs.canonical();
-        self.all_attrs = self.all_attrs.union(&attrs).canonical();
+        let all_attrs = self.all_attrs.union(&attrs).canonical();
+        let grew = all_attrs != self.all_attrs;
+        self.all_attrs = all_attrs;
         self.object_intents.push(attrs.clone());
 
         // (1) Modified concepts: intent ⊆ A gains g.
@@ -98,6 +105,9 @@ impl ConceptLattice {
             if c.intent.is_subset(&attrs) {
                 c.extent.insert(g);
             }
+        }
+        if self.by_intent.contains_key(&attrs) {
+            return;
         }
 
         // (2) Candidate new intents: A and Y ∩ A for every existing
@@ -162,8 +172,12 @@ impl ConceptLattice {
 
         // The previous bottom (smaller all_attrs) may now be stale —
         // i.e. no longer closed. Rebuild the index dropping non-closed
-        // concepts. (Rare: only when new attributes appear.)
-        self.drop_unclosed();
+        // concepts. Only new attributes can unclose a concept: every
+        // other extent's closure is unchanged or meets `A` in its own
+        // intent.
+        if grew {
+            self.drop_unclosed();
+        }
     }
 
     /// Remove concepts whose intent is no longer closed (can happen for
@@ -410,6 +424,42 @@ mod tests {
         expected.sort_by_key(key);
         got.sort_by_key(key);
         assert_eq!(got, expected);
+    }
+
+    /// A repeated object only joins extents; a later object with new
+    /// attributes still drops the synthetic bottom it makes stale.
+    #[test]
+    fn repeated_objects_and_a_growing_universe() {
+        let mut ctx = FormalContext::new();
+        ctx.add_object_unweighted("g1", ["a"]);
+        ctx.add_object_unweighted("g2", ["b"]);
+        ctx.add_object_unweighted("g3", ["a"]);
+        ctx.add_object_unweighted("g4", ["b"]);
+        ctx.add_object_unweighted("g5", ["c"]);
+        ctx.add_object_unweighted("g6", ["a"]);
+        let l = ConceptLattice::from_context(&ctx);
+        let mut expected = brute_force_concepts(&ctx);
+        let mut got: Vec<(BitSet, BitSet)> = l
+            .concepts()
+            .iter()
+            .map(|c| (c.extent.canonical(), c.intent.canonical()))
+            .collect();
+        let key = |p: &(BitSet, BitSet)| {
+            (
+                p.1.iter().collect::<Vec<_>>(),
+                p.0.iter().collect::<Vec<_>>(),
+            )
+        };
+        expected.sort_by_key(key);
+        got.sort_by_key(key);
+        assert_eq!(got, expected);
+        // {a, b} was the bottom before `c` arrived; it is not closed now.
+        assert!(l.concepts().iter().all(|c| c.intent.len() != 2));
+        assert_eq!(l.bottom().intent_len(), 3);
+        assert_eq!(
+            l.object_concept(5).extent.iter().collect::<Vec<_>>(),
+            [0, 2, 5]
+        );
     }
 
     #[test]

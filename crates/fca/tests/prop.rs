@@ -1,5 +1,6 @@
 //! Property tests: the incremental lattice matches a brute-force
-//! closure enumeration on random contexts, and the weighted-Jaccard
+//! closure enumeration on random contexts (also when objects repeat),
+//! and the weighted-Jaccard
 //! merge kernel matches a reference union-and-map algorithm bitwise.
 
 use fca::{BitSet, ConceptLattice, FormalContext};
@@ -15,6 +16,25 @@ fn random_context() -> impl Strategy<Value = FormalContext> {
         }
         ctx
     })
+}
+
+/// Random contexts whose objects repeat: a few distinct intents, each
+/// inserted any number of times in a random interleaving — the shape of
+/// an SPMD run, where most threads record the same stream.
+fn repeating_context() -> impl Strategy<Value = FormalContext> {
+    (
+        proptest::collection::vec(proptest::collection::vec(0usize..8, 0..8), 1..5),
+        proptest::collection::vec(0usize..16, 1..12),
+    )
+        .prop_map(|(distinct, picks)| {
+            let mut ctx = FormalContext::new();
+            for (i, p) in picks.iter().enumerate() {
+                let attrs = &distinct[p % distinct.len()];
+                let names: Vec<String> = attrs.iter().map(|a| format!("m{a}")).collect();
+                ctx.add_object_unweighted(&format!("g{i}"), names.iter().map(|s| s.as_str()));
+            }
+            ctx
+        })
 }
 
 /// All closed intents by fixpoint intersection, with their extents.
@@ -106,6 +126,18 @@ proptest! {
 
     #[test]
     fn incremental_equals_brute_force(ctx in random_context()) {
+        let lattice = ConceptLattice::from_context(&ctx);
+        let mut got: Vec<(Vec<usize>, Vec<usize>)> = lattice
+            .concepts()
+            .iter()
+            .map(|c| (c.extent.iter().collect(), c.intent.iter().collect()))
+            .collect();
+        got.sort();
+        prop_assert_eq!(got, brute_force(&ctx));
+    }
+
+    #[test]
+    fn repeated_objects_match_brute_force(ctx in repeating_context()) {
         let lattice = ConceptLattice::from_context(&ctx);
         let mut got: Vec<(Vec<usize>, Vec<usize>)> = lattice
             .concepts()

@@ -299,7 +299,10 @@ fn render_ranks(ranks: &[u32]) -> String {
 }
 
 /// HB004: group send events by `(dst, tag)` channel and count
-/// causally-concurrent pairs from different sources.
+/// causally-concurrent pairs from different sources. The example pair
+/// is the one with the smallest (rank, rank, name, name), each pair
+/// taken lower rank first, so the text depends on the log's content
+/// and not on the order its events were recorded in.
 fn racy_channels(hb: &HbLog) -> Vec<HbDiagnostic> {
     let mut channels: BTreeMap<(u32, i32), Vec<(usize, u32)>> = BTreeMap::new();
     for i in 0..hb.len() {
@@ -313,28 +316,27 @@ fn racy_channels(hb: &HbLog) -> Vec<HbDiagnostic> {
     let mut out = Vec::new();
     for ((dst, tag), sends) in channels {
         let mut racy = 0u64;
-        let mut witness: Option<(usize, usize)> = None;
+        let mut witness: Option<(u32, u32, &str, &str)> = None;
         for (x, &(i, pi)) in sends.iter().enumerate() {
             for &(j, pj) in &sends[x + 1..] {
                 if pi != pj && hb.concurrent(i, j) {
                     racy += 1;
-                    if witness.is_none() {
-                        witness = Some((i, j));
-                    }
+                    let pair = if pi < pj {
+                        (pi, pj, hb.name_of(i), hb.name_of(j))
+                    } else {
+                        (pj, pi, hb.name_of(j), hb.name_of(i))
+                    };
+                    witness = Some(witness.map_or(pair, |w| w.min(pair)));
                 }
             }
         }
-        if let Some((i, j)) = witness {
+        if let Some((pi, pj, ni, nj)) = witness {
             out.push(
                 HbDiagnostic::warning(
                     HbCode::RacyChannel,
                     format!(
                         "{racy} concurrent send pair(s) race on channel (dst={dst}, tag={tag}); \
-                         e.g. {} from rank {} ‖ {} from rank {}",
-                        hb.name_of(i),
-                        hb.trace_of(i).process,
-                        hb.name_of(j),
-                        hb.trace_of(j).process
+                         e.g. {ni} from rank {pi} ‖ {nj} from rank {pj}"
                     ),
                 )
                 .with_hint(

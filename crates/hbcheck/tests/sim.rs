@@ -182,3 +182,57 @@ fn triage_orders_ranks_least_progressed_first() {
         triage.message
     );
 }
+
+/// The same log recorded in another arrival order: events grouped by
+/// trace, last trace first, each trace's events in program order.
+fn rearrived(hb: &dt_trace::HbLog) -> dt_trace::HbLog {
+    let mut events = hb.events();
+    events.sort_by_key(|e| std::cmp::Reverse(e.trace));
+    let mut out = dt_trace::HbLog::new(hb.world_size());
+    for e in &events {
+        out.push(e.trace, &e.name, e.op, &e.vc);
+    }
+    out.blocked = hb.blocked.iter().rev().cloned().collect();
+    out.pending_collectives = hb.pending_collectives.iter().rev().cloned().collect();
+    out.unmatched_sends = hb.unmatched_sends.iter().rev().cloned().collect();
+    out.finished = hb.finished.iter().rev().copied().collect();
+    out
+}
+
+/// HB004's example pair is chosen from the pairs' content, so a log and
+/// the same log with its records in another order render the same
+/// report.
+#[test]
+fn racy_channel_report_does_not_depend_on_record_order() {
+    let reg = registry();
+    let out = run(SimConfig::new(4), reg.clone(), |rank| {
+        rank.init()?;
+        if rank.rank() == 0 {
+            for _ in 1..4 {
+                let _ = rank.recv_any(5)?;
+            }
+        } else {
+            rank.send(0, 5, &[i64::from(rank.rank())])?;
+        }
+        rank.finalize()
+    });
+    assert!(!out.deadlocked);
+    let progress = expanded_progress(&out);
+    let report = analyze(&out.hb, &progress, &reg);
+    let racy = report
+        .diagnostics()
+        .iter()
+        .find(|d| d.code == HbCode::RacyChannel)
+        .expect("HB004 must fire");
+    assert!(
+        racy.message
+            .contains("e.g. MPI_Send from rank 1 ‖ MPI_Send from rank 2"),
+        "{}",
+        racy.message
+    );
+    for log in [rearrived(&out.hb), out.hb.canonical()] {
+        let again = analyze(&log, &progress, &reg);
+        assert_eq!(again.render_text(), report.render_text());
+        assert_eq!(again.render_json(), report.render_json());
+    }
+}

@@ -6,7 +6,9 @@
 //! descent over the full JSON grammar) and the string [`escape`] both
 //! sides share. Numbers are held as `f64`, which is exact for every
 //! magnitude the schema emits in practice and irrelevant for
-//! validation, the only consumer.
+//! validation, the only consumer. The daemon's wire protocol parses its
+//! frames with it too, so parsing stays linear in the document: a
+//! string copies each unescaped run in one step.
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,12 +170,16 @@ fn parse_string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 return Err(format!("unescaped control character at byte {at}"));
             }
             Some(_) => {
-                // Consume one UTF-8 scalar. The document came in as
-                // &str, so slicing at char boundaries is safe.
-                let s = std::str::from_utf8(&b[*at..]).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *at += c.len_utf8();
+                // Copy the whole run up to the next quote, backslash or
+                // control byte in one step, so the scan stays linear in
+                // the document. Those bytes are ASCII, so the run ends
+                // on a char boundary of the (valid UTF-8) document.
+                let run = b[*at..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                    .map_or(b.len(), |n| *at + n);
+                out.push_str(std::str::from_utf8(&b[*at..run]).map_err(|_| "invalid UTF-8")?);
+                *at = run;
             }
         }
     }
@@ -250,6 +256,21 @@ mod tests {
         let nasty = "a\"b\\c\nd\te\u{1}π";
         let doc = format!("\"{}\"", escape(nasty));
         assert_eq!(parse(&doc).unwrap(), Value::Str(nasty.to_string()));
+        // Long multi-byte runs, with escapes at their edges and
+        // between them.
+        let long = "π→𝄞".repeat(5_000);
+        for s in [
+            long.clone(),
+            format!("\"{long}\\"),
+            format!("\n{long}\u{7}{long}\t"),
+            format!("{long}\"\"{long}"),
+            format!("é{long}é"),
+        ] {
+            let doc = format!("[\"{}\",\"x\"]", escape(&s));
+            let want = Value::Arr(vec![Value::Str(s), Value::Str("x".into())]);
+            assert_eq!(parse(&doc).unwrap(), want);
+        }
+        assert!(parse(&format!("\"{long}")).is_err());
     }
 
     #[test]

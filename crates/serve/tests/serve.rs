@@ -265,6 +265,36 @@ fn oversize_frame_is_refused_and_the_daemon_keeps_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A frame just under the 1 MiB cap holding one long string is parsed
+/// in time linear in its length: its diagnosed error reply arrives
+/// well within a generous bound (a parser that re-validates the rest of
+/// the frame per character took about 50 s on a 2-vCPU host).
+#[test]
+fn long_string_frame_is_answered_promptly() {
+    let dir = demo_corpora("longstr");
+    let daemon = Daemon::start(&dir, 1);
+    let mut c = daemon.connect();
+    c.stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let head = "{\"id\":7,\"cmd\":\"lint\",\"corpus\":\"";
+    let tail = "\"}";
+    let name = "x".repeat((1 << 20) - head.len() - tail.len() - 1);
+    let frame = format!("{head}{name}{tail}");
+    let started = std::time::Instant::now();
+    let resp = c.send_line(&frame);
+    let took = started.elapsed();
+    assert!(!resp.ok);
+    assert!(!resp.error.is_empty(), "diagnosis missing");
+    assert!(took < std::time::Duration::from_secs(5), "took {took:?}");
+
+    // The connection survives.
+    let resp = c.roundtrip(&req("lint", "faulty"));
+    assert!(resp.ok, "{}", resp.error);
+    daemon.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn single_trace_query_decodes_exactly_one_trace() {
     let dir = demo_corpora("lazy");

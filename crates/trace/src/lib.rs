@@ -32,6 +32,8 @@
 //!   that every binary format in the workspace decodes and seals with.
 //! * [`stats`] reproduces the §V trace statistics (distinct functions,
 //!   compressed bytes per thread, calls per process).
+//! * [`class`] groups equal items (streams, blobs, rows) into classes,
+//!   so every per-trace layer works once per distinct trace.
 //!
 //! # Example
 //!
@@ -54,6 +56,7 @@
 //! assert_eq!(trace.len(), 4); // 2 calls + 2 returns
 //! ```
 
+pub mod class;
 pub mod codec;
 pub mod collector;
 pub mod compress;
@@ -67,6 +70,7 @@ pub mod stats;
 pub mod store;
 pub mod trace;
 
+pub use class::{first_equal, Classes};
 pub use collector::{TraceCollector, Tracer};
 pub use compress::StreamCompressor;
 pub use event::TraceEvent;

@@ -165,9 +165,16 @@ pub fn from_bytes(buf: &[u8]) -> Result<TraceSet, StoreError> {
 pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
     let layout = Layout::parse(buf)?;
     let bound = layout.registry.symbol_bound();
+    let entries = &layout.entries;
+    let first = crate::first_equal(entries, |e| &buf[e.off..e.off + e.len]);
     let mut set = TraceSet::new(layout.registry);
-    for e in &layout.entries {
-        set.insert(e.decode(buf, bound)?);
+    for (i, e) in entries.iter().enumerate() {
+        // A blob equal to an earlier one copies that trace's events.
+        let trace = match set.get(entries[first[i]].id) {
+            Some(twin) => e.with_events(twin.events.clone()),
+            None => e.decode(buf, bound)?,
+        };
+        set.insert(trace);
     }
     Ok((set, layout.hb))
 }
@@ -185,11 +192,17 @@ impl IndexEntry {
     /// Decompress this trace's blob straight into its [`Trace`]; every
     /// symbol must be below `bound` (the registry's symbol bound).
     fn decode(&self, buf: &[u8], bound: u64) -> Result<Trace, CodecError> {
-        Ok(Trace {
+        let events = compress::decompress(&buf[self.off..self.off + self.len], bound)?;
+        Ok(self.with_events(events))
+    }
+
+    /// This trace holding `events`.
+    fn with_events(&self, events: Vec<u32>) -> Trace {
+        Trace {
             id: self.id,
-            events: compress::decompress(&buf[self.off..self.off + self.len], bound)?,
+            events,
             truncated: self.truncated,
-        })
+        }
     }
 }
 
@@ -200,6 +213,38 @@ struct Layout {
     /// Sorted by id, no duplicates, every blob inside the image.
     entries: Vec<IndexEntry>,
     hb: HbLog,
+    hb_section: Option<HbSection>,
+}
+
+/// Where a v2+ image's happens-before section lies: from `at` to `end`,
+/// where a v3 image's index (`exact`) must follow it.
+#[derive(Debug, Clone, Copy)]
+struct HbSection {
+    at: usize,
+    end: usize,
+    exact: bool,
+}
+
+/// The happens-before log in `section` of `buf`; a v1 image has none,
+/// which reads as an empty log.
+fn read_hb(buf: &[u8], section: Option<HbSection>) -> Result<HbLog, StoreError> {
+    let Some(HbSection { at, end, exact }) = section else {
+        return Ok(HbLog::default());
+    };
+    let mut r = Reader::at(&buf[..end], at);
+    let present = r
+        .flag()
+        .map_err(site("file ends before HB section", "bad HB-presence flag"))?;
+    let hb = if present {
+        HbLog::read_from(&mut r)
+            .map_err(|_| StoreError::Format("malformed happens-before section"))?
+    } else {
+        HbLog::default()
+    };
+    if exact && r.remaining() != 0 {
+        return Err(StoreError::Format("index does not follow the HB section"));
+    }
+    Ok(hb)
 }
 
 impl Layout {
@@ -244,24 +289,12 @@ impl Layout {
         } else {
             buf.len()
         };
-        let hb = if version >= 2 {
-            let mut r = Reader::at(&buf[..hb_end], r.pos());
-            let present = r
-                .flag()
-                .map_err(site("file ends before HB section", "bad HB-presence flag"))?;
-            let hb = if present {
-                HbLog::read_from(&mut r)
-                    .map_err(|_| StoreError::Format("malformed happens-before section"))?
-            } else {
-                HbLog::default()
-            };
-            if version >= 3 && r.remaining() != 0 {
-                return Err(StoreError::Format("index does not follow the HB section"));
-            }
-            hb
-        } else {
-            HbLog::default()
-        };
+        let hb_section = (version >= 2).then(|| HbSection {
+            at: r.pos(),
+            end: hb_end,
+            exact: version >= 3,
+        });
+        let hb = read_hb(buf, hb_section)?;
         entries.sort_by_key(|e| e.id);
         if entries.windows(2).any(|w| w[0].id == w[1].id) {
             return Err(StoreError::Format("duplicate trace id in store"));
@@ -270,6 +303,7 @@ impl Layout {
             registry: Arc::new(FunctionRegistry::from_names(names)),
             entries,
             hb,
+            hb_section,
         })
     }
 }
@@ -501,7 +535,8 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
 ///
 /// `open` parses the same layout as [`from_bytes_full`] — registry,
 /// trace headers (skipping every blob), the v3 index and footer, and
-/// the happens-before log — and stops there: no trace blob is
+/// the happens-before log, which it checks but holds only once
+/// [`IndexedSet::hb`] asks for it — and stops there: no trace blob is
 /// decompressed until someone asks for that
 /// trace, so a single-trace query touches one trace's bytes instead of
 /// the whole corpus. Decoded traces are cached interior-mutably —
@@ -512,17 +547,28 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
 /// decodes the blobs not yet read straight into the shared set, so
 /// each trace is held once, not once per cell and again in the set.
 ///
+/// Threads of an SPMD run often record identical streams, which the
+/// writer stores as byte-equal blobs. Each distinct blob is
+/// decompressed once ([`crate::first_equal`] over the blob bytes,
+/// found at open): a trace whose blob equals one already decoded
+/// copies that trace's events instead.
+///
 /// The number of blob decodes actually performed is counted and can be
 /// reported as the dt-obs `store_trace_decodes` counter via
 /// [`IndexedSet::report_to`] — the observable proof that lazy decode
-/// stays lazy.
+/// stays lazy, and that equal blobs decode once.
 pub struct IndexedSet {
     buf: Vec<u8>,
     /// Shared function-name table (parsed eagerly — it is small and
     /// every consumer needs it).
     pub registry: Arc<FunctionRegistry>,
     entries: Vec<IndexEntry>,
-    hb: HbLog,
+    /// Per entry, the first entry whose blob bytes equal its own.
+    first: Vec<usize>,
+    hb_section: Option<HbSection>,
+    /// The happens-before log, read again from `hb_section` on first
+    /// access: most corpora a daemon serves are never checked.
+    hb: std::sync::OnceLock<HbLog>,
     /// Traces read one at a time, and every blob that failed.
     cells: Vec<std::sync::OnceLock<Result<Trace, CodecError>>>,
     /// The whole corpus once read, or the index of the first blob that
@@ -553,14 +599,18 @@ impl IndexedSet {
         let Layout {
             registry,
             entries,
-            hb,
+            hb_section,
+            ..
         } = Layout::parse(&buf)?;
         let n = entries.len();
+        let first = crate::first_equal(&entries, |e| &buf[e.off..e.off + e.len]);
         Ok(IndexedSet {
             buf,
             registry,
             entries,
-            hb,
+            first,
+            hb_section,
+            hb: std::sync::OnceLock::new(),
             cells: (0..n).map(|_| std::sync::OnceLock::new()).collect(),
             full: std::sync::OnceLock::new(),
             decodes: std::sync::atomic::AtomicU64::new(0),
@@ -587,9 +637,11 @@ impl IndexedSet {
         self.entries.binary_search_by_key(&id, |e| e.id).is_ok()
     }
 
-    /// The happens-before log (parsed eagerly at open).
+    /// The happens-before log (checked at open, read on first access).
     pub fn hb(&self) -> &HbLog {
-        &self.hb
+        self.hb.get_or_init(|| {
+            read_hb(&self.buf, self.hb_section).expect("the section was checked at open")
+        })
     }
 
     /// Fetch one trace, decoding it on first access unless the whole
@@ -608,16 +660,27 @@ impl IndexedSet {
     }
 
     fn decode(&self, idx: usize) -> Result<&Trace, StoreError> {
-        use std::sync::atomic::Ordering;
-        let mut fresh = false;
-        let cell = self.cells[idx].get_or_init(|| {
-            fresh = true;
-            self.entries[idx].decode(&self.buf, self.registry.symbol_bound())
-        });
-        if fresh {
-            self.decodes.fetch_add(1, Ordering::Relaxed);
-        }
-        cell.as_ref().map_err(|e| e.clone().into())
+        self.cell(idx).as_ref().map_err(|e| e.clone().into())
+    }
+
+    /// Trace `idx`'s cell, read on first access: the first trace with
+    /// its blob bytes decompresses it, and every later one copies that
+    /// trace's events (reading it first if need be).
+    fn cell(&self, idx: usize) -> &Result<Trace, CodecError> {
+        self.cells[idx].get_or_init(|| {
+            let entry = &self.entries[idx];
+            match self.first[idx] {
+                first if first < idx => match self.cell(first) {
+                    Ok(t) => Ok(entry.with_events(t.events.clone())),
+                    Err(e) => Err(e.clone()),
+                },
+                _ => {
+                    self.decodes
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    entry.decode(&self.buf, self.registry.symbol_bound())
+                }
+            }
+        })
     }
 
     /// Materialize a [`TraceSet`] holding just `ids` (sharing the
@@ -644,15 +707,18 @@ impl IndexedSet {
     }
 
     /// Read every trace, decoding the blobs not yet read straight into
-    /// the set; `Err` is the first blob that fails, whose error (and
+    /// the set — a blob equal to an earlier one copies that trace's
+    /// events; `Err` is the first blob that fails, whose error (and
     /// every trace decoded before it) is then cached in the cells.
     fn read(&self) -> Result<TraceSet, usize> {
         let mut set = TraceSet::new(self.registry.clone());
         let mut fresh = Vec::new();
         for (idx, entry) in self.entries.iter().enumerate() {
-            let read = match self.cells[idx].get() {
-                Some(read) => read.clone(),
-                None => {
+            let twin = set.get(self.entries[self.first[idx]].id);
+            let read = match (self.cells[idx].get(), twin) {
+                (Some(read), _) => read.clone(),
+                (None, Some(t)) => Ok(entry.with_events(t.events.clone())),
+                (None, None) => {
                     self.decodes
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     fresh.push(idx);
@@ -1186,14 +1252,16 @@ mod tests {
         for t in eager.iter() {
             assert_eq!(full.get(t.id).unwrap().events, t.events);
         }
-        assert_eq!(ix.decode_count(), 3);
+        // Traces 0.0 and 1.0 store equal blobs: two distinct decodes.
+        assert_eq!(ix.decode_count(), 2);
         // The full set is built once and shared.
         assert!(Arc::ptr_eq(&full, &ix.full_set().unwrap()));
     }
 
-    /// Each blob is decoded once and each trace held once, whichever
-    /// read comes first; a failed whole-corpus read keeps the traces
-    /// before the bad blob.
+    /// Each distinct blob is decoded once and each trace held once,
+    /// whichever read comes first; a failed whole-corpus read keeps the
+    /// traces before the bad blob. (Traces 0.0 and 1.0 store equal
+    /// blobs, so the sample has two distinct blobs.)
     #[test]
     fn full_set_and_gets_decode_each_blob_once() {
         let set = sample_set();
@@ -1205,7 +1273,7 @@ mod tests {
             assert!(std::ptr::eq(ix.get(id).unwrap(), full.get(id).unwrap()));
         }
         ix.subset(&ix.ids()).unwrap();
-        assert_eq!(ix.decode_count(), 3);
+        assert_eq!(ix.decode_count(), 2);
 
         // Break the last trace's blob magic.
         let mut bad = bytes.clone();
@@ -1214,12 +1282,28 @@ mod tests {
         let eager = from_bytes(&bad).unwrap_err().to_string();
         let ix = IndexedSet::from_bytes(bad).unwrap();
         assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
-        assert_eq!(ix.decode_count(), 3);
+        assert_eq!(ix.decode_count(), 2);
         ix.get(TraceId::new(0, 0)).unwrap();
         ix.get(TraceId::new(1, 0)).unwrap();
         assert!(ix.get(TraceId::new(2, 0)).is_err());
         assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
-        assert_eq!(ix.decode_count(), 3);
+        assert_eq!(ix.decode_count(), 2);
+    }
+
+    /// A trace whose blob equals an earlier trace's copies that trace's
+    /// events: one decode for the two, whichever is read first.
+    #[test]
+    fn equal_blobs_decode_once() {
+        let set = sample_set();
+        let ix = IndexedSet::from_bytes(to_bytes(&set)).unwrap();
+        let twin = ix.get(TraceId::new(1, 0)).unwrap();
+        assert_eq!(twin, set.get(TraceId::new(1, 0)).unwrap());
+        assert_eq!(ix.decode_count(), 1);
+        let first = ix.get(TraceId::new(0, 0)).unwrap();
+        assert_eq!(first, set.get(TraceId::new(0, 0)).unwrap());
+        assert_eq!(ix.decode_count(), 1);
+        ix.get(TraceId::new(2, 0)).unwrap();
+        assert_eq!(ix.decode_count(), 2);
     }
 
     #[test]
@@ -1241,17 +1325,27 @@ mod tests {
         );
     }
 
+    /// Open checks the happens-before section, so a bad one is an open
+    /// error; the log itself is read when first asked for.
     #[test]
-    fn indexed_hb_section_parsed_eagerly() {
+    fn indexed_hb_section_checked_at_open_and_read_on_access() {
         use crate::hb::{HbOp, VectorClock};
         let set = sample_set();
         let mut hb = HbLog::new(3);
         let mut vc = VectorClock::zero(3);
         vc.tick(0);
         hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
-        let ix = IndexedSet::from_bytes(to_bytes_full(&set, Some(&hb))).unwrap();
+        let bytes = to_bytes_full(&set, Some(&hb));
+        let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
         assert_eq!(ix.hb().events(), hb.events());
         assert_eq!(ix.decode_count(), 0);
+
+        let foot = bytes.len() - 16;
+        let hb_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+        let mut bad = bytes;
+        bad[hb_off] = 2; // neither "absent" nor "present"
+        let err = IndexedSet::from_bytes(bad).unwrap_err().to_string();
+        assert!(err.contains("bad HB-presence flag"), "{err}");
     }
 
     #[test]
@@ -1279,7 +1373,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_concurrent_gets_decode_each_trace_once() {
+    fn indexed_concurrent_gets_decode_each_blob_once() {
         let set = sample_set();
         let ix = IndexedSet::from_bytes(to_bytes(&set)).unwrap();
         std::thread::scope(|s| {
@@ -1291,7 +1385,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ix.decode_count(), set.len() as u64);
+        // One decode per distinct blob (0.0 and 1.0 store equal ones).
+        assert_eq!(ix.decode_count(), 2);
     }
 
     #[test]

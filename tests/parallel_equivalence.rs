@@ -17,7 +17,7 @@ use difftrace::{
     analyze, analyze_single_opts_rec, diff_runs_opts, sweep, try_diff_runs, AnalysisRun,
     AttrConfig, AttrKind, DiffRun, FilterConfig, FreqMode, Params, PipelineOptions,
 };
-use dt_trace::{FunctionRegistry, TraceSet};
+use dt_trace::{FunctionRegistry, TraceId, TraceSet};
 use nlr::{LoopId, LoopTable};
 use std::sync::Arc;
 use workloads::{
@@ -170,6 +170,86 @@ fn diff_runs_matches_sequential_on_all_workloads() {
                 &PipelineOptions::with_threads(threads),
             );
             assert_diffs_equal(&format!("{tag} t={threads}"), &seq, &par);
+        }
+    }
+}
+
+/// `set` plus a copy of its trace `id` under the id `fresh`.
+fn with_copy(set: &TraceSet, id: TraceId, fresh: TraceId) -> TraceSet {
+    let mut out = set.clone();
+    let mut copy = set.get(id).expect("copied trace exists").clone();
+    copy.id = fresh;
+    out.insert(copy);
+    out
+}
+
+/// Every cell of `a` equals the same cell of `b`, which covers `a`'s
+/// traces first and then more.
+fn assert_rows_kept(tag: &str, a: &difftrace::JsmMatrix, b: &difftrace::JsmMatrix) {
+    assert_eq!(a.ids[..], b.ids[..a.len()], "{tag}: labels");
+    for (i, row) in a.m.iter().enumerate() {
+        for (j, x) in row.iter().enumerate() {
+            assert_eq!(x.to_bits(), b.m[i][j].to_bits(), "{tag}: cell ({i},{j})");
+        }
+    }
+}
+
+/// Duplicate traces are computed once per class and handed to every
+/// member, which must be exact: inserting a copy of a trace under a
+/// fresh id (sorting last) into either set of a diff leaves the loop
+/// table and every other trace's NLR and JSM row as they were, and the
+/// copy gets its original's NLR and row. The diff of the grown pair —
+/// B-score bits, ranking, rendered report — is byte-identical at
+/// threads 1, 2 and 4, with and without a cache.
+#[test]
+fn a_duplicated_trace_is_exact_at_every_thread_count_and_cache_mode() {
+    for (tag, normal, faulty) in workload_pairs() {
+        let base = diff_runs_opts(&normal, &faulty, &params(), &PipelineOptions::default());
+        let ids = normal.ids();
+        let original = ids[ids.len() / 2];
+        let fresh = TraceId::new(ids.iter().map(|t| t.process).max().unwrap() + 1, 0);
+        for into_faulty in [false, true] {
+            let (n, f) = if into_faulty {
+                (normal.clone(), with_copy(&faulty, original, fresh))
+            } else {
+                (with_copy(&normal, original, fresh), faulty.clone())
+            };
+            let mut reference: Option<(DiffRun, String)> = None;
+            for threads in [1, 2, 4] {
+                for cached in [false, true] {
+                    let tag = format!("{tag} faulty={into_faulty} t={threads} cache={cached}");
+                    let opts = PipelineOptions {
+                        threads,
+                        cache: cached.then(|| Arc::new(dt_cache::Cache::new())),
+                        ..PipelineOptions::default()
+                    };
+                    let d = diff_runs_opts(&n, &f, &params(), &opts);
+                    assert_tables_equal(&tag, &base.table, &d.table);
+                    for (b, r) in [(&base.normal, &d.normal), (&base.faulty, &d.faulty)] {
+                        for id in &b.ids {
+                            assert_eq!(b.nlrs.get(*id), r.nlrs.get(*id), "{tag}: NLR of {id}");
+                        }
+                        assert_rows_kept(&tag, &b.jsm, &r.jsm);
+                    }
+                    let grown = if into_faulty { &d.faulty } else { &d.normal };
+                    let x = grown.ids.iter().position(|&t| t == original).unwrap();
+                    let y = grown.ids.iter().position(|&t| t == fresh).unwrap();
+                    assert_eq!(grown.nlrs.get(fresh), grown.nlrs.get(original), "{tag}");
+                    let m = &grown.jsm.m;
+                    for j in (0..m.len()).filter(|&j| j != x && j != y) {
+                        assert_eq!(m[y][j].to_bits(), m[x][j].to_bits(), "{tag}: ({y},{j})");
+                    }
+                    assert_eq!(m[y][x].to_bits(), m[x][y].to_bits(), "{tag}");
+                    let report = difftrace::generate_report(&d);
+                    match &reference {
+                        None => reference = Some((d, report)),
+                        Some((r, text)) => {
+                            assert_diffs_equal(&tag, r, &d);
+                            assert_eq!(text, &report, "{tag}: report");
+                        }
+                    }
+                }
+            }
         }
     }
 }
