@@ -27,10 +27,12 @@
 
 use dt_obs::json::Value;
 
-/// The best-of-K sweep minima `bench_pipeline` records for this gate.
-/// One-shot stage times jitter far beyond any useful tolerance, so the
-/// gate reads these counters, not the `sweep_cold`/`sweep_cached`
-/// stage spans (those stay in the document for the perf trajectory).
+/// The cold and warm times of the median-ratio pair among the many
+/// interleaved sweep pairs `bench_pipeline` times for this gate (the
+/// committed snapshot carries them under these names). One-shot stage
+/// times jitter far beyond any useful tolerance, so the gate reads
+/// these counters, not the `sweep_cold`/`sweep_cached` stage spans
+/// (those stay in the document for the perf trajectory).
 const GATED_STAGES: [&str; 2] = ["sweep_cold_best_ns", "sweep_cached_best_ns"];
 
 /// The value of counter `name` in a parsed metrics document.

@@ -30,7 +30,7 @@ pub use disk::{clear_dir, disk_stats, DiskStats};
 
 use dt_trace::hash::StableHasher;
 use nlr::{Element, Fold};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -54,12 +54,21 @@ pub fn nlr_key<F: Fn(u32) -> String>(k: usize, symbols: &[u32], name_of: F) -> u
     h.write_u32(CACHE_FORMAT_VERSION);
     h.write_u64(k as u64);
     h.write_u64(symbols.len() as u64);
+    // The distinct symbols, one bit each up to the largest: stored
+    // streams are checked against their registry's symbol bound at
+    // decode, so the registry bounds the set.
+    let mut seen: Vec<u64> = Vec::new();
     for &s in symbols {
         h.write_u32(s);
+        let word = s as usize / 64;
+        if word >= seen.len() {
+            seen.resize(word + 1, 0);
+        }
+        seen[word] |= 1 << (s % 64);
     }
-    let distinct: BTreeSet<u32> = symbols.iter().copied().collect();
-    h.write_u64(distinct.len() as u64);
-    for s in distinct {
+    h.write_u64(seen.iter().map(|w| u64::from(w.count_ones())).sum());
+    let distinct = (0..seen.len() * 64).filter(|&s| seen[s / 64] >> (s % 64) & 1 == 1);
+    for s in distinct.map(|s| s as u32) {
         h.write_u32(s);
         h.write_str(&name_of(s));
     }
@@ -316,6 +325,36 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 mod tests {
     use super::*;
     use nlr::{LoopId, LoopTable, Nlr, NlrBuilder};
+
+    /// `nlr_key` over fixed inputs, folded into one pinned digest: keys
+    /// are persisted in `--cache` directories, so any change to them
+    /// must bump `CACHE_FORMAT_VERSION`. The inputs cover an empty stream, bit-set
+    /// word boundaries (63, 64, 127, 128), one large sparse symbol, and
+    /// a long stream at three fold bounds.
+    #[test]
+    fn nlr_keys_are_pinned() {
+        let mut x = 7u32;
+        let long: Vec<u32> = (0..2_000)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (x >> 16) % 300
+            })
+            .collect();
+        let inputs: [(usize, Vec<u32>); 7] = [
+            (10, vec![]),
+            (10, vec![3, 1, 2, 1, 2, 0, 3]),
+            (10, vec![64, 63, 128, 127, 0, 64, 127]),
+            (10, vec![5, 1_000_003, 5, 64, 1_000_003, 0]),
+            (1, long.clone()),
+            (10, long.clone()),
+            (50, long),
+        ];
+        let mut h = StableHasher::new();
+        for (k, symbols) in &inputs {
+            h.write_u128(nlr_key(*k, symbols, |s| format!("fn{s}·{}", s % 7)));
+        }
+        assert_eq!(h.finish(), 0x3301b4906453f36f6f758fba0db4b7c9);
+    }
 
     /// Build `symbols` cold into `table` and fold it in isolation:
     /// (summary, portable fold).

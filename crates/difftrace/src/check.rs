@@ -8,20 +8,22 @@
 //! term without expanding it — plus a [`Checker::analyze`] step that
 //! turns the input-ordered facts into a report. [`run_facts`] owns the
 //! rest: the per-trace fan-out through [`crate::sync::par_map`] and, in
-//! the compressed domain, the one raw NLR fold ([`fold_raw`]), which
-//! streams the terms a chunk at a time and counts `<name>_folds`.
+//! the compressed domain, the one raw NLR fold ([`fold_raw`]), one
+//! [`crate::sync::par_stream`] over the classes of equal streams that
+//! hands the terms over one trace at a time and counts `<name>_folds`.
 //! Reports are byte-identical at every thread count, and the two
 //! domains agree (DESIGN.md §14).
 
 use crate::lint::LintOptions;
 use crate::pipeline::{DiffRun, PipelineOptions};
-use crate::sync::{effective_threads, par_map};
+use crate::sync::{effective_threads, par_map, par_stream};
 use dt_obs::{stage_owned, time_into, Recorder};
 use dt_trace::hb::HbLog;
 use dt_trace::{Classes, Trace, TraceSet};
 use nlr::{LoopTable, Nlr, NlrBuilder};
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 use tracelint::{AnyCode, Code, Report};
 
 /// When a checker's findings stop the pipeline.
@@ -109,7 +111,7 @@ pub struct CheckInput<'a> {
     pub hb: Option<&'a HbLog>,
 }
 
-/// One trace of a [`fold_raw`] chunk and the NLR term of its raw
+/// One trace of a [`fold_raw`] pass and the NLR term of its raw
 /// (unfiltered) symbol stream under the execution's loop table.
 pub(crate) struct RawTerm<'a> {
     /// The recorded trace.
@@ -125,70 +127,71 @@ pub(crate) struct RawTerm<'a> {
     pub first: bool,
 }
 
-/// What [`fold_raw`] hands each chunk to, with the loop table.
-pub(crate) type OnChunk<'f, 'a> = dyn FnMut(&LoopTable, Vec<RawTerm<'a>>) + 'f;
+/// What [`trace_facts`] hands each raw term to, with the loop table.
+pub(crate) type OnTerm<'f, 'a> = dyn FnMut(&LoopTable, RawTerm<'a>) + 'f;
 
 /// The one raw NLR fold of an execution. Traces with equal streams
-/// form one class ([`Classes`]), and only a class's first trace folds.
-/// Each chunk of `threads` traces folds its classes' first traces
-/// concurrently; the folds replay in trace order into one
-/// [`LoopTable`], so loop numbering is that of a trace-by-trace fold at
-/// any thread count (see [`nlr::fold`]); then `each` gets the chunk
-/// with the table before the next chunk folds. A class's term is held
-/// only until its last trace's chunk, and whatever `each` drops is
-/// never held for the whole execution. Counts one fold per class as
-/// `<name>_folds` in `rec` and reports the folding time of all chunks
-/// (not `each`) as one span of stage `<name>/fold`.
+/// form one class ([`Classes`]), and only a class's first trace folds:
+/// one [`par_stream`] over the classes' first traces, on up to
+/// `threads` workers with a window of `2 × threads` folds. Its sink
+/// replays class `c`'s fold into one [`LoopTable`] — in class order,
+/// which is trace order, so loop numbering is that of a trace-by-trace
+/// fold at any thread count (see [`nlr::fold`]) — and then hands
+/// `each` every trace from class `c`'s first up to the next class's
+/// first, in trace order: each such trace's class is at most `c`, so
+/// its term exists. A class's term is held only until its last trace,
+/// and whatever `each` drops is never held for the whole execution.
+/// Counts one fold per class as `<name>_folds` in `rec` and reports
+/// the pass's wall time outside `each` as one span of stage
+/// `<name>/fold`, and each worker's folding time under the same path.
 pub(crate) fn fold_raw<'a>(
     name: &str,
     traces: &[&'a Trace],
     k: usize,
     threads: usize,
     rec: &dyn Recorder,
-    mut each: impl FnMut(&LoopTable, Vec<RawTerm<'a>>),
+    mut each: impl FnMut(&LoopTable, RawTerm<'a>),
 ) {
+    let start = rec.enabled().then(Instant::now);
+    let mut each_ns = 0;
     let mut table = LoopTable::new();
-    let mut fold_ns = 0;
-    let classes = time_into(rec, &mut fold_ns, || {
-        Classes::new(traces, |t| t.events.as_slice())
-    });
+    let classes = Classes::new(traces, |t| t.events.as_slice());
     let mut last = vec![0; classes.len()];
     for (i, &c) in classes.of.iter().enumerate() {
         last[c] = i;
     }
     let mut held: Vec<Option<Arc<Nlr>>> = vec![None; classes.len()];
-    let chunk = threads.max(1);
-    for start in (0..traces.len()).step_by(chunk) {
-        let range = start..(start + chunk).min(traces.len());
-        let raw = time_into(rec, &mut fold_ns, || {
-            let firsts: Vec<usize> = range.clone().filter(|&i| classes.rep_of(i) == i).collect();
-            let folds = par_map(&firsts, threads, |_, &i| {
-                NlrBuilder::new(k).fold(&traces[i].events)
-            });
-            for (&i, fold) in firsts.iter().zip(folds) {
-                held[classes.of[i]] = Some(Arc::new(fold.replay(&mut table)));
+    let path = format!("{name}/fold");
+    par_stream(
+        &classes.reps,
+        threads,
+        2 * threads,
+        rec,
+        &path,
+        |_, &i| NlrBuilder::new(k).fold(&traces[i].events),
+        |c, fold| {
+            held[c] = Some(Arc::new(fold.replay(&mut table)));
+            let (start, end) = (classes.reps[c], classes.reps.get(c + 1));
+            let end = end.copied().unwrap_or(traces.len());
+            for (i, &trace) in (start..end).zip(&traces[start..end]) {
+                let class = classes.of[i];
+                let term = held[class].clone().expect("an earlier class folded");
+                if last[class] == i {
+                    held[class] = None;
+                }
+                let raw = RawTerm {
+                    trace,
+                    term,
+                    class,
+                    first: classes.reps[class] == i,
+                };
+                time_into(rec, &mut each_ns, || each(&table, raw));
             }
-            range
-                .clone()
-                .map(|i| {
-                    let class = classes.of[i];
-                    let term = held[class].clone().expect("the class's first trace folded");
-                    if last[class] == i {
-                        held[class] = None;
-                    }
-                    RawTerm {
-                        trace: traces[i],
-                        term,
-                        class,
-                        first: classes.reps[class] == i,
-                    }
-                })
-                .collect()
-        });
-        each(&table, raw);
-    }
-    if rec.enabled() {
-        rec.span_ns(&format!("{name}/fold"), fold_ns);
+        },
+    );
+    if let Some(start) = start {
+        let ns = start.elapsed().as_nanos() as u64;
+        rec.span_ns(&path, ns.saturating_sub(each_ns));
         rec.add(&format!("{name}_folds"), classes.len() as u64);
     }
 }
@@ -264,10 +267,10 @@ pub trait Checker: Sync + Sized {
 }
 
 /// Per-trace facts in input order: the one place a checker's domain is
-/// dispatched. The compressed domain computes each chunk's facts from
-/// its [`fold_raw`] terms, fanned out over the chunk, and drops them.
+/// dispatched. The compressed domain computes each trace's facts from
+/// its [`fold_raw`] term as the fold hands it over, then drops it.
 /// With `raw`, the raw fold runs in either domain and `raw` gets every
-/// chunk after its facts. The facts' time is one span of stage
+/// trace after its facts. The facts' time is one span of stage
 /// `<name>/facts`.
 pub(crate) fn trace_facts<'a, C: Checker>(
     checker: &C,
@@ -275,11 +278,9 @@ pub(crate) fn trace_facts<'a, C: Checker>(
     traces: &[&'a Trace],
     opts: &CheckOptions,
     rec: &dyn Recorder,
-    mut raw: Option<&mut OnChunk<'_, 'a>>,
+    mut raw: Option<&mut OnTerm<'_, 'a>>,
 ) -> Vec<C::Facts> {
     let threads = effective_threads(opts.threads, traces.len().max(1));
-    let fold =
-        |each: &mut OnChunk<'_, 'a>| fold_raw(C::NAME, traces, opts.nlr_k, threads, rec, each);
     let mut facts_ns = 0;
     let facts = match opts.domain {
         LintDomain::Expanded => {
@@ -287,20 +288,18 @@ pub(crate) fn trace_facts<'a, C: Checker>(
                 par_map(traces, threads, |_, t| checker.expanded(vocab, t))
             });
             if let Some(raw) = raw {
-                fold(raw);
+                fold_raw(C::NAME, traces, opts.nlr_k, threads, rec, raw);
             }
             facts
         }
         LintDomain::Compressed => {
             let mut facts = Vec::with_capacity(traces.len());
-            fold(&mut |table, chunk| {
+            fold_raw(C::NAME, traces, opts.nlr_k, threads, rec, |table, r| {
                 time_into(rec, &mut facts_ns, || {
-                    facts.extend(par_map(&chunk, threads, |_, r| {
-                        checker.compressed(vocab, table, r.trace, &r.term)
-                    }));
+                    facts.push(checker.compressed(vocab, table, r.trace, &r.term));
                 });
                 if let Some(raw) = raw.as_mut() {
-                    raw(table, chunk);
+                    raw(table, r);
                 }
             });
             facts

@@ -52,7 +52,7 @@ use dt_obs::{stage, Recorder};
 use dt_trace::hash::StableHasher;
 use dt_trace::{TraceId, TraceSet};
 use fca::{AttrId, ConceptLattice, FormalContext};
-use nlr::{Element, LoopId, LoopTable, Nlr};
+use nlr::{Element, LoopId, LoopTable};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -535,7 +535,7 @@ fn mine_run(
     let Folded {
         classes,
         symbols,
-        nlrs,
+        terms,
         folds,
         ..
     } = folded.pop().expect("one run folded");
@@ -545,16 +545,11 @@ fn mine_run(
     }
 
     let name = |s: u32| symbol_name(&set.registry, s);
-    let class_nlrs: Vec<&Nlr> = classes
-        .reps
-        .iter()
-        .map(|&i| nlrs.get(universe[i]).expect("aligned"))
-        .collect();
     // Canonical labels for every top-level loop reference. Nested
     // references render structurally inside the hash input, so only
     // top-level ids (the only ones mining ever labels) need entries.
     let mut labels: BTreeMap<LoopId, String> = BTreeMap::new();
-    for nlr in &class_nlrs {
+    for nlr in &terms {
         for e in nlr.elements() {
             if let Element::Loop { body, .. } = e {
                 labels
@@ -566,7 +561,7 @@ fn mine_run(
 
     let loop_label = |id: LoopId| labels[&id].clone();
     let _s = stage(rec, "fleet_mine");
-    let mined = par_map_obs(&class_nlrs, threads, rec, "fleet_mine", |c, nlr| {
+    let mined = par_map_obs(&terms, threads, rec, "fleet_mine", |c, nlr| {
         mine_labelled(&symbols[c], nlr, params.attrs, &name, &loop_label)
     });
     classes.of.iter().map(|&c| mined[c].clone()).collect()

@@ -142,7 +142,6 @@ impl JsmMatrix {
                 .collect();
             return Err(Misaligned { missing, extra });
         }
-        let threads = crate::sync::effective_threads(threads, self.len());
         let rows: Vec<usize> = (0..self.len()).collect();
         let m = crate::sync::par_map(&rows, threads, |_, &i| {
             self.m[i]
@@ -168,7 +167,6 @@ impl JsmMatrix {
     /// thread, so the result is bitwise identical to the sequential
     /// path.
     pub fn row_scores_opts(&self, threads: usize) -> Vec<(TraceId, f64)> {
-        let threads = crate::sync::effective_threads(threads, self.len());
         crate::sync::par_map(&self.ids, threads, |i, &id| {
             (id, self.m[i].iter().sum::<f64>())
         })

@@ -9,13 +9,13 @@
 //!
 //! TL005 checks each trace's raw NLR term against its own symbol
 //! stream. Lint reads the raw terms through the one streamed fold
-//! ([`crate::check::fold_raw`]) in both domains: TL005 runs on each
-//! chunk, once per class of equal streams (a later trace of the class
-//! repeats the first's findings under its own id), and in the
-//! compressed domain the chunk's terms are projected
-//! onto their collectives for TL002 there too, so only the per-rank
-//! projected streams outlive the chunk. In neither domain does lint
-//! hold more than a chunk's raw streams and terms.
+//! ([`crate::check::fold_raw`]) in both domains, one trace at a time:
+//! TL005 runs once per class of equal streams (a later trace of the
+//! class repeats the first's findings under its own id), and in the
+//! compressed domain each term is projected onto its collectives for
+//! TL002 there too, so only the per-rank projected streams outlive the
+//! trace. In neither domain does lint hold every raw term: a term lives
+//! from its class's first trace to its last.
 //!
 //! Besides the `lint/facts` and `lint/fold` stages that
 //! [`crate::check`] records for it, [`Lint::run`] times each rule
@@ -155,27 +155,23 @@ impl Checker for Lint {
             &traces,
             &check,
             rec,
-            Some(&mut |table: &LoopTable, chunk: Vec<RawTerm>| {
+            Some(&mut |table: &LoopTable, r: RawTerm| {
                 time_into(rec, &mut tl005_ns, || {
-                    for r in &chunk {
-                        let id = r.trace.id;
-                        if r.first {
-                            let found = rules::check_roundtrip(id, &r.trace.events, &r.term, table);
-                            if !found.is_empty() {
-                                class_roundtrip.insert(r.class, found);
-                            }
+                    let id = r.trace.id;
+                    if r.first {
+                        let found = rules::check_roundtrip(id, &r.trace.events, &r.term, table);
+                        if !found.is_empty() {
+                            class_roundtrip.insert(r.class, found);
                         }
-                        if let Some(found) = class_roundtrip.get(&r.class) {
-                            roundtrip.extend(found.iter().cloned().map(|d| d.with_trace(id)));
-                        }
+                    }
+                    if let Some(found) = class_roundtrip.get(&r.class) {
+                        roundtrip.extend(found.iter().cloned().map(|d| d.with_trace(id)));
                     }
                 });
                 if compressed {
                     time_into(rec, &mut tl002_ns, || {
-                        let terms = chunk
-                            .iter()
-                            .map(|r| (r.trace.id, &*r.term, r.trace.truncated));
-                        rank_streams(&mut ranks, table, terms, &mut projector);
+                        let term = (r.trace.id, &*r.term, r.trace.truncated);
+                        rank_streams(&mut ranks, table, [term], &mut projector);
                     });
                 }
             }),

@@ -23,15 +23,17 @@
 //!
 //! The [`PipelineOptions::threads`] knob changes how fast an answer is
 //! computed, never which answer: output is **byte-identical** for every
-//! thread count. At one thread the driver filters, folds and finishes
-//! one execution, then the next. With more, every class of every
-//! execution folds concurrently into its own loop table, and the folds
-//! replay into the shared table in (execution, class) order — the one
-//! fold form of [`nlr::fold`], which keeps the schedule out of the loop
-//! IDs (they leak into attribute names and rendered summaries); the
-//! executions then finish concurrently. All other
-//! stages (mining, JSM rows, JSM diff, row scores) are pure per-item
-//! functions whose outputs are merged in a fixed order.
+//! thread count. The front half is one ordered stream
+//! ([`crate::sync::par_stream`]) with a task per (execution, class):
+//! filter, key, fold into the task's own loop table. Its sink replays
+//! the folds into the shared table in (execution, class) order as they
+//! arrive — the one fold form of [`nlr::fold`], which keeps the
+//! schedule out of the loop IDs (they leak into attribute names and
+//! rendered summaries). At one thread the driver streams and finishes
+//! one execution, then the next; with more, it streams every execution
+//! at once and then finishes them concurrently. All other stages
+//! (mining, JSM rows, JSM diff, row scores) are pure per-item functions
+//! whose outputs are merged in a fixed order.
 
 use crate::attributes::{mine, AttrConfig, AttrKind, FreqMode};
 use crate::check::{CheckInput, DiffDenied, LintGate, PrePass};
@@ -39,16 +41,16 @@ use crate::filter::{symbol_name, FilterConfig};
 use crate::hbcheck::HbCheck;
 use crate::jsm::JsmMatrix;
 use crate::lint::{Lint, LintOptions};
-use crate::nlr_stage::{FoldInput, NlrSet};
+use crate::nlr_stage::{fold_stream, NlrSet};
 use crate::racecheck::RaceCheck;
 use crate::reqcheck::ReqCheck;
-use crate::sync::effective_threads;
+use crate::sync::{effective_threads, par_map, par_stream};
 use cluster::{bscore, linkage, CondensedMatrix, Dendrogram, Method};
 use dt_cache::Cache;
-use dt_obs::{stage, Recorder};
+use dt_obs::{stage, time_into, Recorder};
 use dt_trace::{Classes, TraceId, TraceSet};
 use fca::{ConceptLattice, FormalContext};
-use nlr::LoopTable;
+use nlr::{LoopTable, Nlr};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -183,9 +185,10 @@ const STAGES: [&str; 2] = ["filter", "nlr"];
 /// interning into `table`, so a loop ID means the same body in every
 /// execution. The thread count is resolved once, by
 /// [`effective_threads`]: at one thread each execution is filtered,
-/// folded and finished before the next; with more, all traces fold
-/// concurrently (replayed into `table` in `sets` order) and the
-/// executions finish concurrently on an equal share of the workers.
+/// folded and finished before the next; with more, every class of
+/// every execution streams through one front half (replayed into
+/// `table` in `sets` order) and the executions finish concurrently on
+/// an equal share of the workers.
 fn analyze_runs(
     sets: &[&TraceSet],
     params: &Params,
@@ -196,61 +199,60 @@ fn analyze_runs(
 ) -> Vec<AnalysisRun> {
     let threads = effective_threads(opts.threads, sets.len() * ids.len().max(1));
     let cache = opts.cache.as_deref();
-    let finish = |set: &TraceSet, folded: Folded, threads: usize| {
-        record_front_counters(rec, set, &folded, ids);
+    let finish = |set: &TraceSet, folded: &Folded, threads: usize| {
+        record_front_counters(rec, set, folded, ids);
         finish_run(set, params, folded, ids, threads, rec, cache)
     };
     if threads <= 1 {
         return sets
             .iter()
             .map(|&set| {
-                let mut folded = fold_runs(&[set], params, ids, table, 1, cache, rec, STAGES);
-                finish(set, folded.pop().expect("one execution folded"), 1)
+                let folded = fold_runs(&[set], params, ids, table, 1, cache, rec, STAGES);
+                finish(set, &folded[0], 1)
             })
             .collect();
     }
     let folded = fold_runs(sets, params, ids, table, threads, cache, rec, STAGES);
     let per_run = (threads / sets.len()).max(1);
-    let finish = &finish;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = sets
-            .iter()
-            .zip(folded)
-            .map(|(&set, f)| s.spawn(move || finish(set, f, per_run)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+    par_map(&folded, sets.len(), |s, f| finish(sets[s], f, per_run))
 }
 
 /// One execution after the front half of an analysis.
+#[derive(Default)]
 pub(crate) struct Folded {
     /// Its traces (in `ids` order) grouped into classes of equal raw
     /// streams; a trace missing from the execution is empty.
     pub classes: Classes,
     /// Each class's filtered stream, in class order.
     pub symbols: Vec<Vec<u32>>,
-    /// Each class's NLR cache key, when a cache is in use.
-    pub keys: Option<Vec<u128>>,
-    /// The summaries, under the shared table's canonical numbering.
-    pub nlrs: NlrSet,
+    /// Each class's NLR cache key; empty without a cache.
+    pub keys: Vec<u128>,
+    /// Each class's summary, under the shared table's canonical
+    /// numbering.
+    pub terms: Vec<Nlr>,
     /// Actual NLR-builder invocations — at most one per class, fewer
     /// when the cache is warm.
     pub folds: u64,
 }
 
 /// The front half of an analysis for every execution in `sets`, all
-/// folding into `table` on up to `threads` workers. Under the first of
-/// `stages` (the filter span) each execution's traces, aligned to
-/// `ids`, are grouped into classes of equal raw streams — the filter
-/// keeps a symbol by its value alone, so equal raw streams filter
-/// equally — and only each class's first trace is filtered. Under the
-/// second (the NLR span) each class is keyed, when a cache is in use,
-/// and folded once ([`NlrSet::fold`]). Classes never span two
-/// executions: each has its own registry. Shared by the pipeline
-/// driver and the N-way fleet fold.
+/// folding into `table` on up to `threads` workers. Each execution's
+/// traces, aligned to `ids`, are grouped into classes of equal raw
+/// streams — the filter keeps a symbol by its value alone, so equal
+/// raw streams filter equally. Then one [`par_stream`] runs a task per
+/// (execution, class): filter the class's first stream through the
+/// execution's `KeepTable`, key it when a cache is in use, and fold
+/// it or look it up ([`fold_stream`]). The sink replays each fold into
+/// `table` in (execution, class) order, with a window of `2 × threads`
+/// folds, and keeps the filtered stream for mining. Classes never span
+/// two executions: each has its own registry.
+///
+/// `stages` names the two spans, reported once per call: the first
+/// (filter) sums the classing and the tasks' filtering, the second
+/// (NLR) the tasks' keying and folding and the sink's replay. At one
+/// thread that is each stage's wall time; at more, the tasks' busy
+/// time. Each worker's task time goes under the second name. Shared by
+/// the pipeline driver and the N-way fleet fold.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_runs(
     sets: &[&TraceSet],
@@ -263,8 +265,8 @@ pub(crate) fn fold_runs(
     stages: [&str; 2],
 ) -> Vec<Folded> {
     let k = params.filter.nlr_k;
-    let filtered: Vec<(Classes, Vec<Vec<u32>>)> = {
-        let _s = stage(rec, stages[0]);
+    let (mut filter_ns, mut nlr_ns) = (0, 0);
+    let (fronts, mut folded): (Vec<_>, Vec<_>) = time_into(rec, &mut filter_ns, || {
         sets.iter()
             .map(|set| {
                 let raw: Vec<&[u32]> = ids
@@ -273,55 +275,53 @@ pub(crate) fn fold_runs(
                     .collect();
                 let classes = Classes::new(&raw, |r| *r);
                 let keep = params.filter.keep_table(&set.registry);
-                let symbols = classes.reps.iter().map(|&i| keep.filter(raw[i])).collect();
-                (classes, symbols)
+                let folded = Folded {
+                    classes,
+                    ..Folded::default()
+                };
+                ((raw, keep), folded)
             })
-            .collect()
-    };
-    let (keys, nlrs) = {
-        let _s = stage(rec, stages[1]);
-        let keys: Vec<Option<Vec<u128>>> = sets
-            .iter()
-            .zip(&filtered)
-            .map(|(set, (_, symbols))| {
-                cache.map(|_| {
-                    let name = |s: u32| symbol_name(&set.registry, s);
-                    symbols
-                        .iter()
-                        .map(|sym| dt_cache::nlr_key(k, sym, name))
-                        .collect()
-                })
-            })
-            .collect();
-        let inputs: Vec<FoldInput> = sets
-            .iter()
-            .zip(&filtered)
-            .zip(&keys)
-            .map(|((set, (classes, symbols)), keys)| FoldInput {
-                traces: ids
-                    .iter()
-                    .map(|&id| (id, set.get(id).is_some_and(|t| t.truncated)))
-                    .collect(),
-                classes,
-                streams: symbols.iter().map(Vec::as_slice).collect(),
-                cached: cache.zip(keys.as_deref()),
-            })
-            .collect();
-        let nlrs = NlrSet::fold(&inputs, k, table, threads);
-        (keys, nlrs)
-    };
-    filtered
-        .into_iter()
-        .zip(keys)
-        .zip(nlrs)
-        .map(|(((classes, symbols), keys), (nlrs, folds))| Folded {
-            classes,
-            symbols,
-            keys,
-            nlrs,
-            folds,
-        })
-        .collect()
+            .unzip()
+    });
+    let tasks: Vec<(usize, usize)> = folded
+        .iter()
+        .enumerate()
+        .flat_map(|(s, f)| f.classes.reps.iter().map(move |&i| (s, i)))
+        .collect();
+    par_stream(
+        &tasks,
+        threads,
+        2 * threads,
+        rec,
+        stages[1],
+        |_, &(s, i)| {
+            let (raw, keep) = &fronts[s];
+            let (mut f_ns, mut n_ns) = (0, 0);
+            let kept = time_into(rec, &mut f_ns, || keep.filter(raw[i]));
+            let (key, fold) = time_into(rec, &mut n_ns, || {
+                let name = |sym| symbol_name(&sets[s].registry, sym);
+                let key = cache.map(|_| dt_cache::nlr_key(k, &kept, name));
+                (key, fold_stream(k, &kept, cache.zip(key)))
+            });
+            (kept, key, fold, f_ns, n_ns)
+        },
+        |t, (kept, key, (fold, fresh), f_ns, n_ns)| {
+            let f = &mut folded[tasks[t].0];
+            filter_ns += f_ns;
+            nlr_ns += n_ns;
+            time_into(rec, &mut nlr_ns, || {
+                f.terms.push(Arc::unwrap_or_clone(fold).replay(table));
+            });
+            f.symbols.push(kept);
+            f.keys.extend(key);
+            f.folds += u64::from(fresh);
+        },
+    );
+    if rec.enabled() {
+        rec.span_ns(stages[0], filter_ns);
+        rec.span_ns(stages[1], nlr_ns);
+    }
+    folded
 }
 
 /// Tally the front half's work into `rec` (no-op when disabled):
@@ -350,9 +350,10 @@ fn record_front_counters(rec: &dyn Recorder, set: &TraceSet, f: &Folded, ids: &[
     rec.add("nlr_folds", f.folds);
     rec.add(
         "nlr_terms",
-        ids.iter()
-            .filter_map(|id| f.nlrs.get(*id))
-            .map(|n| n.elements().len() as u64)
+        f.classes
+            .of
+            .iter()
+            .map(|&c| f.terms[c].elements().len() as u64)
             .sum(),
     );
 }
@@ -410,7 +411,7 @@ pub fn content_fingerprints(set: &TraceSet, filter: &FilterConfig) -> Vec<(Trace
 fn finish_run(
     set: &TraceSet,
     params: &Params,
-    folded: Folded,
+    folded: &Folded,
     ids: &[TraceId],
     threads: usize,
     rec: &dyn Recorder,
@@ -420,26 +421,24 @@ fn finish_run(
         classes,
         symbols,
         keys,
-        nlrs,
+        terms,
         ..
     } = folded;
     let name = |s: u32| symbol_name(&set.registry, s);
     let attr_code = params.attrs.to_string();
     let mined: Vec<Arc<dt_cache::AttrSet>> = {
         let _s = stage(rec, "mine");
-        crate::sync::par_map_obs(&classes.reps, threads, rec, "mine", |c, &i| {
-            let nlr = nlrs.get(ids[i]).expect("aligned");
+        crate::sync::par_map_obs(terms, threads, rec, "mine", |c, nlr| {
             let fresh = || mine(&symbols[c], nlr, params.attrs, &name);
-            match (cache, &keys) {
-                (Some(cache), Some(keys)) => {
+            match cache {
+                Some(cache) => {
                     let akey = dt_cache::attr_key(keys[c], &attr_code, nlr.elements());
                     cache.attrs(akey, fresh).0
                 }
-                _ => Arc::new(fresh()),
+                None => Arc::new(fresh()),
             }
         })
     };
-    drop(symbols);
     if rec.enabled() {
         rec.add(
             "attributes_mined",
@@ -470,10 +469,13 @@ fn finish_run(
         let _s = stage(rec, "linkage");
         linkage(&CondensedMatrix::from_similarity(&jsm.m), params.linkage)
     };
+    let traces = ids
+        .iter()
+        .map(|&id| (id, set.get(id).is_some_and(|t| t.truncated)));
     AnalysisRun {
         registry: set.registry.clone(),
         ids: ids.to_vec(),
-        nlrs,
+        nlrs: NlrSet::of_classes(traces, classes, terms),
         context,
         lattice,
         jsm,
@@ -914,6 +916,61 @@ mod tests {
         assert_eq!(d.faulty.ids.len(), 4);
         // Rank 3 must be among the suspects (it vanished).
         assert!(d.suspicious_threads.contains(&TraceId::master(3)));
+    }
+
+    /// Duplicate traces fold once per class, and classes through one
+    /// cache fold once per content key, at every thread count: the
+    /// builder runs and the cache counters read exactly what they read
+    /// at one thread, however the workers race.
+    #[test]
+    fn fold_counts_do_not_depend_on_threads() {
+        // 16 traces over 4 distinct streams, long enough that workers
+        // overlap on one key.
+        let registry = Arc::new(FunctionRegistry::from_names(
+            (0..5).map(|f| format!("f{f}")),
+        ));
+        let mut set = TraceSet::new(registry);
+        for t in 0..16u32 {
+            let s = t % 4;
+            let stream: Vec<u32> = (0..20_000u32)
+                .map(|i| s + i % (3 + s) + (i / 97) % 2)
+                .collect();
+            set.insert(dt_trace::Trace::from_symbols(
+                TraceId::new(t, 0),
+                &stream,
+                false,
+            ));
+        }
+        let counts = |threads: usize| {
+            let cache = Cache::new();
+            let mut table = LoopTable::new();
+            let folded = fold_runs(
+                &[&set, &set],
+                &Params::default(),
+                &set.ids(),
+                &mut table,
+                threads,
+                Some(&cache),
+                &dt_obs::NOOP,
+                STAGES,
+            );
+            assert_eq!(folded[0].classes.len(), 4);
+            let s = cache.stats();
+            (
+                folded.iter().map(|f| f.folds).sum::<u64>(),
+                s.nlr_hits,
+                s.nlr_misses,
+            )
+        };
+        // Each set looks up its 4 classes once: the first set folds
+        // them, the second hits.
+        let sequential = counts(1);
+        assert_eq!(sequential, (4, 4, 4));
+        for threads in [2, 4, 8] {
+            for rep in 0..20 {
+                assert_eq!(counts(threads), sequential, "threads={threads} rep={rep}");
+            }
+        }
     }
 
     /// Duplicate traces mine once per class, and classes through one

@@ -39,7 +39,7 @@ pub fn first_equal<'a, T, K: PartialEq + 'a>(
 
 /// Items grouped into classes of equal keys ([`first_equal`]), numbered
 /// by first occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Classes {
     /// The class of each item.
     pub of: Vec<usize>,
@@ -77,11 +77,6 @@ impl Classes {
     pub fn is_empty(&self) -> bool {
         self.reps.is_empty()
     }
-
-    /// The class representative of item `i`.
-    pub fn rep_of(&self, i: usize) -> usize {
-        self.reps[self.of[i]]
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,6 @@ mod tests {
         assert_eq!(c.of, vec![0, 1, 0, 2, 3, 1, 2]);
         assert_eq!(c.reps, vec![0, 1, 3, 4]);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.rep_of(5), 1);
         assert!(Classes::new(&[] as &[Vec<u32>], |v| v.as_slice()).is_empty());
     }
 
