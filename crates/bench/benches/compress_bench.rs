@@ -45,7 +45,9 @@ fn bench_compress(c: &mut Criterion) {
                 BenchmarkId::new(format!("{name}_decompress"), n),
                 &blob,
                 |b, blob| {
-                    b.iter(|| black_box(decompress(black_box(blob), u64::MAX).unwrap()).len());
+                    b.iter(|| {
+                        black_box(decompress(black_box(blob), u64::MAX, u64::MAX).unwrap()).len()
+                    });
                 },
             );
         }

@@ -9,7 +9,7 @@ use dt_cache::Cache;
 use dt_obs::{json, stage, MetricsRecorder, Recorder};
 use dt_serve::{Corpora, Failure, Request};
 use dt_trace::hb::HbLog;
-use dt_trace::{canonicalize, store, FunctionRegistry, TraceSet, TraceSetStats};
+use dt_trace::{canonicalize, store, FunctionRegistry, IndexedSet, TraceSet, TraceSetStats};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -520,7 +520,7 @@ USAGE:
 
   difftrace serve <file.dtts>... [--addr HOST:PORT] [--jobs N] [--cache DIR]
       Persistent analysis daemon. Each file becomes a named corpus
-      (its file stem), opened ONCE behind the v3 offset index — no
+      (its file stem), opened ONCE behind the store's offset index — no
       trace is decoded until a query touches it, and decoded traces
       stay cached across requests, as do intermediate analysis results
       in the shared cache. Queries arrive as line-delimited JSON over
@@ -771,8 +771,14 @@ fn run_demo_pair(
     Ok(((n.traces, n.hb), (f.traces, f.hb)))
 }
 
-fn load(path: &str) -> Result<TraceSet, String> {
-    store::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+/// Open the store at `path` and read its whole corpus: every command
+/// reads `.dtts` files through the one reader, [`IndexedSet`], which
+/// also holds the store's happens-before log.
+fn load(path: &str) -> Result<(IndexedSet, Arc<TraceSet>), String> {
+    let err = |e: store::StoreError| format!("{path}: {e}");
+    let ix = IndexedSet::open(Path::new(path)).map_err(err)?;
+    let set = ix.full_set().map_err(err)?;
+    Ok((ix, set))
 }
 
 /// Write a CLI output file through the store's temp+rename helper, so
@@ -834,16 +840,12 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn load_full(path: &str) -> Result<(TraceSet, HbLog), String> {
-    store::load_full(Path::new(path)).map_err(|e| format!("{path}: {e}"))
-}
-
 fn info(args: &[String]) -> Result<(), String> {
     let args = Args::parse("info", args)?;
     let [path] = args.positional.as_slice() else {
         return Err(usage_of("info"));
     };
-    let set = load(path)?;
+    let (_, set) = load(path)?;
     let stats = TraceSetStats::measure(&set);
     println!(
         "{path}: {} traces, {} functions interned",
@@ -880,7 +882,7 @@ fn filters(args: &[String]) -> Result<(), String> {
     let [path] = args.positional.as_slice() else {
         return Err(usage_of("filters"));
     };
-    let set = load(path)?;
+    let (_, set) = load(path)?;
     println!(
         "{:<18} {:<24} {:>10} {:>8} {:>9}",
         "Filter", "code", "kept", "of", "distinct"
@@ -1243,11 +1245,11 @@ fn export(args: &[String]) -> Result<(), String> {
     let rec = obs.recorder(&live);
     let normal = {
         let _s = stage(rec, "load");
-        load(normal_path)?
+        load(normal_path)?.1
     };
     let faulty = {
         let _s = stage(rec, "load");
-        load(faulty_path)?
+        load(faulty_path)?.1
     };
     // Export takes no gate flags; with every gate off the pipeline
     // cannot deny.
@@ -1306,11 +1308,11 @@ fn sweep_cmd(args: &[String]) -> Result<(), String> {
     let rec = obs.recorder(&live);
     let normal = {
         let _s = stage(rec, "load");
-        load(normal_path)?
+        load(normal_path)?.1
     };
     let faulty = {
         let _s = stage(rec, "load");
-        load(faulty_path)?
+        load(faulty_path)?.1
     };
     if filters.is_empty() {
         filters = vec![
@@ -1397,12 +1399,12 @@ fn baseline_record(args: &[String]) -> Result<(), String> {
     let obs = ObsOpts::of(&args);
     let live = MetricsRecorder::new();
     let rec = obs.recorder(&live);
-    let (set, hb) = {
+    let (ix, set) = {
         let _s = stage(rec, "load");
-        load_full(run)?
+        load(run)?
     };
     let popts = req.pipeline_options(cache.clone());
-    let baseline = snapshot_rec(&set, &hb, &params, &popts, rec);
+    let baseline = snapshot_rec(&set, ix.hb(), &params, &popts, rec);
     let bytes = baseline.encode();
     if rec.enabled() {
         rec.add("baseline_bundle_bytes", bytes.len() as u64);
@@ -1443,12 +1445,12 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             let cache = open_cache(args.value("--cache"))?;
             let live = MetricsRecorder::new();
             let rec = obs.recorder(&live);
-            let (set, hb) = {
+            let (ix, set) = {
                 let _s = stage(rec, "load");
-                load_full(run)?
+                load(run)?
             };
             let popts = req.pipeline_options(cache.clone());
-            let candidate = snapshot_rec(&set, &hb, &params, &popts, rec);
+            let candidate = snapshot_rec(&set, ix.hb(), &params, &popts, rec);
             let report = evaluate(&baseline, &candidate, &policy, run)?;
             if rec.enabled() {
                 rec.add("baseline_runs_checked", 1);
@@ -1506,11 +1508,11 @@ fn baseline_check(args: &[String]) -> Result<(), CliError> {
             let mut index_rows = Vec::new();
             for run in &runs {
                 let label = run.display().to_string();
-                let (set, hb) = {
+                let (ix, set) = {
                     let _s = stage(rec, "load");
-                    load_full(&label)?
+                    load(&label)?
                 };
-                let candidate = snapshot_rec(&set, &hb, &params, &popts, rec);
+                let candidate = snapshot_rec(&set, ix.hb(), &params, &popts, rec);
                 let report = evaluate(&baseline, &candidate, &policy, &label)?;
                 let stem = run
                     .file_stem()
@@ -2594,7 +2596,7 @@ mod tests {
     }
 
     /// Tentpole plumbing: `--trace P.T` routes lint/single through the
-    /// v3 offset index — exactly one blob decode, recorded in the
+    /// store's offset index — exactly one blob decode, recorded in the
     /// metrics document — and matches a hand-built one-trace subset.
     #[test]
     fn trace_flag_decodes_exactly_one_trace() {
@@ -2604,7 +2606,7 @@ mod tests {
         let dirs = dir.to_str().unwrap().to_string();
         dispatch(&s(&["demo", "oddeven", &dirs])).unwrap();
         let f = format!("{dirs}/faulty.dtts");
-        let set = store::load(Path::new(&f)).unwrap();
+        let set = IndexedSet::open(Path::new(&f)).unwrap();
         assert!(set.len() > 1, "need a multi-trace corpus");
         let id = set.ids()[0];
 

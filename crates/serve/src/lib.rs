@@ -5,7 +5,7 @@
 //! interactive debugging loops ("lint this, now diff those, now show
 //! me trace 3.1") that load dominates. `difftrace serve` amortizes it:
 //! the daemon opens each corpus ONCE behind a
-//! [`dt_trace::store::IndexedSet`] — the `.dtts` v3 per-trace offset
+//! [`dt_trace::store::IndexedSet`] — the `.dtts` per-trace offset
 //! index means *opening* decodes nothing — and answers queries over a
 //! line-delimited JSON protocol on TCP ([`protocol`]). Traces decode
 //! lazily on first touch and stay cached; a shared [`dt_cache::Cache`]

@@ -145,6 +145,7 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     // Nagle either; without the option the daemon still answers, only
     // slower.
     let _ = stream.set_nodelay(true);
+    let peer = stream.peer_addr().ok();
     let Ok(reader) = stream.try_clone() else {
         return;
     };
@@ -185,7 +186,7 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let (reply, shutdown) = answer(state, line);
+        let (reply, shutdown) = answer(state, line, peer);
         let sent = protocol::write_line(&mut writer, &reply);
         if shutdown {
             // Only now that the reply is written: once the flag is set
@@ -201,11 +202,18 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
     }
 }
 
-/// One frame in, one reply line out, and whether the frame asked the
-/// daemon to shut down. Never panics the daemon: parse failures become
-/// diagnosed error replies, and a panicking analysis job is caught at
-/// the pool boundary and reported as an error too.
-fn answer(state: &Arc<State>, line: &str) -> (String, bool) {
+/// May a connection from `peer` stop the daemon? Only a loopback peer
+/// may (an IPv4-mapped IPv6 one included); a remote or unknown peer may
+/// not.
+fn may_shut_down(peer: Option<SocketAddr>) -> bool {
+    peer.is_some_and(|p| p.ip().to_canonical().is_loopback())
+}
+
+/// One frame in from `peer`, one reply line out, and whether the frame
+/// asked the daemon to shut down. Never panics the daemon: parse
+/// failures become diagnosed error replies, and a panicking analysis
+/// job is caught at the pool boundary and reported as an error too.
+fn answer(state: &Arc<State>, line: &str, peer: Option<SocketAddr>) -> (String, bool) {
     state.rec.add("requests", 1);
     let req = match protocol::parse_request(line) {
         Ok(req) => req,
@@ -220,6 +228,10 @@ fn answer(state: &Arc<State>, line: &str) -> (String, bool) {
         // Control-plane commands answer inline — they must not queue
         // behind long analyses.
         "metrics" => protocol::ok_line(id, &metrics_text(state), 0),
+        "shutdown" if !may_shut_down(peer) => {
+            state.rec.add("requests_refused", 1);
+            protocol::err_line(id, "shutdown is accepted only from a loopback peer")
+        }
         "shutdown" => return (protocol::ok_line(id, "shutting down\n", 0), true),
         _ => {
             let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -261,4 +273,32 @@ fn metrics_text(state: &State) -> String {
         out.push_str(&format!("{k} {v}\n"));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::may_shut_down;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn only_a_loopback_peer_may_shut_down() {
+        let peer = |a: &str| Some(a.parse::<SocketAddr>().unwrap());
+        for loopback in [
+            "127.0.0.1:4178",
+            "127.9.8.7:1",
+            "[::1]:4178",
+            "[::ffff:127.0.0.1]:9",
+        ] {
+            assert!(may_shut_down(peer(loopback)), "{loopback}");
+        }
+        for remote in [
+            "10.0.0.1:4178",
+            "0.0.0.0:1",
+            "[2001:db8::1]:4178",
+            "[::ffff:10.0.0.1]:9",
+        ] {
+            assert!(!may_shut_down(peer(remote)), "{remote}");
+        }
+        assert!(!may_shut_down(None), "an unknown peer");
+    }
 }

@@ -5,7 +5,7 @@
 
 use dt_serve::protocol::{self, Request};
 use dt_serve::{render, ServeConfig, Server};
-use dt_trace::{store, FunctionRegistry, TraceId};
+use dt_trace::{store, FunctionRegistry, IndexedSet, TraceId, TraceSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -114,14 +114,19 @@ fn req(cmd: &str, corpus: &str) -> Request {
     }
 }
 
+/// The whole corpus of the store at `path`.
+fn read(path: &std::path::Path) -> Arc<TraceSet> {
+    IndexedSet::open(path).unwrap().full_set().unwrap()
+}
+
 #[test]
 fn check_queries_match_direct_library_calls() {
     let dir = demo_corpora("checks");
     let daemon = Daemon::start(&dir, 2);
     let mut c = daemon.connect();
 
-    let set = store::load(&dir.join("faulty.dtts")).unwrap();
-    let (hb_set, hb) = store::load_full(&dir.join("faulty.dtts")).unwrap();
+    let ix = IndexedSet::open(&dir.join("faulty.dtts")).unwrap();
+    let set = ix.full_set().unwrap();
 
     // lint, text and json.
     let expect = difftrace::lint_set(&set, &difftrace::LintOptions::default());
@@ -134,7 +139,7 @@ fn check_queries_match_direct_library_calls() {
     assert_eq!(c.roundtrip(&jq).output, expect.render_json());
 
     // hbcheck.
-    let expect = difftrace::hbcheck_set(&hb_set, &hb, &difftrace::HbOptions::default());
+    let expect = difftrace::hbcheck_set(&set, ix.hb(), &difftrace::HbOptions::default());
     let resp = c.roundtrip(&req("hbcheck", "faulty"));
     assert!(resp.ok, "{}", resp.error);
     assert_eq!(resp.output, expect.render_text());
@@ -163,8 +168,8 @@ fn single_and_diff_match_shared_renderers() {
     let daemon = Daemon::start(&dir, 2);
     let mut c = daemon.connect();
 
-    let normal = store::load(&dir.join("normal.dtts")).unwrap();
-    let faulty = store::load(&dir.join("faulty.dtts")).unwrap();
+    let normal = read(&dir.join("normal.dtts"));
+    let faulty = read(&dir.join("faulty.dtts"));
     let params = difftrace::Params::new(
         difftrace::FilterConfig::everything(10),
         difftrace::AttrConfig {
@@ -301,7 +306,7 @@ fn single_trace_query_decodes_exactly_one_trace() {
     let daemon = Daemon::start(&dir, 1);
     let mut c = daemon.connect();
 
-    let set = store::load(&dir.join("faulty.dtts")).unwrap();
+    let set = read(&dir.join("faulty.dtts"));
     let id = set.ids()[0];
     assert!(set.len() > 1, "need a multi-trace corpus for this test");
 
@@ -345,7 +350,7 @@ fn concurrent_clients_get_identical_bytes() {
     let dir = demo_corpora("conc");
     let daemon = Daemon::start(&dir, 4);
 
-    let set = store::load(&dir.join("faulty.dtts")).unwrap();
+    let set = read(&dir.join("faulty.dtts"));
     let expect_lint = difftrace::lint_set(&set, &difftrace::LintOptions::default()).render_text();
     let expect_race =
         difftrace::racecheck_set(&set, &difftrace::RaceOptions::default()).render_text();

@@ -9,9 +9,10 @@
 //! by an untrusted header. Each format maps [`CodecError`] into its own
 //! error vocabulary where it reads.
 //!
-//! Sealed formats (cache entries, baseline bundles) end in a 16-byte
-//! [`StableHasher`] digest of everything before it: [`seal`] appends
-//! it and [`unseal`] verifies and strips it.
+//! Sealed formats (cache entries, baseline bundles, and each section
+//! of a `.dtts` store) end in a 16-byte [`StableHasher`] digest of
+//! everything before it: [`seal`] appends it and [`unseal`] verifies
+//! and strips it.
 
 use crate::hash::StableHasher;
 use crate::trace::TraceId;
@@ -33,6 +34,11 @@ pub enum CodecError {
     /// too wide for its type, a count the input cannot hold, or a
     /// match that references data before the start of the stream.
     Corrupt(&'static str),
+    /// A well-formed blob that disagrees with its container: a digest
+    /// or symbol count other than the container's index records, or
+    /// more symbols than the container may decode. The container
+    /// reports it as its own format error.
+    Container(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -43,6 +49,7 @@ impl fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "compressed stream ended unexpectedly"),
             CodecError::Utf8 => write!(f, "invalid UTF-8"),
             CodecError::Corrupt(m) => write!(f, "corrupt compressed stream: {m}"),
+            CodecError::Container(m) => write!(f, "{m}"),
         }
     }
 }

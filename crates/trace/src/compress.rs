@@ -200,14 +200,10 @@ impl StreamCompressor {
     }
 }
 
-/// Decompress a blob produced by [`compress`]. Every symbol must be
-/// below `symbol_bound` (capped at 2³², every `u32`): a store passes
-/// [`crate::FunctionRegistry::symbol_bound`], so a stream naming a
-/// function its registry lacks is a [`CodecError::Corrupt`], never an
-/// out-of-range lookup downstream. Only literals are checked — a match
-/// copies symbols already checked. The result holds exactly its
-/// symbols (no spare capacity): a decoded trace costs 4 bytes per event.
-pub fn decompress(blob: &[u8], symbol_bound: u64) -> Result<Vec<u32>, CodecError> {
+/// The symbol count a blob declares in its header, read without
+/// decoding it — what a reader admits against its budget before it
+/// calls [`decompress`].
+pub fn declared_len(blob: &[u8]) -> Result<u64, CodecError> {
     if blob.len() < 5 {
         return Err(CodecError::Truncated);
     }
@@ -217,12 +213,35 @@ pub fn decompress(blob: &[u8], symbol_bound: u64) -> Result<Vec<u32>, CodecError
     if blob[4] != VERSION {
         return Err(CodecError::BadVersion(blob[4]));
     }
-    let bound = symbol_bound.min(1 << 32);
+    Reader::at(blob, 5).varint()
+}
+
+/// Decompress a blob produced by [`compress`] into at most
+/// `max_symbols` symbols. The declared count is checked against
+/// `max_symbols` before any output is reserved, so a blob claiming more
+/// (a 15-byte blob can claim 2²⁷ symbols and encode them all as one
+/// match) is a [`CodecError::Corrupt`] that allocates nothing. Every
+/// symbol must be below `symbol_bound` (capped at 2³², every `u32`): a
+/// store passes [`crate::FunctionRegistry::symbol_bound`], so a stream
+/// naming a function its registry lacks is a [`CodecError::Corrupt`],
+/// never an out-of-range lookup downstream. Only literals are checked —
+/// a match copies symbols already checked, one memcpy per run of `dist`
+/// symbols. The result holds exactly its symbols (no spare capacity): a
+/// decoded trace costs 4 bytes per event.
+pub fn decompress(
+    blob: &[u8],
+    symbol_bound: u64,
+    max_symbols: u64,
+) -> Result<Vec<u32>, CodecError> {
+    let n = declared_len(blob)?;
+    let n = usize::try_from(n)
+        .ok()
+        .filter(|_| n <= max_symbols)
+        .ok_or(CodecError::Corrupt("declared length exceeds the limit"))?;
     let mut r = Reader::at(blob, 5);
-    let n = r.varint()? as usize;
-    // `n` is untrusted: the capacity is only a hint, capped by the
-    // input size (a match token can expand, so this is not a bound).
-    let mut out: Vec<u32> = Vec::with_capacity(n.min(r.remaining()));
+    r.varint()?; // the count, read above
+    let bound = symbol_bound.min(1 << 32);
+    let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let tok = r.varint()?;
         if tok & 1 == 1 {
@@ -234,10 +253,13 @@ pub fn decompress(blob: &[u8], symbol_bound: u64) -> Result<Vec<u32>, CodecError
             if len > n - out.len() {
                 return Err(CodecError::Corrupt("match overruns declared length"));
             }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let sym = out[start + k];
-                out.push(sym);
+            // An overlapping match (`len > dist`) repeats the `dist`
+            // symbols before it: each copy doubles the periodic run it
+            // can read from.
+            let (start, end) = (out.len() - dist, out.len() + len);
+            while out.len() < end {
+                let chunk = (end - out.len()).min(out.len() - start);
+                out.extend_from_within(start..start + chunk);
             }
         } else {
             let sym = tok >> 1;
@@ -250,7 +272,6 @@ pub fn decompress(blob: &[u8], symbol_bound: u64) -> Result<Vec<u32>, CodecError
             out.push(sym as u32);
         }
     }
-    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -293,7 +314,7 @@ mod tests {
 
     fn round_trip(sym: &[u32]) {
         let blob = compress(sym);
-        let back = decompress(&blob, ANY).expect("decompress");
+        let back = decompress(&blob, ANY, ANY).expect("decompress");
         assert_eq!(back, sym);
     }
 
@@ -316,7 +337,7 @@ mod tests {
         let body = [10u32, 11, 12, 13];
         let sym: Vec<u32> = body.iter().cycle().take(40_000).copied().collect();
         let blob = compress(&sym);
-        let back = decompress(&blob, ANY).unwrap();
+        let back = decompress(&blob, ANY, ANY).unwrap();
         assert_eq!(back, sym);
         let stats = CompressionStats::measure(&sym, &blob);
         assert!(
@@ -365,29 +386,35 @@ mod tests {
 
     #[test]
     fn decoder_rejects_garbage() {
-        assert_eq!(decompress(b"nope", ANY), Err(CodecError::Truncated));
-        assert_eq!(decompress(b"XXXX\x01\x00", ANY), Err(CodecError::BadMagic));
+        assert_eq!(decompress(b"nope", ANY, ANY), Err(CodecError::Truncated));
         assert_eq!(
-            decompress(b"DTLZ\x09\x00", ANY),
+            decompress(b"XXXX\x01\x00", ANY, ANY),
+            Err(CodecError::BadMagic)
+        );
+        assert_eq!(
+            decompress(b"DTLZ\x09\x00", ANY, ANY),
             Err(CodecError::BadVersion(9))
         );
         // Declared 5 symbols but no tokens follow.
-        assert_eq!(decompress(b"DTLZ\x01\x05", ANY), Err(CodecError::Truncated));
+        assert_eq!(
+            decompress(b"DTLZ\x01\x05", ANY, ANY),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]
     fn decoder_rejects_literals_outside_the_bound() {
         let blob = compress(&[0, 1, 2, 3, 0, 1, 2, 3, 14]);
-        assert_eq!(decompress(&blob, 15).unwrap().len(), 9);
+        assert_eq!(decompress(&blob, 15, ANY).unwrap().len(), 9);
         assert_eq!(
-            decompress(&blob, 14),
+            decompress(&blob, 14, ANY),
             Err(CodecError::Corrupt("symbol outside the function registry"))
         );
         // A match copies symbols already checked: only literals count.
         let blob = compress(&[4, 5, 6, 4, 5, 6, 4, 5, 6]);
-        assert_eq!(decompress(&blob, 7).unwrap().len(), 9);
-        assert!(decompress(&blob, 6).is_err());
-        assert_eq!(decompress(&blob, 7).unwrap().capacity(), 9);
+        assert_eq!(decompress(&blob, 7, ANY).unwrap().len(), 9);
+        assert!(decompress(&blob, 6, ANY).is_err());
+        assert_eq!(decompress(&blob, 7, ANY).unwrap().capacity(), 9);
     }
 
     #[test]
@@ -399,9 +426,27 @@ mod tests {
         write_varint(&mut blob, (3 << 1) | 1); // match len 3 …
         write_varint(&mut blob, 1); // … dist 1, but output is empty
         assert!(matches!(
-            decompress(&blob, ANY),
+            decompress(&blob, ANY, ANY),
             Err(CodecError::Corrupt(_))
         ));
+    }
+
+    /// The declared count is checked against the caller's limit before
+    /// any output is reserved: a blob whose one match expands to 1,000
+    /// symbols decodes under a limit of 1,000 and is refused under 999.
+    #[test]
+    fn decoder_refuses_a_declared_length_over_the_limit() {
+        let mut blob = b"DTLZ\x01".to_vec();
+        write_varint(&mut blob, 1000);
+        write_varint(&mut blob, 5 << 1); // literal 5 …
+        write_varint(&mut blob, (999 << 1) | 1); // … then 999 copies of it
+        write_varint(&mut blob, 1);
+        assert_eq!(declared_len(&blob), Ok(1000));
+        assert_eq!(decompress(&blob, ANY, 1000).unwrap(), vec![5; 1000]);
+        assert_eq!(
+            decompress(&blob, ANY, 999),
+            Err(CodecError::Corrupt("declared length exceeds the limit"))
+        );
     }
 
     #[test]
@@ -415,7 +460,7 @@ mod tests {
         }
         assert_eq!(sc.len(), sym.len());
         let blob = sc.finish();
-        assert_eq!(decompress(&blob, ANY).unwrap(), sym);
+        assert_eq!(decompress(&blob, ANY, ANY).unwrap(), sym);
         // Within 4× of the batch compressor on loopy data (the match
         // cap costs a token per 4096 symbols).
         let batch = compress(&sym).len();
@@ -442,7 +487,7 @@ mod tests {
             "on-the-fly compression must not buffer everything"
         );
         let blob = sc.finish();
-        let back = decompress(&blob, ANY).unwrap();
+        let back = decompress(&blob, ANY, ANY).unwrap();
         assert_eq!(back.len(), 3 * super::STREAM_TRIGGER);
     }
 
@@ -486,12 +531,12 @@ mod tests {
     #[test]
     fn streaming_edge_cases() {
         assert_eq!(
-            decompress(&StreamCompressor::new().finish(), ANY).unwrap(),
+            decompress(&StreamCompressor::new().finish(), ANY, ANY).unwrap(),
             vec![]
         );
         let mut sc = StreamCompressor::new();
         sc.extend([1, 2, 3]);
-        assert_eq!(decompress(&sc.finish(), ANY).unwrap(), vec![1, 2, 3]);
+        assert_eq!(decompress(&sc.finish(), ANY, ANY).unwrap(), vec![1, 2, 3]);
         // Incompressible stream round-trips too.
         let mut x = 9u64;
         let sym: Vec<u32> = (0..10_000)
@@ -502,6 +547,6 @@ mod tests {
             .collect();
         let mut sc = StreamCompressor::new();
         sc.extend(sym.iter().copied());
-        assert_eq!(decompress(&sc.finish(), ANY).unwrap(), sym);
+        assert_eq!(decompress(&sc.finish(), ANY, ANY).unwrap(), sym);
     }
 }

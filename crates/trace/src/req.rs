@@ -192,7 +192,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("req.dtts");
         store::save(&set, &path).unwrap();
-        let loaded = store::load(&path).unwrap();
+        let loaded = store::IndexedSet::open(&path).unwrap().full_set().unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         let t = loaded.get(TraceId::new(0, 0)).unwrap();

@@ -4,13 +4,14 @@
 //!
 //! ```text
 //! "DTTS" ∥ version:u8
-//! registry: varint count ∥ (varint len ∥ utf8 bytes)*
+//! registry: varint count ∥ (varint len ∥ utf8 bytes)* ∥ (v4) seal
 //! traces:   varint count ∥ (process:varint ∥ thread:varint ∥
 //!                           truncated:u8 ∥ varint blob_len ∥ blob)*
-//! hb:       (v2+) present:u8 ∥ HbLog section (see [`crate::hb`])
+//! hb:       (v2+) present:u8 ∥ HbLog section (see [`crate::hb`]) ∥ (v4) seal
 //! index:    (v3+) "DTIX" ∥ varint count ∥
 //!                 (process ∥ thread ∥ truncated:u8 ∥
-//!                  blob_off:varint ∥ blob_len:varint)*
+//!                  blob_off:varint ∥ blob_len:varint ∥
+//!                  (v4) symbols:varint ∥ (v4) digest:u128 LE)* ∥ (v4) seal
 //! footer:   (v3+) hb_off:u64 LE ∥ index_off:u64 LE
 //! ```
 //!
@@ -25,34 +26,51 @@
 //! touching) any trace blob: `blob_off` is the absolute file offset of
 //! that trace's compressed blob, `hb_off` the offset of the
 //! HB-presence byte, `index_off` the offset of the `"DTIX"` magic.
-//! Earlier-version files still load — v1 files simply carry an empty
-//! [`HbLog`]. Readers predating v3 diagnose v3 files as `unsupported
-//! DTTS version` rather than misparsing the tail.
+//! Version 4 seals the registry (from the magic on), the HB section and
+//! the index, each with a [`crate::codec::seal`] over its own bytes, and
+//! records each trace's symbol count and a [`StableHasher`] digest of
+//! its blob in the index. Open checks the seals and the total count
+//! against [`DECODE_BUDGET`]; a blob's digest and count are checked
+//! when that blob is decoded, so every byte of a v4 file is covered and
+//! lazy reads stay lazy. Earlier-version files still read — v1 files
+//! simply carry an empty [`HbLog`], and the symbols a v1–3 file decodes
+//! come out of the same budget. Readers predating a version diagnose
+//! its files as `unsupported DTTS version` rather than misparsing them.
 //!
-//! Both readers — the eager [`from_bytes_full`] and the lazy
-//! [`IndexedSet`] — share one layout parser, so they accept and reject
-//! exactly the same images: it reads the trace headers of every
-//! version (skipping the blobs), and checks a v3 index and footer
-//! against them. Fields are read through [`crate::codec::Reader`].
+//! [`IndexedSet`] is the one reader. Fields are read through
+//! [`crate::codec::Reader`].
 
-use crate::codec::{write_varint, CodecError, Reader};
+use crate::codec::{self, write_varint, CodecError, Reader};
 use crate::compress;
+use crate::hash::StableHasher;
 use crate::hb::HbLog;
 use crate::registry::FunctionRegistry;
 use crate::trace::{Trace, TraceId, TraceSet};
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: &[u8; 4] = b"DTTS";
 const INDEX_MAGIC: &[u8; 4] = b"DTIX";
 
 /// Current `.dtts` container version. Bumped to 3 when the per-trace
-/// offset index + footer were appended for [`IndexedSet`]; readers
-/// older than the bump reject newer files with a diagnosed
-/// `unsupported DTTS version` error instead of misparsing them.
-pub const STORE_FORMAT_VERSION: u8 = 3;
+/// offset index + footer were appended for [`IndexedSet`], and to 4
+/// when the sections were sealed and the index gained each blob's
+/// symbol count and digest; readers older than a bump reject newer
+/// files with a diagnosed `unsupported DTTS version` error instead of
+/// misparsing them.
+pub const STORE_FORMAT_VERSION: u8 = 4;
 const VERSION: u8 = STORE_FORMAT_VERSION;
+
+/// Symbols one store may decode: 2²⁸ (1 GiB of decoded trace). A v4
+/// store declaring more in its index fails to open; a v1–3 store's
+/// blobs take their declared counts from it as they are read. DESIGN
+/// §12 gives the reasons for the figure.
+pub const DECODE_BUDGET: u64 = 1 << 28;
+
+/// Bytes of a [`codec::seal`].
+const SEAL: usize = 16;
 
 /// Error reading a trace-set file.
 #[derive(Debug)]
@@ -66,7 +84,7 @@ pub enum StoreError {
     /// Embedded string was not UTF-8.
     Utf8,
     /// Structural problem that needs runtime context to describe
-    /// (e.g. *which* trace stem collides).
+    /// (e.g. *which* trace is missing).
     Invalid(String),
 }
 
@@ -95,6 +113,7 @@ impl From<CodecError> for StoreError {
         match e {
             CodecError::Truncated => StoreError::Format(TRUNCATED),
             CodecError::Utf8 => StoreError::Utf8,
+            CodecError::Container(m) => StoreError::Format(m),
             other => StoreError::Codec(other),
         }
     }
@@ -107,76 +126,60 @@ pub fn to_bytes(set: &TraceSet) -> Vec<u8> {
 }
 
 /// Serialise a trace set plus its happens-before log. `None` writes a
-/// v2 file whose HB section is marked absent.
+/// file whose HB section is marked absent.
 pub fn to_bytes_full(set: &TraceSet, hb: Option<&HbLog>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
+    let mut out = MAGIC.to_vec();
     out.push(VERSION);
-
     let names = set.registry.names();
     write_varint(&mut out, names.len() as u64);
     for n in &names {
         write_varint(&mut out, n.len() as u64);
         out.extend_from_slice(n.as_bytes());
     }
+    let mut out = codec::seal(out);
 
     write_varint(&mut out, set.len() as u64);
-    // (id, truncated, blob_off, blob_len) per trace, for the v3 index.
-    let mut index = Vec::with_capacity(set.len());
+    let mut index = INDEX_MAGIC.to_vec();
+    write_varint(&mut index, set.len() as u64);
     for t in set.iter() {
-        write_varint(&mut out, u64::from(t.id.process));
-        write_varint(&mut out, u64::from(t.id.thread));
-        out.push(u8::from(t.truncated));
         let blob = compress::compress(&t.events);
+        for part in [&mut out, &mut index] {
+            write_varint(part, u64::from(t.id.process));
+            write_varint(part, u64::from(t.id.thread));
+            part.push(u8::from(t.truncated));
+        }
         write_varint(&mut out, blob.len() as u64);
-        index.push((t.id, t.truncated, out.len() as u64, blob.len() as u64));
+        write_varint(&mut index, out.len() as u64);
+        write_varint(&mut index, blob.len() as u64);
+        write_varint(&mut index, t.events.len() as u64);
+        index.extend_from_slice(&blob_digest(&blob).to_le_bytes());
         out.extend_from_slice(&blob);
     }
     let hb_off = out.len() as u64;
-    match hb {
-        Some(hb) => {
-            out.push(1);
-            hb.write_to(&mut out);
-        }
-        None => out.push(0),
+    let mut section = vec![u8::from(hb.is_some())];
+    if let Some(hb) = hb {
+        hb.write_to(&mut section);
     }
+    out.extend_from_slice(&codec::seal(section));
     let index_off = out.len() as u64;
-    out.extend_from_slice(INDEX_MAGIC);
-    write_varint(&mut out, index.len() as u64);
-    for (id, truncated, blob_off, blob_len) in index {
-        write_varint(&mut out, u64::from(id.process));
-        write_varint(&mut out, u64::from(id.thread));
-        out.push(u8::from(truncated));
-        write_varint(&mut out, blob_off);
-        write_varint(&mut out, blob_len);
-    }
+    out.extend_from_slice(&codec::seal(index));
     out.extend_from_slice(&hb_off.to_le_bytes());
     out.extend_from_slice(&index_off.to_le_bytes());
     out
 }
 
-/// Deserialise a trace set from bytes, discarding any HB section.
-pub fn from_bytes(buf: &[u8]) -> Result<TraceSet, StoreError> {
-    from_bytes_full(buf).map(|(set, _)| set)
+/// The digest a v4 index records of a blob.
+fn blob_digest(blob: &[u8]) -> u128 {
+    let mut h = StableHasher::new();
+    h.write_raw(blob);
+    h.finish()
 }
 
-/// Deserialise a trace set and its happens-before log. V1 files (and
-/// v2 files saved without one) yield an empty log.
-pub fn from_bytes_full(buf: &[u8]) -> Result<(TraceSet, HbLog), StoreError> {
-    let layout = Layout::parse(buf)?;
-    let bound = layout.registry.symbol_bound();
-    let entries = &layout.entries;
-    let first = crate::first_equal(entries, |e| &buf[e.off..e.off + e.len]);
-    let mut set = TraceSet::new(layout.registry);
-    for (i, e) in entries.iter().enumerate() {
-        // A blob equal to an earlier one copies that trace's events.
-        let trace = match set.get(entries[first[i]].id) {
-            Some(twin) => e.with_events(twin.events.clone()),
-            None => e.decode(buf, bound)?,
-        };
-        set.insert(trace);
-    }
-    Ok((set, layout.hb))
+/// What a v4 index records of a blob, checked when it is decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlobCheck {
+    symbols: u64,
+    digest: u128,
 }
 
 /// One trace's header: its id, truncation flag and where its blob sits.
@@ -186,16 +189,11 @@ struct IndexEntry {
     truncated: bool,
     off: usize,
     len: usize,
+    /// The v4 index's record of the blob (`None` before v4).
+    check: Option<BlobCheck>,
 }
 
 impl IndexEntry {
-    /// Decompress this trace's blob straight into its [`Trace`]; every
-    /// symbol must be below `bound` (the registry's symbol bound).
-    fn decode(&self, buf: &[u8], bound: u64) -> Result<Trace, CodecError> {
-        let events = compress::decompress(&buf[self.off..self.off + self.len], bound)?;
-        Ok(self.with_events(events))
-    }
-
     /// This trace holding `events`.
     fn with_events(&self, events: Vec<u32>) -> Trace {
         Trace {
@@ -206,18 +204,18 @@ impl IndexEntry {
     }
 }
 
-/// A `.dtts` image parsed up to its blobs — everything both readers
-/// need before decoding a trace.
+/// A `.dtts` image parsed up to its blobs — everything a reader needs
+/// before decoding a trace.
 struct Layout {
     registry: Arc<FunctionRegistry>,
     /// Sorted by id, no duplicates, every blob inside the image.
     entries: Vec<IndexEntry>,
-    hb: HbLog,
     hb_section: Option<HbSection>,
 }
 
-/// Where a v2+ image's happens-before section lies: from `at` to `end`,
-/// where a v3 image's index (`exact`) must follow it.
+/// Where a v2+ image's happens-before section lies: from `at` to `end`
+/// (its seal excluded), where a v3+ image's index (`exact`) must follow
+/// it.
 #[derive(Debug, Clone, Copy)]
 struct HbSection {
     at: usize,
@@ -247,10 +245,19 @@ fn read_hb(buf: &[u8], section: Option<HbSection>) -> Result<HbLog, StoreError> 
     Ok(hb)
 }
 
+/// Check the seal that ends `buf[at..end]`; where its payload ends.
+fn check_seal(buf: &[u8], at: usize, end: usize, what: &'static str) -> Result<usize, StoreError> {
+    buf.get(at..end)
+        .and_then(codec::unseal)
+        .map(|(payload, _)| at + payload.len())
+        .ok_or(StoreError::Format(what))
+}
+
 impl Layout {
     /// Parse magic and version, the registry, every trace header
-    /// (skipping the blobs), the v3 index and footer — which must agree
-    /// with the headers — and the HB section.
+    /// (skipping the blobs), the v3+ index and footer — which must
+    /// agree with the headers — and the HB section, checking each v4
+    /// seal.
     fn parse(buf: &[u8]) -> Result<Layout, StoreError> {
         if buf.len() < 5 {
             return Err(StoreError::Format("file too short"));
@@ -262,8 +269,20 @@ impl Layout {
         if !(1..=VERSION).contains(&version) {
             return Err(StoreError::Format("unsupported DTTS version"));
         }
+        let sealed = version >= 4;
         let mut r = Reader::at(buf, 5);
-        let names = read_names(&mut r, "name overruns file")?;
+        // The name count is bounded by the bytes left, so a hostile
+        // count or length is a format error, never an allocation sized
+        // by the claim.
+        let names = r.list(1, Reader::string).map_err(|e| match e {
+            CodecError::Utf8 => StoreError::Utf8,
+            _ => StoreError::Format("name overruns file"),
+        })?;
+        if sealed {
+            let end = r.pos().saturating_add(SEAL);
+            check_seal(buf, 0, end, "registry seal mismatch")?;
+            r = Reader::at(buf, end);
+        }
         let n = r
             .count(4)
             .map_err(site(TRUNCATED, "trace count overruns file"))?;
@@ -282,19 +301,25 @@ impl Layout {
                 truncated,
                 off,
                 len,
+                check: None,
             });
         }
         let hb_end = if version >= 3 {
-            check_index(buf, &entries, r.pos())?
+            check_index(buf, &mut entries, r.pos(), sealed)?
         } else {
             buf.len()
+        };
+        let hb_end = if sealed {
+            check_seal(buf, r.pos(), hb_end, "HB section seal mismatch")?
+        } else {
+            hb_end
         };
         let hb_section = (version >= 2).then(|| HbSection {
             at: r.pos(),
             end: hb_end,
             exact: version >= 3,
         });
-        let hb = read_hb(buf, hb_section)?;
+        read_hb(buf, hb_section)?;
         entries.sort_by_key(|e| e.id);
         if entries.windows(2).any(|w| w[0].id == w[1].id) {
             return Err(StoreError::Format("duplicate trace id in store"));
@@ -302,17 +327,23 @@ impl Layout {
         Ok(Layout {
             registry: Arc::new(FunctionRegistry::from_names(names)),
             entries,
-            hb,
             hb_section,
         })
     }
 }
 
-/// Check the v3 tail against the body: the footer's HB offset is where
+/// Check the v3+ tail against the body: the footer's HB offset is where
 /// the trace headers end, and the `DTIX` index lists exactly `entries`,
-/// in order, ending at the footer. Returns the index offset (where the
-/// HB section must end).
-fn check_index(buf: &[u8], entries: &[IndexEntry], hb_at: usize) -> Result<usize, StoreError> {
+/// in order, ending at the footer. A v4 (`sealed`) index must match its
+/// seal and declare at most [`DECODE_BUDGET`] symbols in all; its blob
+/// checks are copied into `entries`. Returns the index offset (where
+/// the HB section must end).
+fn check_index(
+    buf: &[u8],
+    entries: &mut [IndexEntry],
+    hb_at: usize,
+    sealed: bool,
+) -> Result<usize, StoreError> {
     let foot = buf
         .len()
         .checked_sub(16)
@@ -323,14 +354,22 @@ fn check_index(buf: &[u8], entries: &[IndexEntry], hb_at: usize) -> Result<usize
     if hb_off >= foot || index_off >= foot || hb_off > index_off {
         return Err(StoreError::Format("bad v3 footer offsets"));
     }
-    let mut r = Reader::at(&buf[..foot], index_off);
+    let end = if sealed {
+        check_seal(buf, index_off, foot, "index seal mismatch")?
+    } else {
+        foot
+    };
+    let mut r = Reader::at(&buf[..end], index_off);
     if r.take(4).ok() != Some(INDEX_MAGIC.as_slice()) {
         return Err(StoreError::Format("bad index magic"));
     }
+    // An entry is at least five one-byte fields, and in v4 a count
+    // byte and a 16-byte digest more.
     let count = r
-        .count(5)
+        .count(if sealed { 22 } else { 5 })
         .map_err(site(TRUNCATED, "index count overruns file"))?;
     let mut index = Vec::with_capacity(count);
+    let mut checks = Vec::with_capacity(count);
     for _ in 0..count {
         index.push(IndexEntry {
             id: read_trace_id(&mut r)?,
@@ -339,16 +378,35 @@ fn check_index(buf: &[u8], entries: &[IndexEntry], hb_at: usize) -> Result<usize
                 .map_err(|_| StoreError::Format("bad truncated flag in index"))?,
             off: r.varint()? as usize,
             len: r.varint()? as usize,
+            check: None,
         });
+        if sealed {
+            checks.push(BlobCheck {
+                symbols: r.varint()?,
+                digest: u128::from_le_bytes(r.array()?),
+            });
+        }
     }
     if index != entries || hb_off != hb_at || r.remaining() != 0 {
         return Err(StoreError::Format("index disagrees with trace headers"));
+    }
+    let total = checks
+        .iter()
+        .try_fold(0u64, |sum, c| sum.checked_add(c.symbols));
+    if total.is_none_or(|t| t > DECODE_BUDGET) {
+        return Err(StoreError::Format(OVER_BUDGET));
+    }
+    for (e, c) in entries.iter_mut().zip(checks) {
+        e.check = Some(c);
     }
     Ok(index_off)
 }
 
 /// A field cut short by the end of the input.
 const TRUNCATED: &str = "truncated blob";
+
+/// More symbols than [`DECODE_BUDGET`].
+const OVER_BUDGET: &str = "store declares more symbols than its decode budget";
 
 /// Map a reader error at one site of the layout: running out of input
 /// is the format error `ends`, any other defect the format error `bad`.
@@ -367,16 +425,6 @@ fn read_trace_id(r: &mut Reader<'_>) -> Result<TraceId, StoreError> {
     r.id().map_err(site(TRUNCATED, "trace id exceeds u32"))
 }
 
-/// A name table: a count, then that many length-prefixed UTF-8
-/// strings. The count is bounded by the bytes left, so a hostile count
-/// or length is a format error, never an allocation sized by the claim.
-fn read_names(r: &mut Reader<'_>, overrun: &'static str) -> Result<Vec<String>, StoreError> {
-    r.list(1, Reader::string).map_err(|e| match e {
-        CodecError::Utf8 => StoreError::Utf8,
-        _ => StoreError::Format(overrun),
-    })
-}
-
 /// Write `bytes` to `path` atomically: write a uniquely-named temp file
 /// in the same directory, then rename it over the destination. A crash
 /// (or full disk) mid-write leaves any previous file at `path` intact
@@ -387,7 +435,6 @@ fn read_names(r: &mut Reader<'_>, overrun: &'static str) -> Result<Vec<String>, 
 /// crash-safety discipline instead of re-deriving it with bare
 /// `std::fs::write`.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let name = path
@@ -422,120 +469,12 @@ pub fn save_full(set: &TraceSet, hb: &HbLog, path: &Path) -> Result<(), StoreErr
     write_atomic(path, &to_bytes_full(set, Some(hb)))
 }
 
-/// Read a trace set from `path`.
-pub fn load(path: &Path) -> Result<TraceSet, StoreError> {
-    let buf = std::fs::read(path)?;
-    from_bytes(&buf)
-}
-
-/// Read a trace set and its happens-before log from `path` (empty log
-/// for files saved without one).
-pub fn load_full(path: &Path) -> Result<(TraceSet, HbLog), StoreError> {
-    let buf = std::fs::read(path)?;
-    from_bytes_full(&buf)
-}
-
-const THREAD_MAGIC: &[u8; 4] = b"DTT1";
-const REGISTRY_FILE: &str = "functions.dtfn";
-
-/// Write a trace set as a directory — ParLOT's actual on-disk layout:
-/// one compressed file per thread (`<process>.<thread>.dtt`) plus a
-/// shared function-name table.
-pub fn save_dir(set: &TraceSet, dir: &Path) -> Result<(), StoreError> {
-    std::fs::create_dir_all(dir)?;
-    // Name table.
-    let mut reg = Vec::new();
-    let names = set.registry.names();
-    write_varint(&mut reg, names.len() as u64);
-    for n in &names {
-        write_varint(&mut reg, n.len() as u64);
-        reg.extend_from_slice(n.as_bytes());
-    }
-    write_atomic(&dir.join(REGISTRY_FILE), &reg)?;
-    // Per-thread files.
-    for t in set.iter() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(THREAD_MAGIC);
-        buf.push(u8::from(t.truncated));
-        buf.extend_from_slice(&compress::compress(&t.events));
-        write_atomic(
-            &dir.join(format!("{}.{}.dtt", t.id.process, t.id.thread)),
-            &buf,
-        )?;
-    }
-    Ok(())
-}
-
-/// Read a trace set back from a [`save_dir`] directory.
-pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
-    let reg_buf = std::fs::read(dir.join(REGISTRY_FILE))?;
-    let names = read_names(&mut Reader::new(&reg_buf), "name overruns registry file")?;
-    let registry = Arc::new(FunctionRegistry::from_names(names));
-    let bound = registry.symbol_bound();
-    let mut set = TraceSet::new(registry);
-
-    // Collect and sort trace files by name before insertion:
-    // `read_dir` order is OS-dependent, and error reporting (which
-    // file failed, which stems collide) must not depend on it.
-    let mut files: Vec<(String, std::path::PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else {
-            // A `.dtt` file we cannot decode is a trace we would
-            // silently drop — fail loudly instead of analyzing a
-            // partial run. Other undecodable names are none of ours.
-            if name.as_encoded_bytes().ends_with(b".dtt") {
-                return Err(StoreError::Format("undecodable trace file name"));
-            }
-            continue;
-        };
-        if name.ends_with(".dtt") {
-            files.push((name.to_string(), entry.path()));
-        }
-    }
-    files.sort();
-
-    for (name, path) in files {
-        let stem = name.strip_suffix(".dtt").expect("collected above");
-        let Some((p, t)) = stem.split_once('.') else {
-            return Err(StoreError::Format("trace file name is not <p>.<t>.dtt"));
-        };
-        let (process, thread) = (
-            p.parse::<u32>()
-                .map_err(|_| StoreError::Format("bad process id in file name"))?,
-            t.parse::<u32>()
-                .map_err(|_| StoreError::Format("bad thread id in file name"))?,
-        );
-        let id = TraceId::new(process, thread);
-        if set.get(id).is_some() {
-            // Two stems parsing to the same trace id (e.g. "01.2.dtt"
-            // vs "1.2.dtt") used to shadow silently in read_dir order.
-            return Err(StoreError::Invalid(format!(
-                "duplicate trace stem: {name} collides with an earlier file for trace {id}"
-            )));
-        }
-        let buf = std::fs::read(&path)?;
-        let mut r = Reader::new(&buf);
-        let header = "bad per-thread trace file header";
-        if r.take(4).ok() != Some(THREAD_MAGIC.as_slice()) {
-            return Err(StoreError::Format(header));
-        }
-        let truncated = r.flag().map_err(site(header, "bad truncated flag"))?;
-        set.insert(Trace {
-            id,
-            events: compress::decompress(&buf[r.pos()..], bound)?,
-            truncated,
-        });
-    }
-    Ok(set)
-}
-
-/// An index-backed, lazily-decoded view of a `.dtts` corpus.
+/// An index-backed, lazily-decoded view of a `.dtts` corpus — the one
+/// reader of the format.
 ///
-/// `open` parses the same layout as [`from_bytes_full`] — registry,
-/// trace headers (skipping every blob), the v3 index and footer, and
-/// the happens-before log, which it checks but holds only once
+/// `open` parses the layout — registry, trace headers (skipping every
+/// blob), the v3+ index and footer, each v4 seal, and the
+/// happens-before log, which it checks but holds only once
 /// [`IndexedSet::hb`] asks for it — and stops there: no trace blob is
 /// decompressed until someone asks for that
 /// trace, so a single-trace query touches one trace's bytes instead of
@@ -553,6 +492,10 @@ pub fn load_dir(dir: &Path) -> Result<TraceSet, StoreError> {
 /// found at open): a trace whose blob equals one already decoded
 /// copies that trace's events instead.
 ///
+/// Every trace read is admitted first ([`IndexedSet::admit`]): a v4
+/// blob's digest and symbol count must match its index entry, and a
+/// v1–3 read takes its symbols from what is left of [`DECODE_BUDGET`].
+///
 /// The number of blob decodes actually performed is counted and can be
 /// reported as the dt-obs `store_trace_decodes` counter via
 /// [`IndexedSet::report_to`] — the observable proof that lazy decode
@@ -568,13 +511,16 @@ pub struct IndexedSet {
     hb_section: Option<HbSection>,
     /// The happens-before log, read again from `hb_section` on first
     /// access: most corpora a daemon serves are never checked.
-    hb: std::sync::OnceLock<HbLog>,
+    hb: OnceLock<HbLog>,
     /// Traces read one at a time, and every blob that failed.
-    cells: Vec<std::sync::OnceLock<Result<Trace, CodecError>>>,
+    cells: Vec<OnceLock<Result<Trace, CodecError>>>,
     /// The whole corpus once read, or the index of the first blob that
     /// failed (its error is in its cell).
-    full: std::sync::OnceLock<Result<Arc<TraceSet>, usize>>,
-    decodes: std::sync::atomic::AtomicU64,
+    full: OnceLock<Result<Arc<TraceSet>, usize>>,
+    decodes: AtomicU64,
+    /// Symbols a v1–3 store may still read (a v4 store's total was
+    /// checked at open).
+    budget: AtomicU64,
 }
 
 impl fmt::Debug for IndexedSet {
@@ -592,15 +538,12 @@ impl IndexedSet {
         IndexedSet::from_bytes(std::fs::read(path)?)
     }
 
-    /// Build an indexed view over an in-memory `.dtts` image. It
-    /// accepts exactly the images [`from_bytes_full`] accepts, up to
-    /// blob decoding.
+    /// Build an indexed view over an in-memory `.dtts` image.
     pub fn from_bytes(buf: Vec<u8>) -> Result<IndexedSet, StoreError> {
         let Layout {
             registry,
             entries,
             hb_section,
-            ..
         } = Layout::parse(&buf)?;
         let n = entries.len();
         let first = crate::first_equal(&entries, |e| &buf[e.off..e.off + e.len]);
@@ -610,10 +553,11 @@ impl IndexedSet {
             entries,
             first,
             hb_section,
-            hb: std::sync::OnceLock::new(),
-            cells: (0..n).map(|_| std::sync::OnceLock::new()).collect(),
-            full: std::sync::OnceLock::new(),
-            decodes: std::sync::atomic::AtomicU64::new(0),
+            hb: OnceLock::new(),
+            cells: (0..n).map(|_| OnceLock::new()).collect(),
+            full: OnceLock::new(),
+            decodes: AtomicU64::new(0),
+            budget: AtomicU64::new(DECODE_BUDGET),
         })
     }
 
@@ -671,16 +615,55 @@ impl IndexedSet {
             let entry = &self.entries[idx];
             match self.first[idx] {
                 first if first < idx => match self.cell(first) {
-                    Ok(t) => Ok(entry.with_events(t.events.clone())),
+                    Ok(t) => self.copy(entry, t),
                     Err(e) => Err(e.clone()),
                 },
-                _ => {
-                    self.decodes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    entry.decode(&self.buf, self.registry.symbol_bound())
-                }
+                _ => self.decompress(entry),
             }
         })
+    }
+
+    /// Admit a read of `n` symbols into `entry`'s trace: a v4 entry
+    /// must hold exactly the count its index records (whose total open
+    /// checked against the budget); a v1–3 read takes `n` from what is
+    /// left of the store's budget.
+    fn admit(&self, entry: &IndexEntry, n: u64) -> Result<(), CodecError> {
+        match entry.check {
+            Some(c) if c.symbols == n => Ok(()),
+            Some(_) => Err(CodecError::Container(
+                "blob symbol count disagrees with the index",
+            )),
+            None => self
+                .budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                    left.checked_sub(n)
+                })
+                .map(drop)
+                .map_err(|_| CodecError::Container(OVER_BUDGET)),
+        }
+    }
+
+    /// Decompress `entry`'s blob straight into its trace, once its
+    /// digest (v4) and declared symbol count are admitted.
+    fn decompress(&self, entry: &IndexEntry) -> Result<Trace, CodecError> {
+        self.decodes.fetch_add(1, Ordering::Relaxed);
+        let blob = &self.buf[entry.off..entry.off + entry.len];
+        if entry.check.is_some_and(|c| c.digest != blob_digest(blob)) {
+            return Err(CodecError::Container(
+                "blob digest disagrees with the index",
+            ));
+        }
+        let n = compress::declared_len(blob)?;
+        self.admit(entry, n)?;
+        let events = compress::decompress(blob, self.registry.symbol_bound(), n)?;
+        Ok(entry.with_events(events))
+    }
+
+    /// `entry`'s trace as a copy of `twin`'s events (their blobs are
+    /// equal), once admitted.
+    fn copy(&self, entry: &IndexEntry, twin: &Trace) -> Result<Trace, CodecError> {
+        self.admit(entry, twin.events.len() as u64)?;
+        Ok(entry.with_events(twin.events.clone()))
     }
 
     /// Materialize a [`TraceSet`] holding just `ids` (sharing the
@@ -717,12 +700,10 @@ impl IndexedSet {
             let twin = set.get(self.entries[self.first[idx]].id);
             let read = match (self.cells[idx].get(), twin) {
                 (Some(read), _) => read.clone(),
-                (None, Some(t)) => Ok(entry.with_events(t.events.clone())),
+                (None, Some(t)) => self.copy(entry, t),
                 (None, None) => {
-                    self.decodes
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     fresh.push(idx);
-                    entry.decode(&self.buf, self.registry.symbol_bound())
+                    self.decompress(entry)
                 }
             };
             match read {
@@ -742,7 +723,7 @@ impl IndexedSet {
 
     /// How many trace blobs have actually been decompressed so far.
     pub fn decode_count(&self) -> u64 {
-        self.decodes.load(std::sync::atomic::Ordering::Relaxed)
+        self.decodes.load(Ordering::Relaxed)
     }
 
     /// Report the decode tally as the `store_trace_decodes` counter —
@@ -783,6 +764,16 @@ mod tests {
         set
     }
 
+    /// The whole corpus and HB log of an image, through the one reader.
+    fn read_all(bytes: &[u8]) -> Result<(Arc<TraceSet>, HbLog), StoreError> {
+        let ix = IndexedSet::from_bytes(bytes.to_vec())?;
+        Ok((ix.full_set()?, ix.hb().clone()))
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Result<Arc<TraceSet>, StoreError> {
+        read_all(bytes).map(|(set, _)| set)
+    }
+
     #[test]
     fn byte_round_trip() {
         let set = sample_set();
@@ -804,71 +795,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("exec.dtts");
         save(&set, &path).unwrap();
-        let back = load(&path).unwrap();
+        let back = IndexedSet::open(&path).unwrap().full_set().unwrap();
         assert_eq!(back.len(), 3);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn directory_round_trip() {
-        let set = sample_set();
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_test");
-        std::fs::remove_dir_all(&dir).ok();
-        save_dir(&set, &dir).unwrap();
-        // One file per thread plus the registry.
-        let files = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(files, set.len() + 1);
-        let back = load_dir(&dir).unwrap();
-        assert_eq!(back.len(), set.len());
-        assert_eq!(back.registry.names(), set.registry.names());
-        for t in set.iter() {
-            let bt = back.get(t.id).unwrap();
-            assert_eq!(bt.events, t.events);
-            assert_eq!(bt.truncated, t.truncated);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_dir_rejects_garbage() {
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_bad");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        // Missing registry file.
-        assert!(load_dir(&dir).is_err());
-        std::fs::write(dir.join(REGISTRY_FILE), [0u8]).unwrap(); // 0 names
-        std::fs::write(dir.join("0.0.dtt"), b"XXXX\x00junk").unwrap();
-        assert!(load_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A `.dtt` file whose name is not valid UTF-8 used to be skipped
-    /// silently, yielding a partial trace set; it must be a hard error.
-    #[cfg(unix)]
-    #[test]
-    fn load_dir_rejects_undecodable_dtt_name() {
-        use std::os::unix::ffi::OsStringExt;
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_nonutf8");
-        std::fs::remove_dir_all(&dir).ok();
-        let set = sample_set();
-        save_dir(&set, &dir).unwrap();
-
-        // Undecodable but not a trace file: still ignored.
-        let stray = std::ffi::OsString::from_vec(b"str\xFFay.tmp".to_vec());
-        std::fs::write(dir.join(&stray), b"x").unwrap();
-        assert_eq!(load_dir(&dir).unwrap().len(), set.len());
-        std::fs::remove_file(dir.join(&stray)).unwrap();
-
-        // Undecodable *trace* file: loading must fail loudly …
-        let bad = std::ffi::OsString::from_vec(b"9.\xFF0.dtt".to_vec());
-        std::fs::write(dir.join(&bad), b"x").unwrap();
-        let err = load_dir(&dir).unwrap_err();
-        assert!(
-            matches!(err, StoreError::Format("undecodable trace file name")),
-            "{err:?}"
-        );
-        // … not silently yield a partial set.
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -892,40 +821,74 @@ mod tests {
             },
         });
         let bytes = to_bytes_full(&set, Some(&hb));
-        let (back_set, back_hb) = from_bytes_full(&bytes).unwrap();
+        let (back_set, back_hb) = read_all(&bytes).unwrap();
         assert_eq!(back_set.len(), set.len());
         assert_eq!(back_hb.events(), hb.events());
         assert_eq!(back_hb.blocked, hb.blocked);
-        // Plain to_bytes/from_bytes still work and drop the section.
-        let (_, empty_hb) = from_bytes_full(&to_bytes(&set)).unwrap();
+        // Plain to_bytes still works and marks the section absent.
+        let (_, empty_hb) = read_all(&to_bytes(&set)).unwrap();
         assert!(empty_hb.is_empty());
+        // So do the unsealed versions.
+        for version in 2..=3 {
+            let (_, back_hb) = read_all(&legacy_image(&set, Some(&hb), version)).unwrap();
+            assert_eq!(back_hb.events(), hb.events(), "v{version}");
+        }
     }
 
-    /// Strip a v3 image down to its v2 body (everything before the
-    /// index section) and stamp the requested version byte.
-    fn downgrade(mut bytes: Vec<u8>, version: u8) -> Vec<u8> {
-        let foot = bytes.len() - 16;
-        let index_off = u64::from_le_bytes(bytes[foot + 8..].try_into().unwrap()) as usize;
-        bytes.truncate(index_off);
-        bytes[4] = version;
-        bytes
+    /// `set` and `hb` written in the unsealed layout of `version` 1, 2
+    /// or 3: the v4 writer without seals, blob checks or (below v3) the
+    /// tail, and without an HB section in v1.
+    fn legacy_image(set: &TraceSet, hb: Option<&HbLog>, version: u8) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(version);
+        let names = set.registry.names();
+        write_varint(&mut out, names.len() as u64);
+        for n in &names {
+            write_varint(&mut out, n.len() as u64);
+            out.extend_from_slice(n.as_bytes());
+        }
+        write_varint(&mut out, set.len() as u64);
+        let mut index = INDEX_MAGIC.to_vec();
+        write_varint(&mut index, set.len() as u64);
+        for t in set.iter() {
+            let blob = compress::compress(&t.events);
+            for part in [&mut out, &mut index] {
+                write_varint(part, u64::from(t.id.process));
+                write_varint(part, u64::from(t.id.thread));
+                part.push(u8::from(t.truncated));
+            }
+            write_varint(&mut out, blob.len() as u64);
+            write_varint(&mut index, out.len() as u64);
+            write_varint(&mut index, blob.len() as u64);
+            out.extend_from_slice(&blob);
+        }
+        let hb_off = out.len() as u64;
+        if version >= 2 {
+            out.push(u8::from(hb.is_some()));
+            if let Some(hb) = hb {
+                hb.write_to(&mut out);
+            }
+        }
+        if version >= 3 {
+            let index_off = out.len() as u64;
+            out.extend_from_slice(&index);
+            out.extend_from_slice(&hb_off.to_le_bytes());
+            out.extend_from_slice(&index_off.to_le_bytes());
+        }
+        out
     }
 
     #[test]
     fn v1_files_still_load_with_empty_hb() {
-        // Reconstruct a v1 byte stream: version byte 1, no index tail,
-        // no trailing HB-presence flag.
-        let mut bytes = downgrade(to_bytes(&sample_set()), 1);
-        bytes.pop(); // drop the HB-presence byte
-        let set = from_bytes(&bytes).unwrap();
+        let bytes = legacy_image(&sample_set(), None, 1);
+        let (set, hb) = read_all(&bytes).unwrap();
         assert_eq!(set.len(), 3);
-        let (_, hb) = from_bytes_full(&bytes).unwrap();
         assert!(hb.is_empty());
     }
 
     #[test]
     fn v2_files_still_load() {
-        let bytes = downgrade(to_bytes(&sample_set()), 2);
+        let bytes = legacy_image(&sample_set(), None, 2);
         let set = from_bytes(&bytes).unwrap();
         assert_eq!(set.len(), 3);
     }
@@ -979,15 +942,10 @@ mod tests {
         for (ids, want) in cases {
             for version in [1, 3] {
                 let bytes = crafted_image(version, ids);
-                let eager = from_bytes(&bytes).map(|s| s.len());
+                let got = IndexedSet::from_bytes(bytes).map(|s| s.len());
                 assert!(
-                    matches!(eager, Err(StoreError::Format(m)) if m == want),
-                    "eager v{version} {ids:?}: {eager:?}"
-                );
-                let lazy = IndexedSet::from_bytes(bytes).map(|s| s.len());
-                assert!(
-                    matches!(lazy, Err(StoreError::Format(m)) if m == want),
-                    "lazy v{version} {ids:?}: {lazy:?}"
+                    matches!(got, Err(StoreError::Format(m)) if m == want),
+                    "v{version} {ids:?}: {got:?}"
                 );
             }
         }
@@ -995,34 +953,15 @@ mod tests {
         for version in [1, 3] {
             let bytes = crafted_image(version, &[(1, 0), (2, 0)]);
             assert_eq!(from_bytes(&bytes).unwrap().len(), 2);
-            assert_eq!(IndexedSet::from_bytes(bytes).unwrap().len(), 2);
         }
     }
 
-    /// Both readers, run on one image: the traces and HB log as text,
-    /// or the error's `Display` text. A panic is reported, not raised.
-    fn both_readers(bytes: &[u8]) -> [Result<String, String>; 2] {
-        let show =
-            |set: &TraceSet, hb: &HbLog| format!("{:?} {hb:?}", set.iter().collect::<Vec<_>>());
-        let eager = || from_bytes_full(bytes).map(|(set, hb)| show(&set, &hb));
-        let lazy = || {
-            let ix = IndexedSet::from_bytes(bytes.to_vec())?;
-            Ok(show(&*ix.full_set()?, ix.hb()))
-        };
-        let guard = |f: &dyn Fn() -> Result<String, StoreError>| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-                .unwrap_or_else(|_| Ok("PANIC".to_string()))
-                .map_err(|e| e.to_string())
-        };
-        [guard(&eager), guard(&lazy)]
-    }
-
-    /// The eager and the lazy reader agree on every prefix and every
-    /// single-byte flip (two masks) of a v1, v2 and v3 image with an HB
-    /// section: both fail with the same message, or both yield the same
-    /// traces and HB log. Neither panics.
+    /// Every prefix and every single-byte flip (two masks) of a v1, v2
+    /// and v3 image with an HB section is read without a panic. (v4
+    /// images get the stronger scan of `crates/difftrace/tests/
+    /// store_scan.rs`: each variant is diagnosed or changes nothing.)
     #[test]
-    fn eager_and_lazy_readers_agree_on_every_mutation() {
+    fn unsealed_images_never_panic_on_any_mutation() {
         use crate::hb::{BlockedOp, HbOp, VectorClock};
         let mut hb = HbLog::new(3);
         let mut vc = VectorClock::zero(3);
@@ -1038,27 +977,20 @@ mod tests {
             op: HbOp::Recv { src: None, tag: 3 },
         });
         hb.finished = vec![0, 2];
-        let v3 = to_bytes_full(&sample_set(), Some(&hb));
-        for image in [downgrade(v3.clone(), 1), downgrade(v3.clone(), 2), v3] {
-            let version = image[4];
-            assert!(both_readers(&image)[0].is_ok(), "v{version} intact");
-            let mut mutants: Vec<(String, Vec<u8>)> = (0..image.len())
-                .map(|cut| (format!("prefix {cut}"), image[..cut].to_vec()))
-                .collect();
-            for i in 0..image.len() {
-                for mask in [0x01u8, 0x80] {
+        for version in 1..=3 {
+            let image = legacy_image(&sample_set(), Some(&hb), version);
+            assert!(read_all(&image).is_ok(), "v{version} intact");
+            let prefixes = (0..image.len()).map(|cut| image[..cut].to_vec());
+            let flips = (0..image.len()).flat_map(|i| {
+                [0x01u8, 0x80].map(|mask| {
                     let mut flipped = image.clone();
                     flipped[i] ^= mask;
-                    mutants.push((format!("byte {i} ^ {mask:#04x}"), flipped));
-                }
-            }
-            for (what, bytes) in mutants {
-                let [eager, lazy] = both_readers(&bytes);
-                assert!(
-                    eager.as_deref() != Ok("PANIC") && lazy.as_deref() != Ok("PANIC"),
-                    "v{version} {what}: panic"
-                );
-                assert_eq!(eager, lazy, "v{version} {what}");
+                    flipped
+                })
+            });
+            for (n, bytes) in prefixes.chain(flips).enumerate() {
+                let read = std::panic::catch_unwind(|| read_all(&bytes).map(drop));
+                assert!(read.is_ok(), "v{version} variant {n}: panic");
             }
         }
     }
@@ -1082,7 +1014,7 @@ mod tests {
         std::fs::write(dir.join(".exec.dtts.tmp.99999.0"), &partial).unwrap();
 
         // The real file is untouched and fully loadable.
-        let back = load(&path).unwrap();
+        let back = IndexedSet::open(&path).unwrap().full_set().unwrap();
         assert_eq!(back.len(), set.len());
 
         // A subsequent save still works and leaves no temp files of its
@@ -1118,20 +1050,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `load_dir` must skip a crashed writer's temp files rather than
-    /// misparse them as trace files.
-    #[test]
-    fn load_dir_ignores_stray_temp_files() {
-        let set = sample_set();
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_temps");
-        std::fs::remove_dir_all(&dir).ok();
-        save_dir(&set, &dir).unwrap();
-        std::fs::write(dir.join(".0.0.dtt.tmp.12345.7"), b"garbage").unwrap();
-        let back = load_dir(&dir).unwrap();
-        assert_eq!(back.len(), set.len());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A trace that calls a function its registry lacks: the registry
     /// holds only `main`, the trace also calls `FnId(7)`.
     fn out_of_registry_set() -> TraceSet {
@@ -1158,29 +1076,20 @@ mod tests {
         )
     }
 
-    /// Every reader diagnoses a symbol outside the registry when it
+    /// The reader diagnoses a symbol outside the registry when it
     /// decodes the blob, so no consumer ever looks the function up.
     #[test]
     fn symbols_outside_the_registry_are_format_errors() {
         let set = out_of_registry_set();
-        let bytes = to_bytes(&set);
-        let err = from_bytes_full(&bytes).unwrap_err();
-        assert!(is_out_of_registry(&err), "{err:?}");
-
-        // Opening decodes nothing, so it succeeds; every read fails.
-        let ix = IndexedSet::from_bytes(bytes).unwrap();
-        let err = ix.get(TraceId::new(0, 0)).unwrap_err();
-        assert!(is_out_of_registry(&err), "{err:?}");
-        let err = ix.full_set().unwrap_err();
-        assert!(is_out_of_registry(&err), "{err:?}");
-        assert_eq!(ix.decode_count(), 1);
-
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_out_of_registry");
-        std::fs::remove_dir_all(&dir).ok();
-        save_dir(&set, &dir).unwrap();
-        let err = load_dir(&dir).unwrap_err();
-        assert!(is_out_of_registry(&err), "{err:?}");
-        std::fs::remove_dir_all(&dir).ok();
+        for bytes in [to_bytes(&set), legacy_image(&set, None, 3)] {
+            // Opening decodes nothing, so it succeeds; every read fails.
+            let ix = IndexedSet::from_bytes(bytes).unwrap();
+            let err = ix.get(TraceId::new(0, 0)).unwrap_err();
+            assert!(is_out_of_registry(&err), "{err:?}");
+            let err = ix.full_set().unwrap_err();
+            assert!(is_out_of_registry(&err), "{err:?}");
+            assert_eq!(ix.decode_count(), 1);
+        }
     }
 
     #[test]
@@ -1193,15 +1102,15 @@ mod tests {
         assert!(from_bytes(&good).is_err());
     }
 
-    /// Files written before the v3 bump reject v3 images with a
-    /// diagnosed error — simulated here by the v2-era version check.
+    /// Readers from before the v4 bump reject v4 images with a
+    /// diagnosed error — simulated here by the v3-era version check.
     #[test]
-    fn old_readers_diagnose_v3_files() {
+    fn old_readers_diagnose_v4_files() {
         let bytes = to_bytes(&sample_set());
-        assert_eq!(bytes[4], 3);
-        // A v2-era reader accepted only versions 1 and 2.
-        let v2_era_accepts = |v: u8| v == 1 || v == 2;
-        assert!(!v2_era_accepts(bytes[4]));
+        assert_eq!(bytes[4], 4);
+        // A v3-era reader accepted only versions 1 to 3.
+        let v3_era_accepts = |v: u8| (1..=3).contains(&v);
+        assert!(!v3_era_accepts(bytes[4]));
         // And today's reader still diagnoses *future* versions.
         let mut future = bytes;
         future[4] = VERSION + 1;
@@ -1239,18 +1148,16 @@ mod tests {
     }
 
     #[test]
-    fn indexed_subset_and_full_set_match_eager_load() {
+    fn indexed_subset_and_full_set_match_the_written_set() {
         let set = sample_set();
-        let bytes = to_bytes(&set);
-        let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
+        let ix = IndexedSet::from_bytes(to_bytes(&set)).unwrap();
         let sub = ix.subset(&[TraceId::new(2, 0)]).unwrap();
         assert_eq!(sub.len(), 1);
         assert!(sub.get(TraceId::new(2, 0)).unwrap().truncated);
         let full = ix.full_set().unwrap();
-        let eager = from_bytes(&bytes).unwrap();
-        assert_eq!(full.len(), eager.len());
-        for t in eager.iter() {
-            assert_eq!(full.get(t.id).unwrap().events, t.events);
+        assert_eq!(full.len(), set.len());
+        for t in set.iter() {
+            assert_eq!(full.get(t.id).unwrap(), t);
         }
         // Traces 0.0 and 1.0 store equal blobs: two distinct decodes.
         assert_eq!(ix.decode_count(), 2);
@@ -1279,14 +1186,17 @@ mod tests {
         let mut bad = bytes.clone();
         let last = bad.windows(4).rposition(|w| w == b"DTLZ").unwrap();
         bad[last] ^= 0xff;
-        let eager = from_bytes(&bad).unwrap_err().to_string();
         let ix = IndexedSet::from_bytes(bad).unwrap();
-        assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
+        let err = ix.full_set().unwrap_err().to_string();
+        assert!(
+            err.contains("blob digest disagrees with the index"),
+            "{err}"
+        );
         assert_eq!(ix.decode_count(), 2);
         ix.get(TraceId::new(0, 0)).unwrap();
         ix.get(TraceId::new(1, 0)).unwrap();
         assert!(ix.get(TraceId::new(2, 0)).is_err());
-        assert_eq!(ix.full_set().unwrap_err().to_string(), eager);
+        assert_eq!(ix.full_set().unwrap_err().to_string(), err);
         assert_eq!(ix.decode_count(), 2);
     }
 
@@ -1309,13 +1219,12 @@ mod tests {
     #[test]
     fn indexed_open_reads_v1_and_v2_files_via_header_scan() {
         let set = sample_set();
-        let v2 = downgrade(to_bytes(&set), 2);
+        let v2 = legacy_image(&set, None, 2);
         let ix = IndexedSet::from_bytes(v2).unwrap();
         assert_eq!(ix.decode_count(), 0);
         assert_eq!(ix.full_set().unwrap().len(), set.len());
 
-        let mut v1 = downgrade(to_bytes(&set), 1);
-        v1.pop();
+        let v1 = legacy_image(&set, None, 1);
         let ix = IndexedSet::from_bytes(v1).unwrap();
         assert_eq!(ix.len(), 3);
         assert!(ix.hb().is_empty());
@@ -1344,7 +1253,14 @@ mod tests {
         let hb_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
         let mut bad = bytes;
         bad[hb_off] = 2; // neither "absent" nor "present"
-        let err = IndexedSet::from_bytes(bad).unwrap_err().to_string();
+        let err = IndexedSet::from_bytes(bad.clone()).unwrap_err().to_string();
+        assert!(err.contains("HB section seal mismatch"), "{err}");
+        // Unsealed, the same defect is the parser's.
+        let mut v3 = legacy_image(&set, Some(&hb), 3);
+        let foot = v3.len() - 16;
+        let hb_off = u64::from_le_bytes(v3[foot..foot + 8].try_into().unwrap()) as usize;
+        v3[hb_off] = 2;
+        let err = IndexedSet::from_bytes(v3).unwrap_err().to_string();
         assert!(err.contains("bad HB-presence flag"), "{err}");
     }
 
@@ -1360,16 +1276,19 @@ mod tests {
         let n = wild.len();
         wild[n - 8..].copy_from_slice(&(u64::MAX).to_le_bytes());
         assert!(IndexedSet::from_bytes(wild).is_err());
-        // Corrupt blob: surfaces at decode time, as a diagnosed error.
-        let foot = bytes.len() - 16;
-        let hb_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
-        let mut torn = bytes;
-        for b in &mut torn[hb_off - 4..hb_off] {
-            *b = 0xFF;
+        // Corrupt blob: surfaces at decode time, as a diagnosed error,
+        // in a sealed and in an unsealed image.
+        for bytes in [bytes, legacy_image(&sample_set(), None, 3)] {
+            let foot = bytes.len() - 16;
+            let hb_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+            let mut torn = bytes;
+            for b in &mut torn[hb_off - 4..hb_off] {
+                *b = 0xFF;
+            }
+            let ix = IndexedSet::from_bytes(torn).unwrap();
+            let last = *ix.ids().last().unwrap();
+            assert!(ix.get(last).is_err());
         }
-        let ix = IndexedSet::from_bytes(torn).unwrap();
-        let last = *ix.ids().last().unwrap();
-        assert!(ix.get(last).is_err());
     }
 
     #[test]
@@ -1404,46 +1323,114 @@ mod tests {
         assert_eq!(n, Some(1));
     }
 
-    /// Duplicate stems ("01.2.dtt" vs "1.2.dtt" both parse to trace
-    /// 1.2) used to shadow silently in OS `read_dir` order; they must
-    /// be a diagnosed error naming the collision.
-    #[test]
-    fn load_dir_rejects_duplicate_trace_stems() {
-        let set = sample_set();
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_dup");
-        std::fs::remove_dir_all(&dir).ok();
-        save_dir(&set, &dir).unwrap();
-        std::fs::copy(dir.join("1.0.dtt"), dir.join("01.0.dtt")).unwrap();
-        let err = load_dir(&dir).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("duplicate trace stem"), "{msg}");
-        assert!(msg.contains("1.0"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
+    /// The index offset of a v3+ image, from its footer.
+    fn index_off(bytes: &[u8]) -> usize {
+        u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) as usize
     }
 
-    /// `load_dir` sorts trace files by name, so which file "wins" an
-    /// error and the traversal order no longer depend on the OS's
-    /// `read_dir` order. Probed via the error for a malformed stem:
-    /// with two bad files present, the lexicographically first one is
-    /// always the one reported.
+    /// Each v4 section is sealed: a flipped byte in the registry, the
+    /// HB section or the index fails open, naming the section.
     #[test]
-    fn load_dir_is_deterministic_under_any_read_dir_order() {
+    fn v4_sections_are_sealed() {
+        use crate::hb::{HbOp, VectorClock};
+        let mut hb = HbLog::new(1);
+        let mut vc = VectorClock::zero(1);
+        vc.tick(0);
+        hb.push(TraceId::master(0), "MPI_Send", HbOp::Local, &vc);
+        let bytes = to_bytes_full(&sample_set(), Some(&hb));
+        let foot = bytes.len() - 16;
+        let hb_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+        for (at, want) in [
+            (7, "registry seal mismatch"),
+            (hb_off + 1, "HB section seal mismatch"),
+            (index_off(&bytes) + 5, "index seal mismatch"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01; // still a valid name byte, flag or varint
+            let err = IndexedSet::from_bytes(bad).unwrap_err().to_string();
+            assert!(err.contains(want), "byte {at}: {err}");
+        }
+    }
+
+    /// The v4 image of `set` with its index rewritten by `edit`
+    /// (given each entry's symbol count and digest) and resealed.
+    fn with_checks(set: &TraceSet, edit: impl Fn(&mut [BlobCheck])) -> Vec<u8> {
+        let mut bytes = to_bytes(set);
+        let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
+        let mut checks: Vec<BlobCheck> = ix.entries.iter().map(|e| e.check.unwrap()).collect();
+        edit(&mut checks);
+        let off = index_off(&bytes);
+        let footer = bytes.split_off(bytes.len() - 16);
+        bytes.truncate(off);
+        let mut index = INDEX_MAGIC.to_vec();
+        write_varint(&mut index, checks.len() as u64);
+        for (e, c) in ix.entries.iter().zip(&checks) {
+            write_varint(&mut index, u64::from(e.id.process));
+            write_varint(&mut index, u64::from(e.id.thread));
+            index.push(u8::from(e.truncated));
+            write_varint(&mut index, e.off as u64);
+            write_varint(&mut index, e.len as u64);
+            write_varint(&mut index, c.symbols);
+            index.extend_from_slice(&c.digest.to_le_bytes());
+        }
+        bytes.extend_from_slice(&codec::seal(index));
+        bytes.extend_from_slice(&footer);
+        bytes
+    }
+
+    /// A v4 blob is checked against its index entry when it is read:
+    /// its digest and symbol count, for a decode and for a copy of an
+    /// equal blob alike. A total over the budget fails open.
+    #[test]
+    fn v4_blobs_are_checked_against_the_index_when_read() {
         let set = sample_set();
-        let dir = std::env::temp_dir().join("dt_trace_store_dir_sorted");
-        std::fs::remove_dir_all(&dir).ok();
-        save_dir(&set, &dir).unwrap();
-        // Loads fine when clean.
-        assert_eq!(load_dir(&dir).unwrap().len(), set.len());
-        // Plant a duplicate late in sort order and one early: the
-        // first collision in *name* order is diagnosed.
-        std::fs::copy(dir.join("0.0.dtt"), dir.join("00.0.dtt")).unwrap();
-        std::fs::copy(dir.join("2.0.dtt"), dir.join("02.0.dtt")).unwrap();
-        let msg = load_dir(&dir).unwrap_err().to_string();
-        // "00.0.dtt" sorts before "0.0.dtt"; the collision is reported
-        // when the *second* name for trace 0.0 (i.e. "0.0.dtt") is
-        // reached — before trace 2.0's pair is ever considered.
-        assert!(msg.contains("0.0.dtt"), "{msg}");
-        assert!(!msg.contains("2.0"), "{msg}");
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(from_bytes(&with_checks(&set, |_| {})).is_ok());
+        type Edit = fn(&mut [BlobCheck]);
+        let cases: [(Edit, TraceId, &str); 3] = [
+            (
+                |c| c[0].digest ^= 1,
+                TraceId::new(0, 0),
+                "blob digest disagrees with the index",
+            ),
+            (
+                |c| c[2].symbols += 1,
+                TraceId::new(2, 0),
+                "blob symbol count disagrees with the index",
+            ),
+            // Trace 1.0's blob equals trace 0.0's: it is copied.
+            (
+                |c| c[1].symbols -= 1,
+                TraceId::new(1, 0),
+                "blob symbol count disagrees with the index",
+            ),
+        ];
+        for (edit, id, want) in cases {
+            let bytes = with_checks(&set, edit);
+            let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(ix.decode_count(), 0);
+            let err = ix.get(id).unwrap_err().to_string();
+            assert!(err.contains(want), "{id}: {err}");
+            let err = from_bytes(&bytes).unwrap_err().to_string();
+            assert!(err.contains(want), "{id}: {err}");
+        }
+        let err = IndexedSet::from_bytes(with_checks(&set, |c| c[0].symbols = DECODE_BUDGET))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Format(OVER_BUDGET)), "{err:?}");
+    }
+
+    /// A v1–3 store's reads, decodes and copies alike, take their
+    /// symbols from one budget: a store whose traces hold more than it
+    /// fails at the trace that would overdraw it.
+    #[test]
+    fn v3_reads_draw_on_one_budget() {
+        let bytes = legacy_image(&sample_set(), None, 3);
+        let ix = IndexedSet::from_bytes(bytes.clone()).unwrap();
+        ix.full_set().unwrap();
+        // 201 + 201 + 201 symbols: the second trace (a copy) overdraws.
+        let ix = IndexedSet::from_bytes(bytes).unwrap();
+        ix.budget.store(201 + 200, Ordering::Relaxed);
+        ix.get(TraceId::new(0, 0)).unwrap();
+        let err = ix.get(TraceId::new(1, 0)).unwrap_err();
+        assert!(matches!(err, StoreError::Format(OVER_BUDGET)), "{err:?}");
     }
 }

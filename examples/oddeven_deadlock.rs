@@ -32,7 +32,9 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join("faulty.dtts");
     store::save(&faulty.traces, &path).expect("save traces");
-    let loaded = store::load(&path).expect("load traces");
+    let loaded = store::IndexedSet::open(&path)
+        .and_then(|ix| ix.full_set())
+        .expect("load traces");
     let bytes = std::fs::metadata(&path).expect("stat").len();
     println!(
         "stored {} traces in {} bytes ({} bytes/trace) at {}",

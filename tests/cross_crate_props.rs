@@ -44,7 +44,7 @@ proptest! {
     #[test]
     fn compression_round_trips(input in proptest::collection::vec(any::<u32>(), 0..500)) {
         let blob = compress::compress(&input);
-        prop_assert_eq!(compress::decompress(&blob, u64::MAX).unwrap(), input);
+        prop_assert_eq!(compress::decompress(&blob, u64::MAX, u64::MAX).unwrap(), input);
     }
 
     /// Myers diff reconstructs and its distance is zero iff equal.
@@ -114,7 +114,9 @@ proptest! {
             t.truncated = *truncated;
             set.insert(t);
         }
-        let back = dt_trace::store::from_bytes(&dt_trace::store::to_bytes(&set)).unwrap();
+        let back = dt_trace::IndexedSet::from_bytes(dt_trace::store::to_bytes(&set))
+            .and_then(|ix| ix.full_set())
+            .unwrap();
         prop_assert_eq!(back.len(), set.len());
         for t in set.iter() {
             let bt = back.get(t.id).unwrap();
